@@ -61,7 +61,7 @@ def cmd_verify(args, cfg: ToolConfig) -> Tuple[dict, int]:
 
 
 def cmd_chain(args, cfg: ToolConfig) -> Tuple[dict, int]:
-    return jsonio.mv_to_dict(lukasiewicz_chain(args.k)), 0
+    return jsonio.mv_to_dict(lukasiewicz_chain(args.k, cfg.max_carrier)), 0
 
 
 def cmd_reduct(args, cfg: ToolConfig) -> Tuple[dict, int]:
@@ -224,7 +224,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(os.environ.get("MVSR_CONFIG"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"mvsr: cannot read config: {exc}", file=sys.stderr)
         return 1
     cfg = cfg.with_overrides(max_carrier=args.max_carrier,

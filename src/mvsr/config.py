@@ -29,11 +29,21 @@ class ToolConfig:
 
 
 def load_config(path: str | None) -> ToolConfig:
-    """Build a ToolConfig from a JSON file; unknown keys are ignored."""
+    """Build a ToolConfig from a JSON file; unknown keys are ignored.
+
+    Raises ValueError unless the file holds a JSON object whose bounds are
+    integers (bool refused) and whose out is a string or null."""
     cfg = ToolConfig()
     if not path:
         return cfg
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("config must be a JSON object")
     known = {k: data[k] for k in ("max_carrier", "max_enum", "seed", "n_max", "out") if k in data}
+    for key, value in known.items():
+        if key == "out" and not isinstance(value, (str, type(None))):
+            raise ValueError("config key 'out' must be a string or null")
+        if key != "out" and type(value) is not int:
+            raise ValueError(f"config key {key!r} must be an integer")
     return cfg.with_overrides(**known)

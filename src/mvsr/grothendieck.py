@@ -88,6 +88,8 @@ def enumerate_projective_classes(s: FiniteSemiring,
                                  max_enum: int = MAX_ENUM,
                                  max_carrier: int = MAX_CARRIER
                                  ) -> ProjClassMonoid:
+    if n_max < 1:
+        raise ValueError(f"n_max={n_max} must be at least 1")
     if s.size ** (n_max * n_max) > max_enum:
         raise EnumGuard(f"{s.size}^{n_max * n_max} matrices exceed "
                         f"max_enum={max_enum}")

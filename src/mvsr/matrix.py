@@ -17,7 +17,7 @@ from .config import DEFAULT_SEED, MAX_CARRIER, MAX_ENUM
 from .errors import (NoDecomposition, NotFreeBasis, ScalarMismatch,
                      ShapeMismatch, SizeGuard)
 from .semiring import (FiniteSemiring, SemiringHom, check_semiring_axioms,
-                       same_scalars)
+                       int_row, same_scalars)
 from .semimodule import (EndSemiring, FiniteSemimodule, FreeSemimodule,
                          SemimoduleHom, _span, end_semiring, free_semimodule)
 
@@ -30,7 +30,7 @@ class SemiringMatrix:
     entries: Tuple[Tuple[int, ...], ...]
 
     def __post_init__(self):
-        ent = tuple(tuple(int(v) for v in row) for row in self.entries)
+        ent = tuple(int_row(row, "matrix") for row in self.entries)
         if len(ent) != self.rows or any(len(r) != self.cols for r in ent):
             raise ShapeMismatch("entry grid does not match rows x cols")
         if any(not 0 <= v < self.scalars.size for row in ent for v in row):
@@ -89,6 +89,8 @@ def is_mult_idempotent(u: SemiringMatrix) -> bool:
 def idempotent_matrices(s: FiniteSemiring, n: int,
                         max_enum: int = MAX_ENUM) -> Tuple[SemiringMatrix, ...]:
     """All u with u*u = u in M_n(s), in entry-lexicographic order."""
+    if n < 0:
+        raise ValueError(f"matrix size n={n} must not be negative")
     total = s.size ** (n * n)
     if total > max_enum:
         raise SizeGuard(f"{total} candidate matrices exceed the bound")
@@ -210,21 +212,6 @@ def matrix_law_report(s: FiniteSemiring, n: int,
 
 # ----- matrices as endomorphisms ----------------------------------------------
 
-def right_action_hom(m: FreeSemimodule, a: SemiringMatrix) -> SemimoduleHom:
-    """The endomorphism v -> v * a of the free row-vector module."""
-    n = len(m.points)
-    if a.rows != n or a.cols != n:
-        raise ShapeMismatch("matrix shape must match the point count")
-    s = m.scalars
-    mapping = []
-    for i in range(m.size):
-        v = m.vector(i)
-        w = tuple(s.sum(s.mul[v[r]][a.entries[r][j]] for r in range(n))
-                  for j in range(n))
-        mapping.append(m.index(w))
-    return SemimoduleHom(m, m, tuple(mapping))
-
-
 @dataclass(frozen=True)
 class EtaResult:
     """The matrix semiring, the row-vector module, its endomorphism
@@ -250,7 +237,7 @@ def eta(s: FiniteSemiring, n: int, max_carrier: int = MAX_CARRIER,
     module = free_semimodule(s, [str(i) for i in range(n)], max_carrier)
     end = end_semiring(module, max_enum=max_enum)
     pos = {h.mapping: i for i, h in enumerate(end.homs)}
-    mapping = tuple(pos[right_action_hom(module, a).mapping]
+    mapping = tuple(pos[hom_from_matrix(a, module, module).mapping]
                     for a in ring.matrices)
     hom = SemiringHom(ring.semiring, end.semiring, mapping)
     hom.validate()

@@ -156,10 +156,12 @@ def lattice_report(a: MvAlgebra) -> AxiomReport:
     return AxiomReport("mv-lattice", laws)
 
 
-def lukasiewicz_chain(k: int) -> MvAlgebra:
+def lukasiewicz_chain(k: int, max_carrier: int = MAX_CARRIER) -> MvAlgebra:
     """The k-element chain 0, 1/(k-1), ..., 1 with truncated addition."""
     if k < 2:
         raise ChainTooShort("a chain needs at least 2 elements")
+    if k > max_carrier:
+        raise SizeGuard(f"chain carrier {k} exceeds max_carrier={max_carrier}")
     top = k - 1
     oplus = tuple(tuple(min(i + j, top) for j in range(k)) for i in range(k))
     star = tuple(top - i for i in range(k))

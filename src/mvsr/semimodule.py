@@ -15,13 +15,14 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .config import MAX_CARRIER, MAX_ENUM
-from .errors import (EnumGuard, IllDefinedAction, MalformedTable, NotAnIdeal,
-                     ScalarMismatch, SizeGuard)
+from .errors import (EnumGuard, IllDefinedAction, MalformedTable, NotAHom,
+                     NotAnIdeal, ScalarMismatch, SizeGuard)
 from .mv import (MvAlgebra, check_mv_axioms, quotient, reduct_vee_odot)
 from .semiring import (AxiomReport, FiniteSemiring, LawCheck, SemiringHom,
                        Table, _first_assoc_failure, _first_comm_failure,
-                       _first_identity_failure, boolean_semiring, freeze_table,
-                       is_additively_idempotent, same_scalars)
+                       _first_identity_failure, boolean_semiring, fold,
+                       freeze_table, int_row, is_additively_idempotent,
+                       same_scalars)
 
 
 @dataclass(frozen=True)
@@ -38,7 +39,7 @@ class FiniteSemimodule:
 
     def __post_init__(self):
         object.__setattr__(self, "add", freeze_table(self.add, self.size, "add"))
-        rows = tuple(tuple(int(v) for v in row) for row in self.action)
+        rows = tuple(int_row(row, "action") for row in self.action)
         if len(rows) != self.scalars.size:
             raise MalformedTable("action needs one row per scalar")
         for row in rows:
@@ -60,10 +61,7 @@ class FiniteSemimodule:
         return self.action[a][x]
 
     def sum(self, xs: Iterable[int]) -> int:
-        out = self.zero
-        for x in xs:
-            out = self.add[out][x]
-        return out
+        return fold(self.add, self.zero, xs)
 
     def label(self, x: int) -> str:
         return self.labels[x] if self.labels else str(x)
@@ -221,25 +219,7 @@ def trivial_module(s: FiniteSemiring) -> FiniteSemimodule:
 # ----- generation -----------------------------------------------------------
 
 def _span(m: FiniteSemimodule, gens: Iterable[int]) -> Set[int]:
-    seen = {m.zero} | {int(g) for g in gens}
-    changed = True
-    while changed:
-        changed = False
-        cur = list(seen)
-        for x in cur:
-            for y in cur:
-                r = m.add[x][y]
-                if r not in seen:
-                    seen.add(r)
-                    changed = True
-        for a in range(m.scalars.size):
-            row = m.action[a]
-            for x in cur:
-                r = row[x]
-                if r not in seen:
-                    seen.add(r)
-                    changed = True
-    return seen
+    return set(_derivation_order(m, gens)[0])
 
 
 @dataclass(frozen=True)
@@ -284,8 +264,9 @@ def minimal_generating_set(m: FiniteSemimodule) -> Tuple[int, ...]:
     return tuple(cur)
 
 
-def _derivation_order(m: FiniteSemimodule, gens: Sequence[int]):
-    """A first-found derivation of every element from the generators."""
+def _derivation_order(m: FiniteSemimodule, gens: Iterable[int]):
+    """A first-found derivation of every element the generators span, in
+    the order found."""
     deriv: Dict[int, tuple] = {m.zero: ("zero",)}
     order: List[int] = [m.zero]
     for i, g in enumerate(gens):
@@ -311,8 +292,6 @@ def _derivation_order(m: FiniteSemimodule, gens: Sequence[int]):
                     deriv[r] = ("act", a, x)
                     order.append(r)
                     changed = True
-    if len(order) != m.size:
-        raise ValueError("generators do not span the module")
     return order, deriv
 
 
@@ -327,7 +306,7 @@ class SemimoduleHom:
     mapping: Tuple[int, ...]
 
     def __post_init__(self):
-        mapping = tuple(int(v) for v in self.mapping)
+        mapping = int_row(self.mapping, "hom")
         if len(mapping) != self.source.size:
             raise MalformedTable("hom length mismatch")
         if any(not 0 <= v < self.target.size for v in mapping):
@@ -338,19 +317,9 @@ class SemimoduleHom:
         return self.mapping[x]
 
     def validate(self) -> "SemimoduleHom":
-        from .errors import NotAHom
-        m, n, h = self.source, self.target, self.mapping
-        if h[m.zero] != n.zero:
-            raise NotAHom("zero not preserved")
-        for x in range(m.size):
-            for y in range(m.size):
-                if h[m.add[x][y]] != n.add[h[x]][h[y]]:
-                    raise NotAHom(f"addition not preserved at ({x}, {y})")
-        for a in range(m.scalars.size):
-            srow, trow = m.action[a], n.action[a]
-            for x in range(m.size):
-                if h[srow[x]] != trow[h[x]]:
-                    raise NotAHom(f"action not preserved at ({a}, {x})")
+        broken = _broken_law(self.source, self.target, self.mapping)
+        if broken is not None:
+            raise NotAHom(_BROKEN_LAW[broken[0]].format(*broken[1:]))
         return self
 
     def is_onto(self) -> bool:
@@ -360,22 +329,29 @@ class SemimoduleHom:
         return len(set(self.mapping)) == self.source.size
 
 
-def _is_hom(m: FiniteSemimodule, n: FiniteSemimodule,
-            img: Sequence[int]) -> bool:
+_BROKEN_LAW = {"zero": "zero not preserved",
+               "add": "addition not preserved at ({}, {})",
+               "act": "action not preserved at ({}, {})"}
+
+
+def _broken_law(m: FiniteSemimodule, n: FiniteSemimodule,
+                img: Sequence[int]) -> Optional[tuple]:
+    """The first hom law img breaks, ("zero",), ("add", x, y) or
+    ("act", a, x), or None when img is a hom m -> n."""
     if img[m.zero] != n.zero:
-        return False
+        return ("zero",)
     for x in range(m.size):
         hx = img[x]
         arow = m.add[x]
         for y in range(m.size):
             if img[arow[y]] != n.add[hx][img[y]]:
-                return False
+                return ("add", x, y)
     for a in range(m.scalars.size):
         srow, trow = m.action[a], n.action[a]
         for x in range(m.size):
             if img[srow[x]] != trow[img[x]]:
-                return False
-    return True
+                return ("act", a, x)
+    return None
 
 
 @dataclass(frozen=True)
@@ -450,6 +426,8 @@ def hom_set(m: FiniteSemimodule, n: FiniteSemimodule,
     if total > max_enum:
         raise EnumGuard(f"{total} candidate assignments exceed the bound")
     order, deriv = _derivation_order(m, gens)
+    if len(order) != m.size:
+        raise ValueError("generators do not span the module")
     homs = []
     img = [0] * m.size
     for assign in itertools.product(range(n.size), repeat=len(gens)):
@@ -463,7 +441,7 @@ def hom_set(m: FiniteSemimodule, n: FiniteSemimodule,
                 img[x] = n.add[img[d[1]]][img[d[2]]]
             else:
                 img[x] = n.action[d[1]][img[d[2]]]
-        if _is_hom(m, n, img):
+        if _broken_law(m, n, img) is None:
             homs.append(SemimoduleHom(m, n, tuple(img)))
     return HomSemilattice(m, n, tuple(homs))
 
@@ -688,7 +666,7 @@ def free_universal_property(f: FreeSemimodule, m: FiniteSemimodule,
         built = tuple(m.sum(m.act(c, imgs[j])
                             for j, c in enumerate(f.vector(i)))
                       for i in range(f.size))
-        if not _is_hom(f, m, built):
+        if _broken_law(f, m, built) is not None:
             existence += 1
             continue
         matches = [h for h in homs

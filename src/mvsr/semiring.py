@@ -6,6 +6,7 @@ because matrix semirings get into the hundreds of elements.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence, Tuple
@@ -17,9 +18,25 @@ from .errors import MalformedTable, NotAHom, NotIdempotent
 Table = Tuple[Tuple[int, ...], ...]
 
 
+def _entry(x, what: str) -> int:
+    # operator.index takes Python and NumPy integers and refuses floats,
+    # strings and lists; bool is an int subclass, so it is refused by name.
+    if isinstance(x, bool):
+        raise MalformedTable(f"{what} entry {x!r} is not an integer")
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise MalformedTable(f"{what} entry {x!r} is not an integer") from None
+
+
+def int_row(row: Iterable, what: str) -> Tuple[int, ...]:
+    """A row of exact integers; anything else raises MalformedTable."""
+    return tuple(_entry(x, what) for x in row)
+
+
 def freeze_table(table: Sequence[Sequence[int]], size: int, what: str) -> Table:
     """Normalize a nested sequence to a tuple table, checking shape and range."""
-    rows = tuple(tuple(int(x) for x in row) for row in table)
+    rows = tuple(int_row(row, what) for row in table)
     if len(rows) != size or any(len(r) != size for r in rows):
         raise MalformedTable(f"{what} table must be {size}x{size}")
     for r in rows:
@@ -33,7 +50,7 @@ def freeze_unary(table: Sequence[int], size: int, what: str,
                  bound: int = None) -> Tuple[int, ...]:
     # bound lets maps land in a carrier of a different size than the domain
     bound = size if bound is None else bound
-    row = tuple(int(x) for x in table)
+    row = int_row(table, what)
     if len(row) != size:
         raise MalformedTable(f"{what} table must have {size} entries")
     for x in row:
@@ -43,10 +60,18 @@ def freeze_unary(table: Sequence[int], size: int, what: str,
 
 
 def _check_index(i: int, size: int, what: str) -> int:
-    i = int(i)
+    i = _entry(i, what)
     if not 0 <= i < size:
         raise MalformedTable(f"{what} index {i} out of range 0..{size - 1}")
     return i
+
+
+def fold(add: Table, zero: int, xs: Iterable[int]) -> int:
+    """The sum of xs under the addition table add, starting from zero."""
+    acc = zero
+    for x in xs:
+        acc = add[acc][x]
+    return acc
 
 
 @dataclass(frozen=True)
@@ -78,10 +103,7 @@ class FiniteSemiring:
         return self.mul[a][b]
 
     def sum(self, xs: Iterable[int]) -> int:
-        acc = self.zero
-        for x in xs:
-            acc = self.add[acc][x]
-        return acc
+        return fold(self.add, self.zero, xs)
 
     def label(self, a: int) -> str:
         return self.labels[a] if self.labels else str(a)

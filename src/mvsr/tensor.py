@@ -31,8 +31,8 @@ from .mv import gamma_chain, reduct_wedge_oplus
 from .semimodule import (FiniteSemimodule, HomSemilattice, SemimoduleHom,
                          check_semimodule, free_semimodule, hom_set,
                          module_over_self, restrict_scalars, trivial_module)
-from .semiring import (FiniteSemiring, SemiringHom, is_additively_idempotent,
-                       same_scalars)
+from .semiring import (FiniteSemiring, SemiringHom, fold,
+                       is_additively_idempotent, same_scalars)
 from .semiring import AxiomReport
 
 
@@ -312,20 +312,34 @@ def as_module(t: TensorProduct) -> FiniteSemimodule:
 
 # ----- bimorphisms and the universal property ------------------------------
 
-def _leq(m: FiniteSemimodule, a: int, b: int) -> bool:
-    return m.plus(a, b) == b
+def join_irreducibles(add, zero: int) -> Tuple[int, ...]:
+    """Elements of a join table other than zero that are not the join of
+    two other elements."""
+    size = len(add)
+    reducible = {add[a][b] for a in range(size) for b in range(size)
+                 if add[a][b] != a and add[a][b] != b}
+    return tuple(x for x in range(size) if x != zero and x not in reducible)
 
 
-def join_irreducibles(m: FiniteSemimodule) -> Tuple[int, ...]:
-    out = []
-    for x in range(m.size):
-        if x == m.zero:
-            continue
-        if any(m.plus(a, b) == x and a != x and b != x
-               for a in range(m.size) for b in range(m.size)):
-            continue
-        out.append(x)
-    return tuple(out)
+def _downsets(add, elements: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
+    """For each x of a join table, the positions i with elements[i] <= x."""
+    return tuple(tuple(i for i, e in enumerate(elements) if add[e][x] == x)
+                 for x in range(len(add)))
+
+
+def _extensions(count: int, downsets, c_size: int, c_add, c_zero: int):
+    """Every assignment of count generators into C, folded over each
+    downset of generator positions, in lexicographic assignment order."""
+    for g in itertools.product(range(c_size), repeat=count):
+        yield tuple(fold(c_add, c_zero, [g[i] for i in d]) for d in downsets)
+
+
+def _is_monoid_hom(v, join, zero: int, c_add, c_zero: int) -> bool:
+    """v sends zero to the monoid zero and joins to sums."""
+    size = len(join)
+    return v[zero] == c_zero and all(
+        v[join[c][d]] == c_add[v[c]][v[d]]
+        for c in range(size) for d in range(size))
 
 
 def bimorphisms(m: FiniteSemimodule, n: FiniteSemimodule,
@@ -339,32 +353,22 @@ def bimorphisms(m: FiniteSemimodule, n: FiniteSemimodule,
     against the binary join, bottom and balance conditions, which generate
     the finite-subset forms by induction.
     """
-    ji_m, ji_n = join_irreducibles(m), join_irreducibles(n)
+    ji_m = join_irreducibles(m.add, m.zero)
+    ji_n = join_irreducibles(n.add, n.zero)
     total = c_size ** (len(ji_m) * len(ji_n))
     if total > max_enum:
         raise EnumGuard(f"{total} bimorphism candidates exceed the bound")
 
-    def csum(values) -> int:
-        acc = c_zero
-        for v in values:
-            acc = c_add[acc][v]
-        return acc
-
-    contrib = []
-    for x in range(m.size):
-        for y in range(n.size):
-            flat = [i * len(ji_n) + j
-                    for i, jx in enumerate(ji_m) if _leq(m, jx, x)
-                    for j, jy in enumerate(ji_n) if _leq(n, jy, y)]
-            contrib.append(flat)
+    below_m, below_n = _downsets(m.add, ji_m), _downsets(n.add, ji_n)
+    contrib = [tuple(i * len(ji_n) + j for i in below_m[x] for j in below_n[y])
+               for x in range(m.size) for y in range(n.size)]
 
     def p(x: int, y: int) -> int:
         return x * n.size + y
 
     found = set()
-    for g in itertools.product(range(c_size),
-                               repeat=len(ji_m) * len(ji_n)):
-        f = tuple(csum(g[i] for i in flat) for flat in contrib)
+    for f in _extensions(len(ji_m) * len(ji_n), contrib, c_size, c_add,
+                         c_zero):
         ok = all(f[p(m.zero, y)] == c_zero for y in range(n.size)) and \
              all(f[p(x, n.zero)] == c_zero for x in range(m.size))
         if ok:
@@ -398,6 +402,28 @@ def _monoid_canonical(size: int, table) -> Tuple:
     return best
 
 
+def _commutative_monoid_tables(size: int, idempotent: bool, max_enum: int):
+    """Every associative commutative table on 0..size-1 with 0 as its
+    identity, in lexicographic order of the free cells; with idempotent
+    set, x + x = x is fixed instead of enumerated."""
+    cells = [(i, j) for i in range(1, size)
+             for j in range(i + 1 if idempotent else i, size)]
+    if size ** len(cells) > max_enum:
+        raise EnumGuard(f"{size}^{len(cells)} monoid tables on {size} "
+                        f"elements exceed max_enum={max_enum}")
+    for values in itertools.product(range(size), repeat=len(cells)):
+        table = [[0] * size for _ in range(size)]
+        for i in range(size):
+            table[i][i] = i
+            table[0][i] = table[i][0] = i
+        for (i, j), v in zip(cells, values):
+            table[i][j] = table[j][i] = v
+        if all(table[table[x][y]][z] == table[x][table[y][z]]
+               for x in range(size) for y in range(size)
+               for z in range(size)):
+            yield tuple(tuple(r) for r in table)
+
+
 @lru_cache(maxsize=None)
 def commutative_monoids_upto(bound: int = 3) -> Tuple[Tuple[int, Tuple, int], ...]:
     """All commutative monoids of size <= bound, one per isomorphism class.
@@ -408,17 +434,7 @@ def commutative_monoids_upto(bound: int = 3) -> Tuple[Tuple[int, Tuple, int], ..
     out = []
     for size in range(1, bound + 1):
         seen = set()
-        cells = [(i, j) for i in range(1, size) for j in range(i, size)]
-        for values in itertools.product(range(size), repeat=len(cells)):
-            table = [[0] * size for _ in range(size)]
-            for j in range(size):
-                table[0][j] = table[j][0] = j
-            for (i, j), v in zip(cells, values):
-                table[i][j] = table[j][i] = v
-            if any(table[table[a][b]][c] != table[a][table[b][c]]
-                   for a in range(size) for b in range(size)
-                   for c in range(size)):
-                continue
+        for table in _commutative_monoid_tables(size, False, MAX_ENUM):
             canon = _monoid_canonical(size, table)
             if canon not in seen:
                 seen.add(canon)
@@ -443,11 +459,8 @@ def check_universal_property(t: TensorProduct,
     join = t.join_table
     tensor_of = [(x, y, t.tensor(x, y))
                  for x in range(t.left.size) for y in range(t.right.size)]
-    ji_classes = [c for c in range(classes)
-                  if c != t.zero_class
-                  and not any(join[a][b] == c and a != c and b != c
-                              for a in range(classes) for b in range(classes))]
-    below = [[j for j in ji_classes if join[j][c] == c] for c in range(classes)]
+    ji_classes = join_irreducibles(join, t.zero_class)
+    below = _downsets(join, ji_classes)
 
     bim_count = 0
     existence_failures = 0
@@ -457,36 +470,22 @@ def check_universal_property(t: TensorProduct,
             raise EnumGuard("uniqueness scan exceeds the bound")
         for f in bimorphisms(t.left, t.right, c_size, c_add, c_zero, max_enum):
             bim_count += 1
-
-            def csum(values) -> int:
-                acc = c_zero
-                for v in values:
-                    acc = c_add[acc][v]
-                return acc
-
-            h = [csum(f[t.pair_index(x, y)] for (x, y) in t.pairs_of(c))
+            h = [fold(c_add, c_zero,
+                      [f[t.pair_index(x, y)] for (x, y) in t.pairs_of(c)])
                  for c in range(classes)]
-            ok = h[t.zero_class] == c_zero and \
-                all(h[tc] == f[t.pair_index(x, y)] for (x, y, tc) in tensor_of) and \
-                all(h[join[c][d]] == c_add[h[c]][h[d]]
-                    for c in range(classes) for d in range(classes))
-            if not ok:
+            if not (all(h[tc] == f[t.pair_index(x, y)]
+                        for (x, y, tc) in tensor_of)
+                    and _is_monoid_hom(h, join, t.zero_class, c_add, c_zero)):
                 existence_failures += 1
 
             matches = set()
-            for assign in itertools.product(range(c_size),
-                                            repeat=len(ji_classes)):
-                g = dict(zip(ji_classes, assign))
-                v = tuple(csum(g[j] for j in below[c]) for c in range(classes))
+            for v in _extensions(len(ji_classes), below, c_size, c_add,
+                                 c_zero):
                 if any(v[tc] != f[t.pair_index(x, y)]
                        for (x, y, tc) in tensor_of):
                     continue
-                if v[t.zero_class] != c_zero:
-                    continue
-                if any(v[join[c][d]] != c_add[v[c]][v[d]]
-                       for c in range(classes) for d in range(classes)):
-                    continue
-                matches.add(v)
+                if _is_monoid_hom(v, join, t.zero_class, c_add, c_zero):
+                    matches.add(v)
             if len(matches) != 1:
                 uniqueness_failures += 1
     return {"monoids": len(family), "bimorphisms": bim_count,
@@ -678,6 +677,7 @@ def adjunction_witness(h: SemiringHom,
 
     pairs = []
     unit_flags = []
+    spot = None
     for m in mods_a:
         t, extended = _extend_scalars(h, m, max_carrier)
         unit = _tensor_unit(t, b.one)
@@ -689,6 +689,8 @@ def adjunction_witness(h: SemiringHom,
         for n in mods_b:
             restricted = restrict_scalars(h, n)
             outer = hom_set(extended, n, max_enum)
+            if spot is None:
+                spot = (m, t, unit, outer)
             inner = hom_set(m, restricted, max_enum)
             forward = []
             for g in outer:
@@ -743,22 +745,18 @@ def adjunction_witness(h: SemiringHom,
         except NotAHom:
             unit_flags.append(False)
 
-    naturality = _naturality_spot_check(h, mods_a[0], mods_b[0],
-                                        max_enum, max_carrier)
+    naturality = _naturality_spot_check(*spot, max_enum)
     ok = (all(p["left_bijective"] and p["right_bijective"] for p in pairs)
           and all(unit_flags) and naturality)
     return {"pairs": pairs, "unit_is_hom": unit_flags,
             "naturality_ok": naturality, "ok": ok}
 
 
-def _naturality_spot_check(h: SemiringHom, m: FiniteSemimodule,
-                           n: FiniteSemimodule, max_enum: int,
-                           max_carrier: int) -> bool:
-    """phi(g after extended u) must equal phi(g) after u for every g."""
-    a, b = h.source, h.target
-    t, extended = _extend_scalars(h, m, max_carrier)
-    unit = _tensor_unit(t, b.one)
-    restricted = restrict_scalars(h, n)
+def _naturality_spot_check(m: FiniteSemimodule, t: TensorProduct,
+                           unit: Tuple[int, ...], outer: HomSemilattice,
+                           max_enum: int) -> bool:
+    """phi(g after extended u) must equal phi(g) after u for every g in
+    outer, the homs out of the scalar extension t of m."""
     endos = hom_set(m, m, max_enum)
     u = next((e for e in endos
               if e.mapping != tuple(range(m.size))), endos[0])
@@ -768,7 +766,7 @@ def _naturality_spot_check(h: SemiringHom, m: FiniteSemimodule,
         for (pb, x) in t.pairs_of(c):
             mask |= 1 << t.pair_index(pb, u.mapping[x])
         lifted_u.append(t.congruence.class_of[mask])
-    for g in hom_set(extended, n, max_enum):
+    for g in outer:
         left = tuple(g.mapping[lifted_u[unit[x]]] for x in range(m.size))
         right = tuple(g.mapping[unit[u.mapping[x]]] for x in range(m.size))
         if left != right:
@@ -787,22 +785,7 @@ def enumerate_modules(s: FiniteSemiring, size_bound: int,
     """
     out = []
     for size in range(1, size_bound + 1):
-        cells = [(i, j) for i in range(1, size) for j in range(i + 1, size)]
-        if size ** len(cells) > max_enum:
-            raise EnumGuard("module enumeration exceeds the bound")
-        adds = []
-        for values in itertools.product(range(size), repeat=len(cells)):
-            table = [[0] * size for _ in range(size)]
-            for i in range(size):
-                table[i][i] = i
-                table[0][i] = table[i][0] = i
-            for (i, j), v in zip(cells, values):
-                table[i][j] = table[j][i] = v
-            if any(table[table[x][y]][z] != table[x][table[y][z]]
-                   for x in range(size) for y in range(size)
-                   for z in range(size)):
-                continue
-            adds.append(tuple(tuple(r) for r in table))
+        adds = list(_commutative_monoid_tables(size, True, max_enum))
         free = [c for c in range(s.size) if c not in (s.zero, s.one)]
         if size ** (size * len(free)) > max_enum:
             raise EnumGuard("action enumeration exceeds the bound")

@@ -177,3 +177,58 @@ def test_unreadable_config(monkeypatch, tmp_path, capsys):
     monkeypatch.setenv("MVSR_CONFIG", str(tmp_path / "nowhere.json"))
     assert main(["chain", "3"]) == 1
     assert "cannot read config" in capsys.readouterr().err
+
+
+def fails_cleanly(argv, code, capsys):
+    """The command exits with code, writes nothing to stdout and reports
+    on stderr without a traceback."""
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("mvsr: ")
+    assert "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("payload", [
+    {"kind": "mv", "size": 2, "oplus": [[0, 1.5], [1, 1]], "star": [1, 0],
+     "zero": 0},
+    {"kind": "mv", "size": 2, "oplus": [[0, True], [True, True]],
+     "star": [1, 0], "zero": 0},
+    {"kind": "mv", "size": 2, "oplus": [[0, "1"], [1, 1]], "star": [1, 0],
+     "zero": 0},
+    {"kind": "mv", "size": 2, "oplus": [[0, 1], [1, 1]], "star": [[1], 0],
+     "zero": 0},
+    {"kind": "semimodule", "scalars": semiring_to_dict(boolean_semiring()),
+     "size": 2, "add": [[0, 1], [1, 1]], "zero": 0,
+     "action": [[0, 0], [0, 1.0]]},
+    {"kind": "matrix", "scalars": semiring_to_dict(boolean_semiring()),
+     "rows": 1, "cols": 1, "entries": [[False]]},
+], ids=["float", "bool", "string", "nested", "action-float", "matrix-bool"])
+def test_verify_rejects_inexact_entries(tmp_path, capsys, payload):
+    bad = write(tmp_path / "bad.json", payload)
+    fails_cleanly(["verify", "--input", bad], 1, capsys)
+
+
+@pytest.mark.parametrize("text", [
+    "5", "[]", '{"max_carrier": "big"}', '{"max_enum": true}',
+    '{"seed": 1.5}', '{"n_max": null}', '{"out": ["report.json"]}',
+], ids=["number", "array", "max_carrier-string", "max_enum-bool",
+        "seed-float", "n_max-null", "out-list"])
+def test_malformed_config(monkeypatch, tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text, encoding="utf-8")
+    monkeypatch.setenv("MVSR_CONFIG", str(cfg))
+    assert "cannot read config" in fails_cleanly(["chain", "3"], 1, capsys)
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["k0", "--input", "{chain3}", "--nmax", "0"], 1),
+    (["k0", "--input", "{chain3}", "--nmax", "-1"], 1),
+    (["idempotents", "--input", "{boolean}", "--n", "-1"], 1),
+    (["chain", "3", "--max-carrier", "2"], 3),
+], ids=["k0-nmax-0", "k0-nmax-negative", "idempotents-n-negative",
+        "chain-over-max-carrier"])
+def test_size_arguments(chain3_file, boolean_file, capsys, argv, code):
+    files = {"{chain3}": chain3_file, "{boolean}": boolean_file}
+    fails_cleanly([files.get(a, a) for a in argv], code, capsys)

@@ -4,8 +4,7 @@ from mvsr.errors import NotFreeBasis, ShapeMismatch, SizeGuard
 from mvsr.matrix import (SemiringMatrix, eta, hom_from_matrix,
                          idempotent_matrices, is_mult_idempotent, lift_hom,
                          mat_add, mat_identity, mat_star_mul, mat_zero,
-                         matrix_from_hom, matrix_law_report, matrix_semiring,
-                         right_action_hom)
+                         matrix_from_hom, matrix_law_report, matrix_semiring)
 from mvsr.mv import lukasiewicz_chain, reduct_vee_odot
 from mvsr.semimodule import (SemimoduleHom, free_semimodule, generate,
                              module_over_self)
@@ -96,8 +95,8 @@ def test_right_action_is_diagrammatic(three):
     free = free_semimodule(three, ["x", "y"])
     a = mk(three, [[1, 2], [0, 1]])
     b = mk(three, [[2, 2], [1, 0]])
-    ha, hb = right_action_hom(free, a), right_action_hom(free, b)
-    hab = right_action_hom(free, mat_star_mul(a, b))
+    ha, hb = hom_from_matrix(a, free, free), hom_from_matrix(b, free, free)
+    hab = hom_from_matrix(mat_star_mul(a, b), free, free)
     assert tuple(hb.mapping[v] for v in ha.mapping) == hab.mapping
 
 

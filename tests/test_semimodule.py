@@ -131,6 +131,18 @@ def test_hom_validate_and_compose(three):
         SemimoduleHom(m, m, (0, 2, 2)).validate()
 
 
+@pytest.mark.parametrize("mapping,message", [
+    ((1, 1, 2), "zero not preserved"),
+    ((0, 2, 1), "addition not preserved at (1, 2)"),
+    ((0, 0, 2), "action not preserved at (1, 2)"),
+])
+def test_hom_validate_names_the_first_broken_law(three, mapping, message):
+    m = module_over_self(three)
+    with pytest.raises(NotAHom) as err:
+        SemimoduleHom(m, m, mapping).validate()
+    assert str(err.value) == message
+
+
 def test_end_semiring_orders_are_opposite(three):
     m = module_over_self(three)
     diag = end_semiring(m, order="diagrammatic")

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from mvsr.errors import (EnumGuard, NotIdempotent, NotOnto, ScalarMismatch,
@@ -127,7 +129,7 @@ def test_induced_scalar_actions_satisfy_the_laws(free2, self_mod):
 # ----- bimorphisms and the universal property --------------------------------
 
 def test_join_irreducibles_of_the_free_square(free2):
-    assert join_irreducibles(free2) == (1, 2)
+    assert join_irreducibles(free2.add, free2.zero) == (1, 2)
 
 
 def test_monoid_family_is_frozen():
@@ -140,6 +142,34 @@ def test_bimorphism_count(free2, self_mod):
     chain2 = ((0, 1), (1, 1))
     found = bimorphisms(free2, self_mod, 2, chain2, 0)
     assert len(found) == 4
+
+
+def _bimorphisms_by_definition(m, n, c_size, c_add, c_zero):
+    """Every map M x N -> C that is a bimorphism by definition, in
+    lexicographic order: zero and join in each slot, and balance."""
+    def p(x, y):
+        return x * n.size + y
+    xs, ys, acts = range(m.size), range(n.size), range(m.scalars.size)
+    return tuple(
+        f for f in itertools.product(range(c_size), repeat=m.size * n.size)
+        if all(f[p(m.zero, y)] == c_zero for y in ys)
+        and all(f[p(x, n.zero)] == c_zero for x in xs)
+        and all(f[p(m.plus(x, w), y)] == c_add[f[p(x, y)]][f[p(w, y)]]
+                for x in xs for w in xs for y in ys)
+        and all(f[p(x, n.plus(y, w))] == c_add[f[p(x, y)]][f[p(x, w)]]
+                for x in xs for y in ys for w in ys)
+        and all(f[p(m.act(a, x), y)] == f[p(x, n.act(a, y))]
+                for a in acts for x in xs for y in ys))
+
+
+def test_bimorphisms_match_the_definition_on_small_pairs(boolean):
+    modules = enumerate_modules(boolean, 3)
+    pairs = [(m, n) for m in modules for n in modules if m.size * n.size <= 6]
+    assert len(pairs) == 12
+    for m, n in pairs:
+        for c_size, c_add, c_zero in commutative_monoids_upto(3):
+            assert bimorphisms(m, n, c_size, c_add, c_zero) == \
+                _bimorphisms_by_definition(m, n, c_size, c_add, c_zero)
 
 
 def test_bimorphism_guard(free2):
