@@ -73,10 +73,14 @@ class ProjClassMonoid:
 
     def class_of(self, m: FiniteSemimodule,
                  max_enum: int = MAX_ENUM) -> Optional[int]:
-        for i, cls in enumerate(self.classes):
-            if are_isomorphic(cls.module, m, max_enum) is not None:
-                return i
-        return None
+        return _first_isomorphic(self.classes, m, max_enum)
+
+
+def _first_isomorphic(classes: Sequence[ProjectivePresentation],
+                      m: FiniteSemimodule, max_enum: int) -> Optional[int]:
+    """Index of the first stored class whose module is isomorphic to m."""
+    return next((i for i, cls in enumerate(classes)
+                 if are_isomorphic(cls.module, m, max_enum) is not None), None)
 
 
 def _identity_hom(m: FiniteSemimodule) -> SemimoduleHom:
@@ -97,8 +101,7 @@ def enumerate_projective_classes(s: FiniteSemiring,
     for n in range(1, n_max + 1):
         for u in idempotent_matrices(s, n, max_enum):
             rs = row_space(u, max_carrier)
-            if any(are_isomorphic(cls.module, rs, max_enum) is not None
-                   for cls in classes):
+            if _first_isomorphic(classes, rs, max_enum) is not None:
                 continue
             classes.append(
                 ProjectivePresentation(s, n, u, rs, _identity_hom(rs)))
@@ -113,9 +116,7 @@ def enumerate_projective_classes(s: FiniteSemiring,
             if ci.n + cj.n > n_max:
                 continue
             rs = row_space(block_diag(ci.u, cj.u), max_carrier)
-            k = next(k for k, ck in enumerate(classes)
-                     if are_isomorphic(ck.module, rs, max_enum) is not None)
-            relations.add((i, j, k))
+            relations.add((i, j, _first_isomorphic(classes, rs, max_enum)))
     return ProjClassMonoid(s, n_max, tuple(classes),
                            tuple(sorted(relations)))
 

@@ -14,8 +14,8 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .config import DEFAULT_SEED, MAX_CARRIER, MAX_ENUM
-from .errors import (NoDecomposition, NotFreeBasis, ScalarMismatch,
-                     ShapeMismatch, SizeGuard)
+from .errors import (MalformedTable, NoDecomposition, NotFreeBasis,
+                     ScalarMismatch, ShapeMismatch, SizeGuard)
 from .semiring import (FiniteSemiring, SemiringHom, check_semiring_axioms,
                        int_row, same_scalars)
 from .semimodule import (EndSemiring, FiniteSemimodule, FreeSemimodule,
@@ -32,9 +32,9 @@ class SemiringMatrix:
     def __post_init__(self):
         ent = tuple(int_row(row, "matrix") for row in self.entries)
         if len(ent) != self.rows or any(len(r) != self.cols for r in ent):
-            raise ShapeMismatch("entry grid does not match rows x cols")
+            raise MalformedTable("entry grid does not match rows x cols")
         if any(not 0 <= v < self.scalars.size for row in ent for v in row):
-            raise ShapeMismatch("entry out of scalar range")
+            raise MalformedTable("entry out of scalar range")
         object.__setattr__(self, "entries", ent)
 
     def entry(self, i: int, j: int) -> int:

@@ -342,16 +342,10 @@ def congruence_from_ideal(a: MvAlgebra, ideal) -> Partition:
     return tuple(blocks)
 
 
-def ideal_from_congruence(a: MvAlgebra, partition: Partition) -> Tuple[int, ...]:
-    """The class of zero; the partition must be an MV-congruence."""
-    blocks = tuple(tuple(sorted(b)) for b in partition)
-    flat = sorted(x for b in blocks for x in b)
-    if flat != list(range(a.size)):
-        raise NotAnIdeal("partition does not cover the carrier exactly once")
-    cls = {}
-    for i, b in enumerate(blocks):
-        for x in b:
-            cls[x] = i
+def _compatible_class_map(a: MvAlgebra, blocks: Partition) -> Dict[int, int]:
+    """Block index of each element; raises NotAnIdeal unless the involution
+    and the sum respect the blocks."""
+    cls = {x: i for i, b in enumerate(blocks) for x in b}
     for b in blocks:
         r = b[0]
         for x in b:
@@ -360,6 +354,16 @@ def ideal_from_congruence(a: MvAlgebra, partition: Partition) -> Tuple[int, ...]
             for y in range(a.size):
                 if cls[a.oplus[x][y]] != cls[a.oplus[r][y]]:
                     raise NotAnIdeal("partition not compatible with the sum")
+    return cls
+
+
+def ideal_from_congruence(a: MvAlgebra, partition: Partition) -> Tuple[int, ...]:
+    """The class of zero; the partition must be an MV-congruence."""
+    blocks = tuple(tuple(sorted(b)) for b in partition)
+    flat = sorted(x for b in blocks for x in b)
+    if flat != list(range(a.size)):
+        raise NotAnIdeal("partition does not cover the carrier exactly once")
+    cls = _compatible_class_map(a, blocks)
     zero_class = blocks[cls[a.zero]]
     if not is_ideal(a, zero_class):
         raise NotAnIdeal("class of zero is not an ideal")
@@ -415,18 +419,7 @@ class QuotientResult:
 def quotient(a: MvAlgebra, ideal) -> QuotientResult:
     """The quotient algebra modulo an ideal, with its canonical projection."""
     blocks = congruence_from_ideal(a, ideal)
-    cls = {}
-    for i, b in enumerate(blocks):
-        for x in b:
-            cls[x] = i
-    for b in blocks:
-        r = b[0]
-        for x in b:
-            if cls[a.star[x]] != cls[a.star[r]]:
-                raise NotAnIdeal("involution not constant on a class")
-            for y in range(a.size):
-                if cls[a.oplus[x][y]] != cls[a.oplus[r][y]]:
-                    raise NotAnIdeal("sum not constant on a class")
+    cls = _compatible_class_map(a, blocks)
     n = len(blocks)
     oplus = tuple(tuple(cls[a.oplus[blocks[i][0]][blocks[j][0]]] for j in range(n))
                   for i in range(n))
@@ -617,6 +610,8 @@ def gamma_property_report(f: TropicalUSemifield, samples: int = 10000,
     is u), so that region is disclosed as a counterexample, not sampled.
     """
     from .tropical import sample_trop
+    if samples < 1:
+        raise ValueError(f"samples={samples} must be at least 1")
     rng = random.Random(seed)
     meet_fails = 0
     sum_fails = 0
@@ -651,6 +646,8 @@ def gamma_chain(k: int, samples: int = 1000, seed: int = 42):
     """
     if k < 1:
         raise ChainTooShort("truncation needs k >= 1")
+    if samples < 1:
+        raise ValueError(f"samples={samples} must be at least 1")
     f = TropicalUSemifield(Fraction(1))
     values = [Fraction(i, k) for i in range(k + 1)]
     index = {v: i for i, v in enumerate(values)}

@@ -9,14 +9,16 @@ The tensor product is the quotient, with the least subset per class, under
 cardinality then member order, as its canonical representative.
 
 Everything downstream is verified by enumeration: bimorphisms are rebuilt
-from their values on join-irreducible pairs, factoring homomorphisms are
-counted by scan, and the hom-tensor bijections are checked in both
+from their values on join-irreducible pairs, the homomorphisms out of the
+quotient are enumerated once per target monoid and counted by their values
+on pure tensors, and the hom-tensor bijections are checked in both
 directions. Only commutative scalars are exercised; right modules are
 identified with left ones throughout.
 """
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -178,15 +180,23 @@ class TensorProduct:
         return tuple(tuple(self.join(c, d) for d in range(n))
                      for c in range(n))
 
+    def class_of_pairs(self, pairs) -> int:
+        """Class of the join of the tensors of the given pairs."""
+        mask = 0
+        for (x, y) in pairs:
+            mask |= 1 << self.pair_index(x, y)
+        return self.congruence.class_of[mask]
+
+    def extend(self, g, add, zero: int) -> Tuple[int, ...]:
+        """For each class, the fold of g(x, y) over its representative's
+        pairs under the addition table add."""
+        return tuple(fold(add, zero, [g(x, y) for (x, y) in self.pairs_of(c)])
+                     for c in range(self.class_count))
+
     def generated_by_tensors(self) -> bool:
         """Every class is the join of the tensors of its representative."""
-        for c in range(self.class_count):
-            acc = self.zero_class
-            for (x, y) in self.pairs_of(c):
-                acc = self.join(acc, self.tensor(x, y))
-            if acc != c:
-                return False
-        return True
+        return self.extend(self.tensor, self.join_table, self.zero_class) \
+            == tuple(range(self.class_count))
 
 
 def tensor_product(m: FiniteSemimodule, n: FiniteSemimodule,
@@ -447,18 +457,19 @@ def check_universal_property(t: TensorProduct,
     """Factor every bimorphism into every test monoid through the quotient.
 
     Test targets are the commutative monoids of size up to three plus the
-    additive monoids of the two factors. Existence builds the factoring
-    map from class representatives; uniqueness scans all join-irreducible
-    assignments that agree on tensors.
+    additive monoids of the two factors. Per target, the monoid homs out
+    of the quotient are enumerated once, as folds of their values on the
+    join-irreducible classes, and counted by their values on pure tensors.
+    A bimorphism factors when its count is nonzero and factors uniquely
+    when the count is one.
     """
     family = list(commutative_monoids_upto(3))
     family.append((t.left.size, t.left.add, t.left.zero))
     family.append((t.right.size, t.right.add, t.right.zero))
 
-    classes = t.class_count
     join = t.join_table
-    tensor_of = [(x, y, t.tensor(x, y))
-                 for x in range(t.left.size) for y in range(t.right.size)]
+    tensors = [t.tensor(x, y)
+               for x in range(t.left.size) for y in range(t.right.size)]
     ji_classes = join_irreducibles(join, t.zero_class)
     below = _downsets(join, ji_classes)
 
@@ -468,26 +479,14 @@ def check_universal_property(t: TensorProduct,
     for (c_size, c_add, c_zero) in family:
         if c_size ** len(ji_classes) > max_enum:
             raise EnumGuard("uniqueness scan exceeds the bound")
+        homs = {v for v in _extensions(len(ji_classes), below, c_size, c_add,
+                                       c_zero)
+                if _is_monoid_hom(v, join, t.zero_class, c_add, c_zero)}
+        hits = Counter(tuple(v[tc] for tc in tensors) for v in homs)
         for f in bimorphisms(t.left, t.right, c_size, c_add, c_zero, max_enum):
             bim_count += 1
-            h = [fold(c_add, c_zero,
-                      [f[t.pair_index(x, y)] for (x, y) in t.pairs_of(c)])
-                 for c in range(classes)]
-            if not (all(h[tc] == f[t.pair_index(x, y)]
-                        for (x, y, tc) in tensor_of)
-                    and _is_monoid_hom(h, join, t.zero_class, c_add, c_zero)):
-                existence_failures += 1
-
-            matches = set()
-            for v in _extensions(len(ji_classes), below, c_size, c_add,
-                                 c_zero):
-                if any(v[tc] != f[t.pair_index(x, y)]
-                       for (x, y, tc) in tensor_of):
-                    continue
-                if _is_monoid_hom(v, join, t.zero_class, c_add, c_zero):
-                    matches.add(v)
-            if len(matches) != 1:
-                uniqueness_failures += 1
+            existence_failures += hits[f] == 0
+            uniqueness_failures += hits[f] != 1
     return {"monoids": len(family), "bimorphisms": bim_count,
             "existence_failures": existence_failures,
             "uniqueness_failures": uniqueness_failures,
@@ -495,6 +494,12 @@ def check_universal_property(t: TensorProduct,
 
 
 # ----- hom-set structure and the hom-tensor bijections ---------------------
+
+def _mutually_inverse(forward: Sequence[int], backward: Sequence[int]) -> bool:
+    """backward undoes forward and forward undoes backward, as index maps."""
+    return (all(backward[forward[i]] == i for i in range(len(forward)))
+            and all(forward[backward[j]] == j for j in range(len(backward))))
+
 
 @dataclass(frozen=True)
 class HomLatticeModule:
@@ -538,11 +543,8 @@ class ZetaResult:
 
     @property
     def bijective(self) -> bool:
-        n = len(self.forward)
-        return (len(self.backward) == len(self.curried) == n
-                and all(self.backward[self.forward[i]] == i for i in range(n))
-                and all(self.forward[self.backward[j]] == j
-                        for j in range(len(self.backward))))
+        return (len(self.backward) == len(self.curried) == len(self.forward)
+                and _mutually_inverse(self.forward, self.backward))
 
     @property
     def ok(self) -> bool:
@@ -586,16 +588,12 @@ def zeta_isomorphism(m: FiniteSemimodule, n: FiniteSemimodule,
 
     backward = []
     for k in curried:
-        values = []
-        for c in range(t.class_count):
-            parts = []
-            for (x, y) in t.pairs_of(c):
-                u, v = (x, y) if variant == "plain" else (y, x)
-                parts.append(inner[k.mapping[u]].mapping[v])
-            values.append(p.sum(parts))
+        def uncurried(x: int, y: int) -> int:
+            u, v = (x, y) if variant == "plain" else (y, x)
+            return inner[k.mapping[u]].mapping[v]
         try:
-            backward.append(outer.position(SemimoduleHom(tm, p,
-                                                         tuple(values))))
+            backward.append(outer.position(SemimoduleHom(
+                tm, p, t.extend(uncurried, p.add, p.zero))))
         except KeyError:
             raise NotAHom("uncurried map fails to be a homomorphism")
 
@@ -616,9 +614,7 @@ class HomPointIso:
 
     @property
     def ok(self) -> bool:
-        return (all(self.psi[self.phi[x]] == x for x in range(len(self.phi)))
-                and all(self.phi[self.psi[i]] == i
-                        for i in range(len(self.psi))))
+        return _mutually_inverse(self.phi, self.psi)
 
 
 def hom_point_iso(m: FiniteSemimodule,
@@ -699,15 +695,11 @@ def adjunction_witness(h: SemiringHom,
                     SemimoduleHom(m, restricted, mapping)))
             backward = []
             for f in inner:
-                values = [n.sum(n.act(pb, f.mapping[x])
-                                for (pb, x) in t.pairs_of(c))
-                          for c in range(t.class_count)]
+                values = t.extend(lambda pb, x: n.act(pb, f.mapping[x]),
+                                  n.add, n.zero)
                 backward.append(outer.position(
-                    SemimoduleHom(extended, n, tuple(values))))
-            left_bij = (
-                all(backward[forward[i]] == i for i in range(len(outer)))
-                and all(forward[backward[j]] == j
-                        for j in range(len(inner))))
+                    SemimoduleHom(extended, n, values)))
+            left_bij = _mutually_inverse(forward, backward)
 
             co_outer = hom_set(restricted, m, max_enum)
             co_inner = hom_set(n, lifted, max_enum)
@@ -725,11 +717,7 @@ def adjunction_witness(h: SemiringHom,
                                 for y in range(n.size))
                 co_backward.append(co_outer.position(
                     SemimoduleHom(restricted, m, mapping)))
-            right_bij = (
-                all(co_backward[co_forward[i]] == i
-                    for i in range(len(co_outer)))
-                and all(co_forward[co_backward[j]] == j
-                        for j in range(len(co_inner))))
+            right_bij = _mutually_inverse(co_forward, co_backward)
 
             pairs.append({
                 "m_size": m.size, "n_size": n.size,
@@ -760,12 +748,9 @@ def _naturality_spot_check(m: FiniteSemimodule, t: TensorProduct,
     endos = hom_set(m, m, max_enum)
     u = next((e for e in endos
               if e.mapping != tuple(range(m.size))), endos[0])
-    lifted_u = []
-    for c in range(t.class_count):
-        mask = 0
-        for (pb, x) in t.pairs_of(c):
-            mask |= 1 << t.pair_index(pb, u.mapping[x])
-        lifted_u.append(t.congruence.class_of[mask])
+    lifted_u = [t.class_of_pairs((pb, u.mapping[x])
+                                 for (pb, x) in t.pairs_of(c))
+                for c in range(t.class_count)]
     for g in outer:
         left = tuple(g.mapping[lifted_u[unit[x]]] for x in range(m.size))
         right = tuple(g.mapping[unit[u.mapping[x]]] for x in range(m.size))
@@ -871,17 +856,11 @@ def truncation_demo(k: int, points: Union[int, Sequence[str]],
     if (1 << (m.size * n.size)) <= max_carrier:
         t = tensor_product(m, n, max_carrier)
         tm = as_module(t)
-        phi = tuple(n.sum(n.act(a, g) for (a, g) in t.pairs_of(c))
-                    for c in range(t.class_count))
-        psi = []
-        for g in range(n.size):
-            vec = n.vector(g)
-            mask = 0
-            for x, e in enumerate(n.basis):
-                mask |= 1 << t.pair_index(vec[x], e)
-            psi.append(t.congruence.class_of[mask])
+        phi = t.extend(n.act, n.add, n.zero)
+        psi = tuple(t.class_of_pairs(zip(n.vector(g), n.basis))
+                    for g in range(n.size))
         phi_hom = SemimoduleHom(tm, n, phi).validate()
-        psi_hom = SemimoduleHom(n, tm, tuple(psi)).validate()
+        psi_hom = SemimoduleHom(n, tm, psi).validate()
         phi_psi = all(phi[psi[g]] == g for g in range(n.size))
         psi_phi = all(psi[phi[c]] == c for c in range(t.class_count))
         tier = {"materialized": True, "classes": t.class_count,

@@ -204,7 +204,12 @@ def fails_cleanly(argv, code, capsys):
      "action": [[0, 0], [0, 1.0]]},
     {"kind": "matrix", "scalars": semiring_to_dict(boolean_semiring()),
      "rows": 1, "cols": 1, "entries": [[False]]},
-], ids=["float", "bool", "string", "nested", "action-float", "matrix-bool"])
+    {"kind": "matrix", "scalars": semiring_to_dict(boolean_semiring()),
+     "rows": 1, "cols": 1, "entries": [[5]]},
+    {"kind": "matrix", "scalars": semiring_to_dict(boolean_semiring()),
+     "rows": 2, "cols": 2, "entries": [[0, 1]]},
+], ids=["float", "bool", "string", "nested", "action-float", "matrix-bool",
+        "matrix-out-of-range", "matrix-wrong-grid"])
 def test_verify_rejects_inexact_entries(tmp_path, capsys, payload):
     bad = write(tmp_path / "bad.json", payload)
     fails_cleanly(["verify", "--input", bad], 1, capsys)
@@ -227,8 +232,10 @@ def test_malformed_config(monkeypatch, tmp_path, capsys, text):
     (["k0", "--input", "{chain3}", "--nmax", "-1"], 1),
     (["idempotents", "--input", "{boolean}", "--n", "-1"], 1),
     (["chain", "3", "--max-carrier", "2"], 3),
+    (["gamma", "--samples", "-5"], 1),
+    (["gamma", "--samples", "0"], 1),
 ], ids=["k0-nmax-0", "k0-nmax-negative", "idempotents-n-negative",
-        "chain-over-max-carrier"])
+        "chain-over-max-carrier", "gamma-samples-negative", "gamma-samples-0"])
 def test_size_arguments(chain3_file, boolean_file, capsys, argv, code):
     files = {"{chain3}": chain3_file, "{boolean}": boolean_file}
     fails_cleanly([files.get(a, a) for a in argv], code, capsys)

@@ -221,3 +221,9 @@ def test_gamma_chain_matches_standard_chain(k):
 def test_gamma_chain_rejects_zero():
     with pytest.raises(ChainTooShort):
         gamma_chain(0)
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_gamma_chain_needs_a_sample(samples):
+    with pytest.raises(ValueError):
+        gamma_chain(1, samples)

@@ -8,13 +8,15 @@ from mvsr.mv import lukasiewicz_chain, mv_product, reduct_vee_odot
 from mvsr.projective import are_isomorphic
 from mvsr.semimodule import (FiniteSemimodule, free_semimodule, hom_set,
                              module_over_self, trivial_module)
-from mvsr.semiring import FiniteSemiring, SemiringHom, boolean_semiring
+from mvsr.semiring import FiniteSemiring, SemiringHom, boolean_semiring, fold
 from mvsr.tensor import (FreeSemilattice, SemilatticeCongruence,
-                         adjunction_witness, as_module, bimorphisms,
-                         check_universal_property, commutative_monoids_upto,
-                         congruence_closure, enumerate_modules,
-                         full_embedding_check, hom_lattice_structure,
-                         hom_point_iso, join_irreducibles, scalar_structures,
+                         TensorProduct, _downsets, _extensions,
+                         _is_monoid_hom, adjunction_witness, as_module,
+                         bimorphisms, check_universal_property,
+                         commutative_monoids_upto, congruence_closure,
+                         enumerate_modules, full_embedding_check,
+                         hom_lattice_structure, hom_point_iso,
+                         join_irreducibles, scalar_structures,
                          tensor_product, tensor_report, truncation_demo,
                          zeta_isomorphism)
 
@@ -192,6 +194,72 @@ def test_universal_property_free_factor(free2, self_mod):
     verdict = check_universal_property(tensor_product(free2, self_mod))
     assert verdict["ok"]
     assert verdict["bimorphisms"] > 0
+
+
+def _universal_property_by_scan(t):
+    """The universal property checked bimorphism by bimorphism: existence
+    folds f over each class's representative pairs and tests the result,
+    uniqueness rescans every join-irreducible assignment of the quotient."""
+    family = list(commutative_monoids_upto(3))
+    family.append((t.left.size, t.left.add, t.left.zero))
+    family.append((t.right.size, t.right.add, t.right.zero))
+    join = t.join_table
+    tensor_of = [(x, y, t.tensor(x, y))
+                 for x in range(t.left.size) for y in range(t.right.size)]
+    ji = join_irreducibles(join, t.zero_class)
+    below = _downsets(join, ji)
+    bims = existence = uniqueness = 0
+    for c_size, c_add, c_zero in family:
+        for f in bimorphisms(t.left, t.right, c_size, c_add, c_zero):
+            bims += 1
+            h = [fold(c_add, c_zero,
+                      [f[t.pair_index(x, y)] for (x, y) in t.pairs_of(c)])
+                 for c in range(t.class_count)]
+            if not (all(h[tc] == f[t.pair_index(x, y)]
+                        for (x, y, tc) in tensor_of)
+                    and _is_monoid_hom(h, join, t.zero_class, c_add, c_zero)):
+                existence += 1
+            matches = {
+                v for v in _extensions(len(ji), below, c_size, c_add, c_zero)
+                if all(v[tc] == f[t.pair_index(x, y)]
+                       for (x, y, tc) in tensor_of)
+                and _is_monoid_hom(v, join, t.zero_class, c_add, c_zero)}
+            if len(matches) != 1:
+                uniqueness += 1
+    return {"monoids": len(family), "bimorphisms": bims,
+            "existence_failures": existence,
+            "uniqueness_failures": uniqueness,
+            "ok": existence == 0 and uniqueness == 0}
+
+
+def test_universal_property_count_matches_the_scan(boolean):
+    modules = enumerate_modules(boolean, 4)
+    pairs = [(m, n) for m in modules for n in modules if m.size * n.size <= 8]
+    assert len(pairs) == 48
+    collapsed_existence = 0
+    for m, n in pairs:
+        t = tensor_product(m, n)
+        assert check_universal_property(t) == _universal_property_by_scan(t)
+        top = t.lattice.size - 1
+        collapsed = TensorProduct(m, n, t.lattice,
+                                  congruence_closure(t.lattice, [(0, top)]))
+        verdict = check_universal_property(collapsed)
+        assert verdict == _universal_property_by_scan(collapsed)
+        collapsed_existence += verdict["existence_failures"]
+    assert collapsed_existence > 0
+    three = module_over_self(reduct_vee_odot(lukasiewicz_chain(3)))
+    t = tensor_product(three, three)
+    assert check_universal_property(t) == _universal_property_by_scan(t)
+
+
+def test_class_of_pairs_joins_tensors(free2, self_mod):
+    t = tensor_product(free2, self_mod)
+    for x in range(free2.size):
+        for y in range(self_mod.size):
+            assert t.class_of_pairs([(x, y)]) == t.tensor(x, y)
+    assert t.class_of_pairs([]) == t.zero_class
+    assert t.class_of_pairs([(1, 1), (2, 1)]) == \
+        t.join(t.tensor(1, 1), t.tensor(2, 1))
 
 
 def test_tensor_report_schema(self_mod):
