@@ -71,3 +71,15 @@ class NotOnto(ToolkitError):
 
 class IllDefinedAction(ToolkitError):
     """A scalar action does not respect the congruence classes."""
+
+
+def check_bound(guard: type, stage: str, estimate: int, name: str,
+                bound: int) -> None:
+    """Raise guard when estimate exceeds the bound called name; the
+    message names the stage, the estimate and the bound. An estimate
+    wider than 64 bits is shown as the power of two below it, since
+    Python refuses to print integers of more than 4300 digits."""
+    if estimate > bound:
+        shown = str(estimate) if estimate.bit_length() <= 64 else \
+            f"at least 2^{estimate.bit_length() - 1}"
+        raise guard(f"{stage}: {shown} exceeds {name}={bound}")

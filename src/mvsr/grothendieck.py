@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .config import DEFAULT_N_MAX, MAX_CARRIER, MAX_ENUM
-from .errors import EnumGuard, NotIdempotent
+from .errors import EnumGuard, NotIdempotent, ToolkitError, check_bound
 from .jsonio import semiring_to_dict
 from .matrix import SemiringMatrix, idempotent_matrices, is_mult_idempotent
 from .mv import MvAlgebra, MvHom, reduct_vee_odot
@@ -66,10 +66,7 @@ class ProjClassMonoid:
 
     @property
     def trivial_index(self) -> int:
-        for i, cls in enumerate(self.classes):
-            if cls.module.size == 1:
-                return i
-        raise ValueError("no trivial class found")
+        return _trivial_index(self.classes)
 
     def class_of(self, m: FiniteSemimodule,
                  max_enum: int = MAX_ENUM) -> Optional[int]:
@@ -83,6 +80,17 @@ def _first_isomorphic(classes: Sequence[ProjectivePresentation],
                  if are_isomorphic(cls.module, m, max_enum) is not None), None)
 
 
+def _trivial_index(classes: Sequence[ProjectivePresentation]) -> int:
+    """Index of the first class whose module is trivial; scalars that obey
+    the semiring laws always have one (the zero matrix presents it)."""
+    index = next((i for i, cls in enumerate(classes)
+                  if cls.module.size == 1), None)
+    if index is None:
+        raise ToolkitError("no trivial projective class: the scalars break "
+                           "the semiring laws")
+    return index
+
+
 def _identity_hom(m: FiniteSemimodule) -> SemimoduleHom:
     return SemimoduleHom(m, m, tuple(range(m.size)))
 
@@ -94,9 +102,8 @@ def enumerate_projective_classes(s: FiniteSemiring,
                                  ) -> ProjClassMonoid:
     if n_max < 1:
         raise ValueError(f"n_max={n_max} must be at least 1")
-    if s.size ** (n_max * n_max) > max_enum:
-        raise EnumGuard(f"{s.size}^{n_max * n_max} matrices exceed "
-                        f"max_enum={max_enum}")
+    check_bound(EnumGuard, "candidate matrices for the projective classes",
+                s.size ** (n_max * n_max), "max_enum", max_enum)
     classes: List[ProjectivePresentation] = []
     for n in range(1, n_max + 1):
         for u in idempotent_matrices(s, n, max_enum):
@@ -106,7 +113,7 @@ def enumerate_projective_classes(s: FiniteSemiring,
             classes.append(
                 ProjectivePresentation(s, n, u, rs, _identity_hom(rs)))
 
-    trivial = next(i for i, cls in enumerate(classes) if cls.module.size == 1)
+    trivial = _trivial_index(classes)
     relations = set()
     for j in range(len(classes)):
         relations.add((trivial, j, j))

@@ -17,11 +17,12 @@ import numpy as np
 
 from .config import MAX_CARRIER, MAX_ENUM
 from .errors import (ChainTooShort, EnumGuard, MalformedTable, NotAHom,
-                     NotAnIdeal, SizeGuard, TooManyVariables)
+                     NotAnIdeal, SizeGuard, TooManyVariables, check_bound)
 from .semiring import (AxiomReport, FiniteSemiring, LawCheck, SemiringHom,
-                       Table, _first_assoc_failure, _first_comm_failure,
-                       _first_identity_failure, freeze_table, freeze_unary,
-                       is_additively_idempotent, natural_order)
+                       Table, _check_index, _first_assoc_failure,
+                       _first_comm_failure, _first_identity_failure,
+                       freeze_table, freeze_unary, is_additively_idempotent,
+                       natural_order)
 from .tropical import TOP, Trop, TropicalUSemifield, trop, trop_meet, trop_prod
 
 
@@ -38,8 +39,7 @@ class MvAlgebra:
     def __post_init__(self):
         object.__setattr__(self, "oplus", freeze_table(self.oplus, self.size, "oplus"))
         object.__setattr__(self, "star", freeze_unary(self.star, self.size, "star"))
-        if not 0 <= self.zero < self.size:
-            raise MalformedTable("zero index out of range")
+        object.__setattr__(self, "zero", _check_index(self.zero, self.size, "zero"))
         if self.labels is not None:
             labels = tuple(str(x) for x in self.labels)
             if len(labels) != self.size:
@@ -160,8 +160,7 @@ def lukasiewicz_chain(k: int, max_carrier: int = MAX_CARRIER) -> MvAlgebra:
     """The k-element chain 0, 1/(k-1), ..., 1 with truncated addition."""
     if k < 2:
         raise ChainTooShort("a chain needs at least 2 elements")
-    if k > max_carrier:
-        raise SizeGuard(f"chain carrier {k} exceeds max_carrier={max_carrier}")
+    check_bound(SizeGuard, "chain carrier", k, "max_carrier", max_carrier)
     top = k - 1
     oplus = tuple(tuple(min(i + j, top) for j in range(k)) for i in range(k))
     star = tuple(top - i for i in range(k))
@@ -173,8 +172,7 @@ def mv_product(a: MvAlgebra, b: MvAlgebra,
                max_carrier: int = MAX_CARRIER) -> MvAlgebra:
     """Componentwise product; element (x, y) sits at index x*|B| + y."""
     size = a.size * b.size
-    if size > max_carrier:
-        raise SizeGuard(f"product carrier {size} exceeds max_carrier={max_carrier}")
+    check_bound(SizeGuard, "product carrier", size, "max_carrier", max_carrier)
     idx = lambda x, y: x * b.size + y
     oplus = tuple(tuple(idx(a.oplus[x1][x2], b.oplus[y1][y2])
                         for x2 in range(a.size) for y2 in range(b.size))
@@ -301,8 +299,8 @@ def is_ideal(a: MvAlgebra, subset) -> bool:
 
 def ideals(a: MvAlgebra, max_enum: int = MAX_ENUM) -> Tuple[Tuple[int, ...], ...]:
     """All ideals, by exhaustive subset scan (downward closed, sum closed)."""
-    if 2 ** a.size > max_enum:
-        raise EnumGuard(f"2^{a.size} subsets exceed max_enum={max_enum}")
+    check_bound(EnumGuard, "subsets scanned for ideals", 2 ** a.size,
+                "max_enum", max_enum)
     found = []
     for mask in range(2 ** a.size):
         subset = [x for x in range(a.size) if mask >> x & 1]
@@ -599,6 +597,24 @@ def gamma(f: TropicalUSemifield, a) -> Fraction:
     return min(max(a.value, Fraction(0)), f.u)
 
 
+def _gamma_failures(f: TropicalUSemifield, samples: int, draw_meet,
+                    draw_sum) -> Tuple[int, int]:
+    """Meet and truncated-sum failures of gamma over the samples; each
+    sample draws a meet pair, then a sum pair."""
+    if samples < 1:
+        raise ValueError(f"samples={samples} must be at least 1")
+    meet_fails = 0
+    sum_fails = 0
+    for _ in range(samples):
+        a, b = draw_meet(), draw_meet()
+        if gamma(f, trop_meet(a, b)) != min(gamma(f, a), gamma(f, b)):
+            meet_fails += 1
+        a, b = draw_sum(), draw_sum()
+        if gamma(f, trop_prod(a, b)) != min(gamma(f, a) + gamma(f, b), f.u):
+            sum_fails += 1
+    return meet_fails, sum_fails
+
+
 def gamma_property_report(f: TropicalUSemifield, samples: int = 10000,
                           seed: int = 42) -> dict:
     """Sampled checks that the truncation preserves meet and truncated sum.
@@ -610,20 +626,10 @@ def gamma_property_report(f: TropicalUSemifield, samples: int = 10000,
     is u), so that region is disclosed as a counterexample, not sampled.
     """
     from .tropical import sample_trop
-    if samples < 1:
-        raise ValueError(f"samples={samples} must be at least 1")
     rng = random.Random(seed)
-    meet_fails = 0
-    sum_fails = 0
-    for _ in range(samples):
-        a = sample_trop(rng)
-        b = sample_trop(rng)
-        if gamma(f, trop_meet(a, b)) != min(gamma(f, a), gamma(f, b)):
-            meet_fails += 1
-        a = sample_trop(rng, nonnegative=True)
-        b = sample_trop(rng, nonnegative=True)
-        if gamma(f, trop_prod(a, b)) != min(gamma(f, a) + gamma(f, b), f.u):
-            sum_fails += 1
+    meet_fails, sum_fails = _gamma_failures(
+        f, samples, lambda: sample_trop(rng),
+        lambda: sample_trop(rng, nonnegative=True))
     top_ok = gamma(f, TOP) == f.u
     neg, pos = trop(-5 * f.u), trop(3 * f.u)
     mixed_breaks = (gamma(f, trop_prod(neg, pos))
@@ -646,8 +652,6 @@ def gamma_chain(k: int, samples: int = 1000, seed: int = 42):
     """
     if k < 1:
         raise ChainTooShort("truncation needs k >= 1")
-    if samples < 1:
-        raise ValueError(f"samples={samples} must be at least 1")
     f = TropicalUSemifield(Fraction(1))
     values = [Fraction(i, k) for i in range(k + 1)]
     index = {v: i for i, v in enumerate(values)}
@@ -657,21 +661,15 @@ def gamma_chain(k: int, samples: int = 1000, seed: int = 42):
     alg = MvAlgebra(k + 1, oplus, star, 0, labels)
 
     rng = random.Random(seed)
-    meet_fails = 0
-    sum_fails = 0
 
     def draw(lo: int) -> Trop:
         if rng.random() < 0.05:
             return TOP
         return Trop(Fraction(rng.randint(lo, 3 * k), k))
 
-    for _ in range(samples):
-        a, b = draw(-3 * k), draw(-3 * k)
-        if gamma(f, trop_meet(a, b)) != min(gamma(f, a), gamma(f, b)):
-            meet_fails += 1
-        a, b = draw(0), draw(0)
-        if gamma(f, trop_prod(a, b)) != min(gamma(f, a) + gamma(f, b), f.u):
-            sum_fails += 1
+    meet_fails, sum_fails = _gamma_failures(f, samples,
+                                            lambda: draw(-3 * k),
+                                            lambda: draw(0))
     cert = {"k": k, "u": "1", "samples": samples, "seed": seed,
             "meet_failures": meet_fails, "truncated_sum_failures": sum_fails,
             "sum_domain": "nonnegative",

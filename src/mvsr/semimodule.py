@@ -16,13 +16,13 @@ import numpy as np
 
 from .config import MAX_CARRIER, MAX_ENUM
 from .errors import (EnumGuard, IllDefinedAction, MalformedTable, NotAHom,
-                     NotAnIdeal, ScalarMismatch, SizeGuard)
+                     NotAnIdeal, ScalarMismatch, SizeGuard, check_bound)
 from .mv import (MvAlgebra, check_mv_axioms, quotient, reduct_vee_odot)
 from .semiring import (AxiomReport, FiniteSemiring, LawCheck, SemiringHom,
-                       Table, _first_assoc_failure, _first_comm_failure,
-                       _first_identity_failure, boolean_semiring, fold,
-                       freeze_table, int_row, is_additively_idempotent,
-                       same_scalars)
+                       Table, _check_index, _first_assoc_failure,
+                       _first_comm_failure, _first_identity_failure,
+                       boolean_semiring, fold, freeze_table, int_row,
+                       is_additively_idempotent, same_scalars)
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,7 @@ class FiniteSemimodule:
             if len(row) != self.size or any(not 0 <= v < self.size for v in row):
                 raise MalformedTable("action entry out of range")
         object.__setattr__(self, "action", rows)
-        if not 0 <= self.zero < self.size:
-            raise MalformedTable("zero index out of range")
+        object.__setattr__(self, "zero", _check_index(self.zero, self.size, "zero"))
         if self.labels is not None:
             labels = tuple(str(l) for l in self.labels)
             if len(labels) != self.size:
@@ -187,8 +186,8 @@ def free_semimodule(s: FiniteSemiring, points: Sequence[str],
     """The pointwise module of maps points -> s."""
     pts = tuple(str(p) for p in points)
     size = s.size ** len(pts)
-    if size > max_carrier:
-        raise SizeGuard(f"free module would have {size} elements")
+    check_bound(SizeGuard, "free module carrier", size, "max_carrier",
+                max_carrier)
     vecs = list(itertools.product(range(s.size), repeat=len(pts)))
     index = {v: i for i, v in enumerate(vecs)}
     add = tuple(tuple(index[tuple(s.add[a][b] for a, b in zip(u, v))]
@@ -422,9 +421,8 @@ def hom_set(m: FiniteSemimodule, n: FiniteSemimodule,
     if not same_scalars(m.scalars, n.scalars):
         raise ScalarMismatch("hom set needs a common scalar semiring")
     gens = minimal_generating_set(m)
-    total = n.size ** len(gens)
-    if total > max_enum:
-        raise EnumGuard(f"{total} candidate assignments exceed the bound")
+    check_bound(EnumGuard, "hom-set candidate assignments",
+                n.size ** len(gens), "max_enum", max_enum)
     order, deriv = _derivation_order(m, gens)
     if len(order) != m.size:
         raise ValueError("generators do not span the module")
@@ -657,8 +655,7 @@ def free_universal_property(f: FreeSemimodule, m: FiniteSemimodule,
         raise ScalarMismatch("target must share the scalars")
     npts = len(f.points)
     total = m.size ** npts
-    if total > max_enum:
-        raise EnumGuard(f"{total} point maps exceed the bound")
+    check_bound(EnumGuard, "point maps", total, "max_enum", max_enum)
     homs = hom_set(f, m, max_enum)
     existence = 0
     uniqueness = 0

@@ -6,7 +6,11 @@ congruence is the least semilattice congruence that collapses a join in
 either slot to the union of its pairs (the empty join included, which is
 why tensors absorb either bottom) and slides a scalar across the pair.
 The tensor product is the quotient, with the least subset per class, under
-cardinality then member order, as its canonical representative.
+cardinality then member order, as its canonical representative. The
+congruence keeps the pairs it was closed on, and scalars act on the
+quotient through the left slot: a scalar moves each class's
+representative, and the action is checked well defined on those
+generating pairs alone, never on the whole powerset.
 
 Everything downstream is verified by enumeration: bimorphisms are rebuilt
 from their values on join-irreducible pairs, the homomorphisms out of the
@@ -27,7 +31,7 @@ import numpy as np
 
 from .config import DEFAULT_SEED, MAX_CARRIER, MAX_ENUM
 from .errors import (EnumGuard, IllDefinedAction, NotAHom, NotIdempotent,
-                     NotOnto, ScalarMismatch, SizeGuard)
+                     NotOnto, ScalarMismatch, SizeGuard, check_bound)
 from .jsonio import semimodule_to_dict
 from .mv import gamma_chain, reduct_wedge_oplus
 from .semimodule import (FiniteSemimodule, HomSemilattice, SemimoduleHom,
@@ -50,9 +54,6 @@ class FreeSemilattice:
     def size(self) -> int:
         return 1 << len(self.base)
 
-    def singleton(self, i: int) -> int:
-        return 1 << i
-
     def join(self, a: int, b: int) -> int:
         return a | b
 
@@ -67,20 +68,16 @@ def _subset_key(mask: int) -> Tuple:
 
 @dataclass(frozen=True)
 class SemilatticeCongruence:
-    """Partition of a free semilattice, compatible with union."""
+    """Partition of a free semilattice, compatible with union, with the
+    subset pairs it was closed on."""
 
     lattice: FreeSemilattice
     class_of: Tuple[int, ...]
     representatives: Tuple[int, ...]
+    generators: Tuple[Tuple[int, int], ...]
 
     def __len__(self) -> int:
         return len(self.representatives)
-
-    def classes(self) -> Tuple[Tuple[int, ...], ...]:
-        out: List[List[int]] = [[] for _ in self.representatives]
-        for mask, c in enumerate(self.class_of):
-            out[c].append(mask)
-        return tuple(tuple(c) for c in out)
 
     def union_compatibility_witness(self) -> Optional[Tuple[int, int, int]]:
         """First (a, b, c) with a ~ b but a|c !~ b|c, or None."""
@@ -106,9 +103,8 @@ def congruence_closure(lattice: FreeSemilattice,
     every subset because joins decompose into singletons.
     """
     total = lattice.size
-    if total > max_carrier:
-        raise SizeGuard(f"free semilattice carrier {total} exceeds "
-                        f"max_carrier={max_carrier}")
+    check_bound(SizeGuard, "free semilattice carrier", total, "max_carrier",
+                max_carrier)
     parent = list(range(total))
 
     def find(x: int) -> int:
@@ -118,7 +114,8 @@ def congruence_closure(lattice: FreeSemilattice,
         return x
 
     singles = [1 << i for i in range(len(lattice.base))]
-    work: List[Tuple[int, int]] = list(pairs)
+    generators = tuple(pairs)
+    work: List[Tuple[int, int]] = list(generators)
     while work:
         a, b = work.pop()
         ra, rb = find(a), find(b)
@@ -139,7 +136,8 @@ def congruence_closure(lattice: FreeSemilattice,
         reps.append(rep)
         for mask in block:
             class_of[mask] = index
-    return SemilatticeCongruence(lattice, tuple(class_of), tuple(reps))
+    return SemilatticeCongruence(lattice, tuple(class_of), tuple(reps),
+                                 generators)
 
 
 # ----- the tensor product --------------------------------------------------
@@ -208,9 +206,8 @@ def tensor_product(m: FiniteSemimodule, n: FiniteSemimodule,
                             "scalars")
     base = tuple((x, y) for x in range(m.size) for y in range(n.size))
     lattice = FreeSemilattice(base)
-    if lattice.size > max_carrier:
-        raise SizeGuard(f"free semilattice carrier {lattice.size} exceeds "
-                        f"max_carrier={max_carrier}")
+    check_bound(SizeGuard, "free semilattice carrier", lattice.size,
+                "max_carrier", max_carrier)
 
     def p(x: int, y: int) -> int:
         return x * n.size + y
@@ -253,71 +250,44 @@ def _class_labels(t: TensorProduct) -> Tuple[str, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ScalarStructures:
-    """Induced scalar actions on the quotient, one per slot."""
+def scalar_structures(t: TensorProduct, scalars: FiniteSemiring,
+                      action) -> FiniteSemimodule:
+    """The quotient as a module over scalars acting on the left slot:
+    action[b][x] is b moving x, and b sends a class to the class of its
+    moved representative.
 
-    left_module: FiniteSemimodule
-    right_module: FiniteSemimodule
-    left_laws: AxiomReport
-    right_laws: AxiomReport
-
-
-def _induced_action(t: TensorProduct, scalars: FiniteSemiring,
-                    action, slot: str) -> Tuple[Tuple[int, ...], ...]:
-    cong = t.congruence
+    Moving a subset pair by pair preserves unions, so the subset pairs
+    (u, v) whose moved images are congruent form a union-compatible
+    equivalence. It contains the congruence exactly when it contains the
+    congruence's generating pairs, the congruence being the least such
+    relation holding them; so well-definedness is checked on those pairs
+    alone. Right actions are identified with left ones, since x tensor
+    (a y) = (a x) tensor y.
+    """
+    cong, base = t.congruence, t.lattice.base
     rows = []
     for b in range(scalars.size):
-        row: List[Optional[int]] = [None] * t.class_count
-        moved = action[b]
-        for mask in range(t.lattice.size):
-            img = 0
-            for i in t.lattice.members(mask):
-                x, y = t.lattice.base[i]
-                if slot == "left":
-                    img |= 1 << t.pair_index(moved[x], y)
-                else:
-                    img |= 1 << t.pair_index(x, moved[y])
-            c, ic = cong.class_of[mask], cong.class_of[img]
-            if row[c] is None:
-                row[c] = ic
-            elif row[c] != ic:
+        move = action[b]
+
+        def image(mask: int) -> int:
+            """Class of the subset with each pair's left entry moved by b."""
+            return t.class_of_pairs((move[base[i][0]], base[i][1])
+                                    for i in t.lattice.members(mask))
+
+        for u, v in cong.generators:
+            cu, cv = image(u), image(v)
+            if cu != cv:
                 raise IllDefinedAction(
-                    f"scalar {b} sends members of class {c} to distinct "
-                    f"classes {row[c]} and {ic}")
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def scalar_structures(t: TensorProduct,
-                      left_scalars: Optional[FiniteSemiring] = None,
-                      left_action=None,
-                      right_scalars: Optional[FiniteSemiring] = None,
-                      right_action=None) -> ScalarStructures:
-    """Transport slot-wise actions to the quotient and verify the laws.
-
-    Defaults reuse each factor's own scalar action, which gives the
-    canonical module structure over commutative scalars.
-    """
-    if left_scalars is None:
-        left_scalars, left_action = t.left.scalars, t.left.action
-    if right_scalars is None:
-        right_scalars, right_action = t.right.scalars, t.right.action
-    labels = _class_labels(t)
-    star_l = _induced_action(t, left_scalars, left_action, "left")
-    star_r = _induced_action(t, right_scalars, right_action, "right")
-    left_module = FiniteSemimodule(left_scalars, t.class_count, t.join_table,
-                                   t.zero_class, star_l, labels)
-    right_module = FiniteSemimodule(right_scalars, t.class_count,
-                                    t.join_table, t.zero_class, star_r, labels)
-    return ScalarStructures(left_module, right_module,
-                            check_semimodule(left_scalars, left_module),
-                            check_semimodule(right_scalars, right_module))
+                    f"scalar {b} sends the generating pair of subsets "
+                    f"({u}, {v}) to distinct classes {cu} and {cv}")
+        rows.append(tuple(image(rep) for rep in cong.representatives))
+    return FiniteSemimodule(scalars, t.class_count, t.join_table, t.zero_class,
+                            tuple(rows), _class_labels(t))
 
 
 def as_module(t: TensorProduct) -> FiniteSemimodule:
     """The quotient as a module over the common scalars."""
-    return scalar_structures(t).left_module
+    return scalar_structures(t, t.left.scalars, t.left.action)
 
 
 # ----- bimorphisms and the universal property ------------------------------
@@ -365,9 +335,8 @@ def bimorphisms(m: FiniteSemimodule, n: FiniteSemimodule,
     """
     ji_m = join_irreducibles(m.add, m.zero)
     ji_n = join_irreducibles(n.add, n.zero)
-    total = c_size ** (len(ji_m) * len(ji_n))
-    if total > max_enum:
-        raise EnumGuard(f"{total} bimorphism candidates exceed the bound")
+    check_bound(EnumGuard, "bimorphism candidates",
+                c_size ** (len(ji_m) * len(ji_n)), "max_enum", max_enum)
 
     below_m, below_n = _downsets(m.add, ji_m), _downsets(n.add, ji_n)
     contrib = [tuple(i * len(ji_n) + j for i in below_m[x] for j in below_n[y])
@@ -418,9 +387,8 @@ def _commutative_monoid_tables(size: int, idempotent: bool, max_enum: int):
     set, x + x = x is fixed instead of enumerated."""
     cells = [(i, j) for i in range(1, size)
              for j in range(i + 1 if idempotent else i, size)]
-    if size ** len(cells) > max_enum:
-        raise EnumGuard(f"{size}^{len(cells)} monoid tables on {size} "
-                        f"elements exceed max_enum={max_enum}")
+    check_bound(EnumGuard, f"monoid tables on {size} elements",
+                size ** len(cells), "max_enum", max_enum)
     for values in itertools.product(range(size), repeat=len(cells)):
         table = [[0] * size for _ in range(size)]
         for i in range(size):
@@ -477,8 +445,8 @@ def check_universal_property(t: TensorProduct,
     existence_failures = 0
     uniqueness_failures = 0
     for (c_size, c_add, c_zero) in family:
-        if c_size ** len(ji_classes) > max_enum:
-            raise EnumGuard("uniqueness scan exceeds the bound")
+        check_bound(EnumGuard, "candidate homs out of the quotient",
+                    c_size ** len(ji_classes), "max_enum", max_enum)
         homs = {v for v in _extensions(len(ji_classes), below, c_size, c_add,
                                        c_zero)
                 if _is_monoid_hom(v, join, t.zero_class, c_add, c_zero)}
@@ -631,21 +599,12 @@ def hom_point_iso(m: FiniteSemimodule,
 
 # ----- change of scalars ----------------------------------------------------
 
-def _module_along(h: SemiringHom) -> FiniteSemimodule:
-    """The target semiring as a module over the source, acting through h."""
-    b = h.target
-    action = tuple(tuple(b.mul[h.mapping[a]][x] for x in range(b.size))
-                   for a in range(h.source.size))
-    labels = tuple(b.label(x) for x in range(b.size))
-    return FiniteSemimodule(h.source, b.size, b.add, b.zero, action, labels)
-
-
 def _extend_scalars(h: SemiringHom, m: FiniteSemimodule,
                     max_carrier: int) -> Tuple[TensorProduct, FiniteSemimodule]:
-    t = tensor_product(_module_along(h), m, max_carrier)
-    structures = scalar_structures(t, left_scalars=h.target,
-                                   left_action=h.target.mul)
-    return t, structures.left_module
+    """B tensor M over A, with B = h.target acting on the left slot."""
+    t = tensor_product(restrict_scalars(h, module_over_self(h.target)), m,
+                       max_carrier)
+    return t, scalar_structures(t, h.target, h.target.mul)
 
 
 def _tensor_unit(t: TensorProduct, one: int) -> Tuple[int, ...]:
@@ -669,7 +628,7 @@ def adjunction_witness(h: SemiringHom,
         [module_over_self(a), trivial_module(a)]
     mods_b = list(right_modules) if right_modules is not None else \
         [module_over_self(b), trivial_module(b)]
-    b_over_a = _module_along(h)
+    b_over_a = restrict_scalars(h, module_over_self(b))
 
     pairs = []
     unit_flags = []
@@ -772,8 +731,8 @@ def enumerate_modules(s: FiniteSemiring, size_bound: int,
     for size in range(1, size_bound + 1):
         adds = list(_commutative_monoid_tables(size, True, max_enum))
         free = [c for c in range(s.size) if c not in (s.zero, s.one)]
-        if size ** (size * len(free)) > max_enum:
-            raise EnumGuard("action enumeration exceeds the bound")
+        check_bound(EnumGuard, f"action tables on {size} elements",
+                    size ** (size * len(free)), "max_enum", max_enum)
         for add in adds:
             for rows in itertools.product(
                     itertools.product(range(size), repeat=size),

@@ -26,6 +26,16 @@ def boolean_file(tmp_path):
 
 
 @pytest.fixture
+def lawless_file(tmp_path):
+    # breaks the semiring laws; no idempotent matrix over it presents the
+    # trivial module
+    return write(tmp_path / "lawless.json", {
+        "kind": "semiring", "size": 3,
+        "add": [[0, 2, 2], [1, 1, 0], [0, 2, 0]],
+        "mul": [[0, 0, 0], [2, 2, 2], [1, 2, 2]], "zero": 1, "one": 2})
+
+
+@pytest.fixture
 def self_file(tmp_path):
     return write(tmp_path / "self.json",
                  semimodule_to_dict(module_over_self(boolean_semiring())))
@@ -234,8 +244,14 @@ def test_malformed_config(monkeypatch, tmp_path, capsys, text):
     (["chain", "3", "--max-carrier", "2"], 3),
     (["gamma", "--samples", "-5"], 1),
     (["gamma", "--samples", "0"], 1),
+    (["k0", "--input", "{lawless}"], 2),
+    (["k0", "--input", "{chain3}", "--nmax", "1000"], 3),
+    (["idempotents", "--input", "{boolean}", "--n", "200"], 3),
 ], ids=["k0-nmax-0", "k0-nmax-negative", "idempotents-n-negative",
-        "chain-over-max-carrier", "gamma-samples-negative", "gamma-samples-0"])
-def test_size_arguments(chain3_file, boolean_file, capsys, argv, code):
-    files = {"{chain3}": chain3_file, "{boolean}": boolean_file}
+        "chain-over-max-carrier", "gamma-samples-negative", "gamma-samples-0",
+        "k0-no-trivial-class", "k0-nmax-1000", "idempotents-n-200"])
+def test_size_arguments(chain3_file, boolean_file, lawless_file, capsys,
+                        argv, code):
+    files = {"{chain3}": chain3_file, "{boolean}": boolean_file,
+             "{lawless}": lawless_file}
     fails_cleanly([files.get(a, a) for a in argv], code, capsys)

@@ -162,6 +162,12 @@ def test_hom_validation(chain3):
         MvHom(chain3, chain3, (0, 1))
 
 
+@pytest.mark.parametrize("zero", [1.0, True], ids=["float", "bool"])
+def test_zero_index_must_be_an_exact_integer(zero):
+    with pytest.raises(MalformedTable):
+        MvAlgebra(2, ((0, 1), (1, 1)), (1, 0), zero)
+
+
 def test_boolean_center(chain3, square):
     assert boolean_center(chain3).elements == (0, 2)
     center = boolean_center(square)

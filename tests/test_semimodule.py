@@ -71,6 +71,13 @@ def test_action_row_count_checked(boolean):
                          zero=0, action=((0, 0),))
 
 
+@pytest.mark.parametrize("zero", [1.0, True], ids=["float", "bool"])
+def test_zero_index_must_be_an_exact_integer(boolean, zero):
+    with pytest.raises(MalformedTable):
+        FiniteSemimodule(scalars=boolean, size=2, add=((0, 1), (1, 1)),
+                         zero=zero, action=((0, 0), (0, 1)))
+
+
 def test_free_module_indexing(three):
     f = free_semimodule(three, ["x", "y"])
     assert f.size == 9

@@ -1,13 +1,16 @@
 import itertools
+import random
 
 import pytest
 
-from mvsr.errors import (EnumGuard, NotIdempotent, NotOnto, ScalarMismatch,
-                         SizeGuard)
-from mvsr.mv import lukasiewicz_chain, mv_product, reduct_vee_odot
+from mvsr.errors import (EnumGuard, IllDefinedAction, NotIdempotent, NotOnto,
+                         ScalarMismatch, SizeGuard)
+from mvsr.mv import (lukasiewicz_chain, mv_product, quotient,
+                     reduct_vee_odot)
 from mvsr.projective import are_isomorphic
-from mvsr.semimodule import (FiniteSemimodule, free_semimodule, hom_set,
-                             module_over_self, trivial_module)
+from mvsr.semimodule import (FiniteSemimodule, check_semimodule,
+                             free_semimodule, hom_set, module_over_self,
+                             restrict_scalars, trivial_module)
 from mvsr.semiring import FiniteSemiring, SemiringHom, boolean_semiring, fold
 from mvsr.tensor import (FreeSemilattice, SemilatticeCongruence,
                          TensorProduct, _downsets, _extensions,
@@ -64,14 +67,15 @@ def test_closure_bottom_equals_top_collapses_everything():
 
 def test_closure_guard():
     lat = FreeSemilattice(tuple(range(8)))
-    with pytest.raises(SizeGuard):
+    with pytest.raises(SizeGuard, match=r"^free semilattice carrier: 256 "
+                       r"exceeds max_carrier=100$"):
         congruence_closure(lat, [], max_carrier=100)
 
 
 def test_incompatible_partition_yields_a_witness():
     # glue the empty set to {a} but leave the rest alone: not a congruence
     lat = FreeSemilattice(("a", "b"))
-    cong = SemilatticeCongruence(lat, (0, 0, 1, 2), (0, 2, 3))
+    cong = SemilatticeCongruence(lat, (0, 0, 1, 2), (0, 2, 3), ((0, 1),))
     w = cong.union_compatibility_witness()
     assert w is not None
     a, b, c = w
@@ -120,12 +124,109 @@ def test_tensor_carrier_guard(self_mod, free2):
         tensor_product(free2, free2, max_carrier=8)
 
 
-def test_induced_scalar_actions_satisfy_the_laws(free2, self_mod):
+def test_induced_scalar_actions_satisfy_the_laws(boolean, free2, self_mod):
     t = tensor_product(free2, self_mod)
-    st = scalar_structures(t)
-    assert st.left_laws.valid and st.right_laws.valid
-    assert st.left_module.size == t.class_count
-    assert st.left_module.add == st.right_module.add
+    module = scalar_structures(t, boolean, free2.action)
+    assert check_semimodule(boolean, module).valid
+    assert module.size == t.class_count
+    assert module.add == t.join_table
+
+
+def _induced_action_by_sweep(t, scalars, action, slot):
+    """The induced action found by moving every subset of the free
+    semilattice in the given slot; IllDefinedAction when two members of
+    one class move to distinct classes."""
+    cong = t.congruence
+    rows = []
+    for b in range(scalars.size):
+        row = [None] * t.class_count
+        moved = action[b]
+        for mask in range(t.lattice.size):
+            img = 0
+            for i in t.lattice.members(mask):
+                x, y = t.lattice.base[i]
+                if slot == "left":
+                    img |= 1 << t.pair_index(moved[x], y)
+                else:
+                    img |= 1 << t.pair_index(x, moved[y])
+            c, ic = cong.class_of[mask], cong.class_of[img]
+            if row[c] is None:
+                row[c] = ic
+            elif row[c] != ic:
+                raise IllDefinedAction(f"scalar {b}, class {c}")
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _rows_or_verdict(induce):
+    try:
+        return induce()
+    except IllDefinedAction:
+        return "ill-defined"
+
+
+def _arbitrary_actions(m, seeds):
+    """For each seed, one map of M's carrier per scalar: any map, a map
+    fixing zero, and a join-preserving map fixing zero, in turn."""
+    maps = list(itertools.product(range(m.size), repeat=m.size))
+    zero_fixing = [f for f in maps if f[m.zero] == m.zero]
+    joins = [f for f in zero_fixing
+             if all(f[m.plus(x, y)] == m.plus(f[x], f[y])
+                    for x in range(m.size) for y in range(m.size))]
+    for seed in seeds:
+        rng = random.Random(seed)
+        pool = (maps, zero_fixing, joins)[seed % 3]
+        yield tuple(rng.choice(pool) for _ in range(m.scalars.size))
+
+
+def test_scalar_action_on_generators_matches_the_sweep(boolean):
+    modules = enumerate_modules(boolean, 4)
+    pairs = [(m, n) for m in modules for n in modules if m.size * n.size <= 8]
+    assert len(pairs) == 48
+    three = module_over_self(reduct_vee_odot(lukasiewicz_chain(3)))
+    pairs.append((three, three))
+    verdicts = set()
+    for m, n in pairs:
+        t = tensor_product(m, n)
+        left = _induced_action_by_sweep(t, m.scalars, m.action, "left")
+        assert scalar_structures(t, m.scalars, m.action).action == left
+        assert _induced_action_by_sweep(t, n.scalars, n.action,
+                                        "right") == left
+        for action in _arbitrary_actions(m, range(6)):
+            expected = _rows_or_verdict(lambda: _induced_action_by_sweep(
+                t, m.scalars, action, "left"))
+            got = _rows_or_verdict(
+                lambda: scalar_structures(t, m.scalars, action).action)
+            assert got == expected
+            verdicts.add(got == "ill-defined")
+    assert verdicts == {True, False}
+
+
+def test_ill_defined_action_names_scalar_pair_and_classes(free2, self_mod):
+    t = tensor_product(free2, self_mod)
+    # scalar 1 moves the zero of free2, so zero tensors stop being zero
+    action = (free2.action[0], (1, 1, 2, 3))
+    with pytest.raises(IllDefinedAction, match=r"^scalar 1 sends the "
+                       r"generating pair of subsets \(\d+, \d+\) to "
+                       r"distinct classes \d+ and \d+$"):
+        scalar_structures(t, free2.scalars, action)
+
+
+def test_scalar_extensions_match_the_sweep():
+    square = mv_product(lukasiewicz_chain(2), lukasiewicz_chain(2))
+    sq = reduct_vee_odot(square)
+    toward = quotient(square, (0, 1))
+    for h in (SemiringHom(sq, boolean_semiring(), (0, 0, 1, 1)),
+              SemiringHom(sq, reduct_vee_odot(toward.algebra),
+                          toward.hom.mapping)):
+        b = h.target
+        b_over_a = restrict_scalars(h, module_over_self(b))
+        modules = enumerate_modules(b, 4)
+        assert len(modules) == 13
+        for mb in modules:
+            t = tensor_product(b_over_a, restrict_scalars(h, mb))
+            assert scalar_structures(t, b, b.mul).action == \
+                _induced_action_by_sweep(t, b, b.mul, "left")
 
 
 # ----- bimorphisms and the universal property --------------------------------
@@ -176,7 +277,8 @@ def test_bimorphisms_match_the_definition_on_small_pairs(boolean):
 
 def test_bimorphism_guard(free2):
     big = free_semimodule(boolean_semiring(), list("pqrs"))
-    with pytest.raises(EnumGuard):
+    with pytest.raises(EnumGuard, match=r"^bimorphism candidates: "
+                       r"43046721 exceeds max_enum=1000$"):
         bimorphisms(big, big, 3, ((0, 1, 2), (1, 1, 2), (2, 2, 2)), 0,
                     max_enum=1000)
 
@@ -194,6 +296,13 @@ def test_universal_property_free_factor(free2, self_mod):
     verdict = check_universal_property(tensor_product(free2, self_mod))
     assert verdict["ok"]
     assert verdict["bimorphisms"] > 0
+
+
+def test_universal_property_guard(free2, self_mod):
+    t = tensor_product(free2, self_mod)
+    with pytest.raises(EnumGuard, match=r"^candidate homs out of the "
+                       r"quotient: 4 exceeds max_enum=3$"):
+        check_universal_property(t, max_enum=3)
 
 
 def _universal_property_by_scan(t):
