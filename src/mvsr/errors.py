@@ -83,3 +83,14 @@ def check_bound(guard: type, stage: str, estimate: int, name: str,
         shown = str(estimate) if estimate.bit_length() <= 64 else \
             f"at least 2^{estimate.bit_length() - 1}"
         raise guard(f"{stage}: {shown} exceeds {name}={bound}")
+
+
+def check_power_bound(guard: type, stage: str, base: int, exponent: int,
+                      name: str, bound: int) -> None:
+    """check_bound on base ** exponent, without computing a power that
+    cannot fit: when the lower bound 2^((bits of base - 1) * exponent)
+    already exceeds both 2^64 and the bound, raise with that lower bound."""
+    low = (base.bit_length() - 1) * exponent
+    if low > 64 and bound.bit_length() <= low:
+        raise guard(f"{stage}: at least 2^{low} exceeds {name}={bound}")
+    check_bound(guard, stage, base ** exponent, name, bound)

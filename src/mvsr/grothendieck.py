@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .config import DEFAULT_N_MAX, MAX_CARRIER, MAX_ENUM
-from .errors import EnumGuard, NotIdempotent, ToolkitError, check_bound
+from .errors import (EnumGuard, NotIdempotent, ToolkitError,
+                     check_power_bound)
 from .jsonio import semiring_to_dict
 from .matrix import SemiringMatrix, idempotent_matrices, is_mult_idempotent
 from .mv import MvAlgebra, MvHom, reduct_vee_odot
@@ -102,8 +103,8 @@ def enumerate_projective_classes(s: FiniteSemiring,
                                  ) -> ProjClassMonoid:
     if n_max < 1:
         raise ValueError(f"n_max={n_max} must be at least 1")
-    check_bound(EnumGuard, "candidate matrices for the projective classes",
-                s.size ** (n_max * n_max), "max_enum", max_enum)
+    check_power_bound(EnumGuard, "candidate matrices for the projective "
+                      "classes", s.size, n_max * n_max, "max_enum", max_enum)
     classes: List[ProjectivePresentation] = []
     for n in range(1, n_max + 1):
         for u in idempotent_matrices(s, n, max_enum):
@@ -225,20 +226,13 @@ class GroupHomMatrix:
     relations_respected: bool
 
 
-def _as_semiring_hom(f: Union[SemiringHom, MvHom]) -> SemiringHom:
-    if isinstance(f, MvHom):
-        return SemiringHom(reduct_vee_odot(f.source),
-                           reduct_vee_odot(f.target), f.mapping)
-    return f
-
-
 def k0_of_hom(f: Union[SemiringHom, MvHom],
               n_max: int = DEFAULT_N_MAX,
               source_monoid: Optional[ProjClassMonoid] = None,
               target_monoid: Optional[ProjClassMonoid] = None,
               max_enum: int = MAX_ENUM,
               max_carrier: int = MAX_CARRIER) -> GroupHomMatrix:
-    h = _as_semiring_hom(f)
+    h = f.as_vee_odot_hom() if isinstance(f, MvHom) else f
     h.validate()
     p_a = source_monoid or enumerate_projective_classes(
         h.source, n_max, max_enum, max_carrier)
@@ -279,12 +273,17 @@ def compose_group_homs(g: GroupHomMatrix, f: GroupHomMatrix) -> IntMatrix:
     return int_matrix_mul(g.matrix, f.matrix)
 
 
+def _as_semiring(obj: Union[FiniteSemiring, MvAlgebra]) -> FiniteSemiring:
+    """An MV-algebra stands for its join-product reduct."""
+    return reduct_vee_odot(obj) if isinstance(obj, MvAlgebra) else obj
+
+
 def k0_report(obj: Union[FiniteSemiring, MvAlgebra],
               n_max: int = DEFAULT_N_MAX,
               max_enum: int = MAX_ENUM,
               max_carrier: int = MAX_CARRIER) -> Dict[str, object]:
     """Full pipeline as a JSON-ready dict; the truncation is disclosed."""
-    s = reduct_vee_odot(obj) if isinstance(obj, MvAlgebra) else obj
+    s = _as_semiring(obj)
     p = enumerate_projective_classes(s, n_max, max_enum, max_carrier)
     completion = grothendieck_completion(p)
     return {
@@ -307,7 +306,7 @@ def k0_stability(s: Union[FiniteSemiring, MvAlgebra],
                  max_enum: int = MAX_ENUM,
                  max_carrier: int = MAX_CARRIER) -> Dict[str, object]:
     """Compare truncations across bounds; reports, never asserts, stability."""
-    scalars = reduct_vee_odot(s) if isinstance(s, MvAlgebra) else s
+    scalars = _as_semiring(s)
     groups = []
     counts = []
     for k in bounds:

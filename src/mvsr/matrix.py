@@ -15,7 +15,8 @@ import numpy as np
 
 from .config import DEFAULT_SEED, MAX_CARRIER, MAX_ENUM
 from .errors import (MalformedTable, NoDecomposition, NotFreeBasis,
-                     ScalarMismatch, ShapeMismatch, SizeGuard, check_bound)
+                     ScalarMismatch, ShapeMismatch, SizeGuard,
+                     check_power_bound)
 from .semiring import (FiniteSemiring, SemiringHom, check_semiring_axioms,
                        int_row, same_scalars)
 from .semimodule import (EndSemiring, FiniteSemimodule, FreeSemimodule,
@@ -91,8 +92,8 @@ def idempotent_matrices(s: FiniteSemiring, n: int,
     """All u with u*u = u in M_n(s), in entry-lexicographic order."""
     if n < 0:
         raise ValueError(f"matrix size n={n} must not be negative")
-    check_bound(SizeGuard, "candidate idempotent matrices", s.size ** (n * n),
-                "max_enum", max_enum)
+    check_power_bound(SizeGuard, "candidate idempotent matrices", s.size,
+                      n * n, "max_enum", max_enum)
     out = []
     for flat in itertools.product(range(s.size), repeat=n * n):
         m = SemiringMatrix(s, n, n,
@@ -124,9 +125,9 @@ class MatrixSemiring:
 
 def matrix_semiring(s: FiniteSemiring, n: int,
                     max_carrier: int = MAX_CARRIER) -> MatrixSemiring:
+    check_power_bound(SizeGuard, "matrix semiring carrier", s.size, n * n,
+                      "max_carrier", max_carrier)
     total = s.size ** (n * n)
-    check_bound(SizeGuard, "matrix semiring carrier", total, "max_carrier",
-                max_carrier)
     flats = list(itertools.product(range(s.size), repeat=n * n))
     mats = tuple(SemiringMatrix(s, n, n,
                                 tuple(f[i * n:(i + 1) * n] for i in range(n)))

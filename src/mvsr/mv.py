@@ -402,10 +402,6 @@ class MvHom:
         return SemiringHom(reduct_vee_odot(self.source),
                            reduct_vee_odot(self.target), self.mapping)
 
-    def as_wedge_oplus_hom(self) -> SemiringHom:
-        return SemiringHom(reduct_wedge_oplus(self.source),
-                           reduct_wedge_oplus(self.target), self.mapping)
-
 
 @dataclass(frozen=True)
 class QuotientResult:

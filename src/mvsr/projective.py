@@ -19,7 +19,7 @@ from .matrix import (SemiringMatrix, _cover, idempotent_matrices,
 from .mv import MvAlgebra, reduct_vee_odot
 from .semimodule import (FiniteSemimodule, FreeSemimodule, SemimoduleHom,
                          Subsemimodule, _span, free_semimodule, generate,
-                         hom_set, minimal_generating_set, module_over_self)
+                         iter_homs, minimal_generating_set, module_over_self)
 from .semiring import FiniteSemiring, same_scalars
 
 
@@ -53,7 +53,7 @@ def is_projective_retract_oracle(m: FiniteSemimodule, n: int = None,
     while len(gens) < n:
         gens.append(m.zero)
     free, pi = _cover(m, gens, max_carrier)
-    for mu in hom_set(m, free, max_enum):
+    for mu in iter_homs(m, free, max_enum):
         if all(pi.mapping[mu.mapping[x]] == x for x in range(m.size)):
             return Retraction(free, pi, mu)
     return None
@@ -76,21 +76,13 @@ class ProjectivePresentation:
 
 def are_isomorphic(m: FiniteSemimodule, n: FiniteSemimodule,
                    max_enum: int = MAX_ENUM) -> Optional[SemimoduleHom]:
-    """First bijective hom whose inverse is validated, else None."""
+    """First bijective hom m -> n in the order of iter_homs, else None. Its
+    inverse is a hom too: h(h^-1 y + h^-1 y') = y + y', h(h^-1 0) = 0 and
+    h(a h^-1 y) = a y, so h^-1 preserves addition, zero and the action."""
     if m.size != n.size:
         return None
-    for h in hom_set(m, n, max_enum):
-        if len(set(h.mapping)) != m.size:
-            continue
-        inverse = [0] * n.size
-        for x, v in enumerate(h.mapping):
-            inverse[v] = x
-        try:
-            SemimoduleHom(n, m, tuple(inverse)).validate()
-        except NotAHom:
-            continue
-        return h
-    return None
+    return next((h for h in iter_homs(m, n, max_enum)
+                 if len(set(h.mapping)) == m.size), None)
 
 
 @lru_cache(maxsize=None)
@@ -108,8 +100,6 @@ def is_projective_matrix_criterion(m: FiniteSemimodule, n: int = None,
         n = len(minimal_generating_set(m))
     for u in _idempotents(m.scalars, n, max_enum):
         rs = row_space(u, max_carrier)
-        if rs.size != m.size:
-            continue
         iso = are_isomorphic(rs, m, max_enum)
         if iso is not None:
             return ProjectivePresentation(m.scalars, n, u, rs, iso)

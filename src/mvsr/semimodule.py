@@ -4,13 +4,20 @@ Hom enumeration never searches all functions. It picks images for a minimal
 generating set, extends them along the closure derivation of each carrier
 element, then validates the candidate in full, so the derivation is only a
 funnel and correctness rests on the final check.
+
+iter_homs is the one enumerator, and it is lazy; hom_set materialises it.
+Searches stop at their answer (are_isomorphic at the first bijective hom,
+the retract oracle at the first section) or count as the homs come
+(full_embedding_check, free_universal_property).
 """
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Set, Tuple)
 
 import numpy as np
 
@@ -374,8 +381,9 @@ class HomSemilattice:
     def _index(self) -> Dict[Tuple[int, ...], int]:
         return {h.mapping: i for i, h in enumerate(self.homs)}
 
-    def position(self, h: SemimoduleHom) -> int:
-        return self._index[h.mapping]
+    def position(self, mapping: Tuple[int, ...]) -> int:
+        """Index of the hom with this mapping; KeyError when none is."""
+        return self._index[mapping]
 
     @cached_property
     def zero_index(self) -> int:
@@ -415,9 +423,10 @@ class HomSemilattice:
                                 action=action, labels=labels)
 
 
-def hom_set(m: FiniteSemimodule, n: FiniteSemimodule,
-            max_enum: int = MAX_ENUM) -> HomSemilattice:
-    """All homs m -> n, ordered lexicographically by generator images."""
+def iter_homs(m: FiniteSemimodule, n: FiniteSemimodule,
+              max_enum: int = MAX_ENUM) -> Iterator[SemimoduleHom]:
+    """Every hom m -> n, lazily, ordered lexicographically by generator
+    images; the scalar check and the guard run at the first step."""
     if not same_scalars(m.scalars, n.scalars):
         raise ScalarMismatch("hom set needs a common scalar semiring")
     gens = minimal_generating_set(m)
@@ -426,7 +435,6 @@ def hom_set(m: FiniteSemimodule, n: FiniteSemimodule,
     order, deriv = _derivation_order(m, gens)
     if len(order) != m.size:
         raise ValueError("generators do not span the module")
-    homs = []
     img = [0] * m.size
     for assign in itertools.product(range(n.size), repeat=len(gens)):
         for x in order:
@@ -440,8 +448,13 @@ def hom_set(m: FiniteSemimodule, n: FiniteSemimodule,
             else:
                 img[x] = n.action[d[1]][img[d[2]]]
         if _broken_law(m, n, img) is None:
-            homs.append(SemimoduleHom(m, n, tuple(img)))
-    return HomSemilattice(m, n, tuple(homs))
+            yield SemimoduleHom(m, n, tuple(img))
+
+
+def hom_set(m: FiniteSemimodule, n: FiniteSemimodule,
+            max_enum: int = MAX_ENUM) -> HomSemilattice:
+    """All homs m -> n, in the order of iter_homs."""
+    return HomSemilattice(m, n, tuple(iter_homs(m, n, max_enum)))
 
 
 def compose_module_homs(g: SemimoduleHom, f: SemimoduleHom) -> SemimoduleHom:
@@ -650,13 +663,15 @@ def free_universal_property(f: FreeSemimodule, m: FiniteSemimodule,
     """Every map from the points into m extends to exactly one hom.
 
     Existence is checked by building the linear-combination extension and
-    validating it; uniqueness by counting extensions among all homs."""
+    validating it; uniqueness by counting the homs by their basis values,
+    since a hom out of a free module is the extension of those values."""
     if not same_scalars(f.scalars, m.scalars):
         raise ScalarMismatch("target must share the scalars")
     npts = len(f.points)
     total = m.size ** npts
     check_bound(EnumGuard, "point maps", total, "max_enum", max_enum)
-    homs = hom_set(f, m, max_enum)
+    by_basis = Counter(tuple(h.mapping[b] for b in f.basis)
+                       for h in iter_homs(f, m, max_enum))
     existence = 0
     uniqueness = 0
     for imgs in itertools.product(range(m.size), repeat=npts):
@@ -665,10 +680,7 @@ def free_universal_property(f: FreeSemimodule, m: FiniteSemimodule,
                       for i in range(f.size))
         if _broken_law(f, m, built) is not None:
             existence += 1
-            continue
-        matches = [h for h in homs
-                   if all(h(f.basis[j]) == imgs[j] for j in range(npts))]
-        if len(matches) != 1 or matches[0].mapping != built:
+        elif by_basis[imgs] != 1:
             uniqueness += 1
     return {"maps": total, "existence_failures": existence,
             "uniqueness_failures": uniqueness,

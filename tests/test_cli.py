@@ -247,9 +247,12 @@ def test_malformed_config(monkeypatch, tmp_path, capsys, text):
     (["k0", "--input", "{lawless}"], 2),
     (["k0", "--input", "{chain3}", "--nmax", "1000"], 3),
     (["idempotents", "--input", "{boolean}", "--n", "200"], 3),
+    (["k0", "--input", "{chain3}", "--nmax", "100000"], 3),
+    (["idempotents", "--input", "{boolean}", "--n", "100000"], 3),
 ], ids=["k0-nmax-0", "k0-nmax-negative", "idempotents-n-negative",
         "chain-over-max-carrier", "gamma-samples-negative", "gamma-samples-0",
-        "k0-no-trivial-class", "k0-nmax-1000", "idempotents-n-200"])
+        "k0-no-trivial-class", "k0-nmax-1000", "idempotents-n-200",
+        "k0-nmax-100000", "idempotents-n-100000"])
 def test_size_arguments(chain3_file, boolean_file, lawless_file, capsys,
                         argv, code):
     files = {"{chain3}": chain3_file, "{boolean}": boolean_file,

@@ -1,15 +1,17 @@
 import pytest
 
-from mvsr.errors import NotCyclic, ScalarMismatch
+from mvsr.errors import NotAHom, NotCyclic, ScalarMismatch
 from mvsr.matrix import idempotent_matrices, mat_identity, mat_zero
 from mvsr.mv import lukasiewicz_chain, mv_product, reduct_vee_odot
 from mvsr.projective import (all_subsemimodules, are_isomorphic, block_diag,
                              cyclic_mv_trichotomy, direct_sum,
                              is_projective_matrix_criterion,
                              is_projective_retract_oracle, row_space)
-from mvsr.semimodule import (check_semimodule, free_semimodule, generate,
+from mvsr.semimodule import (SemimoduleHom, check_semimodule,
+                             free_semimodule, generate, hom_set, iter_homs,
                              module_over_self, trivial_module)
 from mvsr.semiring import boolean_semiring
+from mvsr.tensor import enumerate_modules
 
 
 @pytest.fixture
@@ -74,6 +76,53 @@ def test_are_isomorphic_returns_validated_hom(three):
     h.validate()
     sub = generate(m, (1,))
     assert are_isomorphic(m, sub) is None
+
+
+def _are_isomorphic_by_hom_set(m, n):
+    """Every hom m -> n first, then the first bijective one whose inverse
+    validates as a hom n -> m."""
+    if m.size != n.size:
+        return None
+    for h in hom_set(m, n):
+        if len(set(h.mapping)) != m.size:
+            continue
+        inverse = [0] * n.size
+        for x, v in enumerate(h.mapping):
+            inverse[v] = x
+        try:
+            SemimoduleHom(n, m, tuple(inverse)).validate()
+        except NotAHom:
+            continue
+        return h
+    return None
+
+
+def _boolean_modules():
+    return enumerate_modules(boolean_semiring(), 4)
+
+
+def _three_chain_row_spaces():
+    three = reduct_vee_odot(lukasiewicz_chain(3))
+    return [row_space(u) for n in (1, 2)
+            for u in idempotent_matrices(three, n)]
+
+
+@pytest.mark.parametrize("family", [_boolean_modules, _three_chain_row_spaces],
+                         ids=["boolean-modules", "three-chain-row-spaces"])
+def test_iter_homs_and_are_isomorphic_match_the_hom_set(family):
+    """On every ordered pair of the family, are_isomorphic returns the
+    hom the full hom-set search returns. The row spaces are the traffic of
+    k0 on the three-chain."""
+    modules = family()
+    isomorphic = 0
+    for m in modules:
+        for n in modules:
+            assert tuple(iter_homs(m, n)) == hom_set(m, n).homs
+            got = are_isomorphic(m, n)
+            want = _are_isomorphic_by_hom_set(m, n)
+            assert (got and got.mapping) == (want and want.mapping)
+            isomorphic += got is not None
+    assert isomorphic > len(modules)
 
 
 def test_direct_sum_structure_maps(boolean):

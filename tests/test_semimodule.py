@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from mvsr.errors import (EnumGuard, IllDefinedAction, MalformedTable,
@@ -13,6 +15,7 @@ from mvsr.semimodule import (FiniteSemimodule, SemimoduleHom,
                              module_over_self, quotient_module_from_ideal,
                              restrict_scalars, trivial_module, xi_embedding)
 from mvsr.semiring import boolean_semiring, check_semiring_axioms
+from mvsr.tensor import enumerate_modules
 
 
 @pytest.fixture
@@ -249,3 +252,56 @@ def test_free_universal_property(boolean, three):
     out = free_universal_property(f1, module_over_self(three))
     assert out["ok"]
     assert out["maps"] == 3
+
+
+def _free_universal_property_by_scan(f, m):
+    """For each point map, its linear-combination extension must be a hom,
+    and the only hom agreeing with the map on the basis, found by
+    rescanning the whole hom-set."""
+    npts = len(f.points)
+    homs = hom_set(f, m)
+    existence = uniqueness = 0
+    for imgs in itertools.product(range(m.size), repeat=npts):
+        built = tuple(m.sum(m.act(c, imgs[j])
+                            for j, c in enumerate(f.vector(i)))
+                      for i in range(f.size))
+        try:
+            SemimoduleHom(f, m, built).validate()
+        except NotAHom:
+            existence += 1
+            continue
+        matches = [h for h in homs
+                   if all(h(f.basis[j]) == imgs[j] for j in range(npts))]
+        if len(matches) != 1 or matches[0].mapping != built:
+            uniqueness += 1
+    return {"maps": m.size ** npts, "existence_failures": existence,
+            "uniqueness_failures": uniqueness,
+            "ok": existence == 0 and uniqueness == 0}
+
+
+def _lawless_targets(s):
+    """The join semilattice 0 < p, q < t with every unit row over s: most
+    break the unit law, so the extension of a point map can be a hom that
+    disagrees with the map on the basis."""
+    add = ((0, 1, 2, 3), (1, 1, 3, 3), (2, 3, 2, 3), (3, 3, 3, 3))
+    for row in itertools.product(range(4), repeat=4):
+        action = [(0, 0, 0, 0)] * s.size
+        action[s.one] = row
+        yield FiniteSemimodule(scalars=s, size=4, add=add, zero=0,
+                               action=tuple(action))
+
+
+def test_free_universal_property_matches_the_scan(boolean, three):
+    targets = [(boolean, m) for m in enumerate_modules(boolean, 4)]
+    targets += [(boolean, m) for m in _lawless_targets(boolean)]
+    targets += [(three, module_over_self(three)),
+                (three, diamond(three, (0, 1, 2, 3))),
+                (three, diamond(three, (0, 0, 2, 2)))]
+    failing = 0
+    for s, m in targets:
+        for points in (["x"], ["x", "y"]):
+            f = free_semimodule(s, points)
+            got = free_universal_property(f, m)
+            assert got == _free_universal_property_by_scan(f, m)
+            failing += got["uniqueness_failures"] > 0
+    assert failing > 0
