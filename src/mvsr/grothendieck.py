@@ -7,6 +7,11 @@ least one. Padding a matrix with zero rows and columns only appends zero
 coordinates to its row space, so classification by module isomorphism
 absorbs the padding convention; zero_pad is exposed to keep that testable.
 
+A row space's class is found with one dict lookup on its canonical form
+when the scalars obey the semiring laws and their addition is idempotent,
+since every row space is then a join semilattice. Over any other scalars
+the stored classes are scanned with the isomorphism search instead.
+
 The completion is the abelian group presented by one generator per class
 modulo the recorded sum relations, reduced by exact integer Smith normal
 form. Everything is relative to the size bound and reports say so: no
@@ -15,18 +20,20 @@ claim is made that the truncated monoid has converged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from functools import cached_property
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .config import DEFAULT_N_MAX, MAX_CARRIER, MAX_ENUM
-from .errors import (EnumGuard, NotIdempotent, ToolkitError,
+from .errors import (EnumGuard, NotIdempotent, ScalarMismatch, ToolkitError,
                      check_power_bound)
 from .jsonio import semiring_to_dict
 from .matrix import SemiringMatrix, idempotent_matrices, is_mult_idempotent
 from .mv import MvAlgebra, MvHom, reduct_vee_odot
 from .projective import (ProjectivePresentation, are_isomorphic, block_diag,
-                         row_space)
-from .semimodule import FiniteSemimodule, SemimoduleHom
-from .semiring import FiniteSemiring, SemiringHom
+                         canonical_form, row_space)
+from .semimodule import FiniteSemimodule, SemimoduleHom, check_semimodule
+from .semiring import (FiniteSemiring, SemiringHom, check_semiring_axioms,
+                       is_additively_idempotent, same_scalars)
 from .snf import (IntMatrix, SmithNormalForm, int_matrix_mul,
                   smith_normal_form)
 
@@ -69,16 +76,63 @@ class ProjClassMonoid:
     def trivial_index(self) -> int:
         return _trivial_index(self.classes)
 
+    @cached_property
+    def _index(self) -> "_ClassIndex":
+        return _ClassIndex(self.scalars, self.classes)
+
     def class_of(self, m: FiniteSemimodule,
                  max_enum: int = MAX_ENUM) -> Optional[int]:
-        return _first_isomorphic(self.classes, m, max_enum)
+        """Index of the first class isomorphic to m, else None. Forms are
+        used only over scalars that obey the semiring laws, so every class
+        is a module and a table that breaks the module laws matches none;
+        the addition of one that keeps them is a join semilattice, as the
+        form needs."""
+        if (self._index.forms is not None
+                and same_scalars(m.scalars, self.scalars)
+                and not check_semimodule(self.scalars, m).valid):
+            return None
+        return self._index.find(m, max_enum)
 
 
-def _first_isomorphic(classes: Sequence[ProjectivePresentation],
-                      m: FiniteSemimodule, max_enum: int) -> Optional[int]:
-    """Index of the first stored class whose module is isomorphic to m."""
-    return next((i for i, cls in enumerate(classes)
-                 if are_isomorphic(cls.module, m, max_enum) is not None), None)
+class _ClassIndex:
+    """Stored classes and the lookup of a module's first isomorphic class.
+
+    When the scalars obey the semiring laws and their addition is
+    idempotent, every row space's addition is a join semilattice, and the
+    lookup is one dict access on canonical forms; forms maps each form to
+    the first class that has it. Otherwise forms is None and the classes
+    are scanned in order with are_isomorphic."""
+
+    def __init__(self, s: FiniteSemiring,
+                 classes: Sequence[ProjectivePresentation] = (),
+                 max_enum: int = MAX_ENUM):
+        self.scalars = s
+        self.classes = list(classes)
+        self.forms: Optional[Dict[tuple, int]] = None
+        if is_additively_idempotent(s) and check_semiring_axioms(s).valid:
+            self.forms = {}
+            for i, cls in enumerate(self.classes):
+                self.forms.setdefault(canonical_form(cls.module, max_enum), i)
+
+    def find(self, m: FiniteSemimodule, max_enum: int,
+             new: Optional[Callable[[], ProjectivePresentation]] = None
+             ) -> Optional[int]:
+        """Index of the first class isomorphic to m, else None; then, if
+        new is given, new() is stored as the next class."""
+        if not same_scalars(m.scalars, self.scalars):
+            raise ScalarMismatch("module and classes need common scalars")
+        if self.forms is None:
+            found = next((i for i, cls in enumerate(self.classes)
+                          if are_isomorphic(cls.module, m, max_enum)
+                          is not None), None)
+        else:
+            form = canonical_form(m, max_enum)
+            found = self.forms.get(form)
+            if found is None and new is not None:
+                self.forms[form] = len(self.classes)
+        if found is None and new is not None:
+            self.classes.append(new())
+        return found
 
 
 def _trivial_index(classes: Sequence[ProjectivePresentation]) -> int:
@@ -105,14 +159,13 @@ def enumerate_projective_classes(s: FiniteSemiring,
         raise ValueError(f"n_max={n_max} must be at least 1")
     check_power_bound(EnumGuard, "candidate matrices for the projective "
                       "classes", s.size, n_max * n_max, "max_enum", max_enum)
-    classes: List[ProjectivePresentation] = []
+    index = _ClassIndex(s, max_enum=max_enum)
     for n in range(1, n_max + 1):
         for u in idempotent_matrices(s, n, max_enum):
             rs = row_space(u, max_carrier)
-            if _first_isomorphic(classes, rs, max_enum) is not None:
-                continue
-            classes.append(
-                ProjectivePresentation(s, n, u, rs, _identity_hom(rs)))
+            index.find(rs, max_enum, lambda: ProjectivePresentation(
+                s, n, u, rs, _identity_hom(rs)))
+    classes = index.classes
 
     trivial = _trivial_index(classes)
     relations = set()
@@ -124,7 +177,7 @@ def enumerate_projective_classes(s: FiniteSemiring,
             if ci.n + cj.n > n_max:
                 continue
             rs = row_space(block_diag(ci.u, cj.u), max_carrier)
-            relations.add((i, j, _first_isomorphic(classes, rs, max_enum)))
+            relations.add((i, j, index.find(rs, max_enum)))
     return ProjClassMonoid(s, n_max, tuple(classes),
                            tuple(sorted(relations)))
 
@@ -261,7 +314,8 @@ def k0_of_hom(f: Union[SemiringHom, MvHom],
         ci, cj, ck = class_map[i], class_map[j], class_map[k]
         rs = row_space(block_diag(p_b.classes[ci].u, p_b.classes[cj].u),
                        max_carrier)
-        if are_isomorphic(p_b.classes[ck].module, rs, max_enum) is None:
+        if (p_b.class_of(rs, max_enum)
+                != p_b.class_of(p_b.classes[ck].module, max_enum)):
             respected = False
             break
 

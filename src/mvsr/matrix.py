@@ -87,19 +87,39 @@ def is_mult_idempotent(u: SemiringMatrix) -> bool:
     return mat_star_mul(u, u).entries == u.entries
 
 
+_SWEEP_CHUNK = 1 << 15
+
+
 def idempotent_matrices(s: FiniteSemiring, n: int,
                         max_enum: int = MAX_ENUM) -> Tuple[SemiringMatrix, ...]:
-    """All u with u*u = u in M_n(s), in entry-lexicographic order."""
+    """All u with u*u = u in M_n(s), in entry-lexicographic order.
+
+    Candidates are decoded in chunks from their entry-lex positions and
+    squared together through the scalar tables, each entry folded from the
+    scalar zero as mat_star_mul folds it; a matrix is built only for the
+    candidates kept."""
     if n < 0:
         raise ValueError(f"matrix size n={n} must not be negative")
     check_power_bound(SizeGuard, "candidate idempotent matrices", s.size,
                       n * n, "max_enum", max_enum)
+    total = s.size ** (n * n)
+    sadd, smul = s.np_add, s.np_mul
+    weights = s.size ** np.arange(n * n - 1, -1, -1, dtype=np.int64)
     out = []
-    for flat in itertools.product(range(s.size), repeat=n * n):
-        m = SemiringMatrix(s, n, n,
-                           tuple(flat[i * n:(i + 1) * n] for i in range(n)))
-        if is_mult_idempotent(m):
-            out.append(m)
+    for lo in range(0, total, _SWEEP_CHUNK):
+        flat = (np.arange(lo, min(lo + _SWEEP_CHUNK, total),
+                          dtype=np.int64)[:, None] // weights % s.size)
+        u = flat.reshape(len(flat), n, n)
+        keep = np.ones(len(flat), dtype=bool)
+        for i in range(n):
+            for j in range(n):
+                acc = np.full(len(flat), s.zero, dtype=np.int64)
+                for k in range(n):
+                    acc = sadd[acc, smul[u[:, i, k], u[:, k, j]]]
+                keep &= acc == u[:, i, j]
+        out.extend(SemiringMatrix(s, n, n, tuple(tuple(row[i * n:(i + 1) * n])
+                                                 for i in range(n)))
+                   for row in flat[keep].tolist())
     return tuple(out)
 
 

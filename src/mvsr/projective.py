@@ -4,31 +4,80 @@ The retract route searches for a section of the canonical free cover; the
 matrix route searches for a multiplicatively idempotent square matrix whose
 row space matches the module. The two verdicts are independent computations
 and every caller is entitled to their agreement.
+
+Isomorphism is decided by a hom search (are_isomorphic) or, for modules
+whose addition is a join semilattice, by comparing canonical forms
+(canonical_form), which needs no search between the two modules.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Tuple
 
+import numpy as np
+
 from .config import MAX_CARRIER, MAX_ENUM
-from .errors import (NotAHom, NotCyclic, NotIdempotent, ScalarMismatch)
+from .errors import (EnumGuard, NotAHom, NotCyclic, NotIdempotent,
+                     ScalarMismatch, SizeGuard, check_bound)
 from .matrix import (SemiringMatrix, _cover, idempotent_matrices,
                      is_mult_idempotent)
 from .mv import MvAlgebra, reduct_vee_odot
 from .semimodule import (FiniteSemimodule, FreeSemimodule, SemimoduleHom,
-                         Subsemimodule, _span, free_semimodule, generate,
-                         iter_homs, minimal_generating_set, module_over_self)
+                         Subsemimodule, _span, generate, iter_homs,
+                         minimal_generating_set, module_over_self)
 from .semiring import FiniteSemiring, same_scalars
+from .tensor import join_irreducibles
 
 
 def row_space(u: SemiringMatrix,
               max_carrier: int = MAX_CARRIER) -> Subsemimodule:
-    """The subsemimodule of row vectors spanned by the rows of u."""
-    free = free_semimodule(u.scalars, [str(j) for j in range(u.cols)],
-                           max_carrier)
-    return generate(free, [free.index(row) for row in u.entries])
+    """The subsemimodule of row vectors spanned by the rows of u, as a
+    subsemimodule of the free module on u.cols points: members are the
+    vectors' big-endian base-|S| indices in that module's carrier.
+
+    Only the span is built. Starting from zero and the rows, each new
+    vector is added to every known one, on both sides, and scaled by every
+    scalar, until nothing new appears."""
+    s = u.scalars
+    check_bound(SizeGuard, "free module carrier", s.size ** u.cols,
+                "max_carrier", max_carrier)
+    sadd, smul = s.np_add, s.np_mul
+    scalars = np.arange(s.size)[:, None, None]
+    weights = s.size ** np.arange(u.cols - 1, -1, -1, dtype=np.int64)
+    seen = np.zeros(s.size ** u.cols, dtype=bool)
+    known = np.empty((0, u.cols), dtype=np.int64)
+    new = np.array([(s.zero,) * u.cols, *u.entries],
+                   dtype=np.int64).reshape(1 + u.rows, u.cols)
+    while len(new):
+        idx, first = np.unique(new @ weights, return_index=True)
+        fresh = ~seen[idx]
+        new = new[first[fresh]]
+        seen[idx[fresh]] = True
+        known = np.concatenate([known, new])
+        pairs = len(new) * len(known)
+        new = np.concatenate([
+            sadd[new[:, None], known[None]].reshape(pairs, u.cols),
+            sadd[known[:, None], new[None]].reshape(pairs, u.cols),
+            smul[scalars, new[None]].reshape(s.size * len(new), u.cols)])
+        new = new[~seen[new @ weights]]
+    members = np.nonzero(seen)[0]
+    vecs = members[:, None] // weights % s.size
+    add = np.searchsorted(members, sadd[vecs[:, None], vecs[None]]
+                          @ weights)
+    action = np.searchsorted(members, smul[scalars, vecs[None]] @ weights)
+    zero = int(np.searchsorted(members, s.zero * int(weights.sum())))
+    if u.cols == 1:
+        labels = tuple(s.label(v[0]) for v in vecs.tolist())
+    else:
+        labels = tuple("(" + ",".join(s.label(c) for c in v) + ")"
+                       for v in vecs.tolist())
+    return Subsemimodule(scalars=s, size=len(members),
+                         add=tuple(map(tuple, add.tolist())), zero=zero,
+                         action=tuple(map(tuple, action.tolist())),
+                         labels=labels, members=tuple(members.tolist()))
 
 
 @dataclass(frozen=True)
@@ -79,10 +128,70 @@ def are_isomorphic(m: FiniteSemimodule, n: FiniteSemimodule,
     """First bijective hom m -> n in the order of iter_homs, else None. Its
     inverse is a hom too: h(h^-1 y + h^-1 y') = y + y', h(h^-1 0) = 0 and
     h(a h^-1 y) = a y, so h^-1 preserves addition, zero and the action."""
+    if not same_scalars(m.scalars, n.scalars):
+        raise ScalarMismatch("hom set needs a common scalar semiring")
     if m.size != n.size:
         return None
     return next((h for h in iter_homs(m, n, max_enum)
                  if len(set(h.mapping)) == m.size), None)
+
+
+def canonical_form(m: FiniteSemimodule, max_enum: int = MAX_ENUM) -> tuple:
+    """A hashable form that two modules over the same scalars share exactly
+    when they are isomorphic, provided each one's addition is a join
+    semilattice with zero at the bottom.
+
+    An element is the join of the join-irreducibles below it, so once the
+    join-irreducibles are ordered, the element is coded by that set as a
+    bitmask, and the sorted codes with the action on codes determine the
+    module. Element colours start from the counts below and above and are
+    refined to a fixed point by the colours of the action images and the
+    sorted (colour of y, colour of x + y) pairs; colours are ranks of
+    sorted signatures, so an isomorphism keeps them. The form is the least
+    (codes, action) over the orderings of the join-irreducibles by colour
+    that permute only within a colour cell (individualisation-refinement
+    after McKay and Piperno, "Practical graph isomorphism II", 2014)."""
+    add, act = m.np_add, m.np_action
+    le = add == np.arange(m.size)             # le[y, x]: y <= x
+    colour = _ranks(np.stack([le.sum(0), le.sum(1)], axis=1))
+    while True:
+        k = int(colour.max()) + 1
+        pairs = np.sort(colour[None, :] * k + colour[add], axis=1)
+        refined = _ranks(np.concatenate([colour[:, None], colour[act].T,
+                                         pairs], axis=1))
+        if refined.max() + 1 == k:
+            break
+        colour = refined
+    ji = sorted(join_irreducibles(m.add, m.zero), key=lambda x: colour[x])
+    cells = [list(g) for _, g in itertools.groupby(ji, key=lambda x: colour[x])]
+    check_bound(EnumGuard, "canonical form orderings",
+                math.prod(math.factorial(len(c)) for c in cells),
+                "max_enum", max_enum)
+    # past 62 join-irreducibles the codes outgrow int64: Python integers
+    width = np.int64 if len(ji) < 63 else object
+    below = le[ji].T.astype(width)             # below[x, i]: ji[i] <= x
+    best = None
+    for perm in itertools.product(*(itertools.permutations(range(len(c)))
+                                    for c in cells)):
+        bits = np.zeros(len(ji), dtype=width)
+        start = 0
+        for c, p in zip(cells, perm):
+            bits[start:start + len(c)] = [1 << (start + i) for i in p]
+            start += len(c)
+        code = below @ bits
+        order = np.argsort(code)
+        form = (tuple(code[order].tolist()),
+                tuple(code[act[:, order]].reshape(-1).tolist()))
+        if best is None or form < best:
+            best = form
+    return best
+
+
+def _ranks(rows: np.ndarray) -> np.ndarray:
+    """Each row's rank among the distinct rows in lexicographic order."""
+    keys = list(map(tuple, rows.tolist()))
+    rank = {key: i for i, key in enumerate(sorted(set(keys)))}
+    return np.array([rank[key] for key in keys])
 
 
 @lru_cache(maxsize=None)

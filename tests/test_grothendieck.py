@@ -1,15 +1,23 @@
+import itertools
+
 import pytest
 
-from mvsr.errors import EnumGuard
-from mvsr.grothendieck import (AbelianGroupSNF, compose_group_homs,
-                               completion_from_triples,
+from mvsr import grothendieck
+from mvsr.errors import EnumGuard, ScalarMismatch
+from mvsr.grothendieck import (AbelianGroupSNF, ProjClassMonoid,
+                               compose_group_homs, completion_from_triples,
                                enumerate_projective_classes,
                                grothendieck_completion, k0_of_hom, k0_report,
                                k0_stability, zero_pad)
-from mvsr.matrix import mat_identity
+from mvsr.jsonio import canonical_dumps
+from mvsr.matrix import idempotent_matrices, mat_identity
 from mvsr.mv import MvHom, lukasiewicz_chain, mv_product, reduct_vee_odot
-from mvsr.projective import are_isomorphic, row_space
-from mvsr.semiring import boolean_semiring
+from mvsr.projective import (ProjectivePresentation, are_isomorphic,
+                             block_diag, row_space)
+from mvsr.semimodule import (FiniteSemimodule, SemimoduleHom,
+                             free_semimodule, generate, module_over_self,
+                             trivial_module)
+from mvsr.semiring import FiniteSemiring, boolean_semiring
 
 
 @pytest.fixture
@@ -45,9 +53,131 @@ def test_class_counts_frozen(boolean):
 
 def test_class_of_finds_isomorphic_module(boolean):
     p = enumerate_projective_classes(boolean, 1)
-    from mvsr.semimodule import module_over_self, trivial_module
     assert p.class_of(trivial_module(boolean)) == 0
     assert p.class_of(module_over_self(boolean)) == 1
+
+
+def test_class_of_refuses_other_scalars(boolean):
+    """A module over other scalars raises, whatever its size, with
+    canonical forms and with the scan alike."""
+    three = reduct_vee_odot(lukasiewicz_chain(3))
+    four = reduct_vee_odot(lukasiewicz_chain(4))
+    p = enumerate_projective_classes(boolean, 2)
+    with pytest.raises(ScalarMismatch):
+        p.class_of(module_over_self(three))
+    with pytest.raises(ScalarMismatch):
+        p.class_of(module_over_self(four))
+    field = enumerate_projective_classes(_two_element_field(), 1)
+    with pytest.raises(ScalarMismatch):
+        field.class_of(module_over_self(boolean))
+
+
+def test_class_of_a_lawless_table_is_none(boolean):
+    """Every class is a module, so a table that breaks the module laws
+    matches none, as the scan finds: x + x = 0 with 1 + 1 = 1 on two
+    elements, and the three-chain with 2 + 1 = 0, whose order, and so
+    whose canonical form, is the chain's."""
+    p = enumerate_projective_classes(boolean, 2)
+    xor = FiniteSemimodule(boolean, 2, ((0, 1), (1, 0)), 0,
+                           ((0, 0), (0, 1)))
+    chain = FiniteSemimodule(boolean, 3, ((0, 1, 2), (1, 1, 2), (2, 0, 2)),
+                             0, ((0, 0, 0), (0, 1, 2)))
+    for table in (xor, chain):
+        assert p.class_of(table) is None
+        assert _first_isomorphic(p.classes, table, 10 ** 7) is None
+
+
+def _first_isomorphic(classes, m, max_enum):
+    """Index of the first stored class whose module is isomorphic to m."""
+    return next((i for i, cls in enumerate(classes)
+                 if are_isomorphic(cls.module, m, max_enum) is not None), None)
+
+
+def _row_space_in_the_free_module(u, max_carrier):
+    free = free_semimodule(u.scalars, [str(j) for j in range(u.cols)],
+                           max_carrier)
+    return generate(free, [free.index(row) for row in u.entries])
+
+
+def _enumerate_by_scan(s, n_max=2, max_enum=10 ** 7, max_carrier=4096):
+    """The classes by a scan of are_isomorphic over every stored class, on
+    row spaces taken inside the whole free module."""
+    classes = []
+    for n in range(1, n_max + 1):
+        for u in idempotent_matrices(s, n, max_enum):
+            rs = _row_space_in_the_free_module(u, max_carrier)
+            if _first_isomorphic(classes, rs, max_enum) is not None:
+                continue
+            classes.append(ProjectivePresentation(
+                s, n, u, rs, SemimoduleHom(rs, rs, tuple(range(rs.size)))))
+    trivial = next(i for i, c in enumerate(classes) if c.module.size == 1)
+    relations = set()
+    for j in range(len(classes)):
+        relations.add((trivial, j, j))
+        relations.add((j, trivial, j))
+    for i, ci in enumerate(classes):
+        for j, cj in enumerate(classes):
+            if ci.n + cj.n > n_max:
+                continue
+            rs = _row_space_in_the_free_module(block_diag(ci.u, cj.u),
+                                               max_carrier)
+            relations.add((i, j, _first_isomorphic(classes, rs, max_enum)))
+    return ProjClassMonoid(s, n_max, tuple(classes), tuple(sorted(relations)))
+
+
+def _relabelled(s, perm):
+    """s carried along the bijection a -> perm[a]."""
+    inv = {p: a for a, p in enumerate(perm)}
+    add = [[perm[s.add[inv[p]][inv[q]]] for q in range(s.size)]
+           for p in range(s.size)]
+    mul = [[perm[s.mul[inv[p]][inv[q]]] for q in range(s.size)]
+           for p in range(s.size)]
+    return FiniteSemiring(s.size, add, mul, perm[s.zero], perm[s.one])
+
+
+def _square_tables():
+    """The twelve labelled tables of the four-element boolean algebra."""
+    square = reduct_vee_odot(mv_product(lukasiewicz_chain(2),
+                                        lukasiewicz_chain(2)))
+    tables = {}
+    for perm in itertools.permutations(range(4)):
+        t = _relabelled(square, perm)
+        tables.setdefault(t.core(), t)
+    return list(tables.values())
+
+
+def _two_element_field():
+    return FiniteSemiring(2, ((0, 1), (1, 0)), ((0, 0), (0, 1)), 0, 1)
+
+
+def _report_by_scan(s, n_max, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(grothendieck, "enumerate_projective_classes",
+                      _enumerate_by_scan)
+        return canonical_dumps(k0_report(s, n_max))
+
+
+@pytest.mark.parametrize("n_max", [1, 2])
+def test_k0_report_matches_the_scan(n_max, monkeypatch):
+    """Byte-identical reports on the 2- to 5-chains and on all twelve
+    labelled tables of the four-element boolean algebra."""
+    scalars = [reduct_vee_odot(lukasiewicz_chain(k)) for k in range(2, 6)]
+    scalars += _square_tables()
+    assert len(scalars) == 16
+    for s in scalars:
+        assert (canonical_dumps(k0_report(s, n_max))
+                == _report_by_scan(s, n_max, monkeypatch))
+
+
+def test_k0_report_scans_scalars_without_idempotent_addition(monkeypatch):
+    """Over the two-element field no canonical form applies; the report is
+    the scan's."""
+    field = _two_element_field()
+    for n_max in (1, 2, 3):
+        assert (canonical_dumps(k0_report(field, n_max))
+                == _report_by_scan(field, n_max, monkeypatch))
+    assert enumerate_projective_classes(field, 1)._index.forms is None
+    assert enumerate_projective_classes(boolean_semiring(), 1)._index.forms
 
 
 def test_enumeration_guard(boolean):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from mvsr.errors import NotFreeBasis, ShapeMismatch, SizeGuard
@@ -5,10 +7,11 @@ from mvsr.matrix import (SemiringMatrix, eta, hom_from_matrix,
                          idempotent_matrices, is_mult_idempotent, lift_hom,
                          mat_add, mat_identity, mat_star_mul, mat_zero,
                          matrix_from_hom, matrix_law_report, matrix_semiring)
-from mvsr.mv import lukasiewicz_chain, reduct_vee_odot
+from mvsr.mv import lukasiewicz_chain, mv_product, reduct_vee_odot
 from mvsr.semimodule import (SemimoduleHom, free_semimodule, generate,
                              module_over_self)
-from mvsr.semiring import boolean_semiring, check_semiring_axioms
+from mvsr.semiring import (FiniteSemiring, boolean_semiring,
+                           check_semiring_axioms)
 
 
 @pytest.fixture
@@ -65,8 +68,39 @@ def test_idempotents_contain_identity_and_zero(three):
 
 
 def test_idempotent_guard(three):
-    with pytest.raises(SizeGuard):
+    with pytest.raises(SizeGuard, match=r"^candidate idempotent matrices: "
+                       r"43046721 exceeds max_enum=1000$"):
         idempotent_matrices(three, 4, max_enum=1000)
+
+
+def _idempotent_matrices_by_loop(s, n):
+    """Every candidate built as a matrix and squared with mat_star_mul,
+    in entry-lexicographic order."""
+    out = []
+    for flat in itertools.product(range(s.size), repeat=n * n):
+        m = SemiringMatrix(s, n, n,
+                           tuple(flat[i * n:(i + 1) * n] for i in range(n)))
+        if is_mult_idempotent(m):
+            out.append(m)
+    return tuple(out)
+
+
+# breaks the semiring laws: zero is no additive identity and addition
+# does not commute
+LAWLESS = FiniteSemiring(3, ((0, 2, 2), (1, 1, 0), (0, 2, 0)),
+                         ((0, 0, 0), (2, 2, 2), (1, 2, 2)), 1, 2)
+
+
+@pytest.mark.parametrize("name,n_top", [("boolean", 3), ("three", 2),
+                                        ("square", 2), ("lawless", 2)])
+def test_idempotent_matrices_match_the_loop(name, n_top):
+    s = {"boolean": boolean_semiring(),
+         "three": reduct_vee_odot(lukasiewicz_chain(3)),
+         "square": reduct_vee_odot(mv_product(lukasiewicz_chain(2),
+                                              lukasiewicz_chain(2))),
+         "lawless": LAWLESS}[name]
+    for n in range(n_top + 1):
+        assert idempotent_matrices(s, n) == _idempotent_matrices_by_loop(s, n)
 
 
 def test_matrix_semiring_boolean(boolean):

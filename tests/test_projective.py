@@ -1,16 +1,21 @@
+import random
+
 import pytest
 
-from mvsr.errors import NotAHom, NotCyclic, ScalarMismatch
-from mvsr.matrix import idempotent_matrices, mat_identity, mat_zero
+from mvsr.errors import (EnumGuard, NotAHom, NotCyclic, ScalarMismatch,
+                         SizeGuard)
+from mvsr.matrix import (SemiringMatrix, idempotent_matrices, mat_identity,
+                         mat_zero)
 from mvsr.mv import lukasiewicz_chain, mv_product, reduct_vee_odot
 from mvsr.projective import (all_subsemimodules, are_isomorphic, block_diag,
-                             cyclic_mv_trichotomy, direct_sum,
-                             is_projective_matrix_criterion,
+                             canonical_form, cyclic_mv_trichotomy,
+                             direct_sum, is_projective_matrix_criterion,
                              is_projective_retract_oracle, row_space)
-from mvsr.semimodule import (SemimoduleHom, check_semimodule,
-                             free_semimodule, generate, hom_set, iter_homs,
-                             module_over_self, trivial_module)
-from mvsr.semiring import boolean_semiring
+from mvsr.semimodule import (FiniteSemimodule, SemimoduleHom,
+                             check_semimodule, free_semimodule, generate,
+                             hom_set, iter_homs, module_over_self,
+                             trivial_module)
+from mvsr.semiring import FiniteSemiring, boolean_semiring
 from mvsr.tensor import enumerate_modules
 
 
@@ -33,6 +38,43 @@ def test_row_space_of_identity_is_free(boolean):
 
 def test_row_space_of_zero_is_trivial(boolean):
     assert row_space(mat_zero(boolean, 2, 2)).size == 1
+
+
+def _row_space_in_the_free_module(u):
+    """The whole free module on u.cols points, then the span of the rows."""
+    free = free_semimodule(u.scalars, [str(j) for j in range(u.cols)])
+    return generate(free, [free.index(row) for row in u.entries])
+
+
+def test_row_space_matches_the_span_in_the_free_module(three):
+    """Same members, tables, zero and labels on every idempotent of the
+    three-chain up to size 3, the empty matrix included."""
+    for n in range(4):
+        for u in idempotent_matrices(three, n):
+            assert row_space(u) == _row_space_in_the_free_module(u)
+
+
+def test_row_space_matches_the_span_over_arbitrary_tables():
+    """Seeded random three-element tables, most of them lawless: the span
+    is still the least set of vectors closed under sums taken in both
+    orders and under every scalar."""
+    rng = random.Random(0)
+    for _ in range(60):
+        s = FiniteSemiring(3, *(tuple(tuple(rng.randrange(3) for _ in "abc")
+                                      for _ in "abc") for _ in "+*"),
+                           rng.randrange(3), rng.randrange(3))
+        for _ in range(10):
+            rows, cols = rng.randrange(4), rng.randrange(4)
+            u = SemiringMatrix(s, rows, cols, tuple(
+                tuple(rng.randrange(3) for _ in range(cols))
+                for _ in range(rows)))
+            assert row_space(u) == _row_space_in_the_free_module(u)
+
+
+def test_row_space_guard(three):
+    with pytest.raises(SizeGuard, match=r"^free module carrier: 6561 "
+                       r"exceeds max_carrier=100$"):
+        row_space(mat_identity(three, 8), max_carrier=100)
 
 
 def test_self_module_is_projective(three):
@@ -123,6 +165,91 @@ def test_iter_homs_and_are_isomorphic_match_the_hom_set(family):
             assert (got and got.mapping) == (want and want.mapping)
             isomorphic += got is not None
     assert isomorphic > len(modules)
+
+
+def test_are_isomorphic_checks_the_scalars_before_the_sizes(boolean, three):
+    """Modules over different scalars raise whether or not their sizes
+    match."""
+    four = reduct_vee_odot(lukasiewicz_chain(4))
+    with pytest.raises(ScalarMismatch):
+        are_isomorphic(module_over_self(three), module_over_self(boolean))
+    with pytest.raises(ScalarMismatch):
+        are_isomorphic(free_semimodule(boolean, ["x", "y"]),
+                       module_over_self(four))
+    with pytest.raises(ScalarMismatch):
+        are_isomorphic(module_over_self(four), module_over_self(boolean))
+
+
+def _relabelled(m, perm):
+    """m carried along the bijection x -> perm[x]."""
+    inv = [0] * m.size
+    for x, p in enumerate(perm):
+        inv[p] = x
+    add = tuple(tuple(perm[m.add[inv[p]][inv[q]]] for q in range(m.size))
+                for p in range(m.size))
+    action = tuple(tuple(perm[row[inv[p]]] for p in range(m.size))
+                   for row in m.action)
+    return FiniteSemimodule(m.scalars, m.size, add, perm[m.zero], action)
+
+
+def _square():
+    return reduct_vee_odot(mv_product(lukasiewicz_chain(2),
+                                      lukasiewicz_chain(2)))
+
+
+def _row_spaces(s):
+    return [row_space(u) for n in (1, 2) for u in idempotent_matrices(s, n)]
+
+
+@pytest.mark.parametrize("family", [
+    lambda: enumerate_modules(boolean_semiring(), 5),
+    lambda: _row_spaces(reduct_vee_odot(lukasiewicz_chain(3))),
+    lambda: _row_spaces(reduct_vee_odot(lukasiewicz_chain(4))),
+    lambda: _row_spaces(_square()),
+], ids=["boolean-modules-5", "three-chain-row-spaces",
+        "four-chain-row-spaces", "square-row-spaces"])
+def test_canonical_forms_partition_like_are_isomorphic(family):
+    """Equal forms exactly when isomorphic: each module is isomorphic to
+    the first module with its form, and no two of those representatives
+    are isomorphic. Seeded relabellings keep the form."""
+    rng = random.Random(0)
+    modules = family()
+    reps = {}
+    for m in modules:
+        form = canonical_form(m)
+        rep = reps.setdefault(form, m)
+        assert are_isomorphic(rep, m) is not None
+        perm = list(range(m.size))
+        rng.shuffle(perm)
+        relabelled = _relabelled(m, perm)
+        assert are_isomorphic(m, relabelled) is not None
+        assert canonical_form(relabelled) == form
+    reps = list(reps.values())
+    for i, m in enumerate(reps):
+        for n in reps[i + 1:]:
+            assert are_isomorphic(m, n) is None
+    assert len(reps) < len(modules)
+
+
+def test_canonical_form_guard(boolean):
+    """The four basis vectors of the free module on four points share one
+    colour, so the form tries 4! orderings."""
+    free = free_semimodule(boolean, list("abcd"))
+    assert canonical_form(free, max_enum=24)
+    with pytest.raises(EnumGuard, match=r"^canonical form orderings: 24 "
+                       r"exceeds max_enum=23$"):
+        canonical_form(free, max_enum=23)
+
+
+def test_canonical_form_codes_past_64_join_irreducibles():
+    """The 70-chain acting on itself has 69 join-irreducibles, so its codes
+    need more than 64 bits; they stay distinct and survive relabelling."""
+    m = module_over_self(reduct_vee_odot(lukasiewicz_chain(70)))
+    form = canonical_form(m)
+    assert len(set(form[0])) == m.size
+    perm = list(range(m.size))
+    random.Random(0).shuffle(perm)
+    assert canonical_form(_relabelled(m, perm)) == form
 
 
 def test_direct_sum_structure_maps(boolean):
