@@ -136,7 +136,8 @@ def load_algebra(d: Dict[str, Any]):
     """Dispatch on the 'kind' tag."""
     if not isinstance(d, dict) or "kind" not in d:
         raise MalformedTable("algebra description must be an object with 'kind'")
-    decoder = _DECODERS.get(d["kind"])
+    kind = d["kind"]
+    decoder = _DECODERS.get(kind) if isinstance(kind, str) else None
     if decoder is None:
-        raise MalformedTable(f"unknown kind {d['kind']!r}")
+        raise MalformedTable(f"unknown kind {kind!r}")
     return decoder(d)

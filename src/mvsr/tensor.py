@@ -1,16 +1,18 @@
 """Tensor products of semimodules over additively idempotent scalars.
 
-The construction is the literal finite one. The free semilattice on the
-pair set M x N is the powerset under union, coded as bitmasks. The tensor
-congruence is the least semilattice congruence that collapses a join in
-either slot to the union of its pairs (the empty join included, which is
-why tensors absorb either bottom) and slides a scalar across the pair.
-The tensor product is the quotient, with the least subset per class, under
-cardinality then member order, as its canonical representative. The
-congruence keeps the pairs it was closed on, and scalars act on the
-quotient through the left slot: a scalar moves each class's
-representative, and the action is checked well defined on those
-generating pairs alone, never on the whole powerset.
+The free semilattice on the pair set M x N is the powerset under union,
+coded as bitmasks. The tensor congruence is the least semilattice
+congruence that collapses a join in either slot to the union of its pairs
+(the empty join included, which is why tensors absorb either bottom) and
+slides a scalar across the pair. It is found by its closed sets, not by
+merging subsets: each generating pair becomes two implications, the
+closed sets are enumerated one singleton step at a time, and every subset
+is then classed by one table lookup. The tensor product is the quotient,
+with the least subset per class, under cardinality then member order, as
+its canonical representative. The congruence keeps the pairs it was
+closed on, and scalars act on the quotient through the left slot: a
+scalar moves each class's representative, and the action is checked well
+defined on those generating pairs alone, never on the whole powerset.
 
 Everything downstream is verified by enumeration: bimorphisms are rebuilt
 from their values on join-irreducible pairs, the homomorphisms out of the
@@ -62,11 +64,6 @@ class FreeSemilattice:
         return tuple(i for i in range(len(self.base)) if mask >> i & 1)
 
 
-def _subset_key(mask: int) -> Tuple:
-    bits = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
-    return (len(bits), bits)
-
-
 @dataclass(frozen=True)
 class SemilatticeCongruence:
     """Partition of a free semilattice, compatible with union, with the
@@ -99,46 +96,75 @@ def congruence_closure(lattice: FreeSemilattice,
                        max_carrier: int = MAX_CARRIER) -> SemilatticeCongruence:
     """Least semilattice congruence containing the given subset pairs.
 
-    Union-find with a worklist: each fresh merge (a, b) enqueues the merges
-    (a|s, b|s) for every singleton s, which generates compatibility with
-    every subset because joins decompose into singletons.
+    Each pair (u, v) is read as the implications u => v and v => u, and two
+    subsets are congruent exactly when their closures under them agree
+    (Ganter & Wille, Formal Concept Analysis). Only the closed sets are
+    enumerated: the closure of the empty set, then each closed set joined
+    once with every singleton, into a step table. A mask's class is one
+    lookup, the step from the class of the mask without its top bit. Each
+    class is represented by its first mask in itertools.combinations order,
+    the least under cardinality then member order, and classes are
+    numbered in the order of their representatives' masks.
     """
     total = lattice.size
     check_bound(SizeGuard, "free semilattice carrier", total, "max_carrier",
                 max_carrier)
-    parent = list(range(total))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    singles = [1 << i for i in range(len(lattice.base))]
     generators = tuple(pairs)
-    work: List[Tuple[int, int]] = list(generators)
-    while work:
-        a, b = work.pop()
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            continue
-        parent[ra] = rb
-        for s in singles:
-            work.append((a | s, b | s))
+    rules = sorted({(u, v) for a, b in generators for u, v in ((a, b), (b, a))
+                    if v & ~u})
 
-    roots: Dict[int, List[int]] = {}
-    for mask in range(total):
-        roots.setdefault(find(mask), []).append(mask)
-    blocks = sorted((min(block, key=_subset_key), block)
-                    for block in roots.values())
-    class_of = [0] * total
-    reps = []
-    for index, (rep, block) in enumerate(blocks):
-        reps.append(rep)
-        for mask in block:
-            class_of[mask] = index
-    return SemilatticeCongruence(lattice, tuple(class_of), tuple(reps),
-                                 generators)
+    def close(mask: int) -> int:
+        pending = rules
+        while True:
+            grown, rest = mask, []
+            for u, v in pending:
+                if grown & u == u:
+                    grown |= v
+                else:
+                    rest.append((u, v))
+            if grown == mask:
+                return mask
+            mask, pending = grown, rest
+
+    width = len(lattice.base)
+    closed = [close(0)]
+    index = {closed[0]: 0}
+    step: List[List[int]] = []
+    while len(step) < len(closed):
+        c = closed[len(step)]
+        row = []
+        for i in range(width):
+            joined = c | 1 << i
+            if joined != c:
+                joined = close(joined)
+            k = index.get(joined)
+            if k is None:
+                k = index[joined] = len(closed)
+                closed.append(joined)
+            row.append(k)
+        step.append(row)
+
+    closed_of = [0]
+    for i in range(width):
+        column = [row[i] for row in step]
+        closed_of += [column[c] for c in closed_of]
+
+    reps: List[Optional[int]] = [None] * len(closed)
+    missing = len(closed)
+    for k in range(width + 1):
+        for members in itertools.combinations(range(width), k):
+            mask = sum(1 << i for i in members)
+            if reps[closed_of[mask]] is None:
+                reps[closed_of[mask]] = mask
+                missing -= 1
+        if not missing:
+            break
+    order = sorted(range(len(closed)), key=reps.__getitem__)
+    rank = [0] * len(closed)
+    for new, old in enumerate(order):
+        rank[old] = new
+    return SemilatticeCongruence(lattice, tuple(rank[c] for c in closed_of),
+                                 tuple(reps[c] for c in order), generators)
 
 
 # ----- the tensor product --------------------------------------------------
@@ -323,6 +349,18 @@ def _is_monoid_hom(v, join, zero: int, c_add, c_zero: int) -> bool:
         for c in range(size) for d in range(size))
 
 
+def _monoid_homs(add, zero: int, c_size: int, c_add, c_zero: int
+                 ) -> Tuple[Tuple[int, ...], ...]:
+    """Every monoid hom out of the join table add into C, in lexicographic
+    order: the folds of its values on the join-irreducibles that send zero
+    to the monoid zero and joins to sums."""
+    ji = join_irreducibles(add, zero)
+    below = _downsets(add, ji)
+    return tuple(sorted({v for v in _extensions(len(ji), below, c_size, c_add,
+                                                 c_zero)
+                         if _is_monoid_hom(v, add, zero, c_add, c_zero)}))
+
+
 def bimorphisms(m: FiniteSemimodule, n: FiniteSemimodule,
                 c_size: int, c_add, c_zero: int,
                 max_enum: int = MAX_ENUM) -> Tuple[Tuple[int, ...], ...]:
@@ -439,19 +477,17 @@ def check_universal_property(t: TensorProduct,
     join = t.join_table
     tensors = [t.tensor(x, y)
                for x in range(t.left.size) for y in range(t.right.size)]
-    ji_classes = join_irreducibles(join, t.zero_class)
-    below = _downsets(join, ji_classes)
+    ji_count = len(join_irreducibles(join, t.zero_class))
 
     bim_count = 0
     existence_failures = 0
     uniqueness_failures = 0
     for (c_size, c_add, c_zero) in family:
         check_bound(EnumGuard, "candidate homs out of the quotient",
-                    c_size ** len(ji_classes), "max_enum", max_enum)
-        homs = {v for v in _extensions(len(ji_classes), below, c_size, c_add,
-                                       c_zero)
-                if _is_monoid_hom(v, join, t.zero_class, c_add, c_zero)}
-        hits = Counter(tuple(v[tc] for tc in tensors) for v in homs)
+                    c_size ** ji_count, "max_enum", max_enum)
+        hits = Counter(tuple(v[tc] for tc in tensors)
+                       for v in _monoid_homs(join, t.zero_class, c_size,
+                                             c_add, c_zero))
         for f in bimorphisms(t.left, t.right, c_size, c_add, c_zero, max_enum):
             bim_count += 1
             existence_failures += hits[f] == 0
@@ -716,19 +752,20 @@ def enumerate_modules(s: FiniteSemiring, size_bound: int,
     """Every module structure on carriers up to the bound, labeled.
 
     Addition tables range over idempotent commutative monoids; the zero
-    and one rows of the action are forced by the laws and the remaining
-    rows are filtered through the full law check.
+    and one rows of the action are forced by the laws. Every other
+    scalar acts by a join endomorphism fixing zero, so its row is drawn
+    from End(M, +), enumerated once per addition table in lexicographic
+    order, and each combination of rows goes through the full law check.
     """
     out = []
+    free = [c for c in range(s.size) if c not in (s.zero, s.one)]
     for size in range(1, size_bound + 1):
         adds = list(_commutative_monoid_tables(size, True, max_enum))
-        free = [c for c in range(s.size) if c not in (s.zero, s.one)]
         check_bound(EnumGuard, f"action tables on {size} elements",
                     size ** (size * len(free)), "max_enum", max_enum)
         for add in adds:
-            for rows in itertools.product(
-                    itertools.product(range(size), repeat=size),
-                    repeat=len(free)):
+            endos = _monoid_homs(add, 0, size, add, 0) if free else ()
+            for rows in itertools.product(endos, repeat=len(free)):
                 action = [None] * s.size
                 action[s.zero] = (0,) * size
                 action[s.one] = tuple(range(size))
@@ -753,19 +790,17 @@ def full_embedding_check(h: SemiringHom,
     modules = tuple(test_modules) if test_modules is not None else \
         enumerate_modules(h.target, size_bound, max_enum)
 
+    restricted = [restrict_scalars(h, mb) for mb in modules]
     stray = 0
     checked_pairs = 0
-    for mb in modules:
-        ma = restrict_scalars(h, mb)
-        for nb in modules:
-            na = restrict_scalars(h, nb)
+    for mb, ma in zip(modules, restricted):
+        for nb, na in zip(modules, restricted):
             checked_pairs += 1
             stray += sum(1 for f in iter_homs(ma, na, max_enum)
                          if _broken_law(mb, nb, f.mapping) is not None)
 
     unit_flags = []
-    for mb in modules:
-        ma = restrict_scalars(h, mb)
+    for mb, ma in zip(modules, restricted):
         t, extended = _extend_scalars(h, ma, max_carrier)
         unit = _tensor_unit(t, h.target.one)
         try:

@@ -218,8 +218,11 @@ def fails_cleanly(argv, code, capsys):
      "rows": 1, "cols": 1, "entries": [[5]]},
     {"kind": "matrix", "scalars": semiring_to_dict(boolean_semiring()),
      "rows": 2, "cols": 2, "entries": [[0, 1]]},
+    {"kind": [0], "size": 2},
+    {"kind": {"mv": 1}, "size": 2},
 ], ids=["float", "bool", "string", "nested", "action-float", "matrix-bool",
-        "matrix-out-of-range", "matrix-wrong-grid"])
+        "matrix-out-of-range", "matrix-wrong-grid", "kind-list",
+        "kind-object"])
 def test_verify_rejects_inexact_entries(tmp_path, capsys, payload):
     bad = write(tmp_path / "bad.json", payload)
     fails_cleanly(["verify", "--input", bad], 1, capsys)

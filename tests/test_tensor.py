@@ -13,8 +13,9 @@ from mvsr.semimodule import (FiniteSemimodule, check_semimodule,
                              restrict_scalars, trivial_module)
 from mvsr.semiring import FiniteSemiring, SemiringHom, boolean_semiring, fold
 from mvsr.tensor import (FreeSemilattice, SemilatticeCongruence,
-                         TensorProduct, _downsets, _extensions,
-                         _is_monoid_hom, adjunction_witness, as_module,
+                         TensorProduct, _commutative_monoid_tables,
+                         _downsets, _extensions, _is_monoid_hom,
+                         _monoid_homs, adjunction_witness, as_module,
                          bimorphisms, check_universal_property,
                          commutative_monoids_upto, congruence_closure,
                          enumerate_modules, full_embedding_check,
@@ -81,6 +82,100 @@ def test_incompatible_partition_yields_a_witness():
     a, b, c = w
     assert cong.class_of[a] == cong.class_of[b]
     assert cong.class_of[lat.join(a, c)] != cong.class_of[lat.join(b, c)]
+
+
+def _subset_key(mask):
+    bits = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+    return (len(bits), bits)
+
+
+def _congruence_by_union_find(lattice, pairs):
+    """(class_of, representatives, generators) of the least congruence,
+    by union-find over the whole powerset: each fresh merge (a, b)
+    enqueues (a|s, b|s) for every singleton s. Classes are numbered by
+    their representatives' masks, each the least member under
+    cardinality then member order."""
+    parent = list(range(lattice.size))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    singles = [1 << i for i in range(len(lattice.base))]
+    work = list(pairs)
+    while work:
+        a, b = work.pop()
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            continue
+        parent[ra] = rb
+        for s in singles:
+            work.append((a | s, b | s))
+
+    roots = {}
+    for mask in range(lattice.size):
+        roots.setdefault(find(mask), []).append(mask)
+    blocks = sorted((min(block, key=_subset_key), block)
+                    for block in roots.values())
+    class_of = [0] * lattice.size
+    for index, (_, block) in enumerate(blocks):
+        for mask in block:
+            class_of[mask] = index
+    return (tuple(class_of), tuple(rep for rep, _ in blocks), tuple(pairs))
+
+
+def _agrees_with_union_find(cong):
+    return (cong.class_of, cong.representatives, cong.generators) == \
+        _congruence_by_union_find(cong.lattice, cong.generators)
+
+
+def test_closure_matches_union_find_on_tensors(boolean):
+    modules = enumerate_modules(boolean, 4)
+    pairs = [(m, n) for m in modules for n in modules
+             if m.size * n.size <= 12]
+    assert len(pairs) == 88
+    for m, n in pairs:
+        assert _agrees_with_union_find(tensor_product(m, n).congruence)
+
+
+def _onto_maps():
+    """The first projection of c2 x c2 onto c2, the second, and the two
+    projections of c2 x c3; product elements (x, y) sit at x * |second| + y."""
+    c2, c3 = lukasiewicz_chain(2), lukasiewicz_chain(3)
+    square = reduct_vee_odot(mv_product(c2, c2))
+    wide = reduct_vee_odot(mv_product(c2, c3))
+    boolean, chain3 = reduct_vee_odot(c2), reduct_vee_odot(c3)
+    return (SemiringHom(square, boolean, (0, 0, 1, 1)),
+            SemiringHom(square, boolean, (0, 1, 0, 1)),
+            SemiringHom(wide, chain3, (0, 1, 2, 0, 1, 2)),
+            SemiringHom(wide, boolean, (0, 0, 0, 1, 1, 1)))
+
+
+def test_closure_matches_union_find_on_scalar_extensions():
+    checked = 0
+    for h in _onto_maps():
+        b_over_a = restrict_scalars(h, module_over_self(h.target))
+        for mb in enumerate_modules(h.target, 4):
+            t = tensor_product(b_over_a, restrict_scalars(h, mb))
+            assert _agrees_with_union_find(t.congruence)
+            checked += 1
+    assert checked == 13 + 13 + 33 + 13
+
+
+def test_closure_matches_union_find_on_random_generators():
+    rng = random.Random(2)
+    sizes = set()
+    for trial in range(400):
+        width = trial % 9
+        lat = FreeSemilattice(tuple(range(width)))
+        pairs = [(rng.randrange(lat.size), rng.randrange(lat.size))
+                 for _ in range(rng.randrange(8))]
+        cong = congruence_closure(lat, pairs)
+        assert _agrees_with_union_find(cong)
+        sizes.add(len(cong) == 1 or len(cong) == lat.size)
+    assert sizes == {True, False}
 
 
 # ----- the tensor product ---------------------------------------------------
@@ -443,6 +538,53 @@ def test_module_enumeration_counts(boolean):
     assert len(enumerate_modules(boolean, 3)) == 4
     assert len(enumerate_modules(boolean, 4)) == 13
     assert len(enumerate_modules(boolean, 5)) == 89
+
+
+def _enumerate_modules_by_product(s, size_bound):
+    """Every module structure on carriers up to the bound, with each free
+    scalar's action row drawn from every map of the carrier."""
+    out = []
+    free = [c for c in range(s.size) if c not in (s.zero, s.one)]
+    for size in range(1, size_bound + 1):
+        for add in _commutative_monoid_tables(size, True, 10**6):
+            for rows in itertools.product(
+                    itertools.product(range(size), repeat=size),
+                    repeat=len(free)):
+                action = [None] * s.size
+                action[s.zero] = (0,) * size
+                action[s.one] = tuple(range(size))
+                for c, row in zip(free, rows):
+                    action[c] = row
+                m = FiniteSemimodule(s, size, add, 0, tuple(action))
+                if check_semimodule(s, m).valid:
+                    out.append(m)
+    return tuple(out)
+
+
+def test_module_enumeration_matches_the_product_loop(boolean):
+    chain = lambda k: reduct_vee_odot(lukasiewicz_chain(k))
+    square = reduct_vee_odot(mv_product(lukasiewicz_chain(2),
+                                        lukasiewicz_chain(2)))
+    for s, bound, count in ((boolean, 5, 89), (chain(3), 4, 33),
+                            (chain(4), 3, 6), (square, 3, 7)):
+        modules = enumerate_modules(s, bound)
+        assert len(modules) == count
+        assert modules == _enumerate_modules_by_product(s, bound)
+
+
+def test_monoid_homs_match_the_definition():
+    sources = [(size, add) for size in range(1, 5)
+               for add in _commutative_monoid_tables(size, True, 10**6)]
+    targets = list(commutative_monoids_upto(3))
+    targets += [(size, add, 0) for size, add in sources]
+    for size, add in sources:
+        for c_size, c_add, c_zero in targets:
+            expected = tuple(
+                f for f in itertools.product(range(c_size), repeat=size)
+                if f[0] == c_zero and all(
+                    f[add[x][y]] == c_add[f[x]][f[y]]
+                    for x in range(size) for y in range(size)))
+            assert _monoid_homs(add, 0, c_size, c_add, c_zero) == expected
 
 
 def test_module_enumeration_guard(boolean):
