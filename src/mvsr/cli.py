@@ -3,11 +3,13 @@
 Reads JSON algebra descriptions, runs a pipeline, writes a canonical JSON
 report: keys sorted, arrays in construction order, so identical inputs and
 configuration give byte-identical output. Exit codes: 0 success, 1 for
-unparseable input, 2 for a law violation, 3 for a guard breach.
+an unparseable command line or input, 2 for a law violation, 3 for a guard
+breach.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -61,6 +63,8 @@ def cmd_verify(args, cfg: ToolConfig) -> Tuple[dict, int]:
 
 
 def cmd_chain(args, cfg: ToolConfig) -> Tuple[dict, int]:
+    if args.k < 2:
+        raise ValueError(f"k={args.k} must be at least 2")
     return jsonio.mv_to_dict(lukasiewicz_chain(args.k, cfg.max_carrier)), 0
 
 
@@ -149,6 +153,15 @@ def cmd_homset(args, cfg: ToolConfig) -> Tuple[dict, int]:
             "homs": [list(h.mapping) for h in homs]}, 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises where argparse would exit with status 2, which the exit-code
+    contract keeps for law violations."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--max-carrier", type=int, default=None)
@@ -156,72 +169,72 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, help="write the report here "
                         "instead of stdout")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mvsr",
         description="finite semiring, semimodule and mv-algebra toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", parents=[common],
                        help="check the axioms of a JSON algebra")
+    p.set_defaults(handler=cmd_verify)
     p.add_argument("--input", required=True)
 
     p = sub.add_parser("chain", parents=[common],
                        help="emit the k-element standard chain")
+    p.set_defaults(handler=cmd_chain)
     p.add_argument("k", type=int)
 
     p = sub.add_parser("reduct", parents=[common],
                        help="emit a semiring reduct of an mv algebra")
+    p.set_defaults(handler=cmd_reduct)
     p.add_argument("variant", choices=("vee-odot", "wedge-oplus"))
     p.add_argument("--input", required=True)
 
     p = sub.add_parser("idempotents", parents=[common],
                        help="multiplicatively idempotent n-by-n matrices")
+    p.set_defaults(handler=cmd_idempotents)
     p.add_argument("--input", required=True)
     p.add_argument("--n", type=int, default=2)
 
     p = sub.add_parser("projective", parents=[common],
                        help="decide projectivity both ways")
+    p.set_defaults(handler=cmd_projective)
     p.add_argument("--input", required=True)
     p.add_argument("--n", type=int, default=None)
 
     p = sub.add_parser("k0", parents=[common],
                        help="truncated projective-class group report")
+    p.set_defaults(handler=cmd_k0)
     p.add_argument("--input", required=True)
     p.add_argument("--nmax", type=int, default=None)
 
     p = sub.add_parser("tensor", parents=[common],
                        help="tensor product report")
+    p.set_defaults(handler=cmd_tensor)
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
 
     p = sub.add_parser("gamma", parents=[common],
                        help="sampled truncation-map certificate")
+    p.set_defaults(handler=cmd_gamma)
     p.add_argument("--u", default="1")
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("homset", parents=[common],
                        help="all homomorphisms between two modules")
+    p.set_defaults(handler=cmd_homset)
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     return parser
 
 
-_HANDLERS = {
-    "verify": cmd_verify,
-    "chain": cmd_chain,
-    "reduct": cmd_reduct,
-    "idempotents": cmd_idempotents,
-    "projective": cmd_projective,
-    "k0": cmd_k0,
-    "tensor": cmd_tensor,
-    "gamma": cmd_gamma,
-    "homset": cmd_homset,
-}
-
-
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except argparse.ArgumentError as exc:
+        print(f"mvsr: {exc}", file=sys.stderr)
+        return 1
     try:
         cfg = load_config(os.environ.get("MVSR_CONFIG"))
     except (OSError, ValueError) as exc:
@@ -230,7 +243,7 @@ def main(argv=None) -> int:
     cfg = cfg.with_overrides(max_carrier=args.max_carrier,
                              max_enum=args.max_enum, out=args.out)
     try:
-        report, code = _HANDLERS[args.command](args, cfg)
+        report, code = args.handler(args, cfg)
     except json.JSONDecodeError as exc:
         print(f"mvsr: parse error at line {exc.lineno}, column {exc.colno}: "
               f"{exc.msg}", file=sys.stderr)

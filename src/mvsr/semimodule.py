@@ -253,21 +253,18 @@ def generate(m: FiniteSemimodule, gens: Iterable[int]) -> Subsemimodule:
 
 
 def minimal_generating_set(m: FiniteSemimodule) -> Tuple[int, ...]:
-    """Greedy removal until no element is spanned by the others.
+    """Greedy removal of each element spanned by the others, in one pass.
 
-    Deterministic but not claimed minimum-cardinality; any output generates
-    the whole module, which is all hom enumeration needs."""
-    cur = [x for x in range(m.size) if x != m.zero]
-    changed = True
-    while changed:
-        changed = False
-        for i, x in enumerate(cur):
-            rest = cur[:i] + cur[i + 1:]
-            if x in _span(m, rest):
-                cur = rest
-                changed = True
-                break
-    return tuple(cur)
+    Span is monotone, so an element kept once stays unspanned as others
+    are removed, and no second pass is needed. Deterministic but not
+    claimed minimum-cardinality; any output generates the whole module,
+    which is all hom enumeration needs."""
+    kept = [x for x in range(m.size) if x != m.zero]
+    for x in list(kept):
+        rest = [y for y in kept if y != x]
+        if x in _span(m, rest):
+            kept = rest
+    return tuple(kept)
 
 
 def _derivation_order(m: FiniteSemimodule, gens: Iterable[int]):

@@ -2,24 +2,28 @@
 
 The free semilattice on the pair set M x N is the powerset under union,
 coded as bitmasks. The tensor congruence is the least semilattice
-congruence that collapses a join in either slot to the union of its pairs
-(the empty join included, which is why tensors absorb either bottom) and
-slides a scalar across the pair. It is found by its closed sets, not by
-merging subsets: each generating pair becomes two implications, the
-closed sets are enumerated one singleton step at a time, and every subset
-is then classed by one table lookup. The tensor product is the quotient,
-with the least subset per class, under cardinality then member order, as
-its canonical representative. The congruence keeps the pairs it was
-closed on, and scalars act on the quotient through the left slot: a
-scalar moves each class's representative, and the action is checked well
-defined on those generating pairs alone, never on the whole powerset.
+congruence that collapses a binary join in either slot to the union of its
+two pairs, a bottom in either slot to the empty subset (which is why
+tensors absorb either bottom), and slides a scalar across the pair; by
+induction the binary joins and bottoms collapse every finite join. It is
+found by its closed sets, not by merging subsets: each generating pair
+becomes two implications, the closed sets are enumerated one singleton
+step at a time, and every subset is then classed by one table lookup. The
+tensor product is the quotient, with the least subset per class, under
+cardinality then member order, as its canonical representative. The
+congruence keeps the pairs it was closed on, and scalars act on the
+quotient through the left slot: a scalar moves each class's
+representative, and the action is checked well defined on those generating
+pairs alone, never on the whole powerset.
 
-Everything downstream is verified by enumeration: bimorphisms are rebuilt
-from their values on join-irreducible pairs, the homomorphisms out of the
+Everything downstream is verified by enumeration, with one enumerator of
+monoid homs out of a join table behind every semilattice search:
+bimorphisms are curried through Hom(N, C), the homomorphisms out of the
 quotient are enumerated once per target monoid and counted by their values
-on pure tensors, and the hom-tensor bijections are checked in both
-directions. Only commutative scalars are exercised; right modules are
-identified with left ones throughout.
+on pure tensors, each scalar's action row is drawn from End(M, +), and the
+hom-tensor bijections are checked in both directions. Only commutative
+scalars are exercised; right modules are identified with left ones
+throughout.
 """
 from __future__ import annotations
 
@@ -241,21 +245,13 @@ def tensor_product(m: FiniteSemimodule, n: FiniteSemimodule,
 
     pairs: List[Tuple[int, int]] = []
     for y in range(n.size):
-        for bits in range(1 << m.size):
-            xs = [x for x in range(m.size) if bits >> x & 1]
-            joined = 1 << p(m.sum(xs), y)
-            spread = 0
-            for x in xs:
-                spread |= 1 << p(x, y)
-            pairs.append((joined, spread))
+        pairs.append((1 << p(m.zero, y), 0))
+        pairs += [(1 << p(m.plus(x, w), y), 1 << p(x, y) | 1 << p(w, y))
+                  for x, w in itertools.combinations(range(m.size), 2)]
     for x in range(m.size):
-        for bits in range(1 << n.size):
-            ys = [y for y in range(n.size) if bits >> y & 1]
-            joined = 1 << p(x, n.sum(ys))
-            spread = 0
-            for y in ys:
-                spread |= 1 << p(x, y)
-            pairs.append((joined, spread))
+        pairs.append((1 << p(x, n.zero), 0))
+        pairs += [(1 << p(x, n.plus(y, w)), 1 << p(x, y) | 1 << p(x, w))
+                  for y, w in itertools.combinations(range(n.size), 2)]
     for a in range(m.scalars.size):
         for x in range(m.size):
             for y in range(n.size):
@@ -334,13 +330,6 @@ def _downsets(add, elements: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
                  for x in range(len(add)))
 
 
-def _extensions(count: int, downsets, c_size: int, c_add, c_zero: int):
-    """Every assignment of count generators into C, folded over each
-    downset of generator positions, in lexicographic assignment order."""
-    for g in itertools.product(range(c_size), repeat=count):
-        yield tuple(fold(c_add, c_zero, [g[i] for i in d]) for d in downsets)
-
-
 def _is_monoid_hom(v, join, zero: int, c_add, c_zero: int) -> bool:
     """v sends zero to the monoid zero and joins to sums."""
     size = len(join)
@@ -356,9 +345,12 @@ def _monoid_homs(add, zero: int, c_size: int, c_add, c_zero: int
     to the monoid zero and joins to sums."""
     ji = join_irreducibles(add, zero)
     below = _downsets(add, ji)
-    return tuple(sorted({v for v in _extensions(len(ji), below, c_size, c_add,
-                                                 c_zero)
-                         if _is_monoid_hom(v, add, zero, c_add, c_zero)}))
+    found = set()
+    for g in itertools.product(range(c_size), repeat=len(ji)):
+        v = tuple(fold(c_add, c_zero, [g[i] for i in d]) for d in below)
+        if _is_monoid_hom(v, add, zero, c_add, c_zero):
+            found.add(v)
+    return tuple(sorted(found))
 
 
 def bimorphisms(m: FiniteSemimodule, n: FiniteSemimodule,
@@ -366,43 +358,35 @@ def bimorphisms(m: FiniteSemimodule, n: FiniteSemimodule,
                 max_enum: int = MAX_ENUM) -> Tuple[Tuple[int, ...], ...]:
     """All bimorphisms M x N -> C as flat tables, row-major over pairs.
 
-    A bimorphism turns the empty join in either slot into the monoid zero
-    and is determined by its values on join-irreducible pairs, so the
-    search space is c^(|JI(M)|*|JI(N)|); every rebuilt table is then checked
-    against the binary join, bottom and balance conditions, which generate
-    the finite-subset forms by induction.
+    The search is curried through Hom(N, C), as in hom(M tensor N, C) =
+    hom(M, hom(N, C)): each row f(x, -) is a monoid hom N -> C, the
+    pointwise sum of the homs f assigns to the join-irreducibles below x.
+    Hom(N, C) is enumerated once and each assignment of it to JI(M) is
+    folded into a table, so the right slot's bottom and binary joins hold
+    by construction. A table is kept when every column f(-, y) is a monoid
+    hom out of M and f balances, f(a x, y) = f(x, a y); bottoms and binary
+    joins generate the finite-subset forms by induction. The guard's
+    c^(|JI(M)|*|JI(N)|) bounds |Hom(N, C)|^|JI(M)| and, once JI(M) is
+    nonempty, the c^|JI(N)| candidates of Hom(N, C); with JI(M) empty, M is
+    trivial and only the zero table is tried.
     """
     ji_m = join_irreducibles(m.add, m.zero)
     ji_n = join_irreducibles(n.add, n.zero)
     check_bound(EnumGuard, "bimorphism candidates",
                 c_size ** (len(ji_m) * len(ji_n)), "max_enum", max_enum)
 
-    below_m, below_n = _downsets(m.add, ji_m), _downsets(n.add, ji_n)
-    contrib = [tuple(i * len(ji_n) + j for i in below_m[x] for j in below_n[y])
-               for x in range(m.size) for y in range(n.size)]
-
-    def p(x: int, y: int) -> int:
-        return x * n.size + y
-
+    homs = _monoid_homs(n.add, n.zero, c_size, c_add, c_zero) if ji_m else ()
+    below, ys = _downsets(m.add, ji_m), range(n.size)
     found = set()
-    for f in _extensions(len(ji_m) * len(ji_n), contrib, c_size, c_add,
-                         c_zero):
-        ok = all(f[p(m.zero, y)] == c_zero for y in range(n.size)) and \
-             all(f[p(x, n.zero)] == c_zero for x in range(m.size))
-        if ok:
-            ok = all(f[p(m.plus(x, w), y)] == c_add[f[p(x, y)]][f[p(w, y)]]
-                     for x in range(m.size) for w in range(m.size)
-                     for y in range(n.size))
-        if ok:
-            ok = all(f[p(x, n.plus(y, w))] == c_add[f[p(x, y)]][f[p(x, w)]]
-                     for x in range(m.size) for y in range(n.size)
-                     for w in range(n.size))
-        if ok:
-            ok = all(f[p(m.act(a, x), y)] == f[p(x, n.act(a, y))]
-                     for a in range(m.scalars.size)
-                     for x in range(m.size) for y in range(n.size))
-        if ok:
-            found.add(f)
+    for g in itertools.product(homs, repeat=len(ji_m)):
+        rows = [tuple(fold(c_add, c_zero, [g[i][y] for i in d]) for y in ys)
+                for d in below]
+        if all(_is_monoid_hom([row[y] for row in rows], m.add, m.zero, c_add,
+                              c_zero) for y in ys) and \
+           all(rows[m.act(a, x)][y] == rows[x][n.act(a, y)]
+               for a in range(m.scalars.size)
+               for x in range(m.size) for y in ys):
+            found.add(tuple(v for row in rows for v in row))
     return tuple(sorted(found))
 
 

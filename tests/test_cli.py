@@ -252,12 +252,29 @@ def test_malformed_config(monkeypatch, tmp_path, capsys, text):
     (["idempotents", "--input", "{boolean}", "--n", "200"], 3),
     (["k0", "--input", "{chain3}", "--nmax", "100000"], 3),
     (["idempotents", "--input", "{boolean}", "--n", "100000"], 3),
+    (["chain", "abc"], 1),
+    (["chain"], 1),
+    (["bogus"], 1),
+    (["k0", "--input", "{chain3}", "--nmax", "x"], 1),
+    (["chain", "1"], 1),
+    (["chain", "-3"], 1),
 ], ids=["k0-nmax-0", "k0-nmax-negative", "idempotents-n-negative",
         "chain-over-max-carrier", "gamma-samples-negative", "gamma-samples-0",
         "k0-no-trivial-class", "k0-nmax-1000", "idempotents-n-200",
-        "k0-nmax-100000", "idempotents-n-100000"])
+        "k0-nmax-100000", "idempotents-n-100000", "chain-k-not-an-int",
+        "chain-k-missing", "unknown-subcommand", "k0-nmax-not-an-int",
+        "chain-k-1", "chain-k-negative"])
 def test_size_arguments(chain3_file, boolean_file, lawless_file, capsys,
                         argv, code):
     files = {"{chain3}": chain3_file, "{boolean}": boolean_file,
              "{lawless}": lawless_file}
     fails_cleanly([files.get(a, a) for a in argv], code, capsys)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["chain", "--help"]],
+                         ids=["top", "subcommand"])
+def test_help_exits_zero(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: mvsr")

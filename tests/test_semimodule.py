@@ -14,7 +14,10 @@ from mvsr.semimodule import (FiniteSemimodule, SemimoduleHom,
                              is_strong, minimal_generating_set,
                              module_over_self, quotient_module_from_ideal,
                              restrict_scalars, trivial_module, xi_embedding)
-from mvsr.semiring import boolean_semiring, check_semiring_axioms
+from mvsr.matrix import idempotent_matrices
+from mvsr.projective import row_space
+from mvsr.semiring import (FiniteSemiring, boolean_semiring,
+                           check_semiring_axioms)
 from mvsr.tensor import enumerate_modules
 
 
@@ -103,6 +106,46 @@ def test_generate_and_minimal_generators(three):
     assert minimal_generating_set(m) == (2,)
     assert minimal_generating_set(sub) == (1,)
     assert minimal_generating_set(trivial_module(three)) == ()
+
+
+def _minimal_generating_set_by_restart(m):
+    """Greedy removal, rescanning from the start after each removal."""
+    cur = [x for x in range(m.size) if x != m.zero]
+    changed = True
+    while changed:
+        changed = False
+        for i, x in enumerate(cur):
+            rest = cur[:i] + cur[i + 1:]
+            if x in generate(m, rest).members:
+                cur = rest
+                changed = True
+                break
+    return tuple(cur)
+
+
+def test_minimal_generators_match_the_restarting_scan(boolean, three):
+    square = reduct_vee_odot(mv_product(lukasiewicz_chain(2),
+                                        lukasiewicz_chain(2)))
+    four = reduct_vee_odot(lukasiewicz_chain(4))
+    z3 = FiniteSemiring(3, tuple(tuple((a + b) % 3 for b in range(3))
+                                 for a in range(3)),
+                        tuple(tuple(a * b % 3 for b in range(3))
+                              for a in range(3)), 0, 1)
+    modules = list(enumerate_modules(boolean, 5))
+    modules += enumerate_modules(three, 4) + enumerate_modules(square, 3)
+    for s in (three, four, square):
+        for n in (1, 2):
+            for u in idempotent_matrices(s, n):
+                modules.append(row_space(u))
+    for s, names in ((boolean, "xyz"), (three, "xy"), (square, "xy"),
+                     (z3, "xy")):
+        modules += [free_semimodule(s, names[:k])
+                    for k in range(len(names) + 1)]
+    modules += [module_over_self(z3), trivial_module(z3)]
+    assert len(modules) == 346
+    for m in modules:
+        assert minimal_generating_set(m) == \
+            _minimal_generating_set_by_restart(m)
 
 
 def test_hom_set_of_self_module(boolean):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import mvsr.tensor
 from mvsr.errors import (EnumGuard, IllDefinedAction, NotIdempotent, NotOnto,
                          ScalarMismatch, SizeGuard)
 from mvsr.mv import (lukasiewicz_chain, mv_product, quotient,
@@ -14,7 +15,7 @@ from mvsr.semimodule import (FiniteSemimodule, check_semimodule,
 from mvsr.semiring import FiniteSemiring, SemiringHom, boolean_semiring, fold
 from mvsr.tensor import (FreeSemilattice, SemilatticeCongruence,
                          TensorProduct, _commutative_monoid_tables,
-                         _downsets, _extensions, _is_monoid_hom,
+                         _downsets, _is_monoid_hom,
                          _monoid_homs, adjunction_witness, as_module,
                          bimorphisms, check_universal_property,
                          commutative_monoids_upto, congruence_closure,
@@ -176,6 +177,68 @@ def test_closure_matches_union_find_on_random_generators():
         assert _agrees_with_union_find(cong)
         sizes.add(len(cong) == 1 or len(cong) == lat.size)
     assert sizes == {True, False}
+
+
+def _subset_generators(m, n):
+    """The tensor congruence's generating pairs with every subset of either
+    slot joined against the union of its pairs, 2^|M| and 2^|N| per slot,
+    then the scalar slides."""
+    def p(x, y):
+        return x * n.size + y
+    pairs = []
+    for y in range(n.size):
+        for bits in range(1 << m.size):
+            xs = [x for x in range(m.size) if bits >> x & 1]
+            pairs.append((1 << p(m.sum(xs), y),
+                          sum(1 << p(x, y) for x in xs)))
+    for x in range(m.size):
+        for bits in range(1 << n.size):
+            ys = [y for y in range(n.size) if bits >> y & 1]
+            pairs.append((1 << p(x, n.sum(ys)),
+                          sum(1 << p(x, y) for y in ys)))
+    for a in range(m.scalars.size):
+        for x in range(m.size):
+            for y in range(n.size):
+                pairs.append((1 << p(m.act(a, x), y), 1 << p(x, n.act(a, y))))
+    return pairs
+
+
+def _tensor_by_subset_generators(m, n):
+    lattice = tensor_product(m, n).lattice
+    return TensorProduct(m, n, lattice, congruence_closure(
+        lattice, _subset_generators(m, n)))
+
+
+def _same_classes(t, u):
+    return (t.congruence.class_of, t.congruence.representatives) == \
+        (u.congruence.class_of, u.congruence.representatives)
+
+
+def test_binary_joins_generate_the_subset_congruence(boolean):
+    modules = enumerate_modules(boolean, 4)
+    pairs = [(m, n) for m in modules for n in modules
+             if m.size * n.size <= 12]
+    assert len(pairs) == 88
+    for m, n in pairs:
+        t, oracle = tensor_product(m, n), _tensor_by_subset_generators(m, n)
+        assert len(t.congruence.generators) < len(oracle.congruence.generators)
+        assert _same_classes(t, oracle)
+        assert as_module(t) == as_module(oracle)
+
+
+def test_binary_joins_generate_the_subset_congruence_on_scalar_extensions():
+    checked = 0
+    for h in _onto_maps():
+        b_over_a = restrict_scalars(h, module_over_self(h.target))
+        for mb in enumerate_modules(h.target, 4):
+            ma = restrict_scalars(h, mb)
+            t = tensor_product(b_over_a, ma)
+            oracle = _tensor_by_subset_generators(b_over_a, ma)
+            assert _same_classes(t, oracle)
+            assert scalar_structures(t, h.target, h.target.mul) == \
+                scalar_structures(oracle, h.target, h.target.mul)
+            checked += 1
+    assert checked == 13 + 13 + 33 + 13
 
 
 # ----- the tensor product ---------------------------------------------------
@@ -368,6 +431,76 @@ def test_bimorphisms_match_the_definition_on_small_pairs(boolean):
         for c_size, c_add, c_zero in commutative_monoids_upto(3):
             assert bimorphisms(m, n, c_size, c_add, c_zero) == \
                 _bimorphisms_by_definition(m, n, c_size, c_add, c_zero)
+
+
+def _extensions(count, downsets, c_size, c_add, c_zero):
+    """Every assignment of count generators into C, folded over each
+    downset of generator positions, in lexicographic assignment order."""
+    for g in itertools.product(range(c_size), repeat=count):
+        yield tuple(fold(c_add, c_zero, [g[i] for i in d]) for d in downsets)
+
+
+def _bimorphisms_by_ji_pairs(m, n, c_size, c_add, c_zero):
+    """Bimorphisms rebuilt from their values on join-irreducible pairs:
+    c^(|JI(M)|*|JI(N)|) candidates, each checked against the bottom and
+    binary joins in both slots and against balance."""
+    ji_m = join_irreducibles(m.add, m.zero)
+    ji_n = join_irreducibles(n.add, n.zero)
+    below_m, below_n = _downsets(m.add, ji_m), _downsets(n.add, ji_n)
+    contrib = [tuple(i * len(ji_n) + j for i in below_m[x] for j in below_n[y])
+               for x in range(m.size) for y in range(n.size)]
+
+    def p(x, y):
+        return x * n.size + y
+    xs, ys, acts = range(m.size), range(n.size), range(m.scalars.size)
+    return tuple(sorted({
+        f for f in _extensions(len(ji_m) * len(ji_n), contrib, c_size, c_add,
+                               c_zero)
+        if all(f[p(m.zero, y)] == c_zero for y in ys)
+        and all(f[p(x, n.zero)] == c_zero for x in xs)
+        and all(f[p(m.plus(x, w), y)] == c_add[f[p(x, y)]][f[p(w, y)]]
+                for x in xs for w in xs for y in ys)
+        and all(f[p(x, n.plus(y, w))] == c_add[f[p(x, y)]][f[p(x, w)]]
+                for x in xs for y in ys for w in ys)
+        and all(f[p(m.act(a, x), y)] == f[p(x, n.act(a, y))]
+                for a in acts for x in xs for y in ys)}))
+
+
+def test_bimorphisms_match_the_ji_pair_search(boolean, self_mod):
+    modules = enumerate_modules(boolean, 4)
+    pairs = [(m, n) for m in modules for n in modules if m.size * n.size <= 8]
+    assert len(pairs) == 48
+    # balance only bites over scalars other than the booleans
+    chain3 = enumerate_modules(reduct_vee_odot(lukasiewicz_chain(3)), 3)
+    pairs += [(m, n) for m in chain3 for n in chain3]
+    # the left joins only fail to hold by construction on a factor that is
+    # not distributive, the smallest of which have five elements
+    fives = []
+    for m in enumerate_modules(boolean, 5):
+        if m.size == 5 and all(are_isomorphic(m, r) is None for r in fives):
+            fives.append(m)
+    assert len(fives) == 5
+    pairs += [(m, self_mod) for m in fives] + [(self_mod, m) for m in fives]
+    kept = 0
+    for m, n in pairs:
+        targets = list(commutative_monoids_upto(3))
+        targets += [(m.size, m.add, m.zero), (n.size, n.add, n.zero)]
+        for c_size, c_add, c_zero in targets:
+            found = bimorphisms(m, n, c_size, c_add, c_zero)
+            assert found == _bimorphisms_by_ji_pairs(m, n, c_size, c_add,
+                                                     c_zero)
+            kept += len(found)
+    assert kept > 0
+
+
+def test_bimorphisms_of_a_trivial_left_factor(boolean, free2, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Hom(N, C) enumerated for a trivial factor")
+    monkeypatch.setattr(mvsr.tensor, "_monoid_homs", refuse)
+    zero = trivial_module(boolean)
+    for c_size, c_add, c_zero in commutative_monoids_upto(3):
+        assert bimorphisms(zero, free2, c_size, c_add, c_zero) == \
+            ((c_zero,) * free2.size,)
 
 
 def test_bimorphism_guard(free2):
