@@ -34,7 +34,10 @@ from .tropical import TropicalUSemifield
 
 def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise MalformedTable(f"{path} nests too deeply") from None
 
 
 def _load(path: str):
@@ -262,8 +265,13 @@ def main(argv=None) -> int:
         return 1
     text = jsonio.canonical_dumps(report)
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"mvsr: cannot write {cfg.out}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
     return code

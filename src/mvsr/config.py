@@ -37,7 +37,10 @@ def load_config(path: str | None) -> ToolConfig:
     if not path:
         return cfg
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError("config nests too deeply") from None
     if not isinstance(data, dict):
         raise ValueError("config must be a JSON object")
     known = {k: data[k] for k in ("max_carrier", "max_enum", "seed", "n_max", "out") if k in data}

@@ -1,14 +1,19 @@
 """Semimodules over finite semirings: axioms, free modules, homs, strongness.
 
 Hom enumeration never searches all functions. It picks images for a minimal
-generating set, extends them along the closure derivation of each carrier
-element, then validates the candidate in full, so the derivation is only a
-funnel and correctness rests on the final check.
+generating set and extends them along the closure derivation of each carrier
+element; the generating set with its derivation order is the plan of the
+source. Candidates are built in chunks of rows, one (k, |m|) array per
+chunk, column by column in derivation order, and every row is then checked
+against the zero, addition and action laws in one array sweep, so the
+derivation is only a funnel and correctness rests on the final check. The
+hom laws exist once, as the mismatch arrays of _law_mismatches: _hom_mask
+reads them for a chunk, _broken_law for the first witness of one map.
 
-iter_homs is the one enumerator, and it is lazy; hom_set materialises it.
-Searches stop at their answer (are_isomorphic at the first bijective hom,
-the retract oracle at the first section) or count as the homs come
-(full_embedding_check, free_universal_property).
+iter_homs is the one lazy enumerator of hom objects, and hom_set
+materialises it. Searches stop at their answer (are_isomorphic at the first
+bijective hom, the retract oracle at the first section); counts take the
+rows directly (full_embedding_check, free_universal_property).
 """
 from __future__ import annotations
 
@@ -337,24 +342,102 @@ _BROKEN_LAW = {"zero": "zero not preserved",
                "act": "action not preserved at ({}, {})"}
 
 
+def _law_mismatches(m: FiniteSemimodule, n: FiniteSemimodule,
+                    img: np.ndarray):
+    """Where each row of img, a (k, |m|) array of maps m -> n, breaks a hom
+    law: the zero law per row, addition at (row, x, y) and the action at
+    (row, a, x)."""
+    scalars = np.arange(m.scalars.size)[:, None]
+    zero = img[:, m.zero] != n.zero
+    add = img[:, m.np_add] != n.np_add[img[:, :, None], img[:, None, :]]
+    act = img[:, m.np_action] != n.np_action[scalars, img[:, None, :]]
+    return zero, add, act
+
+
+def _hom_mask(m: FiniteSemimodule, n: FiniteSemimodule,
+              img: np.ndarray) -> np.ndarray:
+    """For each row of img, whether it is a hom m -> n."""
+    zero, add, act = _law_mismatches(m, n, img)
+    k = len(img)
+    return ~(zero | add.reshape(k, -1).any(axis=1)
+             | act.reshape(k, -1).any(axis=1))
+
+
 def _broken_law(m: FiniteSemimodule, n: FiniteSemimodule,
                 img: Sequence[int]) -> Optional[tuple]:
     """The first hom law img breaks, ("zero",), ("add", x, y) or
-    ("act", a, x), or None when img is a hom m -> n."""
-    if img[m.zero] != n.zero:
+    ("act", a, x) in row-major order, or None when img is a hom m -> n."""
+    zero, add, act = _law_mismatches(
+        m, n, np.asarray(img, dtype=np.intp).reshape(1, m.size))
+    if zero[0]:
         return ("zero",)
-    for x in range(m.size):
-        hx = img[x]
-        arow = m.add[x]
-        for y in range(m.size):
-            if img[arow[y]] != n.add[hx][img[y]]:
-                return ("add", x, y)
-    for a in range(m.scalars.size):
-        srow, trow = m.action[a], n.action[a]
-        for x in range(m.size):
-            if img[srow[x]] != trow[img[x]]:
-                return ("act", a, x)
+    for law, bad in (("add", add[0]), ("act", act[0])):
+        hit = np.argwhere(bad)
+        if len(hit):
+            return (law,) + tuple(int(i) for i in hit[0])
     return None
+
+
+# Most elements any one temporary array of the hom kernel holds: the law
+# check of k candidate maps out of m allocates k * (|m|^2 + |S| |m|).
+_CHUNK_ELEMENTS = 1 << 18
+
+
+def _chunk_rows(m: FiniteSemimodule) -> int:
+    """How many candidate maps out of m one chunk holds."""
+    return max(1, _CHUNK_ELEMENTS // (m.size * (m.size + m.scalars.size)))
+
+
+def _assignments(size: int, count: int, rows: int) -> Iterator[np.ndarray]:
+    """Every tuple in range(size)^count in lexicographic order, as (k, count)
+    arrays of at most max(rows, 1) tuples: the last entries vary within a
+    chunk, the first ones from chunk to chunk."""
+    inner = 0
+    while inner < count and size ** (inner + 1) <= rows:
+        inner += 1
+    tail = np.array(list(itertools.product(range(size), repeat=inner)),
+                    dtype=np.intp).reshape(size ** inner, inner)
+    for head in itertools.product(range(size), repeat=count - inner):
+        chunk = np.empty((len(tail), count), dtype=np.intp)
+        chunk[:, :count - inner] = head
+        chunk[:, count - inner:] = tail
+        yield chunk
+
+
+def _hom_plan(m: FiniteSemimodule):
+    """A minimal generating set of m and the derivation of every element
+    from it, as steps (x, kind, *args) in derivation order."""
+    gens = minimal_generating_set(m)
+    order, deriv = _derivation_order(m, gens)
+    if len(order) != m.size:
+        raise ValueError("generators do not span the module")
+    return tuple(gens), tuple((x,) + deriv[x] for x in order)
+
+
+def _hom_rows(m: FiniteSemimodule, n: FiniteSemimodule,
+              max_enum: int = MAX_ENUM, plan=None) -> Iterator[np.ndarray]:
+    """Every hom m -> n as rows of (k, |m|) arrays, lazily, ordered
+    lexicographically by generator images. The scalar check and the guard
+    run at the first step, before any array is built; plan, from _hom_plan,
+    saves a caller that enumerates out of m repeatedly its derivation."""
+    if not same_scalars(m.scalars, n.scalars):
+        raise ScalarMismatch("hom set needs a common scalar semiring")
+    gens, steps = plan or _hom_plan(m)
+    check_bound(EnumGuard, "hom-set candidate assignments",
+                n.size ** len(gens), "max_enum", max_enum)
+    n_add, n_act = n.np_add, n.np_action
+    for assign in _assignments(n.size, len(gens), _chunk_rows(m)):
+        img = np.empty((len(assign), m.size), dtype=np.intp)
+        for x, kind, *args in steps:
+            if kind == "zero":
+                img[:, x] = n.zero
+            elif kind == "gen":
+                img[:, x] = assign[:, args[0]]
+            elif kind == "add":
+                img[:, x] = n_add[img[:, args[0]], img[:, args[1]]]
+            else:
+                img[:, x] = n_act[args[0], img[:, args[1]]]
+        yield img[_hom_mask(m, n, img)]
 
 
 @dataclass(frozen=True)
@@ -424,28 +507,9 @@ def iter_homs(m: FiniteSemimodule, n: FiniteSemimodule,
               max_enum: int = MAX_ENUM) -> Iterator[SemimoduleHom]:
     """Every hom m -> n, lazily, ordered lexicographically by generator
     images; the scalar check and the guard run at the first step."""
-    if not same_scalars(m.scalars, n.scalars):
-        raise ScalarMismatch("hom set needs a common scalar semiring")
-    gens = minimal_generating_set(m)
-    check_bound(EnumGuard, "hom-set candidate assignments",
-                n.size ** len(gens), "max_enum", max_enum)
-    order, deriv = _derivation_order(m, gens)
-    if len(order) != m.size:
-        raise ValueError("generators do not span the module")
-    img = [0] * m.size
-    for assign in itertools.product(range(n.size), repeat=len(gens)):
-        for x in order:
-            d = deriv[x]
-            if d[0] == "zero":
-                img[x] = n.zero
-            elif d[0] == "gen":
-                img[x] = assign[d[1]]
-            elif d[0] == "add":
-                img[x] = n.add[img[d[1]]][img[d[2]]]
-            else:
-                img[x] = n.action[d[1]][img[d[2]]]
-        if _broken_law(m, n, img) is None:
-            yield SemimoduleHom(m, n, tuple(img))
+    for rows in _hom_rows(m, n, max_enum):
+        for row in rows.tolist():
+            yield SemimoduleHom(m, n, tuple(row))
 
 
 def hom_set(m: FiniteSemimodule, n: FiniteSemimodule,
@@ -659,26 +723,30 @@ def free_universal_property(f: FreeSemimodule, m: FiniteSemimodule,
                             max_enum: int = MAX_ENUM) -> dict:
     """Every map from the points into m extends to exactly one hom.
 
-    Existence is checked by building the linear-combination extension and
-    validating it; uniqueness by counting the homs by their basis values,
+    Existence is checked by building the linear-combination extension of
+    every point map, a chunk of maps at a time, and masking the extensions
+    that are homs; uniqueness by counting the homs by their basis values,
     since a hom out of a free module is the extension of those values."""
     if not same_scalars(f.scalars, m.scalars):
         raise ScalarMismatch("target must share the scalars")
     npts = len(f.points)
     total = m.size ** npts
     check_bound(EnumGuard, "point maps", total, "max_enum", max_enum)
-    by_basis = Counter(tuple(h.mapping[b] for b in f.basis)
-                       for h in iter_homs(f, m, max_enum))
+    by_basis = Counter(tuple(row) for rows in _hom_rows(f, m, max_enum)
+                       for row in rows[:, list(f.basis)].tolist())
+    coeffs = np.array([f.vector(i) for i in range(f.size)],
+                      dtype=np.intp).reshape(f.size, npts)
     existence = 0
     uniqueness = 0
-    for imgs in itertools.product(range(m.size), repeat=npts):
-        built = tuple(m.sum(m.act(c, imgs[j])
-                            for j, c in enumerate(f.vector(i)))
-                      for i in range(f.size))
-        if _broken_law(f, m, built) is not None:
-            existence += 1
-        elif by_basis[imgs] != 1:
-            uniqueness += 1
+    for imgs in _assignments(m.size, npts, _chunk_rows(f)):
+        built = np.full((len(imgs), f.size), m.zero, dtype=np.intp)
+        for j in range(npts):
+            terms = m.np_action[coeffs[:, j], imgs[:, j, None]]
+            built = m.np_add[built, terms]
+        homs = _hom_mask(f, m, built)
+        existence += len(homs) - int(homs.sum())
+        uniqueness += sum(by_basis[p] != 1
+                          for p in map(tuple, imgs[homs].tolist()))
     return {"maps": total, "existence_failures": existence,
             "uniqueness_failures": uniqueness,
             "ok": existence == 0 and uniqueness == 0}

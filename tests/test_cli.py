@@ -240,6 +240,34 @@ def test_malformed_config(monkeypatch, tmp_path, capsys, text):
     assert "cannot read config" in fails_cleanly(["chain", "3"], 1, capsys)
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "directory", "config"])
+def test_unwritable_out(monkeypatch, tmp_path, capsys, where):
+    target = {"missing-dir": str(tmp_path / "absent" / "c3.json"),
+              "directory": str(tmp_path)}.get(where)
+    argv = ["chain", "3"]
+    if where == "config":
+        cfg = write(tmp_path / "cfg.json",
+                    {"out": str(tmp_path / "absent" / "c3.json")})
+        monkeypatch.setenv("MVSR_CONFIG", cfg)
+    else:
+        argv += ["--out", target]
+    assert "cannot write" in fails_cleanly(argv, 1, capsys)
+
+
+def test_deeply_nested_input(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000, encoding="utf-8")
+    assert "malformed input" in fails_cleanly(
+        ["verify", "--input", str(deep)], 1, capsys)
+
+
+def test_deeply_nested_config(monkeypatch, tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000, encoding="utf-8")
+    monkeypatch.setenv("MVSR_CONFIG", str(deep))
+    assert "cannot read config" in fails_cleanly(["chain", "3"], 1, capsys)
+
+
 @pytest.mark.parametrize("argv,code", [
     (["k0", "--input", "{chain3}", "--nmax", "0"], 1),
     (["k0", "--input", "{chain3}", "--nmax", "-1"], 1),

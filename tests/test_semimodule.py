@@ -2,22 +2,24 @@ import itertools
 
 import pytest
 
+import mvsr.semimodule
 from mvsr.errors import (EnumGuard, IllDefinedAction, MalformedTable,
                          NotAHom, ScalarMismatch)
-from mvsr.mv import (lukasiewicz_chain, mv_product, reduct_vee_odot,
+from mvsr.mv import (lukasiewicz_chain, mv_product, quotient, reduct_vee_odot,
                      star_reduct_isomorphism)
-from mvsr.semimodule import (FiniteSemimodule, SemimoduleHom,
-                             additive_monoid_module, check_semimodule,
+from mvsr.semimodule import (FiniteSemimodule, SemimoduleHom, _broken_law,
+                             _derivation_order, additive_monoid_module,
+                             check_semimodule,
                              compose_module_homs, end_semiring,
                              endmv_check, free_semimodule,
                              free_universal_property, generate, hom_set,
-                             is_strong, minimal_generating_set,
+                             is_strong, iter_homs, minimal_generating_set,
                              module_over_self, quotient_module_from_ideal,
                              restrict_scalars, trivial_module, xi_embedding)
 from mvsr.matrix import idempotent_matrices
 from mvsr.projective import row_space
-from mvsr.semiring import (FiniteSemiring, boolean_semiring,
-                           check_semiring_axioms)
+from mvsr.semiring import (FiniteSemiring, SemiringHom, boolean_semiring,
+                           check_semiring_axioms, same_scalars)
 from mvsr.tensor import enumerate_modules
 
 
@@ -194,6 +196,129 @@ def test_hom_validate_names_the_first_broken_law(three, mapping, message):
     with pytest.raises(NotAHom) as err:
         SemimoduleHom(m, m, mapping).validate()
     assert str(err.value) == message
+
+
+def _broken_law_by_loop(m, n, img):
+    """The first hom law img breaks, scanning zero, then addition at every
+    (x, y), then the action at every (a, x), one cell at a time."""
+    if img[m.zero] != n.zero:
+        return ("zero",)
+    for x in range(m.size):
+        for y in range(m.size):
+            if img[m.add[x][y]] != n.add[img[x]][img[y]]:
+                return ("add", x, y)
+    for a in range(m.scalars.size):
+        for x in range(m.size):
+            if img[m.action[a][x]] != n.action[a][img[x]]:
+                return ("act", a, x)
+    return None
+
+
+def _iter_homs_by_assignment(m, n):
+    """Every hom m -> n, one generator assignment at a time: each candidate
+    is extended along the derivation order and checked cell by cell."""
+    gens = minimal_generating_set(m)
+    order, deriv = _derivation_order(m, gens)
+    img = [0] * m.size
+    for assign in itertools.product(range(n.size), repeat=len(gens)):
+        for x in order:
+            d = deriv[x]
+            if d[0] == "zero":
+                img[x] = n.zero
+            elif d[0] == "gen":
+                img[x] = assign[d[1]]
+            elif d[0] == "add":
+                img[x] = n.add[img[d[1]]][img[d[2]]]
+            else:
+                img[x] = n.action[d[1]][img[d[2]]]
+        if _broken_law_by_loop(m, n, img) is None:
+            yield tuple(img)
+
+
+def _scalar_maps():
+    """The five onto scalar maps of the change-of-scalars benchmark: both
+    projections of c2 x c2 onto c2, c2 x c2 onto its quotient by (0, 1), and
+    the projections of c2 x c3 onto c3 and onto c2."""
+    c2, c3 = lukasiewicz_chain(2), lukasiewicz_chain(3)
+    square, wide = mv_product(c2, c2), mv_product(c2, c3)
+    sq, wd = reduct_vee_odot(square), reduct_vee_odot(wide)
+    boolean, chain3 = reduct_vee_odot(c2), reduct_vee_odot(c3)
+    toward = quotient(square, (0, 1))
+    return (SemiringHom(sq, boolean, (0, 0, 1, 1)),
+            SemiringHom(sq, boolean, (0, 1, 0, 1)),
+            SemiringHom(sq, reduct_vee_odot(toward.algebra),
+                        toward.hom.mapping),
+            SemiringHom(wd, chain3, (0, 1, 2, 0, 1, 2)),
+            SemiringHom(wd, boolean, (0, 0, 0, 1, 1, 1)))
+
+
+def _homs_match_the_assignment_scan(pairs):
+    kept = 0
+    for m, n in pairs:
+        expected = tuple(_iter_homs_by_assignment(m, n))
+        assert tuple(h.mapping for h in iter_homs(m, n)) == expected
+        assert tuple(h.mapping for h in hom_set(m, n)) == expected
+        kept += len(expected)
+    return kept
+
+
+def test_iter_homs_matches_the_assignment_scan(boolean, three):
+    pairs = []
+    for s, bound in ((boolean, 4), (three, 3)):
+        modules = enumerate_modules(s, bound)
+        pairs += [(m, n) for m in modules for n in modules]
+    assert len(pairs) == 13 ** 2 + 6 ** 2
+    assert _homs_match_the_assignment_scan(pairs) > len(pairs)
+
+
+def test_iter_homs_matches_the_assignment_scan_on_restrictions():
+    pairs = []
+    for h in _scalar_maps():
+        restricted = [restrict_scalars(h, mb)
+                      for mb in enumerate_modules(h.target, 4)]
+        pairs += [(m, n) for m in restricted for n in restricted]
+    assert len(pairs) == 4 * 13 ** 2 + 33 ** 2
+    _homs_match_the_assignment_scan(pairs)
+
+
+def test_assignment_chunks_stay_within_their_rows():
+    for size, count, rows in itertools.product((1, 2, 3, 5), (0, 1, 2, 4),
+                                               (1, 2, 7, 25, 1000)):
+        chunks = list(mvsr.semimodule._assignments(size, count, rows))
+        assert all(1 <= len(c) <= rows for c in chunks)
+        assert [tuple(r) for c in chunks for r in c.tolist()] == \
+            list(itertools.product(range(size), repeat=count))
+
+
+@pytest.mark.parametrize("budget", [1, 40, 100, 333])
+def test_iter_homs_across_chunk_edges(boolean, three, monkeypatch, budget):
+    # a budget of 1 makes one row per chunk; the others cut the candidate
+    # lists at sizes that do not divide them
+    monkeypatch.setattr(mvsr.semimodule, "_CHUNK_ELEMENTS", budget)
+    modules = list(enumerate_modules(boolean, 4)[-4:])
+    modules += [free_semimodule(boolean, "xyz"),
+                free_semimodule(three, "xy"), diamond(three, (0, 0, 2, 2))]
+    pairs = [(m, n) for m in modules for n in modules
+             if same_scalars(m.scalars, n.scalars)]
+    assert _homs_match_the_assignment_scan(pairs) > len(pairs)
+    f = free_semimodule(three, "x")
+    assert free_universal_property(f, diamond(three, (0, 1, 2, 3))) == \
+        _free_universal_property_by_scan(f, diamond(three, (0, 1, 2, 3)))
+
+
+def test_broken_law_matches_the_cell_scan(boolean, three):
+    pairs = [(m, n) for m in enumerate_modules(boolean, 3)
+             for n in enumerate_modules(boolean, 3)]
+    pairs += [(module_over_self(three), diamond(three, row))
+              for row in ((0, 1, 2, 3), (0, 0, 2, 2), (0, 1, 1, 3))]
+    pairs += [(diamond(three, (0, 0, 2, 2)), module_over_self(three))]
+    broken = set()
+    for m, n in pairs:
+        for img in itertools.product(range(n.size), repeat=m.size):
+            expected = _broken_law_by_loop(m, n, img)
+            assert _broken_law(m, n, img) == expected
+            broken.add(expected[0] if expected else None)
+    assert broken == {"zero", "add", "act", None}
 
 
 def test_end_semiring_orders_are_opposite(three):

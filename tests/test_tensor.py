@@ -360,6 +360,53 @@ def test_scalar_action_on_generators_matches_the_sweep(boolean):
     assert verdicts == {True, False}
 
 
+def _scalar_structures_by_members(t, scalars, action):
+    """The induced module found by moving each generating pair and each
+    representative member by member, one scalar at a time."""
+    cong, base = t.congruence, t.lattice.base
+    rows = []
+    for b in range(scalars.size):
+        move = action[b]
+
+        def image(mask):
+            return t.class_of_pairs((move[base[i][0]], base[i][1])
+                                    for i in t.lattice.members(mask))
+
+        for u, v in cong.generators:
+            cu, cv = image(u), image(v)
+            if cu != cv:
+                raise IllDefinedAction(
+                    f"scalar {b} sends the generating pair of subsets "
+                    f"({u}, {v}) to distinct classes {cu} and {cv}")
+        rows.append(tuple(image(rep) for rep in cong.representatives))
+    return FiniteSemimodule(scalars, t.class_count, t.join_table, t.zero_class,
+                            tuple(rows), mvsr.tensor._class_labels(t))
+
+
+def _module_or_message(induce):
+    try:
+        return induce()
+    except IllDefinedAction as exc:
+        return str(exc)
+
+
+def test_scalar_structures_match_the_member_scan(boolean):
+    modules = enumerate_modules(boolean, 4)
+    pairs = [(m, n) for m in modules for n in modules if m.size * n.size <= 8]
+    three = module_over_self(reduct_vee_odot(lukasiewicz_chain(3)))
+    pairs.append((three, three))
+    messages = 0
+    for m, n in pairs:
+        t = tensor_product(m, n)
+        for action in [m.action] + list(_arbitrary_actions(m, range(6))):
+            got = _module_or_message(
+                lambda: scalar_structures(t, m.scalars, action))
+            assert got == _module_or_message(
+                lambda: _scalar_structures_by_members(t, m.scalars, action))
+            messages += isinstance(got, str)
+    assert 0 < messages < len(pairs) * 7
+
+
 def test_ill_defined_action_names_scalar_pair_and_classes(free2, self_mod):
     t = tensor_product(free2, self_mod)
     # scalar 1 moves the zero of free2, so zero tensors stop being zero
