@@ -7,10 +7,15 @@ least one. Padding a matrix with zero rows and columns only appends zero
 coordinates to its row space, so classification by module isomorphism
 absorbs the padding convention; zero_pad is exposed to keep that testable.
 
-A row space's class is found with one dict lookup on its canonical form
-when the scalars obey the semiring laws and their addition is idempotent,
-since every row space is then a join semilattice. Over any other scalars
-the stored classes are scanned with the isomorphism search instead.
+Each distinct row span is classed once: the span's members are the key
+of a dict, and an idempotent or block sum whose rows span a set seen
+before takes that set's class at once. A new span's class is found with
+one dict lookup on its canonical form, read from the span's tables, when
+the scalars obey the semiring laws and their addition is idempotent,
+since every row space is then a join semilattice; the validated row
+space is built only for a span that opens a class. Over any other
+scalars the row space is built and the stored classes are scanned with
+the isomorphism search instead.
 
 The completion is the abelian group presented by one generator per class
 modulo the recorded sum relations, reduced by exact integer Smith normal
@@ -21,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .config import DEFAULT_N_MAX, MAX_CARRIER, MAX_ENUM
 from .errors import (EnumGuard, NotIdempotent, ScalarMismatch, ToolkitError,
@@ -29,7 +34,8 @@ from .errors import (EnumGuard, NotIdempotent, ScalarMismatch, ToolkitError,
 from .jsonio import semiring_to_dict
 from .matrix import SemiringMatrix, idempotent_matrices, is_mult_idempotent
 from .mv import MvAlgebra, MvHom, reduct_vee_odot
-from .projective import (ProjectivePresentation, are_isomorphic, block_diag,
+from .projective import (ProjectivePresentation, _row_span, _row_tables,
+                         _table_form, are_isomorphic, block_diag,
                          canonical_form, row_space)
 from .semimodule import FiniteSemimodule, SemimoduleHom, check_semimodule
 from .semiring import (FiniteSemiring, SemiringHom, check_semiring_axioms,
@@ -97,42 +103,70 @@ class ProjClassMonoid:
 class _ClassIndex:
     """Stored classes and the lookup of a module's first isomorphic class.
 
-    When the scalars obey the semiring laws and their addition is
-    idempotent, every row space's addition is a join semilattice, and the
-    lookup is one dict access on canonical forms; forms maps each form to
-    the first class that has it. Otherwise forms is None and the classes
-    are scanned in order with are_isomorphic."""
+    A row space is looked up by its span first: span_classes maps
+    (u.cols, the members' bytes) to the class found for that span, and
+    identical members give an identical module, so a span seen before is
+    answered at once over any scalars. A new span is classed by form or
+    by scan. When the scalars obey the semiring laws and their addition
+    is idempotent, every row space's addition is a join semilattice, and
+    forms maps each canonical form to the first class that has it; the
+    form is read from the span's tables, and the row space itself is
+    built only when it opens a class. Otherwise forms is None and the
+    classes are scanned in order with are_isomorphic."""
 
     def __init__(self, s: FiniteSemiring,
                  classes: Sequence[ProjectivePresentation] = (),
                  max_enum: int = MAX_ENUM):
         self.scalars = s
         self.classes = list(classes)
+        self.span_classes: Dict[Tuple[int, bytes], int] = {}
         self.forms: Optional[Dict[tuple, int]] = None
         if is_additively_idempotent(s) and check_semiring_axioms(s).valid:
             self.forms = {}
             for i, cls in enumerate(self.classes):
                 self.forms.setdefault(canonical_form(cls.module, max_enum), i)
 
-    def find(self, m: FiniteSemimodule, max_enum: int,
-             new: Optional[Callable[[], ProjectivePresentation]] = None
-             ) -> Optional[int]:
-        """Index of the first class isomorphic to m, else None; then, if
-        new is given, new() is stored as the next class."""
+    def find(self, m: FiniteSemimodule, max_enum: int) -> Optional[int]:
+        """Index of the first class isomorphic to m, else None."""
         if not same_scalars(m.scalars, self.scalars):
             raise ScalarMismatch("module and classes need common scalars")
         if self.forms is None:
-            found = next((i for i, cls in enumerate(self.classes)
-                          if are_isomorphic(cls.module, m, max_enum)
-                          is not None), None)
+            return self._scan(m, max_enum)
+        return self.forms.get(canonical_form(m, max_enum))
+
+    def find_row_space(self, u: SemiringMatrix, max_enum: int,
+                       max_carrier: int, store: bool = False
+                       ) -> Optional[int]:
+        """Index of the first class isomorphic to the row space of u, else
+        None; with store, a row space in no class is stored as the next
+        class, presented by u, and its index is returned."""
+        members = _row_span(u, max_carrier)
+        key = (u.cols, members.tobytes())
+        found = self.span_classes.get(key)
+        if found is not None:
+            return found
+        rs = form = None
+        if self.forms is None:
+            rs = row_space(u, max_carrier)
+            found = self._scan(rs, max_enum)
         else:
-            form = canonical_form(m, max_enum)
+            form = _table_form(*_row_tables(u, members), max_enum)
             found = self.forms.get(form)
-            if found is None and new is not None:
-                self.forms[form] = len(self.classes)
-        if found is None and new is not None:
-            self.classes.append(new())
+        if found is None and store:
+            found = len(self.classes)
+            if self.forms is not None:
+                self.forms[form] = found
+                rs = row_space(u, max_carrier)
+            self.classes.append(ProjectivePresentation(
+                self.scalars, u.rows, u, rs, _identity_hom(rs)))
+        if found is not None:
+            self.span_classes[key] = found
         return found
+
+    def _scan(self, m: FiniteSemimodule, max_enum: int) -> Optional[int]:
+        return next((i for i, cls in enumerate(self.classes)
+                     if are_isomorphic(cls.module, m, max_enum) is not None),
+                    None)
 
 
 def _trivial_index(classes: Sequence[ProjectivePresentation]) -> int:
@@ -162,9 +196,7 @@ def enumerate_projective_classes(s: FiniteSemiring,
     index = _ClassIndex(s, max_enum=max_enum)
     for n in range(1, n_max + 1):
         for u in idempotent_matrices(s, n, max_enum):
-            rs = row_space(u, max_carrier)
-            index.find(rs, max_enum, lambda: ProjectivePresentation(
-                s, n, u, rs, _identity_hom(rs)))
+            index.find_row_space(u, max_enum, max_carrier, store=True)
     classes = index.classes
 
     trivial = _trivial_index(classes)
@@ -176,8 +208,8 @@ def enumerate_projective_classes(s: FiniteSemiring,
         for j, cj in enumerate(classes):
             if ci.n + cj.n > n_max:
                 continue
-            rs = row_space(block_diag(ci.u, cj.u), max_carrier)
-            relations.add((i, j, index.find(rs, max_enum)))
+            relations.add((i, j, index.find_row_space(
+                block_diag(ci.u, cj.u), max_enum, max_carrier)))
     return ProjClassMonoid(s, n_max, tuple(classes),
                            tuple(sorted(relations)))
 

@@ -36,7 +36,24 @@ def row_space(u: SemiringMatrix,
               max_carrier: int = MAX_CARRIER) -> Subsemimodule:
     """The subsemimodule of row vectors spanned by the rows of u, as a
     subsemimodule of the free module on u.cols points: members are the
-    vectors' big-endian base-|S| indices in that module's carrier.
+    vectors' big-endian base-|S| indices in that module's carrier."""
+    s = u.scalars
+    members = _row_span(u, max_carrier)
+    add, action, zero = _row_tables(u, members)
+    vecs = _row_vectors(u, members).tolist()
+    if u.cols == 1:
+        labels = tuple(s.label(v[0]) for v in vecs)
+    else:
+        labels = tuple("(" + ",".join(s.label(c) for c in v) + ")"
+                       for v in vecs)
+    return Subsemimodule(scalars=s, size=len(members),
+                         add=tuple(map(tuple, add.tolist())), zero=zero,
+                         action=tuple(map(tuple, action.tolist())),
+                         labels=labels, members=tuple(members.tolist()))
+
+
+def _row_span(u: SemiringMatrix, max_carrier: int) -> np.ndarray:
+    """The sorted base-|S| indices of the vectors spanned by the rows of u.
 
     Only the span is built. Starting from zero and the rows, each new
     vector is added to every known one, on both sides, and scaled by every
@@ -46,7 +63,7 @@ def row_space(u: SemiringMatrix,
                 "max_carrier", max_carrier)
     sadd, smul = s.np_add, s.np_mul
     scalars = np.arange(s.size)[:, None, None]
-    weights = s.size ** np.arange(u.cols - 1, -1, -1, dtype=np.int64)
+    weights = _weights(u)
     seen = np.zeros(s.size ** u.cols, dtype=bool)
     known = np.empty((0, u.cols), dtype=np.int64)
     new = np.array([(s.zero,) * u.cols, *u.entries],
@@ -63,21 +80,32 @@ def row_space(u: SemiringMatrix,
             sadd[known[:, None], new[None]].reshape(pairs, u.cols),
             smul[scalars, new[None]].reshape(s.size * len(new), u.cols)])
         new = new[~seen[new @ weights]]
-    members = np.nonzero(seen)[0]
-    vecs = members[:, None] // weights % s.size
-    add = np.searchsorted(members, sadd[vecs[:, None], vecs[None]]
-                          @ weights)
-    action = np.searchsorted(members, smul[scalars, vecs[None]] @ weights)
+    return np.nonzero(seen)[0]
+
+
+def _row_tables(u: SemiringMatrix, members: np.ndarray
+                ) -> Tuple[np.ndarray, np.ndarray, int]:
+    """The (add, action, zero) tables of the span with these members, on
+    the members' positions."""
+    s = u.scalars
+    weights = _weights(u)
+    vecs = _row_vectors(u, members)
+    scalars = np.arange(s.size)[:, None, None]
+    add = np.searchsorted(members,
+                          s.np_add[vecs[:, None], vecs[None]] @ weights)
+    action = np.searchsorted(members, s.np_mul[scalars, vecs[None]] @ weights)
     zero = int(np.searchsorted(members, s.zero * int(weights.sum())))
-    if u.cols == 1:
-        labels = tuple(s.label(v[0]) for v in vecs.tolist())
-    else:
-        labels = tuple("(" + ",".join(s.label(c) for c in v) + ")"
-                       for v in vecs.tolist())
-    return Subsemimodule(scalars=s, size=len(members),
-                         add=tuple(map(tuple, add.tolist())), zero=zero,
-                         action=tuple(map(tuple, action.tolist())),
-                         labels=labels, members=tuple(members.tolist()))
+    return add, action, zero
+
+
+def _weights(u: SemiringMatrix) -> np.ndarray:
+    """Big-endian base-|S| place values of a row of u."""
+    return u.scalars.size ** np.arange(u.cols - 1, -1, -1, dtype=np.int64)
+
+
+def _row_vectors(u: SemiringMatrix, members: np.ndarray) -> np.ndarray:
+    """The coordinates of each member, one row each."""
+    return members[:, None] // _weights(u) % u.scalars.size
 
 
 @dataclass(frozen=True)
@@ -151,8 +179,14 @@ def canonical_form(m: FiniteSemimodule, max_enum: int = MAX_ENUM) -> tuple:
     (codes, action) over the orderings of the join-irreducibles by colour
     that permute only within a colour cell (individualisation-refinement
     after McKay and Piperno, "Practical graph isomorphism II", 2014)."""
-    add, act = m.np_add, m.np_action
-    le = add == np.arange(m.size)             # le[y, x]: y <= x
+    return _table_form(m.np_add, m.np_action, m.zero, max_enum)
+
+
+def _table_form(add: np.ndarray, act: np.ndarray, zero: int,
+                max_enum: int) -> tuple:
+    """canonical_form of the module with these addition and action
+    tables and this zero, read from the arrays alone."""
+    le = add == np.arange(len(add))           # le[y, x]: y <= x
     colour = _ranks(np.stack([le.sum(0), le.sum(1)], axis=1))
     while True:
         k = int(colour.max()) + 1
@@ -162,7 +196,8 @@ def canonical_form(m: FiniteSemimodule, max_enum: int = MAX_ENUM) -> tuple:
         if refined.max() + 1 == k:
             break
         colour = refined
-    ji = sorted(join_irreducibles(m.add, m.zero), key=lambda x: colour[x])
+    ji = sorted(join_irreducibles(add.tolist(), zero),
+                key=lambda x: colour[x])
     cells = [list(g) for _, g in itertools.groupby(ji, key=lambda x: colour[x])]
     check_bound(EnumGuard, "canonical form orderings",
                 math.prod(math.factorial(len(c)) for c in cells),

@@ -1,11 +1,16 @@
+import contextlib
+import copy
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mvsr.cli import main
 from mvsr.jsonio import (canonical_dumps, mv_to_dict, semimodule_to_dict,
                          semiring_to_dict)
-from mvsr.mv import lukasiewicz_chain
+from mvsr.mv import lukasiewicz_chain, mv_product, reduct_vee_odot
 from mvsr.semimodule import free_semimodule, module_over_self
 from mvsr.semiring import boolean_semiring
 
@@ -306,3 +311,84 @@ def test_help_exits_zero(argv, capsys):
         main(argv)
     assert exit_info.value.code == 0
     assert capsys.readouterr().out.startswith("usage: mvsr")
+
+
+# ----- fuzzed descriptions ------------------------------------------------------
+
+_DESCRIPTIONS = (
+    mv_to_dict(lukasiewicz_chain(3)),
+    mv_to_dict(mv_product(lukasiewicz_chain(2), lukasiewicz_chain(2))),
+    semiring_to_dict(reduct_vee_odot(lukasiewicz_chain(3))),
+)
+_BAD_ENTRIES = st.one_of(st.integers(-3, 9), st.booleans(), st.floats(),
+                         st.text(max_size=3), st.none(), st.just(2 ** 70))
+
+
+def _positions(value, path=()):
+    """Every position below a JSON value, with the value found there."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, inner in items:
+        yield path + (key,), inner
+        yield from _positions(inner, path + (key,))
+
+
+def _at(desc, path):
+    for key in path:
+        desc = desc[key]
+    return desc
+
+
+@st.composite
+def _mutated(draw):
+    """A valid description with one to three mutations: an entry replaced
+    by an out-of-range int, bool, float, str, null or 2^70, an element
+    dropped from a list (a row from a table), or a key removed."""
+    desc = copy.deepcopy(draw(st.sampled_from(_DESCRIPTIONS)))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("entry", "row", "key")))
+        if kind == "entry":
+            spots = [p for p, v in _positions(desc)
+                     if not isinstance(v, (dict, list))]
+        elif kind == "row":
+            spots = [p + (i,) for p, v in _positions(desc)
+                     if isinstance(v, list) for i in range(len(v))]
+        else:
+            spots = [(key,) for key in desc]
+        if not spots:
+            continue
+        path = draw(st.sampled_from(spots))
+        parent = _at(desc, path[:-1])
+        if kind == "entry":
+            parent[path[-1]] = draw(_BAD_ENTRIES)
+        else:
+            del parent[path[-1]]
+    return desc
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=40, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(desc=_mutated())
+def test_fuzzed_descriptions_keep_the_exit_contract(desc, tmp_path,
+                                                    monkeypatch):
+    """k0 and verify on a mutated description exit 0 to 3 without a
+    traceback, and a second run prints the same bytes."""
+    monkeypatch.delenv("MVSR_CONFIG", raising=False)
+    path = tmp_path / "fuzzed.json"
+    path.write_text(json.dumps(desc), encoding="utf-8")
+    for command in ("k0", "verify"):
+        code, out, err = _run([command, "--input", str(path)])
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err
+        assert _run([command, "--input", str(path)]) == (code, out, err)

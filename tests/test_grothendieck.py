@@ -1,9 +1,10 @@
+import hashlib
 import itertools
 
 import pytest
 
 from mvsr import grothendieck
-from mvsr.errors import EnumGuard, ScalarMismatch
+from mvsr.errors import EnumGuard, ScalarMismatch, ToolkitError
 from mvsr.grothendieck import (AbelianGroupSNF, ProjClassMonoid,
                                compose_group_homs, completion_from_triples,
                                enumerate_projective_classes,
@@ -13,11 +14,12 @@ from mvsr.jsonio import canonical_dumps
 from mvsr.matrix import idempotent_matrices, mat_identity
 from mvsr.mv import MvHom, lukasiewicz_chain, mv_product, reduct_vee_odot
 from mvsr.projective import (ProjectivePresentation, are_isomorphic,
-                             block_diag, row_space)
+                             block_diag, canonical_form, row_space)
 from mvsr.semimodule import (FiniteSemimodule, SemimoduleHom,
                              free_semimodule, generate, module_over_self,
                              trivial_module)
-from mvsr.semiring import FiniteSemiring, boolean_semiring
+from mvsr.semiring import (FiniteSemiring, boolean_semiring,
+                           check_semiring_axioms, is_additively_idempotent)
 
 
 @pytest.fixture
@@ -178,6 +180,143 @@ def test_k0_report_scans_scalars_without_idempotent_addition(monkeypatch):
                 == _report_by_scan(field, n_max, monkeypatch))
     assert enumerate_projective_classes(field, 1)._index.forms is None
     assert enumerate_projective_classes(boolean_semiring(), 1)._index.forms
+
+
+def _z3():
+    return FiniteSemiring(3, tuple(tuple((a + b) % 3 for b in range(3))
+                                   for a in range(3)),
+                          tuple(tuple(a * b % 3 for b in range(3))
+                                for a in range(3)), 0, 1)
+
+
+def _lawless():
+    """The table the CLI refuses for want of a trivial class."""
+    return FiniteSemiring(3, ((0, 2, 2), (1, 1, 0), (0, 2, 0)),
+                          ((0, 0, 0), (2, 2, 2), (1, 2, 2)), 1, 2)
+
+
+def _classes_by_row_space(s, n_max, max_enum, max_carrier):
+    """Every idempotent's row space, built and classed one at a time, by
+    canonical form over the scalars that have forms and by a scan of
+    are_isomorphic over the others."""
+    forms = ({} if is_additively_idempotent(s)
+             and check_semiring_axioms(s).valid else None)
+    classes = []
+
+    def find(m):
+        if forms is None:
+            return _first_isomorphic(classes, m, max_enum)
+        return forms.get(canonical_form(m, max_enum))
+
+    for n in range(1, n_max + 1):
+        for u in idempotent_matrices(s, n, max_enum):
+            rs = row_space(u, max_carrier)
+            if find(rs) is not None:
+                continue
+            if forms is not None:
+                forms[canonical_form(rs, max_enum)] = len(classes)
+            classes.append(ProjectivePresentation(
+                s, n, u, rs, SemimoduleHom(rs, rs, tuple(range(rs.size)))))
+    return classes, find
+
+
+def _enumerate_by_row_space(s, n_max=2, max_enum=10 ** 7, max_carrier=4096):
+    """The classes and relations with a row space built for every
+    idempotent and every block sum, none of them looked up by its span."""
+    classes, find = _classes_by_row_space(s, n_max, max_enum, max_carrier)
+    trivial = grothendieck._trivial_index(classes)
+    relations = set()
+    for j in range(len(classes)):
+        relations.add((trivial, j, j))
+        relations.add((j, trivial, j))
+    for i, ci in enumerate(classes):
+        for j, cj in enumerate(classes):
+            if ci.n + cj.n <= n_max:
+                rs = row_space(block_diag(ci.u, cj.u), max_carrier)
+                relations.add((i, j, find(rs)))
+    return ProjClassMonoid(s, n_max, tuple(classes), tuple(sorted(relations)))
+
+
+def _oracle_cases():
+    chains = [reduct_vee_odot(lukasiewicz_chain(k)) for k in range(2, 8)]
+    cases = [(s, n) for s in chains + _square_tables() for n in (1, 2)]
+    cases += [(s, n) for s in (_two_element_field(), _z3()) for n in (1, 2, 3)]
+    return cases
+
+
+def test_span_index_matches_the_row_space_loop():
+    """Equal classes (matrices, sizes, modules, isos) and equal relations
+    on the 2- to 7-chains and the twelve labelled four-element boolean
+    tables at n_max 1 and 2, and over the two-element field and Z/3,
+    which take the scan, at n_max 1 to 3."""
+    cases = _oracle_cases()
+    assert len(cases) == 42
+    for s, n_max in cases:
+        got = enumerate_projective_classes(s, n_max)
+        want = _enumerate_by_row_space(s, n_max)
+        assert got.classes == want.classes
+        assert got.sum_relations == want.sum_relations
+
+
+def test_span_index_matches_the_row_space_loop_on_a_lawless_table():
+    """Over the CLI's lawless table the index stores the same classes as
+    the loop, and both refuse it with the same message."""
+    s = _lawless()
+    assert not check_semiring_axioms(s).valid
+    index = grothendieck._ClassIndex(s)
+    for n in (1, 2):
+        for u in idempotent_matrices(s, n, 10 ** 7):
+            index.find_row_space(u, 10 ** 7, 4096, store=True)
+    classes, _ = _classes_by_row_space(s, 2, 10 ** 7, 4096)
+    assert index.forms is None and index.classes == classes
+    with pytest.raises(ToolkitError) as got:
+        enumerate_projective_classes(s, 2)
+    with pytest.raises(ToolkitError) as want:
+        _enumerate_by_row_space(s, 2)
+    assert str(got.value) == str(want.value)
+
+
+def _span_key(u):
+    return u.cols, row_space(u).members
+
+
+@pytest.mark.parametrize("scalars", [
+    lambda: reduct_vee_odot(lukasiewicz_chain(4)),
+    lambda: _square_tables()[5],
+], ids=["c4", "c2xc2"])
+def test_each_span_is_classed_once(scalars, monkeypatch):
+    """A form per distinct span of the idempotents plus one per new span
+    of the block sums, and a row space only for each class."""
+    s = scalars()
+    p = enumerate_projective_classes(s, 2)
+    spans = {_span_key(u) for n in (1, 2) for u in idempotent_matrices(s, n)}
+    block_spans = {_span_key(block_diag(ci.u, cj.u))
+                   for ci in p.classes for cj in p.classes
+                   if ci.n + cj.n <= 2}
+    calls = {"_table_form": 0, "row_space": 0}
+
+    def counted(name):
+        inner = getattr(grothendieck, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(grothendieck, name, counted(name))
+    again = enumerate_projective_classes(s, 2)
+    assert again == p
+    assert len(spans) < sum(len(idempotent_matrices(s, n)) for n in (1, 2))
+    assert calls == {"_table_form": len(spans | block_spans),
+                     "row_space": len(p.classes)}
+
+
+def test_k0_report_bytes_at_n_max_3():
+    """The c3 report past the benchmark's size, pinned by digest."""
+    text = canonical_dumps(k0_report(lukasiewicz_chain(3), 3))
+    assert (hashlib.sha1(text.encode()).hexdigest()
+            == "131d289e43e4457131084fd79e65512ecaca98f0")
 
 
 def test_enumeration_guard(boolean):
