@@ -7,15 +7,9 @@ least one. Padding a matrix with zero rows and columns only appends zero
 coordinates to its row space, so classification by module isomorphism
 absorbs the padding convention; zero_pad is exposed to keep that testable.
 
-Each distinct row span is classed once: the span's members are the key
-of a dict, and an idempotent or block sum whose rows span a set seen
-before takes that set's class at once. A new span's class is found with
-one dict lookup on its canonical form, read from the span's tables, when
-the scalars obey the semiring laws and their addition is idempotent,
-since every row space is then a join semilattice; the validated row
-space is built only for a span that opens a class. Over any other
-scalars the row space is built and the stored classes are scanned with
-the isomorphism search instead.
+Row spans are classed by projective._ClassIndex, which keeps one module
+per class; the presentations are kept next to it here. Induced maps class
+each image matrix and each block sum with the target monoid's index.
 
 The completion is the abelian group presented by one generator per class
 modulo the recorded sum relations, reduced by exact integer Smith normal
@@ -34,12 +28,9 @@ from .errors import (EnumGuard, NotIdempotent, ScalarMismatch, ToolkitError,
 from .jsonio import semiring_to_dict
 from .matrix import SemiringMatrix, idempotent_matrices, is_mult_idempotent
 from .mv import MvAlgebra, MvHom, reduct_vee_odot
-from .projective import (ProjectivePresentation, _row_span, _row_tables,
-                         _table_form, are_isomorphic, block_diag,
-                         canonical_form, row_space)
-from .semimodule import FiniteSemimodule, SemimoduleHom, check_semimodule
-from .semiring import (FiniteSemiring, SemiringHom, check_semiring_axioms,
-                       is_additively_idempotent, same_scalars)
+from .projective import ProjectivePresentation, _ClassIndex, block_diag
+from .semimodule import FiniteSemimodule, SemimoduleHom
+from .semiring import FiniteSemiring, SemiringHom, same_scalars
 from .snf import (IntMatrix, SmithNormalForm, int_matrix_mul,
                   smith_normal_form)
 
@@ -83,90 +74,13 @@ class ProjClassMonoid:
         return _trivial_index(self.classes)
 
     @cached_property
-    def _index(self) -> "_ClassIndex":
-        return _ClassIndex(self.scalars, self.classes)
+    def _index(self) -> _ClassIndex:
+        return _ClassIndex(self.scalars, [cls.module for cls in self.classes])
 
     def class_of(self, m: FiniteSemimodule,
                  max_enum: int = MAX_ENUM) -> Optional[int]:
-        """Index of the first class isomorphic to m, else None. Forms are
-        used only over scalars that obey the semiring laws, so every class
-        is a module and a table that breaks the module laws matches none;
-        the addition of one that keeps them is a join semilattice, as the
-        form needs."""
-        if (self._index.forms is not None
-                and same_scalars(m.scalars, self.scalars)
-                and not check_semimodule(self.scalars, m).valid):
-            return None
-        return self._index.find(m, max_enum)
-
-
-class _ClassIndex:
-    """Stored classes and the lookup of a module's first isomorphic class.
-
-    A row space is looked up by its span first: span_classes maps
-    (u.cols, the members' bytes) to the class found for that span, and
-    identical members give an identical module, so a span seen before is
-    answered at once over any scalars. A new span is classed by form or
-    by scan. When the scalars obey the semiring laws and their addition
-    is idempotent, every row space's addition is a join semilattice, and
-    forms maps each canonical form to the first class that has it; the
-    form is read from the span's tables, and the row space itself is
-    built only when it opens a class. Otherwise forms is None and the
-    classes are scanned in order with are_isomorphic."""
-
-    def __init__(self, s: FiniteSemiring,
-                 classes: Sequence[ProjectivePresentation] = (),
-                 max_enum: int = MAX_ENUM):
-        self.scalars = s
-        self.classes = list(classes)
-        self.span_classes: Dict[Tuple[int, bytes], int] = {}
-        self.forms: Optional[Dict[tuple, int]] = None
-        if is_additively_idempotent(s) and check_semiring_axioms(s).valid:
-            self.forms = {}
-            for i, cls in enumerate(self.classes):
-                self.forms.setdefault(canonical_form(cls.module, max_enum), i)
-
-    def find(self, m: FiniteSemimodule, max_enum: int) -> Optional[int]:
         """Index of the first class isomorphic to m, else None."""
-        if not same_scalars(m.scalars, self.scalars):
-            raise ScalarMismatch("module and classes need common scalars")
-        if self.forms is None:
-            return self._scan(m, max_enum)
-        return self.forms.get(canonical_form(m, max_enum))
-
-    def find_row_space(self, u: SemiringMatrix, max_enum: int,
-                       max_carrier: int, store: bool = False
-                       ) -> Optional[int]:
-        """Index of the first class isomorphic to the row space of u, else
-        None; with store, a row space in no class is stored as the next
-        class, presented by u, and its index is returned."""
-        members = _row_span(u, max_carrier)
-        key = (u.cols, members.tobytes())
-        found = self.span_classes.get(key)
-        if found is not None:
-            return found
-        rs = form = None
-        if self.forms is None:
-            rs = row_space(u, max_carrier)
-            found = self._scan(rs, max_enum)
-        else:
-            form = _table_form(*_row_tables(u, members), max_enum)
-            found = self.forms.get(form)
-        if found is None and store:
-            found = len(self.classes)
-            if self.forms is not None:
-                self.forms[form] = found
-                rs = row_space(u, max_carrier)
-            self.classes.append(ProjectivePresentation(
-                self.scalars, u.rows, u, rs, _identity_hom(rs)))
-        if found is not None:
-            self.span_classes[key] = found
-        return found
-
-    def _scan(self, m: FiniteSemimodule, max_enum: int) -> Optional[int]:
-        return next((i for i, cls in enumerate(self.classes)
-                     if are_isomorphic(cls.module, m, max_enum) is not None),
-                    None)
+        return self._index.find(m, max_enum)
 
 
 def _trivial_index(classes: Sequence[ProjectivePresentation]) -> int:
@@ -180,10 +94,6 @@ def _trivial_index(classes: Sequence[ProjectivePresentation]) -> int:
     return index
 
 
-def _identity_hom(m: FiniteSemimodule) -> SemimoduleHom:
-    return SemimoduleHom(m, m, tuple(range(m.size)))
-
-
 def enumerate_projective_classes(s: FiniteSemiring,
                                  n_max: int = DEFAULT_N_MAX,
                                  max_enum: int = MAX_ENUM,
@@ -193,11 +103,15 @@ def enumerate_projective_classes(s: FiniteSemiring,
         raise ValueError(f"n_max={n_max} must be at least 1")
     check_power_bound(EnumGuard, "candidate matrices for the projective "
                       "classes", s.size, n_max * n_max, "max_enum", max_enum)
-    index = _ClassIndex(s, max_enum=max_enum)
+    index = _ClassIndex(s)
+    classes = []
     for n in range(1, n_max + 1):
         for u in idempotent_matrices(s, n, max_enum):
-            index.find_row_space(u, max_enum, max_carrier, store=True)
-    classes = index.classes
+            if (index.find_row_space(u, max_enum, max_carrier, store=True)
+                    == len(classes)):
+                rs = index.modules[-1]
+                classes.append(ProjectivePresentation(
+                    s, n, u, rs, SemimoduleHom(rs, rs, tuple(range(rs.size)))))
 
     trivial = _trivial_index(classes)
     relations = set()
@@ -210,6 +124,9 @@ def enumerate_projective_classes(s: FiniteSemiring,
                 continue
             relations.add((i, j, index.find_row_space(
                 block_diag(ci.u, cj.u), max_enum, max_carrier)))
+    if any(k is None for _, _, k in relations):
+        raise ToolkitError("a block sum is in no class: the scalars break "
+                           "the semiring laws")
     return ProjClassMonoid(s, n_max, tuple(classes),
                            tuple(sorted(relations)))
 
@@ -318,12 +235,16 @@ def k0_of_hom(f: Union[SemiringHom, MvHom],
               max_enum: int = MAX_ENUM,
               max_carrier: int = MAX_CARRIER) -> GroupHomMatrix:
     h = f.as_vee_odot_hom() if isinstance(f, MvHom) else f
+    if not all(p is None or same_scalars(p.scalars, s) for p, s in
+               ((source_monoid, h.source), (target_monoid, h.target))):
+        raise ScalarMismatch("class monoids need the hom's scalars")
     h.validate()
     p_a = source_monoid or enumerate_projective_classes(
         h.source, n_max, max_enum, max_carrier)
     p_b = target_monoid or enumerate_projective_classes(
         h.target, n_max, max_enum, max_carrier)
 
+    index = p_b._index
     class_map = []
     for cls in p_a.classes:
         entries = tuple(tuple(h.mapping[x] for x in row)
@@ -332,7 +253,7 @@ def k0_of_hom(f: Union[SemiringHom, MvHom],
         if not is_mult_idempotent(w):
             raise NotIdempotent("entrywise image of an idempotent matrix "
                                 "failed idempotency")
-        j = p_b.class_of(row_space(w, max_carrier), max_enum)
+        j = index.find_row_space(w, max_enum, max_carrier)
         if j is None:
             raise ValueError("image class missing from target monoid")
         class_map.append(j)
@@ -341,15 +262,13 @@ def k0_of_hom(f: Union[SemiringHom, MvHom],
     for i, j in enumerate(class_map):
         matrix[j][i] = 1
 
-    respected = True
-    for (i, j, k) in p_a.sum_relations:
-        ci, cj, ck = class_map[i], class_map[j], class_map[k]
-        rs = row_space(block_diag(p_b.classes[ci].u, p_b.classes[cj].u),
-                       max_carrier)
-        if (p_b.class_of(rs, max_enum)
-                != p_b.class_of(p_b.classes[ck].module, max_enum)):
-            respected = False
-            break
+    # class_map[k] is the first class isomorphic to the image of class k,
+    # so it is also the first class isomorphic to its own module
+    respected = all(
+        index.find_row_space(block_diag(p_b.classes[class_map[i]].u,
+                                        p_b.classes[class_map[j]].u),
+                             max_enum, max_carrier) == class_map[k]
+        for (i, j, k) in p_a.sum_relations)
 
     return GroupHomMatrix(p_a, p_b, tuple(class_map),
                           tuple(tuple(r) for r in matrix), respected)

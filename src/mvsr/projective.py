@@ -8,6 +8,8 @@ and every caller is entitled to their agreement.
 Isomorphism is decided by a hom search (are_isomorphic) or, for modules
 whose addition is a join semilattice, by comparing canonical forms
 (canonical_form), which needs no search between the two modules.
+_ClassIndex matches a module or a row span to its stored class, for the
+matrix criterion, the trichotomy and grothendieck's classes and maps.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,9 +28,10 @@ from .matrix import (SemiringMatrix, _cover, idempotent_matrices,
                      is_mult_idempotent)
 from .mv import MvAlgebra, reduct_vee_odot
 from .semimodule import (FiniteSemimodule, FreeSemimodule, SemimoduleHom,
-                         Subsemimodule, _span, generate, iter_homs,
-                         minimal_generating_set, module_over_self)
-from .semiring import FiniteSemiring, same_scalars
+                         Subsemimodule, _span, check_semimodule, generate,
+                         iter_homs, minimal_generating_set, module_over_self)
+from .semiring import (FiniteSemiring, check_semiring_axioms,
+                       is_additively_idempotent, same_scalars)
 from .tensor import join_irreducibles
 
 
@@ -235,18 +238,105 @@ def _idempotents(s: FiniteSemiring, n: int,
     return idempotent_matrices(s, n, max_enum)
 
 
+@lru_cache(maxsize=None)
+def _has_forms(s: FiniteSemiring) -> bool:
+    """Whether canonical forms decide isomorphism between modules over s."""
+    return is_additively_idempotent(s) and check_semiring_axioms(s).valid
+
+
+class _ClassIndex:
+    """Modules over one semiring, class i being modules[i], and the lookup
+    of the first class isomorphic to a module or to the row space of u.
+
+    Over scalars with forms, forms maps each class size to the forms of
+    that size, taken at its first lookup, each to its first class; a module
+    that breaks the module laws gets no form and matches nothing. Otherwise
+    forms is None and the classes are scanned with are_isomorphic. A row
+    space is looked up by its span (u.cols, members) first, as identical
+    members give an identical module; a new span's form is read from its
+    tables, so a row space is built only to be stored or scanned."""
+
+    def __init__(self, s: FiniteSemiring,
+                 modules: Sequence[FiniteSemimodule] = ()):
+        self.scalars = s
+        self.modules = list(modules)
+        self.span_classes: Dict[Tuple[int, bytes], int] = {}
+        self.forms: Optional[Dict[int, Optional[Dict[tuple, int]]]] = (
+            dict.fromkeys(m.size for m in self.modules)
+            if _has_forms(s) else None)
+
+    def find(self, m: FiniteSemimodule, max_enum: int) -> Optional[int]:
+        """Index of the first class isomorphic to m, else None."""
+        if not same_scalars(m.scalars, self.scalars):
+            raise ScalarMismatch("module and classes need common scalars")
+        if self.forms is None:
+            return self._scan(m, max_enum)
+        forms = self._forms_of_size(m.size, max_enum)
+        return forms.get(self._form(m, max_enum)) if forms else None
+
+    def find_row_space(self, u: SemiringMatrix, max_enum: int,
+                       max_carrier: int, store: bool = False
+                       ) -> Optional[int]:
+        """Index of the first class isomorphic to the row space of u, else
+        None; with store, a row space in no class is stored as the next
+        class and its index is returned."""
+        members = _row_span(u, max_carrier)
+        key = (u.cols, members.tobytes())
+        found = self.span_classes.get(key)
+        if found is not None:
+            return found
+        rs = form = None
+        if self.forms is None:
+            rs = row_space(u, max_carrier)
+            found = self._scan(rs, max_enum)
+        else:
+            forms = self._forms_of_size(len(members), max_enum)
+            if not (forms or store):
+                return None
+            form = _table_form(*_row_tables(u, members), max_enum)
+            found = forms.get(form)
+        if found is None and store:
+            found = len(self.modules)
+            self.modules.append(rs or row_space(u, max_carrier))
+            if form is not None:
+                self.forms.setdefault(len(members), {})[form] = found
+        if found is not None:
+            self.span_classes[key] = found
+        return found
+
+    def _forms_of_size(self, size: int, max_enum: int) -> Dict[tuple, int]:
+        """The forms of the classes of this size, empty if there is none."""
+        if size in self.forms and self.forms[size] is None:
+            found = [(self._form(m, max_enum), i)
+                     for i, m in enumerate(self.modules) if m.size == size]
+            self.forms[size] = {form: i for form, i in reversed(found)
+                                if form is not None}
+        return self.forms.get(size, {})
+
+    def _form(self, m: FiniteSemimodule, max_enum: int) -> Optional[tuple]:
+        """m's canonical form, or None when m breaks the module laws."""
+        return (canonical_form(m, max_enum)
+                if check_semimodule(self.scalars, m).valid else None)
+
+    def _scan(self, m: FiniteSemimodule, max_enum: int) -> Optional[int]:
+        return next((i for i, c in enumerate(self.modules)
+                     if are_isomorphic(c, m, max_enum) is not None), None)
+
+
 def is_projective_matrix_criterion(m: FiniteSemimodule, n: int = None,
                                    max_enum: int = MAX_ENUM,
                                    max_carrier: int = MAX_CARRIER
                                    ) -> Optional[ProjectivePresentation]:
-    """First idempotent u in entry order whose row space matches m."""
+    """First idempotent u in entry order whose row space matches m; the
+    row space and its isomorphism onto m are built for that u alone."""
     if n is None:
         n = len(minimal_generating_set(m))
+    index = _ClassIndex(m.scalars, (m,))
     for u in _idempotents(m.scalars, n, max_enum):
-        rs = row_space(u, max_carrier)
-        iso = are_isomorphic(rs, m, max_enum)
-        if iso is not None:
-            return ProjectivePresentation(m.scalars, n, u, rs, iso)
+        if index.find_row_space(u, max_enum, max_carrier) == 0:
+            rs = row_space(u, max_carrier)
+            return ProjectivePresentation(m.scalars, n, u, rs,
+                                          are_isomorphic(rs, m, max_enum))
     return None
 
 
@@ -360,15 +450,11 @@ def cyclic_mv_trichotomy(alg: MvAlgebra, m: FiniteSemimodule,
     sets_agree = sum_idem == prod_idem
 
     self_mod = module_over_self(scal)
-    idem = None
-    b_iso = None
-    for u in sorted(prod_idem):
-        cyc = generate(self_mod, (u,))
-        iso = are_isomorphic(cyc, m, max_enum)
-        if iso is not None:
-            idem = u
-            b_iso = iso
-            break
+    index = _ClassIndex(scal, (m,))
+    idem = next((u for u in sorted(prod_idem)
+                 if index.find(generate(self_mod, (u,)), max_enum) == 0), None)
+    b_iso = None if idem is None else are_isomorphic(
+        generate(self_mod, (idem,)), m, max_enum)
 
     complement = None
     c_iso = None
@@ -392,15 +478,14 @@ def cyclic_mv_trichotomy(alg: MvAlgebra, m: FiniteSemimodule,
             pass
     if c_iso is None:
         # no idempotent route; look for any complement among submodules
+        index = _ClassIndex(scal, (self_mod,))
         for members in all_subsemimodules(self_mod):
             if m.size * len(members) != alg.size:
                 continue
-            sub = generate(self_mod, members)
-            ds = direct_sum(m, sub)
-            iso = are_isomorphic(self_mod, ds.module, max_enum)
-            if iso is not None:
+            ds = direct_sum(m, generate(self_mod, members)).module
+            if index.find(ds, max_enum) == 0:
                 complement = members
-                c_iso = iso
+                c_iso = are_isomorphic(self_mod, ds, max_enum)
                 break
 
     consistent = (projective == (idem is not None) == (c_iso is not None)

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 
@@ -11,7 +12,7 @@ from mvsr.cli import main
 from mvsr.jsonio import (canonical_dumps, mv_to_dict, semimodule_to_dict,
                          semiring_to_dict)
 from mvsr.mv import lukasiewicz_chain, mv_product, reduct_vee_odot
-from mvsr.semimodule import free_semimodule, module_over_self
+from mvsr.semimodule import free_semimodule, generate, module_over_self
 from mvsr.semiring import boolean_semiring
 
 
@@ -110,6 +111,31 @@ def test_projective_self_module(self_file, capsys):
     assert data["projective"] is True
     assert data["witnesses"]["deciders_agree"] is True
     assert data["retraction"] is not None
+
+
+def _c3():
+    return reduct_vee_odot(lukasiewicz_chain(3))
+
+
+@pytest.mark.parametrize("module,digest", [
+    (lambda: module_over_self(boolean_semiring()),
+     "41f210c39f22dba0947dd60782fa432e464b46ee"),
+    (lambda: free_semimodule(boolean_semiring(), ["x", "y"]),
+     "f365f264632c0653e59eef6d1f7a6a247181b8b4"),
+    (lambda: module_over_self(_c3()),
+     "d60e5d713ca7ce26dc9d4a19915493cdb9fb8df5"),
+    (lambda: free_semimodule(_c3(), ["x", "y"]),
+     "04353a1cb9ae7f845858efc56c3b1e2563570ed6"),
+    (lambda: generate(module_over_self(_c3()), (1,)),
+     "590a8c3ce8b9a64ba1d48078d50ea5f5db1e471c"),
+], ids=["B-self", "B-squared", "C3-self", "C3-squared", "C3-half"])
+def test_projective_report_bytes(tmp_path, capsys, module, digest):
+    """The projective reports, pinned by digest; the C3 half (the submodule
+    generated by the middle element) is not projective."""
+    path = write(tmp_path / "module.json", semimodule_to_dict(module()))
+    assert main(["projective", "--input", path]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha1(out.encode()).hexdigest() == digest
 
 
 def test_k0_runs_are_byte_identical(tmp_path, chain3_file):
@@ -319,6 +345,9 @@ _DESCRIPTIONS = (
     mv_to_dict(lukasiewicz_chain(3)),
     mv_to_dict(mv_product(lukasiewicz_chain(2), lukasiewicz_chain(2))),
     semiring_to_dict(reduct_vee_odot(lukasiewicz_chain(3))),
+    semimodule_to_dict(module_over_self(boolean_semiring())),
+    semimodule_to_dict(free_semimodule(boolean_semiring(), ["x", "y"])),
+    semimodule_to_dict(module_over_self(_c3())),
 )
 _BAD_ENTRIES = st.one_of(st.integers(-3, 9), st.booleans(), st.floats(),
                          st.text(max_size=3), st.none(), st.just(2 ** 70))
@@ -345,13 +374,19 @@ def _at(desc, path):
 
 @st.composite
 def _mutated(draw):
-    """A valid description with one to three mutations: an entry replaced
-    by an out-of-range int, bool, float, str, null or 2^70, an element
-    dropped from a list (a row from a table), or a key removed."""
+    """A valid description with one to three mutations. In range, each
+    replaces an int by 0 or 1, which every table here holds, so that the
+    description may still parse and break a law. Otherwise each replaces
+    an entry by an out-of-range int, bool, float, str, null or 2^70, drops
+    an element from a list (a row from a table), or removes a key."""
     desc = copy.deepcopy(draw(st.sampled_from(_DESCRIPTIONS)))
+    in_range = draw(st.booleans())
     for _ in range(draw(st.integers(1, 3))):
-        kind = draw(st.sampled_from(("entry", "row", "key")))
-        if kind == "entry":
+        kind = ("value" if in_range
+                else draw(st.sampled_from(("entry", "row", "key"))))
+        if kind == "value":
+            spots = [p for p, v in _positions(desc) if type(v) is int]
+        elif kind == "entry":
             spots = [p for p, v in _positions(desc)
                      if not isinstance(v, (dict, list))]
         elif kind == "row":
@@ -363,7 +398,9 @@ def _mutated(draw):
             continue
         path = draw(st.sampled_from(spots))
         parent = _at(desc, path[:-1])
-        if kind == "entry":
+        if kind == "value":
+            parent[path[-1]] = draw(st.integers(0, 1))
+        elif kind == "entry":
             parent[path[-1]] = draw(_BAD_ENTRIES)
         else:
             del parent[path[-1]]
@@ -382,12 +419,12 @@ def _run(argv):
 @given(desc=_mutated())
 def test_fuzzed_descriptions_keep_the_exit_contract(desc, tmp_path,
                                                     monkeypatch):
-    """k0 and verify on a mutated description exit 0 to 3 without a
-    traceback, and a second run prints the same bytes."""
+    """k0, verify and projective on a mutated description exit 0 to 3
+    without a traceback, and a second run prints the same bytes."""
     monkeypatch.delenv("MVSR_CONFIG", raising=False)
     path = tmp_path / "fuzzed.json"
     path.write_text(json.dumps(desc), encoding="utf-8")
-    for command in ("k0", "verify"):
+    for command in ("k0", "verify", "projective"):
         code, out, err = _run([command, "--input", str(path)])
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in err

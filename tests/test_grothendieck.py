@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from mvsr import grothendieck
+from mvsr import grothendieck, projective
 from mvsr.errors import EnumGuard, ScalarMismatch, ToolkitError
 from mvsr.grothendieck import (AbelianGroupSNF, ProjClassMonoid,
                                compose_group_homs, completion_from_triples,
@@ -263,17 +263,33 @@ def test_span_index_matches_the_row_space_loop_on_a_lawless_table():
     the loop, and both refuse it with the same message."""
     s = _lawless()
     assert not check_semiring_axioms(s).valid
-    index = grothendieck._ClassIndex(s)
+    index = projective._ClassIndex(s)
+    stored = []
     for n in (1, 2):
         for u in idempotent_matrices(s, n, 10 ** 7):
-            index.find_row_space(u, 10 ** 7, 4096, store=True)
+            found = index.find_row_space(u, 10 ** 7, 4096, store=True)
+            if found == len(stored):
+                rs = index.modules[-1]
+                stored.append(ProjectivePresentation(
+                    s, n, u, rs, SemimoduleHom(rs, rs, tuple(range(rs.size)))))
     classes, _ = _classes_by_row_space(s, 2, 10 ** 7, 4096)
-    assert index.forms is None and index.classes == classes
+    assert index.forms is None and stored == classes
     with pytest.raises(ToolkitError) as got:
         enumerate_projective_classes(s, 2)
     with pytest.raises(ToolkitError) as want:
         _enumerate_by_row_space(s, 2)
     assert str(got.value) == str(want.value)
+
+
+def test_a_block_sum_in_no_class_is_refused():
+    """The three-chain reduct with 0 * 1 = 1/2 has a trivial class, but the
+    block sum of its class 1 with itself spans a module in no class."""
+    c3 = reduct_vee_odot(lukasiewicz_chain(3))
+    mul = [list(row) for row in c3.mul]
+    mul[0][2] = 1
+    s = FiniteSemiring(3, c3.add, mul, c3.zero, c3.one)
+    with pytest.raises(ToolkitError, match="^a block sum is in no class"):
+        enumerate_projective_classes(s, 2)
 
 
 def _span_key(u):
@@ -296,7 +312,7 @@ def test_each_span_is_classed_once(scalars, monkeypatch):
     calls = {"_table_form": 0, "row_space": 0}
 
     def counted(name):
-        inner = getattr(grothendieck, name)
+        inner = getattr(projective, name)
 
         def wrapper(*args):
             calls[name] += 1
@@ -304,7 +320,7 @@ def test_each_span_is_classed_once(scalars, monkeypatch):
         return wrapper
 
     for name in calls:
-        monkeypatch.setattr(grothendieck, name, counted(name))
+        monkeypatch.setattr(projective, name, counted(name))
     again = enumerate_projective_classes(s, 2)
     assert again == p
     assert len(spans) < sum(len(idempotent_matrices(s, n)) for n in (1, 2))
@@ -379,6 +395,43 @@ def test_k0_functor_law(square):
     composite = compose_group_homs(k_proj, k_diag)
     ident = k0_of_hom(MvHom(l2, l2, (0, 1)), 1)
     assert composite == ident.matrix
+
+
+@pytest.mark.parametrize("source,target,mapping,class_map", [
+    ("c2", "c3", (0, 2), (0, 1, 2, 4)),
+    ("c2", "c2xc2", (0, 3), (0, 3, 12, 15)),
+    ("c2xc2", "c2", (0, 0, 1, 1),
+     (0, 0, 1, 1, 0, 1, 0, 1, 2, 2, 3, 3, 2, 2, 3, 3)),
+    ("c2xc2", "c2", (0, 1, 0, 1),
+     (0, 1, 0, 1, 2, 2, 3, 3, 0, 1, 0, 1, 2, 3, 2, 3)),
+    ("c3", "c3", (0, 1, 2), (0, 1, 2, 3, 4, 5, 6)),
+], ids=["c2-into-c3", "diagonal", "first-projection", "second-projection",
+        "c3-identity"])
+def test_k0_of_hom_at_n_max_2(source, target, mapping, class_map):
+    """The class maps at n_max 2, with every sum relation respected."""
+    algebras = {"c2": lukasiewicz_chain(2), "c3": lukasiewicz_chain(3),
+                "c2xc2": mv_product(lukasiewicz_chain(2),
+                                    lukasiewicz_chain(2))}
+    res = k0_of_hom(MvHom(algebras[source], algebras[target], mapping), 2)
+    assert res.class_map == class_map
+    assert res.relations_respected
+
+
+@pytest.mark.parametrize("side", ["source_monoid", "target_monoid"])
+@pytest.mark.parametrize("scalars", [
+    lambda: reduct_vee_odot(lukasiewicz_chain(3)),
+    lambda: _relabelled(boolean_semiring(), (1, 0)),
+], ids=["three-chain", "swapped-boolean"])
+def test_k0_of_hom_refuses_monoids_over_other_scalars(side, scalars):
+    """A class monoid over the three-chain, or over the boolean tables with
+    0 and 1 swapped, does not fit the identity on the two-chain on either
+    side; the monoid over its own scalars does."""
+    ident = MvHom(lukasiewicz_chain(2), lukasiewicz_chain(2), (0, 1))
+    with pytest.raises(ScalarMismatch):
+        k0_of_hom(ident, 1, **{side: enumerate_projective_classes(
+            scalars(), 1)})
+    own = enumerate_projective_classes(boolean_semiring(), 1)
+    assert k0_of_hom(ident, 1, **{side: own}).class_map == (0, 1)
 
 
 def test_k0_diagonal_sends_free_to_free(square):

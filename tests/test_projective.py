@@ -2,20 +2,23 @@ import random
 
 import pytest
 
+from mvsr import projective
 from mvsr.errors import (EnumGuard, NotAHom, NotCyclic, ScalarMismatch,
                          SizeGuard)
 from mvsr.matrix import (SemiringMatrix, idempotent_matrices, mat_identity,
                          mat_zero)
 from mvsr.mv import lukasiewicz_chain, mv_product, reduct_vee_odot
-from mvsr.projective import (all_subsemimodules, are_isomorphic, block_diag,
-                             canonical_form, cyclic_mv_trichotomy,
-                             direct_sum, is_projective_matrix_criterion,
+from mvsr.projective import (ProjectivePresentation, all_subsemimodules,
+                             are_isomorphic, block_diag, canonical_form,
+                             cyclic_mv_trichotomy, direct_sum,
+                             is_projective_matrix_criterion,
                              is_projective_retract_oracle, row_space)
 from mvsr.semimodule import (FiniteSemimodule, SemimoduleHom,
                              check_semimodule, free_semimodule, generate,
                              hom_set, iter_homs, module_over_self,
                              trivial_module)
-from mvsr.semiring import FiniteSemiring, boolean_semiring
+from mvsr.semiring import (FiniteSemiring, boolean_semiring,
+                           is_additively_idempotent)
 from mvsr.tensor import enumerate_modules
 
 
@@ -332,3 +335,100 @@ def test_trichotomy_needs_cyclic(boolean):
 def test_trichotomy_scalar_mismatch(three):
     with pytest.raises(ScalarMismatch):
         cyclic_mv_trichotomy(lukasiewicz_chain(2), module_over_self(three))
+
+
+def _matrix_criterion_by_row_space(m, n):
+    """The decider with a row space and an isomorphism search for every
+    idempotent in entry order."""
+    for u in idempotent_matrices(m.scalars, n):
+        rs = row_space(u)
+        iso = are_isomorphic(rs, m)
+        if iso is not None:
+            return ProjectivePresentation(m.scalars, n, u, rs, iso)
+    return None
+
+
+def _two_element_field():
+    return FiniteSemiring(2, ((0, 1), (1, 0)), ((0, 0), (0, 1)), 0, 1)
+
+
+def _z3():
+    return FiniteSemiring(3, tuple(tuple((a + b) % 3 for b in range(3))
+                                   for a in range(3)),
+                          tuple(tuple(a * b % 3 for b in range(3))
+                                for a in range(3)), 0, 1)
+
+
+def _lawless_tables():
+    """x + x = 0 with 1 + 1 = 1 on two elements, and the three-chain with
+    2 + 1 = 0, over the boolean semiring."""
+    boolean = boolean_semiring()
+    return [FiniteSemimodule(boolean, 2, ((0, 1), (1, 0)), 0,
+                             ((0, 0), (0, 1))),
+            FiniteSemimodule(boolean, 3, ((0, 1, 2), (1, 1, 2), (2, 0, 2)),
+                             0, ((0, 0, 0), (0, 1, 2)))]
+
+
+def _decider_cases():
+    """(module, n): the row space of every idempotent of size 1 and 2
+    over c2, c3, c4 and c2 x c2, over the two-element field and over Z/3,
+    each at n = 1 and 2, and the two lawless tables."""
+    scalars = [reduct_vee_odot(lukasiewicz_chain(k)) for k in (2, 3, 4)]
+    scalars += [_square(), _two_element_field(), _z3()]
+    cases = [(m, n) for s in scalars for m in _row_spaces(s) for n in (1, 2)]
+    return cases + [(m, n) for m in _lawless_tables() for n in (1, 2)]
+
+
+def test_matrix_criterion_matches_the_row_space_loop():
+    """Equal presentations (matrix, row space and isomorphism), or None on
+    both sides, against a row space and an isomorphism search for every
+    idempotent: 430 cases over c2, c3, c4 and c2 x c2, 52 over the field
+    and Z/3, which take the scan, and 4 on the lawless tables."""
+    cases = _decider_cases()
+    assert len(cases) == 486
+    found = 0
+    for m, n in cases:
+        got = is_projective_matrix_criterion(m, n)
+        assert got == _matrix_criterion_by_row_space(m, n)
+        found += got is not None
+    assert 0 < found < len(cases)
+
+
+def test_matrix_criterion_builds_one_row_space(monkeypatch):
+    """Over scalars with canonical forms a call builds at most one row
+    space and makes at most one isomorphism search: the witness for the
+    idempotent found."""
+    calls = {"row_space": 0, "are_isomorphic": 0}
+
+    def counted(name):
+        inner = getattr(projective, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        return wrapper
+
+    cases = [(m, n) for m, n in _decider_cases()
+             if is_additively_idempotent(m.scalars)]
+    assert len(cases) == 434
+    for name in calls:
+        monkeypatch.setattr(projective, name, counted(name))
+    for m, n in cases:
+        calls.update(row_space=0, are_isomorphic=0)
+        found = is_projective_matrix_criterion(m, n) is not None
+        assert calls == {"row_space": found, "are_isomorphic": found}
+
+
+def test_matrix_criterion_takes_forms_only_at_the_module_size(boolean,
+                                                               monkeypatch):
+    """At n = 1 every span over the boolean semiring has at most two
+    elements, so the free module on four points, whose form would try 4!
+    orderings (test_canonical_form_guard), is refused under max_enum 23
+    without a form, its own or a span's."""
+    forms = []
+    table_form = projective._table_form
+    monkeypatch.setattr(projective, "_table_form",
+                        lambda *args: forms.append(1) or table_form(*args))
+    free = free_semimodule(boolean, list("abcd"))
+    assert is_projective_matrix_criterion(free, 1, max_enum=23) is None
+    assert not forms
