@@ -28,7 +28,7 @@ from .matrix import (SemiringMatrix, _cover, idempotent_matrices,
                      is_mult_idempotent)
 from .mv import MvAlgebra, reduct_vee_odot
 from .semimodule import (FiniteSemimodule, FreeSemimodule, SemimoduleHom,
-                         Subsemimodule, _span, check_semimodule, generate,
+                         Subsemimodule, _module_laws_hold, _span, generate,
                          iter_homs, minimal_generating_set, module_over_self)
 from .semiring import (FiniteSemiring, check_semiring_axioms,
                        is_additively_idempotent, same_scalars)
@@ -316,7 +316,7 @@ class _ClassIndex:
     def _form(self, m: FiniteSemimodule, max_enum: int) -> Optional[tuple]:
         """m's canonical form, or None when m breaks the module laws."""
         return (canonical_form(m, max_enum)
-                if check_semimodule(self.scalars, m).valid else None)
+                if _module_laws_hold(self.scalars, m) else None)
 
     def _scan(self, m: FiniteSemimodule, max_enum: int) -> Optional[int]:
         return next((i for i, c in enumerate(self.modules)

@@ -8,12 +8,16 @@ chunk, column by column in derivation order, and every row is then checked
 against the zero, addition and action laws in one array sweep, so the
 derivation is only a funnel and correctness rests on the final check. The
 hom laws exist once, as the mismatch arrays of _law_mismatches: _hom_mask
-reads them for a chunk, _broken_law for the first witness of one map.
+reads them for a chunk, _broken_law for the first witness of one map. The
+module laws likewise exist once, as the lazy witnesses of
+_module_law_witnesses: check_semimodule reports them all, and
+_module_laws_hold stops at the first broken one.
 
 iter_homs is the one lazy enumerator of hom objects, and hom_set
 materialises it. Searches stop at their answer (are_isomorphic at the first
 bijective hom, the retract oracle at the first section); counts take the
-rows directly (full_embedding_check, free_universal_property).
+rows directly (free_universal_property, and full_embedding_check on the
+pairs the restriction lemma does not settle).
 """
 from __future__ import annotations
 
@@ -91,15 +95,27 @@ def check_semimodule(s: FiniteSemiring, m: FiniteSemimodule) -> AxiomReport:
 
     Over an additively idempotent semiring an extra add-idempotent law is
     reported; it follows from the others but is asserted on its own."""
+    return AxiomReport("semimodule",
+                       tuple(LawCheck(name, w is None, w)
+                             for name, w in _module_law_witnesses(s, m)))
+
+
+def _module_laws_hold(s: FiniteSemiring, m: FiniteSemimodule) -> bool:
+    """check_semimodule(s, m).valid, stopping at the first broken law."""
+    return all(w is None for _, w in _module_law_witnesses(s, m))
+
+
+def _module_law_witnesses(s: FiniteSemiring, m: FiniteSemimodule
+                          ) -> Iterator[Tuple[str, Optional[tuple]]]:
+    """Each law of check_semimodule as (name, first witness or None), in
+    report order, each checked only when it is asked for."""
     if not same_scalars(s, m.scalars):
         raise ScalarMismatch("module does not live over the given scalars")
     add, act = m.np_add, m.np_action
     sadd, smul = s.np_add, s.np_mul
-    laws: List[LawCheck] = []
-    for name, w in (("add-associative", _first_assoc_failure(add)),
-                    ("add-commutative", _first_comm_failure(add)),
-                    ("add-identity", _first_identity_failure(add, m.zero))):
-        laws.append(LawCheck(name, w is None, w))
+    yield "add-associative", _first_assoc_failure(add)
+    yield "add-commutative", _first_comm_failure(add)
+    yield "add-identity", _first_identity_failure(add, m.zero)
 
     w = None
     for a in range(s.size):
@@ -110,7 +126,7 @@ def check_semimodule(s: FiniteSemiring, m: FiniteSemimodule) -> AxiomReport:
             x = int(np.nonzero(comp[b] != direct[b])[0][0])
             w = (a, b, x)
             break
-    laws.append(LawCheck("action-associative", w is None, w))
+    yield "action-associative", w
 
     w = None
     for a in range(s.size):
@@ -121,7 +137,7 @@ def check_semimodule(s: FiniteSemiring, m: FiniteSemimodule) -> AxiomReport:
             x, y = np.argwhere(lhs != rhs)[0]
             w = (a, int(x), int(y))
             break
-    laws.append(LawCheck("action-additive", w is None, w))
+    yield "action-additive", w
 
     lhs = act[sadd]                        # (a+b)x
     rhs = add[act[:, None, :], act[None, :, :]]     # ax + bx
@@ -129,11 +145,10 @@ def check_semimodule(s: FiniteSemiring, m: FiniteSemimodule) -> AxiomReport:
     if not np.array_equal(lhs, rhs):
         a, b, x = np.argwhere(lhs != rhs)[0]
         w = (int(a), int(b), int(x))
-    laws.append(LawCheck("scalar-additive", w is None, w))
+    yield "scalar-additive", w
 
     bad = np.argwhere(act[s.one] != np.arange(m.size))
-    laws.append(LawCheck("action-unital", len(bad) == 0,
-                         (int(bad[0][0]),) if len(bad) else None))
+    yield "action-unital", (int(bad[0][0]),) if len(bad) else None
 
     w = None
     bad = np.argwhere(act[s.zero] != m.zero)
@@ -143,15 +158,11 @@ def check_semimodule(s: FiniteSemiring, m: FiniteSemimodule) -> AxiomReport:
         bad = np.argwhere(act[:, m.zero] != m.zero)
         if len(bad):
             w = (int(bad[0][0]), m.zero)
-    laws.append(LawCheck("action-zero", w is None, w))
+    yield "action-zero", w
 
     if is_additively_idempotent(s):
-        w = None
         bad = np.argwhere(add.diagonal() != np.arange(m.size))
-        if len(bad):
-            w = (int(bad[0][0]),)
-        laws.append(LawCheck("add-idempotent", w is None, w))
-    return AxiomReport("semimodule", tuple(laws))
+        yield "add-idempotent", (int(bad[0][0]),) if len(bad) else None
 
 
 # ----- free semimodules ----------------------------------------------------

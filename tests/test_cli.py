@@ -419,13 +419,26 @@ def _run(argv):
 @given(desc=_mutated())
 def test_fuzzed_descriptions_keep_the_exit_contract(desc, tmp_path,
                                                     monkeypatch):
-    """k0, verify and projective on a mutated description exit 0 to 3
-    without a traceback, and a second run prints the same bytes."""
+    """Every subcommand that reads JSON exits 0 to 3 on a mutated
+    description without a traceback, and a second run prints the same
+    bytes. tensor and homset take it on each side in turn, with B over
+    itself on the other."""
     monkeypatch.delenv("MVSR_CONFIG", raising=False)
-    path = tmp_path / "fuzzed.json"
-    path.write_text(json.dumps(desc), encoding="utf-8")
-    for command in ("k0", "verify", "projective"):
-        code, out, err = _run([command, "--input", str(path)])
+    fuzzed = tmp_path / "fuzzed.json"
+    fuzzed.write_text(json.dumps(desc), encoding="utf-8")
+    path = str(fuzzed)
+    b_self = write(tmp_path / "self.json",
+                   semimodule_to_dict(module_over_self(boolean_semiring())))
+    commands = [[command, "--input", path]
+                for command in ("k0", "verify", "projective")]
+    commands += [["reduct", variant, "--input", path]
+                 for variant in ("vee-odot", "wedge-oplus")]
+    commands.append(["idempotents", "--input", path, "--n", "1"])
+    commands += [[command, "--left", left, "--right", right]
+                 for command in ("tensor", "homset")
+                 for left, right in ((path, b_self), (b_self, path))]
+    for argv in commands:
+        code, out, err = _run(argv)
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in err
-        assert _run([command, "--input", str(path)]) == (code, out, err)
+        assert _run(argv) == (code, out, err)

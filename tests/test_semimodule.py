@@ -3,12 +3,14 @@ import itertools
 import pytest
 
 import mvsr.semimodule
+import mvsr.tensor
 from mvsr.errors import (EnumGuard, IllDefinedAction, MalformedTable,
                          NotAHom, ScalarMismatch)
 from mvsr.mv import (lukasiewicz_chain, mv_product, quotient, reduct_vee_odot,
                      star_reduct_isomorphism)
 from mvsr.semimodule import (FiniteSemimodule, SemimoduleHom, _broken_law,
-                             _derivation_order, additive_monoid_module,
+                             _derivation_order, _module_laws_hold,
+                             additive_monoid_module,
                              check_semimodule,
                              compose_module_homs, end_semiring,
                              endmv_check, free_semimodule,
@@ -71,6 +73,51 @@ def test_bad_middle_row_fails_exactly_scalar_additive(three):
     failed = report.failures()
     assert [law.name for law in failed] == ["scalar-additive"]
     assert failed[0].witness == (1, 2, 1)
+
+
+def test_law_check_stops_at_the_first_broken_law(boolean, three,
+                                                 monkeypatch):
+    """_module_laws_hold agrees with the full report on every candidate
+    enumerate_modules tries over B up to 4 and C3 up to 4, on the diamonds
+    with every middle row, on the lawless join semilattices, on two tables
+    whose addition breaks the laws and on three that each break one action
+    law alone."""
+    tried = []
+
+    def record(s, m):
+        tried.append((s, m))
+        return _module_laws_hold(s, m)
+
+    monkeypatch.setattr(mvsr.tensor, "_module_laws_hold", record)
+    assert len(enumerate_modules(boolean, 4)) == 13
+    assert len(enumerate_modules(three, 4)) == 33
+    assert len(tried) == 13 + 183
+    tables = tried + [(three, diamond(three, row))
+                      for row in itertools.product(range(4), repeat=4)]
+    tables += [(boolean, m) for m in _lawless_targets(boolean)]
+    tables += [(boolean, FiniteSemimodule(boolean, 2, ((0, 1), (1, 0)), 0,
+                                          ((0, 0), (0, 1)))),
+               (boolean, FiniteSemimodule(boolean, 3,
+                                          ((0, 1, 2), (1, 1, 2), (2, 0, 2)),
+                                          0, ((0, 0, 0), (0, 1, 2))))]
+    chain = ((0, 1), (1, 1))
+    single = [(boolean, FiniteSemimodule(boolean, 2, chain, 0, action))
+              for action in (((0, 1), (0, 1)), ((0, 0), (0, 0)))]
+    single += [(three, FiniteSemimodule(three, 2, chain, 0,
+                                        ((0, 0), (0, 1), (0, 1))))]
+    assert [[law.name for law in check_semimodule(s, m).failures()]
+            for s, m in single] == [["action-zero"], ["action-unital"],
+                                    ["action-associative"]]
+    tables += single
+    verdicts = [check_semimodule(s, m).valid for s, m in tables]
+    assert [_module_laws_hold(s, m) for s, m in tables] == verdicts
+    assert 0 < sum(verdicts) < len(tables)
+
+    monkeypatch.setattr(mvsr.semimodule, "is_additively_idempotent",
+                        lambda s: pytest.fail("checked past a broken law"))
+    assert not _module_laws_hold(three, diamond(three, (0, 2, 0, 2)))
+    with pytest.raises(ScalarMismatch):
+        _module_laws_hold(boolean, module_over_self(three))
 
 
 def test_action_row_count_checked(boolean):

@@ -9,9 +9,10 @@ from mvsr.errors import (EnumGuard, IllDefinedAction, NotIdempotent, NotOnto,
 from mvsr.mv import (lukasiewicz_chain, mv_product, quotient,
                      reduct_vee_odot)
 from mvsr.projective import are_isomorphic
-from mvsr.semimodule import (FiniteSemimodule, check_semimodule,
-                             free_semimodule, hom_set, module_over_self,
-                             restrict_scalars, trivial_module)
+from mvsr.semimodule import (FiniteSemimodule, _hom_mask, _hom_plan,
+                             _hom_rows, check_semimodule, free_semimodule,
+                             hom_set, module_over_self, restrict_scalars,
+                             trivial_module)
 from mvsr.semiring import FiniteSemiring, SemiringHom, boolean_semiring, fold
 from mvsr.tensor import (FreeSemilattice, SemilatticeCongruence,
                          TensorProduct, _commutative_monoid_tables,
@@ -790,6 +791,117 @@ def test_full_embedding_requires_onto(boolean):
     diag = SemiringHom(boolean, square, (0, 3))
     with pytest.raises(NotOnto):
         full_embedding_check(diag)
+
+
+def _stray_by_enumeration(h, modules, max_enum=10 ** 6):
+    """Homs between restrictions that are not homs over the target scalars,
+    counted over every pair by enumeration."""
+    restricted = [mvsr.tensor.restrict_scalars(h, mb) for mb in modules]
+    stray = 0
+    for mb, ma in zip(modules, restricted):
+        plan = _hom_plan(ma)
+        for nb, na in zip(modules, restricted):
+            for rows in _hom_rows(ma, na, max_enum, plan):
+                stray += len(rows) - int(_hom_mask(mb, nb, rows).sum())
+    return stray
+
+
+def _embedding_maps():
+    """The four maps of _onto_maps and the quotient of c2 x c2 by the ideal
+    {0, (0, 1)}."""
+    square = mv_product(lukasiewicz_chain(2), lukasiewicz_chain(2))
+    toward = quotient(square, (0, 1))
+    return _onto_maps() + (SemiringHom(reduct_vee_odot(square),
+                                       reduct_vee_odot(toward.algebra),
+                                       toward.hom.mapping),)
+
+
+def _lawless_modules(s):
+    """The join semilattice 0 < p, q < t with each listed row as the
+    action of every scalar but zero: each breaks a module law."""
+    add = ((0, 1, 2, 3), (1, 1, 3, 3), (2, 3, 2, 3), (3, 3, 3, 3))
+    for row in ((0, 0, 0, 0), (0, 2, 1, 3), (0, 1, 1, 3), (0, 3, 0, 3)):
+        action = [row] * s.size
+        action[s.zero] = (0, 0, 0, 0)
+        yield FiniteSemimodule(s, 4, add, 0, tuple(action))
+
+
+def _restrict_middle_to_zero(h, n):
+    """The restriction along h with every scalar sent to the target's middle
+    scalar acting as zero: not a pullback, so homs can be lost."""
+    action = tuple((n.zero,) * n.size if b == 1 else n.action[b]
+                   for b in h.mapping)
+    return FiniteSemimodule(h.source, n.size, n.add, n.zero, action,
+                            n.labels)
+
+
+def test_fullness_matches_the_enumeration():
+    """On the five onto maps, with every module up to size 4 and with six
+    of them plus four lawless ones, the count equals the enumeration's."""
+    checked = 0
+    for h in _embedding_maps():
+        modules = enumerate_modules(h.target, 4)
+        lawless = tuple(_lawless_modules(h.target))
+        assert not any(check_semimodule(h.target, m).valid for m in lawless)
+        for tests in (modules, modules[:6] + lawless):
+            res = full_embedding_check(h, tests)
+            assert res["homs_lost_by_restriction"] == \
+                _stray_by_enumeration(h, tests) == 0
+            checked += 1
+    assert checked == 10
+
+
+def test_a_wrong_restriction_loses_homs_in_both_counts(monkeypatch):
+    """Sending c3's middle scalar to zero in the restriction along
+    c2 x c3 -> c3 loses homs: both counts agree and the check fails."""
+    h = _onto_maps()[2]
+    modules = enumerate_modules(h.target, 4)
+    lawless = modules[:6] + tuple(_lawless_modules(h.target))
+    monkeypatch.setattr(mvsr.tensor, "restrict_scalars",
+                        _restrict_middle_to_zero)
+    res = full_embedding_check(h, size_bound=4)
+    assert res["homs_lost_by_restriction"] == \
+        _stray_by_enumeration(h, modules) == 9040
+    assert not res["ok"]
+    res = full_embedding_check(h, lawless)
+    assert res["homs_lost_by_restriction"] == \
+        _stray_by_enumeration(h, lawless) > 0
+    assert not res["ok"]
+
+
+def test_a_pullback_pair_is_never_enumerated(monkeypatch):
+    """Over c2 x c3 -> c3 a correct restriction leaves nothing to
+    enumerate; a wrong one enumerates exactly the pairs with a module that
+    is not pulled back, each source planned once."""
+    h = _onto_maps()[2]
+    rows_calls, plan_calls = [], []
+
+    def rows(m, n, *args):
+        rows_calls.append((m, n))
+        return _hom_rows(m, n, *args)
+
+    def plan(m):
+        plan_calls.append(m)
+        return _hom_plan(m)
+
+    monkeypatch.setattr(mvsr.tensor, "_hom_rows", rows)
+    monkeypatch.setattr(mvsr.tensor, "_hom_plan", plan)
+    res = full_embedding_check(h, size_bound=4)
+    assert res["modules"] == 33 and res["ok"]
+    assert rows_calls == [] and plan_calls == []
+
+    monkeypatch.setattr(mvsr.tensor, "restrict_scalars",
+                        _restrict_middle_to_zero)
+    modules = enumerate_modules(h.target, 4)
+    restricted = [_restrict_middle_to_zero(h, mb) for mb in modules]
+    pulled = [ma.action == tuple(mb.action[b] for b in h.mapping)
+              for mb, ma in zip(modules, restricted)]
+    expected = [(ma, na) for ma, p in zip(restricted, pulled)
+                for na, q in zip(restricted, pulled) if not (p and q)]
+    assert 0 < sum(pulled) < len(modules)
+    full_embedding_check(h, size_bound=4)
+    assert rows_calls == expected
+    assert plan_calls == restricted
 
 
 # ----- the finite shadow ------------------------------------------------------
