@@ -16,8 +16,7 @@ _module_laws_hold stops at the first broken one.
 iter_homs is the one lazy enumerator of hom objects, and hom_set
 materialises it. Searches stop at their answer (are_isomorphic at the first
 bijective hom, the retract oracle at the first section); counts take the
-rows directly (free_universal_property, and full_embedding_check on the
-pairs the restriction lemma does not settle).
+rows directly (free_universal_property).
 """
 from __future__ import annotations
 

@@ -793,10 +793,11 @@ def test_full_embedding_requires_onto(boolean):
         full_embedding_check(diag)
 
 
-def _stray_by_enumeration(h, modules, max_enum=10 ** 6):
+def _stray_by_enumeration(h, modules, restrict=restrict_scalars,
+                          max_enum=10 ** 6):
     """Homs between restrictions that are not homs over the target scalars,
     counted over every pair by enumeration."""
-    restricted = [mvsr.tensor.restrict_scalars(h, mb) for mb in modules]
+    restricted = [restrict(h, mb) for mb in modules]
     stray = 0
     for mb, ma in zip(modules, restricted):
         plan = _hom_plan(ma)
@@ -835,73 +836,46 @@ def _restrict_middle_to_zero(h, n):
                             n.labels)
 
 
+def _is_pullback(h, mb, ma):
+    """Whether ma is mb over h's source with the action pulled back along h:
+    the hypothesis of the restriction lemma."""
+    return (ma.scalars is h.source and ma.size == mb.size
+            and ma.add == mb.add and ma.zero == mb.zero
+            and ma.action == tuple(mb.action[b] for b in h.mapping))
+
+
 def test_fullness_matches_the_enumeration():
     """On the five onto maps, with every module up to size 4 and with six
-    of them plus four lawless ones, the count equals the enumeration's."""
+    of them plus four lawless ones, every restriction is a pullback and
+    the lemma's count equals the enumeration's."""
     checked = 0
     for h in _embedding_maps():
         modules = enumerate_modules(h.target, 4)
         lawless = tuple(_lawless_modules(h.target))
         assert not any(check_semimodule(h.target, m).valid for m in lawless)
         for tests in (modules, modules[:6] + lawless):
+            assert all(_is_pullback(h, mb, restrict_scalars(h, mb))
+                       for mb in tests)
             res = full_embedding_check(h, tests)
             assert res["homs_lost_by_restriction"] == \
                 _stray_by_enumeration(h, tests) == 0
+            assert res["fullness_pairs"] == len(tests) ** 2
             checked += 1
     assert checked == 10
 
 
-def test_a_wrong_restriction_loses_homs_in_both_counts(monkeypatch):
+def test_the_enumeration_sees_a_restriction_that_is_not_a_pullback():
     """Sending c3's middle scalar to zero in the restriction along
-    c2 x c3 -> c3 loses homs: both counts agree and the check fails."""
+    c2 x c3 -> c3 breaks the lemma's hypothesis, and the oracle counts
+    the homs it loses."""
     h = _onto_maps()[2]
     modules = enumerate_modules(h.target, 4)
-    lawless = modules[:6] + tuple(_lawless_modules(h.target))
-    monkeypatch.setattr(mvsr.tensor, "restrict_scalars",
-                        _restrict_middle_to_zero)
-    res = full_embedding_check(h, size_bound=4)
-    assert res["homs_lost_by_restriction"] == \
-        _stray_by_enumeration(h, modules) == 9040
-    assert not res["ok"]
-    res = full_embedding_check(h, lawless)
-    assert res["homs_lost_by_restriction"] == \
-        _stray_by_enumeration(h, lawless) > 0
-    assert not res["ok"]
-
-
-def test_a_pullback_pair_is_never_enumerated(monkeypatch):
-    """Over c2 x c3 -> c3 a correct restriction leaves nothing to
-    enumerate; a wrong one enumerates exactly the pairs with a module that
-    is not pulled back, each source planned once."""
-    h = _onto_maps()[2]
-    rows_calls, plan_calls = [], []
-
-    def rows(m, n, *args):
-        rows_calls.append((m, n))
-        return _hom_rows(m, n, *args)
-
-    def plan(m):
-        plan_calls.append(m)
-        return _hom_plan(m)
-
-    monkeypatch.setattr(mvsr.tensor, "_hom_rows", rows)
-    monkeypatch.setattr(mvsr.tensor, "_hom_plan", plan)
-    res = full_embedding_check(h, size_bound=4)
-    assert res["modules"] == 33 and res["ok"]
-    assert rows_calls == [] and plan_calls == []
-
-    monkeypatch.setattr(mvsr.tensor, "restrict_scalars",
-                        _restrict_middle_to_zero)
-    modules = enumerate_modules(h.target, 4)
-    restricted = [_restrict_middle_to_zero(h, mb) for mb in modules]
-    pulled = [ma.action == tuple(mb.action[b] for b in h.mapping)
-              for mb, ma in zip(modules, restricted)]
-    expected = [(ma, na) for ma, p in zip(restricted, pulled)
-                for na, q in zip(restricted, pulled) if not (p and q)]
+    pulled = [_is_pullback(h, mb, _restrict_middle_to_zero(h, mb))
+              for mb in modules]
     assert 0 < sum(pulled) < len(modules)
-    full_embedding_check(h, size_bound=4)
-    assert rows_calls == expected
-    assert plan_calls == restricted
+    assert _stray_by_enumeration(h, modules, _restrict_middle_to_zero) == 9040
+    lawless = modules[:6] + tuple(_lawless_modules(h.target))
+    assert _stray_by_enumeration(h, lawless, _restrict_middle_to_zero) > 0
 
 
 # ----- the finite shadow ------------------------------------------------------
