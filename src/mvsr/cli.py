@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import Tuple
@@ -134,11 +135,33 @@ def cmd_tensor(args, cfg: ToolConfig) -> Tuple[dict, int]:
     return report, 0 if report["universal_property"] == "verified" else 2
 
 
-def cmd_gamma(args, cfg: ToolConfig) -> Tuple[dict, int]:
+# CPython's default cap on the digits of an int printed as text
+_MAX_U_DIGITS = 4300
+_U_LITERAL = re.compile(r"\s*[-+]?([\d_]*)(?:\s*/\s*([\d_]*)"
+                        r"|(?:\.([\d_]*))?(?:[eE]([-+]?\d[\d_]*))?)\s*")
+
+
+def _parse_unit(text: str) -> Fraction:
+    """--u as a Fraction. A literal whose numerator or denominator, as
+    written, has more digits than a report could print is refused before
+    Fraction raises 10 to its exponent; past 9 digits, any exponent is."""
+    m = _U_LITERAL.fullmatch(text)
+    if m:
+        num, den, dec, exp = (g.replace("_", "") for g in m.groups(""))
+        big = len(exp.lstrip("+-0")) > 9
+        shift = (10 ** 10 if big else int(exp or 0)) - len(dec)
+        if max(len(num + dec) + max(shift, 0), len(den),
+               1 - shift) > _MAX_U_DIGITS:
+            raise MalformedTable(f"--u has a numerator or denominator of "
+                                 f"more than {_MAX_U_DIGITS} digits")
     try:
-        u = Fraction(args.u)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise MalformedTable(f"cannot parse --u {args.u!r}: {exc}")
+        raise MalformedTable(f"cannot parse --u {text!r}: {exc}")
+
+
+def cmd_gamma(args, cfg: ToolConfig) -> Tuple[dict, int]:
+    u = _parse_unit(args.u)
     samples = args.samples if args.samples is not None else 10000
     seed = args.seed if args.seed is not None else cfg.seed
     report = gamma_property_report(TropicalUSemifield(u), samples, seed)

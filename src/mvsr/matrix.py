@@ -19,8 +19,9 @@ from .errors import (MalformedTable, NoDecomposition, NotFreeBasis,
                      check_power_bound)
 from .semiring import (FiniteSemiring, SemiringHom, check_semiring_axioms,
                        int_row, same_scalars)
-from .semimodule import (EndSemiring, FiniteSemimodule, FreeSemimodule,
-                         SemimoduleHom, _span, end_semiring, free_semimodule)
+from .semimodule import (_CHUNK_ELEMENTS, EndSemiring, FiniteSemimodule,
+                         FreeSemimodule, SemimoduleHom, _assignments, _digits,
+                         _span, _weights, end_semiring, free_semimodule)
 
 
 @dataclass(frozen=True)
@@ -87,40 +88,36 @@ def is_mult_idempotent(u: SemiringMatrix) -> bool:
     return mat_star_mul(u, u).entries == u.entries
 
 
-_SWEEP_CHUNK = 1 << 15
-
-
 def idempotent_matrices(s: FiniteSemiring, n: int,
                         max_enum: int = MAX_ENUM) -> Tuple[SemiringMatrix, ...]:
     """All u with u*u = u in M_n(s), in entry-lexicographic order.
 
-    Candidates are decoded in chunks from their entry-lex positions and
-    squared together through the scalar tables, each entry folded from the
-    scalar zero as mat_star_mul folds it; a matrix is built only for the
-    candidates kept."""
+    Candidates are the chunks of _assignments over the n*n entries, each of
+    at most _CHUNK_ELEMENTS entries, squared together through the scalar
+    tables, each entry folded from the scalar zero as mat_star_mul folds
+    it; a matrix is built only for the candidates kept."""
     if n < 0:
         raise ValueError(f"matrix size n={n} must not be negative")
     check_power_bound(SizeGuard, "candidate idempotent matrices", s.size,
                       n * n, "max_enum", max_enum)
-    total = s.size ** (n * n)
-    sadd, smul = s.np_add, s.np_mul
-    weights = s.size ** np.arange(n * n - 1, -1, -1, dtype=np.int64)
     out = []
-    for lo in range(0, total, _SWEEP_CHUNK):
-        flat = (np.arange(lo, min(lo + _SWEEP_CHUNK, total),
-                          dtype=np.int64)[:, None] // weights % s.size)
+    for flat in _assignments(s.size, n * n, _CHUNK_ELEMENTS // max(1, n * n)):
         u = flat.reshape(len(flat), n, n)
         keep = np.ones(len(flat), dtype=bool)
-        for i in range(n):
-            for j in range(n):
-                acc = np.full(len(flat), s.zero, dtype=np.int64)
-                for k in range(n):
-                    acc = sadd[acc, smul[u[:, i, k], u[:, k, j]]]
-                keep &= acc == u[:, i, j]
-        out.extend(SemiringMatrix(s, n, n, tuple(tuple(row[i * n:(i + 1) * n])
-                                                 for i in range(n)))
-                   for row in flat[keep].tolist())
+        for i, j in itertools.product(range(n), repeat=2):
+            keep &= _product_entry(s, u, u, i, j) == u[:, i, j]
+        out.extend(SemiringMatrix(s, n, n, m) for m in u[keep].tolist())
     return tuple(out)
+
+
+def _product_entry(s: FiniteSemiring, a: np.ndarray, b: np.ndarray,
+                   i: int, j: int) -> np.ndarray:
+    """Entry (i, j) of the products of stacked matrices a and b, whose
+    leading axes broadcast, folded from the scalar zero as mat_star_mul."""
+    acc = s.zero
+    for k in range(a.shape[-1]):
+        acc = s.np_add[acc, s.np_mul[a[..., i, k], b[..., k, j]]]
+    return acc
 
 
 # ----- the full matrix semiring ----------------------------------------------
@@ -148,36 +145,23 @@ def matrix_semiring(s: FiniteSemiring, n: int,
     check_power_bound(SizeGuard, "matrix semiring carrier", s.size, n * n,
                       "max_carrier", max_carrier)
     total = s.size ** (n * n)
-    flats = list(itertools.product(range(s.size), repeat=n * n))
-    mats = tuple(SemiringMatrix(s, n, n,
-                                tuple(f[i * n:(i + 1) * n] for i in range(n)))
-                 for f in flats)
-    stack = np.array(flats, dtype=np.intp).reshape(total, n, n)
-    weights = (s.size ** np.arange(n * n - 1, -1, -1)).astype(np.intp)
-    sadd, smul = s.np_add, s.np_mul
+    stack = _digits(np.arange(total), s.size, n * n).reshape(total, n, n)
+    mats = tuple(SemiringMatrix(s, n, n, m) for m in stack.tolist())
+    weights = _weights(s.size, n * n)
 
-    add_idx = np.zeros((total, total), dtype=np.intp)
-    mul_idx = np.zeros((total, total), dtype=np.intp)
-    w = 0
-    for i in range(n):
-        for j in range(n):
-            cell = sadd[stack[:, None, i, j], stack[None, :, i, j]]
-            add_idx += cell * weights[w]
-            prod = smul[stack[:, None, i, 0], stack[None, :, 0, j]]
-            for k in range(1, n):
-                term = smul[stack[:, None, i, k], stack[None, :, k, j]]
-                prod = sadd[prod, term]
-            mul_idx += prod * weights[w]
-            w += 1
+    add_idx = np.zeros((total, total), dtype=np.int64)
+    mul_idx = np.zeros((total, total), dtype=np.int64)
+    a, b = stack[:, None], stack[None]          # every pair (a, b)
+    for w, (i, j) in enumerate(itertools.product(range(n), repeat=2)):
+        add_idx += s.np_add[a[..., i, j], b[..., i, j]] * weights[w]
+        mul_idx += _product_entry(s, a, b, i, j) * weights[w]
 
-    zero = int(np.dot([s.zero] * (n * n), weights))
-    one_flat = [s.one if i == j else s.zero
-                for i in range(n) for j in range(n)]
-    one = int(np.dot(one_flat, weights))
+    zero = s.zero * int(weights.sum())
+    one = int(np.where(np.eye(n).ravel(), s.one, s.zero) @ weights)
     labels = tuple("|".join(",".join(map(str, row)) for row in m.entries)
                    for m in mats)
-    ring = FiniteSemiring(total, tuple(map(tuple, add_idx)),
-                          tuple(map(tuple, mul_idx)), zero, one, labels)
+    ring = FiniteSemiring(total, add_idx.tolist(), mul_idx.tolist(), zero, one,
+                          labels)
     return MatrixSemiring(s, n, ring, mats)
 
 
@@ -314,11 +298,10 @@ class LiftResult:
 def _cover(m: FiniteSemimodule, gens: Sequence[int],
            max_carrier: int) -> Tuple[FreeSemimodule, SemimoduleHom]:
     free = free_semimodule(m.scalars, [m.label(g) for g in gens], max_carrier)
-    mapping = []
-    for i in range(free.size):
-        v = free.vector(i)
-        mapping.append(m.sum(m.act(c, g) for c, g in zip(v, gens)))
-    return free, SemimoduleHom(free, m, tuple(mapping))
+    coeffs = _digits(np.arange(free.size), m.scalars.size, len(gens))
+    mapping = tuple(m.sum(m.act(c, g) for c, g in zip(v, gens))
+                    for v in coeffs.tolist())
+    return free, SemimoduleHom(free, m, mapping)
 
 
 def lift_hom(h: SemimoduleHom, gens_source: Sequence[int],

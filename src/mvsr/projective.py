@@ -28,7 +28,8 @@ from .matrix import (SemiringMatrix, _cover, idempotent_matrices,
                      is_mult_idempotent)
 from .mv import MvAlgebra, reduct_vee_odot
 from .semimodule import (FiniteSemimodule, FreeSemimodule, SemimoduleHom,
-                         Subsemimodule, _module_laws_hold, _span, generate,
+                         Subsemimodule, _module_laws_hold, _span,
+                         _vector_labels, _vector_tables, _weights, generate,
                          iter_homs, minimal_generating_set, module_over_self)
 from .semiring import (FiniteSemiring, check_semiring_axioms,
                        is_additively_idempotent, same_scalars)
@@ -39,20 +40,15 @@ def row_space(u: SemiringMatrix,
               max_carrier: int = MAX_CARRIER) -> Subsemimodule:
     """The subsemimodule of row vectors spanned by the rows of u, as a
     subsemimodule of the free module on u.cols points: members are the
-    vectors' big-endian base-|S| indices in that module's carrier."""
+    vectors' big-endian base-|S| indices in that module's carrier, and the
+    tables and labels are that module's, from the same builders."""
     s = u.scalars
     members = _row_span(u, max_carrier)
-    add, action, zero = _row_tables(u, members)
-    vecs = _row_vectors(u, members).tolist()
-    if u.cols == 1:
-        labels = tuple(s.label(v[0]) for v in vecs)
-    else:
-        labels = tuple("(" + ",".join(s.label(c) for c in v) + ")"
-                       for v in vecs)
-    return Subsemimodule(scalars=s, size=len(members),
-                         add=tuple(map(tuple, add.tolist())), zero=zero,
-                         action=tuple(map(tuple, action.tolist())),
-                         labels=labels, members=tuple(members.tolist()))
+    add, action, zero = _vector_tables(s, u.cols, members)
+    return Subsemimodule(scalars=s, size=len(members), add=add.tolist(),
+                         zero=zero, action=action.tolist(),
+                         labels=_vector_labels(s, u.cols, members),
+                         members=tuple(members.tolist()))
 
 
 def _row_span(u: SemiringMatrix, max_carrier: int) -> np.ndarray:
@@ -66,7 +62,7 @@ def _row_span(u: SemiringMatrix, max_carrier: int) -> np.ndarray:
                 "max_carrier", max_carrier)
     sadd, smul = s.np_add, s.np_mul
     scalars = np.arange(s.size)[:, None, None]
-    weights = _weights(u)
+    weights = _weights(s.size, u.cols)
     seen = np.zeros(s.size ** u.cols, dtype=bool)
     known = np.empty((0, u.cols), dtype=np.int64)
     new = np.array([(s.zero,) * u.cols, *u.entries],
@@ -84,31 +80,6 @@ def _row_span(u: SemiringMatrix, max_carrier: int) -> np.ndarray:
             smul[scalars, new[None]].reshape(s.size * len(new), u.cols)])
         new = new[~seen[new @ weights]]
     return np.nonzero(seen)[0]
-
-
-def _row_tables(u: SemiringMatrix, members: np.ndarray
-                ) -> Tuple[np.ndarray, np.ndarray, int]:
-    """The (add, action, zero) tables of the span with these members, on
-    the members' positions."""
-    s = u.scalars
-    weights = _weights(u)
-    vecs = _row_vectors(u, members)
-    scalars = np.arange(s.size)[:, None, None]
-    add = np.searchsorted(members,
-                          s.np_add[vecs[:, None], vecs[None]] @ weights)
-    action = np.searchsorted(members, s.np_mul[scalars, vecs[None]] @ weights)
-    zero = int(np.searchsorted(members, s.zero * int(weights.sum())))
-    return add, action, zero
-
-
-def _weights(u: SemiringMatrix) -> np.ndarray:
-    """Big-endian base-|S| place values of a row of u."""
-    return u.scalars.size ** np.arange(u.cols - 1, -1, -1, dtype=np.int64)
-
-
-def _row_vectors(u: SemiringMatrix, members: np.ndarray) -> np.ndarray:
-    """The coordinates of each member, one row each."""
-    return members[:, None] // _weights(u) % u.scalars.size
 
 
 @dataclass(frozen=True)
@@ -293,7 +264,8 @@ class _ClassIndex:
             forms = self._forms_of_size(len(members), max_enum)
             if not (forms or store):
                 return None
-            form = _table_form(*_row_tables(u, members), max_enum)
+            form = _table_form(*_vector_tables(u.scalars, u.cols, members),
+                               max_enum)
             found = forms.get(form)
         if found is None and store:
             found = len(self.modules)

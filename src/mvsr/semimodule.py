@@ -20,7 +20,6 @@ rows directly (free_universal_property).
 """
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -203,26 +202,57 @@ class FreeSemimodule(FiniteSemimodule):
         return tuple(out)
 
 
+def _weights(base: int, width: int) -> np.ndarray:
+    """Big-endian base-|S| place values of a vector of this width."""
+    return base ** np.arange(width - 1, -1, -1, dtype=np.int64)
+
+
+def _digits(indices: np.ndarray, base: int, width: int) -> np.ndarray:
+    """The coordinates of each vector index, one row each."""
+    return np.asarray(indices)[:, None] // _weights(base, width) % base
+
+
+def _vector_tables(s: FiniteSemiring, width: int, members: np.ndarray
+                   ) -> Tuple[np.ndarray, np.ndarray, int]:
+    """The (add, action, zero) tables of the pointwise operations on the
+    vectors with these sorted indices, on the members' positions. The sums
+    are gathered a block of rows at a time, each block holding at most
+    _CHUNK_ELEMENTS coordinates."""
+    weights = _weights(s.size, width)
+    vecs = _digits(members, s.size, width)
+    scalars = np.arange(s.size)[:, None, None]
+    step = max(1, _CHUNK_ELEMENTS // max(1, len(members) * width))
+    add = np.concatenate([np.searchsorted(
+        members, s.np_add[vecs[i:i + step, None], vecs[None]] @ weights)
+        for i in range(0, len(members), step)])
+    action = np.searchsorted(members, s.np_mul[scalars, vecs[None]] @ weights)
+    zero = int(np.searchsorted(members, s.zero * int(weights.sum())))
+    return add, action, zero
+
+
+def _vector_labels(s: FiniteSemiring, width: int,
+                   members: np.ndarray) -> Tuple[str, ...]:
+    """Each member's label: the scalar's on one point, else a tuple."""
+    vecs = _digits(members, s.size, width).tolist()
+    if width == 1:
+        return tuple(s.label(v[0]) for v in vecs)
+    return tuple("(" + ",".join(s.label(c) for c in v) + ")" for v in vecs)
+
+
 def free_semimodule(s: FiniteSemiring, points: Sequence[str],
                     max_carrier: int = MAX_CARRIER) -> FreeSemimodule:
-    """The pointwise module of maps points -> s."""
+    """The pointwise module of maps points -> s: the tables of
+    _vector_tables over every base-|S| index of len(points) digits."""
     pts = tuple(str(p) for p in points)
     size = s.size ** len(pts)
     check_bound(SizeGuard, "free module carrier", size, "max_carrier",
                 max_carrier)
-    vecs = list(itertools.product(range(s.size), repeat=len(pts)))
-    index = {v: i for i, v in enumerate(vecs)}
-    add = tuple(tuple(index[tuple(s.add[a][b] for a, b in zip(u, v))]
-                      for v in vecs) for u in vecs)
-    action = tuple(tuple(index[tuple(s.mul[a][c] for c in v)] for v in vecs)
-                   for a in range(s.size))
-    if len(pts) == 1:
-        labels = tuple(s.label(v[0]) for v in vecs)
-    else:
-        labels = tuple("(" + ",".join(s.label(c) for c in v) + ")" for v in vecs)
-    zero = index[(s.zero,) * len(pts)]
-    return FreeSemimodule(scalars=s, size=size, add=add, zero=zero,
-                          action=action, labels=labels, points=pts)
+    members = np.arange(size)
+    add, action, zero = _vector_tables(s, len(pts), members)
+    return FreeSemimodule(scalars=s, size=size, add=add.tolist(), zero=zero,
+                          action=action.tolist(),
+                          labels=_vector_labels(s, len(pts), members),
+                          points=pts)
 
 
 def module_over_self(s: FiniteSemiring) -> FiniteSemimodule:
@@ -400,18 +430,14 @@ def _chunk_rows(m: FiniteSemimodule) -> int:
 
 def _assignments(size: int, count: int, rows: int) -> Iterator[np.ndarray]:
     """Every tuple in range(size)^count in lexicographic order, as (k, count)
-    arrays of at most max(rows, 1) tuples: the last entries vary within a
-    chunk, the first ones from chunk to chunk."""
-    inner = 0
-    while inner < count and size ** (inner + 1) <= rows:
-        inner += 1
-    tail = np.array(list(itertools.product(range(size), repeat=inner)),
-                    dtype=np.intp).reshape(size ** inner, inner)
-    for head in itertools.product(range(size), repeat=count - inner):
-        chunk = np.empty((len(tail), count), dtype=np.intp)
-        chunk[:, :count - inner] = head
-        chunk[:, count - inner:] = tail
-        yield chunk
+    arrays of at most max(rows, 1) tuples: the digits of consecutive
+    base-size indices, a chunk of indices at a time, refused past int64,
+    where the place values would wrap."""
+    total = size ** count
+    check_bound(EnumGuard, "tuples", total, "int64 max", (1 << 63) - 1)
+    step = max(rows, 1)
+    for lo in range(0, total, step):
+        yield _digits(np.arange(lo, min(lo + step, total)), size, count)
 
 
 def _hom_plan(m: FiniteSemimodule):
@@ -425,14 +451,13 @@ def _hom_plan(m: FiniteSemimodule):
 
 
 def _hom_rows(m: FiniteSemimodule, n: FiniteSemimodule,
-              max_enum: int = MAX_ENUM, plan=None) -> Iterator[np.ndarray]:
+              max_enum: int = MAX_ENUM) -> Iterator[np.ndarray]:
     """Every hom m -> n as rows of (k, |m|) arrays, lazily, ordered
     lexicographically by generator images. The scalar check and the guard
-    run at the first step, before any array is built; plan, from _hom_plan,
-    saves a caller that enumerates out of m repeatedly its derivation."""
+    run at the first step, before any array is built."""
     if not same_scalars(m.scalars, n.scalars):
         raise ScalarMismatch("hom set needs a common scalar semiring")
-    gens, steps = plan or _hom_plan(m)
+    gens, steps = _hom_plan(m)
     check_bound(EnumGuard, "hom-set candidate assignments",
                 n.size ** len(gens), "max_enum", max_enum)
     n_add, n_act = n.np_add, n.np_action
@@ -744,8 +769,7 @@ def free_universal_property(f: FreeSemimodule, m: FiniteSemimodule,
     check_bound(EnumGuard, "point maps", total, "max_enum", max_enum)
     by_basis = Counter(tuple(row) for rows in _hom_rows(f, m, max_enum)
                        for row in rows[:, list(f.basis)].tolist())
-    coeffs = np.array([f.vector(i) for i in range(f.size)],
-                      dtype=np.intp).reshape(f.size, npts)
+    coeffs = _digits(np.arange(f.size), f.scalars.size, npts)
     existence = 0
     uniqueness = 0
     for imgs in _assignments(m.size, npts, _chunk_rows(f)):

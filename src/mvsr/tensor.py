@@ -294,17 +294,14 @@ def scalar_structures(t: TensorProduct, scalars: FiniteSemiring,
     """
     cong, base = t.congruence, t.lattice.base
     gen_count = len(cong.generators)
-    # past 62 pairs the masks outgrow int64: Python integers
-    width = np.int64 if len(base) < 63 else object
+    # class_of holds all 2^len(base) masks, so every mask fits in int64
     masks = np.array([w for pair in cong.generators for w in pair]
-                     + list(cong.representatives), dtype=width)
-    bits = ((masks[:, None] >> np.arange(len(base), dtype=width)) & 1) \
-        .astype(bool)
+                     + list(cong.representatives), dtype=np.int64)
+    bits = ((masks[:, None] >> np.arange(len(base))) & 1).astype(bool)
     xs = np.array([x for x, _ in base], dtype=np.intp)
     ys = np.array([y for _, y in base], dtype=np.intp)
     move = np.array([action[b] for b in range(scalars.size)], dtype=np.intp)
-    table = np.ones(1, dtype=width) << (move[:, xs] * t.right.size + ys) \
-        .astype(width)
+    table = np.int64(1) << (move[:, xs] * t.right.size + ys)
     moved = np.bitwise_or.reduce(np.where(bits, table[:, None, :], 0), axis=2)
     classes = np.array(cong.class_of, dtype=np.intp)[moved.astype(np.intp)]
     cu, cv = classes[:, 0:2 * gen_count:2], classes[:, 1:2 * gen_count:2]

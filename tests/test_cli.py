@@ -3,6 +3,7 @@ import copy
 import hashlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -317,12 +318,14 @@ def test_deeply_nested_config(monkeypatch, tmp_path, capsys):
     (["k0", "--input", "{chain3}", "--nmax", "x"], 1),
     (["chain", "1"], 1),
     (["chain", "-3"], 1),
+    (["idempotents", "--input", "{boolean}", "--n", "8", "--max-enum",
+      str(10 ** 20)], 3),
 ], ids=["k0-nmax-0", "k0-nmax-negative", "idempotents-n-negative",
         "chain-over-max-carrier", "gamma-samples-negative", "gamma-samples-0",
         "k0-no-trivial-class", "k0-nmax-1000", "idempotents-n-200",
         "k0-nmax-100000", "idempotents-n-100000", "chain-k-not-an-int",
         "chain-k-missing", "unknown-subcommand", "k0-nmax-not-an-int",
-        "chain-k-1", "chain-k-negative"])
+        "chain-k-1", "chain-k-negative", "idempotents-past-int64"])
 def test_size_arguments(chain3_file, boolean_file, lawless_file, capsys,
                         argv, code):
     files = {"{chain3}": chain3_file, "{boolean}": boolean_file,
@@ -442,3 +445,69 @@ def test_fuzzed_descriptions_keep_the_exit_contract(desc, tmp_path,
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in err
         assert _run(argv) == (code, out, err)
+
+
+@pytest.mark.parametrize("u", [
+    "1e20000000", "-1e20000000", "1e-20000000", "0e99999999999",
+    "1e4300", "1e-4300", "1" + "0" * 4300, "1/" + "3" * 4301,
+    "1.5e1_000_000_000", "1e" + "9" * 5000,
+], ids=["exponent", "negative", "negative-exponent", "zero-mantissa",
+        "numerator-4301-digits", "denominator-4301-digits", "long-integer",
+        "long-denominator", "underscores", "exponent-5000-digits"])
+def test_gamma_refuses_a_unit_too_long_to_print(u, capsys):
+    """Refused before any parse: Fraction would first raise 10 to the
+    exponent, which at 10^20000000 takes longer than a test may."""
+    start = time.perf_counter()
+    assert main(["gamma", f"--u={u}", "--samples", "10"]) == 1
+    assert time.perf_counter() - start < 5
+    err = capsys.readouterr().err
+    assert err.startswith("mvsr: malformed input: ")
+    assert "more than 4300 digits" in err
+
+
+@pytest.mark.parametrize("u", ["1e4299", "1e-4299", "1/" + "3" * 4300,
+                               "3" * 4300 + "/7"],
+                         ids=["numerator", "denominator", "fraction",
+                              "integer"])
+def test_gamma_takes_a_unit_of_4300_digits(u, capsys):
+    assert main(["gamma", f"--u={u}", "--samples", "10"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
+# ----- fuzzed chain and gamma arguments ------------------------------------------
+
+_UNITS = st.one_of(
+    st.text(max_size=8),
+    st.builds(lambda a, b: f"{a}/{b}", st.integers(-20, 10 ** 6),
+              st.integers(-3, 10 ** 6)),
+    st.builds(lambda m, e: f"{m}e{e}",
+              st.sampled_from(["1", "0", "2.5", "-3", ".5", "7_0"]),
+              st.one_of(st.integers(-60, 60), st.integers(-10 ** 30, 10 ** 30),
+                        st.sampled_from([4299, 4300, -4300, 20000000]))))
+
+
+@st.composite
+def _chain_or_gamma(draw):
+    """chain k, sometimes past a small --max-carrier, or gamma with a drawn
+    --u, --samples and --seed."""
+    if draw(st.booleans()):
+        argv = ["chain", str(draw(st.integers(-5, 40)))]
+        if draw(st.booleans()):
+            argv += ["--max-carrier", str(draw(st.integers(1, 10)))]
+        return argv
+    return ["gamma", f"--u={draw(_UNITS)}",
+            "--samples", str(draw(st.integers(-3, 50))),
+            "--seed", str(draw(st.integers()))]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_chain_or_gamma())
+def test_fuzzed_chain_and_gamma_keep_the_exit_contract(argv, monkeypatch):
+    """chain and gamma exit 0 to 3 without a traceback on drawn arguments,
+    and a second run prints the same bytes."""
+    monkeypatch.delenv("MVSR_CONFIG", raising=False)
+    code, out, err = _run(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    assert _run(argv) == (code, out, err)

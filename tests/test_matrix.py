@@ -1,5 +1,7 @@
 import itertools
+import random
 
+import numpy as np
 import pytest
 
 from mvsr.errors import NotFreeBasis, ShapeMismatch, SizeGuard
@@ -101,6 +103,72 @@ def test_idempotent_matrices_match_the_loop(name, n_top):
          "lawless": LAWLESS}[name]
     for n in range(n_top + 1):
         assert idempotent_matrices(s, n) == _idempotent_matrices_by_loop(s, n)
+
+
+def _idempotent_matrices_by_decoder(s, n, chunk=1 << 15):
+    """Candidates decoded from their entry-lex positions, chunk by chunk,
+    each squared through the scalar tables from the scalar zero."""
+    total = s.size ** (n * n)
+    weights = s.size ** np.arange(n * n - 1, -1, -1, dtype=np.int64)
+    out = []
+    for lo in range(0, total, chunk):
+        flat = (np.arange(lo, min(lo + chunk, total),
+                          dtype=np.int64)[:, None] // weights % s.size)
+        u = flat.reshape(len(flat), n, n)
+        keep = np.ones(len(flat), dtype=bool)
+        for i in range(n):
+            for j in range(n):
+                acc = np.full(len(flat), s.zero, dtype=np.int64)
+                for k in range(n):
+                    acc = s.np_add[acc, s.np_mul[u[:, i, k], u[:, k, j]]]
+                keep &= acc == u[:, i, j]
+        out.extend(SemiringMatrix(s, n, n, tuple(tuple(row[i * n:(i + 1) * n])
+                                                 for i in range(n)))
+                   for row in flat[keep].tolist())
+    return tuple(out)
+
+
+def test_idempotent_matrices_match_the_decoder():
+    """The same matrices in the same order on c2 to c7 and c2 x c2 at
+    n <= 2, and across chunk edges on the three-chain at n = 2."""
+    scalars = [reduct_vee_odot(lukasiewicz_chain(k)) for k in range(2, 8)]
+    scalars += [reduct_vee_odot(mv_product(lukasiewicz_chain(2),
+                                           lukasiewicz_chain(2)))]
+    for s in scalars:
+        for n in range(3):
+            assert idempotent_matrices(s, n) == \
+                _idempotent_matrices_by_decoder(s, n)
+    three = scalars[1]
+    assert idempotent_matrices(three, 2) == \
+        _idempotent_matrices_by_decoder(three, 2, chunk=7)
+
+
+def _two_element_tables(count):
+    """Seeded random two-element tables, most of them lawless."""
+    rng = random.Random(0)
+    return [FiniteSemiring(2, *(tuple(tuple(rng.randrange(2) for _ in "ab")
+                                      for _ in "ab") for _ in "+*"),
+                           rng.randrange(2), rng.randrange(2))
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_matrix_semiring_products_are_mat_star_mul(n):
+    """Each product in the table is mat_star_mul's, its terms folded from
+    the scalar zero, over lawless tables as over B, c3 and c2 x c2."""
+    scalars = _two_element_tables(40 if n == 1 else 12)
+    assert sum(not check_semiring_axioms(s).valid for s in scalars) > 20 / n
+    scalars += [boolean_semiring(), reduct_vee_odot(lukasiewicz_chain(3)),
+                reduct_vee_odot(mv_product(lukasiewicz_chain(2),
+                                           lukasiewicz_chain(2)))]
+    for s in scalars:
+        if s.size ** (n * n) > 81:
+            continue
+        ring = matrix_semiring(s, n)
+        for a, b in itertools.product(range(ring.semiring.size), repeat=2):
+            product = mat_star_mul(ring.matrices[a], ring.matrices[b])
+            assert ring.matrices[ring.semiring.mul[a][b]].entries == \
+                product.entries
 
 
 def test_matrix_semiring_boolean(boolean):

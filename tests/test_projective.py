@@ -1,8 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 
 from mvsr import projective
+from mvsr.config import MAX_CARRIER
 from mvsr.errors import (EnumGuard, NotAHom, NotCyclic, ScalarMismatch,
                          SizeGuard)
 from mvsr.matrix import (SemiringMatrix, idempotent_matrices, mat_identity,
@@ -13,7 +15,7 @@ from mvsr.projective import (ProjectivePresentation, all_subsemimodules,
                              cyclic_mv_trichotomy, direct_sum,
                              is_projective_matrix_criterion,
                              is_projective_retract_oracle, row_space)
-from mvsr.semimodule import (FiniteSemimodule, SemimoduleHom,
+from mvsr.semimodule import (FiniteSemimodule, SemimoduleHom, Subsemimodule,
                              check_semimodule, free_semimodule, generate,
                              hom_set, iter_homs, module_over_self,
                              trivial_module)
@@ -72,6 +74,46 @@ def test_row_space_matches_the_span_over_arbitrary_tables():
                 tuple(rng.randrange(3) for _ in range(cols))
                 for _ in range(rows)))
             assert row_space(u) == _row_space_in_the_free_module(u)
+
+
+def _row_tables_by_weights(u, members):
+    """The (add, action, zero) tables and the labels of the span with these
+    members, from place values and coordinates of u's own."""
+    s = u.scalars
+    weights = s.size ** np.arange(u.cols - 1, -1, -1, dtype=np.int64)
+    vecs = members[:, None] // weights % s.size
+    scalars = np.arange(s.size)[:, None, None]
+    add = np.searchsorted(members,
+                          s.np_add[vecs[:, None], vecs[None]] @ weights)
+    action = np.searchsorted(members, s.np_mul[scalars, vecs[None]] @ weights)
+    zero = int(np.searchsorted(members, s.zero * int(weights.sum())))
+    if u.cols == 1:
+        labels = tuple(s.label(v[0]) for v in vecs.tolist())
+    else:
+        labels = tuple("(" + ",".join(s.label(c) for c in v) + ")"
+                       for v in vecs.tolist())
+    return add, action, zero, labels
+
+
+def test_row_space_matches_the_tables_by_weights():
+    """The row space and the tables _table_form reads are those of u's own
+    place values, on every idempotent of size at most 2 over c2 to c7 and
+    c2 x c2."""
+    scalars = [reduct_vee_odot(lukasiewicz_chain(k)) for k in range(2, 8)]
+    for s in scalars + [_square()]:
+        for n in range(3):
+            for u in idempotent_matrices(s, n):
+                members = projective._row_span(u, MAX_CARRIER)
+                add, action, zero, labels = _row_tables_by_weights(u, members)
+                got = projective._vector_tables(s, u.cols, members)
+                assert np.array_equal(got[0], add)
+                assert np.array_equal(got[1], action)
+                assert got[2] == zero
+                assert row_space(u) == Subsemimodule(
+                    scalars=s, size=len(members),
+                    add=tuple(map(tuple, add.tolist())), zero=zero,
+                    action=tuple(map(tuple, action.tolist())),
+                    labels=labels, members=tuple(members.tolist()))
 
 
 def test_row_space_guard(three):

@@ -8,7 +8,8 @@ from mvsr.errors import (EnumGuard, IllDefinedAction, MalformedTable,
                          NotAHom, ScalarMismatch)
 from mvsr.mv import (lukasiewicz_chain, mv_product, quotient, reduct_vee_odot,
                      star_reduct_isomorphism)
-from mvsr.semimodule import (FiniteSemimodule, SemimoduleHom, _broken_law,
+from mvsr.semimodule import (FiniteSemimodule, FreeSemimodule,
+                             SemimoduleHom, _broken_law,
                              _derivation_order, _module_laws_hold,
                              additive_monoid_module,
                              check_semimodule,
@@ -146,6 +147,55 @@ def test_free_module_guard(three):
     from mvsr.errors import SizeGuard
     with pytest.raises(SizeGuard):
         free_semimodule(three, list("abcdefgh"), max_carrier=100)
+
+
+def _free_semimodule_by_dict(s, points):
+    """The free module built vector by vector, each sum and multiple
+    looked up in a dict from coefficient tuples to indices."""
+    pts = tuple(str(p) for p in points)
+    vecs = list(itertools.product(range(s.size), repeat=len(pts)))
+    index = {v: i for i, v in enumerate(vecs)}
+    add = tuple(tuple(index[tuple(s.add[a][b] for a, b in zip(u, v))]
+                      for v in vecs) for u in vecs)
+    action = tuple(tuple(index[tuple(s.mul[a][c] for c in v)] for v in vecs)
+                   for a in range(s.size))
+    if len(pts) == 1:
+        labels = tuple(s.label(v[0]) for v in vecs)
+    else:
+        labels = tuple("(" + ",".join(s.label(c) for c in v) + ")"
+                       for v in vecs)
+    return FreeSemimodule(scalars=s, size=len(vecs), add=add,
+                          zero=index[(s.zero,) * len(pts)], action=action,
+                          labels=labels, points=pts)
+
+
+def _lawless_scalars():
+    """As scalars, the additions of the two lawless modules of
+    test_grothendieck: xor on two elements, with 1 + 1 = 0, and the
+    three-chain with 2 + 1 = 0, each with the chain's product; and a
+    three-element table whose zero is no additive identity and whose
+    addition does not commute."""
+    return [FiniteSemiring(2, ((0, 1), (1, 0)), ((0, 0), (0, 1)), 0, 1),
+            FiniteSemiring(3, ((0, 1, 2), (1, 1, 2), (2, 0, 2)),
+                           ((0, 0, 0), (0, 1, 1), (0, 1, 2)), 0, 2),
+            FiniteSemiring(3, ((0, 2, 2), (1, 1, 0), (0, 2, 0)),
+                           ((0, 0, 0), (2, 2, 2), (1, 2, 2)), 1, 2)]
+
+
+def test_free_module_matches_the_dict_build(boolean):
+    """Equal tables, zero, labels, points and basis on B, c2 to c5 and
+    c2 x c2 and on the lawless tables, on zero to three points."""
+    scalars = [boolean] + [reduct_vee_odot(lukasiewicz_chain(k))
+                           for k in range(2, 6)]
+    scalars += [reduct_vee_odot(mv_product(lukasiewicz_chain(2),
+                                           lukasiewicz_chain(2)))]
+    for s in scalars + _lawless_scalars():
+        for count in range(4):
+            points = [f"p{i}" for i in range(count)]
+            got = free_semimodule(s, points)
+            want = _free_semimodule_by_dict(s, points)
+            assert got == want
+            assert got.basis == want.basis
 
 
 def test_generate_and_minimal_generators(three):
@@ -335,6 +385,15 @@ def test_assignment_chunks_stay_within_their_rows():
         assert all(1 <= len(c) <= rows for c in chunks)
         assert [tuple(r) for c in chunks for r in c.tolist()] == \
             list(itertools.product(range(size), repeat=count))
+
+
+def test_assignments_refuse_indices_past_int64():
+    """2^63 tuples would need the index 2^63, one past int64."""
+    assert next(mvsr.semimodule._assignments(2, 62, 4)).tolist() == \
+        [[0] * 62, [0] * 61 + [1], [0] * 60 + [1, 0], [0] * 60 + [1, 1]]
+    with pytest.raises(EnumGuard, match=r"^tuples: 9223372036854775808 "
+                       r"exceeds int64 max=9223372036854775807$"):
+        next(mvsr.semimodule._assignments(2, 63, 4))
 
 
 @pytest.mark.parametrize("budget", [1, 40, 100, 333])

@@ -9,9 +9,9 @@ from mvsr.errors import (EnumGuard, IllDefinedAction, NotIdempotent, NotOnto,
 from mvsr.mv import (lukasiewicz_chain, mv_product, quotient,
                      reduct_vee_odot)
 from mvsr.projective import are_isomorphic
-from mvsr.semimodule import (FiniteSemimodule, _hom_mask, _hom_plan,
-                             _hom_rows, check_semimodule, free_semimodule,
-                             hom_set, module_over_self, restrict_scalars,
+from mvsr.semimodule import (FiniteSemimodule, _hom_mask, _hom_rows,
+                             check_semimodule, free_semimodule, hom_set,
+                             module_over_self, restrict_scalars,
                              trivial_module)
 from mvsr.semiring import FiniteSemiring, SemiringHom, boolean_semiring, fold
 from mvsr.tensor import (FreeSemilattice, SemilatticeCongruence,
@@ -800,9 +800,8 @@ def _stray_by_enumeration(h, modules, restrict=restrict_scalars,
     restricted = [restrict(h, mb) for mb in modules]
     stray = 0
     for mb, ma in zip(modules, restricted):
-        plan = _hom_plan(ma)
         for nb, na in zip(modules, restricted):
-            for rows in _hom_rows(ma, na, max_enum, plan):
+            for rows in _hom_rows(ma, na, max_enum):
                 stray += len(rows) - int(_hom_mask(mb, nb, rows).sum())
     return stray
 
