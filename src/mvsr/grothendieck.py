@@ -26,7 +26,8 @@ from .config import DEFAULT_N_MAX, MAX_CARRIER, MAX_ENUM
 from .errors import (EnumGuard, NotIdempotent, ScalarMismatch, ToolkitError,
                      check_power_bound)
 from .jsonio import semiring_to_dict
-from .matrix import SemiringMatrix, idempotent_matrices, is_mult_idempotent
+from .matrix import (SemiringMatrix, idempotent_matrices, is_mult_idempotent,
+                     mat_zero)
 from .mv import MvAlgebra, MvHom, reduct_vee_odot
 from .projective import ProjectivePresentation, _ClassIndex, block_diag
 from .semimodule import FiniteSemimodule, SemimoduleHom
@@ -46,12 +47,7 @@ def zero_pad(u: SemiringMatrix, size: int) -> SemiringMatrix:
     """Extend a square matrix to the given size with zero entries."""
     if size < u.rows or u.rows != u.cols:
         raise ValueError("can only pad a square matrix upward")
-    z = u.scalars.zero
-    entries = tuple(
-        tuple(u.entries[i][j] if i < u.rows and j < u.cols else z
-              for j in range(size))
-        for i in range(size))
-    return SemiringMatrix(u.scalars, size, size, entries)
+    return block_diag(u, mat_zero(u.scalars, size - u.rows, size - u.rows))
 
 
 @dataclass(frozen=True)

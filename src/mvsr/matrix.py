@@ -14,11 +14,10 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .config import DEFAULT_SEED, MAX_CARRIER, MAX_ENUM
-from .errors import (MalformedTable, NoDecomposition, NotFreeBasis,
-                     ScalarMismatch, ShapeMismatch, SizeGuard,
-                     check_power_bound)
-from .semiring import (FiniteSemiring, SemiringHom, check_semiring_axioms,
-                       int_row, same_scalars)
+from .errors import (NoDecomposition, NotFreeBasis, ScalarMismatch,
+                     ShapeMismatch, SizeGuard, check_power_bound)
+from .semiring import (FiniteSemiring, SemiringHom, _index_grid, _store,
+                       check_semiring_axioms, same_scalars)
 from .semimodule import (_CHUNK_ELEMENTS, EndSemiring, FiniteSemimodule,
                          FreeSemimodule, SemimoduleHom, _assignments, _digits,
                          _span, _weights, end_semiring, free_semimodule)
@@ -32,12 +31,8 @@ class SemiringMatrix:
     entries: Tuple[Tuple[int, ...], ...]
 
     def __post_init__(self):
-        ent = tuple(int_row(row, "matrix") for row in self.entries)
-        if len(ent) != self.rows or any(len(r) != self.cols for r in ent):
-            raise MalformedTable("entry grid does not match rows x cols")
-        if any(not 0 <= v < self.scalars.size for row in ent for v in row):
-            raise MalformedTable("entry out of scalar range")
-        object.__setattr__(self, "entries", ent)
+        _store(self, entries=_index_grid(self.entries, (self.rows, self.cols),
+                                         self.scalars.size, "matrix"))
 
     def entry(self, i: int, j: int) -> int:
         return self.entries[i][j]
@@ -146,7 +141,7 @@ def matrix_semiring(s: FiniteSemiring, n: int,
                       "max_carrier", max_carrier)
     total = s.size ** (n * n)
     stack = _digits(np.arange(total), s.size, n * n).reshape(total, n, n)
-    mats = tuple(SemiringMatrix(s, n, n, m) for m in stack.tolist())
+    mats = tuple(SemiringMatrix(s, n, n, m) for m in stack)
     weights = _weights(s.size, n * n)
 
     add_idx = np.zeros((total, total), dtype=np.int64)
@@ -160,8 +155,7 @@ def matrix_semiring(s: FiniteSemiring, n: int,
     one = int(np.where(np.eye(n).ravel(), s.one, s.zero) @ weights)
     labels = tuple("|".join(",".join(map(str, row)) for row in m.entries)
                    for m in mats)
-    ring = FiniteSemiring(total, add_idx.tolist(), mul_idx.tolist(), zero, one,
-                          labels)
+    ring = FiniteSemiring(total, add_idx, mul_idx, zero, one, labels)
     return MatrixSemiring(s, n, ring, mats)
 
 
@@ -310,9 +304,9 @@ def lift_hom(h: SemimoduleHom, gens_source: Sequence[int],
     """Express h between generated modules as a coefficient matrix between
     their free covers.
 
-    Coefficient tuples are searched in ascending lexicographic order and the
-    first decomposition wins; the matrix is not unique and no canonical
-    choice is promised, only the commuting square."""
+    Each generator's row is the first coefficient tuple, in lexicographic
+    order, that the target's cover sends to its image; the matrix is not
+    unique and no canonical choice is promised, only the commuting square."""
     m, n = h.source, h.target
     gens_source = tuple(int(g) for g in gens_source)
     gens_target = tuple(int(g) for g in gens_target)
@@ -322,20 +316,14 @@ def lift_hom(h: SemimoduleHom, gens_source: Sequence[int],
         raise NoDecomposition("target generators do not span")
     free_m, pi = _cover(m, gens_source, max_carrier)
     free_n, pi_prime = _cover(n, gens_target, max_carrier)
-    s = m.scalars
     rows = []
     for g in gens_source:
         want = h.mapping[g]
-        found = None
-        for coeffs in itertools.product(range(s.size),
-                                        repeat=len(gens_target)):
-            if n.sum(n.act(c, y) for c, y in zip(coeffs, gens_target)) == want:
-                found = coeffs
-                break
-        if found is None:
+        if want not in pi_prime.mapping:
             raise NoDecomposition(f"no combination reaches element {want}")
-        rows.append(found)
-    k = SemiringMatrix(s, len(gens_source), len(gens_target), tuple(rows))
+        rows.append(free_n.vector(pi_prime.mapping.index(want)))
+    k = SemiringMatrix(m.scalars, len(gens_source), len(gens_target),
+                       tuple(rows))
     hk = hom_from_matrix(k, free_m, free_n)
     square = all(h.mapping[pi.mapping[i]] == pi_prime.mapping[hk.mapping[i]]
                  for i in range(free_m.size))

@@ -19,10 +19,10 @@ from .config import MAX_CARRIER, MAX_ENUM
 from .errors import (ChainTooShort, EnumGuard, MalformedTable, NotAHom,
                      NotAnIdeal, SizeGuard, TooManyVariables, check_bound)
 from .semiring import (AxiomReport, FiniteSemiring, LawCheck, SemiringHom,
-                       Table, _check_index, _first_assoc_failure,
+                       Table, _IndexMap, _first_assoc_failure,
                        _first_comm_failure, _first_identity_failure,
-                       freeze_table, freeze_unary, is_additively_idempotent,
-                       natural_order)
+                       _index_grid, _label_tuple, _store,
+                       is_additively_idempotent, natural_order)
 from .tropical import TOP, Trop, TropicalUSemifield, trop, trop_meet, trop_prod
 
 
@@ -37,14 +37,11 @@ class MvAlgebra:
     labels: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "oplus", freeze_table(self.oplus, self.size, "oplus"))
-        object.__setattr__(self, "star", freeze_unary(self.star, self.size, "star"))
-        object.__setattr__(self, "zero", _check_index(self.zero, self.size, "zero"))
-        if self.labels is not None:
-            labels = tuple(str(x) for x in self.labels)
-            if len(labels) != self.size:
-                raise MalformedTable("labels must match carrier size")
-            object.__setattr__(self, "labels", labels)
+        n = self.size
+        _store(self, oplus=_index_grid(self.oplus, (n, n), n, "oplus"),
+               star=_index_grid(self.star, (n,), n, "star"),
+               zero=_index_grid(self.zero, (), n, "zero"),
+               labels=_label_tuple(self.labels, n))
 
     @property
     def one(self) -> int:
@@ -242,7 +239,7 @@ def mv_semiring_negation_check(s: FiniteSemiring,
                                star: Tuple[int, ...]) -> NegationCheck:
     """Check the two negation conditions on an additively idempotent
     commutative semiring, then rebuild the truncated sum and validate it."""
-    star = freeze_unary(star, s.size, "star")
+    star = _index_grid(star, (s.size,), s.size, "star")
     if not is_additively_idempotent(s):
         raise MalformedTable("negation check needs an additively idempotent semiring")
     order = natural_order(s)
@@ -369,20 +366,12 @@ def ideal_from_congruence(a: MvAlgebra, partition: Partition) -> Tuple[int, ...]
 
 
 @dataclass(frozen=True)
-class MvHom:
+class MvHom(_IndexMap):
     """A map between MV-algebras preserving sum, involution, and bottom."""
 
     source: MvAlgebra
     target: MvAlgebra
     mapping: Tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "mapping",
-                           freeze_unary(self.mapping, self.source.size, "hom",
-                                        bound=self.target.size))
-
-    def __call__(self, x: int) -> int:
-        return self.mapping[x]
 
     def validate(self) -> None:
         s, t, h = self.source, self.target, self.mapping
@@ -394,9 +383,6 @@ class MvHom:
             for y in range(s.size):
                 if h[s.oplus[x][y]] != t.oplus[h[x]][h[y]]:
                     raise NotAHom(f"sum not preserved at ({x}, {y})")
-
-    def is_onto(self) -> bool:
-        return len(set(self.mapping)) == self.target.size
 
     def as_vee_odot_hom(self) -> SemiringHom:
         return SemiringHom(reduct_vee_odot(self.source),

@@ -23,7 +23,8 @@ import numpy as np
 
 from .config import MAX_CARRIER, MAX_ENUM
 from .errors import (EnumGuard, NotAHom, NotCyclic, NotIdempotent,
-                     ScalarMismatch, SizeGuard, check_bound)
+                     ScalarMismatch, SizeGuard, check_bound,
+                     check_power_bound)
 from .matrix import (SemiringMatrix, _cover, idempotent_matrices,
                      is_mult_idempotent)
 from .mv import MvAlgebra, reduct_vee_odot
@@ -45,10 +46,9 @@ def row_space(u: SemiringMatrix,
     s = u.scalars
     members = _row_span(u, max_carrier)
     add, action, zero = _vector_tables(s, u.cols, members)
-    return Subsemimodule(scalars=s, size=len(members), add=add.tolist(),
-                         zero=zero, action=action.tolist(),
-                         labels=_vector_labels(s, u.cols, members),
-                         members=tuple(members.tolist()))
+    return Subsemimodule(scalars=s, size=len(members), add=add, zero=zero,
+                         action=action, members=members,
+                         labels=_vector_labels(s, u.cols, members))
 
 
 def _row_span(u: SemiringMatrix, max_carrier: int) -> np.ndarray:
@@ -96,14 +96,16 @@ def is_projective_retract_oracle(m: FiniteSemimodule, n: int = None,
                                  max_carrier: int = MAX_CARRIER
                                  ) -> Optional[Retraction]:
     """First section of the canonical cover from n generators, if any."""
-    gens = list(minimal_generating_set(m))
+    gens = minimal_generating_set(m)
     if n is None:
         n = len(gens)
     if len(gens) > n:
         raise ValueError(f"module needs {len(gens)} generators, bound is {n}")
-    while len(gens) < n:
-        gens.append(m.zero)
-    free, pi = _cover(m, gens, max_carrier)
+    check_power_bound(SizeGuard, "free module carrier", m.scalars.size, n,
+                      "max_carrier", max_carrier)
+    check_bound(EnumGuard, "hom-set candidate assignments",
+                (m.scalars.size ** n) ** len(gens), "max_enum", max_enum)
+    free, pi = _cover(m, gens + (m.zero,) * (n - len(gens)), max_carrier)
     for mu in iter_homs(m, free, max_enum):
         if all(pi.mapping[mu.mapping[x]] == x for x in range(m.size)):
             return Retraction(free, pi, mu)
@@ -333,12 +335,10 @@ def direct_sum(m: FiniteSemimodule, n: FiniteSemimodule) -> DirectSum:
         return x * n.size + y
 
     size = m.size * n.size
-    add = tuple(tuple(idx(m.add[x][p], n.add[y][q])
-                      for p in range(m.size) for q in range(n.size))
-                for x in range(m.size) for y in range(n.size))
-    action = tuple(tuple(idx(m.action[a][x], n.action[a][y])
-                         for x in range(m.size) for y in range(n.size))
-                   for a in range(s.size))
+    add = idx(m.np_add[:, None, :, None],
+              n.np_add[None, :, None, :]).reshape(size, size)
+    action = idx(m.np_action[:, :, None],
+                 n.np_action[:, None, :]).reshape(s.size, size)
     labels = tuple(f"({m.label(x)},{n.label(y)})"
                    for x in range(m.size) for y in range(n.size))
     mod = FiniteSemimodule(scalars=s, size=size, add=add,

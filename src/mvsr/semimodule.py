@@ -20,6 +20,7 @@ rows directly (free_universal_property).
 """
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -29,13 +30,14 @@ from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
 import numpy as np
 
 from .config import MAX_CARRIER, MAX_ENUM
-from .errors import (EnumGuard, IllDefinedAction, MalformedTable, NotAHom,
-                     NotAnIdeal, ScalarMismatch, SizeGuard, check_bound)
+from .errors import (EnumGuard, IllDefinedAction, NotAHom, ScalarMismatch,
+                     SizeGuard, check_bound)
 from .mv import (MvAlgebra, check_mv_axioms, quotient, reduct_vee_odot)
 from .semiring import (AxiomReport, FiniteSemiring, LawCheck, SemiringHom,
-                       Table, _check_index, _first_assoc_failure,
-                       _first_comm_failure, _first_identity_failure,
-                       boolean_semiring, fold, freeze_table, int_row,
+                       Table, _CHUNK_ELEMENTS, _IndexMap,
+                       _first_assoc_failure, _first_comm_failure,
+                       _first_identity_failure, _index_grid, _label_tuple,
+                       _store, boolean_semiring, fold,
                        is_additively_idempotent, same_scalars)
 
 
@@ -52,20 +54,12 @@ class FiniteSemimodule:
     labels: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "add", freeze_table(self.add, self.size, "add"))
-        rows = tuple(int_row(row, "action") for row in self.action)
-        if len(rows) != self.scalars.size:
-            raise MalformedTable("action needs one row per scalar")
-        for row in rows:
-            if len(row) != self.size or any(not 0 <= v < self.size for v in row):
-                raise MalformedTable("action entry out of range")
-        object.__setattr__(self, "action", rows)
-        object.__setattr__(self, "zero", _check_index(self.zero, self.size, "zero"))
-        if self.labels is not None:
-            labels = tuple(str(l) for l in self.labels)
-            if len(labels) != self.size:
-                raise MalformedTable("label count mismatch")
-            object.__setattr__(self, "labels", labels)
+        n = self.size
+        _store(self, add=_index_grid(self.add, (n, n), n, "add"),
+               action=_index_grid(self.action, (self.scalars.size, n), n,
+                                  "action"),
+               zero=_index_grid(self.zero, (), n, "zero"),
+               labels=_label_tuple(self.labels, n))
 
     def plus(self, x: int, y: int) -> int:
         return self.add[x][y]
@@ -249,10 +243,9 @@ def free_semimodule(s: FiniteSemiring, points: Sequence[str],
                 max_carrier)
     members = np.arange(size)
     add, action, zero = _vector_tables(s, len(pts), members)
-    return FreeSemimodule(scalars=s, size=size, add=add.tolist(), zero=zero,
-                          action=action.tolist(),
-                          labels=_vector_labels(s, len(pts), members),
-                          points=pts)
+    return FreeSemimodule(scalars=s, size=size, add=add, zero=zero,
+                          action=action, points=pts,
+                          labels=_vector_labels(s, len(pts), members))
 
 
 def module_over_self(s: FiniteSemiring) -> FiniteSemimodule:
@@ -281,7 +274,9 @@ class Subsemimodule(FiniteSemimodule):
 
     def __post_init__(self):
         super().__post_init__()
-        object.__setattr__(self, "members", tuple(int(x) for x in self.members))
+        # members index the parent's carrier, which any sequence index bounds
+        _store(self, members=_index_grid(self.members, (self.size,),
+                                         sys.maxsize, "members"))
 
 
 def generate(m: FiniteSemimodule, gens: Iterable[int]) -> Subsemimodule:
@@ -346,32 +341,18 @@ def _derivation_order(m: FiniteSemimodule, gens: Iterable[int]):
 # ----- homomorphisms --------------------------------------------------------
 
 @dataclass(frozen=True)
-class SemimoduleHom:
+class SemimoduleHom(_IndexMap):
     """A map preserving addition, zero, and the scalar action."""
 
     source: FiniteSemimodule
     target: FiniteSemimodule
     mapping: Tuple[int, ...]
 
-    def __post_init__(self):
-        mapping = int_row(self.mapping, "hom")
-        if len(mapping) != self.source.size:
-            raise MalformedTable("hom length mismatch")
-        if any(not 0 <= v < self.target.size for v in mapping):
-            raise MalformedTable("hom image out of range")
-        object.__setattr__(self, "mapping", mapping)
-
-    def __call__(self, x: int) -> int:
-        return self.mapping[x]
-
     def validate(self) -> "SemimoduleHom":
         broken = _broken_law(self.source, self.target, self.mapping)
         if broken is not None:
             raise NotAHom(_BROKEN_LAW[broken[0]].format(*broken[1:]))
         return self
-
-    def is_onto(self) -> bool:
-        return len(set(self.mapping)) == self.target.size
 
     def is_injective(self) -> bool:
         return len(set(self.mapping)) == self.source.size
@@ -416,11 +397,6 @@ def _broken_law(m: FiniteSemimodule, n: FiniteSemimodule,
         if len(hit):
             return (law,) + tuple(int(i) for i in hit[0])
     return None
-
-
-# Most elements any one temporary array of the hom kernel holds: the law
-# check of k candidate maps out of m allocates k * (|m|^2 + |S| |m|).
-_CHUNK_ELEMENTS = 1 << 18
 
 
 def _chunk_rows(m: FiniteSemimodule) -> int:

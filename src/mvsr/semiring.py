@@ -9,13 +9,17 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
 from .errors import MalformedTable, NotAHom, NotIdempotent
 
 Table = Tuple[Tuple[int, ...], ...]
+# Most elements any one temporary array holds: the hom kernel's law check
+# of k candidate maps out of m allocates k * (|m|^2 + |S| |m|), and an
+# integer table is stored as tuples this many entries at a time.
+_CHUNK_ELEMENTS = 1 << 18
 
 
 def _entry(x, what: str) -> int:
@@ -29,41 +33,91 @@ def _entry(x, what: str) -> int:
         raise MalformedTable(f"{what} entry {x!r} is not an integer") from None
 
 
-def int_row(row: Iterable, what: str) -> Tuple[int, ...]:
-    """A row of exact integers; anything else raises MalformedTable."""
-    return tuple(_entry(x, what) for x in row)
+def _index_grid(values, shape: Tuple[int, ...], bound: int, what: str):
+    """values checked as exact integers in 0..bound-1 laid out in shape,
+    which is () for an index, (n,) for a map and (r, c) for a table, and
+    returned as the int or tuples a structure stores; else MalformedTable.
+    A Python sequence is checked entry by entry, so bool, float, str, None
+    and nested sequences are refused. An integer ndarray is checked in
+    numpy, and a table from one holds one int object per index."""
+    shape = tuple(shape)
+    if isinstance(values, np.ndarray):
+        return _array_grid(values, shape, bound, what)
+    if len(shape) == 2:
+        return tuple(_row(row, shape, bound, what)
+                     for row in _items(values, shape[0], shape, what))
+    if shape:
+        return _row(values, shape, bound, what)
+    x = _entry(values, what)
+    if not 0 <= x < bound:
+        raise _range_error(what, shape, x, bound)
+    return x
 
 
-def freeze_table(table: Sequence[Sequence[int]], size: int, what: str) -> Table:
-    """Normalize a nested sequence to a tuple table, checking shape and range."""
-    rows = tuple(int_row(row, what) for row in table)
-    if len(rows) != size or any(len(r) != size for r in rows):
-        raise MalformedTable(f"{what} table must be {size}x{size}")
-    for r in rows:
-        for x in r:
-            if not 0 <= x < size:
-                raise MalformedTable(f"{what} table entry {x} out of range 0..{size - 1}")
-    return rows
-
-
-def freeze_unary(table: Sequence[int], size: int, what: str,
-                 bound: int = None) -> Tuple[int, ...]:
-    # bound lets maps land in a carrier of a different size than the domain
-    bound = size if bound is None else bound
-    row = int_row(table, what)
-    if len(row) != size:
-        raise MalformedTable(f"{what} table must have {size} entries")
-    for x in row:
-        if not 0 <= x < bound:
-            raise MalformedTable(f"{what} table entry {x} out of range 0..{bound - 1}")
+def _row(values, shape, bound: int, what: str) -> Tuple[int, ...]:
+    """A row of shape[-1] exact integers in 0..bound-1; a row of plain
+    ints, the common case, is checked in bulk."""
+    row = _items(values, shape[-1], shape, what)
+    if not set(map(type, row)) <= {int}:
+        row = tuple(_entry(x, what) for x in row)
+    if row and (min(row) < 0 or max(row) >= bound):
+        x = next(x for x in row if not 0 <= x < bound)
+        raise _range_error(what, shape, x, bound)
     return row
 
 
-def _check_index(i: int, size: int, what: str) -> int:
-    i = _entry(i, what)
-    if not 0 <= i < size:
-        raise MalformedTable(f"{what} index {i} out of range 0..{size - 1}")
-    return i
+def _items(values, count: int, shape, what: str) -> tuple:
+    try:
+        items = tuple(values)
+    except TypeError:
+        items = None
+    if items is None or len(items) != count:
+        raise _shape_error(what, shape)
+    return items
+
+
+def _shape_error(what: str, shape) -> MalformedTable:
+    if len(shape) == 2:
+        return MalformedTable(f"{what} table must be {shape[0]}x{shape[1]}")
+    return MalformedTable(f"{what} table must have {shape[0]} entries"
+                          if shape else f"{what} must be a single index")
+
+
+def _range_error(what: str, shape, x: int, bound: int) -> MalformedTable:
+    kind = "table entry" if shape else "index"
+    return MalformedTable(f"{what} {kind} {x} out of range 0..{bound - 1}")
+
+
+def _array_grid(values: np.ndarray, shape, bound: int, what: str):
+    if values.dtype.kind not in "iu":
+        raise MalformedTable(f"{what} array of dtype {values.dtype} is not "
+                             f"an integer array")
+    if values.shape != shape:
+        raise _shape_error(what, shape)
+    if values.size and (values.min() < 0 or values.max() >= bound):
+        x = values[(values < 0) | (values >= bound)][0]
+        raise _range_error(what, shape, int(x), bound)
+    if values.ndim == 2:
+        ints = np.arange(bound, dtype=object)
+        step = max(1, _CHUNK_ELEMENTS // max(1, shape[1]))
+        return tuple(row for i in range(0, shape[0], step)
+                     for row in map(tuple, ints[values[i:i + step]].tolist()))
+    return tuple(values.tolist()) if shape else values.item()
+
+
+def _label_tuple(labels, size: int) -> Optional[Tuple[str, ...]]:
+    """Labels as strings, one per element, or None when there are none."""
+    if labels is not None:
+        labels = tuple(map(str, labels))
+        if len(labels) != size:
+            raise MalformedTable("labels must match carrier size")
+    return labels
+
+
+def _store(obj, **fields) -> None:
+    """Set the fields of a frozen dataclass from its __post_init__."""
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
 
 
 def fold(add: Table, zero: int, xs: Iterable[int]) -> int:
@@ -86,15 +140,12 @@ class FiniteSemiring:
     labels: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "add", freeze_table(self.add, self.size, "add"))
-        object.__setattr__(self, "mul", freeze_table(self.mul, self.size, "mul"))
-        object.__setattr__(self, "zero", _check_index(self.zero, self.size, "zero"))
-        object.__setattr__(self, "one", _check_index(self.one, self.size, "one"))
-        if self.labels is not None:
-            labels = tuple(str(x) for x in self.labels)
-            if len(labels) != self.size:
-                raise MalformedTable("labels must match carrier size")
-            object.__setattr__(self, "labels", labels)
+        n = self.size
+        _store(self, add=_index_grid(self.add, (n, n), n, "add"),
+               mul=_index_grid(self.mul, (n, n), n, "mul"),
+               zero=_index_grid(self.zero, (), n, "zero"),
+               one=_index_grid(self.one, (), n, "one"),
+               labels=_label_tuple(self.labels, n))
 
     def plus(self, a: int, b: int) -> int:
         return self.add[a][b]
@@ -253,8 +304,7 @@ def natural_order(s: FiniteSemiring) -> Tuple[Tuple[bool, ...], ...]:
 
 def opposite_semiring(s: FiniteSemiring) -> FiniteSemiring:
     """Same carrier with multiplication transposed; models right actions."""
-    mul = tuple(tuple(s.mul[b][a] for b in range(s.size)) for a in range(s.size))
-    return FiniteSemiring(s.size, s.add, mul, s.zero, s.one, s.labels)
+    return FiniteSemiring(s.size, s.add, s.np_mul.T, s.zero, s.one, s.labels)
 
 
 def boolean_semiring() -> FiniteSemiring:
@@ -262,21 +312,28 @@ def boolean_semiring() -> FiniteSemiring:
     return FiniteSemiring(2, ((0, 1), (1, 1)), ((0, 0), (0, 1)), 0, 1, ("0", "1"))
 
 
+class _IndexMap:
+    """What the homs share: mapping[x] is the image of x, checked as a map
+    from the source's carrier into the target's."""
+
+    def __post_init__(self):
+        _store(self, mapping=_index_grid(self.mapping, (self.source.size,),
+                                         self.target.size, "hom"))
+
+    def __call__(self, x: int) -> int:
+        return self.mapping[x]
+
+    def is_onto(self) -> bool:
+        return len(set(self.mapping)) == self.target.size
+
+
 @dataclass(frozen=True)
-class SemiringHom:
+class SemiringHom(_IndexMap):
     """A map between finite semirings, validated against the four laws."""
 
     source: FiniteSemiring
     target: FiniteSemiring
     mapping: Tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "mapping",
-                           freeze_unary(self.mapping, self.source.size, "hom",
-                                        bound=self.target.size))
-
-    def __call__(self, a: int) -> int:
-        return self.mapping[a]
 
     def validate(self) -> None:
         s, t, h = self.source, self.target, self.mapping
@@ -290,9 +347,6 @@ class SemiringHom:
                     raise NotAHom(f"addition not preserved at ({a}, {b})")
                 if h[s.mul[a][b]] != t.mul[h[a]][h[b]]:
                     raise NotAHom(f"multiplication not preserved at ({a}, {b})")
-
-    def is_onto(self) -> bool:
-        return len(set(self.mapping)) == self.target.size
 
     def is_bijective(self) -> bool:
         return self.source.size == self.target.size and self.is_onto()

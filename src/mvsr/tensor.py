@@ -313,9 +313,8 @@ def scalar_structures(t: TensorProduct, scalars: FiniteSemiring,
             f"scalar {b} sends the generating pair of subsets "
             f"({u}, {v}) to distinct classes {int(cu[b, k])} and "
             f"{int(cv[b, k])}")
-    rows = tuple(tuple(row) for row in classes[:, 2 * gen_count:].tolist())
     return FiniteSemimodule(scalars, t.class_count, t.join_table, t.zero_class,
-                            rows, _class_labels(t))
+                            classes[:, 2 * gen_count:], _class_labels(t))
 
 
 def as_module(t: TensorProduct) -> FiniteSemimodule:

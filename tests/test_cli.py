@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from mvsr import matrix
 from mvsr.cli import main
 from mvsr.jsonio import (canonical_dumps, mv_to_dict, semimodule_to_dict,
                          semiring_to_dict)
@@ -333,6 +334,42 @@ def test_size_arguments(chain3_file, boolean_file, lawless_file, capsys,
     fails_cleanly([files.get(a, a) for a in argv], code, capsys)
 
 
+def _atom_lattice(atoms):
+    """Bottom, the atoms and top as a module over B; it needs every atom
+    as a generator."""
+    top = atoms + 1
+
+    def join(a, b):
+        return a if b in (0, a) else b if a == 0 else top
+    return {"kind": "semimodule",
+            "scalars": semiring_to_dict(boolean_semiring()),
+            "size": top + 1, "zero": 0,
+            "add": [[join(a, b) for b in range(top + 1)]
+                    for a in range(top + 1)],
+            "action": [[0] * (top + 1), list(range(top + 1))]}
+
+
+@pytest.mark.parametrize("module,extra,stage", [
+    ("lattice", [], "hom-set candidate assignments"),
+    ("self", ["--n", "10000000"], "free module carrier"),
+], ids=["twelve-atoms", "n-10000000"])
+def test_projective_guards_fire_before_the_free_cover(
+        tmp_path, self_file, monkeypatch, capsys, module, extra, stage):
+    """The retract oracle's guards fire before its free cover is built:
+    on twelve generators the cover has 4096 elements, and --n 10000000
+    asks for 2^10000000."""
+    def no_cover(*args, **kwargs):
+        raise AssertionError("the free cover was built")
+    monkeypatch.setattr(matrix, "free_semimodule", no_cover)
+    monkeypatch.delenv("MVSR_CONFIG", raising=False)
+    path = (write(tmp_path / "lattice.json", _atom_lattice(12))
+            if module == "lattice" else self_file)
+    start = time.perf_counter()
+    err = fails_cleanly(["projective", "--input", path, *extra], 3, capsys)
+    assert time.perf_counter() - start < 5
+    assert stage in err
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["chain", "--help"]],
                          ids=["top", "subcommand"])
 def test_help_exits_zero(argv, capsys):
@@ -511,3 +548,61 @@ def test_fuzzed_chain_and_gamma_keep_the_exit_contract(argv, monkeypatch):
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err
     assert _run(argv) == (code, out, err)
+
+
+# ----- fuzzed JSON values ----------------------------------------------------------
+
+_SCHEMA_WORDS = ("kind", "semiring", "mv", "semimodule", "matrix", "size",
+                 "add", "mul", "zero", "one", "oplus", "star", "labels",
+                 "scalars", "action", "rows", "cols", "entries")
+_TEXT = st.one_of(st.text(max_size=4), st.sampled_from(_SCHEMA_WORDS))
+_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                    _TEXT)
+_JSON_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(_TEXT, inner, max_size=5)),
+    max_leaves=24)
+# Objects of a known kind holding every field with the right JSON type:
+# small ints, and rows and grids of one to three entries, each a small int
+# or any leaf. Most pass the schema and reach the table checks.
+_SMALL = st.one_of(st.integers(0, 2), _LEAVES)
+_ROWS = st.lists(_SMALL, min_size=1, max_size=3)
+_GRIDS = st.lists(_ROWS, min_size=1, max_size=3)
+_DRAWN_DESCRIPTIONS = st.fixed_dictionaries({
+    "kind": st.sampled_from(("semiring", "mv", "semimodule", "matrix")),
+    **{key: st.integers(-1, 3) for key in ("size", "zero", "one", "rows",
+                                           "cols")},
+    **{key: _GRIDS for key in ("add", "mul", "oplus", "action", "entries")},
+    "star": _ROWS,
+    "labels": st.one_of(st.none(), st.lists(_TEXT, max_size=3)),
+    "scalars": st.one_of(st.just(semiring_to_dict(boolean_semiring())),
+                         _JSON_VALUES)})
+
+
+@settings(max_examples=40, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(value=st.one_of(_JSON_VALUES, _DRAWN_DESCRIPTIONS))
+def test_fuzzed_json_values_keep_the_exit_contract(value, tmp_path,
+                                                   monkeypatch):
+    """Any JSON value as the input of verify, k0, projective, tensor and
+    homset (on each side in turn, with B over itself on the other) exits
+    0 to 3 without a traceback, and a second run prints the same bytes.
+    Half the values are objects of a known kind with drawn fields, so
+    they reach the table checks."""
+    monkeypatch.delenv("MVSR_CONFIG", raising=False)
+    fuzzed = tmp_path / "value.json"
+    fuzzed.write_text(json.dumps(value), encoding="utf-8")
+    path = str(fuzzed)
+    b_self = write(tmp_path / "self.json",
+                   semimodule_to_dict(module_over_self(boolean_semiring())))
+    commands = [[command, "--input", path]
+                for command in ("verify", "k0", "projective")]
+    commands += [[command, "--left", left, "--right", right]
+                 for command in ("tensor", "homset")
+                 for left, right in ((path, b_self), (b_self, path))]
+    for argv in commands:
+        code, out, err = _run(argv)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err
+        assert _run(argv) == (code, out, err)

@@ -4,14 +4,17 @@ import random
 import numpy as np
 import pytest
 
-from mvsr.errors import NotFreeBasis, ShapeMismatch, SizeGuard
+from mvsr.errors import (NoDecomposition, NotFreeBasis, ShapeMismatch,
+                         SizeGuard)
 from mvsr.matrix import (SemiringMatrix, eta, hom_from_matrix,
                          idempotent_matrices, is_mult_idempotent, lift_hom,
                          mat_add, mat_identity, mat_star_mul, mat_zero,
                          matrix_from_hom, matrix_law_report, matrix_semiring)
 from mvsr.mv import lukasiewicz_chain, mv_product, reduct_vee_odot
-from mvsr.semimodule import (SemimoduleHom, free_semimodule, generate,
-                             module_over_self)
+from mvsr.semimodule import (FiniteSemimodule, SemimoduleHom,
+                             free_semimodule, generate, hom_set,
+                             minimal_generating_set, module_over_self,
+                             trivial_module)
 from mvsr.semiring import (FiniteSemiring, boolean_semiring,
                            check_semiring_axioms)
 
@@ -234,3 +237,58 @@ def test_lift_hom_square_commutes(three):
     lifted = lift_hom(inclusion, (1,), (2,))
     assert lifted.square_commutes
     assert lifted.matrix.rows == 1 and lifted.matrix.cols == 1
+
+
+def _lift_rows_by_search(h, gens_source, gens_target):
+    """The coefficient rows lift_hom took before it read them off its cover:
+    for each source generator, the first coefficient tuple in
+    lexicographic order whose combination of the target generators is
+    the generator's image."""
+    n, s = h.target, h.source.scalars
+    rows = []
+    for g in gens_source:
+        want = h.mapping[g]
+        for coeffs in itertools.product(range(s.size),
+                                        repeat=len(gens_target)):
+            if n.sum(n.act(c, y) for c, y in zip(coeffs, gens_target)) == want:
+                rows.append(coeffs)
+                break
+        else:
+            raise NoDecomposition(f"no combination reaches element {want}")
+    return tuple(rows)
+
+
+def _small_modules(s):
+    """Trivial, self, free on two points and the cyclic submodules of self,
+    plus one lawless module where 1 + 1 = 2: its generator 1 spans 2, yet
+    no scalar multiple of 1 is 2, so no hom onto 2 lifts."""
+    self_mod = module_over_self(s)
+    doubling = FiniteSemimodule(s, 3, ((0, 1, 2), (1, 2, 2), (2, 2, 2)), 0,
+                                ((0, 0, 0),) * (s.size - 1) + ((0, 1, 2),))
+    return [trivial_module(s), self_mod, free_semimodule(s, ["x", "y"]),
+            *(generate(self_mod, (x,)) for x in range(1, s.size)), doubling]
+
+
+@pytest.mark.parametrize("scalars", ["B", "c3"])
+def test_lift_hom_matches_the_search(scalars, three):
+    """On every hom between small modules over B and c3, with their minimal
+    generating sets, lift_hom gives the matrix the search gives, or the
+    same refusal."""
+    s = boolean_semiring() if scalars == "B" else three
+    modules = _small_modules(s)
+    lifted = refused = 0
+    for m in modules:
+        for n in modules:
+            gm, gn = minimal_generating_set(m), minimal_generating_set(n)
+            for h in hom_set(m, n).homs:
+                try:
+                    want = _lift_rows_by_search(h, gm, gn)
+                except NoDecomposition as exc:
+                    with pytest.raises(NoDecomposition, match=str(exc)):
+                        lift_hom(h, gm, gn)
+                    refused += 1
+                    continue
+                got = lift_hom(h, gm, gn)
+                assert got.matrix.entries == want
+                lifted += 1
+    assert lifted > len(modules) ** 2 and refused > 0

@@ -307,6 +307,31 @@ def test_direct_sum_structure_maps(boolean):
         assert ds.project_right.mapping[ds.inject_right.mapping[x]] == x
 
 
+def _direct_sum_tables_by_loop(m, n):
+    """The add and action tables of m + n, pair (x, y) at x * |n| + y."""
+    def idx(x, y):
+        return x * n.size + y
+    add = tuple(tuple(idx(m.add[x][p], n.add[y][q])
+                      for p in range(m.size) for q in range(n.size))
+                for x in range(m.size) for y in range(n.size))
+    action = tuple(tuple(idx(m.action[a][x], n.action[a][y])
+                         for x in range(m.size) for y in range(n.size))
+                   for a in range(m.scalars.size))
+    return add, action
+
+
+def test_direct_sum_tables_match_the_loop(boolean, three):
+    """On every pair of B-modules of at most three elements and of c3's
+    cyclic submodules."""
+    self_mod = module_over_self(three)
+    for modules in (enumerate_modules(boolean, 3),
+                    [generate(self_mod, (x,)) for x in range(three.size)]):
+        for m in modules:
+            for n in modules:
+                ds = direct_sum(m, n).module
+                assert (ds.add, ds.action) == _direct_sum_tables_by_loop(m, n)
+
+
 def test_direct_sum_scalar_mismatch(boolean, three):
     with pytest.raises(ScalarMismatch):
         direct_sum(module_over_self(boolean), module_over_self(three))

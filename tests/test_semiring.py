@@ -1,6 +1,10 @@
+import numpy as np
 import pytest
 
 from mvsr.errors import MalformedTable, NotAHom
+from mvsr.matrix import SemiringMatrix
+from mvsr.mv import MvAlgebra, MvHom, lukasiewicz_chain
+from mvsr.semimodule import FiniteSemimodule, SemimoduleHom, module_over_self
 from mvsr.semiring import (AxiomReport, FiniteSemiring, SemiringHom,
                            boolean_semiring, check_semiring_axioms,
                            compose_homs, is_additively_idempotent,
@@ -77,6 +81,17 @@ def test_opposite_of_commutative_is_equal(boolean):
     assert check_semiring_axioms(opp).valid
 
 
+def test_opposite_transposes_the_product():
+    """On a table whose product does not commute, and that breaks the
+    laws, the opposite product is the transpose, entry by entry."""
+    s = FiniteSemiring(3, ((0, 2, 2), (1, 1, 0), (0, 2, 0)),
+                       ((0, 0, 0), (2, 2, 2), (1, 2, 2)), 1, 2)
+    opp = opposite_semiring(s)
+    assert opp.mul == tuple(tuple(s.mul[b][a] for b in range(3))
+                            for a in range(3))
+    assert opp.mul != s.mul and opp.add == s.add
+
+
 def test_hom_validate_and_compose(boolean):
     ident = SemiringHom(boolean, boolean, (0, 1))
     ident.validate()
@@ -97,3 +112,97 @@ def test_report_failures_empty_when_valid(boolean):
     report = check_semiring_axioms(boolean)
     assert isinstance(report, AxiomReport)
     assert report.failures() == ()
+
+
+# ----- every public constructor refuses bad entries ------------------------------
+
+_B = boolean_semiring()
+_C3 = lukasiewicz_chain(3)
+_B_SELF = module_over_self(_B)
+
+# Each constructor with one of its index fields left open, the field's name
+# and a valid value for it: a table (list of rows) or a map (one row).
+_CONSTRUCTORS = {
+    "FiniteSemiring": (lambda t: FiniteSemiring(2, t, _B.mul, 0, 1), "add",
+                       [[0, 1], [1, 1]]),
+    "MvAlgebra": (lambda t: MvAlgebra(3, t, _C3.star, 0), "oplus",
+                  [list(row) for row in _C3.oplus]),
+    "FiniteSemimodule": (lambda t: FiniteSemimodule(_B, 2, _B.add, 0, t),
+                         "action", [[0, 0], [0, 1]]),
+    "SemiringMatrix": (lambda t: SemiringMatrix(_B, 2, 2, t), "entries",
+                       [[0, 1], [1, 0]]),
+    "SemimoduleHom": (lambda t: SemimoduleHom(_B_SELF, _B_SELF, t),
+                      "mapping", [0, 1]),
+    "SemiringHom": (lambda t: SemiringHom(_B, _B, t), "mapping", [0, 1]),
+    "MvHom": (lambda t: MvHom(_C3, _C3, t), "mapping", [0, 1, 2]),
+}
+
+
+def _with_first(value, entry):
+    """value with its first entry replaced."""
+    if isinstance(value[0], list):
+        return [[entry] + value[0][1:]] + value[1:]
+    return [entry] + value[1:]
+
+
+def _short(value):
+    """value with the last entry of its first row dropped."""
+    if isinstance(value[0], list):
+        return [value[0][:-1]] + value[1:]
+    return value[:-1]
+
+
+_BAD_INPUTS = {
+    "bool": lambda v: _with_first(v, True),
+    "float": lambda v: _with_first(v, 1.0),
+    "str": lambda v: _with_first(v, "1"),
+    "none": lambda v: _with_first(v, None),
+    "out-of-range": lambda v: _with_first(v, 7),
+    "short-row": _short,
+    "float-array": lambda v: np.array(v, dtype=float),
+    "bool-array": lambda v: np.array(v, dtype=bool),
+    "wrong-shape-array": lambda v: np.array(v)[..., :-1],
+    "out-of-range-array": lambda v: np.array(_with_first(v, 7)),
+}
+
+
+@pytest.mark.parametrize("bad", _BAD_INPUTS)
+@pytest.mark.parametrize("name", _CONSTRUCTORS)
+def test_constructors_refuse_bad_entries(name, bad):
+    build, _, good = _CONSTRUCTORS[name]
+    with pytest.raises(MalformedTable):
+        build(_BAD_INPUTS[bad](good))
+
+
+@pytest.mark.parametrize("name", _CONSTRUCTORS)
+def test_constructors_store_the_same_tuples_from_arrays(name):
+    """An integer array of any width gives the tuples its nested list
+    gives, of Python ints."""
+    build, field, good = _CONSTRUCTORS[name]
+    want = getattr(build(good), field)
+    for dtype in (np.int64, np.int8, np.uint16):
+        got = getattr(build(np.array(good, dtype=dtype)), field)
+        assert got == want
+        rows = got if isinstance(got[0], tuple) else (got,)
+        assert all(type(x) is int for row in rows for x in row)
+
+
+def test_array_tables_share_one_int_per_index():
+    """A table built from an array holds one int object per index, so a
+    large carrier does not pay one object per entry."""
+    n = 300
+    add = np.maximum.outer(np.arange(n), np.arange(n))
+    m = FiniteSemimodule(_B, n, add, 0, np.stack([np.zeros(n, int),
+                                                  np.arange(n)]))
+    assert m.add[n - 1][0] is m.add[0][n - 1] is m.add[n - 1][n - 2]
+    assert m.add == tuple(tuple(max(x, y) for y in range(n))
+                          for x in range(n))
+
+
+@pytest.mark.parametrize("zero", [True, 2, -1, 1.0, [0], np.array([0]),
+                                  np.array(0.0)],
+                         ids=["bool", "out-of-range", "negative", "float",
+                              "list", "array", "float-array"])
+def test_index_fields_refuse_bad_indices(zero):
+    with pytest.raises(MalformedTable):
+        FiniteSemiring(2, _B.add, _B.mul, zero, 1)
