@@ -176,7 +176,7 @@ def cmd_homset(args, cfg: ToolConfig) -> Tuple[dict, int]:
         raise MalformedTable("homset needs two semimodule descriptions")
     homs = hom_set(left, right, cfg.max_enum)
     return {"count": len(homs),
-            "homs": [list(h.mapping) for h in homs]}, 0
+            "homs": homs.rows.tolist()}, 0
 
 
 class _Parser(argparse.ArgumentParser):

@@ -20,7 +20,8 @@ from .semiring import (FiniteSemiring, SemiringHom, _index_grid, _store,
                        check_semiring_axioms, same_scalars)
 from .semimodule import (_CHUNK_ELEMENTS, EndSemiring, FiniteSemimodule,
                          FreeSemimodule, SemimoduleHom, _assignments, _digits,
-                         _span, _weights, end_semiring, free_semimodule)
+                         _require_homs, _span, _weights, end_semiring,
+                         free_semimodule)
 
 
 @dataclass(frozen=True)
@@ -234,9 +235,10 @@ def eta(s: FiniteSemiring, n: int, max_carrier: int = MAX_CARRIER,
     ring = matrix_semiring(s, n, max_carrier)
     module = free_semimodule(s, [str(i) for i in range(n)], max_carrier)
     end = end_semiring(module, max_enum=max_enum)
-    pos = {h.mapping: i for i, h in enumerate(end.homs)}
-    mapping = tuple(pos[hom_from_matrix(a, module, module).mapping]
-                    for a in ring.matrices)
+    mapping = _require_homs(
+        end.homs.positions([hom_from_matrix(a, module, module).mapping
+                            for a in ring.matrices]),
+        "the map of matrix {0} is not a hom")
     hom = SemiringHom(ring.semiring, end.semiring, mapping)
     hom.validate()
     return EtaResult(ring, module, end, hom, hom.is_bijective())

@@ -30,8 +30,8 @@ from .matrix import (SemiringMatrix, _cover, idempotent_matrices,
 from .mv import MvAlgebra, reduct_vee_odot
 from .semimodule import (FiniteSemimodule, FreeSemimodule, SemimoduleHom,
                          Subsemimodule, _module_laws_hold, _span,
-                         _vector_labels, _vector_tables, _weights, generate,
-                         iter_homs, minimal_generating_set, module_over_self)
+                         _first_hom, _vector_labels, _vector_tables, _weights,
+                         generate, minimal_generating_set, module_over_self)
 from .semiring import (FiniteSemiring, check_semiring_axioms,
                        is_additively_idempotent, same_scalars)
 from .tensor import join_irreducibles
@@ -106,10 +106,11 @@ def is_projective_retract_oracle(m: FiniteSemimodule, n: int = None,
     check_bound(EnumGuard, "hom-set candidate assignments",
                 (m.scalars.size ** n) ** len(gens), "max_enum", max_enum)
     free, pi = _cover(m, gens + (m.zero,) * (n - len(gens)), max_carrier)
-    for mu in iter_homs(m, free, max_enum):
-        if all(pi.mapping[mu.mapping[x]] == x for x in range(m.size)):
-            return Retraction(free, pi, mu)
-    return None
+    identity = np.arange(m.size)
+    pi_of = np.array(pi.mapping)
+    mu = _first_hom(m, free, lambda rows: (pi_of[rows] == identity).all(axis=1),
+                    max_enum)
+    return None if mu is None else Retraction(free, pi, mu)
 
 
 @dataclass(frozen=True)
@@ -129,15 +130,16 @@ class ProjectivePresentation:
 
 def are_isomorphic(m: FiniteSemimodule, n: FiniteSemimodule,
                    max_enum: int = MAX_ENUM) -> Optional[SemimoduleHom]:
-    """First bijective hom m -> n in the order of iter_homs, else None. Its
+    """First bijective hom m -> n in the order of hom_set, else None. Its
     inverse is a hom too: h(h^-1 y + h^-1 y') = y + y', h(h^-1 0) = 0 and
     h(a h^-1 y) = a y, so h^-1 preserves addition, zero and the action."""
     if not same_scalars(m.scalars, n.scalars):
         raise ScalarMismatch("hom set needs a common scalar semiring")
     if m.size != n.size:
         return None
-    return next((h for h in iter_homs(m, n, max_enum)
-                 if len(set(h.mapping)) == m.size), None)
+    return _first_hom(m, n, lambda rows: (np.sort(rows, axis=1)
+                                          == np.arange(n.size)).all(axis=1),
+                      max_enum)
 
 
 def canonical_form(m: FiniteSemimodule, max_enum: int = MAX_ENUM) -> tuple:

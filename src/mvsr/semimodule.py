@@ -13,10 +13,10 @@ module laws likewise exist once, as the lazy witnesses of
 _module_law_witnesses: check_semimodule reports them all, and
 _module_laws_hold stops at the first broken one.
 
-iter_homs is the one lazy enumerator of hom objects, and hom_set
-materialises it. Searches stop at their answer (are_isomorphic at the first
-bijective hom, the retract oracle at the first section); counts take the
-rows directly (free_universal_property).
+A hom-set is the kernel's rows, and every table built from homs gathers
+images from them and looks them up with HomSemilattice.positions. Searches
+stop at their answer's row (_first_hom); counts take the rows directly
+(free_universal_property).
 """
 from __future__ import annotations
 
@@ -451,16 +451,17 @@ def _hom_rows(m: FiniteSemimodule, n: FiniteSemimodule,
         yield img[_hom_mask(m, n, img)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HomSemilattice:
-    """Every hom between two modules, with the pointwise monoid structure."""
+    """Every hom between two modules, as the (k, |source|) rows of _hom_rows
+    in its order, with the pointwise monoid structure."""
 
     source: FiniteSemimodule
     target: FiniteSemimodule
-    homs: Tuple[SemimoduleHom, ...]
+    rows: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.homs)
+        return len(self.rows)
 
     def __iter__(self):
         return iter(self.homs)
@@ -469,26 +470,39 @@ class HomSemilattice:
         return self.homs[i]
 
     @cached_property
-    def _index(self) -> Dict[Tuple[int, ...], int]:
-        return {h.mapping: i for i, h in enumerate(self.homs)}
+    def homs(self) -> Tuple[SemimoduleHom, ...]:
+        return tuple(SemimoduleHom(self.source, self.target, tuple(row))
+                     for row in self.rows.tolist())
 
-    def position(self, mapping: Tuple[int, ...]) -> int:
-        """Index of the hom with this mapping; KeyError when none is."""
-        return self._index[mapping]
+    @cached_property
+    def labels(self) -> Tuple[str, ...]:
+        return tuple(",".join(map(str, row)) for row in self.rows.tolist())
+
+    @cached_property
+    def _keys(self) -> Dict[bytes, int]:
+        return {key: i for i, key in enumerate(_row_bytes(self.rows))}
+
+    def positions(self, images) -> np.ndarray:
+        """The hom index of each map in images, an integer array of shape
+        (..., |source|), as an array of shape (...), with -1 where the map
+        is no hom."""
+        images = np.asarray(images, dtype=np.intp)
+        keys = self._keys
+        found = [keys.get(b, -1) for b in _row_bytes(images)]
+        return np.array(found, dtype=np.intp).reshape(images.shape[:-1])
 
     @cached_property
     def zero_index(self) -> int:
-        return self._index[(self.target.zero,) * self.source.size]
-
-    def plus(self, i: int, j: int) -> int:
-        fi, fj = self.homs[i].mapping, self.homs[j].mapping
-        s = tuple(self.target.add[a][b] for a, b in zip(fi, fj))
-        return self._index[s]
+        zero = np.full(self.source.size, self.target.zero)
+        return int(_require_homs(self.positions(zero),
+                                 "the zero map is not a hom"))
 
     @cached_property
     def add_table(self) -> Table:
-        n = len(self.homs)
-        return tuple(tuple(self.plus(i, j) for j in range(n)) for i in range(n))
+        sums = self.target.np_add[self.rows[:, None], self.rows[None]]
+        return tuple(map(tuple, _require_homs(
+            self.positions(sums),
+            "the sum of homs {0} and {1} is not a hom").tolist()))
 
     def monoid_report(self) -> AxiomReport:
         t = np.array(self.add_table, dtype=np.intp)
@@ -501,32 +515,47 @@ class HomSemilattice:
     def to_module(self) -> FiniteSemimodule:
         """Pointwise scalar action; only sound for commutative scalars."""
         s = self.source.scalars
-        if any(s.mul[a][b] != s.mul[b][a]
-               for a in range(s.size) for b in range(s.size)):
+        if not np.array_equal(s.np_mul, s.np_mul.T):
             raise ScalarMismatch("pointwise action needs commutative scalars")
-        action = tuple(
-            tuple(self._index[tuple(self.target.action[a][v] for v in h.mapping)]
-                  for h in self.homs)
-            for a in range(s.size))
-        labels = tuple(",".join(map(str, h.mapping)) for h in self.homs)
-        return FiniteSemimodule(scalars=s, size=len(self.homs),
+        action = _require_homs(
+            self.positions(self.target.np_action[:, self.rows]),
+            "scalar {0} times hom {1} is not a hom")
+        return FiniteSemimodule(scalars=s, size=len(self),
                                 add=self.add_table, zero=self.zero_index,
-                                action=action, labels=labels)
+                                action=action, labels=self.labels)
 
 
-def iter_homs(m: FiniteSemimodule, n: FiniteSemimodule,
-              max_enum: int = MAX_ENUM) -> Iterator[SemimoduleHom]:
-    """Every hom m -> n, lazily, ordered lexicographically by generator
-    images; the scalar check and the guard run at the first step."""
-    for rows in _hom_rows(m, n, max_enum):
-        for row in rows.tolist():
-            yield SemimoduleHom(m, n, tuple(row))
+def _row_bytes(rows: np.ndarray) -> List[bytes]:
+    """Each row (along the last axis) of an array as intp bytes: a key
+    exact at any width, where a base-|target| code of a row passes int64."""
+    rows = np.ascontiguousarray(rows, dtype=np.intp)
+    return rows.view(f"V{rows.shape[-1] * rows.itemsize}").ravel().tolist()
+
+
+def _require_homs(pos: np.ndarray, message: str) -> np.ndarray:
+    """pos, from HomSemilattice.positions, when it found every map; else
+    NotAHom with message formatted by the index of the first one missing."""
+    if (pos < 0).any():
+        raise NotAHom(message.format(*np.argwhere(pos < 0)[0].tolist()))
+    return pos
 
 
 def hom_set(m: FiniteSemimodule, n: FiniteSemimodule,
             max_enum: int = MAX_ENUM) -> HomSemilattice:
-    """All homs m -> n, in the order of iter_homs."""
-    return HomSemilattice(m, n, tuple(iter_homs(m, n, max_enum)))
+    """All homs m -> n, ordered lexicographically by generator images."""
+    rows = np.concatenate(list(_hom_rows(m, n, max_enum)))
+    rows.setflags(write=False)
+    return HomSemilattice(m, n, rows)
+
+
+def _first_hom(m: FiniteSemimodule, n: FiniteSemimodule, keep,
+               max_enum: int = MAX_ENUM) -> Optional[SemimoduleHom]:
+    """The first hom m -> n in hom_set order whose row keep marks, or None."""
+    for rows in _hom_rows(m, n, max_enum):
+        hit = np.flatnonzero(keep(rows))
+        if len(hit):
+            return SemimoduleHom(m, n, tuple(rows[hit[0]].tolist()))
+    return None
 
 
 def compose_module_homs(g: SemimoduleHom, f: SemimoduleHom) -> SemimoduleHom:
@@ -541,34 +570,26 @@ def compose_module_homs(g: SemimoduleHom, f: SemimoduleHom) -> SemimoduleHom:
 
 @dataclass(frozen=True)
 class EndSemiring:
-    """Endomorphisms under pointwise sum and composition.
-
-    order "diagrammatic" multiplies by applying the left factor first;
-    "classical" composes the usual way round."""
+    """Endomorphisms under pointwise sum and composition, multiplied by
+    applying the left factor first: mul[i][j] is hom j after hom i. The
+    usual composition order is opposite_semiring of this one."""
 
     module: FiniteSemimodule
     semiring: FiniteSemiring
-    homs: Tuple[SemimoduleHom, ...]
-    order: str
+    homs: HomSemilattice
 
 
-def end_semiring(m: FiniteSemimodule, order: str = "diagrammatic",
+def end_semiring(m: FiniteSemimodule,
                  max_enum: int = MAX_ENUM) -> EndSemiring:
-    if order not in ("diagrammatic", "classical"):
-        raise ValueError("order must be diagrammatic or classical")
     hs = hom_set(m, m, max_enum)
-    k = len(hs.homs)
-    pos = hs._index
-    def compose(i: int, j: int) -> int:
-        fi, fj = hs.homs[i].mapping, hs.homs[j].mapping
-        if order == "diagrammatic":
-            return pos[tuple(fj[v] for v in fi)]
-        return pos[tuple(fi[v] for v in fj)]
-    mul = tuple(tuple(compose(i, j) for j in range(k)) for i in range(k))
-    one = pos[tuple(range(m.size))]
-    labels = tuple(",".join(map(str, h.mapping)) for h in hs.homs)
-    ring = FiniteSemiring(k, hs.add_table, mul, hs.zero_index, one, labels)
-    return EndSemiring(m, ring, hs.homs, order)
+    after = hs.rows[np.arange(len(hs))[None, :, None], hs.rows[:, None, :]]
+    mul = _require_homs(hs.positions(after),
+                        "hom {1} after hom {0} is not a hom")
+    one = int(_require_homs(hs.positions(np.arange(m.size)),
+                            "the identity is not a hom"))
+    ring = FiniteSemiring(len(hs), hs.add_table, mul, hs.zero_index, one,
+                          hs.labels)
+    return EndSemiring(m, ring, hs)
 
 
 def additive_monoid_module(s: FiniteSemiring) -> FiniteSemimodule:
@@ -601,13 +622,12 @@ class XiEmbedding:
 def xi_embedding(s: FiniteSemiring, max_enum: int = MAX_ENUM) -> XiEmbedding:
     monoid = additive_monoid_module(s)
     end = end_semiring(monoid, max_enum=max_enum)
-    pos = {h.mapping: i for i, h in enumerate(end.homs)}
-    mapping = tuple(pos[tuple(s.mul[x][a] for x in range(s.size))]
-                    for a in range(s.size))
+    mapping = _require_homs(end.homs.positions(s.np_mul.T),
+                            "the right translation by {0} is not a hom")
     hom = SemiringHom(s, end.semiring, mapping)
     hom.validate()
-    injective = len(set(mapping)) == s.size
-    unit = all(end.homs[mapping[a]].mapping[s.one] == a for a in range(s.size))
+    injective = len(set(hom.mapping)) == s.size
+    unit = bool((end.homs.rows[mapping, s.one] == np.arange(s.size)).all())
     return XiEmbedding(s, end, hom, injective, unit)
 
 

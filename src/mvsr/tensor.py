@@ -43,7 +43,7 @@ from .jsonio import semimodule_to_dict
 from .mv import gamma_chain, reduct_wedge_oplus
 from .semimodule import (FiniteSemimodule, HomSemilattice, SemimoduleHom,
                          _module_laws_hold, check_semimodule,
-                         free_semimodule, hom_set, iter_homs,
+                         _first_hom, _require_homs, free_semimodule, hom_set,
                          module_over_self, restrict_scalars, trivial_module)
 from .semiring import (FiniteSemiring, SemiringHom, fold,
                        is_additively_idempotent, same_scalars)
@@ -217,16 +217,24 @@ class TensorProduct:
             mask |= 1 << self.pair_index(x, y)
         return self.congruence.class_of[mask]
 
-    def extend(self, g, add, zero: int) -> Tuple[int, ...]:
-        """For each class, the fold of g(x, y) over its representative's
-        pairs under the addition table add."""
-        return tuple(fold(add, zero, [g(x, y) for (x, y) in self.pairs_of(c)])
-                     for c in range(self.class_count))
+    def extend(self, values: np.ndarray, add: np.ndarray,
+               zero: int) -> np.ndarray:
+        """For each class, the fold of values[..., x, y] over its
+        representative's pairs under the addition array add: an array of
+        shape values.shape[:-2] + (class_count,)."""
+        out = np.full((*values.shape[:-2], self.class_count), zero, np.intp)
+        for c in range(self.class_count):
+            for x, y in self.pairs_of(c):
+                out[..., c] = add[out[..., c], values[..., x, y]]
+        return out
 
     def generated_by_tensors(self) -> bool:
         """Every class is the join of the tensors of its representative."""
-        return self.extend(self.tensor, self.join_table, self.zero_class) \
-            == tuple(range(self.class_count))
+        tensors = [[self.tensor(x, y) for y in range(self.right.size)]
+                   for x in range(self.left.size)]
+        joined = self.extend(np.array(tensors), np.array(self.join_table),
+                             self.zero_class)
+        return bool((joined == np.arange(self.class_count)).all())
 
 
 def tensor_product(m: FiniteSemimodule, n: FiniteSemimodule,
@@ -509,21 +517,12 @@ def hom_lattice_structure(homs: HomSemilattice, b: FiniteSemiring,
                           b_action) -> HomLatticeModule:
     """Act on homs through a commuting right action on their source:
     (b * h)(x) = h(x * b). b_action[b][x] gives x * b."""
-    rows = []
-    for scalar in range(b.size):
-        moved = b_action[scalar]
-        row = []
-        for h in homs:
-            image = tuple(h.mapping[moved[x]] for x in range(len(h.mapping)))
-            try:
-                row.append(homs.position(image))
-            except KeyError:
-                raise NotAHom(f"scalar {scalar} does not send homs to homs; "
-                              "the source is not a bisemimodule")
-        rows.append(tuple(row))
-    labels = tuple(",".join(map(str, h.mapping)) for h in homs)
+    moved = homs.rows[:, np.asarray(b_action, dtype=np.intp)].swapaxes(0, 1)
+    action = _require_homs(homs.positions(moved),
+                           "scalar {0} does not send homs to homs; "
+                           "the source is not a bisemimodule")
     module = FiniteSemimodule(b, len(homs), homs.add_table, homs.zero_index,
-                              tuple(rows), labels)
+                              action, homs.labels)
     return HomLatticeModule(module, check_semimodule(b, module))
 
 
@@ -564,39 +563,25 @@ def zeta_isomorphism(m: FiniteSemimodule, n: FiniteSemimodule,
     inner_mod = inner.to_module()
     curried = hom_set(first, inner_mod, max_enum)
 
-    def pair(u: int, v: int) -> int:
-        return t.tensor(u, v) if variant == "plain" else t.tensor(v, u)
+    # pair[u, v] is the tensor with u in the curried slot, v in the other;
+    # values[k, x, y] is curried hom k uncurried at x tensor y
+    pair = np.array([[t.tensor(x, y) for y in range(n.size)]
+                     for x in range(m.size)], dtype=np.intp)
+    values = inner.rows[curried.rows]
+    if variant == "primed":
+        pair, values = pair.T, values.swapaxes(1, 2)
+    slices = _require_homs(inner.positions(outer.rows[:, pair]),
+                           "curried slice fails to be a homomorphism")
+    forward = _require_homs(curried.positions(slices),
+                            "curried map fails to be a homomorphism")
+    backward = _require_homs(outer.positions(t.extend(values, p.np_add,
+                                                      p.zero)),
+                             "uncurried map fails to be a homomorphism")
 
-    forward = []
-    for h in outer:
-        slices = []
-        for u in range(first.size):
-            image = tuple(h.mapping[pair(u, v)] for v in range(second.size))
-            try:
-                slices.append(inner.position(image))
-            except KeyError:
-                raise NotAHom("curried slice fails to be a homomorphism")
-        try:
-            forward.append(curried.position(tuple(slices)))
-        except KeyError:
-            raise NotAHom("curried map fails to be a homomorphism")
-
-    backward = []
-    for k in curried:
-        def uncurried(x: int, y: int) -> int:
-            u, v = (x, y) if variant == "plain" else (y, x)
-            return inner[k.mapping[u]].mapping[v]
-        try:
-            backward.append(outer.position(
-                t.extend(uncurried, p.add, p.zero)))
-        except KeyError:
-            raise NotAHom("uncurried map fails to be a homomorphism")
-
-    join_ok = all(forward[outer.plus(i, j)]
-                  == curried.plus(forward[i], forward[j])
-                  for i in range(len(outer)) for j in range(len(outer)))
-    return ZetaResult(outer, inner, curried, tuple(forward), tuple(backward),
-                      join_ok)
+    join_ok = bool((forward[np.array(outer.add_table)] == np.array(
+        curried.add_table)[np.ix_(forward, forward)]).all())
+    return ZetaResult(outer, inner, curried, tuple(forward.tolist()),
+                      tuple(backward.tolist()), join_ok)
 
 
 @dataclass(frozen=True)
@@ -617,10 +602,10 @@ def hom_point_iso(m: FiniteSemimodule,
     s = m.scalars
     base = module_over_self(s)
     homs = hom_set(base, m, max_enum)
-    phi = tuple(homs.position(tuple(m.act(a, x) for a in range(s.size)))
-                for x in range(m.size))
-    psi = tuple(h.mapping[s.one] for h in homs)
-    return HomPointIso(homs, phi, psi)
+    phi = _require_homs(homs.positions(m.np_action.T),
+                        "the orbit map of {0} is not a hom")
+    psi = homs.rows[:, s.one]
+    return HomPointIso(homs, tuple(phi.tolist()), tuple(psi.tolist()))
 
 
 # ----- change of scalars ----------------------------------------------------
@@ -663,40 +648,31 @@ def adjunction_witness(h: SemiringHom,
         t, extended = _extend_scalars(h, m, max_carrier)
         unit = _tensor_unit(t, b.one)
         homs_bm = hom_set(b_over_a, m, max_enum)
-        lifted = hom_lattice_structure(
-            homs_bm, b,
-            tuple(tuple(b.mul[x][scalar] for x in range(b.size))
-                  for scalar in range(b.size))).module
+        lifted = hom_lattice_structure(homs_bm, b, b.np_mul.T).module
         for n in mods_b:
             restricted = restrict_scalars(h, n)
             outer = hom_set(extended, n, max_enum)
             if spot is None:
                 spot = (m, t, unit, outer)
             inner = hom_set(m, restricted, max_enum)
-            forward = []
-            for g in outer:
-                mapping = tuple(g.mapping[unit[x]] for x in range(m.size))
-                forward.append(inner.position(mapping))
-            backward = []
-            for f in inner:
-                values = t.extend(lambda pb, x: n.act(pb, f.mapping[x]),
-                                  n.add, n.zero)
-                backward.append(outer.position(values))
+            forward = _require_homs(inner.positions(outer.rows[:, unit]),
+                                    "hom {0} after the unit is not a hom")
+            acted = n.np_action[:, inner.rows].swapaxes(0, 1)  # [f, pb, x]
+            backward = _require_homs(
+                outer.positions(t.extend(acted, n.np_add, n.zero)),
+                "the extension of hom {0} along the unit is not a hom")
             left_bij = _mutually_inverse(forward, backward)
 
             co_outer = hom_set(restricted, m, max_enum)
             co_inner = hom_set(n, lifted, max_enum)
-            co_forward = []
-            for f in co_outer:
-                slices = tuple(homs_bm.position(
-                    tuple(f.mapping[n.act(x, y)] for x in range(b.size)))
-                    for y in range(n.size))
-                co_forward.append(co_inner.position(slices))
-            co_backward = []
-            for k in co_inner:
-                mapping = tuple(homs_bm[k.mapping[y]].mapping[b.one]
-                                for y in range(n.size))
-                co_backward.append(co_outer.position(mapping))
+            slices = _require_homs(
+                homs_bm.positions(co_outer.rows[:, n.np_action.T]),
+                "the slice of hom {0} at {1} is not a hom")
+            co_forward = _require_homs(co_inner.positions(slices),
+                                       "the curried hom {0} is not a hom")
+            co_backward = _require_homs(
+                co_outer.positions(homs_bm.rows[co_inner.rows, b.one]),
+                "hom {0} evaluated at one is not a hom")
             right_bij = _mutually_inverse(co_forward, co_backward)
 
             pairs.append({
@@ -725,18 +701,15 @@ def _naturality_spot_check(m: FiniteSemimodule, t: TensorProduct,
                            max_enum: int) -> bool:
     """phi(g after extended u) must equal phi(g) after u for every g in
     outer, the homs out of the scalar extension t of m."""
-    identity = tuple(range(m.size))
-    u = next((e.mapping for e in iter_homs(m, m, max_enum)
-              if e.mapping != identity), identity)
-    lifted_u = [t.class_of_pairs((pb, u[x])
-                                 for (pb, x) in t.pairs_of(c))
-                for c in range(t.class_count)]
-    for g in outer:
-        left = tuple(g.mapping[lifted_u[unit[x]]] for x in range(m.size))
-        right = tuple(g.mapping[unit[u[x]]] for x in range(m.size))
-        if left != right:
-            return False
-    return True
+    moved = _first_hom(m, m, lambda rows: (rows != np.arange(m.size)).any(1),
+                       max_enum)
+    u = tuple(range(m.size)) if moved is None else moved.mapping
+    lifted_u = np.array([t.class_of_pairs((pb, u[x])
+                                          for (pb, x) in t.pairs_of(c))
+                         for c in range(t.class_count)], dtype=np.intp)
+    unit = np.array(unit, dtype=np.intp)
+    return bool((outer.rows[:, lifted_u[unit]]
+                 == outer.rows[:, unit[list(u)]]).all())
 
 
 def enumerate_modules(s: FiniteSemiring, size_bound: int,
@@ -832,7 +805,7 @@ def truncation_demo(k: int, points: Union[int, Sequence[str]],
     if (1 << (m.size * n.size)) <= max_carrier:
         t = tensor_product(m, n, max_carrier)
         tm = as_module(t)
-        phi = t.extend(n.act, n.add, n.zero)
+        phi = tuple(t.extend(n.np_action, n.np_add, n.zero).tolist())
         psi = tuple(t.class_of_pairs(zip(n.vector(g), n.basis))
                     for g in range(n.size))
         phi_hom = SemimoduleHom(tm, n, phi).validate()

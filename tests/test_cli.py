@@ -192,6 +192,28 @@ def test_homset_counts(tmp_path, self_file, capsys):
     assert [0, 0, 0, 0] in data["homs"]
 
 
+@pytest.mark.parametrize("left,right,digest", [
+    (lambda: free_semimodule(boolean_semiring(), ["x", "y"]),
+     lambda: module_over_self(boolean_semiring()),
+     "e592fa7938f7a7b38eb116b7eb66b714bb3adc22"),
+    (lambda: module_over_self(boolean_semiring()),
+     lambda: free_semimodule(boolean_semiring(), ["x", "y"]),
+     "be81eb0a4bdb2ecfe3b3cfe1d0490025dffda112"),
+    (lambda: module_over_self(_c3()),
+     lambda: free_semimodule(_c3(), ["x", "y"]),
+     "e3e6be8154e5e1fd8181c436a321762b4b381f01"),
+], ids=["B-squared-to-B", "B-to-B-squared", "C3-to-C3-squared"])
+def test_homset_report_bytes(tmp_path, capsys, left, right, digest):
+    """The homset reports, pinned by digest."""
+    argv = ["homset", "--left", write(tmp_path / "left.json",
+                                      semimodule_to_dict(left())),
+            "--right", write(tmp_path / "right.json",
+                             semimodule_to_dict(right()))]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha1(out.encode()).hexdigest() == digest
+
+
 def test_enum_guard_exit_code(tmp_path, self_file, capsys):
     free2 = write(tmp_path / "free2.json",
                   semimodule_to_dict(free_semimodule(boolean_semiring(),
@@ -606,3 +628,82 @@ def test_fuzzed_json_values_keep_the_exit_contract(value, tmp_path,
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in err
         assert _run(argv) == (code, out, err)
+
+
+# ----- fuzzed configuration files and size options -------------------------------
+
+# Past 2, a size is drawn only where a guard must fire even under bounds of
+# 10^25: every guarded count is at least 2^100 there, so no run enumerates.
+_SIZES = st.one_of(st.integers(-5, 2), st.integers(100, 10 ** 25))
+_BOUNDS = st.one_of(st.integers(-5, 100), st.integers(-5, 10 ** 25))
+
+
+def _mostly(ints):
+    """ints seven times in eight, else a bool or a float."""
+    return st.integers(0, 7).flatmap(
+        lambda k: st.one_of(st.booleans(), st.floats()) if k == 0 else ints)
+
+
+_CONFIG_OBJECTS = st.fixed_dictionaries({}, optional={
+    "max_enum": _mostly(_BOUNDS), "max_carrier": _mostly(_BOUNDS),
+    "seed": _mostly(_BOUNDS), "n_max": _mostly(_SIZES)})
+_SIZED_INPUTS = {
+    "k0": ("boolean", "chain3", "three"), "idempotents": ("boolean", "three"),
+    "projective": ("b_self", "b_free2", "c3_self")}
+_HOMSET_SIDES = ("b_self", "b_free2", "c3_self", "c3_free2")
+
+
+@st.composite
+def _sized_command(draw):
+    """k0, idempotents or projective on B or C3 with a drawn --nmax or
+    --n, or homset between two modules over them; each with a drawn
+    --max-enum and --max-carrier or none."""
+    command = draw(st.sampled_from(("k0", "idempotents", "projective",
+                                    "homset")))
+    if command == "homset":
+        argv = [command, "--left", draw(st.sampled_from(_HOMSET_SIDES)),
+                "--right", draw(st.sampled_from(_HOMSET_SIDES))]
+    else:
+        argv = [command, "--input",
+                draw(st.sampled_from(_SIZED_INPUTS[command]))]
+        if draw(st.booleans()):
+            flag = "--nmax" if command == "k0" else "--n"
+            argv.append(f"{flag}={draw(_mostly(_SIZES))}")
+    for flag in ("--max-enum", "--max-carrier"):
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(_mostly(_BOUNDS))}")
+    return argv
+
+
+@settings(max_examples=40, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=st.one_of(_JSON_VALUES, _CONFIG_OBJECTS),
+       argv=_sized_command())
+def test_fuzzed_config_and_sizes_keep_the_exit_contract(config, argv,
+                                                        tmp_path,
+                                                        monkeypatch):
+    """Any JSON value as the MVSR_CONFIG file, half of them objects with
+    drawn bounds, seed and n_max, under a sized command exits 0 to 3
+    without a traceback, and a second run prints the same bytes. The run
+    happens in a scratch directory, since a drawn config may name an out
+    file."""
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    monkeypatch.setenv("MVSR_CONFIG", str(cfg))
+    three = reduct_vee_odot(lukasiewicz_chain(3))
+    files = {
+        "boolean": semiring_to_dict(boolean_semiring()),
+        "chain3": mv_to_dict(lukasiewicz_chain(3)),
+        "three": semiring_to_dict(three),
+        "b_self": semimodule_to_dict(module_over_self(boolean_semiring())),
+        "b_free2": semimodule_to_dict(free_semimodule(boolean_semiring(),
+                                                      ["x", "y"])),
+        "c3_self": semimodule_to_dict(module_over_self(three)),
+        "c3_free2": semimodule_to_dict(free_semimodule(three, ["x", "y"]))}
+    argv = [write(tmp_path / f"{a}.json", files[a]) if a in files else a
+            for a in argv]
+    code, out, err = _run(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    assert _run(argv) == (code, out, err)

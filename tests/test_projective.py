@@ -17,8 +17,8 @@ from mvsr.projective import (ProjectivePresentation, all_subsemimodules,
                              is_projective_retract_oracle, row_space)
 from mvsr.semimodule import (FiniteSemimodule, SemimoduleHom, Subsemimodule,
                              check_semimodule, free_semimodule, generate,
-                             hom_set, iter_homs, module_over_self,
-                             trivial_module)
+                             hom_set, minimal_generating_set,
+                             module_over_self, trivial_module)
 from mvsr.semiring import (FiniteSemiring, boolean_semiring,
                            is_additively_idempotent)
 from mvsr.tensor import enumerate_modules
@@ -194,22 +194,45 @@ def _three_chain_row_spaces():
             for u in idempotent_matrices(three, n)]
 
 
+def _retract_by_hom_set(m, n):
+    """Every hom into the canonical cover first, then the first section."""
+    gens = minimal_generating_set(m)
+    free, pi = projective._cover(m, gens + (m.zero,) * (n - len(gens)),
+                                 MAX_CARRIER)
+    for mu in hom_set(m, free):
+        if all(pi.mapping[mu.mapping[x]] == x for x in range(m.size)):
+            return mu
+    return None
+
+
 @pytest.mark.parametrize("family", [_boolean_modules, _three_chain_row_spaces],
                          ids=["boolean-modules", "three-chain-row-spaces"])
 def test_iter_homs_and_are_isomorphic_match_the_hom_set(family):
-    """On every ordered pair of the family, are_isomorphic returns the
-    hom the full hom-set search returns. The row spaces are the traffic of
-    k0 on the three-chain."""
+    """On every ordered pair of the family, the homs a hom set yields are
+    its rows, and are_isomorphic returns the hom the full hom-set search
+    returns; on every module, the retract oracle returns the section the
+    full search returns. The row spaces are the traffic of k0 on the
+    three-chain."""
     modules = family()
     isomorphic = 0
     for m in modules:
         for n in modules:
-            assert tuple(iter_homs(m, n)) == hom_set(m, n).homs
+            hs = hom_set(m, n)
+            assert tuple(h.mapping for h in hs) == \
+                tuple(map(tuple, hs.rows.tolist()))
             got = are_isomorphic(m, n)
             want = _are_isomorphic_by_hom_set(m, n)
             assert (got and got.mapping) == (want and want.mapping)
             isomorphic += got is not None
     assert isomorphic > len(modules)
+    sections = 0
+    for m in modules:
+        n = max(2, len(minimal_generating_set(m)))
+        got = is_projective_retract_oracle(m, n)
+        want = _retract_by_hom_set(m, n)
+        assert (got and got.mu.mapping) == (want and want.mapping)
+        sections += got is not None
+    assert sections > 0
 
 
 def test_are_isomorphic_checks_the_scalars_before_the_sizes(boolean, three):

@@ -16,13 +16,14 @@ from mvsr.semimodule import (FiniteSemimodule, FreeSemimodule,
                              compose_module_homs, end_semiring,
                              endmv_check, free_semimodule,
                              free_universal_property, generate, hom_set,
-                             is_strong, iter_homs, minimal_generating_set,
+                             is_strong, minimal_generating_set,
                              module_over_self, quotient_module_from_ideal,
                              restrict_scalars, trivial_module, xi_embedding)
 from mvsr.matrix import idempotent_matrices
 from mvsr.projective import row_space
 from mvsr.semiring import (FiniteSemiring, SemiringHom, boolean_semiring,
-                           check_semiring_axioms, same_scalars)
+                           check_semiring_axioms, opposite_semiring,
+                           same_scalars)
 from mvsr.tensor import enumerate_modules
 
 
@@ -350,11 +351,13 @@ def _scalar_maps():
 
 
 def _homs_match_the_assignment_scan(pairs):
+    """The rows of each hom set, and the homs it yields, are the scan's."""
     kept = 0
     for m, n in pairs:
         expected = tuple(_iter_homs_by_assignment(m, n))
-        assert tuple(h.mapping for h in iter_homs(m, n)) == expected
-        assert tuple(h.mapping for h in hom_set(m, n)) == expected
+        hs = hom_set(m, n)
+        assert tuple(map(tuple, hs.rows.tolist())) == expected
+        assert tuple(h.mapping for h in hs) == expected
         kept += len(expected)
     return kept
 
@@ -427,17 +430,81 @@ def test_broken_law_matches_the_cell_scan(boolean, three):
     assert broken == {"zero", "add", "act", None}
 
 
+def _end_products_by_composition(hs):
+    """The products of End as composition loops over a mapping dict: hom j
+    after hom i (applying the left factor first), and the classical hom i
+    after hom j."""
+    pos = {h.mapping: i for i, h in enumerate(hs)}
+    homs = [h.mapping for h in hs]
+    diagrammatic = tuple(tuple(pos[tuple(fj[v] for v in fi)] for fj in homs)
+                         for fi in homs)
+    classical = tuple(tuple(pos[tuple(fi[v] for v in fj)] for fj in homs)
+                      for fi in homs)
+    return diagrammatic, classical
+
+
 def test_end_semiring_orders_are_opposite(three):
     m = module_over_self(three)
-    diag = end_semiring(m, order="diagrammatic")
-    classic = end_semiring(m, order="classical")
-    assert check_semiring_axioms(diag.semiring).valid
-    assert check_semiring_axioms(classic.semiring).valid
-    k = diag.semiring.size
-    assert all(diag.semiring.mul[i][j] == classic.semiring.mul[j][i]
-               for i in range(k) for j in range(k))
-    with pytest.raises(ValueError):
-        end_semiring(m, order="sideways")
+    end = end_semiring(m)
+    diagrammatic, classical = _end_products_by_composition(hom_set(m, m))
+    assert end.semiring.mul == diagrammatic
+    assert opposite_semiring(end.semiring).mul == classical
+    assert check_semiring_axioms(end.semiring).valid
+    assert check_semiring_axioms(opposite_semiring(end.semiring)).valid
+
+
+def _hom_tables_by_dict(hs):
+    """The zero, sum table, pointwise action and labels of a hom set, each
+    entry looked up in a dict of mappings."""
+    n = hs.target
+    pos = {h.mapping: i for i, h in enumerate(hs)}
+    zero = pos[(n.zero,) * hs.source.size]
+    add = tuple(tuple(pos[tuple(n.add[a][b] for a, b in zip(fi.mapping,
+                                                            fj.mapping))]
+                      for fj in hs) for fi in hs)
+    action = tuple(tuple(pos[tuple(n.action[a][v] for v in h.mapping)]
+                         for h in hs) for a in range(n.scalars.size))
+    labels = tuple(",".join(map(str, h.mapping)) for h in hs)
+    return zero, add, action, labels
+
+
+def _square():
+    return reduct_vee_odot(mv_product(lukasiewicz_chain(2),
+                                      lukasiewicz_chain(2)))
+
+
+@pytest.mark.parametrize("scalars,bound", [
+    (boolean_semiring, 4), (lambda: reduct_vee_odot(lukasiewicz_chain(3)), 3),
+    (_square, 3)], ids=["boolean", "three-chain", "square"])
+def test_hom_tables_match_the_mapping_dict(scalars, bound):
+    """On every ordered pair of modules, the zero, sums, pointwise action
+    and End product of the hom set are the dict lookups'."""
+    modules = enumerate_modules(scalars(), bound)
+    for m in modules:
+        for n in modules:
+            hs = hom_set(m, n)
+            zero, add, action, labels = _hom_tables_by_dict(hs)
+            assert (hs.zero_index, hs.add_table) == (zero, add)
+            mod = hs.to_module()
+            assert (mod.zero, mod.add, mod.action, mod.labels) == \
+                (zero, add, action, labels)
+        end = end_semiring(m)
+        assert end.semiring.mul == \
+            _end_products_by_composition(hom_set(m, m))[0]
+
+
+def test_positions_are_exact_past_int64_codes(boolean):
+    """A hom out of B^6 has 64 images, so a base-2 code of its row would
+    pass int64; the lookup still finds every hom, in any batch shape, and
+    no map that differs from a hom at the top element."""
+    hs = hom_set(free_semimodule(boolean, "abcdef"), module_over_self(boolean))
+    assert hs.rows.shape == (64, 64)
+    assert hs.positions(hs.rows[::-1]).tolist() == list(range(63, -1, -1))
+    assert hs.positions(hs.rows.reshape(8, 8, 64)).tolist() == \
+        [list(range(i, i + 8)) for i in range(0, 64, 8)]
+    moved = hs.rows.copy()
+    moved[:, 63] ^= 1
+    assert (hs.positions(moved) == -1).all()
 
 
 def test_xi_embedding_frozen_sizes(boolean, three):

@@ -4,13 +4,15 @@ import random
 import pytest
 
 import mvsr.tensor
-from mvsr.errors import (EnumGuard, IllDefinedAction, NotIdempotent, NotOnto,
-                         ScalarMismatch, SizeGuard)
+from mvsr.config import MAX_CARRIER
+from mvsr.errors import (EnumGuard, IllDefinedAction, NotAHom, NotIdempotent,
+                         NotOnto, ScalarMismatch, SizeGuard)
 from mvsr.mv import (lukasiewicz_chain, mv_product, quotient,
                      reduct_vee_odot)
 from mvsr.projective import are_isomorphic
 from mvsr.semimodule import (FiniteSemimodule, _hom_mask, _hom_rows,
-                             check_semimodule, free_semimodule, hom_set,
+                             check_semimodule, end_semiring,
+                             free_semimodule, hom_set,
                              module_over_self, restrict_scalars,
                              trivial_module)
 from mvsr.semiring import FiniteSemiring, SemiringHom, boolean_semiring, fold
@@ -691,6 +693,140 @@ def test_hom_point_iso_counts(boolean):
     assert len(hom_point_iso(trivial_module(boolean)).homs) == 1
 
 
+def _positions_by_dict(homs):
+    return {h.mapping: i for i, h in enumerate(homs)}
+
+
+def _right_multiplication(b):
+    """b acting on itself from the right: row s sends x to x * s."""
+    return tuple(tuple(b.mul[x][s] for x in range(b.size))
+                 for s in range(b.size))
+
+
+def test_hom_lattice_action_matches_the_mapping_dict():
+    """On the homs out of each target scalar ring, restricted along each
+    onto map, into each small module over the source, the lifted action
+    is the dict lookups'."""
+    checked = 0
+    for h in _onto_maps():
+        a, b = h.source, h.target
+        b_over_a = restrict_scalars(h, module_over_self(b))
+        moved_by = _right_multiplication(b)
+        for m in enumerate_modules(a, 2) + (module_over_self(a),):
+            homs = hom_set(b_over_a, m)
+            pos = _positions_by_dict(homs)
+            want = tuple(tuple(pos[tuple(f.mapping[x] for x in moved_by[s])]
+                               for f in homs) for s in range(b.size))
+            lifted = hom_lattice_structure(homs, b, moved_by)
+            assert lifted.module.action == want
+            assert lifted.laws.valid
+            checked += 1
+    assert checked == 16
+
+
+def _zeta_by_dict(m, n, p, variant):
+    """forward, backward and join preservation of zeta_isomorphism, each
+    curried and uncurried map built hom by hom and looked up in a dict of
+    mappings."""
+    t = tensor_product(m, n)
+    outer = hom_set(as_module(t), p)
+    first, second = (m, n) if variant == "plain" else (n, m)
+    inner = hom_set(second, p)
+    curried = hom_set(first, inner.to_module())
+    outer_pos, inner_pos = _positions_by_dict(outer), _positions_by_dict(inner)
+    curried_pos = _positions_by_dict(curried)
+
+    def pair(u, v):
+        return t.tensor(u, v) if variant == "plain" else t.tensor(v, u)
+
+    def uncurry(k):
+        def value(x, y):
+            u, v = (x, y) if variant == "plain" else (y, x)
+            return inner[k.mapping[u]].mapping[v]
+        return tuple(fold(p.add, p.zero,
+                          [value(x, y) for (x, y) in t.pairs_of(c)])
+                     for c in range(t.class_count))
+
+    def plus(pos, f, g):
+        return pos[tuple(f.target.add[x][y]
+                         for x, y in zip(f.mapping, g.mapping))]
+
+    forward = tuple(curried_pos[tuple(
+        inner_pos[tuple(g.mapping[pair(u, v)] for v in range(second.size))]
+        for u in range(first.size))] for g in outer)
+    backward = tuple(outer_pos[uncurry(k)] for k in curried)
+    join_ok = all(forward[plus(outer_pos, f, g)]
+                  == plus(curried_pos, curried[forward[i]],
+                          curried[forward[j]])
+                  for i, f in enumerate(outer) for j, g in enumerate(outer))
+    return forward, backward, join_ok
+
+
+def test_zeta_matches_the_mapping_dicts(boolean, self_mod, free2):
+    """The criterion-7 triples and the three-chain over itself, in both
+    variants."""
+    c3 = module_over_self(reduct_vee_odot(lukasiewicz_chain(3)))
+    triples = [(self_mod, self_mod, self_mod), (free2, self_mod, self_mod),
+               (self_mod, free2, free2), (c3, c3, c3)]
+    for m, n, p in triples:
+        for variant in ("plain", "primed"):
+            z = zeta_isomorphism(m, n, p, variant)
+            assert (z.forward, z.backward, z.join_preserving) == \
+                _zeta_by_dict(m, n, p, variant)
+            assert z.ok
+
+
+def test_hom_point_iso_matches_the_mapping_dict(boolean):
+    for s in (boolean, reduct_vee_odot(lukasiewicz_chain(3)),
+              reduct_vee_odot(mv_product(lukasiewicz_chain(2),
+                                         lukasiewicz_chain(2)))):
+        for m in enumerate_modules(s, 3):
+            iso = hom_point_iso(m)
+            pos = _positions_by_dict(iso.homs)
+            assert iso.phi == tuple(
+                pos[tuple(m.act(a, x) for a in range(s.size))]
+                for x in range(m.size))
+            assert iso.psi == tuple(h.mapping[s.one] for h in iso.homs)
+            assert iso.ok
+
+
+_XOR = ((0, 1), (1, 0)), ((0, 0), (0, 1))
+_SWAP = ((0, 1, 2), (1, 1, 2), (2, 2, 2)), ((0, 0, 0), (0, 2, 1))
+_ZERO_MOVES = ((0, 1), (1, 1)), ((1, 1), (0, 1))
+
+
+@pytest.mark.parametrize("tables,call,message", [
+    (_XOR, "adjunction", "hom 1 after the unit is not a hom"),
+    (_XOR, "point-iso", "the orbit map of 1 is not a hom"),
+    (_SWAP, "point-iso", "the orbit map of 1 is not a hom"),
+    (_SWAP, "to-module", "scalar 1 times hom 1 is not a hom"),
+    (_ZERO_MOVES, "adjunction", "the zero map is not a hom"),
+    (_ZERO_MOVES, "point-iso", "the orbit map of 0 is not a hom"),
+    (_ZERO_MOVES, "to-module", "scalar 0 times hom 0 is not a hom"),
+    (_ZERO_MOVES, "end", "the zero map is not a hom"),
+    (_ZERO_MOVES, "zeta", "the zero map is not a hom"),
+], ids=["xor-adjunction", "xor-point-iso", "swap-point-iso",
+        "swap-to-module", "zero-moves-adjunction", "zero-moves-point-iso",
+        "zero-moves-to-module", "zero-moves-end", "zero-moves-zeta"])
+def test_lawless_modules_raise_not_a_hom(boolean, self_mod, tables, call,
+                                         message):
+    """Over B, Z/2 addition (xor), a scalar one that swaps two elements
+    (swap) and a scalar zero that moves zero (zero-moves) each break a
+    module law; every table built from their homs names the map that is
+    no hom."""
+    add, action = tables
+    m = FiniteSemimodule(boolean, len(add), add, 0, action)
+    run = {"adjunction": lambda: adjunction_witness(
+               SemiringHom(boolean, boolean, (0, 1)), left_modules=[m]),
+           "point-iso": lambda: hom_point_iso(m),
+           "to-module": lambda: hom_set(m, m).to_module(),
+           "end": lambda: end_semiring(m),
+           "zeta": lambda: zeta_isomorphism(self_mod, self_mod, m)}[call]
+    with pytest.raises(NotAHom) as err:
+        run()
+    assert str(err.value) == message
+
+
 # ----- change of scalars ------------------------------------------------------
 
 def test_adjunction_identity(boolean):
@@ -713,6 +849,69 @@ def test_adjunction_projection(boolean):
     for p in res["pairs"]:
         assert p["left_counts"][0] == p["left_counts"][1]
         assert p["right_counts"][0] == p["right_counts"][1]
+
+
+def _adjunction_maps_by_dict(h, mods_a, mods_b):
+    """The four maps of adjunction_witness on each pair of test modules,
+    built hom by hom and looked up in dicts of mappings: the forward and
+    backward maps of the left adjunction, then of the right one."""
+    b = h.target
+    b_over_a = restrict_scalars(h, module_over_self(b))
+    maps = []
+    for m in mods_a:
+        t, extended = mvsr.tensor._extend_scalars(h, m, MAX_CARRIER)
+        unit = mvsr.tensor._tensor_unit(t, b.one)
+        homs_bm = hom_set(b_over_a, m)
+        bm_pos = _positions_by_dict(homs_bm)
+        lifted = hom_lattice_structure(homs_bm, b,
+                                       _right_multiplication(b)).module
+        for n in mods_b:
+            restricted = restrict_scalars(h, n)
+            outer, inner = hom_set(extended, n), hom_set(m, restricted)
+            outer_pos, inner_pos = (_positions_by_dict(outer),
+                                    _positions_by_dict(inner))
+            forward = [inner_pos[tuple(g.mapping[unit[x]]
+                                       for x in range(m.size))]
+                       for g in outer]
+            backward = [outer_pos[tuple(
+                fold(n.add, n.zero, [n.act(pb, f.mapping[x])
+                                     for (pb, x) in t.pairs_of(c)])
+                for c in range(t.class_count))] for f in inner]
+            co_outer, co_inner = hom_set(restricted, m), hom_set(n, lifted)
+            co_outer_pos, co_inner_pos = (_positions_by_dict(co_outer),
+                                          _positions_by_dict(co_inner))
+            co_forward = [co_inner_pos[tuple(
+                bm_pos[tuple(f.mapping[n.act(x, y)] for x in range(b.size))]
+                for y in range(n.size))] for f in co_outer]
+            co_backward = [co_outer_pos[tuple(
+                homs_bm[k.mapping[y]].mapping[b.one] for y in range(n.size))]
+                for k in co_inner]
+            maps += [(forward, backward), (co_forward, co_backward)]
+    return maps
+
+
+def test_adjunction_maps_match_the_mapping_dicts(boolean, monkeypatch):
+    """Each pair of maps adjunction_witness checks for mutual inverses is
+    the dict-built pair, on the identity of B and of the three-chain, and
+    on the four onto maps."""
+    seen = []
+    check = mvsr.tensor._mutually_inverse
+
+    def record(forward, backward):
+        seen.append((list(forward), list(backward)))
+        return check(forward, backward)
+
+    monkeypatch.setattr(mvsr.tensor, "_mutually_inverse", record)
+    c3 = reduct_vee_odot(lukasiewicz_chain(3))
+    maps = (SemiringHom(boolean, boolean, (0, 1)),
+            SemiringHom(c3, c3, (0, 1, 2))) + _onto_maps()
+    for h in maps:
+        mods_a = list(enumerate_modules(h.source, 2))
+        mods_b = list(enumerate_modules(h.target, 2))
+        seen.clear()
+        assert adjunction_witness(h, mods_a, mods_b)["ok"]
+        assert seen == _adjunction_maps_by_dict(h, mods_a, mods_b)
+        assert len(seen) == 2 * len(mods_a) * len(mods_b)
 
 
 def test_module_enumeration_counts(boolean):
