@@ -8,8 +8,12 @@ coordinates to its row space, so classification by module isomorphism
 absorbs the padding convention; zero_pad is exposed to keep that testable.
 
 Row spans are classed by projective._ClassIndex, which keeps one module
-per class; the presentations are kept next to it here. Induced maps class
-each image matrix and each block sum with the target monoid's index.
+per class; the presentations are kept next to it here. Each size's
+idempotents, and each size's block sums, are classed in one batched call:
+over scalars that keep the semiring laws their spans come from one sweep
+of linear combinations, and from the closure of each matrix otherwise.
+Induced maps class the image matrices and the block sums the same way,
+with the target monoid's index.
 
 The completion is the abelian group presented by one generator per class
 modulo the recorded sum relations, reduced by exact integer Smith normal
@@ -22,14 +26,17 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from .config import DEFAULT_N_MAX, MAX_CARRIER, MAX_ENUM
 from .errors import (EnumGuard, NotIdempotent, ScalarMismatch, ToolkitError,
                      check_power_bound)
 from .jsonio import semiring_to_dict
-from .matrix import (SemiringMatrix, idempotent_matrices, is_mult_idempotent,
+from .matrix import (SemiringMatrix, _idempotent_stack, is_mult_idempotent,
                      mat_zero)
 from .mv import MvAlgebra, MvHom, reduct_vee_odot
-from .projective import ProjectivePresentation, _ClassIndex, block_diag
+from .projective import (ProjectivePresentation, _ClassIndex, _entries,
+                         block_diag)
 from .semimodule import FiniteSemimodule, SemimoduleHom
 from .semiring import FiniteSemiring, SemiringHom, same_scalars
 from .snf import (IntMatrix, SmithNormalForm, int_matrix_mul,
@@ -100,26 +107,28 @@ def enumerate_projective_classes(s: FiniteSemiring,
     check_power_bound(EnumGuard, "candidate matrices for the projective "
                       "classes", s.size, n_max * n_max, "max_enum", max_enum)
     index = _ClassIndex(s)
-    classes = []
+    classes, mats = [], []
     for n in range(1, n_max + 1):
-        for u in idempotent_matrices(s, n, max_enum):
-            if (index.find_row_space(u, max_enum, max_carrier, store=True)
-                    == len(classes)):
-                rs = index.modules[-1]
+        us = _idempotent_stack(s, n, max_enum)
+        for u, found in zip(us, index.find_row_spaces(
+                us, max_enum, max_carrier, store=True)):
+            if found == len(classes):
+                rs = index.modules[found]
+                mats.append(u)
                 classes.append(ProjectivePresentation(
-                    s, n, u, rs, SemimoduleHom(rs, rs, tuple(range(rs.size)))))
+                    s, n, SemiringMatrix(s, n, n, u.tolist()), rs,
+                    SemimoduleHom(rs, rs, tuple(range(rs.size)))))
 
     trivial = _trivial_index(classes)
     relations = set()
     for j in range(len(classes)):
         relations.add((trivial, j, j))
         relations.add((j, trivial, j))
-    for i, ci in enumerate(classes):
-        for j, cj in enumerate(classes):
-            if ci.n + cj.n > n_max:
-                continue
-            relations.add((i, j, index.find_row_space(
-                block_diag(ci.u, cj.u), max_enum, max_carrier)))
+    pairs = [(i, j) for i, ci in enumerate(classes)
+             for j, cj in enumerate(classes) if ci.n + cj.n <= n_max]
+    sums = [_block_sum(s, mats[i], mats[j]) for i, j in pairs]
+    relations.update((i, j, k) for (i, j), k in zip(
+        pairs, _find_each(index, sums, max_enum, max_carrier)))
     if any(k is None for _, _, k in relations):
         raise ToolkitError("a block sum is in no class: the scalars break "
                            "the semiring laws")
@@ -241,7 +250,7 @@ def k0_of_hom(f: Union[SemiringHom, MvHom],
         h.target, n_max, max_enum, max_carrier)
 
     index = p_b._index
-    class_map = []
+    images = []
     for cls in p_a.classes:
         entries = tuple(tuple(h.mapping[x] for x in row)
                         for row in cls.u.entries)
@@ -249,10 +258,10 @@ def k0_of_hom(f: Union[SemiringHom, MvHom],
         if not is_mult_idempotent(w):
             raise NotIdempotent("entrywise image of an idempotent matrix "
                                 "failed idempotency")
-        j = index.find_row_space(w, max_enum, max_carrier)
-        if j is None:
-            raise ValueError("image class missing from target monoid")
-        class_map.append(j)
+        images.append(_entries(w))
+    class_map = _find_each(index, images, max_enum, max_carrier)
+    if None in class_map:
+        raise ValueError("image class missing from target monoid")
 
     matrix = [[0] * len(p_a.classes) for _ in range(len(p_b.classes))]
     for i, j in enumerate(class_map):
@@ -260,14 +269,36 @@ def k0_of_hom(f: Union[SemiringHom, MvHom],
 
     # class_map[k] is the first class isomorphic to the image of class k,
     # so it is also the first class isomorphic to its own module
-    respected = all(
-        index.find_row_space(block_diag(p_b.classes[class_map[i]].u,
-                                        p_b.classes[class_map[j]].u),
-                             max_enum, max_carrier) == class_map[k]
-        for (i, j, k) in p_a.sum_relations)
+    sums = [_block_sum(h.target, _entries(p_b.classes[class_map[i]].u),
+                       _entries(p_b.classes[class_map[j]].u))
+            for i, j, _ in p_a.sum_relations]
+    respected = all(found == class_map[k] for (_, _, k), found in zip(
+        p_a.sum_relations, _find_each(index, sums, max_enum, max_carrier)))
 
     return GroupHomMatrix(p_a, p_b, tuple(class_map),
                           tuple(tuple(r) for r in matrix), respected)
+
+
+def _block_sum(s: FiniteSemiring, u: np.ndarray,
+               v: np.ndarray) -> np.ndarray:
+    """block_diag of two square arrays of entries."""
+    out = np.full((len(u) + len(v),) * 2, s.zero, dtype=np.int64)
+    out[:len(u), :len(u)] = u
+    out[len(u):, len(u):] = v
+    return out
+
+
+def _find_each(index: _ClassIndex, mats: Sequence[np.ndarray],
+               max_enum: int, max_carrier: int) -> List[Optional[int]]:
+    """index.find_row_spaces of each square array in mats, in mats order,
+    with one call per size of matrix."""
+    found: List[Optional[int]] = [None] * len(mats)
+    for n in sorted({len(u) for u in mats}):
+        at = [t for t, u in enumerate(mats) if len(u) == n]
+        for t, k in zip(at, index.find_row_spaces(
+                np.stack([mats[t] for t in at]), max_enum, max_carrier)):
+            found[t] = k
+    return found
 
 
 def compose_group_homs(g: GroupHomMatrix, f: GroupHomMatrix) -> IntMatrix:

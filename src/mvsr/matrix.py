@@ -86,24 +86,32 @@ def is_mult_idempotent(u: SemiringMatrix) -> bool:
 
 def idempotent_matrices(s: FiniteSemiring, n: int,
                         max_enum: int = MAX_ENUM) -> Tuple[SemiringMatrix, ...]:
-    """All u with u*u = u in M_n(s), in entry-lexicographic order.
+    """All u with u*u = u in M_n(s), in entry-lexicographic order: the
+    matrices of _idempotent_stack."""
+    return tuple(SemiringMatrix(s, n, n, m)
+                 for m in _idempotent_stack(s, n, max_enum).tolist())
+
+
+def _idempotent_stack(s: FiniteSemiring, n: int, max_enum: int) -> np.ndarray:
+    """The idempotents of M_n(s) in entry-lexicographic order, as one
+    (k, n, n) array.
 
     Candidates are the chunks of _assignments over the n*n entries, each of
     at most _CHUNK_ELEMENTS entries, squared together through the scalar
     tables, each entry folded from the scalar zero as mat_star_mul folds
-    it; a matrix is built only for the candidates kept."""
+    it."""
     if n < 0:
         raise ValueError(f"matrix size n={n} must not be negative")
     check_power_bound(SizeGuard, "candidate idempotent matrices", s.size,
                       n * n, "max_enum", max_enum)
-    out = []
+    kept = []
     for flat in _assignments(s.size, n * n, _CHUNK_ELEMENTS // max(1, n * n)):
         u = flat.reshape(len(flat), n, n)
         keep = np.ones(len(flat), dtype=bool)
         for i, j in itertools.product(range(n), repeat=2):
             keep &= _product_entry(s, u, u, i, j) == u[:, i, j]
-        out.extend(SemiringMatrix(s, n, n, m) for m in u[keep].tolist())
-    return tuple(out)
+        kept.append(u[keep])
+    return np.concatenate(kept)
 
 
 def _product_entry(s: FiniteSemiring, a: np.ndarray, b: np.ndarray,

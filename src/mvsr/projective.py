@@ -5,11 +5,18 @@ matrix route searches for a multiplicatively idempotent square matrix whose
 row space matches the module. The two verdicts are independent computations
 and every caller is entitled to their agreement.
 
+The row span of u is {xu : x in S^rows} when the scalars keep the semiring
+laws, so the spans of a stack of matrices come from one sweep of linear
+combinations (_row_spans); over other scalars they come from the closure
+of each matrix under sums and scaling (_row_span), which the tests also
+keep as the sweep's oracle.
+
 Isomorphism is decided by a hom search (are_isomorphic) or, for modules
 whose addition is a join semilattice, by comparing canonical forms
 (canonical_form), which needs no search between the two modules.
-_ClassIndex matches a module or a row span to its stored class, for the
-matrix criterion, the trichotomy and grothendieck's classes and maps.
+_ClassIndex matches a module or a stack of row spans to their stored
+classes, for the matrix criterion, the trichotomy and grothendieck's
+classes and maps.
 """
 from __future__ import annotations
 
@@ -17,7 +24,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,13 +32,14 @@ from .config import MAX_CARRIER, MAX_ENUM
 from .errors import (EnumGuard, NotAHom, NotCyclic, NotIdempotent,
                      ScalarMismatch, SizeGuard, check_bound,
                      check_power_bound)
-from .matrix import (SemiringMatrix, _cover, idempotent_matrices,
+from .matrix import (SemiringMatrix, _cover, _idempotent_stack,
                      is_mult_idempotent)
 from .mv import MvAlgebra, reduct_vee_odot
-from .semimodule import (FiniteSemimodule, FreeSemimodule, SemimoduleHom,
-                         Subsemimodule, _module_laws_hold, _span,
-                         _first_hom, _vector_labels, _vector_tables, _weights,
-                         generate, minimal_generating_set, module_over_self)
+from .semimodule import (_CHUNK_ELEMENTS, FiniteSemimodule, FreeSemimodule,
+                         SemimoduleHom, Subsemimodule, _assignments, _digits,
+                         _first_hom, _module_laws_hold, _span,
+                         _vector_labels, _vector_tables, _weights, generate,
+                         minimal_generating_set, module_over_self)
 from .semiring import (FiniteSemiring, check_semiring_axioms,
                        is_additively_idempotent, same_scalars)
 from .tensor import join_irreducibles
@@ -44,19 +52,100 @@ def row_space(u: SemiringMatrix,
     vectors' big-endian base-|S| indices in that module's carrier, and the
     tables and labels are that module's, from the same builders."""
     s = u.scalars
-    members = _row_span(u, max_carrier)
-    add, action, zero = _vector_tables(s, u.cols, members)
+    members, = _spans(s, _entries(u)[None], max_carrier)
+    return _row_space_of(s, u.cols, members,
+                         _vector_tables(s, u.cols, members))
+
+
+def _row_space_of(s: FiniteSemiring, cols: int, members: np.ndarray,
+                  tables: Tuple[np.ndarray, np.ndarray, int]
+                  ) -> Subsemimodule:
+    """row_space from its members and their _vector_tables."""
+    add, action, zero = tables
     return Subsemimodule(scalars=s, size=len(members), add=add, zero=zero,
                          action=action, members=members,
-                         labels=_vector_labels(s, u.cols, members))
+                         labels=_vector_labels(s, cols, members))
+
+
+def _entries(u: SemiringMatrix) -> np.ndarray:
+    """The entries of u as a (rows, cols) array."""
+    return np.array(u.entries, dtype=np.int64).reshape(u.rows, u.cols)
+
+
+@lru_cache(maxsize=None)
+def _lawful(s: FiniteSemiring) -> bool:
+    """Whether s keeps the eight semiring laws."""
+    return check_semiring_axioms(s).valid
+
+
+def _spans(s: FiniteSemiring, us: np.ndarray,
+           max_carrier: int) -> List[np.ndarray]:
+    """The members of the row span of each matrix in the stack us, of
+    shape (k, rows, cols): one sweep of linear combinations over scalars
+    that keep the semiring laws, the closure of each matrix otherwise."""
+    if _lawful(s):
+        return _row_spans(s, us, max_carrier)
+    _, rows, cols = us.shape
+    return [_row_span(SemiringMatrix(s, rows, cols, u), max_carrier)
+            for u in us.tolist()]
+
+
+def _row_spans(s: FiniteSemiring, us: np.ndarray,
+               max_carrier: int) -> List[np.ndarray]:
+    """The sorted base-|S| indices of the row span of each matrix in the
+    stack us, of shape (k, rows, cols), over scalars that keep the laws.
+
+    Under the laws the row span of u is {xu : x in S^rows}: it holds zero
+    (x = 0) and each row (x a unit vector), and distributivity and
+    associativity make it closed under sums and scaling. Each x in
+    S^min(rows, cols) is enumerated once and xu is folded through the
+    scalar tables from zero, as mat_star_mul folds it, for a chunk of
+    matrices at a time; a row past the first cols is added to the span so
+    far with every scalar, so the work stays within the carrier. Each
+    result is coded by _weights into a membership bitmap per matrix; the
+    arrays built hold at most _CHUNK_ELEMENTS entries where one matrix's
+    carrier allows."""
+    k, rows, cols = us.shape
+    check_bound(SizeGuard, "free module carrier", s.size ** cols,
+                "max_carrier", max_carrier)
+    sadd, smul = s.np_add, s.np_mul
+    carrier = s.size ** cols
+    weights = _weights(s.size, cols)
+    head = min(rows, cols)
+    step = max(1, _CHUNK_ELEMENTS // (carrier * max(1, cols)))
+    xs = list(_assignments(s.size, head,
+                           _CHUNK_ELEMENTS // (step * max(1, cols))))
+    vecs = _digits(np.arange(carrier), s.size, cols) if rows > cols else None
+    spans = []
+    for lo in range(0, k, step):
+        u = us[lo:lo + step]
+        which = np.arange(len(u))[:, None]
+        seen = np.zeros((len(u), carrier), dtype=bool)
+        for x in xs:
+            acc = s.zero
+            for i in range(head):
+                acc = sadd[acc, smul[x[None, :, i, None], u[:, None, i]]]
+            seen[which, np.broadcast_to(acc, (len(u), len(x), cols))
+                 @ weights] = True
+        for i in range(head, rows):
+            on, at = np.nonzero(seen)
+            for a in range(s.size):
+                moved = sadd[vecs[at], smul[a, u[on, i]]] @ weights
+                seen[on, moved] = True
+        spans.extend(np.split(np.nonzero(seen)[1],
+                              np.cumsum(seen.sum(axis=1))[:-1]))
+    return spans
 
 
 def _row_span(u: SemiringMatrix, max_carrier: int) -> np.ndarray:
-    """The sorted base-|S| indices of the vectors spanned by the rows of u.
+    """The sorted base-|S| indices of the vectors spanned by the rows of u,
+    by closure, which needs no semiring law.
 
-    Only the span is built. Starting from zero and the rows, each new
-    vector is added to every known one, on both sides, and scaled by every
-    scalar, until nothing new appears."""
+    Starting from zero and the rows, each new vector is added to every
+    known one, on both sides, and scaled by every scalar, until nothing new
+    appears. The sums are taken a block of new vectors at a time, each
+    block holding at most _CHUNK_ELEMENTS coordinates where one new vector
+    allows, and each block is filtered by the vectors seen."""
     s = u.scalars
     check_bound(SizeGuard, "free module carrier", s.size ** u.cols,
                 "max_carrier", max_carrier)
@@ -64,21 +153,31 @@ def _row_span(u: SemiringMatrix, max_carrier: int) -> np.ndarray:
     scalars = np.arange(s.size)[:, None, None]
     weights = _weights(s.size, u.cols)
     seen = np.zeros(s.size ** u.cols, dtype=bool)
+
+    def fresh(vecs: np.ndarray) -> np.ndarray:
+        """The vectors not seen yet, once each, now marked seen."""
+        idx, first = np.unique(vecs @ weights, return_index=True)
+        keep = ~seen[idx]
+        seen[idx[keep]] = True
+        return vecs[first[keep]]
+
     known = np.empty((0, u.cols), dtype=np.int64)
-    new = np.array([(s.zero,) * u.cols, *u.entries],
-                   dtype=np.int64).reshape(1 + u.rows, u.cols)
+    new = fresh(np.array([(s.zero,) * u.cols, *u.entries],
+                         dtype=np.int64).reshape(1 + u.rows, u.cols))
     while len(new):
-        idx, first = np.unique(new @ weights, return_index=True)
-        fresh = ~seen[idx]
-        new = new[first[fresh]]
-        seen[idx[fresh]] = True
         known = np.concatenate([known, new])
-        pairs = len(new) * len(known)
-        new = np.concatenate([
-            sadd[new[:, None], known[None]].reshape(pairs, u.cols),
-            sadd[known[:, None], new[None]].reshape(pairs, u.cols),
-            smul[scalars, new[None]].reshape(s.size * len(new), u.cols)])
-        new = new[~seen[new @ weights]]
+        step = max(1, _CHUNK_ELEMENTS
+                   // ((2 * len(known) + s.size) * max(1, u.cols)))
+        found = []
+        for lo in range(0, len(new), step):
+            block = new[lo:lo + step]
+            pairs = len(block) * len(known)
+            found.append(fresh(np.concatenate([
+                sadd[block[:, None], known[None]].reshape(pairs, u.cols),
+                sadd[known[:, None], block[None]].reshape(pairs, u.cols),
+                smul[scalars, block[None]].reshape(s.size * len(block),
+                                                   u.cols)])))
+        new = np.concatenate(found)
     return np.nonzero(seen)[0]
 
 
@@ -174,7 +273,7 @@ def _table_form(add: np.ndarray, act: np.ndarray, zero: int,
         if refined.max() + 1 == k:
             break
         colour = refined
-    ji = sorted(join_irreducibles(add.tolist(), zero),
+    ji = sorted(join_irreducibles(add, zero),
                 key=lambda x: colour[x])
     cells = [list(g) for _, g in itertools.groupby(ji, key=lambda x: colour[x])]
     check_bound(EnumGuard, "canonical form orderings",
@@ -208,15 +307,16 @@ def _ranks(rows: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _idempotents(s: FiniteSemiring, n: int,
-                 max_enum: int) -> Tuple[SemiringMatrix, ...]:
-    return idempotent_matrices(s, n, max_enum)
+def _idempotents(s: FiniteSemiring, n: int, max_enum: int) -> np.ndarray:
+    stack = _idempotent_stack(s, n, max_enum)
+    stack.setflags(write=False)
+    return stack
 
 
 @lru_cache(maxsize=None)
 def _has_forms(s: FiniteSemiring) -> bool:
     """Whether canonical forms decide isomorphism between modules over s."""
-    return is_additively_idempotent(s) and check_semiring_axioms(s).valid
+    return is_additively_idempotent(s) and _lawful(s)
 
 
 class _ClassIndex:
@@ -226,10 +326,14 @@ class _ClassIndex:
     Over scalars with forms, forms maps each class size to the forms of
     that size, taken at its first lookup, each to its first class; a module
     that breaks the module laws gets no form and matches nothing. Otherwise
-    forms is None and the classes are scanned with are_isomorphic. A row
-    space is looked up by its span (u.cols, members) first, as identical
-    members give an identical module; a new span's form is read from its
-    tables, so a row space is built only to be stored or scanned."""
+    forms is None and the classes are scanned with are_isomorphic. Row
+    spaces are looked up a stack of matrices at a time: the spans come
+    from one sweep of linear combinations over scalars that keep the
+    semiring laws, and from the closure of each matrix otherwise. A span
+    is looked up by (cols, members) first, as identical members give an
+    identical module; a new span's form is read from its tables, and a
+    row space is built from those members and tables only to be stored or
+    scanned."""
 
     def __init__(self, s: FiniteSemiring,
                  modules: Sequence[FiniteSemimodule] = ()):
@@ -252,28 +356,45 @@ class _ClassIndex:
     def find_row_space(self, u: SemiringMatrix, max_enum: int,
                        max_carrier: int, store: bool = False
                        ) -> Optional[int]:
-        """Index of the first class isomorphic to the row space of u, else
-        None; with store, a row space in no class is stored as the next
-        class and its index is returned."""
-        members = _row_span(u, max_carrier)
-        key = (u.cols, members.tobytes())
+        """find_row_spaces of the one matrix u."""
+        return next(self.find_row_spaces(_entries(u)[None], max_enum,
+                                         max_carrier, store))
+
+    def find_row_spaces(self, us: np.ndarray, max_enum: int,
+                        max_carrier: int, store: bool = False
+                        ) -> Iterator[Optional[int]]:
+        """For each matrix in the stack us, of shape (k, rows, cols), in
+        order, the index of the first class isomorphic to its row space,
+        else None; with store, a row space in no class is stored as the
+        next class and its index is given. The spans are taken at the call,
+        the lookups lazily, so a caller may stop at the first it needs."""
+        cols = us.shape[2]
+        spans = _spans(self.scalars, us, max_carrier)
+        return (self._find_span(cols, members, max_enum, store)
+                for members in spans)
+
+    def _find_span(self, cols: int, members: np.ndarray, max_enum: int,
+                   store: bool) -> Optional[int]:
+        s = self.scalars
+        key = (cols, members.tobytes())
         found = self.span_classes.get(key)
         if found is not None:
             return found
         rs = form = None
         if self.forms is None:
-            rs = row_space(u, max_carrier)
+            tables = _vector_tables(s, cols, members)
+            rs = _row_space_of(s, cols, members, tables)
             found = self._scan(rs, max_enum)
         else:
             forms = self._forms_of_size(len(members), max_enum)
             if not (forms or store):
                 return None
-            form = _table_form(*_vector_tables(u.scalars, u.cols, members),
-                               max_enum)
+            tables = _vector_tables(s, cols, members)
+            form = _table_form(*tables, max_enum)
             found = forms.get(form)
         if found is None and store:
             found = len(self.modules)
-            self.modules.append(rs or row_space(u, max_carrier))
+            self.modules.append(rs or _row_space_of(s, cols, members, tables))
             if form is not None:
                 self.forms.setdefault(len(members), {})[form] = found
         if found is not None:
@@ -304,16 +425,21 @@ def is_projective_matrix_criterion(m: FiniteSemimodule, n: int = None,
                                    max_carrier: int = MAX_CARRIER
                                    ) -> Optional[ProjectivePresentation]:
     """First idempotent u in entry order whose row space matches m; the
-    row space and its isomorphism onto m are built for that u alone."""
+    spans of the idempotents of size n come from one call, and the row
+    space and its isomorphism onto m are built for the u found alone."""
     if n is None:
         n = len(minimal_generating_set(m))
     index = _ClassIndex(m.scalars, (m,))
-    for u in _idempotents(m.scalars, n, max_enum):
-        if index.find_row_space(u, max_enum, max_carrier) == 0:
-            rs = row_space(u, max_carrier)
-            return ProjectivePresentation(m.scalars, n, u, rs,
-                                          are_isomorphic(rs, m, max_enum))
-    return None
+    us = _idempotents(m.scalars, n, max_enum)
+    hit = next((t for t, found in enumerate(
+        index.find_row_spaces(us, max_enum, max_carrier)) if found == 0),
+        None)
+    if hit is None:
+        return None
+    u = SemiringMatrix(m.scalars, n, n, us[hit].tolist())
+    rs = row_space(u, max_carrier)
+    return ProjectivePresentation(m.scalars, n, u, rs,
+                                  are_isomorphic(rs, m, max_enum))
 
 
 # ----- direct sums ------------------------------------------------------------

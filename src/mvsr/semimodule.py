@@ -454,11 +454,14 @@ def _hom_rows(m: FiniteSemimodule, n: FiniteSemimodule,
 @dataclass(frozen=True, eq=False)
 class HomSemilattice:
     """Every hom between two modules, as the (k, |source|) rows of _hom_rows
-    in its order, with the pointwise monoid structure."""
+    in its order, with the pointwise monoid structure. A table over pairs
+    of homs gathers k * k * |source| images, which max_enum, the bound the
+    homs were found under, caps before the gather."""
 
     source: FiniteSemimodule
     target: FiniteSemimodule
     rows: np.ndarray
+    max_enum: int = MAX_ENUM
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -497,8 +500,14 @@ class HomSemilattice:
         return int(_require_homs(self.positions(zero),
                                  "the zero map is not a hom"))
 
+    def _check_pairs(self, stage: str) -> None:
+        """Refuse a gather over every pair of homs past max_enum images."""
+        check_bound(EnumGuard, stage, len(self) ** 2 * self.source.size,
+                    "max_enum", self.max_enum)
+
     @cached_property
     def add_table(self) -> Table:
+        self._check_pairs("hom sums")
         sums = self.target.np_add[self.rows[:, None], self.rows[None]]
         return tuple(map(tuple, _require_homs(
             self.positions(sums),
@@ -545,7 +554,7 @@ def hom_set(m: FiniteSemimodule, n: FiniteSemimodule,
     """All homs m -> n, ordered lexicographically by generator images."""
     rows = np.concatenate(list(_hom_rows(m, n, max_enum)))
     rows.setflags(write=False)
-    return HomSemilattice(m, n, rows)
+    return HomSemilattice(m, n, rows, max_enum)
 
 
 def _first_hom(m: FiniteSemimodule, n: FiniteSemimodule, keep,
@@ -582,6 +591,7 @@ class EndSemiring:
 def end_semiring(m: FiniteSemimodule,
                  max_enum: int = MAX_ENUM) -> EndSemiring:
     hs = hom_set(m, m, max_enum)
+    hs._check_pairs("hom products")
     after = hs.rows[np.arange(len(hs))[None, :, None], hs.rows[:, None, :]]
     mul = _require_homs(hs.positions(after),
                         "hom {1} after hom {0} is not a hom")

@@ -334,7 +334,20 @@ def as_module(t: TensorProduct) -> FiniteSemimodule:
 
 def join_irreducibles(add, zero: int) -> Tuple[int, ...]:
     """Elements of a join table other than zero that are not the join of
-    two other elements."""
+    two other elements.
+
+    A table given as a numpy array, as the class index's span tables are,
+    is read in numpy: the joins a + b other than a and b are counted with
+    one bincount. A table given as nested sequences, as the modules store
+    theirs, is read by a set comprehension, which costs a few microseconds
+    on the small tables of the tensor layer, where numpy's fixed cost per
+    call would be most of the time."""
+    if isinstance(add, np.ndarray):
+        own = np.arange(len(add))
+        joins = np.bincount(add[(add != own[:, None]) & (add != own)],
+                            minlength=len(add))
+        return tuple(x for x, k in enumerate(joins.tolist())
+                     if not k and x != zero)
     size = len(add)
     reducible = {add[a][b] for a in range(size) for b in range(size)
                  if add[a][b] != a and add[a][b] != b}

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mvsr import matrix
+from mvsr import matrix, projective
 from mvsr.cli import main
 from mvsr.jsonio import (canonical_dumps, mv_to_dict, semimodule_to_dict,
                          semiring_to_dict)
@@ -138,6 +138,60 @@ def test_projective_report_bytes(tmp_path, capsys, module, digest):
     assert main(["projective", "--input", path]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha1(out.encode()).hexdigest() == digest
+
+
+def _lattice_module(below):
+    """The join semilattice over B whose order has these strict lower
+    covers, given bottom first, so every join is a least upper bound."""
+    n = len(below)
+    down = [{x} for x in range(n)]
+    for x in range(n):
+        for y in below[x]:
+            down[x] |= down[y]
+    join = [[min((z for z in range(n) if down[x] | down[y] <= down[z]),
+                 key=lambda z: len(down[z])) for y in range(n)]
+            for x in range(n)]
+    return {"kind": "semimodule", "size": n, "zero": 0,
+            "scalars": semiring_to_dict(boolean_semiring()), "add": join,
+            "action": [[0] * n, list(range(n))]}
+
+
+def _spans_by_closure(s, us, max_carrier):
+    _, rows, cols = us.shape
+    return [projective._row_span(matrix.SemiringMatrix(s, rows, cols, u),
+                                 max_carrier) for u in us.tolist()]
+
+
+def test_benchmark_k0_and_projective_reports_match_the_closure(
+        tmp_path, capsys, monkeypatch):
+    """Every k0 and projective input of the benchmark's cli workload gives
+    the same exit code and bytes with spans from the sweep as with spans
+    from the closure of each matrix."""
+    chains = {k: write(tmp_path / f"c{k}.json",
+                       mv_to_dict(lukasiewicz_chain(k))) for k in (2, 3, 4)}
+    runs = [["k0", "--input", chains[k], "--nmax", str(n)]
+            for k, n in ((2, 1), (3, 1), (4, 1), (2, 2), (3, 2))]
+    c3 = _c3()
+    modules = {
+        "Bself": semimodule_to_dict(module_over_self(boolean_semiring())),
+        "Bfree2": semimodule_to_dict(free_semimodule(boolean_semiring(),
+                                                     ["x", "y"])),
+        "Lc3": _lattice_module([[], [0], [1]]),
+        "Ln5": _lattice_module([[], [0], [1], [0], [2, 3]]),
+        "C3self": semimodule_to_dict(module_over_self(c3)),
+        "C3half": semimodule_to_dict(generate(module_over_self(c3), (1,))),
+        "C3free2": semimodule_to_dict(free_semimodule(c3, ["x", "y"])),
+    }
+    runs += [["projective", "--input", write(tmp_path / f"{name}.json", m)]
+             for name, m in modules.items()]
+
+    def outcomes():
+        return [(main(argv), capsys.readouterr().out) for argv in runs]
+
+    sweep = outcomes()
+    monkeypatch.setattr(projective, "_row_spans", _spans_by_closure)
+    assert outcomes() == sweep
+    assert [code for code, _ in sweep] == [0] * len(runs)
 
 
 def test_k0_runs_are_byte_identical(tmp_path, chain3_file):

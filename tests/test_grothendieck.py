@@ -292,6 +292,23 @@ def test_a_block_sum_in_no_class_is_refused():
         enumerate_projective_classes(s, 2)
 
 
+def test_lawless_scalars_reach_the_refusal_through_the_closure(monkeypatch):
+    """The table above and the CLI's lawless table break the laws, so their
+    spans come from the closure alone, and each gets its refusal."""
+    def refuse(*args):
+        raise AssertionError("the sweep ran over lawless scalars")
+
+    monkeypatch.setattr(projective, "_row_spans", refuse)
+    c3 = reduct_vee_odot(lukasiewicz_chain(3))
+    mul = [list(row) for row in c3.mul]
+    mul[0][2] = 1
+    with pytest.raises(ToolkitError, match="^a block sum is in no class"):
+        enumerate_projective_classes(
+            FiniteSemiring(3, c3.add, mul, c3.zero, c3.one), 2)
+    with pytest.raises(ToolkitError, match="^no trivial projective class"):
+        enumerate_projective_classes(_lawless(), 2)
+
+
 def _span_key(u):
     return u.cols, row_space(u).members
 
@@ -302,14 +319,17 @@ def _span_key(u):
 ], ids=["c4", "c2xc2"])
 def test_each_span_is_classed_once(scalars, monkeypatch):
     """A form per distinct span of the idempotents plus one per new span
-    of the block sums, and a row space only for each class."""
+    of the block sums, a row space only for each class, built from the
+    members at hand, and one sweep per size: the idempotents of sizes 1
+    and 2 and the block sums of size 2. The closure never runs."""
     s = scalars()
     p = enumerate_projective_classes(s, 2)
     spans = {_span_key(u) for n in (1, 2) for u in idempotent_matrices(s, n)}
     block_spans = {_span_key(block_diag(ci.u, cj.u))
                    for ci in p.classes for cj in p.classes
                    if ci.n + cj.n <= 2}
-    calls = {"_table_form": 0, "row_space": 0}
+    calls = {"_table_form": 0, "_row_space_of": 0, "_row_spans": 0,
+             "_row_span": 0}
 
     def counted(name):
         inner = getattr(projective, name)
@@ -325,14 +345,20 @@ def test_each_span_is_classed_once(scalars, monkeypatch):
     assert again == p
     assert len(spans) < sum(len(idempotent_matrices(s, n)) for n in (1, 2))
     assert calls == {"_table_form": len(spans | block_spans),
-                     "row_space": len(p.classes)}
+                     "_row_space_of": len(p.classes), "_row_spans": 3,
+                     "_row_span": 0}
 
 
 def test_k0_report_bytes_at_n_max_3():
-    """The c3 report past the benchmark's size, pinned by digest."""
+    """The c3 and c2 x c2 reports past the benchmark's size, pinned by
+    digest."""
     text = canonical_dumps(k0_report(lukasiewicz_chain(3), 3))
     assert (hashlib.sha1(text.encode()).hexdigest()
             == "131d289e43e4457131084fd79e65512ecaca98f0")
+    square = mv_product(lukasiewicz_chain(2), lukasiewicz_chain(2))
+    text = canonical_dumps(k0_report(square, 3))
+    assert (hashlib.sha1(text.encode()).hexdigest()
+            == "2c1097c9738fb91f28061c965a4c419bbb07128f")
 
 
 def test_enumeration_guard(boolean):

@@ -7,8 +7,8 @@ from mvsr import projective
 from mvsr.config import MAX_CARRIER
 from mvsr.errors import (EnumGuard, NotAHom, NotCyclic, ScalarMismatch,
                          SizeGuard)
-from mvsr.matrix import (SemiringMatrix, idempotent_matrices, mat_identity,
-                         mat_zero)
+from mvsr.matrix import (SemiringMatrix, _idempotent_stack,
+                         idempotent_matrices, mat_identity, mat_zero)
 from mvsr.mv import lukasiewicz_chain, mv_product, reduct_vee_odot
 from mvsr.projective import (ProjectivePresentation, all_subsemimodules,
                              are_isomorphic, block_diag, canonical_form,
@@ -22,6 +22,8 @@ from mvsr.semimodule import (FiniteSemimodule, SemimoduleHom, Subsemimodule,
 from mvsr.semiring import (FiniteSemiring, boolean_semiring,
                            is_additively_idempotent)
 from mvsr.tensor import enumerate_modules
+
+from capped import run_capped
 
 
 @pytest.fixture
@@ -120,6 +122,119 @@ def test_row_space_guard(three):
     with pytest.raises(SizeGuard, match=r"^free module carrier: 6561 "
                        r"exceeds max_carrier=100$"):
         row_space(mat_identity(three, 8), max_carrier=100)
+
+
+def _spans_by_closure(s, us):
+    """The closure's members for each matrix of the stack us."""
+    _, rows, cols = us.shape
+    return [projective._row_span(SemiringMatrix(s, rows, cols, u),
+                                 MAX_CARRIER) for u in us.tolist()]
+
+
+def _assert_sweep_is_the_closure(s, us):
+    got = projective._row_spans(s, us, MAX_CARRIER)
+    want = _spans_by_closure(s, us)
+    assert len(got) == len(want) == len(us)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+def test_sweep_matches_the_closure_on_every_idempotent():
+    """Every idempotent of c2 to c7 at n <= 2, and of c2 to c4 and c2 x c2
+    at n = 3, each size as one stack."""
+    chains = {k: reduct_vee_odot(lukasiewicz_chain(k)) for k in range(2, 8)}
+    cases = [(s, n) for s in chains.values() for n in (1, 2)]
+    cases += [(chains[k], 3) for k in (2, 3, 4)] + [(_square(), 3)]
+    counted = 0
+    for s, n in cases:
+        us = _idempotent_stack(s, n, 10 ** 7)
+        _assert_sweep_is_the_closure(s, us)
+        counted += len(us)
+    assert counted == 23484
+
+
+def test_sweep_matches_the_closure_without_idempotent_addition():
+    """The two-element field and Z/3 keep the laws, so they take the sweep
+    though they have no canonical forms."""
+    for s in (_two_element_field(), _z3()):
+        assert projective._lawful(s) and not projective._has_forms(s)
+        for n in (1, 2, 3):
+            _assert_sweep_is_the_closure(s, _idempotent_stack(s, n, 10 ** 7))
+
+
+def test_sweep_matches_the_closure_on_every_shape(monkeypatch):
+    """Seeded random stacks of up to 5 x 3 matrices, not idempotent, tall
+    ones included, over lawful scalars, with chunks of one matrix and of a
+    few coefficient vectors."""
+    rng = random.Random(1)
+    scalars = [boolean_semiring(), reduct_vee_odot(lukasiewicz_chain(3)),
+               _square(), _two_element_field(), _z3()]
+    for chunk in (projective._CHUNK_ELEMENTS, 5):
+        monkeypatch.setattr(projective, "_CHUNK_ELEMENTS", chunk)
+        for _ in range(40):
+            s = rng.choice(scalars)
+            shape = (rng.randrange(4), rng.randrange(6), rng.randrange(4))
+            us = np.array([rng.randrange(s.size)
+                           for _ in range(int(np.prod(shape)))],
+                          dtype=np.int64).reshape(shape)
+            _assert_sweep_is_the_closure(s, us)
+
+
+def test_sweep_guard_comes_first(three):
+    with pytest.raises(SizeGuard, match=r"^free module carrier: 6561 "
+                       r"exceeds max_carrier=100$"):
+        projective._row_spans(three, np.zeros((0, 8, 8), dtype=np.int64),
+                              100)
+
+
+def test_lawless_scalars_take_the_closure(monkeypatch):
+    """Seeded random lawless tables never reach the sweep, and their row
+    spaces are still the spans in the free module."""
+    def refuse(*args):
+        raise AssertionError("the sweep ran over lawless scalars")
+
+    monkeypatch.setattr(projective, "_row_spans", refuse)
+    rng = random.Random(2)
+    tried = 0
+    while tried < 20:
+        s = FiniteSemiring(3, *(tuple(tuple(rng.randrange(3) for _ in "abc")
+                                      for _ in "abc") for _ in "+*"),
+                           rng.randrange(3), rng.randrange(3))
+        if projective._lawful(s):
+            continue
+        tried += 1
+        for n in (1, 2):
+            u = SemiringMatrix(s, n, n, tuple(
+                tuple(rng.randrange(3) for _ in range(n)) for _ in range(n)))
+            assert row_space(u) == _row_space_in_the_free_module(u)
+
+
+def test_row_space_of_the_12_by_12_identity_in_bounded_memory():
+    """The 4096 members of the span of the 12 x 12 identity over B, under
+    a 3 GB address-space cap in a child process: the closure asked for more
+    than the cap; the sweep peaks near 300 MB."""
+    lines, peak_mb = run_capped(
+        "from mvsr.matrix import mat_identity\n"
+        "from mvsr.projective import row_space\n"
+        "from mvsr.semiring import boolean_semiring\n"
+        "print(row_space(mat_identity(boolean_semiring(), 12)).size)\n",
+        3 << 30)
+    assert lines == ["4096"]
+    assert peak_mb < 1024
+
+
+def test_closure_sums_in_blocks():
+    """The closure on the 10 x 10 identity over B, in a child process
+    under a 3 GB cap: its sums are taken a block at a time, so it peaks
+    near 40 MB, where one array of every pair took about 240 MB."""
+    lines, peak_mb = run_capped(
+        "from mvsr.matrix import mat_identity\n"
+        "from mvsr.projective import _row_span\n"
+        "from mvsr.semiring import boolean_semiring\n"
+        "print(len(_row_span(mat_identity(boolean_semiring(), 10), 4096)))\n",
+        3 << 30)
+    assert lines == ["1024"]
+    assert peak_mb < 120
 
 
 def test_self_module_is_projective(three):

@@ -26,6 +26,8 @@ from mvsr.semiring import (FiniteSemiring, SemiringHom, boolean_semiring,
                            same_scalars)
 from mvsr.tensor import enumerate_modules
 
+from capped import run_capped
+
 
 @pytest.fixture
 def boolean():
@@ -273,6 +275,43 @@ def test_hom_set_guard(three):
     f = free_semimodule(three, ["x", "y"])
     with pytest.raises(EnumGuard):
         hom_set(f, f, max_enum=10)
+
+
+def test_hom_tables_are_guarded_before_the_gather(boolean):
+    """16 homs of the free module on two points over B pass a max_enum of
+    1000, but their sums and products gather 16 * 16 * 4 images."""
+    f = free_semimodule(boolean, ["x", "y"])
+    homs = hom_set(f, f, max_enum=1000)
+    assert len(homs) == 16
+    with pytest.raises(EnumGuard, match=r"^hom sums: 1024 exceeds "
+                       r"max_enum=1000$"):
+        homs.add_table
+    with pytest.raises(EnumGuard, match=r"^hom products: 1024 exceeds "
+                       r"max_enum=1000$"):
+        end_semiring(f, max_enum=1000)
+    assert end_semiring(f, max_enum=1024).semiring.size == 16
+
+
+def test_end_of_the_free_module_on_four_points_is_refused():
+    """End of the free module on four points over B has 65536 homs, and
+    its tables would gather about 550 GB: in a child process under a 3 GB
+    address-space cap, both gathers are refused with a guard first."""
+    lines, peak_mb = run_capped(
+        "from mvsr.errors import GuardBreach\n"
+        "from mvsr.semimodule import end_semiring, free_semimodule, hom_set\n"
+        "from mvsr.semiring import boolean_semiring\n"
+        "m = free_semimodule(boolean_semiring(), list('abcd'))\n"
+        "for build in (lambda: end_semiring(m),\n"
+        "              lambda: hom_set(m, m).add_table):\n"
+        "    try:\n"
+        "        build()\n"
+        "    except GuardBreach as e:\n"
+        "        print(type(e).__name__, e)\n",
+        3 << 30)
+    assert lines == [
+        "EnumGuard hom products: 68719476736 exceeds max_enum=10000000",
+        "EnumGuard hom sums: 68719476736 exceeds max_enum=10000000"]
+    assert peak_mb < 500
 
 
 def test_hom_validate_and_compose(three):

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 import mvsr.tensor
@@ -441,6 +442,34 @@ def test_scalar_extensions_match_the_sweep():
 
 def test_join_irreducibles_of_the_free_square(free2):
     assert join_irreducibles(free2.add, free2.zero) == (1, 2)
+
+
+def _join_irreducibles_by_comprehension(add, zero):
+    size = len(add)
+    reducible = {add[a][b] for a in range(size) for b in range(size)
+                 if add[a][b] != a and add[a][b] != b}
+    return tuple(x for x in range(size) if x != zero and x not in reducible)
+
+
+def test_join_irreducibles_match_the_comprehension(boolean):
+    """Every module over B of size at most 5 (the eleven lattices of
+    criterion 6 are among them, with the 6-chain below), over the 3-chain
+    reduct of size at most 4 and over c2 x c2 of size at most 3: the
+    numpy reading of each table as an array gives the comprehension's
+    tuple, and so does the reading of the nested tuples."""
+    three = reduct_vee_odot(lukasiewicz_chain(3))
+    square = reduct_vee_odot(mv_product(lukasiewicz_chain(2),
+                                        lukasiewicz_chain(2)))
+    tables = [(m.add, m.zero) for s, size in ((boolean, 5), (three, 4),
+                                              (square, 3))
+              for m in enumerate_modules(s, size)]
+    tables.append((tuple(tuple(max(a, b) for b in range(6))
+                         for a in range(6)), 0))
+    assert len(tables) == 130
+    for add, zero in tables:
+        want = _join_irreducibles_by_comprehension(add, zero)
+        assert join_irreducibles(add, zero) == want
+        assert join_irreducibles(np.array(add), zero) == want
 
 
 def test_monoid_family_is_frozen():
