@@ -61,6 +61,10 @@ class NotCyclic(ToolkitError):
     """The semimodule is not generated by a single element."""
 
 
+class NotAModule(ToolkitError):
+    """A semimodule description breaks one of the semimodule laws."""
+
+
 class NotAHom(ToolkitError):
     """The given map fails a homomorphism law."""
 

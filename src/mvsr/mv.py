@@ -94,7 +94,7 @@ def check_mv_axioms(a: MvAlgebra) -> AxiomReport:
     checks = [
         ("oplus-associative", _first_assoc_failure(t)),
         ("oplus-commutative", _first_comm_failure(t)),
-        ("oplus-identity", _first_identity_failure(t, a.zero)),
+        ("oplus-identity", _first_identity_failure(a.oplus, a.zero)),
     ]
     inv = next(((x,) for x in range(a.size) if a.star[a.star[x]] != x), None)
     checks.append(("involution", inv))

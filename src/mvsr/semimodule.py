@@ -11,7 +11,7 @@ hom laws exist once, as the mismatch arrays of _law_mismatches: _hom_mask
 reads them for a chunk, _broken_law for the first witness of one map. The
 module laws likewise exist once, as the lazy witnesses of
 _module_law_witnesses: check_semimodule reports them all, and
-_module_laws_hold stops at the first broken one.
+_first_broken_law (behind _module_laws_hold) stops at the first broken one.
 
 A hom-set is the kernel's rows, and every table built from homs gathers
 images from them and looks them up with HomSemilattice.positions. Searches
@@ -36,8 +36,8 @@ from .mv import (MvAlgebra, check_mv_axioms, quotient, reduct_vee_odot)
 from .semiring import (AxiomReport, FiniteSemiring, LawCheck, SemiringHom,
                        Table, _CHUNK_ELEMENTS, _IndexMap,
                        _first_assoc_failure, _first_comm_failure,
-                       _first_identity_failure, _index_grid, _label_tuple,
-                       _store, boolean_semiring, fold,
+                       _first_identity_failure, _first_true, _index_grid,
+                       _label_tuple, _store, boolean_semiring, fold,
                        is_additively_idempotent, same_scalars)
 
 
@@ -94,7 +94,15 @@ def check_semimodule(s: FiniteSemiring, m: FiniteSemimodule) -> AxiomReport:
 
 def _module_laws_hold(s: FiniteSemiring, m: FiniteSemimodule) -> bool:
     """check_semimodule(s, m).valid, stopping at the first broken law."""
-    return all(w is None for _, w in _module_law_witnesses(s, m))
+    return _first_broken_law(s, m) is None
+
+
+def _first_broken_law(s: FiniteSemiring, m: FiniteSemimodule
+                      ) -> Optional[str]:
+    """The name of the first law of check_semimodule that m breaks, in
+    report order, checking none past it; None when all hold."""
+    return next((name for name, w in _module_law_witnesses(s, m)
+                 if w is not None), None)
 
 
 def _module_law_witnesses(s: FiniteSemiring, m: FiniteSemimodule
@@ -107,54 +115,52 @@ def _module_law_witnesses(s: FiniteSemiring, m: FiniteSemimodule
     sadd, smul = s.np_add, s.np_mul
     yield "add-associative", _first_assoc_failure(add)
     yield "add-commutative", _first_comm_failure(add)
-    yield "add-identity", _first_identity_failure(add, m.zero)
+    yield "add-identity", _first_identity_failure(m.add, m.zero)
 
+    # the two laws below are checked for a block of scalars a at a time,
+    # each block within _CHUNK_ELEMENTS entries
     w = None
-    for a in range(s.size):
-        comp = act[a][act]                 # a(bx), one row per b
-        direct = act[smul[a]]              # (ab)x
-        if not np.array_equal(comp, direct):
-            b = int(np.nonzero((comp != direct).any(axis=1))[0][0])
-            x = int(np.nonzero(comp[b] != direct[b])[0][0])
-            w = (a, b, x)
+    step = max(1, _CHUNK_ELEMENTS // (s.size * m.size))
+    for lo in range(0, s.size, step):
+        # a(bx) against (ab)x, one row per b
+        w = _first_true(act[lo:lo + step][:, act] != act[smul[lo:lo + step]])
+        if w:
+            w = (lo + w[0],) + w[1:]
             break
     yield "action-associative", w
 
     w = None
-    for a in range(s.size):
-        row = act[a]
-        lhs = row[add]                     # a(x+y)
-        rhs = add[np.ix_(row, row)]        # ax + ay
-        if not np.array_equal(lhs, rhs):
-            x, y = np.argwhere(lhs != rhs)[0]
-            w = (a, int(x), int(y))
+    step = max(1, _CHUNK_ELEMENTS // (m.size * m.size))
+    for lo in range(0, s.size, step):
+        rows = act[lo:lo + step]
+        # a(x+y) against ax + ay
+        w = _first_true(rows[:, add] != add[rows[:, :, None],
+                                            rows[:, None, :]])
+        if w:
+            w = (lo + w[0],) + w[1:]
             break
     yield "action-additive", w
 
-    lhs = act[sadd]                        # (a+b)x
-    rhs = add[act[:, None, :], act[None, :, :]]     # ax + bx
-    w = None
-    if not np.array_equal(lhs, rhs):
-        a, b, x = np.argwhere(lhs != rhs)[0]
-        w = (int(a), int(b), int(x))
-    yield "scalar-additive", w
+    # (a+b)x against ax + bx
+    yield "scalar-additive", _first_true(
+        act[sadd] != add[act[:, None, :], act[None, :, :]])
 
-    bad = np.argwhere(act[s.one] != np.arange(m.size))
-    yield "action-unital", (int(bad[0][0]),) if len(bad) else None
-
-    w = None
-    bad = np.argwhere(act[s.zero] != m.zero)
-    if len(bad):
-        w = (s.zero, int(bad[0][0]))
+    # the laws of linear size are read from the stored tuples
+    one, zero = m.action[s.one], m.zero
+    yield "action-unital", next(((x,) for x, v in enumerate(one) if v != x),
+                                None)
+    x = next((x for x, v in enumerate(m.action[s.zero]) if v != zero), None)
+    if x is not None:
+        w = (s.zero, x)
     else:
-        bad = np.argwhere(act[:, m.zero] != m.zero)
-        if len(bad):
-            w = (int(bad[0][0]), m.zero)
+        a = next((a for a, row in enumerate(m.action) if row[zero] != zero),
+                 None)
+        w = None if a is None else (a, zero)
     yield "action-zero", w
 
     if is_additively_idempotent(s):
-        bad = np.argwhere(add.diagonal() != np.arange(m.size))
-        yield "add-idempotent", (int(bad[0][0]),) if len(bad) else None
+        yield "add-idempotent", next(((x,) for x, row in enumerate(m.add)
+                                      if row[x] != x), None)
 
 
 # ----- free semimodules ----------------------------------------------------
@@ -517,7 +523,8 @@ class HomSemilattice:
         t = np.array(self.add_table, dtype=np.intp)
         checks = (("add-associative", _first_assoc_failure(t)),
                   ("add-commutative", _first_comm_failure(t)),
-                  ("add-identity", _first_identity_failure(t, self.zero_index)))
+                  ("add-identity", _first_identity_failure(self.add_table,
+                                                           self.zero_index)))
         return AxiomReport("hom-monoid",
                            tuple(LawCheck(n_, w is None, w) for n_, w in checks))
 

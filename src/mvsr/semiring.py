@@ -204,36 +204,39 @@ class AxiomReport:
                 "laws": [law.to_dict() for law in self.laws]}
 
 
+def _first_true(mask: np.ndarray) -> Optional[Tuple[int, ...]]:
+    """The index of the first true entry of mask in row-major order, or
+    None; a mask with no true entry, the lawful case, costs one any()."""
+    if not mask.any():
+        return None
+    return tuple(int(i) for i in np.argwhere(mask)[0])
+
+
 def _first_assoc_failure(t: np.ndarray):
-    # (a?b)?c == a?(b?c), scanned one a-slice at a time to keep memory flat.
+    # (a?b)?c == a?(b?c), scanned a block of a-slices at a time, each block
+    # within _CHUNK_ELEMENTS entries, to keep memory flat.
     n = len(t)
-    for a in range(n):
-        lhs = t[t[a]]
-        rhs = t[a][t]
-        if not np.array_equal(lhs, rhs):
-            b, c = np.argwhere(lhs != rhs)[0]
-            return (a, int(b), int(c))
+    step = max(1, _CHUNK_ELEMENTS // max(1, n * n))
+    for lo in range(0, n, step):
+        rows = t[lo:lo + step]
+        bad = _first_true(t[rows] != rows[:, t])
+        if bad:
+            return (lo + bad[0],) + bad[1:]
     return None
 
 
 def _first_comm_failure(t: np.ndarray):
-    bad = np.argwhere(t != t.T)
-    if len(bad):
-        a, b = bad[0]
-        return (int(a), int(b))
-    return None
+    return _first_true(t != t.T)
 
 
-def _first_identity_failure(t: np.ndarray, e: int):
-    n = len(t)
-    idx = np.arange(n)
-    bad = np.argwhere(t[e] != idx)
-    if len(bad):
-        return (e, int(bad[0][0]))
-    bad = np.argwhere(t[:, e] != idx)
-    if len(bad):
-        return (int(bad[0][0]), e)
-    return None
+def _first_identity_failure(t: Table, e: int):
+    # A law of linear size is read from the stored tuples: numpy's fixed
+    # cost per call would exceed the scan on the tables it is asked about.
+    x = next((x for x, v in enumerate(t[e]) if v != x), None)
+    if x is not None:
+        return (e, x)
+    x = next((x for x, row in enumerate(t) if row[e] != x), None)
+    return None if x is None else (x, e)
 
 
 def _first_left_dist_failure(add: np.ndarray, mul: np.ndarray):
@@ -260,14 +263,12 @@ def _first_right_dist_failure(add: np.ndarray, mul: np.ndarray):
     return None
 
 
-def _first_absorb_failure(mul: np.ndarray, zero: int):
-    bad = np.argwhere(mul[zero] != zero)
-    if len(bad):
-        return (zero, int(bad[0][0]))
-    bad = np.argwhere(mul[:, zero] != zero)
-    if len(bad):
-        return (int(bad[0][0]), zero)
-    return None
+def _first_absorb_failure(mul: Table, zero: int):
+    x = next((x for x, v in enumerate(mul[zero]) if v != zero), None)
+    if x is not None:
+        return (zero, x)
+    x = next((x for x, row in enumerate(mul) if row[zero] != zero), None)
+    return None if x is None else (x, zero)
 
 
 def check_semiring_axioms(s: FiniteSemiring) -> AxiomReport:
@@ -276,12 +277,12 @@ def check_semiring_axioms(s: FiniteSemiring) -> AxiomReport:
     checks = [
         ("add-associative", _first_assoc_failure(add)),
         ("add-commutative", _first_comm_failure(add)),
-        ("add-identity", _first_identity_failure(add, s.zero)),
+        ("add-identity", _first_identity_failure(s.add, s.zero)),
         ("mul-associative", _first_assoc_failure(mul)),
-        ("mul-identity", _first_identity_failure(mul, s.one)),
+        ("mul-identity", _first_identity_failure(s.mul, s.one)),
         ("distributive-left", _first_left_dist_failure(add, mul)),
         ("distributive-right", _first_right_dist_failure(add, mul)),
-        ("zero-absorbing", _first_absorb_failure(mul, s.zero)),
+        ("zero-absorbing", _first_absorb_failure(s.mul, s.zero)),
     ]
     laws = tuple(LawCheck(name, w is None, w) for name, w in checks)
     return AxiomReport("semiring", laws)

@@ -3,6 +3,7 @@ import copy
 import hashlib
 import io
 import json
+import re
 import time
 
 import pytest
@@ -213,6 +214,27 @@ def test_tensor_verifies_universal_property(self_file, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["universal_property"] == "verified"
     assert data["classes"] == 2
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_tensor_refuses_a_factor_that_is_not_a_module(side, tmp_path, capsys):
+    """The 3-chain with 1 + 1 = 2 breaks scalar-additive first, in
+    check_semimodule's order, and add-idempotent after it: tensor names the
+    factor and its first broken law and exits 2 with nothing on stdout."""
+    broken = _lattice_module([[], [0], [1]])
+    broken["add"][1][1] = 2
+    bad = write(tmp_path / "bad.json", broken)
+    good = write(tmp_path / "c2.json", _lattice_module([[], [0]]))
+    assert main(["verify", "--input", bad]) == 2
+    failed = [law["name"] for law in json.loads(capsys.readouterr().out)
+              ["laws"] if not law["ok"]]
+    assert failed == ["scalar-additive", "add-idempotent"]
+    left, right = (bad, good) if side == "left" else (good, bad)
+    assert main(["tensor", "--left", left, "--right", right]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"mvsr: the {side} factor is not a semimodule: it breaks "
+                   "scalar-additive\n")
 
 
 def test_gamma_certificate(capsys):
@@ -761,3 +783,62 @@ def test_fuzzed_config_and_sizes_keep_the_exit_contract(config, argv,
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err
     assert _run(argv) == (code, out, err)
+
+
+# ----- fuzzed tensor bounds --------------------------------------------------------
+
+_TENSOR_FACTORS = {
+    "Bself": semimodule_to_dict(module_over_self(boolean_semiring())),
+    "Lc3": _lattice_module([[], [0], [1]]),
+    "Bfree2": semimodule_to_dict(free_semimodule(boolean_semiring(),
+                                                 ["x", "y"]))}
+# The guards tensor can trip, each named in its message.
+_TENSOR_STAGES = ("free semilattice carrier", "candidate homs out of the "
+                  "quotient", "bimorphism candidates")
+# Small bounds trip the guards; huge ones let every pair through, Bfree2
+# with itself at 2^16 subsets the largest.
+_TENSOR_BOUNDS = st.one_of(st.integers(-3, 40), st.integers(10 ** 5, 10 ** 30))
+
+
+@st.composite
+def _tensor_factor(draw):
+    """Bself, Lc3 or Bfree2, sometimes with one or two entries of its
+    addition, zero or action replaced by another element, so that it
+    still parses and may break a law."""
+    desc = copy.deepcopy(_TENSOR_FACTORS[draw(st.sampled_from(
+        list(_TENSOR_FACTORS)))])
+    for _ in range(draw(st.sampled_from((0, 0, 1, 2)))):
+        key = draw(st.sampled_from(("add", "action", "zero")))
+        if key == "zero":
+            desc["zero"] = draw(st.integers(0, desc["size"] - 1))
+        else:
+            row = draw(st.sampled_from(desc[key]))
+            row[draw(st.integers(0, len(row) - 1))] = \
+                draw(st.integers(0, desc["size"] - 1))
+    return desc
+
+
+@settings(max_examples=60, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(left=_tensor_factor(), right=_tensor_factor(),
+       bounds=st.fixed_dictionaries({}, optional={
+           "--max-enum": _TENSOR_BOUNDS, "--max-carrier": _TENSOR_BOUNDS}))
+def test_fuzzed_tensor_bounds_keep_the_exit_contract(left, right, bounds,
+                                                     tmp_path, monkeypatch):
+    """tensor on Bself, Lc3 and Bfree2, some of them mutated, under drawn
+    --max-enum and --max-carrier exits 0 to 3 without a traceback, and a
+    second run prints the same bytes. A guard that trips names its stage,
+    the estimate and the bound."""
+    monkeypatch.delenv("MVSR_CONFIG", raising=False)
+    argv = ["tensor", "--left", write(tmp_path / "left.json", left),
+            "--right", write(tmp_path / "right.json", right)]
+    argv += [f"{flag}={value}" for flag, value in bounds.items()]
+    code, out, err = _run(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    assert _run(argv) == (code, out, err)
+    if code == 3:
+        stage, _, rest = err.removeprefix("mvsr: guard breach: ").partition(
+            ": ")
+        assert stage in _TENSOR_STAGES
+        assert re.fullmatch(r"\d+ exceeds max_(enum|carrier)=-?\d+\n", rest)

@@ -19,8 +19,8 @@ from mvsr.semimodule import (FiniteSemimodule, _hom_mask, _hom_rows,
 from mvsr.semiring import FiniteSemiring, SemiringHom, boolean_semiring, fold
 from mvsr.tensor import (FreeSemilattice, SemilatticeCongruence,
                          TensorProduct, _commutative_monoid_tables,
-                         _downsets, _is_monoid_hom,
-                         _monoid_homs, adjunction_witness, as_module,
+                         _downsets, _monoid_homs, adjunction_witness,
+                         as_module,
                          bimorphisms, check_universal_property,
                          commutative_monoids_upto, congruence_closure,
                          enumerate_modules, full_embedding_check,
@@ -472,6 +472,51 @@ def test_join_irreducibles_match_the_comprehension(boolean):
         assert join_irreducibles(np.array(add), zero) == want
 
 
+def _is_monoid_hom(v, join, zero, c_add, c_zero):
+    """v sends zero to the monoid zero and joins to sums."""
+    size = len(join)
+    return v[zero] == c_zero and all(
+        v[join[c][d]] == c_add[v[c]][v[d]]
+        for c in range(size) for d in range(size))
+
+
+def _monoid_homs_by_product(add, zero, c_size, c_add, c_zero):
+    """Every monoid hom out of the join table add into C, in lexicographic
+    order: every assignment of values to the join-irreducibles, folded
+    over each downset and kept when it sends zero to the monoid zero and
+    joins to sums."""
+    ji = join_irreducibles(add, zero)
+    below = _downsets(add, ji)
+    found = set()
+    for g in itertools.product(range(c_size), repeat=len(ji)):
+        v = tuple(fold(c_add, c_zero, [g[i] for i in d]) for d in below)
+        if _is_monoid_hom(v, add, zero, c_add, c_zero):
+            found.add(v)
+    return tuple(sorted(found))
+
+
+def _bimorphisms_by_product(m, n, c_size, c_add, c_zero):
+    """Every bimorphism M x N -> C as a flat table, in lexicographic order:
+    every assignment of homs N -> C to JI(M), folded pointwise into a table
+    and kept when each column is a monoid hom out of M and the table
+    balances."""
+    ji_m = join_irreducibles(m.add, m.zero)
+    homs = _monoid_homs_by_product(n.add, n.zero, c_size, c_add,
+                                   c_zero) if ji_m else ()
+    below, ys = _downsets(m.add, ji_m), range(n.size)
+    found = set()
+    for g in itertools.product(homs, repeat=len(ji_m)):
+        rows = [tuple(fold(c_add, c_zero, [g[i][y] for i in d]) for y in ys)
+                for d in below]
+        if all(_is_monoid_hom([row[y] for row in rows], m.add, m.zero, c_add,
+                              c_zero) for y in ys) and \
+           all(rows[m.act(a, x)][y] == rows[x][n.act(a, y)]
+               for a in range(m.scalars.size)
+               for x in range(m.size) for y in ys):
+            found.add(tuple(v for row in rows for v in row))
+    return tuple(sorted(found))
+
+
 def test_monoid_family_is_frozen():
     fam = commutative_monoids_upto(3)
     assert len(fam) == 8
@@ -572,6 +617,121 @@ def test_bimorphisms_match_the_ji_pair_search(boolean, self_mod):
     assert kept > 0
 
 
+def _family_pairs(boolean, self_mod):
+    """The module pairs of test_bimorphisms_match_the_ji_pair_search: B
+    modules with |M|*|N| <= 8, the 3-chain reduct's modules of size at
+    most 3, and the five 5-element B modules against B over itself."""
+    modules = enumerate_modules(boolean, 4)
+    pairs = [(m, n) for m in modules for n in modules if m.size * n.size <= 8]
+    chain3 = enumerate_modules(reduct_vee_odot(lukasiewicz_chain(3)), 3)
+    pairs += [(m, n) for m in chain3 for n in chain3]
+    fives = []
+    for m in enumerate_modules(boolean, 5):
+        if m.size == 5 and all(are_isomorphic(m, r) is None for r in fives):
+            fives.append(m)
+    return pairs + [(m, self_mod) for m in fives] + \
+        [(self_mod, m) for m in fives]
+
+
+def test_searches_match_the_product_loops(boolean, self_mod):
+    """The pruned searches return the product loops' tuples on every family
+    the tests use: bimorphisms on each pair of _family_pairs, and monoid
+    homs out of each factor and each tensor quotient, into the eight small
+    monoids and the two factors' additive monoids."""
+    for m, n in _family_pairs(boolean, self_mod):
+        t = tensor_product(m, n)
+        targets = list(commutative_monoids_upto(3))
+        targets += [(m.size, m.add, m.zero), (n.size, n.add, n.zero)]
+        for c in targets:
+            assert bimorphisms(m, n, *c) == _bimorphisms_by_product(m, n, *c)
+            for add, zero in ((m.add, m.zero), (n.add, n.zero),
+                              (t.join_table, t.zero_class)):
+                assert _monoid_homs(add, zero, *c) == \
+                    _monoid_homs_by_product(add, zero, *c)
+
+
+# A target whose addition neither commutes nor associates and has no
+# identity, one whose zero is not an identity, and an idempotent monoid
+# that does not commute: a right-zero band {1, 2} with 0 as identity.
+_LAWLESS_TARGETS = ((3, ((0, 1, 2), (2, 0, 1), (1, 1, 0)), 0),
+                    (2, ((1, 0), (0, 0)), 1),
+                    (3, ((0, 1, 2), (1, 1, 2), (2, 1, 2)), 0))
+
+
+def _lawless_table(rng, size):
+    return tuple(tuple(rng.randrange(size) for _ in range(size))
+                 for _ in range(size))
+
+
+def _lawless_targets(rng, count):
+    """The fixed lawless targets, the eight small monoids, and count drawn
+    tables of two or three elements with a drawn zero."""
+    targets = list(_LAWLESS_TARGETS) + list(commutative_monoids_upto(3))
+    for _ in range(count):
+        size = rng.randint(2, 3)
+        targets.append((size, _lawless_table(rng, size),
+                        rng.randrange(size)))
+    return targets
+
+
+def test_monoid_homs_fold_the_zero_before_checking_it():
+    """In ((0, 1), (0, 1)) with zero 0, the zero lies above the one
+    join-irreducible 1, since 1 + 0 = 0: v[0] is the fold c_zero + v[1],
+    so only v[1] = 0 passes the zero check in B. Checking v[zero] before
+    folding it would keep (1, 1) as well."""
+    chain = ((0, 1), (1, 1))
+    assert _monoid_homs(((0, 1), (0, 1)), 0, 2, chain, 0) == ((0, 0),)
+    assert _monoid_homs_by_product(((0, 1), (0, 1)), 0, 2, chain, 0) == \
+        ((0, 0),)
+
+
+def test_monoid_homs_match_the_product_on_lawless_tables():
+    """Seeded lawless join tables of one to four elements, with a drawn
+    zero, and the join semilattices of up to four elements, into lawless
+    and lawful targets."""
+    rng = random.Random(20101)
+    sources = [(((0, 1), (0, 1)), 0)]
+    sources += [(add, 0) for size in range(1, 5)
+                for add in _commutative_monoid_tables(size, True, 10**6)]
+    for _ in range(150):
+        size = rng.randint(1, 4)
+        sources.append((_lawless_table(rng, size), rng.randrange(size)))
+    targets = _lawless_targets(rng, 6)
+    kept = 0
+    for add, zero in sources:
+        for c in targets:
+            found = _monoid_homs(add, zero, *c)
+            assert found == _monoid_homs_by_product(add, zero, *c)
+            kept += len(found)
+    assert kept > 0
+
+
+def test_bimorphisms_match_the_product_on_lawless_modules(boolean):
+    """Seeded modules over B and over the 3-chain reduct with drawn
+    addition, zero and action rows, each of one to three elements, paired
+    with each other and with lawful ones, into lawless and lawful
+    targets."""
+    rng = random.Random(20102)
+    three = reduct_vee_odot(lukasiewicz_chain(3))
+    kept = 0
+    for _ in range(60):
+        s = rng.choice((boolean, three))
+        sides = []
+        for _ in range(2):
+            size = rng.randint(1, 3)
+            sides.append(FiniteSemimodule(
+                s, size, _lawless_table(rng, size), rng.randrange(size),
+                tuple(tuple(rng.randrange(size) for _ in range(size))
+                      for _ in range(s.size))))
+        lawful = rng.choice(enumerate_modules(s, 3))
+        for m, n in (sides, (sides[0], lawful), (lawful, sides[1])):
+            for c in _lawless_targets(rng, 2):
+                found = bimorphisms(m, n, *c)
+                assert found == _bimorphisms_by_product(m, n, *c)
+                kept += len(found)
+    assert kept > 0
+
+
 def test_bimorphisms_of_a_trivial_left_factor(boolean, free2, monkeypatch):
     def refuse(*args):
         raise AssertionError("Hom(N, C) enumerated for a trivial factor")
@@ -588,6 +748,24 @@ def test_bimorphism_guard(free2):
                        r"43046721 exceeds max_enum=1000$"):
         bimorphisms(big, big, 3, ((0, 1, 2), (1, 1, 2), (2, 2, 2)), 0,
                     max_enum=1000)
+
+
+def test_guards_fire_before_the_checks_are_filed(free2, self_mod):
+    """A tripped guard leaves each plan with its levels only: the |add|^2
+    join pairs and the balance triples are filed by the first search."""
+    mvsr.tensor._schedule.cache_clear()
+    big = free_semimodule(boolean_semiring(), list("pqrs"))
+    with pytest.raises(EnumGuard):
+        bimorphisms(big, big, 3, ((0, 1, 2), (1, 1, 2), (2, 2, 2)), 0,
+                    max_enum=1000)
+    plan = mvsr.tensor._schedule(big.add, big.zero, (big.action, big.action))
+    assert plan.depth == 4 and not {"pairs", "balance"} & set(vars(plan))
+    t = tensor_product(free2, self_mod)
+    with pytest.raises(EnumGuard, match=r"^candidate homs out of the "
+                       r"quotient: 1 exceeds max_enum=0$"):
+        check_universal_property(t, max_enum=0)
+    plan = mvsr.tensor._schedule(t.join_table, t.zero_class)
+    assert plan.depth == 2 and "pairs" not in vars(plan)
 
 
 def test_universal_property_smallest(self_mod):
@@ -666,6 +844,44 @@ def test_universal_property_count_matches_the_scan(boolean):
     three = module_over_self(reduct_vee_odot(lukasiewicz_chain(3)))
     t = tensor_product(three, three)
     assert check_universal_property(t) == _universal_property_by_scan(t)
+
+
+def test_universal_property_matches_the_scan_on_wider_pairs(boolean,
+                                                           monkeypatch):
+    """The 36 labelled pairs of B modules with 11 <= |M|*|N| <= 12, a 3- and
+    a 4-element factor either way round. Three seeded pairs whose 4-element
+    factor is the free square: check_universal_property equals the scan
+    run with the product loop's bimorphisms. The scan rescans every
+    assignment to JI of the quotient for each bimorphism, which takes
+    seconds a pair when the 4-element factor is a chain (318 bimorphisms,
+    six join-irreducible classes), so on three seeded pairs of those the
+    searches are held to the product loops target by target instead."""
+    modules = enumerate_modules(boolean, 4)
+    pairs = [(m, n) for m in modules for n in modules
+             if 11 <= m.size * n.size <= 12]
+    assert len(pairs) == 36
+    square = free_semimodule(boolean, ["x", "y"])
+    rng = random.Random(20103)
+    free = [p for p in pairs if any(are_isomorphic(f, square) is not None
+                                    for f in p if f.size == 4)]
+    chains = [p for p in pairs if p not in free]
+    assert (len(free), len(chains)) == (12, 24)
+
+    monkeypatch.setitem(globals(), "bimorphisms", _bimorphisms_by_product)
+    for m, n in rng.sample(free, 3):
+        t = tensor_product(m, n)
+        assert check_universal_property(t) == _universal_property_by_scan(t)
+    monkeypatch.undo()
+
+    for m, n in rng.sample(chains, 3):
+        t = tensor_product(m, n)
+        targets = list(commutative_monoids_upto(3))
+        targets += [(m.size, m.add, m.zero), (n.size, n.add, n.zero)]
+        for c in targets:
+            assert bimorphisms(m, n, *c) == _bimorphisms_by_product(m, n, *c)
+            assert _monoid_homs(t.join_table, t.zero_class, *c) == \
+                _monoid_homs_by_product(t.join_table, t.zero_class, *c)
+        assert check_universal_property(t)["ok"]
 
 
 def test_class_of_pairs_joins_tensors(free2, self_mod):
