@@ -164,7 +164,8 @@ def cmd_gamma(args, cfg: ToolConfig) -> Tuple[dict, int]:
     u = _parse_unit(args.u)
     samples = args.samples if args.samples is not None else 10000
     seed = args.seed if args.seed is not None else cfg.seed
-    report = gamma_property_report(TropicalUSemifield(u), samples, seed)
+    report = gamma_property_report(TropicalUSemifield(u), samples, seed,
+                                   cfg.max_enum)
     return report, 0 if report["ok"] else 2
 
 
@@ -241,7 +242,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--right", required=True)
 
     p = sub.add_parser("gamma", parents=[common],
-                       help="sampled truncation-map certificate")
+                       help="truncation-map certificate: both laws decided "
+                       "on a grid (grid_failures), then spot-checked on "
+                       "--samples seeded draws")
     p.set_defaults(handler=cmd_gamma)
     p.add_argument("--u", default="1")
     p.add_argument("--samples", type=int, default=None)

@@ -3,7 +3,8 @@
 An algebra is a table for the truncated sum together with an involution table;
 everything else (product, lattice, order) is derived. Two semiring reducts are
 available, exchanged by the involution, and the truncation map from the
-min-plus rationals produces the chains.
+min-plus rationals produces the chains. Its laws are decided exactly on a
+finite grid and spot-checked on seeded samples in scaled integers.
 """
 from __future__ import annotations
 
@@ -23,7 +24,8 @@ from .semiring import (AxiomReport, FiniteSemiring, LawCheck, SemiringHom,
                        _first_comm_failure, _first_identity_failure,
                        _index_grid, _label_tuple, _store,
                        is_additively_idempotent, natural_order)
-from .tropical import TOP, Trop, TropicalUSemifield, trop, trop_meet, trop_prod
+from .tropical import (DEN_LCM, TOP, TropicalUSemifield, scaled_sampler,
+                       trop)
 
 
 @dataclass(frozen=True)
@@ -571,69 +573,165 @@ def equation_holds(a: MvAlgebra, lhs: Union[str, tuple], rhs: Union[str, tuple],
 
 # ----- truncation ---------------------------------------------------------
 
+# The multiples of u/2 in [-4u, 9u/2], scaled by 2/u to integers, and Top
+# (None); _grid_failures proves that this grid decides both laws.
+_GRID = tuple(range(-8, 10)) + (None,)
+_GRID_UNIT = 2
+
+
+def _clamp(x, top):
+    """Gamma on one exact number: x clamped into [0, top]; None (Top)
+    goes to top. gamma calls it on Fractions, the checks on integers."""
+    if x is None:
+        return top
+    return min(max(x, 0), top)
+
+
 def gamma(f: TropicalUSemifield, a) -> Fraction:
     """Clamp a min-plus value into [0, u]; Top goes to u."""
-    a = trop(a)
-    if a.is_top:
-        return f.u
-    return min(max(a.value, Fraction(0)), f.u)
+    return Fraction(_clamp(trop(a).value, f.u))
 
 
-def _gamma_failures(f: TropicalUSemifield, samples: int, draw_meet,
-                    draw_sum) -> Tuple[int, int]:
-    """Meet and truncated-sum failures of gamma over the samples; each
-    sample draws a meet pair, then a sum pair."""
-    if samples < 1:
-        raise ValueError(f"samples={samples} must be at least 1")
-    meet_fails = 0
-    sum_fails = 0
+def _meet_breaks(a, b, top) -> bool:
+    """Whether gamma(min(a, b)) != min(gamma a, gamma b) at unit top; None
+    is Top, the greatest value."""
+    low = b if a is None else a if b is None else min(a, b)
+    return _clamp(low, top) != min(_clamp(a, top), _clamp(b, top))
+
+
+def _sum_breaks(a, b, top) -> bool:
+    """Whether gamma(a + b) != min(gamma a + gamma b, top) at unit top;
+    None is Top, which absorbs the sum."""
+    total = None if a is None or b is None else a + b
+    return _clamp(total, top) != min(_clamp(a, top) + _clamp(b, top), top)
+
+
+def _grid_failures() -> int:
+    """The grid pairs at which a truncation law fails: the meet law on the
+    whole grid, the truncated-sum law on its nonnegative part and Top. Zero
+    proves both laws on their whole domains, for every unit u.
+
+    Scaling by 2/u > 0 commutes with min, max and +, so the laws at unit u
+    on multiples of u/2 are the laws at unit 2 on integers. In the proof,
+    Gamma is the clamp into [0, u] and the grid is the multiples of u/2 in
+    the box B = [-4u, 9u/2]^2, plus Top.
+
+    Finite arguments. Let A be the arrangement of the seven lines a = 0,
+    a = u, b = 0, b = u, a = b, a + b = 0, a + b = u. On an open cell of A,
+    each of a, b, min(a, b) and a + b stays inside one of the pieces
+    (-inf, 0), (0, u), (u, inf), on which Gamma is affine; min(a, b) is
+    one fixed argument; and Gamma a - Gamma b and Gamma a + Gamma b - u keep
+    one sign, since on each product of pieces each is a constant or, up to
+    sign, one of a, b, a - u, b - u, a - b, a + b - u, which vanish only
+    on lines of A. So both sides of
+    each law are affine on the cell, and by continuity on its closure,
+    and the law holds on the closed cell as soon as it holds at three
+    affinely independent points of it. The closed cells cover the plane.
+    Every vertex of A is a multiple of u/2 in [-u, u]^2: the corners of
+    [0, u]^2, (u/2, u/2), (u, -u) and (-u, u). A has non-parallel lines,
+    so every cell has a vertex on its boundary, which lies in the interior
+    of B; so the cell meets B in a convex polygon with interior. Its
+    corners are vertices of A, corners of B, or points where a line of A,
+    axis-parallel or of slope 1 or -1 through multiples of u/2, crosses a
+    side of B, which lies on a multiple of u/2: all of them grid points,
+    and three of them are not collinear. For the sum law, a = 0 and b = 0
+    are lines of A, so the quadrant a, b >= 0 is a union of closed cells,
+    and the corners found for those cells are nonnegative grid points.
+
+    Top. Both laws are symmetric in a and b, and the pair (Top, Top) is on
+    the grid. With a = Top and b finite, the meet law reads
+    Gamma b <= Gamma(Top); as Gamma's finite values lie in [0, u] and
+    Gamma u = u, it holds for every b iff it holds at b = u. The sum law
+    reads Gamma(Top) = min(Gamma(Top) + Gamma b, u) for every b >= 0: at
+    b = 0 it forces Gamma(Top) <= u, at b = u it forces Gamma(Top) = u,
+    and Gamma(Top) = u satisfies it for every b. Both are grid pairs.
+
+    This is the vertex method for identities between McNaughton functions
+    (Mundici, Advanced Lukasiewicz calculus and MV-algebras, 2011).
+    """
+    nonnegative = [x for x in _GRID if x is None or x >= 0]
+    return (sum(_meet_breaks(a, b, _GRID_UNIT) for a in _GRID for b in _GRID)
+            + sum(_sum_breaks(a, b, _GRID_UNIT)
+                  for a in nonnegative for b in nonnegative))
+
+
+def _sampled_failures(samples: int, draw_meet, draw_sum,
+                      top: int) -> Tuple[int, int]:
+    """Meet and truncated-sum failures over the samples, at the scaled unit
+    top; each sample draws a meet pair, then a sum pair, one at a time."""
+    meet_fails = sum_fails = 0
     for _ in range(samples):
         a, b = draw_meet(), draw_meet()
-        if gamma(f, trop_meet(a, b)) != min(gamma(f, a), gamma(f, b)):
-            meet_fails += 1
+        meet_fails += _meet_breaks(a, b, top)
         a, b = draw_sum(), draw_sum()
-        if gamma(f, trop_prod(a, b)) != min(gamma(f, a) + gamma(f, b), f.u):
-            sum_fails += 1
+        sum_fails += _sum_breaks(a, b, top)
     return meet_fails, sum_fails
 
 
-def gamma_property_report(f: TropicalUSemifield, samples: int = 10000,
-                          seed: int = 42) -> dict:
-    """Sampled checks that the truncation preserves meet and truncated sum.
+def _require_samples(samples: int) -> None:
+    if samples < 1:
+        raise ValueError(f"samples={samples} must be at least 1")
 
-    Meet draws are unrestricted. Sum draws come from the nonnegative values
-    plus Top, which form a subsemiring on which the truncation is a
-    homomorphism onto [0, u]. With mixed signs the sum law genuinely fails
-    (a = -5u, b = 3u clamps a + b to 0 while the truncated sum of the clamps
-    is u), so that region is disclosed as a counterexample, not sampled.
+
+def gamma_property_report(f: TropicalUSemifield, samples: int = 10000,
+                          seed: int = 42, max_enum: int = MAX_ENUM) -> dict:
+    """Certificate that the truncation preserves meet and truncated sum:
+    decided on a grid, and spot-checked on seeded samples.
+
+    grid_failures counts the grid pairs at which a law fails, and is zero
+    exactly when both laws hold everywhere (see _grid_failures for the
+    grid and the proof). The meet law is claimed with mixed signs, the sum
+    law on the nonnegative values plus Top, which form a subsemiring on
+    which the truncation is a homomorphism onto [0, u]. With mixed signs
+    the sum law genuinely fails (a = -5u, b = 3u clamps a + b to 0 while
+    the truncated sum of the clamps is u), so that region is disclosed as
+    a counterexample.
+
+    The samples draw as sample_trop does, meet pairs unrestricted and sum
+    pairs nonnegative. Each draw is taken as the integer it becomes when
+    scaled by DEN_LCM * q, for u = p/q, against the scaled unit
+    DEN_LCM * p; a positive scale commutes with min, max and +, so each
+    failure count is that of the same draws as Fractions. Raises
+    ValueError for samples < 1 and EnumGuard for samples past max_enum,
+    before the first draw; the draws are streamed.
     """
-    from .tropical import sample_trop
+    _require_samples(samples)
+    check_bound(EnumGuard, "truncation samples", samples, "max_enum",
+                max_enum)
     rng = random.Random(seed)
-    meet_fails, sum_fails = _gamma_failures(
-        f, samples, lambda: sample_trop(rng),
-        lambda: sample_trop(rng, nonnegative=True))
+    q = f.u.denominator
+    meet_fails, sum_fails = _sampled_failures(
+        samples, scaled_sampler(rng, q),
+        scaled_sampler(rng, q, nonnegative=True), DEN_LCM * f.u.numerator)
+    grid_fails = _grid_failures()
     top_ok = gamma(f, TOP) == f.u
-    neg, pos = trop(-5 * f.u), trop(3 * f.u)
-    mixed_breaks = (gamma(f, trop_prod(neg, pos))
-                    != min(gamma(f, neg) + gamma(f, pos), f.u))
+    mixed_breaks = _sum_breaks(-5 * _GRID_UNIT, 3 * _GRID_UNIT, _GRID_UNIT)
     return {"u": str(f.u), "samples": samples, "seed": seed,
+            "grid_failures": grid_fails,
             "meet_failures": meet_fails, "truncated_sum_failures": sum_fails,
             "sum_domain": "nonnegative", "mixed_sign_sum_breaks": mixed_breaks,
             "top_to_unit": top_ok,
-            "ok": meet_fails == 0 and sum_fails == 0 and top_ok}
+            "ok": grid_fails == 0 and meet_fails == 0 and sum_fails == 0
+            and top_ok}
 
 
-def gamma_chain(k: int, samples: int = 1000, seed: int = 42):
+def gamma_chain(k: int, samples: int = 1000, seed: int = 42,
+                max_carrier: int = MAX_CARRIER):
     """Truncate the subgroup (1/k)Z of the min-plus rationals at u = 1.
 
     Returns the resulting (k+1)-element algebra, built entirely by rational
-    arithmetic, together with a sampled homomorphism certificate. Top is sent
-    to u, the additive neutral of the meet/sum reduct. As in
-    gamma_property_report, sum checks draw from the nonnegative part of the
-    subgroup while meet checks draw with mixed signs.
+    arithmetic, together with a homomorphism certificate: the grid decision
+    of gamma_property_report and seeded samples. Top is sent to u, the
+    additive neutral of the meet/sum reduct. As in gamma_property_report,
+    sum checks draw from the nonnegative part of the subgroup while meet
+    checks draw with mixed signs; each draw i/k is taken as the integer i,
+    against the scaled unit k. The carrier and the sample count are checked
+    before anything is built.
     """
     if k < 1:
         raise ChainTooShort("truncation needs k >= 1")
+    check_bound(SizeGuard, "chain carrier", k + 1, "max_carrier", max_carrier)
+    _require_samples(samples)
     f = TropicalUSemifield(Fraction(1))
     values = [Fraction(i, k) for i in range(k + 1)]
     index = {v: i for i, v in enumerate(values)}
@@ -644,17 +742,20 @@ def gamma_chain(k: int, samples: int = 1000, seed: int = 42):
 
     rng = random.Random(seed)
 
-    def draw(lo: int) -> Trop:
+    def draw(lo: int) -> Optional[int]:
         if rng.random() < 0.05:
-            return TOP
-        return Trop(Fraction(rng.randint(lo, 3 * k), k))
+            return None
+        return rng.randint(lo, 3 * k)
 
-    meet_fails, sum_fails = _gamma_failures(f, samples,
-                                            lambda: draw(-3 * k),
-                                            lambda: draw(0))
+    meet_fails, sum_fails = _sampled_failures(samples, lambda: draw(-3 * k),
+                                              lambda: draw(0), k)
+    grid_fails = _grid_failures()
+    top_ok = gamma(f, TOP) == f.u
     cert = {"k": k, "u": "1", "samples": samples, "seed": seed,
+            "grid_failures": grid_fails,
             "meet_failures": meet_fails, "truncated_sum_failures": sum_fails,
             "sum_domain": "nonnegative",
-            "top_to_unit": gamma(f, TOP) == f.u,
-            "ok": meet_fails == 0 and sum_fails == 0 and gamma(f, TOP) == f.u}
+            "top_to_unit": top_ok,
+            "ok": grid_fails == 0 and meet_fails == 0 and sum_fails == 0
+            and top_ok}
     return alg, cert

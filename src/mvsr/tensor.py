@@ -986,7 +986,7 @@ def truncation_demo(k: int, points: Union[int, Sequence[str]],
     the explicit map pair is verified both ways; beyond the guard the
     composite on the free side is still checked pointwise.
     """
-    alg, cert = gamma_chain(k, samples, seed)
+    alg, cert = gamma_chain(k, samples, seed, max_carrier)
     s = reduct_wedge_oplus(alg)
     names = [f"x{i}" for i in range(points)] if isinstance(points, int) \
         else [str(x) for x in points]

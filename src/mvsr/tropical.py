@@ -3,11 +3,18 @@
 The carrier is Q together with Top; the semiring sum is min (neutral Top) and
 the semiring product is rational addition (neutral 0, Top absorbing). Every
 element except Top has a multiplicative inverse, its rational negation, which
-makes the structure a semifield. The carrier is infinite, so laws are checked
-on seeded samples instead of exhaustively.
+makes the structure a semifield. The carrier is infinite, so the semiring
+laws are checked on seeded samples instead of exhaustively.
+
+The same seeded draws serve the truncation certificates of ``mvsr.mv``,
+which decide the truncation laws exactly on a finite grid and keep the draws
+as a spot check. There each draw is taken as the integer it becomes when
+scaled by a common denominator (``scaled_sampler``), so no ``Trop`` or
+``Fraction`` is built per sample.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -102,14 +109,39 @@ class TropicalUSemifield:
             raise ValueError("unit must be positive")
 
 
-def sample_trop(rng: random.Random, top_weight: float = 0.05,
-                num_bound: int = 50, den_bound: int = 12,
+TOP_WEIGHT = 0.05
+NUM_BOUND = 50
+DEN_BOUND = 12
+DEN_LCM = math.lcm(*range(1, DEN_BOUND + 1))  # 27720
+
+
+def sample_trop(rng: random.Random, top_weight: float = TOP_WEIGHT,
+                num_bound: int = NUM_BOUND, den_bound: int = DEN_BOUND,
                 nonnegative: bool = False) -> Trop:
     if rng.random() < top_weight:
         return TOP
     num = rng.randint(0 if nonnegative else -num_bound, num_bound)
     den = rng.randint(1, den_bound)
     return Trop(Fraction(num, den))
+
+
+def scaled_sampler(rng: random.Random, scale: int,
+                   nonnegative: bool = False):
+    """A draw function for sample_trop's default bounds in integers: each
+    call makes the same rng calls as sample_trop(rng, nonnegative=...) and
+    returns its value times DEN_LCM * scale, which is an integer, or None
+    for Top."""
+    steps = (0,) + tuple(DEN_LCM // den * scale
+                         for den in range(1, DEN_BOUND + 1))
+    low = 0 if nonnegative else -NUM_BOUND
+
+    def draw() -> Optional[int]:
+        if rng.random() < TOP_WEIGHT:
+            return None
+        num = rng.randint(low, NUM_BOUND)
+        return num * steps[rng.randint(1, DEN_BOUND)]
+
+    return draw
 
 
 def tropical_law_report(samples: int = 10000, seed: int = 42) -> dict:

@@ -245,6 +245,12 @@ def test_gamma_certificate(capsys):
     assert data["sum_domain"] == "nonnegative"
 
 
+def test_gamma_refuses_samples_past_max_enum(capsys):
+    err = fails_cleanly(["gamma", "--samples", "11", "--max-enum", "10"], 3,
+                        capsys)
+    assert "truncation samples: 11 exceeds max_enum=10" in err
+
+
 def test_gamma_rejects_unparseable_u(capsys):
     assert main(["gamma", "--u", "one-half"]) == 1
     assert "malformed input" in capsys.readouterr().err

@@ -1,9 +1,16 @@
+import json
+import random
+import time
+import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from mvsr.errors import (ChainTooShort, MalformedTable, NotAHom, NotAnIdeal,
-                         TooManyVariables)
+from mvsr import mv
+from mvsr.cli import main
+from mvsr.errors import (ChainTooShort, EnumGuard, MalformedTable, NotAHom,
+                         NotAnIdeal, SizeGuard, TooManyVariables)
 from mvsr.mv import (MvAlgebra, MvHom, boolean_center, check_mv_axioms,
                      congruence_from_ideal, distance, equation_holds, gamma,
                      gamma_chain, gamma_property_report, ideal_from_congruence,
@@ -12,7 +19,8 @@ from mvsr.mv import (MvAlgebra, MvHom, boolean_center, check_mv_axioms,
                      parse_term, quotient, reduct_vee_odot, reduct_wedge_oplus,
                      star_reduct_isomorphism)
 from mvsr.semiring import check_semiring_axioms
-from mvsr.tropical import TOP, TropicalUSemifield, trop
+from mvsr.tropical import (TOP, Trop, TropicalUSemifield, sample_trop, trop,
+                           trop_meet, trop_prod)
 
 
 @pytest.fixture
@@ -233,3 +241,165 @@ def test_gamma_chain_rejects_zero():
 def test_gamma_chain_needs_a_sample(samples):
     with pytest.raises(ValueError):
         gamma_chain(1, samples)
+
+
+def test_gamma_chain_checks_its_carrier_before_building():
+    start = time.perf_counter()
+    with pytest.raises(SizeGuard,
+                       match="chain carrier: 4097 exceeds max_carrier=4096"):
+        gamma_chain(4096)
+    with pytest.raises(SizeGuard):
+        gamma_chain(3, max_carrier=3)
+    assert time.perf_counter() - start < 0.5
+
+
+# ----- truncation: the Fraction loop is the oracle of the scaled checks ------
+
+def _gamma_failures(f, samples, draw_meet, draw_sum):
+    """Meet and truncated-sum failures of gamma over the samples, in exact
+    Fractions; each sample draws a meet pair, then a sum pair."""
+    meet_fails = sum_fails = 0
+    for _ in range(samples):
+        a, b = draw_meet(), draw_meet()
+        if gamma(f, trop_meet(a, b)) != min(gamma(f, a), gamma(f, b)):
+            meet_fails += 1
+        a, b = draw_sum(), draw_sum()
+        if gamma(f, trop_prod(a, b)) != min(gamma(f, a) + gamma(f, b), f.u):
+            sum_fails += 1
+    return meet_fails, sum_fails
+
+
+def _report_oracle(u, samples, seed):
+    """gamma_property_report's failure counts from sample_trop draws, and
+    the state of its generator after them."""
+    rng = random.Random(seed)
+    counts = _gamma_failures(TropicalUSemifield(u), samples,
+                             lambda: sample_trop(rng),
+                             lambda: sample_trop(rng, nonnegative=True))
+    return counts, rng.getstate()
+
+
+def _chain_oracle(k, samples, seed):
+    """gamma_chain's failure counts from draws in (1/k)Z, and the state of
+    its generator after them."""
+    rng = random.Random(seed)
+
+    def draw(low):
+        if rng.random() < 0.05:
+            return TOP
+        return Trop(Fraction(rng.randint(low, 3 * k), k))
+
+    counts = _gamma_failures(TropicalUSemifield(Fraction(1)), samples,
+                             lambda: draw(-3 * k), lambda: draw(0))
+    return counts, rng.getstate()
+
+
+def _counts(report):
+    return report["meet_failures"], report["truncated_sum_failures"]
+
+
+@pytest.fixture
+def last_rng_state(monkeypatch):
+    """The state of the last generator mvsr.mv made, read after a call;
+    None if it made none."""
+    made = []
+
+    class Recording(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    monkeypatch.setattr(mv, "random", SimpleNamespace(Random=Recording))
+    return lambda: made[-1].getstate() if made else None
+
+
+UNITS = [Fraction(1), Fraction(1, 2), Fraction(3), Fraction(2, 3),
+         Fraction(10 ** 4299)]
+UNIT_IDS = ["1", "1/2", "3", "2/3", "1e4299"]
+
+
+@pytest.mark.parametrize("u", UNITS, ids=UNIT_IDS)
+def test_scaled_samples_match_the_fraction_oracle(u, last_rng_state):
+    for seed in range(50):
+        report = gamma_property_report(TropicalUSemifield(u), 40, seed)
+        counts, state = _report_oracle(u, 40, seed)
+        assert _counts(report) == counts
+        assert last_rng_state() == state
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_gamma_chain_samples_match_the_fraction_oracle(k, last_rng_state):
+    for seed in range(50):
+        _, cert = gamma_chain(k, 40, seed)
+        counts, state = _chain_oracle(k, 40, seed)
+        assert _counts(cert) == counts
+        assert last_rng_state() == state
+
+
+@pytest.mark.parametrize("u", UNITS, ids=UNIT_IDS)
+def test_gamma_is_the_clamp_on_the_grid(u):
+    f = TropicalUSemifield(u)
+    for x in mv._GRID:
+        value = TOP if x is None else trop(x * u / 2)
+        assert gamma(f, value) == mv._clamp(x, mv._GRID_UNIT) * u / 2
+
+
+def test_gamma_report_refuses_samples_past_max_enum(last_rng_state):
+    with pytest.raises(EnumGuard,
+                       match="truncation samples: 11 exceeds max_enum=10"):
+        gamma_property_report(TropicalUSemifield(Fraction(1)), 11, 0,
+                              max_enum=10)
+    assert last_rng_state() is None
+
+
+def test_gamma_samples_stream_in_bounded_memory():
+    f = TropicalUSemifield(Fraction(1))
+
+    def peak(samples):
+        tracemalloc.start()
+        try:
+            gamma_property_report(f, samples, 0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(20000) <= 2 * peak(2000)
+
+
+# Clamps that break a law. The meet law holds for every monotone map, so
+# only the non-monotone one breaks it; the others break the sum law.
+BROKEN_CLAMPS = {
+    "upper-bound-2u":
+        lambda x, top: top if x is None else min(max(x, 0), 2 * top),
+    "breakpoint-2u/3":
+        lambda x, top: top if x is None else min(max(x, 0),
+                                                  Fraction(2 * top, 3)),
+    "top-to-half-u":
+        lambda x, top: Fraction(top, 2) if x is None else min(max(x, 0), top),
+    "non-monotone":
+        lambda x, top: top if x is None else min(abs(x), top),
+}
+
+
+@pytest.mark.parametrize("name", BROKEN_CLAMPS)
+def test_the_grid_catches_a_broken_clamp(name, monkeypatch, last_rng_state,
+                                         capsys):
+    monkeypatch.setattr(mv, "_clamp", BROKEN_CLAMPS[name])
+    sampled = 0
+    for u in UNITS:
+        for seed in range(5):
+            report = gamma_property_report(TropicalUSemifield(u), 100, seed)
+            assert report["grid_failures"] > 0
+            assert not report["ok"]
+            counts, state = _report_oracle(u, 100, seed)
+            assert _counts(report) == counts
+            assert last_rng_state() == state
+            sampled += sum(counts)
+    for k in range(1, 8):
+        _, cert = gamma_chain(k, 100, k)
+        assert cert["grid_failures"] > 0
+        assert not cert["ok"]
+        assert _counts(cert) == _chain_oracle(k, 100, k)[0]
+    assert sampled > 0
+    assert main(["gamma", "--samples", "50"]) == 2
+    assert json.loads(capsys.readouterr().out)["ok"] is False

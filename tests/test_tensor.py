@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -1332,6 +1333,17 @@ def test_truncation_demo_materialized():
     assert res["gamma_certificate"]["ok"]
     assert "finite shadow" in res["label"]
     assert res["ok"]
+
+
+def test_truncation_demo_checks_the_chain_before_building_it():
+    start = time.perf_counter()
+    with pytest.raises(SizeGuard,
+                       match="chain carrier: 4097 exceeds max_carrier=4096"):
+        truncation_demo(4096, 1)
+    with pytest.raises(SizeGuard,
+                       match="chain carrier: 4 exceeds max_carrier=3"):
+        truncation_demo(3, 1, max_carrier=3)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_truncation_demo_formula_tier():
