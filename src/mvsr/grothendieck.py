@@ -11,9 +11,9 @@ Row spans are classed by projective._ClassIndex, which keeps one module
 per class; the presentations are kept next to it here. Each size's
 idempotents, and each size's block sums, are classed in one batched call:
 over scalars that keep the semiring laws their spans come from one sweep
-of linear combinations, and from the closure of each matrix otherwise.
-Induced maps class the image matrices and the block sums the same way,
-with the target monoid's index.
+of the products xU, and from the closure of each matrix otherwise; block
+sums are matrix._block_sum. Induced maps class the image matrices and the
+block sums the same way, with the target monoid's index.
 
 The completion is the abelian group presented by one generator per class
 modulo the recorded sum relations, reduced by exact integer Smith normal
@@ -32,11 +32,10 @@ from .config import DEFAULT_N_MAX, MAX_CARRIER, MAX_ENUM
 from .errors import (EnumGuard, NotIdempotent, ScalarMismatch, ToolkitError,
                      check_power_bound)
 from .jsonio import semiring_to_dict
-from .matrix import (SemiringMatrix, _idempotent_stack, is_mult_idempotent,
-                     mat_zero)
+from .matrix import (SemiringMatrix, _block_sum, _idempotent_stack,
+                     block_diag, is_mult_idempotent, mat_zero)
 from .mv import MvAlgebra, MvHom, reduct_vee_odot
-from .projective import (ProjectivePresentation, _ClassIndex, _entries,
-                         block_diag)
+from .projective import ProjectivePresentation, _ClassIndex
 from .semimodule import FiniteSemimodule, SemimoduleHom
 from .semiring import FiniteSemiring, SemiringHom, same_scalars
 from .snf import (IntMatrix, SmithNormalForm, int_matrix_mul,
@@ -126,7 +125,7 @@ def enumerate_projective_classes(s: FiniteSemiring,
         relations.add((j, trivial, j))
     pairs = [(i, j) for i, ci in enumerate(classes)
              for j, cj in enumerate(classes) if ci.n + cj.n <= n_max]
-    sums = [_block_sum(s, mats[i], mats[j]) for i, j in pairs]
+    sums = [_block_sum(s.zero, mats[i], mats[j]) for i, j in pairs]
     relations.update((i, j, k) for (i, j), k in zip(
         pairs, _find_each(index, sums, max_enum, max_carrier)))
     if any(k is None for _, _, k in relations):
@@ -258,7 +257,7 @@ def k0_of_hom(f: Union[SemiringHom, MvHom],
         if not is_mult_idempotent(w):
             raise NotIdempotent("entrywise image of an idempotent matrix "
                                 "failed idempotency")
-        images.append(_entries(w))
+        images.append(w.np_entries)
     class_map = _find_each(index, images, max_enum, max_carrier)
     if None in class_map:
         raise ValueError("image class missing from target monoid")
@@ -269,23 +268,14 @@ def k0_of_hom(f: Union[SemiringHom, MvHom],
 
     # class_map[k] is the first class isomorphic to the image of class k,
     # so it is also the first class isomorphic to its own module
-    sums = [_block_sum(h.target, _entries(p_b.classes[class_map[i]].u),
-                       _entries(p_b.classes[class_map[j]].u))
+    sums = [_block_sum(h.target.zero, p_b.classes[class_map[i]].u.np_entries,
+                       p_b.classes[class_map[j]].u.np_entries)
             for i, j, _ in p_a.sum_relations]
     respected = all(found == class_map[k] for (_, _, k), found in zip(
         p_a.sum_relations, _find_each(index, sums, max_enum, max_carrier)))
 
     return GroupHomMatrix(p_a, p_b, tuple(class_map),
                           tuple(tuple(r) for r in matrix), respected)
-
-
-def _block_sum(s: FiniteSemiring, u: np.ndarray,
-               v: np.ndarray) -> np.ndarray:
-    """block_diag of two square arrays of entries."""
-    out = np.full((len(u) + len(v),) * 2, s.zero, dtype=np.int64)
-    out[:len(u), :len(u)] = u
-    out[len(u):, len(u):] = v
-    return out
 
 
 def _find_each(index: _ClassIndex, mats: Sequence[np.ndarray],

@@ -2,6 +2,7 @@
 
 Vectors are rows and matrices act on the right, v -> v * a, so composing
 actions reads left to right and the endomorphism picture needs no transpose.
+Every matrix product and linear combination here is one semiring._combine.
 """
 from __future__ import annotations
 
@@ -16,8 +17,9 @@ import numpy as np
 from .config import DEFAULT_SEED, MAX_CARRIER, MAX_ENUM
 from .errors import (NoDecomposition, NotFreeBasis, ScalarMismatch,
                      ShapeMismatch, SizeGuard, check_power_bound)
-from .semiring import (FiniteSemiring, SemiringHom, _index_grid, _store,
-                       check_semiring_axioms, same_scalars)
+from .semiring import (FiniteSemiring, SemiringHom, _combine, _index_grid,
+                       _sampled_law_failures, _store, check_semiring_axioms,
+                       same_scalars)
 from .semimodule import (_CHUNK_ELEMENTS, EndSemiring, FiniteSemimodule,
                          FreeSemimodule, SemimoduleHom, _assignments, _digits,
                          _require_homs, _span, _weights, end_semiring,
@@ -37,6 +39,12 @@ class SemiringMatrix:
 
     def entry(self, i: int, j: int) -> int:
         return self.entries[i][j]
+
+    @cached_property
+    def np_entries(self) -> np.ndarray:
+        """The entries as a (rows, cols) array."""
+        return np.array(self.entries, dtype=np.int64).reshape(self.rows,
+                                                              self.cols)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -60,11 +68,9 @@ def mat_star_mul(a: SemiringMatrix, b: SemiringMatrix) -> SemiringMatrix:
     if a.cols != b.rows:
         raise ShapeMismatch("inner dimensions disagree")
     s = a.scalars
-    ent = tuple(tuple(s.sum(s.mul[a.entries[i][k]][b.entries[k][j]]
-                            for k in range(a.cols))
-                      for j in range(b.cols))
-                for i in range(a.rows))
-    return SemiringMatrix(s, a.rows, b.cols, ent)
+    ent = _combine(s.np_add, s.np_mul, s.zero, a.np_entries.T[:, :, None],
+                   b.np_entries[:, None, :])
+    return SemiringMatrix(s, a.rows, b.cols, ent.tolist())
 
 
 def mat_identity(s: FiniteSemiring, n: int) -> SemiringMatrix:
@@ -97,9 +103,8 @@ def _idempotent_stack(s: FiniteSemiring, n: int, max_enum: int) -> np.ndarray:
     (k, n, n) array.
 
     Candidates are the chunks of _assignments over the n*n entries, each of
-    at most _CHUNK_ELEMENTS entries, squared together through the scalar
-    tables, each entry folded from the scalar zero as mat_star_mul folds
-    it."""
+    at most _CHUNK_ELEMENTS entries, squared together one entry at a time:
+    entry (i, j) of every square is one _combine of row i with column j."""
     if n < 0:
         raise ValueError(f"matrix size n={n} must not be negative")
     check_power_bound(SizeGuard, "candidate idempotent matrices", s.size,
@@ -107,21 +112,40 @@ def _idempotent_stack(s: FiniteSemiring, n: int, max_enum: int) -> np.ndarray:
     kept = []
     for flat in _assignments(s.size, n * n, _CHUNK_ELEMENTS // max(1, n * n)):
         u = flat.reshape(len(flat), n, n)
+        rows, cols = u.transpose(1, 2, 0), u.transpose(2, 1, 0)
         keep = np.ones(len(flat), dtype=bool)
         for i, j in itertools.product(range(n), repeat=2):
-            keep &= _product_entry(s, u, u, i, j) == u[:, i, j]
+            keep &= _combine(s.np_add, s.np_mul, s.zero, rows[i],
+                             cols[j]) == u[:, i, j]
         kept.append(u[keep])
     return np.concatenate(kept)
 
 
-def _product_entry(s: FiniteSemiring, a: np.ndarray, b: np.ndarray,
-                   i: int, j: int) -> np.ndarray:
-    """Entry (i, j) of the products of stacked matrices a and b, whose
-    leading axes broadcast, folded from the scalar zero as mat_star_mul."""
-    acc = s.zero
-    for k in range(a.shape[-1]):
-        acc = s.np_add[acc, s.np_mul[a[..., i, k], b[..., k, j]]]
-    return acc
+def _row_combinations(s: FiniteSemiring, xs: np.ndarray,
+                      us: np.ndarray) -> np.ndarray:
+    """x u for every row vector x of xs, of shape (k, rows), and every
+    matrix u of the stack us, of shape (m, rows, cols): the (m, k, cols)
+    combinations of the rows of each u with the coefficients x."""
+    return _combine(s.np_add, s.np_mul, s.zero, xs.T[:, None, :, None],
+                    us.transpose(1, 0, 2)[:, :, None, :])
+
+
+def block_diag(u: SemiringMatrix, v: SemiringMatrix) -> SemiringMatrix:
+    """u in the top-left corner, v shifted to the bottom-right."""
+    if not same_scalars(u.scalars, v.scalars):
+        raise ScalarMismatch("blocks need common scalars")
+    return SemiringMatrix(u.scalars, u.rows + v.rows, u.cols + v.cols,
+                          _block_sum(u.scalars.zero, u.np_entries,
+                                     v.np_entries))
+
+
+def _block_sum(zero: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The entries of block_diag from the entries of u and v."""
+    (r, c), (r2, c2) = u.shape, v.shape
+    out = np.full((r + r2, c + c2), zero, dtype=np.int64)
+    out[:r, :c] = u
+    out[r:, c:] = v
+    return out
 
 
 # ----- the full matrix semiring ----------------------------------------------
@@ -156,9 +180,11 @@ def matrix_semiring(s: FiniteSemiring, n: int,
     add_idx = np.zeros((total, total), dtype=np.int64)
     mul_idx = np.zeros((total, total), dtype=np.int64)
     a, b = stack[:, None], stack[None]          # every pair (a, b)
+    rows, cols = stack.transpose(1, 2, 0), stack.transpose(2, 1, 0)
     for w, (i, j) in enumerate(itertools.product(range(n), repeat=2)):
         add_idx += s.np_add[a[..., i, j], b[..., i, j]] * weights[w]
-        mul_idx += _product_entry(s, a, b, i, j) * weights[w]
+        mul_idx += _combine(s.np_add, s.np_mul, s.zero, rows[i][:, :, None],
+                            cols[j][:, None, :]) * weights[w]
 
     zero = s.zero * int(weights.sum())
     one = int(np.where(np.eye(n).ravel(), s.one, s.zero) @ weights)
@@ -172,7 +198,8 @@ def matrix_law_report(s: FiniteSemiring, n: int,
                       max_carrier: int = MAX_CARRIER,
                       samples: int = 2000, seed: int = DEFAULT_SEED) -> dict:
     """Semiring laws of M_n(s): exhaustive within the carrier guard,
-    sampled triples beyond it."""
+    sampled triples beyond it, where fewer than one sample is refused
+    with ValueError."""
     total = s.size ** (n * n)
     if total <= max_carrier:
         rep = check_semiring_axioms(matrix_semiring(s, n, max_carrier).semiring)
@@ -186,33 +213,8 @@ def matrix_law_report(s: FiniteSemiring, n: int,
                                           for _ in range(n))
                                     for _ in range(n)))
 
-    ident, zero = mat_identity(s, n), mat_zero(s, n, n)
-    fails = {"add-associative": 0, "add-commutative": 0, "add-identity": 0,
-             "mul-associative": 0, "mul-identity": 0, "distributive-left": 0,
-             "distributive-right": 0, "zero-absorbing": 0}
-    for _ in range(samples):
-        a, b, c = draw(), draw(), draw()
-        if mat_add(mat_add(a, b), c).entries != mat_add(a, mat_add(b, c)).entries:
-            fails["add-associative"] += 1
-        if mat_add(a, b).entries != mat_add(b, a).entries:
-            fails["add-commutative"] += 1
-        if mat_add(a, zero).entries != a.entries:
-            fails["add-identity"] += 1
-        if (mat_star_mul(mat_star_mul(a, b), c).entries
-                != mat_star_mul(a, mat_star_mul(b, c)).entries):
-            fails["mul-associative"] += 1
-        if (mat_star_mul(a, ident).entries != a.entries
-                or mat_star_mul(ident, a).entries != a.entries):
-            fails["mul-identity"] += 1
-        if (mat_star_mul(a, mat_add(b, c)).entries
-                != mat_add(mat_star_mul(a, b), mat_star_mul(a, c)).entries):
-            fails["distributive-left"] += 1
-        if (mat_star_mul(mat_add(a, b), c).entries
-                != mat_add(mat_star_mul(a, c), mat_star_mul(b, c)).entries):
-            fails["distributive-right"] += 1
-        if (mat_star_mul(a, zero).entries != zero.entries
-                or mat_star_mul(zero, a).entries != zero.entries):
-            fails["zero-absorbing"] += 1
+    fails = _sampled_law_failures(samples, draw, mat_add, mat_star_mul,
+                                  mat_zero(s, n, n), mat_identity(s, n))
     return {"route": "sampled", "carrier": total, "samples": samples,
             "seed": seed, "failures": fails, "ok": not any(fails.values())}
 
@@ -239,14 +241,20 @@ def eta(s: FiniteSemiring, n: int, max_carrier: int = MAX_CARRIER,
         max_enum: int = MAX_ENUM) -> EtaResult:
     """Certify M_n(s) = End(s^n): with the apply-left-first product on
     endomorphisms the right action is a semiring map, a * b landing on
-    "a then b", and it is bijective."""
+    "a then b", and it is bijective. The maps of the matrices are taken a
+    block of matrices at a time, within _CHUNK_ELEMENTS."""
     ring = matrix_semiring(s, n, max_carrier)
     module = free_semimodule(s, [str(i) for i in range(n)], max_carrier)
     end = end_semiring(module, max_enum=max_enum)
-    mapping = _require_homs(
-        end.homs.positions([hom_from_matrix(a, module, module).mapping
-                            for a in ring.matrices]),
-        "the map of matrix {0} is not a hom")
+    stack = np.array([a.entries for a in ring.matrices],
+                     dtype=np.int64).reshape(len(ring.matrices), n, n)
+    vecs = _digits(np.arange(module.size), s.size, n)
+    step = max(1, _CHUNK_ELEMENTS // (module.size * max(1, n)))
+    images = np.concatenate([
+        _row_combinations(s, vecs, stack[lo:lo + step]) @ _weights(s.size, n)
+        for lo in range(0, len(stack), step)])
+    mapping = _require_homs(end.homs.positions(images),
+                            "the map of matrix {0} is not a hom")
     hom = SemiringHom(ring.semiring, end.semiring, mapping)
     hom.validate()
     return EtaResult(ring, module, end, hom, hom.is_bijective())
@@ -268,13 +276,9 @@ def hom_from_matrix(k: SemiringMatrix, source: FreeSemimodule,
     if k.rows != len(source.points) or k.cols != len(target.points):
         raise ShapeMismatch("matrix shape must be points x points")
     s = source.scalars
-    mapping = []
-    for i in range(source.size):
-        v = source.vector(i)
-        w = tuple(s.sum(s.mul[v[x]][k.entries[x][y]] for x in range(k.rows))
-                  for y in range(k.cols))
-        mapping.append(target.index(w))
-    return SemimoduleHom(source, target, tuple(mapping))
+    vecs = _digits(np.arange(source.size), s.size, k.rows)
+    images = _row_combinations(s, vecs, k.np_entries[None])[0]
+    return SemimoduleHom(source, target, images @ _weights(s.size, k.cols))
 
 
 def matrix_from_hom(h: SemimoduleHom) -> SemiringMatrix:
@@ -303,8 +307,8 @@ def _cover(m: FiniteSemimodule, gens: Sequence[int],
            max_carrier: int) -> Tuple[FreeSemimodule, SemimoduleHom]:
     free = free_semimodule(m.scalars, [m.label(g) for g in gens], max_carrier)
     coeffs = _digits(np.arange(free.size), m.scalars.size, len(gens))
-    mapping = tuple(m.sum(m.act(c, g) for c, g in zip(v, gens))
-                    for v in coeffs.tolist())
+    mapping = _combine(m.np_add, m.np_action, m.zero, coeffs.T,
+                       np.array(gens, dtype=np.intp)[:, None])
     return free, SemimoduleHom(free, m, mapping)
 
 

@@ -22,8 +22,8 @@ from .errors import (ChainTooShort, EnumGuard, MalformedTable, NotAHom,
 from .semiring import (AxiomReport, FiniteSemiring, LawCheck, SemiringHom,
                        Table, _IndexMap, _first_assoc_failure,
                        _first_comm_failure, _first_identity_failure,
-                       _index_grid, _label_tuple, _store,
-                       is_additively_idempotent, natural_order)
+                       _index_grid, _label_tuple, _require_samples,
+                       _store, is_additively_idempotent, natural_order)
 from .tropical import (DEN_LCM, TOP, TropicalUSemifield, scaled_sampler,
                        trop)
 
@@ -668,11 +668,6 @@ def _sampled_failures(samples: int, draw_meet, draw_sum,
     return meet_fails, sum_fails
 
 
-def _require_samples(samples: int) -> None:
-    if samples < 1:
-        raise ValueError(f"samples={samples} must be at least 1")
-
-
 def gamma_property_report(f: TropicalUSemifield, samples: int = 10000,
                           seed: int = 42, max_enum: int = MAX_ENUM) -> dict:
     """Certificate that the truncation preserves meet and truncated sum:
@@ -719,26 +714,22 @@ def gamma_chain(k: int, samples: int = 1000, seed: int = 42,
                 max_carrier: int = MAX_CARRIER):
     """Truncate the subgroup (1/k)Z of the min-plus rationals at u = 1.
 
-    Returns the resulting (k+1)-element algebra, built entirely by rational
-    arithmetic, together with a homomorphism certificate: the grid decision
-    of gamma_property_report and seeded samples. Top is sent to u, the
-    additive neutral of the meet/sum reduct. As in gamma_property_report,
-    sum checks draw from the nonnegative part of the subgroup while meet
-    checks draw with mixed signs; each draw i/k is taken as the integer i,
-    against the scaled unit k. The carrier and the sample count are checked
-    before anything is built.
+    Returns the resulting (k+1)-element algebra, lukasiewicz_chain(k + 1)
+    since Γ(i/k + j/k) = min(i + j, k)/k and 1 - i/k = (k - i)/k, with a
+    homomorphism certificate: the grid decision of gamma_property_report
+    and seeded samples. Top is sent to u, the additive neutral of the
+    meet/sum reduct. As in gamma_property_report, sum checks draw from the
+    nonnegative part of the subgroup while meet checks draw with mixed
+    signs; each draw i/k is taken as the integer i, against the scaled
+    unit k. The carrier and the sample count are checked before anything
+    is built.
     """
     if k < 1:
         raise ChainTooShort("truncation needs k >= 1")
     check_bound(SizeGuard, "chain carrier", k + 1, "max_carrier", max_carrier)
     _require_samples(samples)
     f = TropicalUSemifield(Fraction(1))
-    values = [Fraction(i, k) for i in range(k + 1)]
-    index = {v: i for i, v in enumerate(values)}
-    oplus = tuple(tuple(index[min(x + y, f.u)] for y in values) for x in values)
-    star = tuple(index[f.u - x] for x in values)
-    labels = tuple(str(v) for v in values)
-    alg = MvAlgebra(k + 1, oplus, star, 0, labels)
+    alg = lukasiewicz_chain(k + 1, max_carrier)
 
     rng = random.Random(seed)
 

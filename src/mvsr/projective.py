@@ -32,8 +32,9 @@ from .config import MAX_CARRIER, MAX_ENUM
 from .errors import (EnumGuard, NotAHom, NotCyclic, NotIdempotent,
                      ScalarMismatch, SizeGuard, check_bound,
                      check_power_bound)
+# block_diag, the block sum of matrix, is also importable from here
 from .matrix import (SemiringMatrix, _cover, _idempotent_stack,
-                     is_mult_idempotent)
+                     _row_combinations, block_diag, is_mult_idempotent)
 from .mv import MvAlgebra, reduct_vee_odot
 from .semimodule import (_CHUNK_ELEMENTS, FiniteSemimodule, FreeSemimodule,
                          SemimoduleHom, Subsemimodule, _assignments, _digits,
@@ -52,7 +53,7 @@ def row_space(u: SemiringMatrix,
     vectors' big-endian base-|S| indices in that module's carrier, and the
     tables and labels are that module's, from the same builders."""
     s = u.scalars
-    members, = _spans(s, _entries(u)[None], max_carrier)
+    members, = _spans(s, u.np_entries[None], max_carrier)
     return _row_space_of(s, u.cols, members,
                          _vector_tables(s, u.cols, members))
 
@@ -65,11 +66,6 @@ def _row_space_of(s: FiniteSemiring, cols: int, members: np.ndarray,
     return Subsemimodule(scalars=s, size=len(members), add=add, zero=zero,
                          action=action, members=members,
                          labels=_vector_labels(s, cols, members))
-
-
-def _entries(u: SemiringMatrix) -> np.ndarray:
-    """The entries of u as a (rows, cols) array."""
-    return np.array(u.entries, dtype=np.int64).reshape(u.rows, u.cols)
 
 
 @lru_cache(maxsize=None)
@@ -98,13 +94,12 @@ def _row_spans(s: FiniteSemiring, us: np.ndarray,
     Under the laws the row span of u is {xu : x in S^rows}: it holds zero
     (x = 0) and each row (x a unit vector), and distributivity and
     associativity make it closed under sums and scaling. Each x in
-    S^min(rows, cols) is enumerated once and xu is folded through the
-    scalar tables from zero, as mat_star_mul folds it, for a chunk of
-    matrices at a time; a row past the first cols is added to the span so
-    far with every scalar, so the work stays within the carrier. Each
-    result is coded by _weights into a membership bitmap per matrix; the
-    arrays built hold at most _CHUNK_ELEMENTS entries where one matrix's
-    carrier allows."""
+    S^min(rows, cols) is enumerated once and xu, a matrix product, is
+    taken by matrix._row_combinations for a chunk of matrices at a time;
+    a row past the first cols is added to the span so far with every
+    scalar, so the work stays within the carrier. Each result is coded by
+    _weights into a membership bitmap per matrix; the arrays built hold at
+    most _CHUNK_ELEMENTS entries where one matrix's carrier allows."""
     k, rows, cols = us.shape
     check_bound(SizeGuard, "free module carrier", s.size ** cols,
                 "max_carrier", max_carrier)
@@ -122,11 +117,7 @@ def _row_spans(s: FiniteSemiring, us: np.ndarray,
         which = np.arange(len(u))[:, None]
         seen = np.zeros((len(u), carrier), dtype=bool)
         for x in xs:
-            acc = s.zero
-            for i in range(head):
-                acc = sadd[acc, smul[x[None, :, i, None], u[:, None, i]]]
-            seen[which, np.broadcast_to(acc, (len(u), len(x), cols))
-                 @ weights] = True
+            seen[which, _row_combinations(s, x, u[:, :head]) @ weights] = True
         for i in range(head, rows):
             on, at = np.nonzero(seen)
             for a in range(s.size):
@@ -357,7 +348,7 @@ class _ClassIndex:
                        max_carrier: int, store: bool = False
                        ) -> Optional[int]:
         """find_row_spaces of the one matrix u."""
-        return next(self.find_row_spaces(_entries(u)[None], max_enum,
+        return next(self.find_row_spaces(u.np_entries[None], max_enum,
                                          max_carrier, store))
 
     def find_row_spaces(self, us: np.ndarray, max_enum: int,
@@ -481,22 +472,6 @@ def direct_sum(m: FiniteSemimodule, n: FiniteSemimodule) -> DirectSum:
     for h in (il, ir, pl, pr):
         h.validate()
     return DirectSum(mod, il, ir, pl, pr)
-
-
-def block_diag(u: SemiringMatrix, v: SemiringMatrix) -> SemiringMatrix:
-    """u in the top-left corner, v shifted to the bottom-right."""
-    if not same_scalars(u.scalars, v.scalars):
-        raise ScalarMismatch("blocks need common scalars")
-    s = u.scalars
-    rows, cols = u.rows + v.rows, u.cols + v.cols
-    ent = [[s.zero] * cols for _ in range(rows)]
-    for i in range(u.rows):
-        for j in range(u.cols):
-            ent[i][j] = u.entries[i][j]
-    for i in range(v.rows):
-        for j in range(v.cols):
-            ent[u.rows + i][u.cols + j] = v.entries[i][j]
-    return SemiringMatrix(s, rows, cols, tuple(map(tuple, ent)))
 
 
 # ----- the cyclic trichotomy ---------------------------------------------------

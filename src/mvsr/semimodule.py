@@ -34,7 +34,7 @@ from .errors import (EnumGuard, IllDefinedAction, NotAHom, ScalarMismatch,
                      SizeGuard, check_bound)
 from .mv import (MvAlgebra, check_mv_axioms, quotient, reduct_vee_odot)
 from .semiring import (AxiomReport, FiniteSemiring, LawCheck, SemiringHom,
-                       Table, _CHUNK_ELEMENTS, _IndexMap,
+                       Table, _CHUNK_ELEMENTS, _IndexMap, _combine,
                        _first_assoc_failure, _first_comm_failure,
                        _first_identity_failure, _first_true, _index_grid,
                        _label_tuple, _store, boolean_semiring, fold,
@@ -575,8 +575,12 @@ def _first_hom(m: FiniteSemimodule, n: FiniteSemimodule, keep,
 
 
 def compose_module_homs(g: SemimoduleHom, f: SemimoduleHom) -> SemimoduleHom:
-    """g after f."""
-    if f.target is not g.source and f.target.add != g.source.add:
+    """g after f, when f's target and g's source are one module: equal in
+    size, zero, addition, action and scalars."""
+    a, b = f.target, g.source
+    if a is not b and ((a.size, a.zero, a.add, a.action)
+                       != (b.size, b.zero, b.add, b.action)
+                       or not same_scalars(a.scalars, b.scalars)):
         raise ScalarMismatch("middle modules disagree")
     return SemimoduleHom(f.source, g.target,
                          tuple(g.mapping[v] for v in f.mapping))
@@ -772,9 +776,10 @@ def free_universal_property(f: FreeSemimodule, m: FiniteSemimodule,
     """Every map from the points into m extends to exactly one hom.
 
     Existence is checked by building the linear-combination extension of
-    every point map, a chunk of maps at a time, and masking the extensions
-    that are homs; uniqueness by counting the homs by their basis values,
-    since a hom out of a free module is the extension of those values."""
+    every point map, a chunk of maps at a time in one _combine, and masking
+    the extensions that are homs; uniqueness by counting the homs by their
+    basis values, since a hom out of a free module is the extension of
+    those values."""
     if not same_scalars(f.scalars, m.scalars):
         raise ScalarMismatch("target must share the scalars")
     npts = len(f.points)
@@ -782,14 +787,12 @@ def free_universal_property(f: FreeSemimodule, m: FiniteSemimodule,
     check_bound(EnumGuard, "point maps", total, "max_enum", max_enum)
     by_basis = Counter(tuple(row) for rows in _hom_rows(f, m, max_enum)
                        for row in rows[:, list(f.basis)].tolist())
-    coeffs = _digits(np.arange(f.size), f.scalars.size, npts)
+    coeffs = _digits(np.arange(f.size), f.scalars.size, npts).T[:, None]
     existence = 0
     uniqueness = 0
     for imgs in _assignments(m.size, npts, _chunk_rows(f)):
-        built = np.full((len(imgs), f.size), m.zero, dtype=np.intp)
-        for j in range(npts):
-            terms = m.np_action[coeffs[:, j], imgs[:, j, None]]
-            built = m.np_add[built, terms]
+        built = _combine(m.np_add, m.np_action, m.zero, coeffs,
+                         imgs.T[:, :, None])
         homs = _hom_mask(f, m, built)
         existence += len(homs) - int(homs.sum())
         uniqueness += sum(by_basis[p] != 1

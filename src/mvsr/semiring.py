@@ -9,7 +9,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -125,6 +125,24 @@ def fold(add: Table, zero: int, xs: Iterable[int]) -> int:
     acc = zero
     for x in xs:
         acc = add[acc][x]
+    return acc
+
+
+def _combine(add: np.ndarray, act: np.ndarray, zero: int, coeffs,
+             images) -> np.ndarray:
+    """The linear combinations sum over i of act[coeffs[i], images[i]],
+    folded under add from zero in index order: fold's array form, and the
+    one fold of every matrix product (act the scalar product) and every
+    combination in a module (act its action). The term axis is the first
+    axis of coeffs and images; their other axes broadcast, and with no
+    terms every combination is zero."""
+    acc = zero
+    for c, x in zip(coeffs, images):
+        acc = add[acc, act[c, x]]
+    if not len(coeffs):
+        acc = np.full(np.broadcast_shapes(np.shape(coeffs)[1:],
+                                          np.shape(images)[1:]), zero,
+                      dtype=np.intp)
     return acc
 
 
@@ -271,21 +289,56 @@ def _first_absorb_failure(mul: Table, zero: int):
     return None if x is None else (x, zero)
 
 
+_SEMIRING_LAWS = ("add-associative", "add-commutative", "add-identity",
+                  "mul-associative", "mul-identity", "distributive-left",
+                  "distributive-right", "zero-absorbing")
+
+
 def check_semiring_axioms(s: FiniteSemiring) -> AxiomReport:
     """Exhaustively check the eight semiring laws, with first failing witness."""
     add, mul = s.np_add, s.np_mul
-    checks = [
-        ("add-associative", _first_assoc_failure(add)),
-        ("add-commutative", _first_comm_failure(add)),
-        ("add-identity", _first_identity_failure(s.add, s.zero)),
-        ("mul-associative", _first_assoc_failure(mul)),
-        ("mul-identity", _first_identity_failure(s.mul, s.one)),
-        ("distributive-left", _first_left_dist_failure(add, mul)),
-        ("distributive-right", _first_right_dist_failure(add, mul)),
-        ("zero-absorbing", _first_absorb_failure(s.mul, s.zero)),
-    ]
-    laws = tuple(LawCheck(name, w is None, w) for name, w in checks)
+    witnesses = (_first_assoc_failure(add), _first_comm_failure(add),
+                 _first_identity_failure(s.add, s.zero),
+                 _first_assoc_failure(mul),
+                 _first_identity_failure(s.mul, s.one),
+                 _first_left_dist_failure(add, mul),
+                 _first_right_dist_failure(add, mul),
+                 _first_absorb_failure(s.mul, s.zero))
+    laws = tuple(LawCheck(name, w is None, w)
+                 for name, w in zip(_SEMIRING_LAWS, witnesses))
     return AxiomReport("semiring", laws)
+
+
+def _require_samples(samples: int) -> None:
+    if samples < 1:
+        raise ValueError(f"samples={samples} must be at least 1")
+
+
+def _sampled_law_failures(samples: int, draw, plus, times, zero, one,
+                          extra=()) -> Dict[str, int]:
+    """How many of samples triples (draw(), draw(), draw()) break each of
+    the eight laws of check_semiring_axioms, in its order, under plus and
+    times with neutrals zero and one, then each (name, broken) of extra,
+    where broken(a, b, c) tells whether a triple breaks it. Fewer than one
+    sample is refused: a report of no samples would read as a pass."""
+    _require_samples(samples)
+    fails = dict.fromkeys(_SEMIRING_LAWS + tuple(name for name, _ in extra),
+                          0)
+    for _ in range(samples):
+        a, b, c = draw(), draw(), draw()
+        broken = (
+            plus(plus(a, b), c) != plus(a, plus(b, c)),
+            plus(a, b) != plus(b, a),
+            plus(a, zero) != a,
+            times(times(a, b), c) != times(a, times(b, c)),
+            times(a, one) != a or times(one, a) != a,
+            times(a, plus(b, c)) != plus(times(a, b), times(a, c)),
+            times(plus(a, b), c) != plus(times(a, c), times(b, c)),
+            times(a, zero) != zero or times(zero, a) != zero,
+        ) + tuple(law(a, b, c) for _, law in extra)
+        for name, bad in zip(fails, broken):
+            fails[name] += bad
+    return fails
 
 
 def is_additively_idempotent(s: FiniteSemiring) -> bool:

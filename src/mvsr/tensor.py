@@ -49,12 +49,12 @@ from .errors import (EnumGuard, IllDefinedAction, NotAHom, NotAModule,
 from .jsonio import semimodule_to_dict
 from .mv import gamma_chain, reduct_wedge_oplus
 from .semimodule import (FiniteSemimodule, HomSemilattice, SemimoduleHom,
-                         _first_broken_law, _module_laws_hold,
+                         _digits, _first_broken_law, _module_laws_hold,
                          check_semimodule, _first_hom, _require_homs,
                          free_semimodule, hom_set, module_over_self,
                          restrict_scalars, trivial_module)
-from .semiring import (FiniteSemiring, SemiringHom, is_additively_idempotent,
-                       same_scalars)
+from .semiring import (FiniteSemiring, SemiringHom, _combine,
+                       is_additively_idempotent, same_scalars)
 from .semiring import AxiomReport
 
 
@@ -228,12 +228,13 @@ class TensorProduct:
     def extend(self, values: np.ndarray, add: np.ndarray,
                zero: int) -> np.ndarray:
         """For each class, the fold of values[..., x, y] over its
-        representative's pairs under the addition array add: an array of
-        shape values.shape[:-2] + (class_count,)."""
-        out = np.full((*values.shape[:-2], self.class_count), zero, np.intp)
+        representative's pairs under the addition array add, one _combine
+        per class: an array of shape values.shape[:-2] + (class_count,)."""
+        by_pair = np.moveaxis(values, (-2, -1), (0, 1))
+        out = np.empty((*values.shape[:-2], self.class_count), np.intp)
         for c in range(self.class_count):
-            for x, y in self.pairs_of(c):
-                out[..., c] = add[out[..., c], values[..., x, y]]
+            xs, ys = np.array(self.pairs_of(c), np.intp).reshape(-1, 2).T
+            out[..., c] = _combine(add, by_pair, zero, xs, ys)
         return out
 
     def generated_by_tensors(self) -> bool:
@@ -1008,10 +1009,10 @@ def truncation_demo(k: int, points: Union[int, Sequence[str]],
                 "isomorphism": phi_psi and psi_phi
                 and phi_hom.is_onto() and psi_hom.is_onto()}
     else:
-        phi_psi = all(
-            n.sum(n.act(n.vector(g)[x], n.basis[x])
-                  for x in range(len(names))) == g
-            for g in range(n.size))
+        coeffs = _digits(np.arange(n.size), s.size, len(names))
+        phi_psi = bool((_combine(n.np_add, n.np_action, n.zero, coeffs.T,
+                                 np.array(n.basis, dtype=np.intp)[:, None])
+                        == np.arange(n.size)).all())
         tier = {"materialized": False,
                 "phi_psi_identity": phi_psi,
                 "note": "free-semilattice carrier exceeds the subset guard; "

@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import Optional, Tuple, Union
 
 from .errors import NegationOfTop
+from .semiring import _sampled_law_failures
 
 Rational = Union[Fraction, int]
 
@@ -146,39 +147,20 @@ def scaled_sampler(rng: random.Random, scale: int,
 
 def tropical_law_report(samples: int = 10000, seed: int = 42) -> dict:
     """Sampled law checks: the eight semiring laws, inverses, and the
-    derived-join identity a `meet` b = -((-a) join (-b)) on non-Top draws."""
+    derived-join identity a `meet` b = -((-a) join (-b)) on non-Top draws.
+    Fewer than one sample is refused with ValueError."""
     rng = random.Random(seed)
-    fails = {
-        "add-associative": 0, "add-commutative": 0, "add-identity": 0,
-        "mul-associative": 0, "mul-identity": 0,
-        "distributive-left": 0, "distributive-right": 0, "zero-absorbing": 0,
-        "mul-inverse": 0, "meet-from-join": 0,
-    }
-    for _ in range(samples):
-        a, b, c = (sample_trop(rng) for _ in range(3))
-        if trop_sum(trop_sum(a, b), c) != trop_sum(a, trop_sum(b, c)):
-            fails["add-associative"] += 1
-        if trop_sum(a, b) != trop_sum(b, a):
-            fails["add-commutative"] += 1
-        if trop_sum(a, TROP_ZERO) != a:
-            fails["add-identity"] += 1
-        if trop_prod(trop_prod(a, b), c) != trop_prod(a, trop_prod(b, c)):
-            fails["mul-associative"] += 1
-        if trop_prod(a, TROP_ONE) != a or trop_prod(TROP_ONE, a) != a:
-            fails["mul-identity"] += 1
-        if trop_prod(a, trop_sum(b, c)) != trop_sum(trop_prod(a, b), trop_prod(a, c)):
-            fails["distributive-left"] += 1
-        if trop_prod(trop_sum(a, b), c) != trop_sum(trop_prod(a, c), trop_prod(b, c)):
-            fails["distributive-right"] += 1
-        if trop_prod(a, TROP_ZERO) != TROP_ZERO or trop_prod(TROP_ZERO, a) != TROP_ZERO:
-            fails["zero-absorbing"] += 1
-        if not a.is_top:
-            if trop_prod(a, trop_neg(a)) != TROP_ONE:
-                fails["mul-inverse"] += 1
-            if not b.is_top:
-                lhs = trop_meet(a, b)
-                rhs = trop_neg(trop_join(trop_neg(a), trop_neg(b)))
-                if lhs != rhs:
-                    fails["meet-from-join"] += 1
+
+    def inverse_broken(a: Trop, b: Trop, c: Trop) -> bool:
+        return not a.is_top and trop_prod(a, trop_neg(a)) != TROP_ONE
+
+    def meet_broken(a: Trop, b: Trop, c: Trop) -> bool:
+        return (not a.is_top and not b.is_top and trop_meet(a, b)
+                != trop_neg(trop_join(trop_neg(a), trop_neg(b))))
+
+    fails = _sampled_law_failures(
+        samples, lambda: sample_trop(rng), trop_sum, trop_prod, TROP_ZERO,
+        TROP_ONE, (("mul-inverse", inverse_broken),
+                   ("meet-from-join", meet_broken)))
     return {"samples": samples, "seed": seed, "failures": fails,
             "ok": not any(fails.values())}

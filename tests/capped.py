@@ -20,7 +20,11 @@ def run_capped(code: str, cap_bytes: int, timeout: float = 120):
     prelude = ("import resource\n"
                f"resource.setrlimit(resource.RLIMIT_AS, ({cap_bytes}, "
                f"{cap_bytes}))\n")
-    tail = ("\nprint(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    # VmHWM is the child's own high-water mark; ru_maxrss would also carry
+    # the peak of the process it was spawned from, which exec keeps
+    tail = ("\nprint(next(line.split()[1]"
+            " for line in open('/proc/self/status')"
+            " if line.startswith('VmHWM:')))\n")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(
                    filter(None, [_SRC, os.environ.get("PYTHONPATH")])))

@@ -3,6 +3,7 @@ import itertools
 
 import pytest
 
+from folds import block_diag_by_loop
 from mvsr import grothendieck, projective
 from mvsr.errors import EnumGuard, ScalarMismatch, ToolkitError
 from mvsr.grothendieck import (AbelianGroupSNF, ProjClassMonoid,
@@ -11,7 +12,7 @@ from mvsr.grothendieck import (AbelianGroupSNF, ProjClassMonoid,
                                grothendieck_completion, k0_of_hom, k0_report,
                                k0_stability, zero_pad)
 from mvsr.jsonio import canonical_dumps
-from mvsr.matrix import idempotent_matrices, mat_identity
+from mvsr.matrix import SemiringMatrix, idempotent_matrices, mat_identity
 from mvsr.mv import MvHom, lukasiewicz_chain, mv_product, reduct_vee_odot
 from mvsr.projective import (ProjectivePresentation, are_isomorphic,
                              block_diag, canonical_form, row_space)
@@ -101,6 +102,12 @@ def _row_space_in_the_free_module(u, max_carrier):
     return generate(free, [free.index(row) for row in u.entries])
 
 
+def _block_sum_by_loop(u, v):
+    """The block sum of u and v built by the Python loop."""
+    return SemiringMatrix(u.scalars, u.rows + v.rows, u.cols + v.cols,
+                          block_diag_by_loop(u, v))
+
+
 def _enumerate_by_scan(s, n_max=2, max_enum=10 ** 7, max_carrier=4096):
     """The classes by a scan of are_isomorphic over every stored class, on
     row spaces taken inside the whole free module."""
@@ -121,7 +128,7 @@ def _enumerate_by_scan(s, n_max=2, max_enum=10 ** 7, max_carrier=4096):
         for j, cj in enumerate(classes):
             if ci.n + cj.n > n_max:
                 continue
-            rs = _row_space_in_the_free_module(block_diag(ci.u, cj.u),
+            rs = _row_space_in_the_free_module(_block_sum_by_loop(ci.u, cj.u),
                                                max_carrier)
             relations.add((i, j, _first_isomorphic(classes, rs, max_enum)))
     return ProjClassMonoid(s, n_max, tuple(classes), tuple(sorted(relations)))
@@ -232,7 +239,7 @@ def _enumerate_by_row_space(s, n_max=2, max_enum=10 ** 7, max_carrier=4096):
     for i, ci in enumerate(classes):
         for j, cj in enumerate(classes):
             if ci.n + cj.n <= n_max:
-                rs = row_space(block_diag(ci.u, cj.u), max_carrier)
+                rs = row_space(_block_sum_by_loop(ci.u, cj.u), max_carrier)
                 relations.add((i, j, find(rs)))
     return ProjClassMonoid(s, n_max, tuple(classes), tuple(sorted(relations)))
 

@@ -1,22 +1,30 @@
+import hashlib
 import itertools
 import random
 
 import numpy as np
 import pytest
 
+from folds import (block_diag_by_loop, cover_by_loop,
+                   hom_from_matrix_by_loop, is_idempotent_by_loop,
+                   product_by_loop)
+from mvsr.cli import main
 from mvsr.errors import (NoDecomposition, NotFreeBasis, ShapeMismatch,
                          SizeGuard)
-from mvsr.matrix import (SemiringMatrix, eta, hom_from_matrix,
-                         idempotent_matrices, is_mult_idempotent, lift_hom,
-                         mat_add, mat_identity, mat_star_mul, mat_zero,
+from mvsr.jsonio import canonical_dumps, mv_to_dict, semiring_to_dict
+from mvsr.matrix import (SemiringMatrix, _block_sum, _cover, block_diag, eta,
+                         hom_from_matrix, idempotent_matrices,
+                         is_mult_idempotent, lift_hom, mat_add,
+                         mat_identity, mat_star_mul, mat_zero,
                          matrix_from_hom, matrix_law_report, matrix_semiring)
 from mvsr.mv import lukasiewicz_chain, mv_product, reduct_vee_odot
 from mvsr.semimodule import (FiniteSemimodule, SemimoduleHom,
-                             free_semimodule, generate, hom_set,
-                             minimal_generating_set, module_over_self,
-                             trivial_module)
+                             free_semimodule, free_universal_property,
+                             generate, hom_set, minimal_generating_set,
+                             module_over_self, trivial_module)
 from mvsr.semiring import (FiniteSemiring, boolean_semiring,
                            check_semiring_axioms)
+from mvsr.tensor import enumerate_modules
 
 
 @pytest.fixture
@@ -79,13 +87,13 @@ def test_idempotent_guard(three):
 
 
 def _idempotent_matrices_by_loop(s, n):
-    """Every candidate built as a matrix and squared with mat_star_mul,
+    """Every candidate built as a matrix and squared by the Python loop,
     in entry-lexicographic order."""
     out = []
     for flat in itertools.product(range(s.size), repeat=n * n):
         m = SemiringMatrix(s, n, n,
                            tuple(flat[i * n:(i + 1) * n] for i in range(n)))
-        if is_mult_idempotent(m):
+        if is_idempotent_by_loop(m):
             out.append(m)
     return tuple(out)
 
@@ -146,6 +154,22 @@ def test_idempotent_matrices_match_the_decoder():
         _idempotent_matrices_by_decoder(three, 2, chunk=7)
 
 
+# two lawless two-element tables: 0 + 0 = 1, so zero is no additive
+# identity; and x + y = x with 0 * 0 = 1, so addition does not commute and
+# zero does not absorb
+LAWLESS_A = FiniteSemiring(2, ((1, 0), (0, 0)), ((0, 0), (0, 1)), 0, 1)
+LAWLESS_B = FiniteSemiring(2, ((0, 0), (1, 1)), ((1, 0), (0, 1)), 0, 1)
+
+SMALL = {
+    "B": boolean_semiring,
+    "c3": lambda: reduct_vee_odot(lukasiewicz_chain(3)),
+    "c2xc2": lambda: reduct_vee_odot(mv_product(lukasiewicz_chain(2),
+                                                lukasiewicz_chain(2))),
+    "lawless-a": lambda: LAWLESS_A,
+    "lawless-b": lambda: LAWLESS_B,
+}
+
+
 def _two_element_tables(count):
     """Seeded random two-element tables, most of them lawless."""
     rng = random.Random(0)
@@ -157,21 +181,19 @@ def _two_element_tables(count):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_matrix_semiring_products_are_mat_star_mul(n):
-    """Each product in the table is mat_star_mul's, its terms folded from
-    the scalar zero, over lawless tables as over B, c3 and c2 x c2."""
+    """On every pair of n x n matrices, each product in the table is
+    mat_star_mul's and the Python loop's, its terms folded from the scalar
+    zero, over lawless tables as over B, c3 and c2 x c2."""
     scalars = _two_element_tables(40 if n == 1 else 12)
     assert sum(not check_semiring_axioms(s).valid for s in scalars) > 20 / n
-    scalars += [boolean_semiring(), reduct_vee_odot(lukasiewicz_chain(3)),
-                reduct_vee_odot(mv_product(lukasiewicz_chain(2),
-                                           lukasiewicz_chain(2)))]
+    scalars += [make() for make in SMALL.values()]
     for s in scalars:
-        if s.size ** (n * n) > 81:
-            continue
         ring = matrix_semiring(s, n)
         for a, b in itertools.product(range(ring.semiring.size), repeat=2):
-            product = mat_star_mul(ring.matrices[a], ring.matrices[b])
-            assert ring.matrices[ring.semiring.mul[a][b]].entries == \
-                product.entries
+            want = product_by_loop(ring.matrices[a], ring.matrices[b])
+            assert mat_star_mul(ring.matrices[a],
+                                ring.matrices[b]).entries == want
+            assert ring.matrices[ring.semiring.mul[a][b]].entries == want
 
 
 def test_matrix_semiring_boolean(boolean):
@@ -292,3 +314,137 @@ def test_lift_hom_matches_the_search(scalars, three):
                 assert got.matrix.entries == want
                 lifted += 1
     assert lifted > len(modules) ** 2 and refused > 0
+
+
+def test_the_lawless_tables_break_the_laws():
+    assert not check_semiring_axioms(LAWLESS_A).valid
+    assert not check_semiring_axioms(LAWLESS_B).valid
+
+
+@pytest.mark.parametrize("name", list(SMALL))
+def test_idempotence_and_block_sums_match_the_loops(name):
+    """On every 1x1 and 2x2 matrix, is_mult_idempotent and
+    idempotent_matrices agree with the loop's idempotence; on every pair,
+    the array block sum gives the loop's block sum, and block_diag gives it
+    on every pair with a 1x1 factor."""
+    s = SMALL[name]()
+    mats = []
+    for n in (1, 2):
+        ms = matrix_semiring(s, n).matrices
+        idempotent = [is_idempotent_by_loop(m) for m in ms]
+        assert [is_mult_idempotent(m) for m in ms] == idempotent
+        assert idempotent_matrices(s, n) == tuple(
+            m for m, keep in zip(ms, idempotent) if keep)
+        mats += ms
+    for u, v in itertools.product(mats, repeat=2):
+        want = block_diag_by_loop(u, v)
+        assert _block_sum(s.zero, u.np_entries,
+                          v.np_entries).tolist() == list(map(list, want))
+        if u.rows == 1 or v.rows == 1:
+            assert block_diag(u, v).entries == want
+
+
+@pytest.mark.parametrize("name", ["B", "c3"])
+def test_maps_of_matrices_match_the_loop(name):
+    """hom_from_matrix of every matrix between free modules of 0 to 2
+    points, and eta's map on 0 to 2 points, against the loop's maps."""
+    s = SMALL[name]()
+    frees = [free_semimodule(s, [f"p{i}" for i in range(n)])
+             for n in range(3)]
+    for source, target in itertools.product(frees, repeat=2):
+        rows, cols = len(source.points), len(target.points)
+        for flat in itertools.product(range(s.size), repeat=rows * cols):
+            k = SemiringMatrix(s, rows, cols, tuple(
+                flat[i * cols:(i + 1) * cols] for i in range(rows)))
+            assert hom_from_matrix(k, source, target).mapping == \
+                hom_from_matrix_by_loop(k, source, target)
+    for n in range(3):
+        result = eta(s, n)
+        want = result.end.homs.positions([
+            hom_from_matrix_by_loop(k, result.module, result.module)
+            for k in result.matrices.matrices])
+        assert result.hom.mapping == tuple(want.tolist())
+        assert result.bijective
+
+
+def test_covers_match_the_loop():
+    """The free cover of every module of enumerate_modules(B, 3) on its
+    minimal generating set, on all its elements and on no generator."""
+    s = boolean_semiring()
+    modules = enumerate_modules(s, 3)
+    assert len(modules) > 3
+    for m in modules:
+        for gens in (minimal_generating_set(m), tuple(range(m.size)), ()):
+            free, pi = _cover(m, gens, 4096)
+            assert len(free.points) == len(gens)
+            assert pi.mapping == cover_by_loop(m, gens, free)
+
+
+def test_the_empty_cases():
+    """0 x 0 and empty-sided matrices, the free module on no points and
+    the cover with no generators: every combination of no terms is zero."""
+    s = SMALL["c3"]()
+    empty = SemiringMatrix(s, 0, 0, ())
+    assert mat_star_mul(empty, empty).entries == ()
+    assert is_mult_idempotent(empty)
+    assert idempotent_matrices(s, 0) == (empty,)
+    assert block_diag(empty, empty).entries == ()
+    one = mk(s, [[1]])
+    assert block_diag(empty, one).entries == block_diag(one, empty).entries \
+        == ((1,),)
+    tall, wide = SemiringMatrix(s, 2, 0, ((), ())), SemiringMatrix(s, 0, 2, ())
+    assert mat_star_mul(tall, wide).entries == ((s.zero,) * 2,) * 2
+    assert mat_star_mul(wide, tall).entries == ()
+    assert matrix_semiring(s, 0).semiring.size == 1
+
+    nothing = free_semimodule(s, [])
+    line = free_semimodule(s, ["x"])
+    assert hom_from_matrix(SemiringMatrix(s, 0, 1, ()), nothing,
+                           line).mapping == (line.zero,)
+    assert hom_from_matrix(SemiringMatrix(s, 1, 0, ((),)), line,
+                           nothing).mapping == (0,) * line.size
+    assert free_universal_property(nothing, module_over_self(s))["ok"]
+
+    m = module_over_self(s)
+    free, pi = _cover(m, (), 4096)
+    assert free.size == 1 and pi.mapping == (m.zero,)
+
+
+def _idempotents_report(tmp_path, capsys, payload):
+    path = tmp_path / "scalars.json"
+    path.write_text(canonical_dumps(payload), encoding="utf-8")
+    assert main(["idempotents", "--input", str(path), "--n", "3"]) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name,digest", [
+    ("B", "21bdfebcd99d238f8422bdb1ab899b6837684acf"),
+    ("c3", "eca96092fe5e2023ef3bb3df57f89d7593ed60ec"),
+])
+def test_idempotents_report_bytes_at_n_3(tmp_path, capsys, name, digest):
+    """`mvsr idempotents --n 3` on B (as a semiring) and on the 3-chain
+    (as an MV-algebra), pinned by digest."""
+    payload = (semiring_to_dict(boolean_semiring()) if name == "B"
+               else mv_to_dict(lukasiewicz_chain(3)))
+    out = _idempotents_report(tmp_path, capsys, payload)
+    assert hashlib.sha1(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_the_sampled_route_needs_a_sample(three, samples):
+    with pytest.raises(ValueError, match=f"samples={samples} must be at "
+                                         f"least 1"):
+        matrix_law_report(three, 3, samples=samples)
+    assert matrix_law_report(three, 2, samples=samples)["ok"]
+
+
+def test_sampled_reports_are_pinned():
+    """The sampled reports at seeds 0 to 9, over c3 and over a lawless
+    table whose failures are counted, pinned by digest."""
+    for s, digest in ((SMALL["c3"](),
+                       "db6a98c8b92bd60c7cb683b67b9dfd7b6f1dc308"),
+                      (LAWLESS, "b7f0889b05bf1f757769d07deace4816f8fd684d")):
+        reports = [matrix_law_report(s, 3, samples=40, seed=seed)
+                   for seed in range(10)]
+        assert hashlib.sha1(canonical_dumps(reports).encode()).hexdigest() \
+            == digest

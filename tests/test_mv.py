@@ -224,11 +224,23 @@ def test_gamma_report_clean():
     assert report["mixed_sign_sum_breaks"] is True
 
 
-@pytest.mark.parametrize("k", [1, 2, 4])
+def _truncated_chain_by_fractions(k):
+    """The truncation of (1/k)Z at u = 1 built by rational arithmetic:
+    the values i/k, their truncated sums, complements and labels."""
+    values = [Fraction(i, k) for i in range(k + 1)]
+    index = {v: i for i, v in enumerate(values)}
+    oplus = tuple(tuple(index[min(x + y, 1)] for y in values)
+                  for x in values)
+    star = tuple(index[1 - x] for x in values)
+    return MvAlgebra(k + 1, oplus, star, 0, tuple(map(str, values)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 200])
 def test_gamma_chain_matches_standard_chain(k):
     alg, cert = gamma_chain(k)
-    want = lukasiewicz_chain(k + 1)
-    assert alg.core() == want.core()
+    for want in (lukasiewicz_chain(k + 1), _truncated_chain_by_fractions(k)):
+        assert alg.core() == want.core()
+        assert alg.labels == want.labels
     assert cert["ok"]
 
 

@@ -24,6 +24,7 @@ from mvsr.semiring import (FiniteSemiring, boolean_semiring,
 from mvsr.tensor import enumerate_modules
 
 from capped import run_capped
+from folds import is_idempotent_by_loop
 
 
 @pytest.fixture
@@ -483,11 +484,10 @@ def test_direct_sum_with_trivial_is_identity(three):
 
 def test_block_diag_preserves_idempotence(boolean):
     mats = idempotent_matrices(boolean, 2)
-    from mvsr.matrix import is_mult_idempotent
     u, v = mats[3], mats[7]
     w = block_diag(u, v)
     assert w.rows == 4 and w.cols == 4
-    assert is_mult_idempotent(w)
+    assert is_idempotent_by_loop(w)
 
 
 def test_sum_of_projectives_is_projective(boolean):

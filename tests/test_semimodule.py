@@ -323,6 +323,25 @@ def test_hom_validate_and_compose(three):
         SemimoduleHom(m, m, (0, 2, 2)).validate()
 
 
+def test_compose_refuses_a_middle_module_with_another_action(three):
+    """Over c3, the middle scalar may act as zero on the carrier and
+    addition of c3 itself; that module is lawful, but no identity passes
+    through it from c3."""
+    m = module_over_self(three)
+    m2 = FiniteSemimodule(three, 3, m.add, m.zero,
+                          (m.action[0], (0, 0, 0), m.action[2]))
+    assert check_semimodule(three, m2).valid
+    ident, ident2 = (SemimoduleHom(x, x, (0, 1, 2)).validate()
+                     for x in (m, m2))
+    with pytest.raises(ScalarMismatch, match="middle modules disagree"):
+        compose_module_homs(ident2, ident)
+    with pytest.raises(ScalarMismatch, match="middle modules disagree"):
+        compose_module_homs(ident, ident2)
+    copy = FiniteSemimodule(three, 3, m.add, m.zero, m.action)
+    assert compose_module_homs(
+        SemimoduleHom(copy, copy, (0, 1, 2)), ident).mapping == (0, 1, 2)
+
+
 @pytest.mark.parametrize("mapping,message", [
     ((1, 1, 2), "zero not preserved"),
     ((0, 2, 1), "addition not preserved at (1, 2)"),
