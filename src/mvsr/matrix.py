@@ -273,6 +273,9 @@ def hom_from_matrix(k: SemiringMatrix, source: FreeSemimodule,
     """f -> sum over x of f(x) * row x of k, as a map of row coefficients."""
     source = _require_free(source, "source")
     target = _require_free(target, "target")
+    if not (same_scalars(k.scalars, source.scalars)
+            and same_scalars(source.scalars, target.scalars)):
+        raise ScalarMismatch("hom from a matrix needs common scalars")
     if k.rows != len(source.points) or k.cols != len(target.points):
         raise ShapeMismatch("matrix shape must be points x points")
     s = source.scalars
@@ -322,8 +325,11 @@ def lift_hom(h: SemimoduleHom, gens_source: Sequence[int],
     order, that the target's cover sends to its image; the matrix is not
     unique and no canonical choice is promised, only the commuting square."""
     m, n = h.source, h.target
-    gens_source = tuple(int(g) for g in gens_source)
-    gens_target = tuple(int(g) for g in gens_target)
+    gens_source, gens_target = tuple(gens_source), tuple(gens_target)
+    gens_source = _index_grid(gens_source, (len(gens_source),), m.size,
+                              "generators")
+    gens_target = _index_grid(gens_target, (len(gens_target),), n.size,
+                              "generators")
     if _span(m, gens_source) != set(range(m.size)):
         raise NoDecomposition("source generators do not span")
     if _span(n, gens_target) != set(range(n.size)):

@@ -1,29 +1,32 @@
 """Semimodules over finite semirings: axioms, free modules, homs, strongness.
 
-Hom enumeration never searches all functions. It picks images for a minimal
-generating set and extends them along the closure derivation of each carrier
-element; the generating set with its derivation order is the plan of the
-source. Candidates are built in chunks of rows, one (k, |m|) array per
-chunk, column by column in derivation order, and every row is then checked
-against the zero, addition and action laws in one array sweep, so the
-derivation is only a funnel and correctness rests on the final check. The
-hom laws exist once, as the mismatch arrays of _law_mismatches: _hom_mask
-reads them for a chunk, _broken_law for the first witness of one map. The
+Hom enumeration never searches all functions. A table is planned once: a
+minimal generating set and the first derivation found of every element
+from it, by sums and by the action rows. One level search, _LevelSchedule,
+runs over that plan: it assigns images to the generators in order, sets
+every other element by its derivation step and checks each law at the
+first generator where the images it reads are final, so a failing prefix
+prunes all its extensions. It is every hom-set of the package: module
+homs here, and in mvsr.tensor the monoid homs out of a join table and the
+bimorphisms, as module homs into Hom(N, C). The hom laws of a given map
+exist once, as the mismatch arrays of _law_mismatches: _hom_mask reads
+them for a batch of maps, _broken_law for the first witness of one. The
 module laws likewise exist once, as the lazy witnesses of
 _module_law_witnesses: check_semimodule reports them all, and
 _first_broken_law (behind _module_laws_hold) stops at the first broken one.
 
-A hom-set is the kernel's rows, and every table built from homs gathers
+A hom-set is the search's rows, and every table built from homs gathers
 images from them and looks them up with HomSemilattice.positions. Searches
 stop at their answer's row (_first_hom); counts take the rows directly
 (free_universal_property).
 """
 from __future__ import annotations
 
+import itertools
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
                     Set, Tuple)
 
@@ -269,7 +272,7 @@ def trivial_module(s: FiniteSemiring) -> FiniteSemimodule:
 # ----- generation -----------------------------------------------------------
 
 def _span(m: FiniteSemimodule, gens: Iterable[int]) -> Set[int]:
-    return set(_derivation_order(m, gens)[0])
+    return set(_derivation(m.add, m.zero, m.action, gens)[0])
 
 
 @dataclass(frozen=True)
@@ -287,7 +290,9 @@ class Subsemimodule(FiniteSemimodule):
 
 def generate(m: FiniteSemimodule, gens: Iterable[int]) -> Subsemimodule:
     """Least subsemimodule of m containing gens (always contains zero)."""
-    members = sorted(_span(m, gens))
+    gens = tuple(gens)
+    members = sorted(_span(m, _index_grid(gens, (len(gens),), m.size,
+                                          "generators")))
     pos = {x: i for i, x in enumerate(members)}
     add = tuple(tuple(pos[m.add[x][y]] for y in members) for x in members)
     action = tuple(tuple(pos[m.action[a][x]] for x in members)
@@ -304,43 +309,51 @@ def minimal_generating_set(m: FiniteSemimodule) -> Tuple[int, ...]:
     Span is monotone, so an element kept once stays unspanned as others
     are removed, and no second pass is needed. Deterministic but not
     claimed minimum-cardinality; any output generates the whole module,
-    which is all hom enumeration needs."""
-    kept = [x for x in range(m.size) if x != m.zero]
+    which is all hom enumeration needs. It is the generators of m's
+    search plan, planned once per table."""
+    return _schedule(m.add, m.zero, m.action).gens
+
+
+def _generators(add, zero: int, action) -> Tuple[int, ...]:
+    """The greedy generators of minimal_generating_set, on the tables."""
+    kept = [x for x in range(len(add)) if x != zero]
     for x in list(kept):
         rest = [y for y in kept if y != x]
-        if x in _span(m, rest):
+        if x in _derivation(add, zero, action, rest, stop=x)[1]:
             kept = rest
     return tuple(kept)
 
 
-def _derivation_order(m: FiniteSemimodule, gens: Iterable[int]):
-    """A first-found derivation of every element the generators span, in
-    the order found."""
-    deriv: Dict[int, tuple] = {m.zero: ("zero",)}
-    order: List[int] = [m.zero]
+def _derivation(add, zero: int, action, gens: Iterable[int], stop=None):
+    """A first-found derivation of every element that zero and gens span
+    under add and the action rows, in the order found, ending early once
+    stop is found: each element found is summed with itself and with every
+    element found before it, both ways round, then moved by every row."""
+    deriv: Dict[int, tuple] = {zero: ("zero",)}
+    order: List[int] = [zero]
     for i, g in enumerate(gens):
         if g not in deriv:
             deriv[g] = ("gen", i)
             order.append(g)
-    changed = True
-    while changed:
-        changed = False
-        known = list(order)
-        for x in known:
-            for y in known:
-                r = m.add[x][y]
-                if r not in deriv:
-                    deriv[r] = ("add", x, y)
-                    order.append(r)
-                    changed = True
-        for a in range(m.scalars.size):
-            row = m.action[a]
-            for x in known:
-                r = row[x]
-                if r not in deriv:
-                    deriv[r] = ("act", a, x)
-                    order.append(r)
-                    changed = True
+    done = 0
+    while done < len(order) and stop not in deriv:
+        x = order[done]
+        done += 1
+        row = add[x]
+        for y in order[:done]:
+            r = row[y]
+            if r not in deriv:
+                deriv[r] = ("add", x, y)
+                order.append(r)
+            r = add[y][x]
+            if r not in deriv:
+                deriv[r] = ("add", y, x)
+                order.append(r)
+        for a, moved in enumerate(action):
+            r = moved[x]
+            if r not in deriv:
+                deriv[r] = ("act", a, x)
+                order.append(r)
     return order, deriv
 
 
@@ -422,47 +435,178 @@ def _assignments(size: int, count: int, rows: int) -> Iterator[np.ndarray]:
         yield _digits(np.arange(lo, min(lo + step, total)), size, count)
 
 
-def _hom_plan(m: FiniteSemimodule):
-    """A minimal generating set of m and the derivation of every element
-    from it, as steps (x, kind, *args) in derivation order."""
-    gens = minimal_generating_set(m)
-    order, deriv = _derivation_order(m, gens)
-    if len(order) != m.size:
-        raise ValueError("generators do not span the module")
-    return tuple(gens), tuple((x,) + deriv[x] for x in order)
+class _LevelSchedule:
+    """The one search for homs out of a table: module homs, monoid homs
+    and, through Hom(N, C), bimorphisms.
+
+    A table is planned once, with its zero and action rows (none for a
+    monoid): its greedy minimal generators and the first derivation found
+    of every element from them, each step a sum of two elements found
+    before or an action row moving one. The search assigns values to the
+    generators in order, one level each, and sets every other element by
+    its step: the zero to the base, a sum by plus, a moved element by
+    shift. A hom sends each element where its step does, so each hom is
+    found once. An element is final at the level of the last generator
+    its derivation reads, and each check runs once, at the first level
+    where the values it reads are final: each sum, v[c + d] ==
+    plus[v[c]][v[d]], and each move, v[a x] == shift[a][v[x]], less those
+    a step makes true. A prefix that fails a check prunes its subtree, and
+    the maps come out depth first, lexicographic in the generators' values
+    when the domain ascends. The search keeps exactly the maps that pass
+    every check, whatever the tables.
+
+    Three laws of the sums each make some sum checks true, and a search
+    told that its sums obey a law skips them: with the base a two-sided
+    identity, a sum of the zero with x that is x, since v[zero] is the
+    base; with commuting sums, the pair (c, d) with c > d when (d, c),
+    checked at the same level or made true by a step, has the same sum;
+    with idempotent sums, the pair (c, c) when c sums to itself. Each pair
+    is filed under the first of these that fits it, so a skipped pair is
+    always implied by the checks that remain.
+    """
+
+    def __init__(self, add, zero: int, action=()):
+        self.add, self.zero, self.action = add, zero, action
+        self.gens = _generators(add, zero, action)
+        self.size, self.depth = len(add), len(self.gens)
+        order, self.deriv = _derivation(add, zero, action, self.gens)
+        # per level, the steps (x, True, c, d) that set v[x] to the sum of
+        # v[c] and v[d] and (x, False, a, y) that move v[y] by row a
+        self.level = level = [0] * self.size
+        self.steps: List[list] = [[] for _ in range(self.depth + 1)]
+        for x in order:
+            kind, *args = self.deriv[x]
+            if kind == "gen":
+                level[x] = args[0] + 1
+            elif kind != "zero":
+                # a sum reads both its elements, a move the one it moves
+                reads = args if kind == "add" else args[1:]
+                level[x] = max(level[y] for y in reads)
+                self.steps[level[x]].append((x, kind == "add", *args))
+        self._filed: Dict[tuple, list] = {}
+
+    # The checks are filed on the first search, so that a guard read from
+    # depth fires before the |add|^2 sums are built.
+
+    @cached_property
+    def sums(self) -> List[List[list]]:
+        """Per level, the sum checks (c, d, c + d) that no step makes true:
+        those no law makes true, then those made true by the base as
+        identity, by commuting and by idempotence."""
+        add, zero, level, deriv = self.add, self.zero, self.level, self.deriv
+        sums = [[[], [], [], []] for _ in range(self.depth + 1)]
+        for c, row in enumerate(add):
+            for d, cd in enumerate(row):
+                if deriv[cd] != ("add", c, d):
+                    law = (1 if c == zero and cd == d or d == zero and cd == c
+                           else 2 if c > d and add[d][c] == cd
+                           else 3 if c == d == cd else 0)
+                    sums[max(level[c], level[d], level[cd])][law].append(
+                        (c, d, cd))
+        return sums
+
+    @cached_property
+    def moves(self) -> List[list]:
+        """Per level, the move checks (a, x, a x) that no step makes true."""
+        moves: List[list] = [[] for _ in range(self.depth + 1)]
+        for a, row in enumerate(self.action):
+            for x, ax in enumerate(row):
+                if self.deriv[ax] != ("act", a, x):
+                    moves[max(self.level[x], self.level[ax])].append(
+                        (a, x, ax))
+        return moves
+
+    def search(self, domain: Sequence, plus, base, laws,
+               shift=()) -> Iterator[tuple]:
+        """Every map that passes its checks, as its tuple of values, depth
+        first. The generators take their values from domain; plus[p][q] is
+        the sum of two values and base their zero, shift[a][p] is p moved
+        by action row a, and laws says whether the sums have the base as
+        identity, commute and are idempotent on every value."""
+        sums = self._filed.get(laws)
+        if sums is None:
+            kept = (True,) + tuple(not held for held in laws)
+            sums = self._filed[laws] = [
+                [p for group, keep in zip(groups, kept) if keep
+                 for p in group] for groups in self.sums]
+        steps, moves, gens, depth = (self.steps, self.moves, self.gens,
+                                     self.depth)
+        v = [base] * self.size
+
+        def settle(k: int) -> bool:
+            for x, summed, p, q in steps[k]:
+                v[x] = plus[v[p]][v[q]] if summed else shift[p][v[q]]
+            for c, d, cd in sums[k]:
+                if v[cd] != plus[v[c]][v[d]]:
+                    return False
+            for a, x, ax in moves[k]:
+                if v[ax] != shift[a][v[x]]:
+                    return False
+            return True
+
+        if not settle(0):
+            return
+        if not depth:
+            yield tuple(v)
+            return
+        # walk[k] runs through the values of generator k: a value that
+        # settles level k + 1 opens the next level, and a level that runs
+        # out returns to the one above
+        walk = [iter(domain)]
+        while walk:
+            k = len(walk)
+            g = gens[k - 1]
+            for value in walk[-1]:
+                v[g] = value
+                if settle(k):
+                    if k < depth:
+                        walk.append(iter(domain))
+                        break
+                    yield tuple(v)
+            else:
+                walk.pop()
 
 
-def _hom_rows(m: FiniteSemimodule, n: FiniteSemimodule,
-              max_enum: int = MAX_ENUM) -> Iterator[np.ndarray]:
-    """Every hom m -> n as rows of (k, |m|) arrays, lazily, ordered
-    lexicographically by generator images. The scalar check and the guard
-    run at the first step, before any array is built."""
+@lru_cache(maxsize=64)
+def _schedule(add: Table, zero: int, action: Table = ()) -> _LevelSchedule:
+    """The search plan of a table and its action rows, planned once for
+    every target."""
+    return _LevelSchedule(add, zero, action)
+
+
+@lru_cache(maxsize=64)
+def _sum_laws(size: int, add: Table, zero: int) -> Tuple[bool, bool, bool]:
+    """Whether add on range(size) has zero as a two-sided identity,
+    commutes and is idempotent. Pointwise sums of rows of its values
+    inherit each law."""
+    xs = range(size)
+    return (all(add[zero][p] == p == add[p][zero] for p in xs),
+            all(add[p][q] == add[q][p] for p in xs for q in xs),
+            all(add[p][p] == p for p in xs))
+
+
+def _hom_search(m: FiniteSemimodule, n: FiniteSemimodule,
+                max_enum: int = MAX_ENUM) -> Iterator[tuple]:
+    """Every hom m -> n as its tuple of images, lazily, ordered
+    lexicographically by generator images: the search of m's plan with
+    values in n, summed by n's addition and moved by n's action. The
+    scalar check and the guard run before the search starts."""
     if not same_scalars(m.scalars, n.scalars):
         raise ScalarMismatch("hom set needs a common scalar semiring")
-    gens, steps = _hom_plan(m)
+    gens = minimal_generating_set(m)
     check_bound(EnumGuard, "hom-set candidate assignments",
                 n.size ** len(gens), "max_enum", max_enum)
-    n_add, n_act = n.np_add, n.np_action
-    for assign in _assignments(n.size, len(gens), _chunk_rows(m)):
-        img = np.empty((len(assign), m.size), dtype=np.intp)
-        for x, kind, *args in steps:
-            if kind == "zero":
-                img[:, x] = n.zero
-            elif kind == "gen":
-                img[:, x] = assign[:, args[0]]
-            elif kind == "add":
-                img[:, x] = n_add[img[:, args[0]], img[:, args[1]]]
-            else:
-                img[:, x] = n_act[args[0], img[:, args[1]]]
-        yield img[_hom_mask(m, n, img)]
+    return _schedule(m.add, m.zero, m.action).search(
+        range(n.size), n.add, n.zero, _sum_laws(n.size, n.add, n.zero),
+        n.action)
 
 
 @dataclass(frozen=True, eq=False)
 class HomSemilattice:
-    """Every hom between two modules, as the (k, |source|) rows of _hom_rows
-    in its order, with the pointwise monoid structure. A table over pairs
-    of homs gathers k * k * |source| images, which max_enum, the bound the
-    homs were found under, caps before the gather."""
+    """Every hom between two modules, as (k, |source|) rows in hom_set's
+    order, with the pointwise monoid structure. A table over pairs of homs
+    gathers k * k * |source| images, which max_enum, the bound the homs
+    were found under, caps before the gather."""
 
     source: FiniteSemimodule
     target: FiniteSemimodule
@@ -559,19 +703,27 @@ def _require_homs(pos: np.ndarray, message: str) -> np.ndarray:
 def hom_set(m: FiniteSemimodule, n: FiniteSemimodule,
             max_enum: int = MAX_ENUM) -> HomSemilattice:
     """All homs m -> n, ordered lexicographically by generator images."""
-    rows = np.concatenate(list(_hom_rows(m, n, max_enum)))
+    rows = np.fromiter(itertools.chain.from_iterable(
+        _hom_search(m, n, max_enum)), dtype=np.intp).reshape(-1, m.size)
     rows.setflags(write=False)
     return HomSemilattice(m, n, rows, max_enum)
 
 
 def _first_hom(m: FiniteSemimodule, n: FiniteSemimodule, keep,
                max_enum: int = MAX_ENUM) -> Optional[SemimoduleHom]:
-    """The first hom m -> n in hom_set order whose row keep marks, or None."""
-    for rows in _hom_rows(m, n, max_enum):
+    """The first hom m -> n in hom_set order whose row keep marks, or None.
+    keep reads (k, |m|) arrays of homs, k = 8 first and doubling after."""
+    homs = _hom_search(m, n, max_enum)
+    batch = 8
+    while True:
+        rows = np.fromiter(itertools.chain.from_iterable(
+            itertools.islice(homs, batch)), dtype=np.intp).reshape(-1, m.size)
+        if not len(rows):
+            return None
         hit = np.flatnonzero(keep(rows))
         if len(hit):
             return SemimoduleHom(m, n, tuple(rows[hit[0]].tolist()))
-    return None
+        batch *= 2
 
 
 def compose_module_homs(g: SemimoduleHom, f: SemimoduleHom) -> SemimoduleHom:
@@ -785,8 +937,8 @@ def free_universal_property(f: FreeSemimodule, m: FiniteSemimodule,
     npts = len(f.points)
     total = m.size ** npts
     check_bound(EnumGuard, "point maps", total, "max_enum", max_enum)
-    by_basis = Counter(tuple(row) for rows in _hom_rows(f, m, max_enum)
-                       for row in rows[:, list(f.basis)].tolist())
+    by_basis = Counter(tuple(row[b] for b in f.basis)
+                       for row in _hom_search(f, m, max_enum))
     coeffs = _digits(np.arange(f.size), f.scalars.size, npts).T[:, None]
     existence = 0
     uniqueness = 0

@@ -16,9 +16,10 @@ import numpy as np
 from .errors import MalformedTable, NotAHom, NotIdempotent
 
 Table = Tuple[Tuple[int, ...], ...]
-# Most elements any one temporary array holds: the hom kernel's law check
-# of k candidate maps out of m allocates k * (|m|^2 + |S| |m|), and an
-# integer table is stored as tuples this many entries at a time.
+# Most elements any one temporary array holds: the free universal
+# property's law check of k extensions out of m allocates
+# k * (|m|^2 + |S| |m|), and an integer table is stored as tuples this
+# many entries at a time.
 _CHUNK_ELEMENTS = 1 << 18
 
 

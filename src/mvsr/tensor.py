@@ -16,20 +16,22 @@ quotient through the left slot: a scalar moves each class's
 representative, and the action is checked well defined on those generating
 pairs alone, never on the whole powerset.
 
-Everything downstream is verified by enumeration, with one search for
-maps out of a join table behind every semilattice search: the level
-schedule assigns values to the join-irreducibles one at a time and checks
-each law at the first level where the values it reads are final, so a
-failing prefix prunes every assignment that extends it. Bimorphisms are
-that search over M with the rows of Hom(N, C) as values, the homomorphisms
-out of the quotient are searched once per target monoid and counted by
-their values on pure tensors, each scalar's action row is drawn from
-End(M, +), and the hom-tensor bijections are checked in both directions.
-The search keeps exactly the maps that a product over every assignment
-would keep, lawless tables included; that product lives on in the tests
-as the oracle. Fullness of restriction is the exception: it holds by the
-restriction lemma, and the enumeration that confirms it lives in the
-tests. Only commutative scalars are exercised; right modules are
+Everything downstream is verified by enumeration, with semimodule's one
+level search behind every hom-set: it assigns values to a table's
+generators one at a time, sets every other element by its derivation, and
+checks each law at the first level where the values it reads are final,
+so a failing prefix prunes every assignment that extends it. Monoid homs
+are that search with no action rows; bimorphisms are the module homs from
+M into the rows of Hom(N, C), as hom(M tensor N, C) = hom(M, hom(N, C));
+the homomorphisms out of the quotient are searched once per target monoid
+and counted by their values on pure tensors, each scalar's action row is
+drawn from End(M, +), and the hom-tensor bijections are checked in both
+directions. The search keeps exactly the maps that pass every law, lawless
+tables included; on lawful tables these are the maps a product over every
+assignment to the join-irreducibles keeps, and that product lives on in
+the tests as the oracle. Fullness of restriction is the exception: it
+holds by the restriction lemma, and the enumeration that confirms it lives
+in the tests. Only commutative scalars are exercised; right modules are
 identified with left ones throughout.
 """
 from __future__ import annotations
@@ -50,9 +52,9 @@ from .jsonio import semimodule_to_dict
 from .mv import gamma_chain, reduct_wedge_oplus
 from .semimodule import (FiniteSemimodule, HomSemilattice, SemimoduleHom,
                          _digits, _first_broken_law, _module_laws_hold,
-                         check_semimodule, _first_hom, _require_homs,
-                         free_semimodule, hom_set, module_over_self,
-                         restrict_scalars, trivial_module)
+                         _schedule, _sum_laws, check_semimodule, _first_hom,
+                         _require_homs, free_semimodule, hom_set,
+                         module_over_self, restrict_scalars, trivial_module)
 from .semiring import (FiniteSemiring, SemiringHom, _combine,
                        is_additively_idempotent, same_scalars)
 from .semiring import AxiomReport
@@ -363,12 +365,6 @@ def join_irreducibles(add, zero: int) -> Tuple[int, ...]:
     return tuple(x for x in range(size) if x != zero and x not in reducible)
 
 
-def _downsets(add, elements: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
-    """For each x of a join table, the positions i with elements[i] <= x."""
-    return tuple(tuple(i for i, e in enumerate(elements) if add[e][x] == x)
-                 for x in range(len(add)))
-
-
 class _Filled(dict):
     """A dict that fills a missing key with compute(key) and keeps it."""
 
@@ -381,168 +377,13 @@ class _Filled(dict):
         return value
 
 
-class _LevelSchedule:
-    """A pruned search for maps out of a join table that fold values
-    assigned to its join-irreducibles.
-
-    The join-irreducibles JI are taken in order and assigned one at a
-    time. An element's value is the fold, from the base, of the values of
-    the JI in its downset, so it is final once the last of them is
-    assigned: its level is one past that JI's position, or 0 for an empty
-    downset. Every check runs once, at the first level where all the
-    values it reads are final: the zero, at its own level (its downset
-    need not be empty on a lawless table); each pair v[add[c][d]] ==
-    plus[v[c]][v[d]]; and each balance triple (a, x, ax), which asks v[ax]
-    == shift[a][v[x]]. A prefix that fails a check prunes its whole
-    subtree. Each value is the same fold a full candidate would have, and
-    each check is one the full candidate would face, so the search keeps
-    exactly the maps that a product over every assignment would keep,
-    whatever the tables.
-
-    Three laws of the sums each make some pair checks true, and a search
-    told that its sums obey a law skips them: with the base a two-sided
-    identity, a pair of the zero with x that joins to x, since the zero
-    check, at the same level or earlier, has set v[zero] to the base;
-    with commuting sums, the pair (c, d) with c > d when (d, c), checked
-    at the same level, has the same join; with idempotent sums, the pair
-    (c, c) when c joins to itself. Each pair is filed under the first of
-    these that fits it, so a skipped pair is always implied by the checks
-    that remain.
-    """
-
-    def __init__(self, add, zero: int, actions=()):
-        ji = join_irreducibles(add, zero)
-        below = _downsets(add, ji)
-        self.level = [d[-1] + 1 if d else 0 for d in below]
-        self.add, self.actions = add, actions
-        self.size, self.depth, self.zero = len(add), len(ji), zero
-        self.zero_level = self.level[zero]
-        self.fresh: List[list] = [[] for _ in range(len(ji) + 1)]
-        for x, d in enumerate(below):
-            self.fresh[self.level[x]].append((x, d))
-        self.joins: Dict[Tuple[bool, bool, bool], List[list]] = {}
-
-    # The checks are filed on the first search, so that a guard read from
-    # depth fires before the |add|^2 pairs are built.
-
-    @cached_property
-    def pairs(self) -> List[List[list]]:
-        """Per level, the pairs no law makes true, then those made true by
-        the base as identity, by commuting and by idempotence."""
-        add, zero, level = self.add, self.zero, self.level
-        pairs = [[[], [], [], []] for _ in range(self.depth + 1)]
-        for c, row in enumerate(add):
-            at = level[c]
-            for d, cd in enumerate(row):
-                law = (1 if c == zero and cd == d or d == zero and cd == c
-                       else 2 if c > d and add[d][c] == cd
-                       else 3 if c == d == cd else 0)
-                pairs[max(at, level[d], level[cd])][law].append((c, d, cd))
-        return pairs
-
-    @cached_property
-    def balance(self) -> List[list]:
-        """Per level, the balance triples (a, x, a x) of the actions."""
-        level = self.level
-        balance: List[list] = [[] for _ in range(self.depth + 1)]
-        if self.actions:
-            left, right = self.actions
-            fixed = tuple(range(len(right[0])))
-            for a, row in enumerate(left):
-                for x, ax in enumerate(row):
-                    if ax != x or right[a] != fixed:
-                        balance[max(level[x], level[ax])].append((a, x, ax))
-        return balance
-
-    def search(self, domain: Sequence, plus, base, laws, shift=()) -> set:
-        """The value tuples, one value per element, of every assignment of
-        domain values to JI that passes every check; plus[p][q] is the sum
-        of two values, base the zero they are folded from, and laws says
-        whether the sums have the base as identity, commute and are
-        idempotent on every value."""
-        joins = self.joins.get(laws)
-        if joins is None:
-            kept = (True,) + tuple(not held for held in laws)
-            joins = self.joins[laws] = [
-                [p for group, keep in zip(groups, kept) if keep for p in group]
-                for groups in self.pairs]
-        fresh, balance = self.fresh, self.balance
-        zero, zero_level, depth = self.zero, self.zero_level, self.depth
-        v = [base] * self.size
-        g = [base] * depth
-        found = set()
-
-        def settle(k: int) -> bool:
-            for x, positions in fresh[k]:
-                acc = base
-                for i in positions:
-                    acc = plus[acc][g[i]]
-                v[x] = acc
-            if k == zero_level and v[zero] != base:
-                return False
-            for c, d, cd in joins[k]:
-                if v[cd] != plus[v[c]][v[d]]:
-                    return False
-            for a, x, ax in balance[k]:
-                if v[ax] != shift[a][v[x]]:
-                    return False
-            return True
-
-        if not settle(0):
-            return found
-        if not depth:
-            found.add(tuple(v))
-            return found
-        # walk[k] runs through the values of JI k: a value that settles
-        # level k + 1 opens the next level, and a level that runs out
-        # returns to the one above. The walk is a loop, not a recursive
-        # closure, so a search leaves no reference cycle behind.
-        walk = [iter(domain)]
-        while walk:
-            k = len(walk)
-            for value in walk[-1]:
-                g[k - 1] = value
-                if settle(k):
-                    if k < depth:
-                        walk.append(iter(domain))
-                        break
-                    found.add(tuple(v))
-            else:
-                walk.pop()
-        return found
-
-
-@lru_cache(maxsize=64)
-def _schedule(add: Tuple[Tuple[int, ...], ...], zero: int,
-              actions=()) -> _LevelSchedule:
-    """The level schedule of a join table, planned once for every target.
-    actions, when given, is the pair of action tables (of M on the table,
-    of N) whose balance is checked: the triples (a, x, a x), less those
-    where a fixes x and all of N."""
-    return _LevelSchedule(add, zero, actions)
-
-
-@lru_cache(maxsize=64)
-def _sum_laws(c_size: int, c_add: Tuple[Tuple[int, ...], ...], c_zero: int
-              ) -> Tuple[bool, bool, bool]:
-    """Whether c_add on range(c_size) has c_zero as a two-sided identity,
-    commutes and is idempotent. Pointwise sums of rows of its values
-    inherit each law."""
-    cs = range(c_size)
-    return (all(c_add[c_zero][p] == p == c_add[p][c_zero] for p in cs),
-            all(c_add[p][q] == c_add[q][p] for p in cs for q in cs),
-            all(c_add[p][p] == p for p in cs))
-
-
 def _monoid_homs(add, zero: int, c_size: int, c_add, c_zero: int
                  ) -> Tuple[Tuple[int, ...], ...]:
-    """Every monoid hom out of the join table add into C, in lexicographic
-    order: the folds of its values on the join-irreducibles that send zero
-    to the monoid zero and joins to sums. It is the level schedule's
-    search with values in range(c_size): each value is the same fold and
-    each check one a full candidate faces, so the result is exact on
-    lawless tables too, where the zero may lie above a join-irreducible
-    and is checked only once its fold is final."""
+    """Every monoid hom out of the table add with zero into C, in
+    lexicographic order: the maps that send zero to the monoid zero and
+    sums to sums, found by the level search of add's plan, with no action
+    rows, over the values range(c_size). The search keeps exactly these
+    maps on lawless tables too."""
     c_add = tuple(map(tuple, c_add))
     return tuple(sorted(_schedule(tuple(map(tuple, add)), zero).search(
         range(c_size), c_add, c_zero, _sum_laws(c_size, c_add, c_zero))))
@@ -554,28 +395,26 @@ def bimorphisms(m: FiniteSemimodule, n: FiniteSemimodule,
     """All bimorphisms M x N -> C as flat tables, row-major over pairs.
 
     The search is curried through Hom(N, C), as in hom(M tensor N, C) =
-    hom(M, hom(N, C)): each row f(x, -) is a monoid hom N -> C, the
-    pointwise sum of the homs f assigns to the join-irreducibles below x.
-    Hom(N, C) is enumerated once, so the right slot's bottom and binary
-    joins hold by construction. Its rows are interned as ints, with
-    pointwise sums and the shifts r -> r(a -) memoized on them, and the
-    level schedule of M searches the assignments of rows to JI(M): every
-    column f(-, y) must be a monoid hom out of M, which is one comparison
-    of interned rows per zero and per join pair, and f must balance, f(a
-    x, y) = f(x, a y), one comparison per pair (a, x) other than those
-    where a fixes x and every y. A table is kept exactly when every
-    column is a monoid hom out of M and f balances, on lawless tables as
-    well. Bottoms and binary joins generate the finite-subset forms by
-    induction. The guard's c^(|JI(M)|*|JI(N)|) bounds |Hom(N, C)|^|JI(M)|
-    and, once JI(M) is nonempty, the c^|JI(N)| candidates of Hom(N, C);
-    with JI(M) empty, M is trivial and only the zero table is tried.
+    hom(M, hom(N, C)): a bimorphism is a module hom from M into Hom(N, C),
+    whose scalars act by (a r)(y) = r(a y). Hom(N, C) is enumerated once
+    and its rows are interned as ints, with pointwise sums and the shifts
+    r -> r(a -) memoized on them, and the level search of M's plan assigns
+    them to M's generators: every column f(-, y) must be a monoid hom out
+    of M, one comparison of interned rows per sum, and f must balance,
+    f(a x, y) = f(x, a y), one comparison per move. Over modules, sums
+    and shifts of homs are homs, so every row is one; bottoms and binary
+    joins generate the finite-subset forms by induction. The guard's
+    c^(|JI(M)|*|JI(N)|) bounds |Hom(N, C)|^|JI(M)| and, once JI(M) is
+    nonempty, the c^|JI(N)| candidates of Hom(N, C); an M with no
+    generators is trivial, and only the zero table is tried.
     """
     c_add = tuple(map(tuple, c_add))
-    plan = _schedule(m.add, m.zero, (m.action, n.action))
-    ji_n = _schedule(n.add, n.zero).depth
+    ji_m = len(join_irreducibles(m.add, m.zero))
+    ji_n = len(join_irreducibles(n.add, n.zero))
     check_bound(EnumGuard, "bimorphism candidates",
-                c_size ** (plan.depth * ji_n), "max_enum", max_enum)
+                c_size ** (ji_m * ji_n), "max_enum", max_enum)
 
+    plan = _schedule(m.add, m.zero, m.action)
     homs = _monoid_homs(n.add, n.zero, c_size, c_add, c_zero) \
         if plan.depth else ()
     rows = list(homs)
@@ -657,7 +496,7 @@ def check_universal_property(t: TensorProduct,
 
     Test targets are the commutative monoids of size up to three plus the
     additive monoids of the two factors. Per target, the monoid homs out
-    of the quotient are enumerated once, as folds of their values on the
+    of the quotient are enumerated once, by the level search over its
     join-irreducible classes, and counted by their values on pure tensors.
     A bimorphism factors when its count is nonzero and factors uniquely
     when the count is one.
@@ -669,16 +508,16 @@ def check_universal_property(t: TensorProduct,
     join = t.join_table
     tensors = [t.tensor(x, y)
                for x in range(t.left.size) for y in range(t.right.size)]
-    quotient = _schedule(join, t.zero_class)
+    depth = len(join_irreducibles(join, t.zero_class))
 
     bim_count = 0
     existence_failures = 0
     uniqueness_failures = 0
     for (c_size, c_add, c_zero) in family:
         check_bound(EnumGuard, "candidate homs out of the quotient",
-                    c_size ** quotient.depth, "max_enum", max_enum)
+                    c_size ** depth, "max_enum", max_enum)
         hits = Counter(tuple(v[tc] for tc in tensors)
-                       for v in quotient.search(
+                       for v in _schedule(join, t.zero_class).search(
                            range(c_size), c_add, c_zero,
                            _sum_laws(c_size, c_add, c_zero)))
         for f in bimorphisms(t.left, t.right, c_size, c_add, c_zero, max_enum):

@@ -1,7 +1,15 @@
 """The linear combinations of the matrix side written as plain Python
 loops, each entry folded by semiring.fold from the scalar zero in index
 order: the oracles of semiring._combine's callers in mvsr.matrix,
-mvsr.projective and mvsr.grothendieck."""
+mvsr.projective and mvsr.grothendieck. Also the hom-set by generate and
+test, the oracle of the level search behind semimodule.hom_set."""
+import numpy as np
+
+from mvsr.config import MAX_ENUM
+from mvsr.errors import EnumGuard, ScalarMismatch, check_bound
+from mvsr.semimodule import (_assignments, _chunk_rows, _derivation,
+                             _hom_mask, minimal_generating_set)
+from mvsr.semiring import same_scalars
 
 
 def product_by_loop(a, b):
@@ -50,3 +58,31 @@ def cover_by_loop(m, gens, free):
     of free to its combination of the generators."""
     return tuple(m.sum(m.act(c, g) for c, g in zip(free.vector(i), gens))
                  for i in range(free.size))
+
+
+def hom_rows_by_product(m, n, max_enum=MAX_ENUM):
+    """Every hom m -> n as rows of (k, |m|) arrays, lazily, ordered
+    lexicographically by generator images: every assignment of images to
+    the minimal generators, a chunk of assignments at a time, extended
+    along the derivation of each element and masked by the hom laws in
+    one array sweep."""
+    if not same_scalars(m.scalars, n.scalars):
+        raise ScalarMismatch("hom set needs a common scalar semiring")
+    gens = minimal_generating_set(m)
+    order, deriv = _derivation(m.add, m.zero, m.action, gens)
+    check_bound(EnumGuard, "hom-set candidate assignments",
+                n.size ** len(gens), "max_enum", max_enum)
+    n_add, n_act = n.np_add, n.np_action
+    for assign in _assignments(n.size, len(gens), _chunk_rows(m)):
+        img = np.empty((len(assign), m.size), dtype=np.intp)
+        for x in order:
+            kind, *args = deriv[x]
+            if kind == "zero":
+                img[:, x] = n.zero
+            elif kind == "gen":
+                img[:, x] = assign[:, args[0]]
+            elif kind == "add":
+                img[:, x] = n_add[img[:, args[0]], img[:, args[1]]]
+            else:
+                img[:, x] = n_act[args[0], img[:, args[1]]]
+        yield img[_hom_mask(m, n, img)]

@@ -9,8 +9,8 @@ from folds import (block_diag_by_loop, cover_by_loop,
                    hom_from_matrix_by_loop, is_idempotent_by_loop,
                    product_by_loop)
 from mvsr.cli import main
-from mvsr.errors import (NoDecomposition, NotFreeBasis, ShapeMismatch,
-                         SizeGuard)
+from mvsr.errors import (MalformedTable, NoDecomposition, NotFreeBasis,
+                         ScalarMismatch, ShapeMismatch, SizeGuard)
 from mvsr.jsonio import canonical_dumps, mv_to_dict, semiring_to_dict
 from mvsr.matrix import (SemiringMatrix, _block_sum, _cover, block_diag, eta,
                          hom_from_matrix, idempotent_matrices,
@@ -250,6 +250,37 @@ def test_hom_from_matrix_needs_free_modules(three):
         matrix_from_hom(SemimoduleHom(sub, sub, (0, 1)))
     with pytest.raises(ShapeMismatch):
         hom_from_matrix(mk(three, [[0], [0]]), free, free)
+
+
+def test_hom_from_matrix_refuses_other_scalars(three):
+    """A 1x1 matrix over c4 with entry 2 read on the free module on one
+    point: over c2 x c2, also of four elements, it would give the map
+    (0, 0, 2, 2), a hom that validates; over B its entry is no scalar.
+    Both are refused, and so is a target over other scalars than the
+    source."""
+    c4 = reduct_vee_odot(lukasiewicz_chain(4))
+    square = reduct_vee_odot(mv_product(lukasiewicz_chain(2),
+                                        lukasiewicz_chain(2)))
+    k = mk(c4, [[2]])
+    for s in (square, boolean_semiring()):
+        free = free_semimodule(s, ["x"])
+        with pytest.raises(ScalarMismatch):
+            hom_from_matrix(k, free, free)
+    with pytest.raises(ScalarMismatch):
+        hom_from_matrix(mk(c4, [[2]]), free_semimodule(c4, ["x"]),
+                        free_semimodule(square, ["y"]))
+
+
+@pytest.mark.parametrize("gens", [(2.9,), ("2",), (7,)])
+def test_lift_hom_refuses_generators_that_are_no_elements(three, gens):
+    """2.9 and '2' were read as generator 2, and 7 ended in an
+    IndexError."""
+    m = module_over_self(three)
+    identity = SemimoduleHom(m, m, (0, 1, 2))
+    with pytest.raises(MalformedTable, match="^generators "):
+        lift_hom(identity, gens, (2,))
+    with pytest.raises(MalformedTable, match="^generators "):
+        lift_hom(identity, (2,), gens)
 
 
 def test_lift_hom_square_commutes(three):

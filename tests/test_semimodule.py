@@ -1,5 +1,7 @@
 import itertools
+import random
 
+import numpy as np
 import pytest
 
 import mvsr.semimodule
@@ -10,7 +12,7 @@ from mvsr.mv import (lukasiewicz_chain, mv_product, quotient, reduct_vee_odot,
                      star_reduct_isomorphism)
 from mvsr.semimodule import (FiniteSemimodule, FreeSemimodule,
                              SemimoduleHom, _broken_law,
-                             _derivation_order, _module_laws_hold,
+                             _derivation, _module_laws_hold,
                              additive_monoid_module,
                              check_semimodule,
                              compose_module_homs, end_semiring,
@@ -27,6 +29,7 @@ from mvsr.semiring import (FiniteSemiring, SemiringHom, boolean_semiring,
 from mvsr.tensor import enumerate_modules
 
 from capped import run_capped
+from folds import hom_rows_by_product
 
 
 @pytest.fixture
@@ -210,6 +213,13 @@ def test_generate_and_minimal_generators(three):
     assert minimal_generating_set(trivial_module(three)) == ()
 
 
+@pytest.mark.parametrize("gens", [(5,), (1.0,), (True,), ("1",)])
+def test_generate_refuses_generators_that_are_no_elements(three, gens):
+    """5 ended in an IndexError and 1.0 in a TypeError."""
+    with pytest.raises(MalformedTable, match="^generators "):
+        generate(module_over_self(three), gens)
+
+
 def _minimal_generating_set_by_restart(m):
     """Greedy removal, rescanning from the start after each removal."""
     cur = [x for x in range(m.size) if x != m.zero]
@@ -374,7 +384,7 @@ def _iter_homs_by_assignment(m, n):
     """Every hom m -> n, one generator assignment at a time: each candidate
     is extended along the derivation order and checked cell by cell."""
     gens = minimal_generating_set(m)
-    order, deriv = _derivation_order(m, gens)
+    order, deriv = _derivation(m.add, m.zero, m.action, gens)
     img = [0] * m.size
     for assign in itertools.product(range(n.size), repeat=len(gens)):
         for x in order:
@@ -437,6 +447,80 @@ def test_iter_homs_matches_the_assignment_scan_on_restrictions():
         pairs += [(m, n) for m in restricted for n in restricted]
     assert len(pairs) == 4 * 13 ** 2 + 33 ** 2
     _homs_match_the_assignment_scan(pairs)
+
+
+def _lattice_module(s, below):
+    """The lattice over s whose element x lies above those in below[x],
+    bottom 0, with scalar 0 acting as zero and scalar 1 as the identity."""
+    n = len(below)
+    down = [{x} for x in range(n)]
+    for x in range(n):
+        for y in below[x]:
+            down[x] |= down[y]
+    join = [[min((z for z in range(n) if down[x] | down[y] <= down[z]),
+                 key=lambda z: len(down[z])) for y in range(n)]
+            for x in range(n)]
+    return FiniteSemimodule(s, n, join, 0, ((0,) * n, tuple(range(n))))
+
+
+def _drawn_module(rng, s):
+    """A module over s of one to four elements with drawn addition, zero
+    and action rows: most break some module law."""
+    size = rng.randint(1, 4)
+
+    def table(rows):
+        return tuple(tuple(rng.randrange(size) for _ in range(size))
+                     for _ in range(rows))
+    return FiniteSemimodule(s, size, table(size), rng.randrange(size),
+                            table(s.size))
+
+
+def _rows_match_the_product(pairs):
+    """Each hom set's rows are the product oracle's, in order; returns how
+    many hom sets were empty."""
+    empty = 0
+    for m, n in pairs:
+        want = np.concatenate(list(hom_rows_by_product(m, n)))
+        got = hom_set(m, n).rows
+        assert got.shape == want.shape == (len(want), m.size)
+        assert (got == want).all()
+        empty += not len(got)
+    return empty
+
+
+def test_hom_set_rows_match_the_product(boolean, three):
+    """Every pair of modules over B of size at most 4 and over the 3-chain
+    reduct of size at most 3, and every pair of the benchmark's cli
+    modules over a common scalar semiring."""
+    pairs = []
+    for s, bound in ((boolean, 4), (three, 3)):
+        modules = enumerate_modules(s, bound)
+        pairs += [(m, n) for m in modules for n in modules]
+    on_b = [free_semimodule(boolean, "xy")]
+    on_b += [_lattice_module(boolean, below) for below in (
+        [[], [0], [1]], [[], [0], [1], [0], [2, 3]],
+        [[], [0], [0], [0], [1, 2, 3]])]
+    on_c3 = [module_over_self(three), free_semimodule(three, "xy"),
+             generate(module_over_self(three), (1,))]
+    pairs += [(m, n) for family in (on_b, on_c3)
+              for m in family for n in family]
+    assert len(pairs) == 13 ** 2 + 6 ** 2 + 4 ** 2 + 3 ** 2
+    assert _rows_match_the_product(pairs) == 0
+
+
+def test_hom_set_rows_match_the_product_on_lawless_modules(boolean, three):
+    """200 seeded lawless modules over B and the 3-chain reduct, paired
+    with each other both ways and with a lawful module; some have no hom,
+    and their hom set keeps the shape (0, |source|)."""
+    rng = random.Random(20104)
+    lawful = {s: enumerate_modules(s, 3) for s in (boolean, three)}
+    pairs = []
+    for _ in range(100):
+        s = rng.choice((boolean, three))
+        m, n = _drawn_module(rng, s), _drawn_module(rng, s)
+        other = rng.choice(lawful[s])
+        pairs += [(m, n), (n, m), (m, other), (other, n)]
+    assert _rows_match_the_product(pairs) > 0
 
 
 def test_assignment_chunks_stay_within_their_rows():

@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+import mvsr.semimodule
 import mvsr.tensor
 from mvsr.config import MAX_CARRIER
 from mvsr.errors import (EnumGuard, IllDefinedAction, NotAHom, NotIdempotent,
@@ -12,7 +13,7 @@ from mvsr.errors import (EnumGuard, IllDefinedAction, NotAHom, NotIdempotent,
 from mvsr.mv import (lukasiewicz_chain, mv_product, quotient,
                      reduct_vee_odot)
 from mvsr.projective import are_isomorphic
-from mvsr.semimodule import (FiniteSemimodule, _hom_mask, _hom_rows,
+from mvsr.semimodule import (FiniteSemimodule, _hom_mask,
                              check_semimodule, end_semiring,
                              free_semimodule, hom_set,
                              module_over_self, restrict_scalars,
@@ -20,7 +21,7 @@ from mvsr.semimodule import (FiniteSemimodule, _hom_mask, _hom_rows,
 from mvsr.semiring import FiniteSemiring, SemiringHom, boolean_semiring, fold
 from mvsr.tensor import (FreeSemilattice, SemilatticeCongruence,
                          TensorProduct, _commutative_monoid_tables,
-                         _downsets, _monoid_homs, adjunction_witness,
+                         _monoid_homs, adjunction_witness,
                          as_module,
                          bimorphisms, check_universal_property,
                          commutative_monoids_upto, congruence_closure,
@@ -29,6 +30,8 @@ from mvsr.tensor import (FreeSemilattice, SemilatticeCongruence,
                          join_irreducibles, scalar_structures,
                          tensor_product, tensor_report, truncation_demo,
                          zeta_isomorphism)
+
+from folds import hom_rows_by_product
 
 
 @pytest.fixture
@@ -473,6 +476,12 @@ def test_join_irreducibles_match_the_comprehension(boolean):
         assert join_irreducibles(np.array(add), zero) == want
 
 
+def _downsets(add, elements):
+    """For each x of a join table, the positions i with elements[i] <= x."""
+    return tuple(tuple(i for i, e in enumerate(elements) if add[e][x] == x)
+                 for x in range(len(add)))
+
+
 def _is_monoid_hom(v, join, zero, c_add, c_zero):
     """v sends zero to the monoid zero and joins to sums."""
     size = len(join)
@@ -676,35 +685,68 @@ def _lawless_targets(rng, count):
 
 
 def test_monoid_homs_fold_the_zero_before_checking_it():
-    """In ((0, 1), (0, 1)) with zero 0, the zero lies above the one
-    join-irreducible 1, since 1 + 0 = 0: v[0] is the fold c_zero + v[1],
-    so only v[1] = 0 passes the zero check in B. Checking v[zero] before
-    folding it would keep (1, 1) as well."""
+    """In ((0, 1), (0, 1)) with zero 0, 1 + 0 = 0, so a monoid hom into B
+    has v[0] = v[1] + v[0], and v[0] = 0 forces v[1] = 0. The product
+    folds v[0] = 0 + v[1] over the downset of 0, which holds 1, so it too
+    must check v[zero] only after folding it, or it keeps (1, 1) as
+    well."""
     chain = ((0, 1), (1, 1))
     assert _monoid_homs(((0, 1), (0, 1)), 0, 2, chain, 0) == ((0, 0),)
     assert _monoid_homs_by_product(((0, 1), (0, 1)), 0, 2, chain, 0) == \
         ((0, 0),)
 
 
+def _monoid_homs_by_definition(add, zero, c_size, c_add, c_zero):
+    """Every map out of the table add into C that _is_monoid_hom accepts,
+    in lexicographic order."""
+    return tuple(v for v in itertools.product(range(c_size), repeat=len(add))
+                 if _is_monoid_hom(v, add, zero, c_add, c_zero))
+
+
 def test_monoid_homs_match_the_product_on_lawless_tables():
     """Seeded lawless join tables of one to four elements, with a drawn
     zero, and the join semilattices of up to four elements, into lawless
-    and lawful targets."""
+    and lawful targets. The semilattices are held to the product over
+    their join-irreducibles. The lawless tables are held to every map that
+    is a monoid hom by definition, of which the product finds a subset:
+    it folds each value over a downset, and on 24 of these cases a hom out
+    of a lawless table is no such fold."""
     rng = random.Random(20101)
-    sources = [(((0, 1), (0, 1)), 0)]
-    sources += [(add, 0) for size in range(1, 5)
-                for add in _commutative_monoid_tables(size, True, 10**6)]
+    lawful = [(add, 0) for size in range(1, 5)
+              for add in _commutative_monoid_tables(size, True, 10**6)]
+    lawless = [(((0, 1), (0, 1)), 0)]
     for _ in range(150):
         size = rng.randint(1, 4)
-        sources.append((_lawless_table(rng, size), rng.randrange(size)))
+        lawless.append((_lawless_table(rng, size), rng.randrange(size)))
     targets = _lawless_targets(rng, 6)
-    kept = 0
-    for add, zero in sources:
+    kept = missed = 0
+    for add, zero in lawful:
         for c in targets:
             found = _monoid_homs(add, zero, *c)
             assert found == _monoid_homs_by_product(add, zero, *c)
             kept += len(found)
-    assert kept > 0
+    for add, zero in lawless:
+        for c in targets:
+            found = _monoid_homs(add, zero, *c)
+            assert found == _monoid_homs_by_definition(add, zero, *c)
+            product = _monoid_homs_by_product(add, zero, *c)
+            assert set(product) <= set(found)
+            missed += product != found
+            kept += len(found)
+    assert (len(lawful) + len(lawless)) * len(targets) == 2788
+    assert kept > 0 and missed == 24
+
+
+def test_monoid_homs_out_of_a_right_projection():
+    """In ((0, 1), (0, 1)) every sum is its right summand. Into the same
+    table with zero 1, a map is a monoid hom exactly when it sends 0 to 1,
+    so (1, 0) is one. The product folds v[0] = 1 + v[1] = v[1], since
+    1 + 0 = 0 puts 1 below 0, and misses it."""
+    table = ((0, 1), (0, 1))
+    assert _monoid_homs(table, 0, 2, table, 1) == ((1, 0), (1, 1))
+    assert _monoid_homs_by_definition(table, 0, 2, table, 1) == \
+        ((1, 0), (1, 1))
+    assert _monoid_homs_by_product(table, 0, 2, table, 1) == ((1, 1),)
 
 
 def test_bimorphisms_match_the_product_on_lawless_modules(boolean):
@@ -753,20 +795,20 @@ def test_bimorphism_guard(free2):
 
 def test_guards_fire_before_the_checks_are_filed(free2, self_mod):
     """A tripped guard leaves each plan with its levels only: the |add|^2
-    join pairs and the balance triples are filed by the first search."""
-    mvsr.tensor._schedule.cache_clear()
+    sum checks and the move checks are filed by the first search."""
+    mvsr.semimodule._schedule.cache_clear()
     big = free_semimodule(boolean_semiring(), list("pqrs"))
     with pytest.raises(EnumGuard):
         bimorphisms(big, big, 3, ((0, 1, 2), (1, 1, 2), (2, 2, 2)), 0,
                     max_enum=1000)
-    plan = mvsr.tensor._schedule(big.add, big.zero, (big.action, big.action))
-    assert plan.depth == 4 and not {"pairs", "balance"} & set(vars(plan))
+    plan = mvsr.semimodule._schedule(big.add, big.zero, big.action)
+    assert plan.depth == 4 and not {"sums", "moves"} & set(vars(plan))
     t = tensor_product(free2, self_mod)
     with pytest.raises(EnumGuard, match=r"^candidate homs out of the "
                        r"quotient: 1 exceeds max_enum=0$"):
         check_universal_property(t, max_enum=0)
-    plan = mvsr.tensor._schedule(t.join_table, t.zero_class)
-    assert plan.depth == 2 and "pairs" not in vars(plan)
+    plan = mvsr.semimodule._schedule(t.join_table, t.zero_class)
+    assert plan.depth == 2 and "sums" not in vars(plan)
 
 
 def test_universal_property_smallest(self_mod):
@@ -1246,7 +1288,7 @@ def _stray_by_enumeration(h, modules, restrict=restrict_scalars,
     stray = 0
     for mb, ma in zip(modules, restricted):
         for nb, na in zip(modules, restricted):
-            for rows in _hom_rows(ma, na, max_enum):
+            for rows in hom_rows_by_product(ma, na, max_enum):
                 stray += len(rows) - int(_hom_mask(mb, nb, rows).sum())
     return stray
 
