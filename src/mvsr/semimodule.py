@@ -182,6 +182,7 @@ class FreeSemimodule(FiniteSemimodule):
         object.__setattr__(self, "points", tuple(str(p) for p in self.points))
 
     def vector(self, i: int) -> Tuple[int, ...]:
+        i = _index_grid(i, (), self.size, "vector")
         out = []
         for _ in self.points:
             out.append(i % self.scalars.size)
@@ -190,8 +191,9 @@ class FreeSemimodule(FiniteSemimodule):
 
     def index(self, vec: Sequence[int]) -> int:
         i = 0
-        for v in vec:
-            i = i * self.scalars.size + int(v)
+        for v in _index_grid(vec, (len(self.points),), self.scalars.size,
+                             "vector"):
+            i = i * self.scalars.size + v
         return i
 
     @cached_property

@@ -8,8 +8,9 @@ tensors absorb either bottom), and slides a scalar across the pair; by
 induction the binary joins and bottoms collapse every finite join. It is
 found by its closed sets, not by merging subsets: each generating pair
 becomes two implications, the closed sets are enumerated one singleton
-step at a time, and every subset is then classed by one table lookup. The
-tensor product is the quotient, with the least subset per class, under
+step at a time into a step table, and that table is the whole quotient: a
+subset is classed by folding it over the subset's members. The tensor
+product is the quotient, with the least subset per class, under
 cardinality then member order, as its canonical representative. The
 congruence keeps the pairs it was closed on, and scalars act on the
 quotient through the left slot: a scalar moves each class's
@@ -55,75 +56,63 @@ from .semimodule import (FiniteSemimodule, HomSemilattice, SemimoduleHom,
                          _schedule, _sum_laws, check_semimodule, _first_hom,
                          _require_homs, free_semimodule, hom_set,
                          module_over_self, restrict_scalars, trivial_module)
-from .semiring import (FiniteSemiring, SemiringHom, _combine,
+from .semiring import (FiniteSemiring, SemiringHom, _combine, _index_grid,
                        is_additively_idempotent, same_scalars)
 from .semiring import AxiomReport
 
 
-# ----- free semilattices and their congruences ----------------------------
+# ----- congruences on the free semilattice ---------------------------------
 
-@dataclass(frozen=True)
-class FreeSemilattice:
-    """Powerset of the base with union; subsets are bitmasks."""
-
-    base: Tuple
-
-    @property
-    def size(self) -> int:
-        return 1 << len(self.base)
-
-    def join(self, a: int, b: int) -> int:
-        return a | b
-
-    def members(self, mask: int) -> Tuple[int, ...]:
-        return tuple(i for i in range(len(self.base)) if mask >> i & 1)
+def _members(mask: int) -> List[int]:
+    """The set bits of a mask, in increasing order."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 @dataclass(frozen=True)
 class SemilatticeCongruence:
-    """Partition of a free semilattice, compatible with union, with the
-    subset pairs it was closed on."""
+    """A union-compatible partition of the subsets of range(width), coded
+    as bitmasks, with the subset pairs it was closed on. step[c][i] is the
+    class of class c joined with the singleton {i}; class 0 holds the
+    empty set."""
 
-    lattice: FreeSemilattice
-    class_of: Tuple[int, ...]
+    width: int
+    step: Tuple[Tuple[int, ...], ...]
     representatives: Tuple[int, ...]
     generators: Tuple[Tuple[int, int], ...]
 
     def __len__(self) -> int:
         return len(self.representatives)
 
-    def union_compatibility_witness(self) -> Optional[Tuple[int, int, int]]:
-        """First (a, b, c) with a ~ b but a|c !~ b|c, or None."""
-        cls = np.array(self.class_of, dtype=np.intp)
-        masks = np.arange(self.lattice.size, dtype=np.intp)
-        reps = np.array([self.representatives[c] for c in self.class_of],
-                        dtype=np.intp)
-        for c in range(self.lattice.size):
-            bad = np.nonzero(cls[masks | c] != cls[reps | c])[0]
-            if bad.size:
-                a = int(bad[0])
-                return (a, self.representatives[self.class_of[a]], c)
-        return None
+    def joined(self, c: int, mask: int) -> int:
+        """The class of class c joined with the subset mask, one step per
+        member; the partition is union-compatible, so the order of the
+        steps does not matter."""
+        for i in _members(mask):
+            c = self.step[c][i]
+        return c
+
+    def class_of(self, mask: int) -> int:
+        return self.joined(0, mask)
 
 
-def congruence_closure(lattice: FreeSemilattice,
-                       pairs: Sequence[Tuple[int, int]],
+def congruence_closure(width: int, pairs: Sequence[Tuple[int, int]],
                        max_carrier: int = MAX_CARRIER) -> SemilatticeCongruence:
-    """Least semilattice congruence containing the given subset pairs.
+    """Least semilattice congruence on the subsets of range(width) that
+    holds the given subset pairs.
 
     Each pair (u, v) is read as the implications u => v and v => u, and two
     subsets are congruent exactly when their closures under them agree
     (Ganter & Wille, Formal Concept Analysis). Only the closed sets are
     enumerated: the closure of the empty set, then each closed set joined
-    once with every singleton, into a step table. A mask's class is one
-    lookup, the step from the class of the mask without its top bit. Each
-    class is represented by its first mask in itertools.combinations order,
-    the least under cardinality then member order, and classes are
-    numbered in the order of their representatives' masks.
+    once with every singleton, into the step table. A subset is classed by
+    folding that table over its members, so nothing indexed by all 2^width
+    subsets is built. Each class is represented by its first subset in
+    itertools.combinations order, the least under cardinality then member
+    order, and classes are numbered in the order of their representatives'
+    masks.
     """
-    total = lattice.size
-    check_bound(SizeGuard, "free semilattice carrier", total, "max_carrier",
-                max_carrier)
+    check_bound(SizeGuard, "free semilattice carrier", 1 << width,
+                "max_carrier", max_carrier)
     generators = tuple(pairs)
     rules = sorted({(u, v) for a, b in generators for u, v in ((a, b), (b, a))
                     if v & ~u})
@@ -141,7 +130,6 @@ def congruence_closure(lattice: FreeSemilattice,
                 return mask
             mask, pending = grown, rest
 
-    width = len(lattice.base)
     closed = [close(0)]
     index = {closed[0]: 0}
     step: List[List[int]] = []
@@ -159,18 +147,15 @@ def congruence_closure(lattice: FreeSemilattice,
             row.append(k)
         step.append(row)
 
-    closed_of = [0]
-    for i in range(width):
-        column = [row[i] for row in step]
-        closed_of += [column[c] for c in closed_of]
-
     reps: List[Optional[int]] = [None] * len(closed)
     missing = len(closed)
     for k in range(width + 1):
         for members in itertools.combinations(range(width), k):
-            mask = sum(1 << i for i in members)
-            if reps[closed_of[mask]] is None:
-                reps[closed_of[mask]] = mask
+            c = 0
+            for i in members:
+                c = step[c][i]
+            if reps[c] is None:
+                reps[c] = sum(1 << i for i in members)
                 missing -= 1
         if not missing:
             break
@@ -178,17 +163,20 @@ def congruence_closure(lattice: FreeSemilattice,
     rank = [0] * len(closed)
     for new, old in enumerate(order):
         rank[old] = new
-    return SemilatticeCongruence(lattice, tuple(rank[c] for c in closed_of),
-                                 tuple(reps[c] for c in order), generators)
+    return SemilatticeCongruence(
+        width, tuple(tuple(rank[k] for k in step[old]) for old in order),
+        tuple(reps[c] for c in order), generators)
 
 
 # ----- the tensor product --------------------------------------------------
 
 @dataclass(frozen=True)
 class TensorProduct:
+    """The subsets of M x N modulo the tensor congruence; the pair (x, y)
+    is bit x * |N| + y of a subset."""
+
     left: FiniteSemimodule
     right: FiniteSemimodule
-    lattice: FreeSemilattice
     congruence: SemilatticeCongruence
 
     @property
@@ -196,23 +184,24 @@ class TensorProduct:
         return len(self.congruence)
 
     def pair_index(self, x: int, y: int) -> int:
+        x = _index_grid(x, (), self.left.size, "left factor element")
+        y = _index_grid(y, (), self.right.size, "right factor element")
         return x * self.right.size + y
 
     def tensor(self, x: int, y: int) -> int:
-        return self.congruence.class_of[1 << self.pair_index(x, y)]
+        return self.congruence.step[0][self.pair_index(x, y)]
 
     @property
     def zero_class(self) -> int:
-        return self.congruence.class_of[0]
+        return 0
 
     def join(self, c: int, d: int) -> int:
-        reps = self.congruence.representatives
-        return self.congruence.class_of[reps[c] | reps[d]]
+        return self.congruence.joined(c, self.congruence.representatives[d])
 
     def pairs_of(self, c: int) -> Tuple[Tuple[int, int], ...]:
         """Pairs of the canonical representative subset."""
         rep = self.congruence.representatives[c]
-        return tuple(self.lattice.base[i] for i in self.lattice.members(rep))
+        return tuple(divmod(i, self.right.size) for i in _members(rep))
 
     @cached_property
     def join_table(self) -> Tuple[Tuple[int, ...], ...]:
@@ -225,7 +214,7 @@ class TensorProduct:
         mask = 0
         for (x, y) in pairs:
             mask |= 1 << self.pair_index(x, y)
-        return self.congruence.class_of[mask]
+        return self.congruence.class_of(mask)
 
     def extend(self, values: np.ndarray, add: np.ndarray,
                zero: int) -> np.ndarray:
@@ -255,9 +244,8 @@ def tensor_product(m: FiniteSemimodule, n: FiniteSemimodule,
     if not is_additively_idempotent(m.scalars):
         raise NotIdempotent("tensor products need additively idempotent "
                             "scalars")
-    base = tuple((x, y) for x in range(m.size) for y in range(n.size))
-    lattice = FreeSemilattice(base)
-    check_bound(SizeGuard, "free semilattice carrier", lattice.size,
+    width = m.size * n.size
+    check_bound(SizeGuard, "free semilattice carrier", 1 << width,
                 "max_carrier", max_carrier)
 
     def p(x: int, y: int) -> int:
@@ -277,8 +265,7 @@ def tensor_product(m: FiniteSemimodule, n: FiniteSemimodule,
             for y in range(n.size):
                 pairs.append((1 << p(m.act(a, x), y), 1 << p(x, n.act(a, y))))
 
-    return TensorProduct(m, n, lattice,
-                         congruence_closure(lattice, pairs, max_carrier))
+    return TensorProduct(m, n, congruence_closure(width, pairs, max_carrier))
 
 
 def _class_labels(t: TensorProduct) -> Tuple[str, ...]:
@@ -307,33 +294,35 @@ def scalar_structures(t: TensorProduct, scalars: FiniteSemiring,
     alone. Right actions are identified with left ones, since x tensor
     (a y) = (a x) tensor y.
 
-    Every generating pair and representative is moved by every scalar at
-    once: bit i of a mask, the pair (x, y), becomes 1 << p(b x, y) through
-    a per-bit table, and the moved bits are or-ed together.
+    Each distinct subset among the generating pairs and representatives
+    is split into its members once, and each scalar moves it by folding
+    the step table over its members' moved pairs; the first generating
+    pair that a scalar splits, in scalar then pair order, is named.
     """
-    cong, base = t.congruence, t.lattice.base
-    gen_count = len(cong.generators)
-    # class_of holds all 2^len(base) masks, so every mask fits in int64
-    masks = np.array([w for pair in cong.generators for w in pair]
-                     + list(cong.representatives), dtype=np.int64)
-    bits = ((masks[:, None] >> np.arange(len(base))) & 1).astype(bool)
-    xs = np.array([x for x, _ in base], dtype=np.intp)
-    ys = np.array([y for _, y in base], dtype=np.intp)
-    move = np.array([action[b] for b in range(scalars.size)], dtype=np.intp)
-    table = np.int64(1) << (move[:, xs] * t.right.size + ys)
-    moved = np.bitwise_or.reduce(np.where(bits, table[:, None, :], 0), axis=2)
-    classes = np.array(cong.class_of, dtype=np.intp)[moved.astype(np.intp)]
-    cu, cv = classes[:, 0:2 * gen_count:2], classes[:, 1:2 * gen_count:2]
-    bad = np.argwhere(cu != cv)
-    if len(bad):
-        b, k = (int(i) for i in bad[0])
-        u, v = cong.generators[k]
-        raise IllDefinedAction(
-            f"scalar {b} sends the generating pair of subsets "
-            f"({u}, {v}) to distinct classes {int(cu[b, k])} and "
-            f"{int(cv[b, k])}")
+    action = _index_grid(action, (scalars.size, t.left.size), t.left.size,
+                         "action")
+    cong, n = t.congruence, t.right.size
+    pairs = [divmod(i, n) for i in range(cong.width)]
+    image = dict.fromkeys([w for pair in cong.generators for w in pair]
+                          + list(cong.representatives))
+    members = [_members(mask) for mask in image]
+    rows = []
+    for b, row in enumerate(action):
+        moved = [row[x] * n + y for x, y in pairs]
+        for mask, bits in zip(image, members):
+            c = 0
+            for i in bits:
+                c = cong.step[c][moved[i]]
+            image[mask] = c
+        for u, v in cong.generators:
+            if image[u] != image[v]:
+                raise IllDefinedAction(
+                    f"scalar {b} sends the generating pair of subsets "
+                    f"({u}, {v}) to distinct classes {image[u]} and "
+                    f"{image[v]}")
+        rows.append(tuple(image[rep] for rep in cong.representatives))
     return FiniteSemimodule(scalars, t.class_count, t.join_table, t.zero_class,
-                            classes[:, 2 * gen_count:], _class_labels(t))
+                            tuple(rows), _class_labels(t))
 
 
 def as_module(t: TensorProduct) -> FiniteSemimodule:

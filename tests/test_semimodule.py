@@ -149,6 +149,19 @@ def test_free_module_indexing(three):
     assert check_semimodule(three, f).valid
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda f: f.index([5]), "vector table entry 5 out of range 0..1"),
+    (lambda f: f.index([0, 1]), "vector table must have 1 entries"),
+    (lambda f: f.index([1.5]), "vector entry 1.5 is not an integer"),
+    (lambda f: f.vector(5), "vector index 5 out of range 0..1"),
+])
+def test_free_module_indexing_refuses_what_is_not_in_the_carrier(
+        boolean, call, message):
+    f = free_semimodule(boolean, ["x"])
+    with pytest.raises(MalformedTable, match=f"^{message}$"):
+        call(f)
+
+
 def test_free_module_guard(three):
     from mvsr.errors import SizeGuard
     with pytest.raises(SizeGuard):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import time
@@ -8,8 +9,8 @@ import pytest
 import mvsr.semimodule
 import mvsr.tensor
 from mvsr.config import MAX_CARRIER
-from mvsr.errors import (EnumGuard, IllDefinedAction, NotAHom, NotIdempotent,
-                         NotOnto, ScalarMismatch, SizeGuard)
+from mvsr.errors import (EnumGuard, IllDefinedAction, MalformedTable, NotAHom,
+                         NotIdempotent, NotOnto, ScalarMismatch, SizeGuard)
 from mvsr.mv import (lukasiewicz_chain, mv_product, quotient,
                      reduct_vee_odot)
 from mvsr.projective import are_isomorphic
@@ -19,8 +20,8 @@ from mvsr.semimodule import (FiniteSemimodule, _hom_mask,
                              module_over_self, restrict_scalars,
                              trivial_module)
 from mvsr.semiring import FiniteSemiring, SemiringHom, boolean_semiring, fold
-from mvsr.tensor import (FreeSemilattice, SemilatticeCongruence,
-                         TensorProduct, _commutative_monoid_tables,
+from mvsr.tensor import (SemilatticeCongruence, TensorProduct,
+                         _commutative_monoid_tables,
                          _monoid_homs, adjunction_witness,
                          as_module,
                          bimorphisms, check_universal_property,
@@ -51,60 +52,81 @@ def free2(boolean):
 
 # ----- congruence machinery -------------------------------------------------
 
+def _members(mask):
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _classes(cong):
+    """The class of every subset, mask by mask."""
+    return tuple(cong.class_of(mask) for mask in range(1 << cong.width))
+
+
+def _union_compatibility_witness(cong):
+    """First (a, b, c) with a ~ b but a|c !~ b|c, b the representative of
+    a's class, or None: the partition fails to be a congruence exactly when
+    there is one."""
+    classes = _classes(cong)
+    for c in range(len(classes)):
+        for a in range(len(classes)):
+            b = cong.representatives[classes[a]]
+            if classes[a | c] != classes[b | c]:
+                return (a, b, c)
+    return None
+
+
 def test_closure_of_nothing_is_identity():
-    lat = FreeSemilattice(("a", "b"))
-    cong = congruence_closure(lat, [])
-    assert len(cong) == lat.size
-    assert cong.class_of == (0, 1, 2, 3)
-    assert cong.union_compatibility_witness() is None
+    cong = congruence_closure(2, [])
+    assert len(cong) == 4
+    assert _classes(cong) == (0, 1, 2, 3)
+    assert _agrees_with_union_find(cong)
 
 
 def test_closure_merges_the_join_too():
     # a ~ b forces a|b ~ b, so the two singletons and their union collapse
-    lat = FreeSemilattice(("a", "b"))
-    cong = congruence_closure(lat, [(1, 2)])
+    cong = congruence_closure(2, [(1, 2)])
     assert len(cong) == 2
-    assert cong.class_of[1] == cong.class_of[2] == cong.class_of[3]
-    assert cong.class_of[0] != cong.class_of[1]
-    assert cong.union_compatibility_witness() is None
+    assert cong.class_of(1) == cong.class_of(2) == cong.class_of(3)
+    assert cong.class_of(0) != cong.class_of(1)
+    assert _agrees_with_union_find(cong)
 
 
 def test_closure_bottom_equals_top_collapses_everything():
-    lat = FreeSemilattice(("a", "b"))
-    cong = congruence_closure(lat, [(0, 3)])
+    cong = congruence_closure(2, [(0, 3)])
     assert len(cong) == 1
 
 
 def test_closure_guard():
-    lat = FreeSemilattice(tuple(range(8)))
     with pytest.raises(SizeGuard, match=r"^free semilattice carrier: 256 "
                        r"exceeds max_carrier=100$"):
-        congruence_closure(lat, [], max_carrier=100)
+        congruence_closure(8, [], max_carrier=100)
 
 
 def test_incompatible_partition_yields_a_witness():
-    # glue the empty set to {a} but leave the rest alone: not a congruence
-    lat = FreeSemilattice(("a", "b"))
-    cong = SemilatticeCongruence(lat, (0, 0, 1, 2), (0, 2, 3), ((0, 1),))
-    w = cong.union_compatibility_witness()
+    # {a} and {b} share class 1, but joining {a} keeps {a} there and takes
+    # {b} to {a, b}, alone in class 2: not a congruence
+    cong = SemilatticeCongruence(2, ((1, 1), (1, 2), (2, 2)), (0, 1, 3),
+                                 ((1, 2),))
+    w = _union_compatibility_witness(cong)
     assert w is not None
     a, b, c = w
-    assert cong.class_of[a] == cong.class_of[b]
-    assert cong.class_of[lat.join(a, c)] != cong.class_of[lat.join(b, c)]
+    assert cong.class_of(a) == cong.class_of(b)
+    assert cong.class_of(a | c) != cong.class_of(b | c)
+    assert _union_compatibility_witness(congruence_closure(2, [(1, 2)])) \
+        is None
 
 
 def _subset_key(mask):
-    bits = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+    bits = _members(mask)
     return (len(bits), bits)
 
 
-def _congruence_by_union_find(lattice, pairs):
-    """(class_of, representatives, generators) of the least congruence,
-    by union-find over the whole powerset: each fresh merge (a, b)
-    enqueues (a|s, b|s) for every singleton s. Classes are numbered by
-    their representatives' masks, each the least member under
-    cardinality then member order."""
-    parent = list(range(lattice.size))
+def _congruence_by_union_find(width, pairs):
+    """(classes, representatives, generators) of the least congruence on
+    the subsets of range(width), by union-find over the whole powerset:
+    each fresh merge (a, b) enqueues (a|s, b|s) for every singleton s.
+    Classes are numbered by their representatives' masks, each the least
+    member under cardinality then member order."""
+    parent = list(range(1 << width))
 
     def find(x):
         while parent[x] != x:
@@ -112,7 +134,7 @@ def _congruence_by_union_find(lattice, pairs):
             x = parent[x]
         return x
 
-    singles = [1 << i for i in range(len(lattice.base))]
+    singles = [1 << i for i in range(width)]
     work = list(pairs)
     while work:
         a, b = work.pop()
@@ -124,20 +146,20 @@ def _congruence_by_union_find(lattice, pairs):
             work.append((a | s, b | s))
 
     roots = {}
-    for mask in range(lattice.size):
+    for mask in range(1 << width):
         roots.setdefault(find(mask), []).append(mask)
     blocks = sorted((min(block, key=_subset_key), block)
                     for block in roots.values())
-    class_of = [0] * lattice.size
+    classes = [0] * (1 << width)
     for index, (_, block) in enumerate(blocks):
         for mask in block:
-            class_of[mask] = index
-    return (tuple(class_of), tuple(rep for rep, _ in blocks), tuple(pairs))
+            classes[mask] = index
+    return (tuple(classes), tuple(rep for rep, _ in blocks), tuple(pairs))
 
 
 def _agrees_with_union_find(cong):
-    return (cong.class_of, cong.representatives, cong.generators) == \
-        _congruence_by_union_find(cong.lattice, cong.generators)
+    return (_classes(cong), cong.representatives, cong.generators) == \
+        _congruence_by_union_find(cong.width, cong.generators)
 
 
 def test_closure_matches_union_find_on_tensors(boolean):
@@ -178,12 +200,11 @@ def test_closure_matches_union_find_on_random_generators():
     sizes = set()
     for trial in range(400):
         width = trial % 9
-        lat = FreeSemilattice(tuple(range(width)))
-        pairs = [(rng.randrange(lat.size), rng.randrange(lat.size))
+        pairs = [(rng.randrange(1 << width), rng.randrange(1 << width))
                  for _ in range(rng.randrange(8))]
-        cong = congruence_closure(lat, pairs)
+        cong = congruence_closure(width, pairs)
         assert _agrees_with_union_find(cong)
-        sizes.add(len(cong) == 1 or len(cong) == lat.size)
+        sizes.add(len(cong) == 1 or len(cong) == 1 << width)
     assert sizes == {True, False}
 
 
@@ -212,14 +233,13 @@ def _subset_generators(m, n):
 
 
 def _tensor_by_subset_generators(m, n):
-    lattice = tensor_product(m, n).lattice
-    return TensorProduct(m, n, lattice, congruence_closure(
-        lattice, _subset_generators(m, n)))
+    return TensorProduct(m, n, congruence_closure(
+        m.size * n.size, _subset_generators(m, n)))
 
 
 def _same_classes(t, u):
-    return (t.congruence.class_of, t.congruence.representatives) == \
-        (u.congruence.class_of, u.congruence.representatives)
+    return (_classes(t.congruence), t.congruence.representatives) == \
+        (_classes(u.congruence), u.congruence.representatives)
 
 
 def test_binary_joins_generate_the_subset_congruence(boolean):
@@ -249,6 +269,23 @@ def test_binary_joins_generate_the_subset_congruence_on_scalar_extensions():
     assert checked == 13 + 13 + 33 + 13
 
 
+def test_scalar_extensions_keep_their_recorded_tables():
+    """as_module and scalar_structures on every extension of the onto maps
+    against the modules of size up to four: the add, zero, action and
+    labels of all 144 modules, pinned by the digest recorded for them
+    while the quotient still kept a table of every subset's class."""
+    digest = hashlib.sha1()
+    for h in _onto_maps():
+        b_over_a = restrict_scalars(h, module_over_self(h.target))
+        for mb in enumerate_modules(h.target, 4):
+            t = tensor_product(b_over_a, restrict_scalars(h, mb))
+            for module in (as_module(t),
+                           scalar_structures(t, h.target, h.target.mul)):
+                digest.update(repr((module.add, module.zero, module.action,
+                                    module.labels)).encode())
+    assert digest.hexdigest() == "5285b9ab7fed6d612bfa214ec77a9670cc275c96"
+
+
 # ----- the tensor product ---------------------------------------------------
 
 def test_scalars_tensor_scalars(boolean, self_mod):
@@ -257,7 +294,7 @@ def test_scalars_tensor_scalars(boolean, self_mod):
     assert t.tensor(0, 0) == t.tensor(0, 1) == t.tensor(1, 0) == t.zero_class
     assert t.tensor(1, 1) != t.zero_class
     assert t.generated_by_tensors()
-    assert t.congruence.union_compatibility_witness() is None
+    assert _agrees_with_union_find(t.congruence)
     assert are_isomorphic(as_module(t), self_mod) is not None
 
 
@@ -307,15 +344,15 @@ def _induced_action_by_sweep(t, scalars, action, slot):
     for b in range(scalars.size):
         row = [None] * t.class_count
         moved = action[b]
-        for mask in range(t.lattice.size):
+        for mask in range(1 << cong.width):
             img = 0
-            for i in t.lattice.members(mask):
-                x, y = t.lattice.base[i]
+            for i in _members(mask):
+                x, y = divmod(i, t.right.size)
                 if slot == "left":
                     img |= 1 << t.pair_index(moved[x], y)
                 else:
                     img |= 1 << t.pair_index(x, moved[y])
-            c, ic = cong.class_of[mask], cong.class_of[img]
+            c, ic = cong.class_of(mask), cong.class_of(img)
             if row[c] is None:
                 row[c] = ic
             elif row[c] != ic:
@@ -371,14 +408,14 @@ def test_scalar_action_on_generators_matches_the_sweep(boolean):
 def _scalar_structures_by_members(t, scalars, action):
     """The induced module found by moving each generating pair and each
     representative member by member, one scalar at a time."""
-    cong, base = t.congruence, t.lattice.base
+    cong = t.congruence
     rows = []
     for b in range(scalars.size):
         move = action[b]
 
         def image(mask):
-            return t.class_of_pairs((move[base[i][0]], base[i][1])
-                                    for i in t.lattice.members(mask))
+            return t.class_of_pairs((move[x], y) for x, y in (
+                divmod(i, t.right.size) for i in _members(mask)))
 
         for u, v in cong.generators:
             cu, cv = image(u), image(v)
@@ -423,6 +460,18 @@ def test_ill_defined_action_names_scalar_pair_and_classes(free2, self_mod):
                        r"generating pair of subsets \(\d+, \d+\) to "
                        r"distinct classes \d+ and \d+$"):
         scalar_structures(t, free2.scalars, action)
+
+
+@pytest.mark.parametrize("action,message", [
+    ([[0, 0], [0, -1]], "action table entry -1 out of range 0..1"),
+    ([[0, 0], [0, 5]], "action table entry 5 out of range 0..1"),
+    ([[0, 0]], "action table must be 2x2"),
+])
+def test_scalar_structures_refuse_a_malformed_action(boolean, self_mod,
+                                                     action, message):
+    t = tensor_product(self_mod, self_mod)
+    with pytest.raises(MalformedTable, match=f"^{message}$"):
+        scalar_structures(t, boolean, action)
 
 
 def test_scalar_extensions_match_the_sweep():
@@ -877,9 +926,9 @@ def test_universal_property_count_matches_the_scan(boolean):
     for m, n in pairs:
         t = tensor_product(m, n)
         assert check_universal_property(t) == _universal_property_by_scan(t)
-        top = t.lattice.size - 1
-        collapsed = TensorProduct(m, n, t.lattice,
-                                  congruence_closure(t.lattice, [(0, top)]))
+        width = m.size * n.size
+        collapsed = TensorProduct(m, n, congruence_closure(
+            width, [(0, (1 << width) - 1)]))
         verdict = check_universal_property(collapsed)
         assert verdict == _universal_property_by_scan(collapsed)
         collapsed_existence += verdict["existence_failures"]
@@ -935,6 +984,22 @@ def test_class_of_pairs_joins_tensors(free2, self_mod):
     assert t.class_of_pairs([]) == t.zero_class
     assert t.class_of_pairs([(1, 1), (2, 1)]) == \
         t.join(t.tensor(1, 1), t.tensor(2, 1))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda t: t.tensor(0, 2), "right factor element index 2 out of range "
+                               "0..1"),
+    (lambda t: t.class_of_pairs([(0, 3)]), "right factor element index 3 "
+                                           "out of range 0..1"),
+    (lambda t: t.tensor(-1, 1), "left factor element index -1 out of range "
+                                "0..3"),
+])
+def test_pairs_outside_the_factors_are_refused(free2, self_mod, call,
+                                               message):
+    # bit x * |N| + y alone would read (0, 2) as the pair (1, 0)
+    t = tensor_product(free2, self_mod)
+    with pytest.raises(MalformedTable, match=f"^{message}$"):
+        call(t)
 
 
 def test_tensor_report_schema(self_mod):
