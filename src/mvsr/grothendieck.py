@@ -7,18 +7,28 @@ least one. Padding a matrix with zero rows and columns only appends zero
 coordinates to its row space, so classification by module isomorphism
 absorbs the padding convention; zero_pad is exposed to keep that testable.
 
+Each size sweeps only the orbit minima of its idempotents under
+conjugation by permutation matrices (projective._orbit_minima): a
+conjugate P u P^T spans u's row space with the coordinates permuted, an
+isomorphic module, so the least idempotent of a class is the least of its
+orbit, and the classes, their names, the relations and the group are those
+of the sweep over every idempotent.
+
 Row spans are classed by projective._ClassIndex, which keeps one module
-per class; the presentations are kept next to it here. Each size's
-idempotents, and each size's block sums, are classed in one batched call:
-over scalars that keep the semiring laws their spans come from one sweep
-of the products xU, and from the closure of each matrix otherwise; block
-sums are matrix._block_sum. Induced maps class the image matrices and the
-block sums the same way, with the target monoid's index.
+per class; the presentations are kept next to it here. Each size's orbit
+minima, and each size's block sums, are classed in one batched call: over
+scalars that keep the semiring laws their spans come from one sweep of the
+products xU, and from the closure of each matrix otherwise; block sums are
+matrix._block_sum. Induced maps class the image matrices and the block
+sums the same way, with the target monoid's index.
 
 The completion is the abelian group presented by one generator per class
-modulo the recorded sum relations, reduced by exact integer Smith normal
-form. Everything is relative to the size bound and reports say so: no
-claim is made that the truncated monoid has converged.
+modulo the recorded sum relations. Every relation row is e_i + e_j - e_k,
+so the group is read off the +-1 pivots, eliminated in sparse form, and
+the exact integer Smith normal form of what they leave, if anything; the
+dense form of all the relations is taken only when a caller reads it.
+Everything is relative to the size bound and reports say so: no claim is
+made that the truncated monoid has converged.
 """
 from __future__ import annotations
 
@@ -35,9 +45,9 @@ from .jsonio import semiring_to_dict
 from .matrix import (SemiringMatrix, _block_sum, _idempotent_stack,
                      block_diag, is_mult_idempotent, mat_zero)
 from .mv import MvAlgebra, MvHom, reduct_vee_odot
-from .projective import ProjectivePresentation, _ClassIndex
+from .projective import ProjectivePresentation, _ClassIndex, _orbit_minima
 from .semimodule import FiniteSemimodule, SemimoduleHom
-from .semiring import FiniteSemiring, SemiringHom, same_scalars
+from .semiring import FiniteSemiring, SemiringHom, _index_grid, same_scalars
 from .snf import (IntMatrix, SmithNormalForm, int_matrix_mul,
                   smith_normal_form)
 
@@ -108,7 +118,7 @@ def enumerate_projective_classes(s: FiniteSemiring,
     index = _ClassIndex(s)
     classes, mats = [], []
     for n in range(1, n_max + 1):
-        us = _idempotent_stack(s, n, max_enum)
+        us = _orbit_minima(s, _idempotent_stack(s, n, max_enum))
         for u, found in zip(us, index.find_row_spaces(
                 us, max_enum, max_carrier, store=True)):
             if found == len(classes):
@@ -161,17 +171,48 @@ class AbelianGroupSNF:
 
 @dataclass(frozen=True)
 class CompletionResult:
-    """Universal group of a finitely presented commutative monoid.
+    """Universal group of a finitely presented commutative monoid: one
+    generator per class and one relation e_i + e_j - e_k per triple
+    (i, j, k).
 
-    images[i] is the coset of generator i: torsion coordinates first (one
-    per entry of group.torsion, reduced mod that entry), free coordinates
-    after (group.rank of them).
+    group is read off the unit pivots and the residual's Smith normal form
+    (completion_from_triples). The dense presentation is built the first
+    time it is read: relation_rows holds one row per triple (a single zero
+    row when there is none), snf is its Smith normal form, and images[i]
+    is the coset of generator i: torsion coordinates first (one per entry
+    of group.torsion, reduced mod that entry), free coordinates after
+    (group.rank of them).
     """
 
+    n_generators: int
+    triples: Tuple[Tuple[int, int, int], ...]
     group: AbelianGroupSNF
-    images: Tuple[Tuple[int, ...], ...]
-    relation_rows: IntMatrix
-    snf: SmithNormalForm
+
+    @cached_property
+    def relation_rows(self) -> IntMatrix:
+        rows = []
+        for (i, j, k) in self.triples:
+            row = [0] * self.n_generators
+            row[i] += 1
+            row[j] += 1
+            row[k] -= 1
+            rows.append(tuple(row))
+        return tuple(rows) or ((0,) * self.n_generators,)
+
+    @cached_property
+    def snf(self) -> SmithNormalForm:
+        return smith_normal_form(self.relation_rows)
+
+    @cached_property
+    def images(self) -> Tuple[Tuple[int, ...], ...]:
+        factors = self.snf.invariant_factors
+        images = []
+        for y in self.snf.v:
+            coords = [y[j] % factors[j] for j in range(len(factors))
+                      if factors[j] > 1]
+            coords.extend(y[len(factors):])
+            images.append(tuple(coords))
+        return tuple(images)
 
     def in_relation_span(self, x: Sequence[int]) -> bool:
         cols = len(self.snf.v)
@@ -188,29 +229,72 @@ class CompletionResult:
 def completion_from_triples(n_generators: int,
                             triples: Sequence[Tuple[int, int, int]]
                             ) -> CompletionResult:
-    rows: List[List[int]] = []
-    for (i, j, k) in triples:
-        row = [0] * n_generators
-        row[i] += 1
-        row[j] += 1
-        row[k] -= 1
-        rows.append(row)
-    if not rows:
-        rows = [[0] * n_generators]
-    snf = smith_normal_form(rows)
-    factors = snf.invariant_factors
-    rank = n_generators - len(factors)
-    torsion = tuple(d for d in factors if d > 1)
-    group = AbelianGroupSNF(rank, torsion)
-    images = []
-    for i in range(n_generators):
-        y = snf.v[i]
-        coords = [y[j] % factors[j] for j in range(len(factors))
-                  if factors[j] > 1]
-        coords.extend(y[j] for j in range(len(factors), n_generators))
-        images.append(tuple(coords))
-    return CompletionResult(group, tuple(images),
-                            tuple(tuple(r) for r in rows), snf)
+    """The group of the generators modulo e_i + e_j = e_k for each triple:
+    the generators that the unit pivots leave, modulo the residual
+    relations, whose Smith normal form is taken when there are any."""
+    triples = _index_grid(tuple(triples), (len(triples), 3), n_generators,
+                          "relation triples")
+    pivots, residual = _unit_pivots(n_generators, triples)
+    factors: Tuple[int, ...] = ()
+    if residual:
+        cols = sorted({c for row in residual for c in row})
+        dense = [[row.get(c, 0) for c in cols] for row in residual]
+        factors = smith_normal_form(dense).invariant_factors
+    group = AbelianGroupSNF(n_generators - pivots - len(factors),
+                            tuple(d for d in factors if d > 1))
+    return CompletionResult(n_generators, triples, group)
+
+
+def _unit_pivots(n_generators: int,
+                 triples: Sequence[Tuple[int, int, int]]
+                 ) -> Tuple[int, List[Dict[int, int]]]:
+    """The number of +-1 pivots eliminated from the relations, and the
+    nonzero rows left, as sparse {generator: coefficient} rows.
+
+    A relation with a coefficient of +-1 at generator c expresses c
+    through the other generators of its row, so c is eliminated: c is
+    cleared from every other relation by adding a multiple of the pivot
+    row, and the pivot row and c leave together, an invariant factor 1 of
+    the dense matrix. Rows are visited in order, again while a pass pivots;
+    a row's pivot is the unit of the column held by the fewest rows, the
+    least such column on ties, to keep the fill low (after Dumas,
+    Saunders and Villard, "On efficient sparse integer matrix Smith normal
+    form computations", J. Symbolic Comput. 32, 2001)."""
+    rows: List[Dict[int, int]] = []
+    holding: List[set] = [set() for _ in range(n_generators)]
+    for r, (i, j, k) in enumerate(triples):
+        row: Dict[int, int] = {}
+        for c, a in ((i, 1), (j, 1), (k, -1)):
+            row[c] = row.get(c, 0) + a
+        rows.append({c: a for c, a in row.items() if a})
+        for c in rows[-1]:
+            holding[c].add(r)
+    pivots = 0
+    progress = True
+    while progress:
+        progress = False
+        for r, row in enumerate(rows):
+            units = [c for c, a in row.items() if a in (1, -1)]
+            if not units:
+                continue
+            c = min(units, key=lambda c: (len(holding[c]), c))
+            for d in row:
+                holding[d].discard(r)
+            for q in sorted(holding[c]):
+                other = rows[q]
+                f = other[c] * row[c]
+                for d, a in row.items():
+                    v = other.get(d, 0) - f * a
+                    if v:
+                        other[d] = v
+                        holding[d].add(q)
+                    elif d in other:
+                        del other[d]
+                        holding[d].discard(q)
+            rows[r] = {}
+            pivots += 1
+            progress = True
+    return pivots, [row for row in rows if row]
 
 
 def grothendieck_completion(p: ProjClassMonoid) -> CompletionResult:

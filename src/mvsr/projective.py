@@ -9,7 +9,9 @@ The row span of u is {xu : x in S^rows} when the scalars keep the semiring
 laws, so the spans of a stack of matrices come from one sweep of linear
 combinations (_row_spans); over other scalars they come from the closure
 of each matrix under sums and scaling (_row_span), which the tests also
-keep as the sweep's oracle.
+keep as the sweep's oracle. Conjugating u by a permutation matrix permutes
+the coordinates of its row space, so searches for the first idempotent of
+an isomorphism type sweep only the orbit minima (_orbit_minima).
 
 Isomorphism is decided by a hom search (are_isomorphic) or, for modules
 whose addition is a join semilattice, by comparing canonical forms
@@ -299,9 +301,39 @@ def _ranks(rows: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _idempotents(s: FiniteSemiring, n: int, max_enum: int) -> np.ndarray:
-    stack = _idempotent_stack(s, n, max_enum)
+    """The orbit minima of the idempotents of size n, for the matrix
+    criterion."""
+    stack = _orbit_minima(s, _idempotent_stack(s, n, max_enum))
     stack.setflags(write=False)
     return stack
+
+
+def _orbit_minima(s: FiniteSemiring, us: np.ndarray) -> np.ndarray:
+    """The matrices of the stack us, of shape (k, n, n) in entry order,
+    that have no strictly smaller conjugate in the stack.
+
+    Conjugating u by a permutation matrix P gives P u P^T, whose rows are
+    u's rows in another order with their coordinates permuted the same
+    way; the span and the closure act coordinatewise, so its row space is
+    u's with the coordinates permuted, an isomorphic module, whatever laws
+    the scalars keep. A matrix dropped here therefore has an isomorphic
+    row space earlier in the stack. Each matrix is coded by its entries in
+    base |S|, which orders the codes as the stack, and each of the n! - 1
+    other conjugations is one gather of the codes, looked up among the
+    stack's by searchsorted: over lawless scalars the conjugate of an
+    idempotent need not be idempotent, so only a conjugate in the stack
+    drops a matrix."""
+    k, n, _ = us.shape
+    weights = _weights(s.size, n * n)
+    codes = us.reshape(k, n * n) @ weights
+    keep = np.ones(k, dtype=bool)
+    for perm in itertools.islice(itertools.permutations(range(n)), 1, None):
+        p = list(perm)
+        conj = us[:, p][:, :, p].reshape(k, n * n) @ weights
+        smaller = np.flatnonzero(conj < codes)
+        at = np.searchsorted(codes, conj[smaller])
+        keep[smaller[codes[at] == conj[smaller]]] = False
+    return us[keep]
 
 
 @lru_cache(maxsize=None)
@@ -324,7 +356,10 @@ class _ClassIndex:
     is looked up by (cols, members) first, as identical members give an
     identical module; a new span's form is read from its tables, and a
     row space is built from those members and tables only to be stored or
-    scanned."""
+    scanned. Callers that want the first class of each isomorphism type
+    hand it only the orbit minima of their idempotents (_orbit_minima):
+    the span of any other idempotent is a smaller conjugate's with the
+    coordinates permuted, so it would find that conjugate's class."""
 
     def __init__(self, s: FiniteSemiring,
                  modules: Sequence[FiniteSemimodule] = ()):
@@ -417,7 +452,12 @@ def is_projective_matrix_criterion(m: FiniteSemimodule, n: int = None,
                                    ) -> Optional[ProjectivePresentation]:
     """First idempotent u in entry order whose row space matches m; the
     spans of the idempotents of size n come from one call, and the row
-    space and its isomorphism onto m are built for the u found alone."""
+    space and its isomorphism onto m are built for the u found alone.
+
+    Only the orbit minima are swept (_idempotents): a match that has a
+    smaller conjugate in the stack is preceded by that conjugate, whose
+    row space is isomorphic to its own, so the first match is always an
+    orbit minimum."""
     if n is None:
         n = len(minimal_generating_set(m))
     index = _ClassIndex(m.scalars, (m,))

@@ -37,7 +37,9 @@ identified with left ones throughout.
 """
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -46,9 +48,9 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .config import DEFAULT_SEED, MAX_CARRIER, MAX_ENUM
-from .errors import (EnumGuard, IllDefinedAction, NotAHom, NotAModule,
-                     NotIdempotent, NotOnto, ScalarMismatch, SizeGuard,
-                     check_bound)
+from .errors import (EnumGuard, IllDefinedAction, MalformedTable, NotAHom,
+                     NotAModule, NotIdempotent, NotOnto, ScalarMismatch,
+                     SizeGuard, check_bound)
 from .jsonio import semimodule_to_dict
 from .mv import gamma_chain, reduct_wedge_oplus
 from .semimodule import (FiniteSemimodule, HomSemilattice, SemimoduleHom,
@@ -109,11 +111,23 @@ def congruence_closure(width: int, pairs: Sequence[Tuple[int, int]],
     subsets is built. Each class is represented by its first subset in
     itertools.combinations order, the least under cardinality then member
     order, and classes are numbered in the order of their representatives'
-    masks.
+    masks. A pair whose subsets are not subsets of range(width) is refused
+    with MalformedTable before any closure.
     """
     check_bound(SizeGuard, "free semilattice carrier", 1 << width,
                 "max_carrier", max_carrier)
     generators = tuple(pairs)
+    # one bitwise or over every mask finds a bit past width, a negative
+    # mask or a non-integer; only then does _index_grid, at about a
+    # microsecond a pair, name the first bad entry
+    try:
+        bits = functools.reduce(operator.or_,
+                                itertools.chain(*generators), 0)
+    except TypeError:
+        bits = -1
+    if bits < 0 or bits >> width or {len(p) for p in generators} - {2}:
+        _index_grid(generators, (len(generators), 2), 1 << width,
+                    "subset pairs")
     rules = sorted({(u, v) for a, b in generators for u, v in ((a, b), (b, a))
                     if v & ~u})
 
@@ -173,11 +187,18 @@ def congruence_closure(width: int, pairs: Sequence[Tuple[int, int]],
 @dataclass(frozen=True)
 class TensorProduct:
     """The subsets of M x N modulo the tensor congruence; the pair (x, y)
-    is bit x * |N| + y of a subset."""
+    is bit x * |N| + y of a subset, so the congruence must be on the
+    subsets of range(|M| * |N|)."""
 
     left: FiniteSemimodule
     right: FiniteSemimodule
     congruence: SemilatticeCongruence
+
+    def __post_init__(self):
+        width = self.left.size * self.right.size
+        if self.congruence.width != width:
+            raise MalformedTable(f"congruence on {self.congruence.width} "
+                                 f"pairs, but the factors have {width}")
 
     @property
     def class_count(self) -> int:

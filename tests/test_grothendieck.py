@@ -1,18 +1,21 @@
 import hashlib
 import itertools
+import random
 
 import pytest
 
 from folds import block_diag_by_loop
 from mvsr import grothendieck, projective
-from mvsr.errors import EnumGuard, ScalarMismatch, ToolkitError
+from mvsr.errors import (EnumGuard, MalformedTable, ScalarMismatch,
+                         ToolkitError)
 from mvsr.grothendieck import (AbelianGroupSNF, ProjClassMonoid,
                                compose_group_homs, completion_from_triples,
                                enumerate_projective_classes,
                                grothendieck_completion, k0_of_hom, k0_report,
                                k0_stability, zero_pad)
 from mvsr.jsonio import canonical_dumps
-from mvsr.matrix import SemiringMatrix, idempotent_matrices, mat_identity
+from mvsr.matrix import (SemiringMatrix, _idempotent_stack,
+                         idempotent_matrices, mat_identity)
 from mvsr.mv import MvHom, lukasiewicz_chain, mv_product, reduct_vee_odot
 from mvsr.projective import (ProjectivePresentation, are_isomorphic,
                              block_diag, canonical_form, row_space)
@@ -21,6 +24,7 @@ from mvsr.semimodule import (FiniteSemimodule, SemimoduleHom,
                              trivial_module)
 from mvsr.semiring import (FiniteSemiring, boolean_semiring,
                            check_semiring_axioms, is_additively_idempotent)
+from mvsr.snf import smith_normal_form
 
 
 @pytest.fixture
@@ -316,6 +320,92 @@ def test_lawless_scalars_reach_the_refusal_through_the_closure(monkeypatch):
         enumerate_projective_classes(_lawless(), 2)
 
 
+def _random_tables(seed, count):
+    """count three-element tables with zero 0 neutral for the sum and
+    absorbing for the product, one 1, and every other sum and product
+    drawn at random, so that the zero matrix spans a trivial class while
+    most other laws fail."""
+    rng = random.Random(seed)
+    tables = []
+    for _ in range(count):
+        add = [[a if b == 0 else b if a == 0 else rng.randrange(3)
+                for b in range(3)] for a in range(3)]
+        mul = [[0 if 0 in (a, b) else rng.randrange(3) for b in range(3)]
+               for a in range(3)]
+        tables.append(FiniteSemiring(3, add, mul, 0, 1))
+    return tables
+
+
+def _lawless_cases():
+    """The two lawless tables above and eight random ones, at n_max 1
+    and 2."""
+    c3 = reduct_vee_odot(lukasiewicz_chain(3))
+    mul = [list(row) for row in c3.mul]
+    mul[0][2] = 1
+    tables = [_lawless(), FiniteSemiring(3, c3.add, mul, c3.zero, c3.one)]
+    return [(s, n) for s in tables + _random_tables(3, 8) for n in (1, 2)]
+
+
+def _outcome(s, n_max):
+    """The classes, relations and group, or the refusal's message."""
+    try:
+        p = enumerate_projective_classes(s, n_max)
+    except ToolkitError as refusal:
+        return str(refusal)
+    return p.classes, p.sum_relations, grothendieck_completion(p).group
+
+
+def test_orbit_minima_give_the_classes_of_every_idempotent(monkeypatch):
+    """Sweeping every idempotent gives the same classes, relations and
+    group, or the same refusal, as sweeping the orbit minima: on c2 to c4
+    and c2 x c2 at n_max 1 to 3, on the field and Z/3, which take the
+    scan, and on lawless tables, where a conjugate of an idempotent need
+    not be idempotent, at n_max 1 and 2."""
+    lawful = [reduct_vee_odot(lukasiewicz_chain(k)) for k in (2, 3, 4)]
+    lawful += [_square_tables()[5], _two_element_field(), _z3()]
+    cases = [(s, n) for s in lawful for n in (1, 2, 3)] + _lawless_cases()
+    got = [_outcome(s, n) for s, n in cases]
+    monkeypatch.setattr(grothendieck, "_orbit_minima", lambda s, us: us)
+    assert got == [_outcome(s, n) for s, n in cases]
+    assert any(isinstance(o, str) for o in got)
+    assert sum(not isinstance(o, str) for o in got) > len(lawful) * 3
+
+
+def _conjugates(u):
+    """P u P^T for every permutation matrix P, as entry tuples."""
+    n = len(u)
+    return {tuple(u[p[i]][p[j]] for i in range(n) for j in range(n))
+            for p in itertools.permutations(range(n))}
+
+
+def test_orbit_minima_match_the_conjugate_loop():
+    """A matrix is dropped exactly when a strictly smaller conjugate is in
+    the stack: on c3 and c2 x c2 up to n = 3 and on the lawless tables up
+    to n = 2, where some idempotent is kept although it has a smaller
+    conjugate, since no smaller conjugate is idempotent. On c3 at n = 3,
+    1266 idempotents leave 240 orbit minima."""
+    cases = [(s, n) for s in (reduct_vee_odot(lukasiewicz_chain(3)),
+                              _square_tables()[5]) for n in (1, 2, 3)]
+    cases += _lawless_cases()
+    kept_for_outside = 0
+    for s, n in cases:
+        stack = _idempotent_stack(s, n, 10 ** 7)
+        codes = {tuple(u.reshape(-1).tolist()) for u in stack}
+        want = []
+        for u in stack.tolist():
+            own = tuple(itertools.chain(*u))
+            smaller = {c for c in _conjugates(u) if c < own}
+            if not smaller & codes:
+                want.append(u)
+                kept_for_outside += bool(smaller)
+        assert projective._orbit_minima(s, stack).tolist() == want
+    assert kept_for_outside
+    c3 = reduct_vee_odot(lukasiewicz_chain(3))
+    stack = _idempotent_stack(c3, 3, 10 ** 7)
+    assert len(stack) == 1266
+    assert len(projective._orbit_minima(c3, stack)) == 240
+
+
 def _span_key(u):
     return u.cols, row_space(u).members
 
@@ -325,13 +415,17 @@ def _span_key(u):
     lambda: _square_tables()[5],
 ], ids=["c4", "c2xc2"])
 def test_each_span_is_classed_once(scalars, monkeypatch):
-    """A form per distinct span of the idempotents plus one per new span
-    of the block sums, a row space only for each class, built from the
-    members at hand, and one sweep per size: the idempotents of sizes 1
-    and 2 and the block sums of size 2. The closure never runs."""
+    """A form per distinct span of the orbit minima among the idempotents
+    plus one per new span of the block sums (c4: 17, where all the
+    idempotents would give 25), a row space only for each class, built
+    from the members at hand, and one sweep per size: the idempotents of
+    sizes 1 and 2 and the block sums of size 2. The closure never runs."""
     s = scalars()
     p = enumerate_projective_classes(s, 2)
-    spans = {_span_key(u) for n in (1, 2) for u in idempotent_matrices(s, n)}
+    minima = [SemiringMatrix(s, n, n, u) for n in (1, 2)
+              for u in projective._orbit_minima(
+                  s, _idempotent_stack(s, n, 10 ** 7)).tolist()]
+    spans = {_span_key(u) for u in minima}
     block_spans = {_span_key(block_diag(ci.u, cj.u))
                    for ci in p.classes for cj in p.classes
                    if ci.n + cj.n <= 2}
@@ -350,7 +444,8 @@ def test_each_span_is_classed_once(scalars, monkeypatch):
         monkeypatch.setattr(projective, name, counted(name))
     again = enumerate_projective_classes(s, 2)
     assert again == p
-    assert len(spans) < sum(len(idempotent_matrices(s, n)) for n in (1, 2))
+    assert len(spans) < len(minima) < sum(len(idempotent_matrices(s, n))
+                                          for n in (1, 2))
     assert calls == {"_table_form": len(spans | block_spans),
                      "_row_space_of": len(p.classes), "_row_spans": 3,
                      "_row_span": 0}
@@ -398,6 +493,106 @@ def test_completion_with_torsion():
     res = completion_from_triples(2, [(0, 0, 1), (1, 0, 0)])
     assert res.group.rank == 0
     assert res.group.torsion == (2,)
+
+
+def _completion_by_dense_snf(n, triples):
+    """The group, images, relation rows and Smith normal form of the
+    completion, all read off the dense relation matrix."""
+    rows = []
+    for (i, j, k) in triples:
+        row = [0] * n
+        row[i] += 1
+        row[j] += 1
+        row[k] -= 1
+        rows.append(tuple(row))
+    rows = tuple(rows) or ((0,) * n,)
+    snf = smith_normal_form(rows)
+    factors = snf.invariant_factors
+    group = AbelianGroupSNF(n - len(factors),
+                            tuple(d for d in factors if d > 1))
+    images = tuple(
+        tuple([y[j] % factors[j] for j in range(len(factors))
+               if factors[j] > 1] + [y[j] for j in range(len(factors), n)])
+        for y in snf.v)
+    return group, images, rows, snf
+
+
+def _completion_cases():
+    """(generators, triples): no relation, no generator, repeated triples
+    and (0, 0, 0), then 80 seeded sets of up to twelve random triples on
+    up to seven generators."""
+    cases = [(0, []), (1, []), (3, []), (1, [(0, 0, 0)]),
+             (2, [(0, 0, 0)] * 3), (2, [(0, 1, 1), (0, 1, 1)]),
+             (3, [(0, 0, 1), (1, 0, 0), (0, 0, 1), (2, 2, 2)]),
+             (2, [(0, 0, 1), (0, 0, 1), (1, 0, 0), (1, 0, 0)])]
+    rng = random.Random(20010)
+    for _ in range(80):
+        n = rng.randint(1, 7)
+        cases.append((n, [tuple(rng.randrange(n) for _ in range(3))
+                          for _ in range(rng.randint(0, 12))]))
+    return cases
+
+
+def _counting_dense_forms(monkeypatch):
+    """The row counts of the matrices grothendieck hands to
+    smith_normal_form from now on."""
+    calls = []
+    monkeypatch.setattr(grothendieck, "smith_normal_form",
+                        lambda rows: calls.append(len(rows))
+                        or smith_normal_form(rows))
+    return calls
+
+
+def test_pivot_group_matches_the_dense_snf(monkeypatch):
+    """The group from the unit pivots and the residual's form is the dense
+    form's on every case, some with torsion and some leaving a residual;
+    the relation rows, the form and the images, built when first read,
+    are the dense ones."""
+    calls = _counting_dense_forms(monkeypatch)
+    torsion = residual = 0
+    for n, triples in _completion_cases():
+        del calls[:]
+        res = completion_from_triples(n, triples)
+        residual += len(calls)
+        group, images, rows, snf = _completion_by_dense_snf(n, triples)
+        assert res.group == group
+        assert (res.relation_rows, res.snf, res.images) == (rows, snf, images)
+        torsion += bool(group.torsion)
+    assert torsion >= 3 and residual >= 3
+
+
+def test_pivot_group_matches_the_dense_snf_on_the_k0_cases(monkeypatch):
+    """The same group as the dense form on every class monoid of the
+    oracle cases, of c3 and c2 x c2 at n_max 3 and of the lawless tables
+    that have one; on the benchmark's scalars, the 2- to 7-chains and
+    c2 x c2 at n_max 2, every relation settles on a unit pivot, so
+    neither k0_report nor k0_stability takes a dense form."""
+    cases = _oracle_cases() + [(reduct_vee_odot(lukasiewicz_chain(3)), 3),
+                               (_square_tables()[0], 3)]
+    cases += [(s, n) for s, n in _lawless_cases()
+              if not isinstance(_outcome(s, n), str)]
+    for s, n in cases:
+        p = enumerate_projective_classes(s, n)
+        assert (grothendieck_completion(p).group
+                == _completion_by_dense_snf(len(p.classes),
+                                            p.sum_relations)[0])
+    calls = _counting_dense_forms(monkeypatch)
+    for s in ([reduct_vee_odot(lukasiewicz_chain(k)) for k in range(2, 8)]
+              + _square_tables()):
+        k0_report(s, 2)
+        k0_stability(s, (1, 2))
+    assert calls == []
+
+
+@pytest.mark.parametrize("triples,message", [
+    ([(0, 0, 2)], "relation triples table entry 2 out of range 0..1"),
+    ([(0, -1, 1)], "relation triples table entry -1 out of range 0..1"),
+    ([(0, 1)], "relation triples table must be 1x3"),
+])
+def test_completion_refuses_a_triple_outside_the_generators(triples,
+                                                            message):
+    with pytest.raises(MalformedTable, match=f"^{message}$"):
+        completion_from_triples(2, triples)
 
 
 def test_groups_frozen(boolean):

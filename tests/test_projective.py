@@ -599,6 +599,33 @@ def test_matrix_criterion_matches_the_row_space_loop():
     assert 0 < found < len(cases)
 
 
+def test_matrix_criterion_finds_the_same_matrix_among_every_idempotent(
+        monkeypatch):
+    """The first match among the orbit minima is the first among every
+    idempotent, on every module the deciders are tested on, while fewer
+    matrices are swept."""
+    three = reduct_vee_odot(lukasiewicz_chain(3))
+    boolean = boolean_semiring()
+    cases = _decider_cases() + [
+        (module_over_self(three), 1), (trivial_module(three), 0),
+        (direct_sum(module_over_self(boolean),
+                    module_over_self(boolean)).module, 2)]
+    projective._idempotents.cache_clear()
+    got = [is_projective_matrix_criterion(m, n) for m, n in cases]
+    swept = sum(len(projective._idempotents(m.scalars, n, 10 ** 7))
+                for m, n in cases)
+    monkeypatch.setattr(projective, "_orbit_minima", lambda s, us: us)
+    projective._idempotents.cache_clear()
+    try:
+        assert got == [is_projective_matrix_criterion(m, n)
+                       for m, n in cases]
+        assert swept < sum(len(projective._idempotents(m.scalars, n,
+                                                       10 ** 7))
+                           for m, n in cases)
+    finally:
+        projective._idempotents.cache_clear()
+
+
 def test_matrix_criterion_builds_one_row_space(monkeypatch):
     """Over scalars with canonical forms a call builds at most one row
     space and makes at most one isomorphism search: the witness for the

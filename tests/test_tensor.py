@@ -101,6 +101,19 @@ def test_closure_guard():
         congruence_closure(8, [], max_carrier=100)
 
 
+@pytest.mark.parametrize("pairs,message", [
+    ([(4, 1)], "subset pairs table entry 4 out of range 0..3"),
+    ([(0, 3), (1, -1)], "subset pairs table entry -1 out of range 0..3"),
+    ([(1, 2.0)], "subset pairs entry 2.0 is not an integer"),
+    ([(1,)], "subset pairs table must be 1x2"),
+])
+def test_closure_refuses_a_pair_outside_the_subsets(pairs, message):
+    # the subset {2}, mask 4, is no subset of range(2); it was once kept
+    # as a generator of the identity partition
+    with pytest.raises(MalformedTable, match=f"^{message}$"):
+        congruence_closure(2, pairs)
+
+
 def test_incompatible_partition_yields_a_witness():
     # {a} and {b} share class 1, but joining {a} keeps {a} there and takes
     # {b} to {a, b}, alone in class 2: not a congruence
@@ -1000,6 +1013,18 @@ def test_pairs_outside_the_factors_are_refused(free2, self_mod, call,
     t = tensor_product(free2, self_mod)
     with pytest.raises(MalformedTable, match=f"^{message}$"):
         call(t)
+
+
+def test_a_congruence_of_another_width_is_refused(free2, self_mod):
+    """A congruence on |M| * |N| pairs is accepted; on any other width its
+    bits would decode to the wrong pairs, so it is refused."""
+    width = free2.size * self_mod.size
+    assert TensorProduct(free2, self_mod,
+                         congruence_closure(width, [])).class_count == 256
+    for other in (width - 1, width + 1, self_mod.size * self_mod.size):
+        with pytest.raises(MalformedTable, match=f"^congruence on {other} "
+                           f"pairs, but the factors have {width}$"):
+            TensorProduct(free2, self_mod, congruence_closure(other, []))
 
 
 def test_tensor_report_schema(self_mod):
