@@ -94,7 +94,7 @@ def check_mv_axioms(a: MvAlgebra) -> AxiomReport:
     characteristic exchange law, checked exhaustively."""
     t = np.array(a.oplus, dtype=np.int64)
     checks = [
-        ("oplus-associative", _first_assoc_failure(t)),
+        ("oplus-associative", _first_assoc_failure(t, t)),
         ("oplus-commutative", _first_comm_failure(t)),
         ("oplus-identity", _first_identity_failure(a.oplus, a.zero)),
     ]
@@ -283,7 +283,11 @@ def distance(a: MvAlgebra, x: int, y: int) -> int:
 
 
 def is_ideal(a: MvAlgebra, subset) -> bool:
-    members = set(subset)
+    """Whether subset holds zero and is closed under the sum and downward.
+    Its members are checked as indices of a before any table is read: a
+    bool, a non-integer or an index out of range raises MalformedTable."""
+    subset = tuple(subset)
+    members = set(_index_grid(subset, (len(subset),), a.size, "ideal"))
     if a.zero not in members:
         return False
     for x in members:

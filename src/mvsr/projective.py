@@ -42,10 +42,10 @@ from .semimodule import (_CHUNK_ELEMENTS, FiniteSemimodule, FreeSemimodule,
                          SemimoduleHom, Subsemimodule, _assignments, _digits,
                          _first_hom, _module_laws_hold, _span,
                          _vector_labels, _vector_tables, _weights, generate,
-                         minimal_generating_set, module_over_self)
+                         join_irreducibles, minimal_generating_set,
+                         module_over_self)
 from .semiring import (FiniteSemiring, check_semiring_axioms,
                        is_additively_idempotent, same_scalars)
-from .tensor import join_irreducibles
 
 
 def row_space(u: SemiringMatrix,

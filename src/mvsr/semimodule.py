@@ -14,6 +14,8 @@ them for a batch of maps, _broken_law for the first witness of one. The
 module laws likewise exist once, as the lazy witnesses of
 _module_law_witnesses: check_semimodule reports them all, and
 _first_broken_law (behind _module_laws_hold) stops at the first broken one.
+Both read their laws through semiring's law kernels, which a semiring's
+own laws use as a module over itself.
 
 A hom-set is the search's rows, and every table built from homs gathers
 images from them and looks them up with HomSemilattice.positions. Searches
@@ -37,7 +39,8 @@ from .errors import (EnumGuard, IllDefinedAction, NotAHom, ScalarMismatch,
                      SizeGuard, check_bound)
 from .mv import (MvAlgebra, check_mv_axioms, quotient, reduct_vee_odot)
 from .semiring import (AxiomReport, FiniteSemiring, LawCheck, SemiringHom,
-                       Table, _CHUNK_ELEMENTS, _IndexMap, _combine,
+                       Table, _CHUNK_ELEMENTS, _IndexMap, _additivity_mask,
+                       _combine, _first_absorb_failure, _first_additive_failure,
                        _first_assoc_failure, _first_comm_failure,
                        _first_identity_failure, _first_true, _index_grid,
                        _label_tuple, _store, boolean_semiring, fold,
@@ -116,50 +119,18 @@ def _module_law_witnesses(s: FiniteSemiring, m: FiniteSemimodule
         raise ScalarMismatch("module does not live over the given scalars")
     add, act = m.np_add, m.np_action
     sadd, smul = s.np_add, s.np_mul
-    yield "add-associative", _first_assoc_failure(add)
+    yield "add-associative", _first_assoc_failure(add, add)
     yield "add-commutative", _first_comm_failure(add)
     yield "add-identity", _first_identity_failure(m.add, m.zero)
-
-    # the two laws below are checked for a block of scalars a at a time,
-    # each block within _CHUNK_ELEMENTS entries
-    w = None
-    step = max(1, _CHUNK_ELEMENTS // (s.size * m.size))
-    for lo in range(0, s.size, step):
-        # a(bx) against (ab)x, one row per b
-        w = _first_true(act[lo:lo + step][:, act] != act[smul[lo:lo + step]])
-        if w:
-            w = (lo + w[0],) + w[1:]
-            break
-    yield "action-associative", w
-
-    w = None
-    step = max(1, _CHUNK_ELEMENTS // (m.size * m.size))
-    for lo in range(0, s.size, step):
-        rows = act[lo:lo + step]
-        # a(x+y) against ax + ay
-        w = _first_true(rows[:, add] != add[rows[:, :, None],
-                                            rows[:, None, :]])
-        if w:
-            w = (lo + w[0],) + w[1:]
-            break
-    yield "action-additive", w
-
+    yield "action-associative", _first_assoc_failure(act, smul)
+    yield "action-additive", _first_additive_failure(act, add, add)
     # (a+b)x against ax + bx
     yield "scalar-additive", _first_true(
         act[sadd] != add[act[:, None, :], act[None, :, :]])
-
     # the laws of linear size are read from the stored tuples
-    one, zero = m.action[s.one], m.zero
-    yield "action-unital", next(((x,) for x, v in enumerate(one) if v != x),
-                                None)
-    x = next((x for x, v in enumerate(m.action[s.zero]) if v != zero), None)
-    if x is not None:
-        w = (s.zero, x)
-    else:
-        a = next((a for a, row in enumerate(m.action) if row[zero] != zero),
-                 None)
-        w = None if a is None else (a, zero)
-    yield "action-zero", w
+    yield "action-unital", next(((x,) for x, v in enumerate(m.action[s.one])
+                                 if v != x), None)
+    yield "action-zero", _first_absorb_failure(m.action, s.zero, m.zero)
 
     if is_additively_idempotent(s):
         yield "add-idempotent", next(((x,) for x, row in enumerate(m.add)
@@ -391,7 +362,7 @@ def _law_mismatches(m: FiniteSemimodule, n: FiniteSemimodule,
     (row, a, x)."""
     scalars = np.arange(m.scalars.size)[:, None]
     zero = img[:, m.zero] != n.zero
-    add = img[:, m.np_add] != n.np_add[img[:, :, None], img[:, None, :]]
+    add = _additivity_mask(img, m.np_add, n.np_add)
     act = img[:, m.np_action] != n.np_action[scalars, img[:, None, :]]
     return zero, add, act
 
@@ -587,6 +558,28 @@ def _sum_laws(size: int, add: Table, zero: int) -> Tuple[bool, bool, bool]:
             all(add[p][p] == p for p in xs))
 
 
+def join_irreducibles(add, zero: int) -> Tuple[int, ...]:
+    """Elements of a join table other than zero that are not the join of
+    two other elements.
+
+    A table given as a numpy array, as the class index's span tables are,
+    is read in numpy: the joins a + b other than a and b are counted with
+    one bincount. A table given as nested sequences, as the modules store
+    theirs, is read by a set comprehension, which costs a few microseconds
+    on the small tables of the tensor layer, where numpy's fixed cost per
+    call would be most of the time."""
+    if isinstance(add, np.ndarray):
+        own = np.arange(len(add))
+        joins = np.bincount(add[(add != own[:, None]) & (add != own)],
+                            minlength=len(add))
+        return tuple(x for x, k in enumerate(joins.tolist())
+                     if not k and x != zero)
+    size = len(add)
+    reducible = {add[a][b] for a in range(size) for b in range(size)
+                 if add[a][b] != a and add[a][b] != b}
+    return tuple(x for x in range(size) if x != zero and x not in reducible)
+
+
 def _hom_search(m: FiniteSemimodule, n: FiniteSemimodule,
                 max_enum: int = MAX_ENUM) -> Iterator[tuple]:
     """Every hom m -> n as its tuple of images, lazily, ordered
@@ -667,7 +660,7 @@ class HomSemilattice:
 
     def monoid_report(self) -> AxiomReport:
         t = np.array(self.add_table, dtype=np.intp)
-        checks = (("add-associative", _first_assoc_failure(t)),
+        checks = (("add-associative", _first_assoc_failure(t, t)),
                   ("add-commutative", _first_comm_failure(t)),
                   ("add-identity", _first_identity_failure(self.add_table,
                                                            self.zero_index)))

@@ -3,6 +3,10 @@
 Elements are the indices 0..size-1. Binary operations are size x size index
 tables, so every law check is an exhaustive sweep; the sweeps are vectorized
 because matrix semirings get into the hundreds of elements.
+
+A semiring is a module over itself, so the semiring, semimodule, MV and
+hom laws share one kernel per law shape (associativity, additivity and
+absorption), each scanned for its first witness by _first_in_blocks.
 """
 from __future__ import annotations
 
@@ -231,17 +235,39 @@ def _first_true(mask: np.ndarray) -> Optional[Tuple[int, ...]]:
     return tuple(int(i) for i in np.argwhere(mask)[0])
 
 
-def _first_assoc_failure(t: np.ndarray):
-    # (a?b)?c == a?(b?c), scanned a block of a-slices at a time, each block
-    # within _CHUNK_ELEMENTS entries, to keep memory flat.
-    n = len(t)
-    step = max(1, _CHUNK_ELEMENTS // max(1, n * n))
-    for lo in range(0, n, step):
-        rows = t[lo:lo + step]
-        bad = _first_true(t[rows] != rows[:, t])
+def _first_in_blocks(count: int, per_item: int, mask):
+    """The first true index of mask(block), offset by the block's start,
+    over slices of range(count) of at most _CHUNK_ELEMENTS // per_item
+    items each, for a mask of per_item entries an item; else None."""
+    step = max(1, _CHUNK_ELEMENTS // max(1, per_item))
+    for lo in range(0, count, step):
+        bad = _first_true(mask(slice(lo, lo + step)))
         if bad:
             return (lo + bad[0],) + bad[1:]
     return None
+
+
+def _first_assoc_failure(act: np.ndarray, mul: np.ndarray):
+    """The first (a, b, x) with a(bx) != (ab)x, for act[a, x] an action of
+    the multiplication mul: (t, t) is the associativity of a table t, and
+    (action, scalar product) a module's action-associative law."""
+    return _first_in_blocks(len(act), mul.shape[1] * act.shape[1],
+                            lambda a: act[a][:, act] != act[mul[a]])
+
+
+def _additivity_mask(maps: np.ndarray, add1: np.ndarray, add2: np.ndarray
+                     ) -> np.ndarray:
+    """Where each map r of the stack maps, from the addition add1 to add2,
+    breaks r(x + y) = r(x) + r(y): true at (r, x, y)."""
+    return maps[:, add1] != add2[maps[:, :, None], maps[:, None, :]]
+
+
+def _first_additive_failure(maps: np.ndarray, add1: np.ndarray,
+                            add2: np.ndarray):
+    """The first (r, x, y) of _additivity_mask: (action, add, add) is a
+    module's action-additive law and (mul, add, add) left distributivity."""
+    return _first_in_blocks(len(maps), add1.size,
+                            lambda r: _additivity_mask(maps[r], add1, add2))
 
 
 def _first_comm_failure(t: np.ndarray):
@@ -258,36 +284,16 @@ def _first_identity_failure(t: Table, e: int):
     return None if x is None else (x, e)
 
 
-def _first_left_dist_failure(add: np.ndarray, mul: np.ndarray):
-    n = len(add)
-    for a in range(n):
-        row = mul[a]
-        lhs = row[add]                      # a*(b+c)
-        rhs = add[np.ix_(row, row)]         # a*b + a*c
-        if not np.array_equal(lhs, rhs):
-            b, c = np.argwhere(lhs != rhs)[0]
-            return (a, int(b), int(c))
-    return None
-
-
-def _first_right_dist_failure(add: np.ndarray, mul: np.ndarray):
-    n = len(add)
-    for c in range(n):
-        col = mul[:, c]
-        lhs = col[add]                      # (a+b)*c
-        rhs = add[np.ix_(col, col)]         # a*c + b*c
-        if not np.array_equal(lhs, rhs):
-            a, b = np.argwhere(lhs != rhs)[0]
-            return (int(a), int(b), c)
-    return None
-
-
-def _first_absorb_failure(mul: Table, zero: int):
-    x = next((x for x, v in enumerate(mul[zero]) if v != zero), None)
+def _first_absorb_failure(act: Table, scalar_zero: int, zero: int):
+    """The first (scalar_zero, x) with act[scalar_zero][x] != zero, else
+    the first (a, zero) with act[a][zero] != zero: (mul, zero, zero) is a
+    semiring's zero absorption and (action, scalar zero, module zero) a
+    module's action-zero law."""
+    x = next((x for x, v in enumerate(act[scalar_zero]) if v != zero), None)
     if x is not None:
-        return (zero, x)
-    x = next((x for x, row in enumerate(mul) if row[zero] != zero), None)
-    return None if x is None else (x, zero)
+        return (scalar_zero, x)
+    a = next((a for a, row in enumerate(act) if row[zero] != zero), None)
+    return None if a is None else (a, zero)
 
 
 _SEMIRING_LAWS = ("add-associative", "add-commutative", "add-identity",
@@ -298,13 +304,15 @@ _SEMIRING_LAWS = ("add-associative", "add-commutative", "add-identity",
 def check_semiring_axioms(s: FiniteSemiring) -> AxiomReport:
     """Exhaustively check the eight semiring laws, with first failing witness."""
     add, mul = s.np_add, s.np_mul
-    witnesses = (_first_assoc_failure(add), _first_comm_failure(add),
+    # (a + b)c = ac + bc is the additivity of the column maps, met as (c, a, b)
+    right = _first_additive_failure(mul.T, add, add)
+    witnesses = (_first_assoc_failure(add, add), _first_comm_failure(add),
                  _first_identity_failure(s.add, s.zero),
-                 _first_assoc_failure(mul),
+                 _first_assoc_failure(mul, mul),
                  _first_identity_failure(s.mul, s.one),
-                 _first_left_dist_failure(add, mul),
-                 _first_right_dist_failure(add, mul),
-                 _first_absorb_failure(s.mul, s.zero))
+                 _first_additive_failure(mul, add, add),
+                 right and right[1:] + right[:1],
+                 _first_absorb_failure(s.mul, s.zero, s.zero))
     laws = tuple(LawCheck(name, w is None, w)
                  for name, w in zip(_SEMIRING_LAWS, witnesses))
     return AxiomReport("semiring", laws)

@@ -57,7 +57,8 @@ from .semimodule import (FiniteSemimodule, HomSemilattice, SemimoduleHom,
                          _digits, _first_broken_law, _module_laws_hold,
                          _schedule, _sum_laws, check_semimodule, _first_hom,
                          _require_homs, free_semimodule, hom_set,
-                         module_over_self, restrict_scalars, trivial_module)
+                         join_irreducibles, module_over_self,
+                         restrict_scalars, trivial_module)
 from .semiring import (FiniteSemiring, SemiringHom, _combine, _index_grid,
                        is_additively_idempotent, same_scalars)
 from .semiring import AxiomReport
@@ -94,6 +95,11 @@ class SemilatticeCongruence:
         return c
 
     def class_of(self, mask: int) -> int:
+        """The class of the subset mask; a negative mask or one with a bit
+        at or past width is refused with MalformedTable."""
+        if mask < 0 or mask >> self.width:
+            raise MalformedTable(f"subset mask {mask} is not a subset of "
+                                 f"range({self.width})")
         return self.joined(0, mask)
 
 
@@ -352,28 +358,6 @@ def as_module(t: TensorProduct) -> FiniteSemimodule:
 
 
 # ----- bimorphisms and the universal property ------------------------------
-
-def join_irreducibles(add, zero: int) -> Tuple[int, ...]:
-    """Elements of a join table other than zero that are not the join of
-    two other elements.
-
-    A table given as a numpy array, as the class index's span tables are,
-    is read in numpy: the joins a + b other than a and b are counted with
-    one bincount. A table given as nested sequences, as the modules store
-    theirs, is read by a set comprehension, which costs a few microseconds
-    on the small tables of the tensor layer, where numpy's fixed cost per
-    call would be most of the time."""
-    if isinstance(add, np.ndarray):
-        own = np.arange(len(add))
-        joins = np.bincount(add[(add != own[:, None]) & (add != own)],
-                            minlength=len(add))
-        return tuple(x for x, k in enumerate(joins.tolist())
-                     if not k and x != zero)
-    size = len(add)
-    reducible = {add[a][b] for a in range(size) for b in range(size)
-                 if add[a][b] != a and add[a][b] != b}
-    return tuple(x for x in range(size) if x != zero and x not in reducible)
-
 
 class _Filled(dict):
     """A dict that fills a missing key with compute(key) and keeps it."""

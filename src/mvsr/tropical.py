@@ -116,20 +116,21 @@ DEN_BOUND = 12
 DEN_LCM = math.lcm(*range(1, DEN_BOUND + 1))  # 27720
 
 
-def sample_trop(rng: random.Random, top_weight: float = TOP_WEIGHT,
-                num_bound: int = NUM_BOUND, den_bound: int = DEN_BOUND,
-                nonnegative: bool = False) -> Trop:
-    if rng.random() < top_weight:
+def sample_trop(rng: random.Random, nonnegative: bool = False) -> Trop:
+    """Top with probability TOP_WEIGHT, else num / den with den drawn from
+    1..DEN_BOUND and num from -NUM_BOUND..NUM_BOUND, or from 0 up when
+    nonnegative."""
+    if rng.random() < TOP_WEIGHT:
         return TOP
-    num = rng.randint(0 if nonnegative else -num_bound, num_bound)
-    den = rng.randint(1, den_bound)
+    num = rng.randint(0 if nonnegative else -NUM_BOUND, NUM_BOUND)
+    den = rng.randint(1, DEN_BOUND)
     return Trop(Fraction(num, den))
 
 
 def scaled_sampler(rng: random.Random, scale: int,
                    nonnegative: bool = False):
-    """A draw function for sample_trop's default bounds in integers: each
-    call makes the same rng calls as sample_trop(rng, nonnegative=...) and
+    """A draw function for sample_trop's bounds in integers: each call
+    makes the same rng calls as sample_trop(rng, nonnegative) and
     returns its value times DEN_LCM * scale, which is an integer, or None
     for Top."""
     steps = (0,) + tuple(DEN_LCM // den * scale

@@ -18,6 +18,7 @@ from mvsr.mv import (MvAlgebra, MvHom, boolean_center, check_mv_axioms,
                      lukasiewicz_chain, mv_product, mv_semiring_negation_check,
                      parse_term, quotient, reduct_vee_odot, reduct_wedge_oplus,
                      star_reduct_isomorphism)
+from mvsr.semimodule import quotient_module_from_ideal
 from mvsr.semiring import check_semiring_axioms
 from mvsr.tropical import (TOP, Trop, TropicalUSemifield, sample_trop, trop,
                            trop_meet, trop_prod)
@@ -145,6 +146,21 @@ def test_ideal_congruence_round_trip(square):
 def test_congruence_rejects_non_ideal(square):
     with pytest.raises(NotAnIdeal):
         congruence_from_ideal(square, (0, 3))
+
+
+@pytest.mark.parametrize("ideal,message", [
+    ((0, 7), "ideal table entry 7 out of range 0..2"),
+    ((0, 1.5), "ideal entry 1.5 is not an integer"),
+    # once read as the last element, and refused as "not an ideal"
+    ((0, -1), "ideal table entry -1 out of range 0..2"),
+    ((0, True), "ideal entry True is not an integer"),
+])
+def test_every_ideal_route_refuses_a_bad_member(chain3, ideal, message):
+    routes = (is_ideal, congruence_from_ideal, quotient,
+              quotient_module_from_ideal)
+    for route in routes:
+        with pytest.raises(MalformedTable, match=f"^{message}$"):
+            route(chain3, ideal)
 
 
 def test_quotient_square_by_line(square):

@@ -90,6 +90,14 @@ def test_closure_merges_the_join_too():
     assert _agrees_with_union_find(cong)
 
 
+@pytest.mark.parametrize("mask", [-1, 4, 1 << 70])
+def test_class_of_refuses_a_mask_outside_the_subsets(mask):
+    # -1 was once the class of {0}, and 4 a bare IndexError
+    with pytest.raises(MalformedTable, match=f"^subset mask {mask} is not a "
+                       r"subset of range\(2\)$"):
+        congruence_closure(2, [(1, 2)]).class_of(mask)
+
+
 def test_closure_bottom_equals_top_collapses_everything():
     cong = congruence_closure(2, [(0, 3)])
     assert len(cong) == 1
