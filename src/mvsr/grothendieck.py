@@ -14,13 +14,17 @@ isomorphic module, so the least idempotent of a class is the least of its
 orbit, and the classes, their names, the relations and the group are those
 of the sweep over every idempotent.
 
-Row spans are classed by projective._ClassIndex, which keeps one module
-per class; the presentations are kept next to it here. Each size's orbit
-minima, and each size's block sums, are classed in one batched call: over
-scalars that keep the semiring laws their spans come from one sweep of the
-products xU, and from the closure of each matrix otherwise; block sums are
-matrix._block_sum. Induced maps class the image matrices and the block
-sums the same way, with the target monoid's index.
+Row spans are classed by projective._ClassIndex, which keeps each class
+found from a span as that span and takes a canonical form only where a
+module size is shared. No module or presentation is built while the
+classes are found: ProjectiveClasses holds each class's matrix and its
+module's size, which k0_report reads, and builds a class's presentation
+when it is read. Each size's orbit minima, and each size's block sums,
+are classed in one batched call: over scalars that keep the semiring laws
+their spans come from one sweep of the products xU, and from the closure
+of each matrix otherwise; block sums are matrix._block_sum. Induced maps
+class the image matrices and the block sums the same way, with the target
+monoid's index.
 
 The completion is the abelian group presented by one generator per class
 modulo the recorded sum relations. Every relation row is e_i + e_j - e_k,
@@ -32,6 +36,9 @@ made that the truncated monoid has converged.
 """
 from __future__ import annotations
 
+import bisect
+import numbers
+from collections import abc
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -52,10 +59,11 @@ from .snf import (IntMatrix, SmithNormalForm, int_matrix_mul,
                   smith_normal_form)
 
 __all__ = [
-    "ProjClassMonoid", "AbelianGroupSNF", "CompletionResult",
-    "GroupHomMatrix", "zero_pad", "enumerate_projective_classes",
-    "grothendieck_completion", "completion_from_triples", "k0_of_hom",
-    "k0_report", "k0_stability", "smith_normal_form", "SmithNormalForm",
+    "ProjectiveClasses", "ProjClassMonoid", "AbelianGroupSNF",
+    "CompletionResult", "GroupHomMatrix", "zero_pad",
+    "enumerate_projective_classes", "grothendieck_completion",
+    "completion_from_triples", "k0_of_hom", "k0_report", "k0_stability",
+    "smith_normal_form", "SmithNormalForm",
 ]
 
 
@@ -66,6 +74,60 @@ def zero_pad(u: SemiringMatrix, size: int) -> SemiringMatrix:
     return block_diag(u, mat_zero(u.scalars, size - u.rows, size - u.rows))
 
 
+class ProjectiveClasses(abc.Sequence):
+    """The classes of a ProjClassMonoid, in order, over the class index
+    that found them.
+
+    Class i's matrix (matrices[i], an array of shape (n, n)) and its
+    module's size (module_sizes[i]) are read without building anything;
+    classes[i], its ProjectivePresentation, is built at its first read
+    from the index's module, the row space of matrices[i], with the
+    identity as its iso, unless it was given. Equal sequences hold equal
+    presentations."""
+
+    def __init__(self, index: _ClassIndex, matrices: Sequence[np.ndarray],
+                 given: Sequence[ProjectivePresentation] = ()):
+        self.index = index
+        self.matrices = tuple(matrices)
+        self.module_sizes = tuple(index.size(i)
+                                  for i in range(len(self.matrices)))
+        self._presentations = dict(enumerate(given))
+
+    @classmethod
+    def of(cls, s: FiniteSemiring,
+           presentations: Sequence[ProjectivePresentation]
+           ) -> "ProjectiveClasses":
+        """The classes of these presentations, with an index over their
+        modules."""
+        return cls(_ClassIndex(s, [p.module for p in presentations]),
+                   [p.u.np_entries for p in presentations], presentations)
+
+    def __len__(self) -> int:
+        return len(self.matrices)
+
+    def __getitem__(self, i: int) -> ProjectivePresentation:
+        i = range(len(self))[i]
+        if i not in self._presentations:
+            s = self.index.scalars
+            u = self.matrices[i]
+            rs = self.index.module(i)
+            self._presentations[i] = ProjectivePresentation(
+                s, len(u), SemiringMatrix(s, len(u), len(u), u.tolist()), rs,
+                SemimoduleHom(rs, rs, tuple(range(rs.size))))
+        return self._presentations[i]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, abc.Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            a == b for a, b in zip(self, other))
+
+    def __hash__(self) -> int:
+        # equal presentations have equal matrices
+        return hash(tuple(tuple(u.reshape(-1).tolist())
+                          for u in self.matrices))
+
+
 @dataclass(frozen=True)
 class ProjClassMonoid:
     """Projective classes below the size bound with their sum relations.
@@ -73,21 +135,27 @@ class ProjClassMonoid:
     sum_relations holds triples (i, j, k) meaning class i plus class j is
     class k. Block sums are recorded whenever the sizes fit under n_max;
     relations through the trivial class are recorded unconditionally since
-    padding shows the trivial class neutral at every size.
+    padding shows the trivial class neutral at every size. classes may be
+    given as presentations, which are then held as their ProjectiveClasses.
     """
 
     scalars: FiniteSemiring
     n_max: int
-    classes: Tuple[ProjectivePresentation, ...]
+    classes: ProjectiveClasses
     sum_relations: Tuple[Tuple[int, int, int], ...]
+
+    def __post_init__(self):
+        if not isinstance(self.classes, ProjectiveClasses):
+            object.__setattr__(self, "classes", ProjectiveClasses.of(
+                self.scalars, tuple(self.classes)))
 
     @property
     def trivial_index(self) -> int:
-        return _trivial_index(self.classes)
+        return _trivial_index(self.classes.module_sizes)
 
-    @cached_property
+    @property
     def _index(self) -> _ClassIndex:
-        return _ClassIndex(self.scalars, [cls.module for cls in self.classes])
+        return self.classes.index
 
     def class_of(self, m: FiniteSemimodule,
                  max_enum: int = MAX_ENUM) -> Optional[int]:
@@ -95,15 +163,23 @@ class ProjClassMonoid:
         return self._index.find(m, max_enum)
 
 
-def _trivial_index(classes: Sequence[ProjectivePresentation]) -> int:
+def _trivial_index(module_sizes: Sequence[int]) -> int:
     """Index of the first class whose module is trivial; scalars that obey
     the semiring laws always have one (the zero matrix presents it)."""
-    index = next((i for i, cls in enumerate(classes)
-                  if cls.module.size == 1), None)
+    index = next((i for i, size in enumerate(module_sizes) if size == 1),
+                 None)
     if index is None:
         raise ToolkitError("no trivial projective class: the scalars break "
                            "the semiring laws")
     return index
+
+
+def _check_n_max(n_max) -> None:
+    """Refuse an n_max that is not an integer of at least 1."""
+    if isinstance(n_max, bool) or not isinstance(n_max, numbers.Integral):
+        raise ValueError(f"n_max={n_max!r} must be an integer")
+    if n_max < 1:
+        raise ValueError(f"n_max={n_max} must be at least 1")
 
 
 def enumerate_projective_classes(s: FiniteSemiring,
@@ -111,38 +187,39 @@ def enumerate_projective_classes(s: FiniteSemiring,
                                  max_enum: int = MAX_ENUM,
                                  max_carrier: int = MAX_CARRIER
                                  ) -> ProjClassMonoid:
-    if n_max < 1:
-        raise ValueError(f"n_max={n_max} must be at least 1")
+    """The classes of the idempotents of sizes 1 to n_max and their block
+    sum relations. No class's module or presentation is built here: the
+    classes hold their matrices and the index's spans, and build a
+    presentation when it is read."""
+    _check_n_max(n_max)
     check_power_bound(EnumGuard, "candidate matrices for the projective "
                       "classes", s.size, n_max * n_max, "max_enum", max_enum)
     index = _ClassIndex(s)
-    classes, mats = [], []
+    mats = []
     for n in range(1, n_max + 1):
         us = _orbit_minima(s, _idempotent_stack(s, n, max_enum))
         for u, found in zip(us, index.find_row_spaces(
                 us, max_enum, max_carrier, store=True)):
-            if found == len(classes):
-                rs = index.modules[found]
+            if found == len(mats):
                 mats.append(u)
-                classes.append(ProjectivePresentation(
-                    s, n, SemiringMatrix(s, n, n, u.tolist()), rs,
-                    SemimoduleHom(rs, rs, tuple(range(rs.size)))))
+    classes = ProjectiveClasses(index, mats)
 
-    trivial = _trivial_index(classes)
+    trivial = _trivial_index(classes.module_sizes)
     relations = set()
-    for j in range(len(classes)):
+    for j in range(len(mats)):
         relations.add((trivial, j, j))
         relations.add((j, trivial, j))
-    pairs = [(i, j) for i, ci in enumerate(classes)
-             for j, cj in enumerate(classes) if ci.n + cj.n <= n_max]
+    # the classes come in order of size, so each i pairs with a prefix
+    ns = [len(u) for u in mats]
+    pairs = [(i, j) for i, n in enumerate(ns)
+             for j in range(bisect.bisect_right(ns, n_max - n))]
     sums = [_block_sum(s.zero, mats[i], mats[j]) for i, j in pairs]
     relations.update((i, j, k) for (i, j), k in zip(
         pairs, _find_each(index, sums, max_enum, max_carrier)))
     if any(k is None for _, _, k in relations):
         raise ToolkitError("a block sum is in no class: the scalars break "
                            "the semiring laws")
-    return ProjClassMonoid(s, n_max, tuple(classes),
-                           tuple(sorted(relations)))
+    return ProjClassMonoid(s, n_max, classes, tuple(sorted(relations)))
 
 
 @dataclass(frozen=True)
@@ -334,10 +411,10 @@ def k0_of_hom(f: Union[SemiringHom, MvHom],
 
     index = p_b._index
     images = []
-    for cls in p_a.classes:
+    for u in p_a.classes.matrices:
         entries = tuple(tuple(h.mapping[x] for x in row)
-                        for row in cls.u.entries)
-        w = SemiringMatrix(h.target, cls.n, cls.n, entries)
+                        for row in u.tolist())
+        w = SemiringMatrix(h.target, len(u), len(u), entries)
         if not is_mult_idempotent(w):
             raise NotIdempotent("entrywise image of an idempotent matrix "
                                 "failed idempotency")
@@ -352,8 +429,8 @@ def k0_of_hom(f: Union[SemiringHom, MvHom],
 
     # class_map[k] is the first class isomorphic to the image of class k,
     # so it is also the first class isomorphic to its own module
-    sums = [_block_sum(h.target.zero, p_b.classes[class_map[i]].u.np_entries,
-                       p_b.classes[class_map[j]].u.np_entries)
+    sums = [_block_sum(h.target.zero, p_b.classes.matrices[class_map[i]],
+                       p_b.classes.matrices[class_map[j]])
             for i, j, _ in p_a.sum_relations]
     respected = all(found == class_map[k] for (_, _, k), found in zip(
         p_a.sum_relations, _find_each(index, sums, max_enum, max_carrier)))
@@ -396,10 +473,8 @@ def k0_report(obj: Union[FiniteSemiring, MvAlgebra],
         "scalars": semiring_to_dict(s),
         "n_max": n_max,
         "classes": [
-            {"size": cls.n,
-             "matrix": [list(row) for row in cls.u.entries],
-             "module_size": cls.module.size}
-            for cls in p.classes
+            {"size": len(u), "matrix": u.tolist(), "module_size": size}
+            for u, size in zip(p.classes.matrices, p.classes.module_sizes)
         ],
         "relations": [list(t) for t in p.sum_relations],
         "group": completion.group.to_dict(),
@@ -411,7 +486,14 @@ def k0_stability(s: Union[FiniteSemiring, MvAlgebra],
                  bounds: Sequence[int] = (1, 2),
                  max_enum: int = MAX_ENUM,
                  max_carrier: int = MAX_CARRIER) -> Dict[str, object]:
-    """Compare truncations across bounds; reports, never asserts, stability."""
+    """Compare truncations across bounds; reports, never asserts, stability.
+    Each bound is checked as an n_max before any class is enumerated, and
+    no bound at all is refused."""
+    bounds = tuple(bounds)
+    if not bounds:
+        raise ValueError("k0_stability needs at least one bound")
+    for k in bounds:
+        _check_n_max(k)
     scalars = _as_semiring(s)
     groups = []
     counts = []

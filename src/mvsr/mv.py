@@ -317,8 +317,11 @@ Partition = Tuple[Tuple[int, ...], ...]
 
 
 def congruence_from_ideal(a: MvAlgebra, ideal) -> Partition:
-    """Classes of the relation d(x, y) in I, as sorted blocks."""
-    members = frozenset(ideal)
+    """Classes of the relation d(x, y) in I, as sorted blocks. The members
+    are checked as indices of a first: a bool, a non-integer or an index out
+    of range raises MalformedTable."""
+    ideal = tuple(ideal)
+    members = frozenset(_index_grid(ideal, (len(ideal),), a.size, "ideal"))
     if not is_ideal(a, members):
         raise NotAnIdeal(f"{sorted(members)} is not an ideal")
     related = [[distance(a, x, y) in members for y in range(a.size)]
@@ -359,8 +362,12 @@ def _compatible_class_map(a: MvAlgebra, blocks: Partition) -> Dict[int, int]:
 
 
 def ideal_from_congruence(a: MvAlgebra, partition: Partition) -> Tuple[int, ...]:
-    """The class of zero; the partition must be an MV-congruence."""
-    blocks = tuple(tuple(sorted(b)) for b in partition)
+    """The class of zero; the partition must be an MV-congruence. Each
+    block's members are checked as indices of a first: a bool, a non-integer
+    or an index out of range raises MalformedTable."""
+    blocks = tuple(tuple(sorted(_index_grid(b, (len(b),), a.size,
+                                            "partition block")))
+                   for b in partition)
     flat = sorted(x for b in blocks for x in b)
     if flat != list(range(a.size)):
         raise NotAnIdeal("partition does not cover the carrier exactly once")

@@ -18,7 +18,8 @@ whose addition is a join semilattice, by comparing canonical forms
 (canonical_form), which needs no search between the two modules.
 _ClassIndex matches a module or a stack of row spans to their stored
 classes, for the matrix criterion, the trichotomy and grothendieck's
-classes and maps.
+classes and maps; a class found from a span is kept as the span, and its
+row-space module is built only when it is read.
 """
 from __future__ import annotations
 
@@ -343,32 +344,69 @@ def _has_forms(s: FiniteSemiring) -> bool:
 
 
 class _ClassIndex:
-    """Modules over one semiring, class i being modules[i], and the lookup
-    of the first class isomorphic to a module or to the row space of u.
+    """Classes of modules over one semiring, in order, and the lookup of
+    the first class isomorphic to a module or to the row space of u.
 
-    Over scalars with forms, forms maps each class size to the forms of
-    that size, taken at its first lookup, each to its first class; a module
-    that breaks the module laws gets no form and matches nothing. Otherwise
-    forms is None and the classes are scanned with are_isomorphic. Row
-    spaces are looked up a stack of matrices at a time: the spans come
-    from one sweep of linear combinations over scalars that keep the
+    A class is a module given at construction or a span stored by a
+    lookup, kept as its (cols, members): the span's tables are taken when
+    a form or its module first needs them, and its row-space module
+    (module) when it is read. Over scalars with forms, forms maps each
+    class size to the forms of that size, each to its first class, or to
+    None until a lookup needs them. Isomorphic modules have equal sizes, so
+    a new span whose size no class has is stored with no form, and the
+    forms of its size are taken at the first later lookup of a new span or
+    module of that size; only a span whose form could breach max_enum, one
+    with more join-irreducibles than _orderings_within allows (they are
+    among the multiples a u_i of its rows), takes its form at once, so the
+    canonical-form guard fires where a form for every span would fire it.
+    A module that breaks the module laws gets no form and matches nothing.
+    Otherwise forms is None and the classes are scanned with
+    are_isomorphic, on row spaces built for the scan.
+
+    Row spaces are looked up a stack of matrices at a time: the spans
+    come from one sweep of linear combinations over scalars that keep the
     semiring laws, and from the closure of each matrix otherwise. A span
     is looked up by (cols, members) first, as identical members give an
-    identical module; a new span's form is read from its tables, and a
-    row space is built from those members and tables only to be stored or
-    scanned. Callers that want the first class of each isomorphism type
-    hand it only the orbit minima of their idempotents (_orbit_minima):
-    the span of any other idempotent is a smaller conjugate's with the
-    coordinates permuted, so it would find that conjugate's class."""
+    identical module. Callers that want the first class of each
+    isomorphism type hand it only the orbit minima of their idempotents
+    (_orbit_minima): the span of any other idempotent is a smaller
+    conjugate's with the coordinates permuted, so it would find that
+    conjugate's class."""
 
     def __init__(self, s: FiniteSemiring,
                  modules: Sequence[FiniteSemimodule] = ()):
         self.scalars = s
-        self.modules = list(modules)
+        self._modules: List[Optional[FiniteSemimodule]] = list(modules)
+        self._spans: Dict[int, Tuple[int, np.ndarray]] = {}
+        self._tables: Dict[int, Tuple[np.ndarray, np.ndarray, int]] = {}
         self.span_classes: Dict[Tuple[int, bytes], int] = {}
         self.forms: Optional[Dict[int, Optional[Dict[tuple, int]]]] = (
-            dict.fromkeys(m.size for m in self.modules)
+            dict.fromkeys(m.size for m in self._modules)
             if _has_forms(s) else None)
+
+    def __len__(self) -> int:
+        return len(self._modules)
+
+    def size(self, i: int) -> int:
+        """The size of class i's module, read without building it."""
+        span = self._spans.get(i)
+        return self._modules[i].size if span is None else len(span[1])
+
+    def module(self, i: int) -> FiniteSemimodule:
+        """Class i's module; a span's row space is built at its first
+        read, equal to row_space of any matrix with that span."""
+        if self._modules[i] is None:
+            cols, members = self._spans[i]
+            self._modules[i] = _row_space_of(self.scalars, cols, members,
+                                             self._tables_of(i))
+        return self._modules[i]
+
+    def _tables_of(self, i: int) -> Tuple[np.ndarray, np.ndarray, int]:
+        """The _vector_tables of the span of class i, taken once."""
+        if i not in self._tables:
+            cols, members = self._spans[i]
+            self._tables[i] = _vector_tables(self.scalars, cols, members)
+        return self._tables[i]
 
     def find(self, m: FiniteSemimodule, max_enum: int) -> Optional[int]:
         """Index of the first class isomorphic to m, else None."""
@@ -394,35 +432,44 @@ class _ClassIndex:
         else None; with store, a row space in no class is stored as the
         next class and its index is given. The spans are taken at the call,
         the lookups lazily, so a caller may stop at the first it needs."""
-        cols = us.shape[2]
+        _, rows, cols = us.shape
         spans = _spans(self.scalars, us, max_carrier)
-        return (self._find_span(cols, members, max_enum, store)
+        return (self._find_span(rows, cols, members, max_enum, store)
                 for members in spans)
 
-    def _find_span(self, cols: int, members: np.ndarray, max_enum: int,
-                   store: bool) -> Optional[int]:
+    def _find_span(self, rows: int, cols: int, members: np.ndarray,
+                   max_enum: int, store: bool) -> Optional[int]:
         s = self.scalars
         key = (cols, members.tobytes())
         found = self.span_classes.get(key)
         if found is not None:
             return found
-        rs = form = None
+        size = len(members)
+        tables = rs = form = None
         if self.forms is None:
             tables = _vector_tables(s, cols, members)
             rs = _row_space_of(s, cols, members, tables)
             found = self._scan(rs, max_enum)
-        else:
-            forms = self._forms_of_size(len(members), max_enum)
+        # the join-irreducibles, among the nonzero a u_i, bound the orderings
+        elif size in self.forms or (store and not _orderings_within(
+                min(rows * (s.size - 1), size - 1), max_enum)):
+            forms = self._forms_of_size(size, max_enum)
             if not (forms or store):
                 return None
             tables = _vector_tables(s, cols, members)
             form = _table_form(*tables, max_enum)
             found = forms.get(form)
+        elif not store:
+            return None
         if found is None and store:
-            found = len(self.modules)
-            self.modules.append(rs or _row_space_of(s, cols, members, tables))
+            found = len(self._modules)
+            self._modules.append(rs)
+            self._spans[found] = (cols, members)
             if form is not None:
-                self.forms.setdefault(len(members), {})[form] = found
+                self._tables[found] = tables
+                self.forms.setdefault(size, {})[form] = found
+            elif self.forms is not None:
+                self.forms[size] = None
         if found is not None:
             self.span_classes[key] = found
         return found
@@ -430,11 +477,17 @@ class _ClassIndex:
     def _forms_of_size(self, size: int, max_enum: int) -> Dict[tuple, int]:
         """The forms of the classes of this size, empty if there is none."""
         if size in self.forms and self.forms[size] is None:
-            found = [(self._form(m, max_enum), i)
-                     for i, m in enumerate(self.modules) if m.size == size]
+            found = [(self._class_form(i, max_enum), i)
+                     for i in range(len(self)) if self.size(i) == size]
             self.forms[size] = {form: i for form, i in reversed(found)
                                 if form is not None}
         return self.forms.get(size, {})
+
+    def _class_form(self, i: int, max_enum: int) -> Optional[tuple]:
+        """Class i's canonical form, a span's read from its tables."""
+        if i in self._spans:
+            return _table_form(*self._tables_of(i), max_enum)
+        return self._form(self._modules[i], max_enum)
 
     def _form(self, m: FiniteSemimodule, max_enum: int) -> Optional[tuple]:
         """m's canonical form, or None when m breaks the module laws."""
@@ -442,8 +495,19 @@ class _ClassIndex:
                 if _module_laws_hold(self.scalars, m) else None)
 
     def _scan(self, m: FiniteSemimodule, max_enum: int) -> Optional[int]:
-        return next((i for i, c in enumerate(self.modules)
-                     if are_isomorphic(c, m, max_enum) is not None), None)
+        return next((i for i in range(len(self))
+                     if are_isomorphic(self.module(i), m, max_enum)
+                     is not None), None)
+
+
+def _orderings_within(count: int, bound: int) -> bool:
+    """Whether count! is at most bound, without taking count!."""
+    total = 1
+    for k in range(2, count + 1):
+        total *= k
+        if total > bound:
+            return False
+    return True
 
 
 def is_projective_matrix_criterion(m: FiniteSemimodule, n: int = None,

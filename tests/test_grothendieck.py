@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import random
@@ -5,7 +6,7 @@ import random
 import pytest
 
 from folds import block_diag_by_loop
-from mvsr import grothendieck, projective
+from mvsr import grothendieck, matrix, projective, semimodule
 from mvsr.errors import (EnumGuard, MalformedTable, ScalarMismatch,
                          ToolkitError)
 from mvsr.grothendieck import (AbelianGroupSNF, ProjClassMonoid,
@@ -235,7 +236,7 @@ def _enumerate_by_row_space(s, n_max=2, max_enum=10 ** 7, max_carrier=4096):
     """The classes and relations with a row space built for every
     idempotent and every block sum, none of them looked up by its span."""
     classes, find = _classes_by_row_space(s, n_max, max_enum, max_carrier)
-    trivial = grothendieck._trivial_index(classes)
+    trivial = grothendieck._trivial_index([c.module.size for c in classes])
     relations = set()
     for j in range(len(classes)):
         relations.add((trivial, j, j))
@@ -280,7 +281,7 @@ def test_span_index_matches_the_row_space_loop_on_a_lawless_table():
         for u in idempotent_matrices(s, n, 10 ** 7):
             found = index.find_row_space(u, 10 ** 7, 4096, store=True)
             if found == len(stored):
-                rs = index.modules[-1]
+                rs = index.module(found)
                 stored.append(ProjectivePresentation(
                     s, n, u, rs, SemimoduleHom(rs, rs, tuple(range(rs.size)))))
     classes, _ = _classes_by_row_space(s, 2, 10 ** 7, 4096)
@@ -415,11 +416,13 @@ def _span_key(u):
     lambda: _square_tables()[5],
 ], ids=["c4", "c2xc2"])
 def test_each_span_is_classed_once(scalars, monkeypatch):
-    """A form per distinct span of the orbit minima among the idempotents
-    plus one per new span of the block sums (c4: 17, where all the
-    idempotents would give 25), a row space only for each class, built
-    from the members at hand, and one sweep per size: the idempotents of
-    sizes 1 and 2 and the block sums of size 2. The closure never runs."""
+    """A form per distinct span of the orbit minima and of the block sums
+    whose module size another distinct span shares, since isomorphic
+    modules have equal sizes (on c4, 41 of the 42 spans; the minima are 17
+    spans, where all the idempotents would give 25), no row space while
+    the classes are found, one sweep per size (the idempotents of sizes 1
+    and 2 and the block sums of size 2), and the closure never. The row
+    spaces are built when the classes are read, one per class."""
     s = scalars()
     p = enumerate_projective_classes(s, 2)
     minima = [SemiringMatrix(s, n, n, u) for n in (1, 2)
@@ -443,12 +446,100 @@ def test_each_span_is_classed_once(scalars, monkeypatch):
     for name in calls:
         monkeypatch.setattr(projective, name, counted(name))
     again = enumerate_projective_classes(s, 2)
-    assert again == p
+    sizes = collections.Counter(len(members)
+                                for _, members in spans | block_spans)
+    shared = [key for key in spans | block_spans if sizes[len(key[1])] > 1]
     assert len(spans) < len(minima) < sum(len(idempotent_matrices(s, n))
                                           for n in (1, 2))
-    assert calls == {"_table_form": len(spans | block_spans),
-                     "_row_space_of": len(p.classes), "_row_spans": 3,
-                     "_row_span": 0}
+    assert 0 < len(shared) < len(spans | block_spans)
+    assert calls == {"_table_form": len(shared), "_row_space_of": 0,
+                     "_row_spans": 3, "_row_span": 0}
+    assert again == p
+    assert calls["_row_space_of"] == len(p.classes)
+
+
+def test_a_span_whose_form_could_breach_the_guard_takes_it_at_once():
+    """Over c4 the identity's row space, the free module on two points,
+    has its join-irreducibles in three cells of two: 8 orderings. No class
+    shares its size, yet with max_enum 7 its first lookup is refused, as a
+    form taken for every new span is; with 8 it is stored with its form,
+    and with the default bound with none."""
+    c4 = reduct_vee_odot(lukasiewicz_chain(4))
+    u = mat_identity(c4, 2)
+    with pytest.raises(EnumGuard, match="^canonical form orderings: 8 "):
+        projective._ClassIndex(c4).find_row_space(u, 7, 4096, store=True)
+    index = projective._ClassIndex(c4)
+    assert index.find_row_space(u, 8, 4096, store=True) == 0
+    assert list(index.forms[16].values()) == [0]
+    index = projective._ClassIndex(c4)
+    assert index.find_row_space(u, 10 ** 7, 4096, store=True) == 0
+    assert index.forms == {16: None}
+
+
+@pytest.mark.parametrize("algebra", [
+    lambda: lukasiewicz_chain(4),
+    lambda: mv_product(lukasiewicz_chain(2), lukasiewicz_chain(2)),
+], ids=["c4", "c2xc2"])
+def test_k0_report_builds_no_module(algebra, monkeypatch):
+    """The report reads each class's matrix and module size alone: no row
+    space, label or presentation check runs, and the bytes are the scan's."""
+    want = _report_by_scan(algebra(), 2, monkeypatch)
+
+    def refuse(*args):
+        raise AssertionError("the report built a module or a presentation")
+
+    for module, name in ((projective, "_row_space_of"),
+                         (projective, "_vector_labels"),
+                         (semimodule, "_vector_labels"),
+                         (projective, "is_mult_idempotent"),
+                         (grothendieck, "is_mult_idempotent"),
+                         (matrix, "is_mult_idempotent")):
+        monkeypatch.setattr(module, name, refuse)
+    assert canonical_dumps(k0_report(algebra(), 2)) == want
+
+
+def test_classes_read_after_the_lookups_match_the_row_space_loop():
+    """The sizes and matrices read before any module is built, and the
+    presentations built when p.classes is read after every lookup, equal
+    the loop's on the 42 oracle cases; over the CLI's lawless table, the
+    classes that the index stores before the refusal equal the loop's when
+    they are read after the last lookup."""
+    for s, n_max in _oracle_cases():
+        p = enumerate_projective_classes(s, n_max)
+        want = _enumerate_by_row_space(s, n_max)
+        assert p.classes.module_sizes == tuple(c.module.size
+                                               for c in want.classes)
+        assert ([u.tolist() for u in p.classes.matrices]
+                == [list(map(list, c.u.entries)) for c in want.classes])
+        assert tuple(p.classes) == tuple(want.classes)
+        assert p.classes[-1] is p.classes[-1]
+    s = _lawless()
+    index = projective._ClassIndex(s)
+    mats = []
+    for n in (1, 2):
+        for u in idempotent_matrices(s, n, 10 ** 7):
+            if index.find_row_space(u, 10 ** 7, 4096, store=True) == len(mats):
+                mats.append(u.np_entries)
+    classes, _ = _classes_by_row_space(s, 2, 10 ** 7, 4096)
+    assert list(grothendieck.ProjectiveClasses(index, mats)) == classes
+
+
+def test_n_max_must_be_an_integer_of_at_least_one(boolean):
+    """A bool, a float, a string or a bound below 1 is refused with
+    ValueError before any guard, even a guard set to refuse everything,
+    by enumerate_projective_classes, k0_report and each bound of
+    k0_stability, which also refuses an empty tuple of bounds."""
+    for bad in (True, False, 1.5, 2.0, "2", None, 0, -1):
+        with pytest.raises(ValueError, match="^n_max="):
+            enumerate_projective_classes(boolean, bad, max_enum=0)
+        with pytest.raises(ValueError, match="^n_max="):
+            k0_report(boolean, bad, max_enum=0)
+        with pytest.raises(ValueError, match="^n_max="):
+            k0_stability(boolean, (1, bad), max_enum=0)
+    with pytest.raises(ValueError, match="^k0_stability needs at least one"):
+        k0_stability(boolean, ())
+    with pytest.raises(EnumGuard):
+        enumerate_projective_classes(boolean, 1, max_enum=0)
 
 
 def test_k0_report_bytes_at_n_max_3():

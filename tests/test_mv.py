@@ -163,6 +163,23 @@ def test_every_ideal_route_refuses_a_bad_member(chain3, ideal, message):
             route(chain3, ideal)
 
 
+@pytest.mark.parametrize("route,members,message", [
+    (congruence_from_ideal, (0, [1]), "ideal entry \\[1\\] is not an integer"),
+    (ideal_from_congruence, ((0, "a"), (1, 2)),
+     "partition block entry 'a' is not an integer"),
+    (ideal_from_congruence, ((0, 1.0), (2,)),
+     "partition block entry 1.0 is not an integer"),
+    (ideal_from_congruence, ((0, True), (2,)),
+     "partition block entry True is not an integer"),
+])
+def test_congruence_routes_check_members_before_reading_them(
+        chain3, route, members, message):
+    """An unhashable, unorderable or non-integer member is refused as a
+    malformed index before any set, sort or tuple index reads it."""
+    with pytest.raises(MalformedTable, match=f"^{message}$"):
+        route(chain3, members)
+
+
 def test_quotient_square_by_line(square):
     q = quotient(square, (0, 1))
     assert q.algebra.size == 2
