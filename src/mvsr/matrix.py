@@ -18,8 +18,8 @@ from .config import DEFAULT_SEED, MAX_CARRIER, MAX_ENUM
 from .errors import (NoDecomposition, NotFreeBasis, ScalarMismatch,
                      ShapeMismatch, SizeGuard, check_power_bound)
 from .semiring import (FiniteSemiring, SemiringHom, _combine, _index_grid,
-                       _sampled_law_failures, _store, check_semiring_axioms,
-                       same_scalars)
+                       _index_list, _sampled_law_failures, _store,
+                       check_semiring_axioms, same_scalars)
 from .semimodule import (_CHUNK_ELEMENTS, EndSemiring, FiniteSemimodule,
                          FreeSemimodule, SemimoduleHom, _assignments, _digits,
                          _require_homs, _span, _weights, end_semiring,
@@ -325,11 +325,8 @@ def lift_hom(h: SemimoduleHom, gens_source: Sequence[int],
     order, that the target's cover sends to its image; the matrix is not
     unique and no canonical choice is promised, only the commuting square."""
     m, n = h.source, h.target
-    gens_source, gens_target = tuple(gens_source), tuple(gens_target)
-    gens_source = _index_grid(gens_source, (len(gens_source),), m.size,
-                              "generators")
-    gens_target = _index_grid(gens_target, (len(gens_target),), n.size,
-                              "generators")
+    gens_source = _index_list(gens_source, m.size, "generators")
+    gens_target = _index_list(gens_target, n.size, "generators")
     if _span(m, gens_source) != set(range(m.size)):
         raise NoDecomposition("source generators do not span")
     if _span(n, gens_target) != set(range(n.size)):

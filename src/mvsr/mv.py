@@ -20,10 +20,11 @@ from .config import MAX_CARRIER, MAX_ENUM
 from .errors import (ChainTooShort, EnumGuard, MalformedTable, NotAHom,
                      NotAnIdeal, SizeGuard, TooManyVariables, check_bound)
 from .semiring import (AxiomReport, FiniteSemiring, LawCheck, SemiringHom,
-                       Table, _IndexMap, _first_assoc_failure,
+                       Table, _IndexMap, _closed_sets, _first_assoc_failure,
                        _first_comm_failure, _first_identity_failure,
-                       _index_grid, _label_tuple, _require_samples,
-                       _store, is_additively_idempotent, natural_order)
+                       _index_grid, _index_list, _label_tuple, _members,
+                       _require_samples, _store, is_additively_idempotent,
+                       natural_order)
 from .tropical import (DEN_LCM, TOP, TropicalUSemifield, scaled_sampler,
                        trop)
 
@@ -197,7 +198,9 @@ class LeqEquivalence:
 
 
 def leq_equivalence_check(a: MvAlgebra, x: int, y: int) -> LeqEquivalence:
-    """Evaluate all four characterizations of x <= y and cross-check them."""
+    """Evaluate all four characterizations of x <= y and cross-check them.
+    x and y are checked as indices of a before any table is read."""
+    x, y = (_index_grid(v, (), a.size, "element") for v in (x, y))
     c1 = a.oplus[a.star[x]][y] == a.one
     c2 = a.times(x, a.star[y]) == a.zero
     c3 = a.oplus[x][a.times(y, a.star[x])] == y
@@ -278,16 +281,18 @@ def mv_semiring_negation_check(s: FiniteSemiring,
 
 
 def distance(a: MvAlgebra, x: int, y: int) -> int:
-    """Symmetric difference d(x, y) = (x * y~) + (y * x~)."""
+    """Symmetric difference d(x, y) = (x * y~) + (y * x~); x and y are
+    checked as indices of a first."""
+    x, y = (_index_grid(v, (), a.size, "element") for v in (x, y))
     return a.oplus[a.times(x, a.star[y])][a.times(y, a.star[x])]
 
 
 def is_ideal(a: MvAlgebra, subset) -> bool:
     """Whether subset holds zero and is closed under the sum and downward.
     Its members are checked as indices of a before any table is read: a
-    bool, a non-integer or an index out of range raises MalformedTable."""
-    subset = tuple(subset)
-    members = set(_index_grid(subset, (len(subset),), a.size, "ideal"))
+    subset that is not a sequence, a bool, a non-integer or an index out of
+    range raises MalformedTable."""
+    members = set(_index_list(subset, a.size, "ideal"))
     if a.zero not in members:
         return False
     for x in members:
@@ -301,16 +306,34 @@ def is_ideal(a: MvAlgebra, subset) -> bool:
 
 
 def ideals(a: MvAlgebra, max_enum: int = MAX_ENUM) -> Tuple[Tuple[int, ...], ...]:
-    """All ideals, by exhaustive subset scan (downward closed, sum closed)."""
+    """All ideals, ordered by size then members: the closed sets of the
+    ideal closure, by semiring's closed-set sweep. The closure adds zero,
+    then every y <= x and every x + y of its members until nothing
+    changes, so its fixed points are exactly the subsets is_ideal accepts,
+    on lawless tables too. The guard counts the 2^|A| subsets."""
     check_bound(EnumGuard, "subsets scanned for ideals", 2 ** a.size,
                 "max_enum", max_enum)
-    found = []
-    for mask in range(2 ** a.size):
-        subset = [x for x in range(a.size) if mask >> x & 1]
-        if subset and is_ideal(a, subset):
-            found.append(tuple(subset))
-    found.sort(key=lambda t: (len(t), t))
-    return tuple(found)
+    below = [sum(1 << y for y in range(a.size) if a.leq(y, x))
+             for x in range(a.size)]
+
+    def close(mask: int) -> int:
+        mask |= 1 << a.zero
+        order = _members(mask)
+        done = 0
+        while done < len(order):
+            x = order[done]
+            done += 1
+            grown = below[x]
+            for y in order[:done]:
+                grown |= 1 << a.oplus[x][y] | 1 << a.oplus[y][x]
+            grown &= ~mask
+            mask |= grown
+            order += _members(grown)
+        return mask
+
+    closed, _ = _closed_sets(a.size, close)
+    return tuple(sorted((tuple(_members(c)) for c in closed),
+                        key=lambda t: (len(t), t)))
 
 
 Partition = Tuple[Tuple[int, ...], ...]
@@ -319,9 +342,9 @@ Partition = Tuple[Tuple[int, ...], ...]
 def congruence_from_ideal(a: MvAlgebra, ideal) -> Partition:
     """Classes of the relation d(x, y) in I, as sorted blocks. The members
     are checked as indices of a first: a bool, a non-integer or an index out
-    of range raises MalformedTable."""
-    ideal = tuple(ideal)
-    members = frozenset(_index_grid(ideal, (len(ideal),), a.size, "ideal"))
+    of range raises MalformedTable, as does an ideal that is not a
+    sequence."""
+    members = frozenset(_index_list(ideal, a.size, "ideal"))
     if not is_ideal(a, members):
         raise NotAnIdeal(f"{sorted(members)} is not an ideal")
     related = [[distance(a, x, y) in members for y in range(a.size)]
@@ -363,10 +386,15 @@ def _compatible_class_map(a: MvAlgebra, blocks: Partition) -> Dict[int, int]:
 
 def ideal_from_congruence(a: MvAlgebra, partition: Partition) -> Tuple[int, ...]:
     """The class of zero; the partition must be an MV-congruence. Each
-    block's members are checked as indices of a first: a bool, a non-integer
-    or an index out of range raises MalformedTable."""
-    blocks = tuple(tuple(sorted(_index_grid(b, (len(b),), a.size,
-                                            "partition block")))
+    block's members are checked as indices of a first: a partition that is
+    not a sequence of sequences, a bool, a non-integer or an index out of
+    range raises MalformedTable."""
+    try:
+        partition = tuple(partition)
+    except TypeError:
+        raise MalformedTable("partition must be a sequence of "
+                             "blocks") from None
+    blocks = tuple(tuple(sorted(_index_list(b, a.size, "partition block")))
                    for b in partition)
     flat = sorted(x for b in blocks for x in b)
     if flat != list(range(a.size)):

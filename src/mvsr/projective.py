@@ -45,8 +45,9 @@ from .semimodule import (_CHUNK_ELEMENTS, FiniteSemimodule, FreeSemimodule,
                          _vector_labels, _vector_tables, _weights, generate,
                          join_irreducibles, minimal_generating_set,
                          module_over_self)
-from .semiring import (FiniteSemiring, check_semiring_axioms,
-                       is_additively_idempotent, same_scalars)
+from .semiring import (FiniteSemiring, _closed_sets, _members,
+                       check_semiring_axioms, is_additively_idempotent,
+                       same_scalars)
 
 
 def row_space(u: SemiringMatrix,
@@ -417,13 +418,6 @@ class _ClassIndex:
         forms = self._forms_of_size(m.size, max_enum)
         return forms.get(self._form(m, max_enum)) if forms else None
 
-    def find_row_space(self, u: SemiringMatrix, max_enum: int,
-                       max_carrier: int, store: bool = False
-                       ) -> Optional[int]:
-        """find_row_spaces of the one matrix u."""
-        return next(self.find_row_spaces(u.np_entries[None], max_enum,
-                                         max_carrier, store))
-
     def find_row_spaces(self, us: np.ndarray, max_enum: int,
                         max_carrier: int, store: bool = False
                         ) -> Iterator[Optional[int]]:
@@ -581,12 +575,12 @@ def direct_sum(m: FiniteSemimodule, n: FiniteSemimodule) -> DirectSum:
 # ----- the cyclic trichotomy ---------------------------------------------------
 
 def all_subsemimodules(m: FiniteSemimodule) -> Tuple[Tuple[int, ...], ...]:
-    """Member sets of every subsemimodule, ordered by size then content."""
-    found = set()
-    for r in range(m.size + 1):
-        for subset in itertools.combinations(range(m.size), r):
-            found.add(tuple(sorted(_span(m, subset))))
-    return tuple(sorted(found, key=lambda t: (len(t), t)))
+    """Member sets of every subsemimodule, ordered by size then content:
+    the closed sets of the span closure, by semiring's closed-set sweep."""
+    closed, _ = _closed_sets(
+        m.size, lambda mask: sum(1 << x for x in _span(m, _members(mask))))
+    return tuple(sorted((tuple(_members(c)) for c in closed),
+                        key=lambda t: (len(t), t)))
 
 
 @dataclass(frozen=True)

@@ -43,8 +43,8 @@ from .semiring import (AxiomReport, FiniteSemiring, LawCheck, SemiringHom,
                        _combine, _first_absorb_failure, _first_additive_failure,
                        _first_assoc_failure, _first_comm_failure,
                        _first_identity_failure, _first_true, _index_grid,
-                       _label_tuple, _store, boolean_semiring, fold,
-                       is_additively_idempotent, same_scalars)
+                       _index_list, _label_tuple, _store, boolean_semiring,
+                       fold, is_additively_idempotent, same_scalars)
 
 
 @dataclass(frozen=True)
@@ -263,9 +263,7 @@ class Subsemimodule(FiniteSemimodule):
 
 def generate(m: FiniteSemimodule, gens: Iterable[int]) -> Subsemimodule:
     """Least subsemimodule of m containing gens (always contains zero)."""
-    gens = tuple(gens)
-    members = sorted(_span(m, _index_grid(gens, (len(gens),), m.size,
-                                          "generators")))
+    members = sorted(_span(m, _index_list(gens, m.size, "generators")))
     pos = {x: i for i, x in enumerate(members)}
     add = tuple(tuple(pos[m.add[x][y]] for y in members) for x in members)
     action = tuple(tuple(pos[m.action[a][x]] for x in members)

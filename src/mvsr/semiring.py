@@ -7,13 +7,17 @@ because matrix semirings get into the hundreds of elements.
 A semiring is a module over itself, so the semiring, semimodule, MV and
 hom laws share one kernel per law shape (associativity, additivity and
 absorption), each scanned for its first witness by _first_in_blocks.
+
+The three lattices of closed sets the package enumerates, the ideals of
+an MV-algebra, the subsemimodules of a module and the tensor congruence,
+come from one closed-set sweep over bitmasks, _closed_sets.
 """
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -110,6 +114,18 @@ def _array_grid(values: np.ndarray, shape, bound: int, what: str):
     return tuple(values.tolist()) if shape else values.item()
 
 
+def _index_list(values, bound: int, what: str) -> Tuple[int, ...]:
+    """values checked by _index_grid as a sequence of indices in
+    0..bound-1 of any length; a value that is not a sequence, such as a
+    bare integer, raises MalformedTable before any entry is read."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise MalformedTable(f"{what} must be a sequence of "
+                             f"indices") from None
+    return _index_grid(values, (len(values),), bound, what)
+
+
 def _label_tuple(labels, size: int) -> Optional[Tuple[str, ...]]:
     """Labels as strings, one per element, or None when there are none."""
     if labels is not None:
@@ -149,6 +165,42 @@ def _combine(add: np.ndarray, act: np.ndarray, zero: int, coeffs,
                                           np.shape(images)[1:]), zero,
                       dtype=np.intp)
     return acc
+
+
+def _members(mask: int) -> List[int]:
+    """The set bits of a mask, in increasing order."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _closed_sets(width: int, close: Callable[[int], int]
+                 ) -> Tuple[List[int], List[List[int]]]:
+    """The fixed points of the closure operator close on the subsets of
+    range(width), coded as bitmasks, in the order found, with the step
+    table: step[k][i] is the index of the closure of closed set k joined
+    with the singleton {i}. The closure of the empty set comes first, then
+    each closed set is joined once with every singleton, and a join that
+    adds nothing is not closed again (Ganter & Wille, Formal Concept
+    Analysis, 1999). Every closed set is reached, as the closure of the
+    empty set joined with its members one at a time, so the cost is
+    width closures per closed set and nothing indexed by all 2^width
+    subsets is built."""
+    closed = [close(0)]
+    index = {closed[0]: 0}
+    step: List[List[int]] = []
+    while len(step) < len(closed):
+        c = closed[len(step)]
+        row = []
+        for i in range(width):
+            joined = c | 1 << i
+            if joined != c:
+                joined = close(joined)
+            k = index.get(joined)
+            if k is None:
+                k = index[joined] = len(closed)
+                closed.append(joined)
+            row.append(k)
+        step.append(row)
+    return closed, step
 
 
 @dataclass(frozen=True)

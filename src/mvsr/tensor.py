@@ -8,10 +8,12 @@ tensors absorb either bottom), and slides a scalar across the pair; by
 induction the binary joins and bottoms collapse every finite join. It is
 found by its closed sets, not by merging subsets: each generating pair
 becomes two implications, the closed sets are enumerated one singleton
-step at a time into a step table, and that table is the whole quotient: a
-subset is classed by folding it over the subset's members. The tensor
-product is the quotient, with the least subset per class, under
-cardinality then member order, as its canonical representative. The
+step at a time into a step table by semiring's closed-set sweep (the one
+behind mv.ideals and projective.all_subsemimodules too), and that table is
+the whole quotient: a subset is classed by folding it over the subset's
+members. The tensor product is the quotient, with the least subset per
+class, under cardinality then member order, as its canonical
+representative. The
 congruence keeps the pairs it was closed on, and scalars act on the
 quotient through the left slot: a scalar moves each class's
 representative, and the action is checked well defined on those generating
@@ -59,17 +61,13 @@ from .semimodule import (FiniteSemimodule, HomSemilattice, SemimoduleHom,
                          _require_homs, free_semimodule, hom_set,
                          join_irreducibles, module_over_self,
                          restrict_scalars, trivial_module)
-from .semiring import (FiniteSemiring, SemiringHom, _combine, _index_grid,
-                       is_additively_idempotent, same_scalars)
+from .semiring import (FiniteSemiring, SemiringHom, _closed_sets, _combine,
+                       _index_grid, _members, is_additively_idempotent,
+                       same_scalars)
 from .semiring import AxiomReport
 
 
 # ----- congruences on the free semilattice ---------------------------------
-
-def _members(mask: int) -> List[int]:
-    """The set bits of a mask, in increasing order."""
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
-
 
 @dataclass(frozen=True)
 class SemilatticeCongruence:
@@ -111,14 +109,16 @@ def congruence_closure(width: int, pairs: Sequence[Tuple[int, int]],
     Each pair (u, v) is read as the implications u => v and v => u, and two
     subsets are congruent exactly when their closures under them agree
     (Ganter & Wille, Formal Concept Analysis). Only the closed sets are
-    enumerated: the closure of the empty set, then each closed set joined
-    once with every singleton, into the step table. A subset is classed by
-    folding that table over its members, so nothing indexed by all 2^width
-    subsets is built. Each class is represented by its first subset in
-    itertools.combinations order, the least under cardinality then member
-    order, and classes are numbered in the order of their representatives'
-    masks. A pair whose subsets are not subsets of range(width) is refused
-    with MalformedTable before any closure.
+    enumerated, by semiring._closed_sets, the closed-set sweep that also
+    enumerates ideals and subsemimodules: the closure of the empty set,
+    then each closed set joined once with every singleton, into the step
+    table. A subset is classed by folding that table over its members, so
+    nothing indexed by all 2^width subsets is built. Each class is
+    represented by its first subset in itertools.combinations order, the
+    least under cardinality then member order, and classes are numbered in
+    the order of their representatives' masks. A pair whose subsets are not
+    subsets of range(width) is refused with MalformedTable before any
+    closure.
     """
     check_bound(SizeGuard, "free semilattice carrier", 1 << width,
                 "max_carrier", max_carrier)
@@ -150,23 +150,7 @@ def congruence_closure(width: int, pairs: Sequence[Tuple[int, int]],
                 return mask
             mask, pending = grown, rest
 
-    closed = [close(0)]
-    index = {closed[0]: 0}
-    step: List[List[int]] = []
-    while len(step) < len(closed):
-        c = closed[len(step)]
-        row = []
-        for i in range(width):
-            joined = c | 1 << i
-            if joined != c:
-                joined = close(joined)
-            k = index.get(joined)
-            if k is None:
-                k = index[joined] = len(closed)
-                closed.append(joined)
-            row.append(k)
-        step.append(row)
-
+    closed, step = _closed_sets(width, close)
     reps: List[Optional[int]] = [None] * len(closed)
     missing = len(closed)
     for k in range(width + 1):

@@ -279,7 +279,8 @@ def test_span_index_matches_the_row_space_loop_on_a_lawless_table():
     stored = []
     for n in (1, 2):
         for u in idempotent_matrices(s, n, 10 ** 7):
-            found = index.find_row_space(u, 10 ** 7, 4096, store=True)
+            found = next(index.find_row_spaces(u.np_entries[None], 10 ** 7,
+                                               4096, store=True))
             if found == len(stored):
                 rs = index.module(found)
                 stored.append(ProjectivePresentation(
@@ -467,12 +468,15 @@ def test_a_span_whose_form_could_breach_the_guard_takes_it_at_once():
     c4 = reduct_vee_odot(lukasiewicz_chain(4))
     u = mat_identity(c4, 2)
     with pytest.raises(EnumGuard, match="^canonical form orderings: 8 "):
-        projective._ClassIndex(c4).find_row_space(u, 7, 4096, store=True)
+        next(projective._ClassIndex(c4).find_row_spaces(
+            u.np_entries[None], 7, 4096, store=True))
     index = projective._ClassIndex(c4)
-    assert index.find_row_space(u, 8, 4096, store=True) == 0
+    assert next(index.find_row_spaces(u.np_entries[None], 8, 4096,
+                                      store=True)) == 0
     assert list(index.forms[16].values()) == [0]
     index = projective._ClassIndex(c4)
-    assert index.find_row_space(u, 10 ** 7, 4096, store=True) == 0
+    assert next(index.find_row_spaces(u.np_entries[None], 10 ** 7, 4096,
+                                      store=True)) == 0
     assert index.forms == {16: None}
 
 
@@ -518,7 +522,8 @@ def test_classes_read_after_the_lookups_match_the_row_space_loop():
     mats = []
     for n in (1, 2):
         for u in idempotent_matrices(s, n, 10 ** 7):
-            if index.find_row_space(u, 10 ** 7, 4096, store=True) == len(mats):
+            if next(index.find_row_spaces(u.np_entries[None], 10 ** 7, 4096,
+                                          store=True)) == len(mats):
                 mats.append(u.np_entries)
     classes, _ = _classes_by_row_space(s, 2, 10 ** 7, 4096)
     assert list(grothendieck.ProjectiveClasses(index, mats)) == classes

@@ -23,6 +23,8 @@ from mvsr.semiring import check_semiring_axioms
 from mvsr.tropical import (TOP, Trop, TropicalUSemifield, sample_trop, trop,
                            trop_meet, trop_prod)
 
+from closed_scans import ideals_by_scan
+
 
 @pytest.fixture
 def chain3():
@@ -137,6 +139,47 @@ def test_ideals_frozen(chain3, square):
     assert not is_ideal(square, (0, 3))
 
 
+def _products():
+    l2, l3 = lukasiewicz_chain(2), lukasiewicz_chain(3)
+    return (mv_product(l2, l3), mv_product(l3, l3),
+            mv_product(mv_product(l2, l2), l2))
+
+
+def test_ideals_match_the_scan_on_chains_and_products():
+    for a in [lukasiewicz_chain(k) for k in range(2, 7)] + list(_products()):
+        assert ideals(a) == ideals_by_scan(a)
+    assert len(ideals(_products()[2])) == 8
+
+
+def test_ideals_match_the_scan_on_lawless_tables():
+    """The ideal closure reads only the sum and the order the tables
+    define, so its fixed points are the subsets is_ideal accepts on any
+    tables, and the sweep finds the scan's ideals."""
+    rng = random.Random(25)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        a = MvAlgebra(n, [[rng.randrange(n) for _ in range(n)]
+                          for _ in range(n)],
+                      [rng.randrange(n) for _ in range(n)], rng.randrange(n))
+        assert ideals(a) == ideals_by_scan(a)
+
+
+def test_ideals_of_a_long_product_take_the_sweep():
+    """c11 x c2 has 22 elements, so the scan would test 2^22 subsets; its
+    ideals are the products of the ideals of its factors."""
+    a = mv_product(lukasiewicz_chain(11), lukasiewicz_chain(2))
+    assert ideals(a) == ((0,), (0, 1), tuple(range(0, 22, 2)),
+                         tuple(range(22)))
+
+
+def test_ideals_guard_counts_every_subset(chain3):
+    with pytest.raises(EnumGuard,
+                       match="^subsets scanned for ideals: 8 exceeds "
+                             "max_enum=7$"):
+        ideals(chain3, max_enum=7)
+    assert ideals(chain3, max_enum=8) == ((0,), (0, 1, 2))
+
+
 def test_ideal_congruence_round_trip(square):
     for ideal in ideals(square):
         blocks = congruence_from_ideal(square, ideal)
@@ -154,6 +197,8 @@ def test_congruence_rejects_non_ideal(square):
     # once read as the last element, and refused as "not an ideal"
     ((0, -1), "ideal table entry -1 out of range 0..2"),
     ((0, True), "ideal entry True is not an integer"),
+    # not a sequence; it ended in a TypeError
+    (5, "ideal must be a sequence of indices"),
 ])
 def test_every_ideal_route_refuses_a_bad_member(chain3, ideal, message):
     routes = (is_ideal, congruence_from_ideal, quotient,
@@ -171,13 +216,30 @@ def test_every_ideal_route_refuses_a_bad_member(chain3, ideal, message):
      "partition block entry 1.0 is not an integer"),
     (ideal_from_congruence, ((0, True), (2,)),
      "partition block entry True is not an integer"),
+    (ideal_from_congruence, 7, "partition must be a sequence of blocks"),
+    (ideal_from_congruence, (0, 1, 2),
+     "partition block must be a sequence of indices"),
 ])
 def test_congruence_routes_check_members_before_reading_them(
         chain3, route, members, message):
-    """An unhashable, unorderable or non-integer member is refused as a
-    malformed index before any set, sort or tuple index reads it."""
+    """An unhashable, unorderable or non-integer member, or a partition
+    that is not a sequence of sequences, is refused as malformed before
+    any set, sort or tuple index reads it."""
     with pytest.raises(MalformedTable, match=f"^{message}$"):
         route(chain3, members)
+
+
+@pytest.mark.parametrize("route,x,y,message", [
+    (distance, 7, 0, "element index 7 out of range 0..2"),
+    # once read as the last element, and d(2, 0) = 2 returned
+    (distance, -1, 0, "element index -1 out of range 0..2"),
+    (distance, 0, 1.0, "element entry 1.0 is not an integer"),
+    (leq_equivalence_check, 5, 0, "element index 5 out of range 0..2"),
+    (leq_equivalence_check, 0, True, "element entry True is not an integer"),
+])
+def test_element_arguments_are_checked_first(chain3, route, x, y, message):
+    with pytest.raises(MalformedTable, match=f"^{message}$"):
+        route(chain3, x, y)
 
 
 def test_quotient_square_by_line(square):

@@ -24,6 +24,7 @@ from mvsr.semiring import (FiniteSemiring, boolean_semiring,
 from mvsr.tensor import enumerate_modules
 
 from capped import run_capped
+from closed_scans import subsemimodules_by_scan
 from folds import is_idempotent_by_loop
 
 
@@ -500,6 +501,47 @@ def test_sum_of_projectives_is_projective(boolean):
 def test_all_subsemimodules_of_three_chain(three):
     subs = all_subsemimodules(module_over_self(three))
     assert subs == ((0,), (0, 1), (0, 1, 2))
+
+
+def test_subsemimodules_match_the_scan_on_small_modules(boolean):
+    modules = enumerate_modules(boolean, 4)
+    assert len(modules) == 13
+    for m in modules:
+        assert all_subsemimodules(m) == subsemimodules_by_scan(m)
+    free3 = free_semimodule(boolean, ("a", "b", "c"))
+    subs = all_subsemimodules(free3)
+    assert len(subs) == 61 and subs == subsemimodules_by_scan(free3)
+
+
+def _random_table(rng, rows, cols, bound):
+    return tuple(tuple(rng.randrange(bound) for _ in range(cols))
+                 for _ in range(rows))
+
+
+def test_subsemimodules_match_the_scan_on_lawless_modules():
+    """The span closure is a closure on any tables, so the sweep finds
+    the scan's sets on modules that break every law too."""
+    rng = random.Random(25)
+    for _ in range(300):
+        k, n = rng.randint(1, 3), rng.randint(1, 6)
+        s = FiniteSemiring(k, _random_table(rng, k, k, k),
+                           _random_table(rng, k, k, k), rng.randrange(k),
+                           rng.randrange(k))
+        m = FiniteSemimodule(scalars=s, size=n,
+                             add=_random_table(rng, n, n, n),
+                             zero=rng.randrange(n),
+                             action=_random_table(rng, k, n, n))
+        assert all_subsemimodules(m) == subsemimodules_by_scan(m)
+
+
+@pytest.mark.parametrize("k", [18, 20])
+def test_subsemimodules_of_a_long_chain_are_its_down_sets(k):
+    """Over the k-chain acting on itself by product, a subsemimodule that
+    holds x holds every a * x, which is everything below x: the k down-sets,
+    where the scan would close 2^k subsets."""
+    self_mod = module_over_self(reduct_vee_odot(lukasiewicz_chain(k)))
+    assert all_subsemimodules(self_mod) == tuple(tuple(range(j + 1))
+                                                 for j in range(k))
 
 
 def test_trichotomy_on_the_boolean_square():

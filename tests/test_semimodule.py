@@ -226,9 +226,10 @@ def test_generate_and_minimal_generators(three):
     assert minimal_generating_set(trivial_module(three)) == ()
 
 
-@pytest.mark.parametrize("gens", [(5,), (1.0,), (True,), ("1",)])
+@pytest.mark.parametrize("gens", [(5,), (1.0,), (True,), ("1",), 5])
 def test_generate_refuses_generators_that_are_no_elements(three, gens):
-    """5 ended in an IndexError and 1.0 in a TypeError."""
+    """(5,) ended in an IndexError, and (1.0,) and a bare 5 in a
+    TypeError."""
     with pytest.raises(MalformedTable, match="^generators "):
         generate(module_over_self(three), gens)
 

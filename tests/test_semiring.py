@@ -287,3 +287,29 @@ def test_law_reports_match_the_loops(monkeypatch, budget):
     assert min(broken[law] for law in changed) >= 100, broken
     assert min(broken[kind] for kind in ("semiring", "module", "mv")) \
         >= 1000, broken
+
+
+def test_closed_set_sweep_reaches_every_closed_set_in_order():
+    """Under the identity closure every subset is closed, found in breadth
+    first order from the empty set, and a step is a union; under a closure
+    that always adds element 0 the closed sets are those that hold it."""
+    closed, step = semiring._closed_sets(3, lambda mask: mask)
+    assert closed == [0, 1, 2, 4, 3, 5, 6, 7]
+    assert all(closed[step[k][i]] == c | 1 << i
+               for k, c in enumerate(closed) for i in range(3))
+    closed, step = semiring._closed_sets(3, lambda mask: mask | 1)
+    assert closed == [1, 3, 5, 7]
+    assert step[0] == [0, 1, 2]
+
+
+def test_the_sweep_closes_no_join_that_adds_nothing():
+    calls = []
+
+    def close(mask):
+        calls.append(mask)
+        return mask | 1
+
+    semiring._closed_sets(2, close)
+    # the empty set, then {0, 1} from {0}; {0} and {0, 1} joined with a
+    # member they hold are not closed again
+    assert calls == [0, 3]
