@@ -631,13 +631,6 @@ def gamma(f: TropicalUSemifield, a) -> Fraction:
     return Fraction(_clamp(trop(a).value, f.u))
 
 
-def _meet_breaks(a, b, top) -> bool:
-    """Whether gamma(min(a, b)) != min(gamma a, gamma b) at unit top; None
-    is Top, the greatest value."""
-    low = b if a is None else a if b is None else min(a, b)
-    return _clamp(low, top) != min(_clamp(a, top), _clamp(b, top))
-
-
 def _sum_breaks(a, b, top) -> bool:
     """Whether gamma(a + b) != min(gamma a + gamma b, top) at unit top;
     None is Top, which absorbs the sum."""
@@ -649,6 +642,11 @@ def _grid_failures() -> int:
     """The grid pairs at which a truncation law fails: the meet law on the
     whole grid, the truncated-sum law on its nonnegative part and Top. Zero
     proves both laws on their whole domains, for every unit u.
+
+    _clamp is called once per distinct argument, the grid and the sums of
+    its nonnegative part, and the laws read that table. The table is
+    rebuilt on every call and never cached, so the grid decides whatever
+    _clamp is at the time, a broken one included.
 
     Scaling by 2/u > 0 commutes with min, max and +, so the laws at unit u
     on multiples of u/2 are the laws at unit 2 on integers. In the proof,
@@ -688,20 +686,33 @@ def _grid_failures() -> int:
     This is the vertex method for identities between McNaughton functions
     (Mundici, Advanced Lukasiewicz calculus and MV-algebras, 2011).
     """
+    top = _GRID_UNIT
     nonnegative = [x for x in _GRID if x is None or x >= 0]
-    return (sum(_meet_breaks(a, b, _GRID_UNIT) for a in _GRID for b in _GRID)
-            + sum(_sum_breaks(a, b, _GRID_UNIT)
-                  for a in nonnegative for b in nonnegative))
+    finite = [x for x in nonnegative if x is not None]
+    clamp = {x: _clamp(x, top)
+             for x in {*_GRID, *(a + b for a in finite for b in finite)}}
+    meet = sum(clamp[b if a is None else a if b is None else min(a, b)]
+               != min(clamp[a], clamp[b]) for a in _GRID for b in _GRID)
+    total = sum(clamp[None if a is None or b is None else a + b]
+                != min(clamp[a] + clamp[b], top)
+                for a in nonnegative for b in nonnegative)
+    return meet + total
 
 
 def _sampled_failures(samples: int, draw_meet, draw_sum,
                       top: int) -> Tuple[int, int]:
     """Meet and truncated-sum failures over the samples, at the scaled unit
-    top; each sample draws a meet pair, then a sum pair, one at a time."""
+    top; each sample draws a meet pair, then a sum pair, one at a time.
+    None is Top, the greatest value. min(a, b) is a or b, so its clamp is
+    read off theirs; each sum is clamped on its own."""
+    clamp = _clamp
     meet_fails = sum_fails = 0
     for _ in range(samples):
         a, b = draw_meet(), draw_meet()
-        meet_fails += _meet_breaks(a, b, top)
+        kept, other = clamp(a, top), clamp(b, top)
+        if a is None or b is not None and b < a:
+            kept, other = other, kept
+        meet_fails += kept != min(kept, other)
         a, b = draw_sum(), draw_sum()
         sum_fails += _sum_breaks(a, b, top)
     return meet_fails, sum_fails
@@ -749,6 +760,25 @@ def gamma_property_report(f: TropicalUSemifield, samples: int = 10000,
             and top_ok}
 
 
+def _chain_sampler(rng: random.Random, k: int, low: int):
+    """gamma_chain's draw function: None (Top) with probability 0.05, else
+    rng.randint(low, 3 * k), taken as randint takes it, by getrandbits
+    rejection, with rng's two methods bound once."""
+    width = 3 * k - low + 1
+    bits = width.bit_length()
+    uniform, getrandbits = rng.random, rng.getrandbits
+
+    def draw() -> Optional[int]:
+        if uniform() < 0.05:
+            return None
+        i = getrandbits(bits)
+        while i >= width:
+            i = getrandbits(bits)
+        return low + i
+
+    return draw
+
+
 def gamma_chain(k: int, samples: int = 1000, seed: int = 42,
                 max_carrier: int = MAX_CARRIER):
     """Truncate the subgroup (1/k)Z of the min-plus rationals at u = 1.
@@ -771,14 +801,8 @@ def gamma_chain(k: int, samples: int = 1000, seed: int = 42,
     alg = lukasiewicz_chain(k + 1, max_carrier)
 
     rng = random.Random(seed)
-
-    def draw(lo: int) -> Optional[int]:
-        if rng.random() < 0.05:
-            return None
-        return rng.randint(lo, 3 * k)
-
-    meet_fails, sum_fails = _sampled_failures(samples, lambda: draw(-3 * k),
-                                              lambda: draw(0), k)
+    meet_fails, sum_fails = _sampled_failures(
+        samples, _chain_sampler(rng, k, -3 * k), _chain_sampler(rng, k, 0), k)
     grid_fails = _grid_failures()
     top_ok = gamma(f, TOP) == f.u
     cert = {"k": k, "u": "1", "samples": samples, "seed": seed,

@@ -129,19 +129,33 @@ def sample_trop(rng: random.Random, nonnegative: bool = False) -> Trop:
 
 def scaled_sampler(rng: random.Random, scale: int,
                    nonnegative: bool = False):
-    """A draw function for sample_trop's bounds in integers: each call
-    makes the same rng calls as sample_trop(rng, nonnegative) and
-    returns its value times DEN_LCM * scale, which is an integer, or None
-    for Top."""
-    steps = (0,) + tuple(DEN_LCM // den * scale
-                         for den in range(1, DEN_BOUND + 1))
+    """A draw function for sample_trop's stream in integers: each call
+    returns sample_trop(rng, nonnegative)'s value times DEN_LCM * scale,
+    which is an integer, or None for Top.
+
+    It draws what sample_trop draws and leaves rng in the same state.
+    rng.random() picks Top; each bounded integer is then taken as
+    rng.randint takes it, by getrandbits rejection: draw as many bits as
+    the range's width has, until the draw falls below the width. rng's
+    two methods are bound once, and no Trop or Fraction is built.
+    """
+    steps = tuple(DEN_LCM // den * scale for den in range(1, DEN_BOUND + 1))
     low = 0 if nonnegative else -NUM_BOUND
+    width = NUM_BOUND - low + 1
+    bits = width.bit_length()
+    den_bits = DEN_BOUND.bit_length()
+    uniform, getrandbits = rng.random, rng.getrandbits
 
     def draw() -> Optional[int]:
-        if rng.random() < TOP_WEIGHT:
+        if uniform() < TOP_WEIGHT:
             return None
-        num = rng.randint(low, NUM_BOUND)
-        return num * steps[rng.randint(1, DEN_BOUND)]
+        num = getrandbits(bits)
+        while num >= width:
+            num = getrandbits(bits)
+        den = getrandbits(den_bits)
+        while den >= DEN_BOUND:
+            den = getrandbits(den_bits)
+        return (low + num) * steps[den]
 
     return draw
 

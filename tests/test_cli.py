@@ -94,6 +94,17 @@ def test_wrong_structure_for_subcommand(boolean_file, capsys):
     assert "malformed input" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("labels", [[None, {"a": [1]}], [True, 1.5]])
+def test_labels_that_are_not_strings_exit_1(labels, tmp_path, capsys):
+    path = write(tmp_path / "c2.json",
+                 dict(mv_to_dict(lukasiewicz_chain(2)), labels=labels))
+    assert main(["reduct", "vee-odot", "--input", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("mvsr: malformed input: "
+                            "'labels' must be a list of strings\n")
+
+
 def test_reduct_swaps_neutrals(chain3_file, capsys):
     assert main(["reduct", "wedge-oplus", "--input", chain3_file]) == 0
     data = json.loads(capsys.readouterr().out)

@@ -20,8 +20,9 @@ from mvsr.mv import (MvAlgebra, MvHom, boolean_center, check_mv_axioms,
                      star_reduct_isomorphism)
 from mvsr.semimodule import quotient_module_from_ideal
 from mvsr.semiring import check_semiring_axioms
-from mvsr.tropical import (TOP, Trop, TropicalUSemifield, sample_trop, trop,
-                           trop_meet, trop_prod)
+from mvsr.tropical import (DEN_LCM, TOP, Trop, TropicalUSemifield,
+                           sample_trop, scaled_sampler, trop, trop_meet,
+                           trop_prod)
 
 from closed_scans import ideals_by_scan
 
@@ -386,18 +387,21 @@ def _report_oracle(u, samples, seed):
     return counts, rng.getstate()
 
 
+def _chain_draw(rng, k, low):
+    """One draw in (1/k)Z as gamma_chain makes it: Top, or i/k for i in
+    low..3k."""
+    if rng.random() < 0.05:
+        return TOP
+    return Trop(Fraction(rng.randint(low, 3 * k), k))
+
+
 def _chain_oracle(k, samples, seed):
     """gamma_chain's failure counts from draws in (1/k)Z, and the state of
     its generator after them."""
     rng = random.Random(seed)
-
-    def draw(low):
-        if rng.random() < 0.05:
-            return TOP
-        return Trop(Fraction(rng.randint(low, 3 * k), k))
-
     counts = _gamma_failures(TropicalUSemifield(Fraction(1)), samples,
-                             lambda: draw(-3 * k), lambda: draw(0))
+                             lambda: _chain_draw(rng, k, -3 * k),
+                             lambda: _chain_draw(rng, k, 0))
     return counts, rng.getstate()
 
 
@@ -441,6 +445,41 @@ def test_gamma_chain_samples_match_the_fraction_oracle(k, last_rng_state):
         counts, state = _chain_oracle(k, 40, seed)
         assert _counts(cert) == counts
         assert last_rng_state() == state
+
+
+# The failure counts above are 0 for a correct clamp, so a draw off by one
+# would pass them; these compare the draws themselves, value by value.
+
+def _assert_same_draws(seed, make_draw, oracle_draw, scale):
+    """1,000 draws of make_draw(rng) equal scale times oracle_draw(rng)'s,
+    Top as None, from two generators seeded alike, which end alike."""
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
+    draw = make_draw(rng)
+    for _ in range(1000):
+        got, want = draw(), oracle_draw(oracle_rng)
+        if want.is_top:
+            assert got is None
+        else:
+            assert type(got) is int and got == scale * want.value
+    assert rng.getstate() == oracle_rng.getstate()
+
+
+@pytest.mark.parametrize("nonnegative", [False, True])
+@pytest.mark.parametrize("u", UNITS, ids=UNIT_IDS)
+def test_each_scaled_draw_is_sample_trops_draw_scaled(u, nonnegative):
+    for seed in range(50):
+        _assert_same_draws(
+            seed, lambda rng: scaled_sampler(rng, u.denominator, nonnegative),
+            lambda rng: sample_trop(rng, nonnegative), DEN_LCM * u.denominator)
+
+
+@pytest.mark.parametrize("nonnegative", [False, True])
+@pytest.mark.parametrize("k", range(1, 8))
+def test_each_chain_draw_is_the_oracles_draw(k, nonnegative):
+    low = 0 if nonnegative else -3 * k
+    for seed in range(50):
+        _assert_same_draws(seed, lambda rng: mv._chain_sampler(rng, k, low),
+                           lambda rng: _chain_draw(rng, k, low), k)
 
 
 @pytest.mark.parametrize("u", UNITS, ids=UNIT_IDS)
