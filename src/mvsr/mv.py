@@ -310,9 +310,8 @@ def ideals(a: MvAlgebra, max_enum: int = MAX_ENUM) -> Tuple[Tuple[int, ...], ...
     ideal closure, by semiring's closed-set sweep. The closure adds zero,
     then every y <= x and every x + y of its members until nothing
     changes, so its fixed points are exactly the subsets is_ideal accepts,
-    on lawless tables too. The guard counts the 2^|A| subsets."""
-    check_bound(EnumGuard, "subsets scanned for ideals", 2 ** a.size,
-                "max_enum", max_enum)
+    on lawless tables too. The guard bounds the closures the sweep takes
+    on, ideals found times |A|, before each ideal's closures run."""
     below = [sum(1 << y for y in range(a.size) if a.leq(y, x))
              for x in range(a.size)]
 
@@ -331,7 +330,8 @@ def ideals(a: MvAlgebra, max_enum: int = MAX_ENUM) -> Tuple[Tuple[int, ...], ...
             order += _members(grown)
         return mask
 
-    closed, _ = _closed_sets(a.size, close)
+    closed, _ = _closed_sets(a.size, close, "closures run for ideals",
+                             max_enum)
     return tuple(sorted((tuple(_members(c)) for c in closed),
                         key=lambda t: (len(t), t)))
 

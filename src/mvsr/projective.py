@@ -574,11 +574,15 @@ def direct_sum(m: FiniteSemimodule, n: FiniteSemimodule) -> DirectSum:
 
 # ----- the cyclic trichotomy ---------------------------------------------------
 
-def all_subsemimodules(m: FiniteSemimodule) -> Tuple[Tuple[int, ...], ...]:
+def all_subsemimodules(m: FiniteSemimodule, max_enum: int = MAX_ENUM
+                       ) -> Tuple[Tuple[int, ...], ...]:
     """Member sets of every subsemimodule, ordered by size then content:
-    the closed sets of the span closure, by semiring's closed-set sweep."""
+    the closed sets of the span closure, by semiring's closed-set sweep.
+    The guard bounds the closures the sweep takes on, subsemimodules
+    found times |M|, before each one's closures run."""
     closed, _ = _closed_sets(
-        m.size, lambda mask: sum(1 << x for x in _span(m, _members(mask))))
+        m.size, lambda mask: sum(1 << x for x in _span(m, _members(mask))),
+        "closures run for subsemimodules", max_enum)
     return tuple(sorted((tuple(_members(c)) for c in closed),
                         key=lambda t: (len(t), t)))
 
@@ -652,7 +656,7 @@ def cyclic_mv_trichotomy(alg: MvAlgebra, m: FiniteSemimodule,
     if c_iso is None:
         # no idempotent route; look for any complement among submodules
         index = _ClassIndex(scal, (self_mod,))
-        for members in all_subsemimodules(self_mod):
+        for members in all_subsemimodules(self_mod, max_enum):
             if m.size * len(members) != alg.size:
                 continue
             ds = direct_sum(m, generate(self_mod, members)).module

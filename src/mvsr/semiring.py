@@ -21,7 +21,8 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import MalformedTable, NotAHom, NotIdempotent
+from .errors import (EnumGuard, MalformedTable, NotAHom, NotIdempotent,
+                     check_bound)
 
 Table = Tuple[Tuple[int, ...], ...]
 # Most elements any one temporary array holds: the free universal
@@ -172,7 +173,8 @@ def _members(mask: int) -> List[int]:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
-def _closed_sets(width: int, close: Callable[[int], int]
+def _closed_sets(width: int, close: Callable[[int], int],
+                 stage: str = "closures", max_enum: Optional[int] = None
                  ) -> Tuple[List[int], List[List[int]]]:
     """The fixed points of the closure operator close on the subsets of
     range(width), coded as bitmasks, in the order found, with the step
@@ -183,11 +185,18 @@ def _closed_sets(width: int, close: Callable[[int], int]
     Analysis, 1999). Every closed set is reached, as the closure of the
     empty set joined with its members one at a time, so the cost is
     width closures per closed set and nothing indexed by all 2^width
-    subsets is built."""
+    subsets is built.
+
+    With max_enum given, the closures the sweep has taken on, closed sets
+    found times width, are checked against it before each closed set's
+    step row is built; EnumGuard names stage."""
     closed = [close(0)]
     index = {closed[0]: 0}
     step: List[List[int]] = []
     while len(step) < len(closed):
+        if max_enum is not None:
+            check_bound(EnumGuard, stage, len(closed) * width, "max_enum",
+                        max_enum)
         c = closed[len(step)]
         row = []
         for i in range(width):
@@ -299,12 +308,23 @@ def _first_in_blocks(count: int, per_item: int, mask):
     return None
 
 
+def _assoc_mask(acts: np.ndarray, mul: np.ndarray, a: slice) -> np.ndarray:
+    """Where each action acts[k] of the stack, acts[k, a, x] an action of
+    the multiplication mul, breaks a(bx) = (ab)x: true at (k, a, b, x), for
+    the scalars a of the slice a. Each a(bx) is one gather from the rows of
+    a, flattened, at the start of a's row in stack k plus bx."""
+    rows = acts[:, a]
+    start = np.arange(0, rows.size, rows.shape[2]).reshape(*rows.shape[:2],
+                                                           1, 1)
+    return rows.reshape(-1)[start + acts[:, None]] != acts[:, mul[a]]
+
+
 def _first_assoc_failure(act: np.ndarray, mul: np.ndarray):
-    """The first (a, b, x) with a(bx) != (ab)x, for act[a, x] an action of
-    the multiplication mul: (t, t) is the associativity of a table t, and
-    (action, scalar product) a module's action-associative law."""
+    """The first (a, b, x) of _assoc_mask on the stack of act alone: (t, t)
+    is the associativity of a table t, and (action, scalar product) a
+    module's action-associative law."""
     return _first_in_blocks(len(act), mul.shape[1] * act.shape[1],
-                            lambda a: act[a][:, act] != act[mul[a]])
+                            lambda a: _assoc_mask(act[None], mul, a)[0])
 
 
 def _additivity_mask(maps: np.ndarray, add1: np.ndarray, add2: np.ndarray

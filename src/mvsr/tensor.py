@@ -36,6 +36,13 @@ the tests as the oracle. Fullness of restriction is the exception: it
 holds by the restriction lemma, and the enumeration that confirms it lives
 in the tests. Only commutative scalars are exercised; right modules are
 identified with left ones throughout.
+
+Module enumeration finds the addition tables once per size. The candidate
+actions of one addition table are stacked, each law the construction
+leaves open is one mask over the stack, computed with semiring's law
+kernels, and a module is built only for the candidates that pass. Change
+of scalars extends along h: A -> B as B tensor M over A, with B acting on
+itself restricted to A once per check, not once per module.
 """
 from __future__ import annotations
 
@@ -56,12 +63,13 @@ from .errors import (EnumGuard, IllDefinedAction, MalformedTable, NotAHom,
 from .jsonio import semimodule_to_dict
 from .mv import gamma_chain, reduct_wedge_oplus
 from .semimodule import (FiniteSemimodule, HomSemilattice, SemimoduleHom,
-                         _digits, _first_broken_law, _module_laws_hold,
-                         _schedule, _sum_laws, check_semimodule, _first_hom,
+                         _digits, _first_broken_law, _schedule,
+                         _sum_laws, check_semimodule, _first_hom,
                          _require_homs, free_semimodule, hom_set,
                          join_irreducibles, module_over_self,
                          restrict_scalars, trivial_module)
-from .semiring import (FiniteSemiring, SemiringHom, _closed_sets, _combine,
+from .semiring import (FiniteSemiring, SemiringHom, Table, _CHUNK_ELEMENTS,
+                       _additivity_mask, _assoc_mask, _closed_sets, _combine,
                        _index_grid, _members, is_additively_idempotent,
                        same_scalars)
 from .semiring import AxiomReport
@@ -429,14 +437,29 @@ def _monoid_canonical(size: int, table) -> Tuple:
     return best
 
 
-def _commutative_monoid_tables(size: int, idempotent: bool, max_enum: int):
+def _free_cells(size: int, idempotent: bool) -> List[Tuple[int, int]]:
+    return [(i, j) for i in range(1, size)
+            for j in range(i + 1 if idempotent else i, size)]
+
+
+def _commutative_monoid_tables(size: int, idempotent: bool, max_enum: int
+                               ) -> Tuple[Table, ...]:
     """Every associative commutative table on 0..size-1 with 0 as its
     identity, in lexicographic order of the free cells; with idempotent
-    set, x + x = x is fixed instead of enumerated."""
-    cells = [(i, j) for i in range(1, size)
-             for j in range(i + 1 if idempotent else i, size)]
+    set, x + x = x is fixed instead of enumerated. The tables do not depend
+    on the caller, so they are found once per size and kept; the guard on
+    the candidate tables runs on every call, against the caller's max_enum,
+    before the kept tables are read."""
     check_bound(EnumGuard, f"monoid tables on {size} elements",
-                size ** len(cells), "max_enum", max_enum)
+                size ** len(_free_cells(size, idempotent)), "max_enum",
+                max_enum)
+    return _monoid_tables(size, idempotent)
+
+
+@lru_cache(maxsize=None)
+def _monoid_tables(size: int, idempotent: bool) -> Tuple[Table, ...]:
+    cells = _free_cells(size, idempotent)
+    out = []
     for values in itertools.product(range(size), repeat=len(cells)):
         table = [[0] * size for _ in range(size)]
         for i in range(size):
@@ -447,7 +470,8 @@ def _commutative_monoid_tables(size: int, idempotent: bool, max_enum: int):
         if all(table[table[x][y]][z] == table[x][table[y][z]]
                for x in range(size) for y in range(size)
                for z in range(size)):
-            yield tuple(tuple(r) for r in table)
+            out.append(tuple(tuple(r) for r in table))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -619,12 +643,16 @@ def hom_point_iso(m: FiniteSemimodule,
 
 # ----- change of scalars ----------------------------------------------------
 
-def _extend_scalars(h: SemiringHom, m: FiniteSemimodule,
-                    max_carrier: int) -> Tuple[TensorProduct, FiniteSemimodule]:
-    """B tensor M over A, with B = h.target acting on the left slot."""
-    t = tensor_product(restrict_scalars(h, module_over_self(h.target)), m,
-                       max_carrier)
-    return t, scalar_structures(t, h.target, h.target.mul)
+def _extend_scalars(b_over_a: FiniteSemimodule, b: FiniteSemiring,
+                    m: FiniteSemimodule, max_carrier: int
+                    ) -> Tuple[TensorProduct, FiniteSemimodule]:
+    """B tensor M over A, with B acting on the left slot by its own
+    multiplication. b_over_a is B acting on itself restricted along the
+    scalar map h: A -> B, restrict_scalars(h, module_over_self(b)). It
+    does not depend on M, so a caller that extends many modules builds it,
+    and validates h, once."""
+    t = tensor_product(b_over_a, m, max_carrier)
+    return t, scalar_structures(t, b, b.mul)
 
 
 def _tensor_unit(t: TensorProduct, one: int) -> Tuple[int, ...]:
@@ -654,7 +682,7 @@ def adjunction_witness(h: SemiringHom,
     unit_flags = []
     spot = None
     for m in mods_a:
-        t, extended = _extend_scalars(h, m, max_carrier)
+        t, extended = _extend_scalars(b_over_a, b, m, max_carrier)
         unit = _tensor_unit(t, b.one)
         homs_bm = hom_set(b_over_a, m, max_enum)
         lifted = hom_lattice_structure(homs_bm, b, b.np_mul.T).module
@@ -730,26 +758,63 @@ def enumerate_modules(s: FiniteSemiring, size_bound: int,
     and one rows of the action are forced by the laws. Every other
     scalar acts by a join endomorphism fixing zero, so its row is drawn
     from End(M, +), enumerated once per addition table in lexicographic
-    order, and each combination of rows goes through the full law check.
+    order. The candidate actions of one addition table, every combination
+    of those rows in itertools.product order, are stacked as one
+    (k, |S|, |M|) array, a chunk of at most _CHUNK_ELEMENTS law entries at
+    a time, and the laws the construction leaves open are computed as one
+    mask each, through semiring's law kernels:
+
+    - action-associative, a(bx) = (ab)x, by _assoc_mask;
+    - scalar-additive, (a + b)x = ax + bx, by _additivity_mask on the
+      columns x -> (a -> ax) of the stack;
+    - action-zero, 0x = 0, only when zero = one: there the one row, the
+      identity, overwrites the zero row.
+
+    The other laws of check_semimodule hold by construction. The addition
+    is associative, commutative, idempotent and has 0 as its identity, as
+    its enumerator keeps only such tables. Action-additivity and a0 = 0
+    hold since every row is in End(M, +): the free rows by the search, the
+    zero row and the identity trivially. The one row is the identity, so
+    the action is unital, and when zero != one the zero row is 0, so
+    0x = 0. A FiniteSemimodule is built only for the candidates the masks
+    pass, in the order of the addition tables and then of the stack.
     """
     out = []
     free = [c for c in range(s.size) if c not in (s.zero, s.one)]
     for size in range(1, size_bound + 1):
-        adds = list(_commutative_monoid_tables(size, True, max_enum))
+        adds = _commutative_monoid_tables(size, True, max_enum)
         check_bound(EnumGuard, f"action tables on {size} elements",
                     size ** (size * len(free)), "max_enum", max_enum)
+        step = max(1, _CHUNK_ELEMENTS // (s.size * s.size * size))
         for add in adds:
-            endos = _monoid_homs(add, 0, size, add, 0) if free else ()
-            for rows in itertools.product(endos, repeat=len(free)):
-                action = [None] * s.size
-                action[s.zero] = (0,) * size
-                action[s.one] = tuple(range(size))
-                for c, row in zip(free, rows):
-                    action[c] = row
-                m = FiniteSemimodule(s, size, add, 0, tuple(action))
-                if _module_laws_hold(s, m):
-                    out.append(m)
+            np_add = np.array(add, np.intp)
+            # with no free scalar, no row is drawn and one candidate is left
+            endos = np.array(_monoid_homs(add, 0, size, add, 0) if free
+                             else (), np.intp).reshape(-1, size)
+            count = len(endos) ** len(free)
+            for lo in range(0, count, step):
+                picks = _digits(np.arange(lo, min(count, lo + step)),
+                                len(endos), len(free))
+                acts = np.empty((len(picks), s.size, size), np.intp)
+                acts[:, s.zero] = 0
+                acts[:, s.one] = np.arange(size)
+                acts[:, free] = endos[picks]
+                out += [FiniteSemimodule(s, size, add, 0, action.tolist())
+                        for action in acts[_lawful_actions(s, np_add, acts)]]
     return tuple(out)
+
+
+def _lawful_actions(s: FiniteSemiring, add: np.ndarray, acts: np.ndarray
+                    ) -> np.ndarray:
+    """Which actions of the stack acts[k, a, x], over the addition add,
+    keep the laws that enumerate_modules leaves open."""
+    k, _, size = acts.shape
+    bad = _assoc_mask(acts, s.np_mul, slice(None)).reshape(k, -1).any(1)
+    columns = acts.transpose(0, 2, 1).reshape(k * size, s.size)
+    bad |= _additivity_mask(columns, s.np_add, add).reshape(k, -1).any(1)
+    if s.zero == s.one:
+        bad |= (acts[:, s.zero] != 0).any(1)
+    return ~bad
 
 
 def full_embedding_check(h: SemiringHom,
@@ -768,17 +833,23 @@ def full_embedding_check(h: SemiringHom,
     (a on M, a on N) over a in A are the pairs (b on M, b on N) over b in
     B, and a map passes the laws over A exactly when it passes them over
     B, whether or not the modules keep the module laws. Only the unit is
-    checked, one tensor product per test module."""
+    checked, one tensor product per test module: B acting on itself is
+    restricted to A once, each test module restricted to A is extended
+    back to B by _extend_scalars, and x -> 1 tensor x must be a bijective
+    hom onto the extension."""
     h.validate()
     if not h.is_onto():
         raise NotOnto("the embedding theorem needs an onto homomorphism")
     modules = tuple(test_modules) if test_modules is not None else \
         enumerate_modules(h.target, size_bound, max_enum)
 
+    b = h.target
+    b_over_a = restrict_scalars(h, module_over_self(b))
     unit_flags = []
     for mb in modules:
-        t, extended = _extend_scalars(h, restrict_scalars(h, mb), max_carrier)
-        unit = _tensor_unit(t, h.target.one)
+        t, extended = _extend_scalars(b_over_a, b, restrict_scalars(h, mb),
+                                      max_carrier)
+        unit = _tensor_unit(t, b.one)
         try:
             iso = SemimoduleHom(mb, extended, unit).validate()
             unit_flags.append(iso.is_onto() and iso.is_injective())

@@ -173,12 +173,20 @@ def test_ideals_of_a_long_product_take_the_sweep():
                          tuple(range(22)))
 
 
-def test_ideals_guard_counts_every_subset(chain3):
+def test_ideals_guard_counts_the_closures_run(chain3):
+    """The sweep takes on three closures, one per element, for each ideal
+    it finds: the 3-chain's two ideals cost six."""
     with pytest.raises(EnumGuard,
-                       match="^subsets scanned for ideals: 8 exceeds "
-                             "max_enum=7$"):
-        ideals(chain3, max_enum=7)
-    assert ideals(chain3, max_enum=8) == ((0,), (0, 1, 2))
+                       match="^closures run for ideals: 6 exceeds "
+                             "max_enum=5$"):
+        ideals(chain3, max_enum=5)
+    assert ideals(chain3, max_enum=6) == ((0,), (0, 1, 2))
+
+
+def test_ideals_of_a_chain_past_the_subset_count():
+    """The 24-chain has 2^24 subsets, past the default max_enum, but only
+    its two ideals are swept: 48 closures."""
+    assert ideals(lukasiewicz_chain(24)) == ((0,), tuple(range(24)))
 
 
 def test_ideal_congruence_round_trip(square):

@@ -534,6 +534,17 @@ def test_subsemimodules_match_the_scan_on_lawless_modules():
         assert all_subsemimodules(m) == subsemimodules_by_scan(m)
 
 
+def test_subsemimodules_guard_counts_the_closures_run(boolean):
+    """The sweep takes on |M| closures for each subsemimodule it finds:
+    61 of them on eight elements cost 488, one past a bound just under."""
+    free3 = free_semimodule(boolean, ("a", "b", "c"))
+    with pytest.raises(EnumGuard,
+                       match="^closures run for subsemimodules: 488 "
+                             "exceeds max_enum=487$"):
+        all_subsemimodules(free3, max_enum=487)
+    assert len(all_subsemimodules(free3, max_enum=488)) == 61
+
+
 @pytest.mark.parametrize("k", [18, 20])
 def test_subsemimodules_of_a_long_chain_are_its_down_sets(k):
     """Over the k-chain acting on itself by product, a subsemimodule that
@@ -570,6 +581,22 @@ def test_trichotomy_complement_splits_the_algebra():
     assert res.c_iso is not None
     # the splitting map is a bijection from the algebra onto the biproduct
     assert len(set(res.c_iso.mapping)) == square.size
+
+
+def test_trichotomy_bounds_the_complement_search(three, monkeypatch):
+    """The two-point chain with the middle scalar acting as zero has no
+    idempotent route, so a complement is looked for among the 3-chain's
+    subsemimodules, under the trichotomy's own max_enum."""
+    m = FiniteSemimodule(three, 2, ((0, 1), (1, 1)), 0,
+                         ((0, 0), (0, 0), (0, 1)))
+    bounds = []
+    sweep = projective.all_subsemimodules
+    monkeypatch.setattr(projective, "all_subsemimodules",
+                        lambda m, max_enum: bounds.append(max_enum)
+                        or sweep(m, max_enum))
+    res = cyclic_mv_trichotomy(lukasiewicz_chain(3), m, max_enum=12345)
+    assert bounds == [12345]
+    assert not res.projective and res.c_iso is None and res.consistent
 
 
 def test_trichotomy_needs_cyclic(boolean):

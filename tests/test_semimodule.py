@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import mvsr.semimodule
-import mvsr.tensor
 from mvsr.errors import (EnumGuard, IllDefinedAction, MalformedTable,
                          NotAHom, ScalarMismatch)
 from mvsr.mv import (lukasiewicz_chain, mv_product, quotient, reduct_vee_odot,
@@ -26,7 +25,8 @@ from mvsr.projective import row_space
 from mvsr.semiring import (FiniteSemiring, SemiringHom, boolean_semiring,
                            check_semiring_axioms, opposite_semiring,
                            same_scalars)
-from mvsr.tensor import enumerate_modules
+from mvsr.tensor import (_commutative_monoid_tables, _monoid_homs,
+                         enumerate_modules)
 
 from capped import run_capped
 from folds import hom_rows_by_product
@@ -82,23 +82,40 @@ def test_bad_middle_row_fails_exactly_scalar_additive(three):
     assert failed[0].witness == (1, 2, 1)
 
 
+def _module_candidates(s, size_bound):
+    """Every candidate action enumerate_modules weighs over s up to the
+    bound, as a module: for each idempotent addition table, the zero and
+    one rows forced and every other row drawn from End(M, +)."""
+    out = []
+    free = [c for c in range(s.size) if c not in (s.zero, s.one)]
+    for size in range(1, size_bound + 1):
+        for add in _commutative_monoid_tables(size, True, 10**6):
+            endos = _monoid_homs(add, 0, size, add, 0)
+            for rows in itertools.product(endos, repeat=len(free)):
+                action = [None] * s.size
+                action[s.zero] = (0,) * size
+                action[s.one] = tuple(range(size))
+                for c, row in zip(free, rows):
+                    action[c] = row
+                out.append(FiniteSemimodule(s, size, add, 0, tuple(action)))
+    return out
+
+
 def test_law_check_stops_at_the_first_broken_law(boolean, three,
                                                  monkeypatch):
     """_module_laws_hold agrees with the full report on every candidate
-    enumerate_modules tries over B up to 4 and C3 up to 4, on the diamonds
-    with every middle row, on the lawless join semilattices, on two tables
-    whose addition breaks the laws and on three that each break one action
-    law alone."""
-    tried = []
-
-    def record(s, m):
-        tried.append((s, m))
-        return _module_laws_hold(s, m)
-
-    monkeypatch.setattr(mvsr.tensor, "_module_laws_hold", record)
+    enumerate_modules weighs over B up to 4 and C3 up to 4, on the
+    diamonds with every middle row, on the lawless join semilattices, on
+    two tables whose addition breaks the laws and on three that each break
+    one action law alone."""
+    tried = [(s, m) for s in (boolean, three)
+             for m in _module_candidates(s, 4)]
     assert len(enumerate_modules(boolean, 4)) == 13
     assert len(enumerate_modules(three, 4)) == 33
     assert len(tried) == 13 + 183
+    for s in (boolean, three):
+        assert enumerate_modules(s, 4) == tuple(
+            m for t, m in tried if t is s and check_semimodule(s, m).valid)
     tables = tried + [(three, diamond(three, row))
                       for row in itertools.product(range(4), repeat=4)]
     tables += [(boolean, m) for m in _lawless_targets(boolean)]

@@ -12,7 +12,7 @@ from mvsr.config import MAX_CARRIER
 from mvsr.errors import (EnumGuard, IllDefinedAction, MalformedTable, NotAHom,
                          NotIdempotent, NotOnto, ScalarMismatch, SizeGuard)
 from mvsr.mv import (lukasiewicz_chain, mv_product, quotient,
-                     reduct_vee_odot)
+                     reduct_vee_odot, reduct_wedge_oplus)
 from mvsr.projective import are_isomorphic
 from mvsr.semimodule import (FiniteSemimodule, _hom_mask,
                              check_semimodule, end_semiring,
@@ -1245,7 +1245,7 @@ def _adjunction_maps_by_dict(h, mods_a, mods_b):
     b_over_a = restrict_scalars(h, module_over_self(b))
     maps = []
     for m in mods_a:
-        t, extended = mvsr.tensor._extend_scalars(h, m, MAX_CARRIER)
+        t, extended = mvsr.tensor._extend_scalars(b_over_a, b, m, MAX_CARRIER)
         unit = mvsr.tensor._tensor_unit(t, b.one)
         homs_bm = hom_set(b_over_a, m)
         bm_pos = _positions_by_dict(homs_bm)
@@ -1327,15 +1327,50 @@ def _enumerate_modules_by_product(s, size_bound):
     return tuple(out)
 
 
+def _lawless_boolean():
+    """B with every product zero: no action but the zero one on a single
+    point is associative, as 1(1x) = x while (1 1)x = 0x = 0."""
+    return FiniteSemiring(2, ((0, 1), (1, 1)), ((0, 0), (0, 0)), 0, 1)
+
+
+def _one_point_semiring():
+    """The semiring whose zero is its one: the one row, the identity, is
+    also the zero row, so only the one-point module keeps 0x = 0."""
+    return FiniteSemiring(1, ((0,),), ((0,),), 0, 0)
+
+
 def test_module_enumeration_matches_the_product_loop(boolean):
     chain = lambda k: reduct_vee_odot(lukasiewicz_chain(k))
     square = reduct_vee_odot(mv_product(lukasiewicz_chain(2),
                                         lukasiewicz_chain(2)))
+    wedge3 = reduct_wedge_oplus(lukasiewicz_chain(3))
     for s, bound, count in ((boolean, 5, 89), (chain(3), 4, 33),
-                            (chain(4), 3, 6), (square, 3, 7)):
+                            (chain(4), 3, 6), (square, 3, 7), (wedge3, 4, 33),
+                            (_lawless_boolean(), 4, 1),
+                            (_one_point_semiring(), 3, 1)):
         modules = enumerate_modules(s, bound)
         assert len(modules) == count
         assert modules == _enumerate_modules_by_product(s, bound)
+
+
+def test_module_enumeration_in_small_chunks(monkeypatch):
+    """Stacks of one or two candidate actions give the same modules, and
+    each of the 183 candidates is weighed once."""
+    expected = {}
+    for mv in (reduct_vee_odot, reduct_wedge_oplus):
+        s = mv(lukasiewicz_chain(3))
+        expected[s] = _enumerate_modules_by_product(s, 4)
+    stacked = []
+    checks = mvsr.tensor._lawful_actions
+    monkeypatch.setattr(mvsr.tensor, "_lawful_actions",
+                        lambda s, add, acts: stacked.append(len(acts))
+                        or checks(s, add, acts))
+    monkeypatch.setattr(mvsr.tensor, "_CHUNK_ELEMENTS", 40)
+    for s, modules in expected.items():
+        stacked.clear()
+        assert len(modules) == 33
+        assert enumerate_modules(s, 4) == modules
+        assert sum(stacked) == 183 and max(stacked) == 2
 
 
 def test_monoid_homs_match_the_definition():
@@ -1356,6 +1391,28 @@ def test_monoid_homs_match_the_definition():
 def test_module_enumeration_guard(boolean):
     with pytest.raises(EnumGuard):
         enumerate_modules(boolean, 6)
+
+
+def test_action_guard_fires_before_any_stack(monkeypatch):
+    """The 5-chain has three free scalars, so two points admit 2^(2*3) =
+    64 action tables; at max_enum 63 the guard fires before a two-point
+    candidate is stacked or an endomorphism of two points is searched."""
+    s = reduct_vee_odot(lukasiewicz_chain(5))
+    stacked, searched = [], []
+    checks, homs = mvsr.tensor._lawful_actions, mvsr.tensor._monoid_homs
+    monkeypatch.setattr(mvsr.tensor, "_lawful_actions",
+                        lambda s, add, acts: stacked.append(acts.shape)
+                        or checks(s, add, acts))
+    monkeypatch.setattr(mvsr.tensor, "_monoid_homs",
+                        lambda add, *rest: searched.append(len(add))
+                        or homs(add, *rest))
+    with pytest.raises(EnumGuard, match="^action tables on 2 elements: 64 "
+                                        "exceeds max_enum=63$"):
+        enumerate_modules(s, 2, max_enum=63)
+    assert stacked == [(1, 5, 1)] and searched == [1]
+    modules = enumerate_modules(s, 2, max_enum=64)
+    assert stacked[1:] == [(1, 5, 1), (8, 5, 2)] and searched[1:] == [1, 2]
+    assert modules == _enumerate_modules_by_product(s, 2)
 
 
 def test_full_embedding_for_a_quotient(boolean):
