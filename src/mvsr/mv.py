@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
@@ -330,8 +330,9 @@ def ideals(a: MvAlgebra, max_enum: int = MAX_ENUM) -> Tuple[Tuple[int, ...], ...
             order += _members(grown)
         return mask
 
-    closed, _ = _closed_sets(a.size, close, "closures run for ideals",
-                             max_enum)
+    closed, _ = _closed_sets(a.size, close, partial(
+        check_bound, EnumGuard, "closures run for ideals", name="max_enum",
+        bound=max_enum))
     return tuple(sorted((tuple(_members(c)) for c in closed),
                         key=lambda t: (len(t), t)))
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -582,7 +582,8 @@ def all_subsemimodules(m: FiniteSemimodule, max_enum: int = MAX_ENUM
     found times |M|, before each one's closures run."""
     closed, _ = _closed_sets(
         m.size, lambda mask: sum(1 << x for x in _span(m, _members(mask))),
-        "closures run for subsemimodules", max_enum)
+        partial(check_bound, EnumGuard, "closures run for subsemimodules",
+                name="max_enum", bound=max_enum))
     return tuple(sorted((tuple(_members(c)) for c in closed),
                         key=lambda t: (len(t), t)))
 

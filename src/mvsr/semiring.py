@@ -21,8 +21,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import (EnumGuard, MalformedTable, NotAHom, NotIdempotent,
-                     check_bound)
+from .errors import MalformedTable, NotAHom, NotIdempotent
 
 Table = Tuple[Tuple[int, ...], ...]
 # Most elements any one temporary array holds: the free universal
@@ -174,7 +173,7 @@ def _members(mask: int) -> List[int]:
 
 
 def _closed_sets(width: int, close: Callable[[int], int],
-                 stage: str = "closures", max_enum: Optional[int] = None
+                 guard: Optional[Callable[[int], None]] = None
                  ) -> Tuple[List[int], List[List[int]]]:
     """The fixed points of the closure operator close on the subsets of
     range(width), coded as bitmasks, in the order found, with the step
@@ -187,16 +186,16 @@ def _closed_sets(width: int, close: Callable[[int], int],
     width closures per closed set and nothing indexed by all 2^width
     subsets is built.
 
-    With max_enum given, the closures the sweep has taken on, closed sets
-    found times width, are checked against it before each closed set's
-    step row is built; EnumGuard names stage."""
+    With guard given, it is called before each closed set's step row is
+    built with the closures the sweep has taken on so far, closed sets
+    found times width, and raises to refuse them: the one admission check
+    of every caller, which binds its own stage, bound and guard type."""
     closed = [close(0)]
     index = {closed[0]: 0}
     step: List[List[int]] = []
     while len(step) < len(closed):
-        if max_enum is not None:
-            check_bound(EnumGuard, stage, len(closed) * width, "max_enum",
-                        max_enum)
+        if guard is not None:
+            guard(len(closed) * width)
         c = closed[len(step)]
         row = []
         for i in range(width):

@@ -13,11 +13,16 @@ behind mv.ideals and projective.all_subsemimodules too), and that table is
 the whole quotient: a subset is classed by folding it over the subset's
 members. The tensor product is the quotient, with the least subset per
 class, under cardinality then member order, as its canonical
-representative. The
-congruence keeps the pairs it was closed on, and scalars act on the
-quotient through the left slot: a scalar moves each class's
-representative, and the action is checked well defined on those generating
-pairs alone, never on the whole powerset.
+representative, read off the step table by a walk that extends each
+class's representative by the members past its largest. The work is
+admitted where it runs: tensor_product bounds the generating pairs it
+would build, counted from the sizes, and the sweep's own guard bounds the
+closures it takes on, the step table's entries, both by max_carrier; no
+count of the 2^(|M| |N|) subsets is made. The congruence keeps the pairs
+it was closed on, and scalars act on the quotient through the left slot:
+a scalar moves each class's representative, and the action is checked
+well defined on those generating pairs alone, never on the whole
+powerset.
 
 Everything downstream is verified by enumeration, with semimodule's one
 level search behind every hom-set: it assigns values to a table's
@@ -48,6 +53,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
@@ -121,15 +127,35 @@ def congruence_closure(width: int, pairs: Sequence[Tuple[int, int]],
     enumerates ideals and subsemimodules: the closure of the empty set,
     then each closed set joined once with every singleton, into the step
     table. A subset is classed by folding that table over its members, so
-    nothing indexed by all 2^width subsets is built. Each class is
-    represented by its first subset in itertools.combinations order, the
-    least under cardinality then member order, and classes are numbered in
-    the order of their representatives' masks. A pair whose subsets are not
-    subsets of range(width) is refused with MalformedTable before any
-    closure.
+    nothing indexed by all 2^width subsets is built.
+
+    The sweep's guard checks the closures taken on, classes found times
+    width, against max_carrier before each class's step row: those
+    closures are the entries of the step table, the quotient's stored
+    carrier. So a congruence that passes has at most max_carrier / width
+    classes, and its join table, T^2 entries for T classes, is bounded
+    with it.
+
+    Each class is represented by its least subset under cardinality then
+    member order, and classes are numbered in the order of their
+    representatives' masks. The representatives are read off the step
+    table level by level. If S is the least subset of its class and s its
+    largest member, then S - {s} is the least subset of its own class q:
+    the classes are union-compatible, so a smaller T in q would give
+    T | {s}, smaller than S and in S's class. So, starting from the empty
+    set, each level's classes are taken in the order of their
+    representatives and each representative is extended only by the
+    members past its largest; the extensions come in member order, a
+    class is met first at its least subset, and the walk costs at most
+    width lookups per class.
+
+    A width that is not a non-negative int (bool refused), or a pair whose
+    subsets are not subsets of range(width), is refused with
+    MalformedTable before any pair is read or closed.
     """
-    check_bound(SizeGuard, "free semilattice carrier", 1 << width,
-                "max_carrier", max_carrier)
+    if isinstance(width, bool) or not isinstance(width, int) or width < 0:
+        raise MalformedTable(f"congruence width {width!r} is not a "
+                             f"non-negative integer")
     generators = tuple(pairs)
     # one bitwise or over every mask finds a bit past width, a negative
     # mask or a non-integer; only then does _index_grid, at about a
@@ -158,19 +184,20 @@ def congruence_closure(width: int, pairs: Sequence[Tuple[int, int]],
                 return mask
             mask, pending = grown, rest
 
-    closed, step = _closed_sets(width, close)
-    reps: List[Optional[int]] = [None] * len(closed)
-    missing = len(closed)
-    for k in range(width + 1):
-        for members in itertools.combinations(range(width), k):
-            c = 0
-            for i in members:
-                c = step[c][i]
-            if reps[c] is None:
-                reps[c] = sum(1 << i for i in members)
-                missing -= 1
-        if not missing:
-            break
+    closed, step = _closed_sets(width, close, functools.partial(
+        check_bound, SizeGuard, "closures run for the tensor congruence",
+        name="max_carrier", bound=max_carrier))
+    reps: List[Optional[int]] = [0] + [None] * (len(closed) - 1)
+    level = [0]
+    while level:
+        found = []
+        for c in level:
+            for i in range(reps[c].bit_length(), width):
+                d = step[c][i]
+                if reps[d] is None:
+                    reps[d] = reps[c] | 1 << i
+                    found.append(d)
+        level = found
     order = sorted(range(len(closed)), key=reps.__getitem__)
     rank = [0] * len(closed)
     for new, old in enumerate(order):
@@ -258,14 +285,23 @@ class TensorProduct:
 
 def tensor_product(m: FiniteSemimodule, n: FiniteSemimodule,
                    max_carrier: int = MAX_CARRIER) -> TensorProduct:
+    """M tensor N: the subsets of M x N modulo the congruence closed on a
+    join and a bottom in either slot and a scalar slide for each pair.
+
+    The join-and-bottom pairs, |N| (1 + C(|M|, 2)) + |M| (1 + C(|N|, 2)),
+    are counted from the sizes and checked against max_carrier (SizeGuard)
+    before any pair is built. The |S| |M| |N| scalar slides are left out
+    of that count: they scale with the scalars' own tables. The closure is
+    then bounded by congruence_closure's sweep guard on the same bound."""
     if not same_scalars(m.scalars, n.scalars):
         raise ScalarMismatch("tensor factors need a common scalar semiring")
     if not is_additively_idempotent(m.scalars):
         raise NotIdempotent("tensor products need additively idempotent "
                             "scalars")
-    width = m.size * n.size
-    check_bound(SizeGuard, "free semilattice carrier", 1 << width,
-                "max_carrier", max_carrier)
+    check_bound(SizeGuard, "generating pairs of the tensor congruence",
+                n.size * (1 + math.comb(m.size, 2))
+                + m.size * (1 + math.comb(n.size, 2)), "max_carrier",
+                max_carrier)
 
     def p(x: int, y: int) -> int:
         return x * n.size + y
@@ -284,7 +320,8 @@ def tensor_product(m: FiniteSemimodule, n: FiniteSemimodule,
             for y in range(n.size):
                 pairs.append((1 << p(m.act(a, x), y), 1 << p(x, n.act(a, y))))
 
-    return TensorProduct(m, n, congruence_closure(width, pairs, max_carrier))
+    return TensorProduct(m, n, congruence_closure(m.size * n.size, pairs,
+                                                  max_carrier))
 
 
 def _class_labels(t: TensorProduct) -> Tuple[str, ...]:
@@ -870,10 +907,12 @@ def truncation_demo(k: int, points: Union[int, Sequence[str]],
 
     The infinite scalar semifield of the motivating computation has no
     finite nontrivial counterpart, so the demo works over the truncated
-    chain image: an honest finite shadow, and the report says so. When the
-    free-semilattice guard allows it the tensor side is materialized and
+    chain image: an honest finite shadow, and the report says so. When
+    tensor_product admits the pair the tensor side is materialized and
     the explicit map pair is verified both ways; beyond the guard the
-    composite on the free side is still checked pointwise.
+    composite on the free side is still checked pointwise. Only the
+    tensor's SizeGuard takes that tier: a guard on the chain or on the free
+    module is raised.
     """
     alg, cert = gamma_chain(k, samples, seed, max_carrier)
     s = reduct_wedge_oplus(alg)
@@ -882,8 +921,18 @@ def truncation_demo(k: int, points: Union[int, Sequence[str]],
     m = module_over_self(s)
     n = free_semimodule(s, names)
 
-    if (1 << (m.size * n.size)) <= max_carrier:
+    try:
         t = tensor_product(m, n, max_carrier)
+    except SizeGuard:
+        coeffs = _digits(np.arange(n.size), s.size, len(names))
+        phi_psi = bool((_combine(n.np_add, n.np_action, n.zero, coeffs.T,
+                                 np.array(n.basis, dtype=np.intp)[:, None])
+                        == np.arange(n.size)).all())
+        tier = {"materialized": False,
+                "phi_psi_identity": phi_psi,
+                "note": "the tensor's guard refused the pair; the "
+                        "composite is checked pointwise on the free side"}
+    else:
         tm = as_module(t)
         phi = tuple(t.extend(n.np_action, n.np_add, n.zero).tolist())
         psi = tuple(t.class_of_pairs(zip(n.vector(g), n.basis))
@@ -896,15 +945,6 @@ def truncation_demo(k: int, points: Union[int, Sequence[str]],
                 "phi_psi_identity": phi_psi, "psi_phi_identity": psi_phi,
                 "isomorphism": phi_psi and psi_phi
                 and phi_hom.is_onto() and psi_hom.is_onto()}
-    else:
-        coeffs = _digits(np.arange(n.size), s.size, len(names))
-        phi_psi = bool((_combine(n.np_add, n.np_action, n.zero, coeffs.T,
-                                 np.array(n.basis, dtype=np.intp)[:, None])
-                        == np.arange(n.size)).all())
-        tier = {"materialized": False,
-                "phi_psi_identity": phi_psi,
-                "note": "free-semilattice carrier exceeds the subset guard; "
-                        "the composite is checked pointwise on the free side"}
 
     return {"chain_size": k + 1, "points": len(names), "tier": tier,
             "gamma_certificate": cert,
@@ -919,7 +959,7 @@ def tensor_report(m: FiniteSemimodule, n: FiniteSemimodule,
                   max_carrier: int = MAX_CARRIER) -> Dict[str, object]:
     """The tensor product of two modules and the verdict of its universal
     property. Each factor must keep the semimodule laws, checked once the
-    product has passed its carrier guard and before any hom is searched:
+    product has passed its guards and before any hom is searched:
     the verdict speaks of modules, and on a lawless factor the search and
     its oracle need not agree."""
     t = tensor_product(m, n, max_carrier)

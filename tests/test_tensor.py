@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import re
 import time
 
 import numpy as np
@@ -104,9 +105,28 @@ def test_closure_bottom_equals_top_collapses_everything():
 
 
 def test_closure_guard():
-    with pytest.raises(SizeGuard, match=r"^free semilattice carrier: 256 "
-                       r"exceeds max_carrier=100$"):
+    """The sweep checks the closures taken on, classes found times width,
+    before each class's step row: on 8 bits with no pair every subset is
+    a class, and the row of the second class finds 16 of them, 128
+    closures, past a bound of 100."""
+    with pytest.raises(SizeGuard, match=r"^closures run for the tensor "
+                       r"congruence: 128 exceeds max_carrier=100$"):
         congruence_closure(8, [], max_carrier=100)
+
+
+@pytest.mark.parametrize("width", [-1, 2.0, "3", True, None])
+def test_closure_refuses_a_width_that_is_not_a_count(width):
+    # -1 once raised a bare ValueError, 2.0 and "3" a TypeError, and True
+    # was taken as 1
+    with pytest.raises(MalformedTable, match=f"^congruence width "
+                       f"{re.escape(repr(width))} is not a non-negative "
+                       f"integer$"):
+        congruence_closure(width, _unread_pairs())
+
+
+def _unread_pairs():
+    raise AssertionError("a pair was read before the width was checked")
+    yield
 
 
 @pytest.mark.parametrize("pairs,message", [
@@ -346,6 +366,55 @@ def test_tensor_needs_idempotent_addition():
 def test_tensor_carrier_guard(self_mod, free2):
     with pytest.raises(SizeGuard):
         tensor_product(free2, free2, max_carrier=8)
+
+
+# ----- wide tensors at the default bounds -------------------------------------
+
+@pytest.mark.parametrize("p,q", [(p, q) for p in (1, 2, 3) for q in (1, 2, 3)
+                                 if p * q <= 6])
+def test_a_tensor_of_free_modules_is_free(boolean, p, q):
+    """B^p tensor B^q is free on the p * q pairs of basis elements, so it
+    has 2^(pq) classes, on up to 32 pairs, past the width of 12 the
+    subset count once allowed."""
+    t = tensor_product(free_semimodule(boolean, [f"x{i}" for i in range(p)]),
+                       free_semimodule(boolean, [f"y{j}" for j in range(q)]))
+    assert t.class_count == 2 ** (p * q)
+    assert t.generated_by_tensors()
+
+
+def test_closure_matches_union_find_on_wide_tensors(boolean):
+    """Seeded pairs of B modules of width 15 and 16, admitted at the
+    default bounds, against the union-find over all their subsets."""
+    modules = enumerate_modules(boolean, 5)
+    rng = random.Random(28)
+    for width in (15, 16):
+        for m, n in rng.sample([(m, n) for m in modules for n in modules
+                                if m.size * n.size == width], 2):
+            assert _agrees_with_union_find(tensor_product(m, n).congruence)
+
+
+def test_universal_property_of_the_free_square_squared(free2):
+    t = tensor_product(free2, free2)
+    assert t.class_count == 16
+    assert check_universal_property(t)["ok"]
+
+
+def test_the_pairs_guard_fires_before_any_pair_is_built(self_mod,
+                                                        monkeypatch):
+    """A 100-element chain with B acting on itself would build
+    2 * (1 + C(100, 2)) + 100 * (1 + C(2, 2)) join and bottom pairs;
+    the count is refused from the sizes, and nothing is closed."""
+    def closed(*args, **kwargs):
+        raise AssertionError("the congruence was closed")
+
+    chain = FiniteSemimodule(self_mod.scalars, 100,
+                             [[max(x, y) for y in range(100)]
+                              for x in range(100)], 0,
+                             [[0] * 100, list(range(100))])
+    monkeypatch.setattr(mvsr.tensor, "congruence_closure", closed)
+    with pytest.raises(SizeGuard, match=r"^generating pairs of the tensor "
+                       r"congruence: 10102 exceeds max_carrier=4096$"):
+        tensor_product(chain, self_mod)
 
 
 def test_induced_scalar_actions_satisfy_the_laws(boolean, free2, self_mod):
@@ -1029,10 +1098,13 @@ def test_a_congruence_of_another_width_is_refused(free2, self_mod):
     width = free2.size * self_mod.size
     assert TensorProduct(free2, self_mod,
                          congruence_closure(width, [])).class_count == 256
+    # the identity congruence on 9 bits has 512 classes, 4608 closures,
+    # past the default max_carrier
     for other in (width - 1, width + 1, self_mod.size * self_mod.size):
         with pytest.raises(MalformedTable, match=f"^congruence on {other} "
                            f"pairs, but the factors have {width}$"):
-            TensorProduct(free2, self_mod, congruence_closure(other, []))
+            TensorProduct(free2, self_mod,
+                          congruence_closure(other, [], max_carrier=5000))
 
 
 def test_tensor_report_schema(self_mod):
@@ -1543,8 +1615,19 @@ def test_truncation_demo_checks_the_chain_before_building_it():
     assert time.perf_counter() - start < 0.5
 
 
-def test_truncation_demo_formula_tier():
+def test_truncation_demo_materializes_past_width_12():
+    """The 3-chain's self-module and the free module on two points over it
+    are 27 pairs, once refused by a count of their subsets."""
     res = truncation_demo(2, 2, samples=200, seed=7)
+    assert res["tier"]["materialized"]
+    assert res["tier"]["classes"] == 9
+    assert res["tier"]["isomorphism"]
+    assert res["ok"]
+
+
+def test_truncation_demo_formula_tier():
+    # the tensor would build 147 join and bottom pairs, past a bound of 100
+    res = truncation_demo(2, 2, samples=200, seed=7, max_carrier=100)
     assert not res["tier"]["materialized"]
     assert res["tier"]["phi_psi_identity"]
     assert "note" in res["tier"]
