@@ -23,8 +23,8 @@ from .semiring import (AxiomReport, FiniteSemiring, LawCheck, SemiringHom,
                        Table, _IndexMap, _closed_sets, _first_assoc_failure,
                        _first_comm_failure, _first_identity_failure,
                        _index_grid, _index_list, _label_tuple, _members,
-                       _require_samples, _store, is_additively_idempotent,
-                       natural_order)
+                       _require_samples, _store, _sum_closure,
+                       is_additively_idempotent, natural_order)
 from .tropical import (DEN_LCM, TOP, TropicalUSemifield, scaled_sampler,
                        trop)
 
@@ -307,32 +307,18 @@ def is_ideal(a: MvAlgebra, subset) -> bool:
 
 def ideals(a: MvAlgebra, max_enum: int = MAX_ENUM) -> Tuple[Tuple[int, ...], ...]:
     """All ideals, ordered by size then members: the closed sets of the
-    ideal closure, by semiring's closed-set sweep. The closure adds zero,
-    then every y <= x and every x + y of its members until nothing
-    changes, so its fixed points are exactly the subsets is_ideal accepts,
-    on lawless tables too. The guard bounds the closures the sweep takes
-    on, ideals found times |A|, before each ideal's closures run."""
+    ideal closure, by semiring's closed-set sweep. A closed set holds zero
+    and, with each member x, every y <= x and every x + y and y + x with
+    another member (semiring._sum_closure), so the closed sets are exactly
+    the subsets is_ideal accepts, on lawless tables too. The guard bounds
+    the closures the sweep takes on, ideals found times |A|, before each
+    ideal's closures run."""
     below = [sum(1 << y for y in range(a.size) if a.leq(y, x))
              for x in range(a.size)]
-
-    def close(mask: int) -> int:
-        mask |= 1 << a.zero
-        order = _members(mask)
-        done = 0
-        while done < len(order):
-            x = order[done]
-            done += 1
-            grown = below[x]
-            for y in order[:done]:
-                grown |= 1 << a.oplus[x][y] | 1 << a.oplus[y][x]
-            grown &= ~mask
-            mask |= grown
-            order += _members(grown)
-        return mask
-
-    closed, _ = _closed_sets(a.size, close, partial(
-        check_bound, EnumGuard, "closures run for ideals", name="max_enum",
-        bound=max_enum))
+    closed, _ = _closed_sets(
+        a.size, 1 << a.zero, _sum_closure(a.oplus, below),
+        partial(check_bound, EnumGuard, "closures run for ideals",
+                name="max_enum", bound=max_enum))
     return tuple(sorted((tuple(_members(c)) for c in closed),
                         key=lambda t: (len(t), t)))
 

@@ -46,8 +46,8 @@ from .semimodule import (_CHUNK_ELEMENTS, FiniteSemimodule, FreeSemimodule,
                          join_irreducibles, minimal_generating_set,
                          module_over_self)
 from .semiring import (FiniteSemiring, _closed_sets, _members,
-                       check_semiring_axioms, is_additively_idempotent,
-                       same_scalars)
+                       _sum_closure, check_semiring_axioms,
+                       is_additively_idempotent, same_scalars)
 
 
 def row_space(u: SemiringMatrix,
@@ -577,11 +577,14 @@ def direct_sum(m: FiniteSemimodule, n: FiniteSemimodule) -> DirectSum:
 def all_subsemimodules(m: FiniteSemimodule, max_enum: int = MAX_ENUM
                        ) -> Tuple[Tuple[int, ...], ...]:
     """Member sets of every subsemimodule, ordered by size then content:
-    the closed sets of the span closure, by semiring's closed-set sweep.
+    the closed sets of the span closure, by semiring's closed-set sweep: a
+    closed set holds zero and, with each member x, its images under every
+    scalar and its sums with every member, x itself included.
     The guard bounds the closures the sweep takes on, subsemimodules
     found times |M|, before each one's closures run."""
+    moved = [sum({1 << row[x] for row in m.action}) for x in range(m.size)]
     closed, _ = _closed_sets(
-        m.size, lambda mask: sum(1 << x for x in _span(m, _members(mask))),
+        m.size, 1 << m.zero, _sum_closure(m.add, moved),
         partial(check_bound, EnumGuard, "closures run for subsemimodules",
                 name="max_enum", bound=max_enum))
     return tuple(sorted((tuple(_members(c)) for c in closed),

@@ -10,7 +10,11 @@ absorption), each scanned for its first witness by _first_in_blocks.
 
 The three lattices of closed sets the package enumerates, the ideals of
 an MV-algebra, the subsemimodules of a module and the tensor congruence,
-come from one closed-set sweep over bitmasks, _closed_sets.
+come from one closed-set sweep over bitmasks, _closed_sets, which holds
+the one closure loop: a caller hands it the mask every closed set holds
+and what each member implies, and each join is grown from the member it
+adds. Ideals and subsemimodules are closed under a table and a map of
+each member, and share one implied, _sum_closure.
 """
 from __future__ import annotations
 
@@ -172,43 +176,67 @@ def _members(mask: int) -> List[int]:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
-def _closed_sets(width: int, close: Callable[[int], int],
+def _closed_sets(width: int, start: int, implied: Callable[[int, int], int],
                  guard: Optional[Callable[[int], None]] = None
                  ) -> Tuple[List[int], List[List[int]]]:
-    """The fixed points of the closure operator close on the subsets of
-    range(width), coded as bitmasks, in the order found, with the step
-    table: step[k][i] is the index of the closure of closed set k joined
-    with the singleton {i}. The closure of the empty set comes first, then
-    each closed set is joined once with every singleton, and a join that
-    adds nothing is not closed again (Ganter & Wille, Formal Concept
-    Analysis, 1999). Every closed set is reached, as the closure of the
-    empty set joined with its members one at a time, so the cost is
-    width closures per closed set and nothing indexed by all 2^width
-    subsets is built.
+    """The closed subsets of range(width), coded as bitmasks, in the order
+    found, with the step table: step[k][i] is the index of the closure of
+    closed set k joined with the singleton {i}. A set is closed when it
+    holds start and implied(i, mask) for each of its members i, with mask
+    the set itself; implied must not shrink as mask grows. The closure of
+    start comes first, then each closed set is joined once with every
+    singleton (Ganter & Wille, Formal Concept Analysis, 1999). Every closed
+    set is reached, as the closure of start joined with its members one at
+    a time, so nothing indexed by all 2^width subsets is built.
+
+    A closure grows from its new members alone (LinClosure, Beeri &
+    Bernstein, ACM TODS 1979): the set joined is closed already, so each
+    new member i is read once, as implied(i, mask) with mask the members
+    read before it and i, and what that forces joins the members still to
+    be read. A join that adds nothing costs no call.
 
     With guard given, it is called before each closed set's step row is
     built with the closures the sweep has taken on so far, closed sets
     found times width, and raises to refuse them: the one admission check
     of every caller, which binds its own stage, bound and guard type."""
-    closed = [close(0)]
+    def close(done: int, new: int) -> int:
+        new &= ~done
+        while new:
+            low = new & -new
+            done |= low
+            new = (new | implied(low.bit_length() - 1, done)) & ~done
+        return done
+
+    closed = [close(0, start)]
     index = {closed[0]: 0}
     step: List[List[int]] = []
-    while len(step) < len(closed):
+    for c in closed:
         if guard is not None:
             guard(len(closed) * width)
-        c = closed[len(step)]
         row = []
         for i in range(width):
-            joined = c | 1 << i
-            if joined != c:
-                joined = close(joined)
-            k = index.get(joined)
-            if k is None:
-                k = index[joined] = len(closed)
+            joined = close(c, 1 << i)
+            if joined not in index:
+                index[joined] = len(closed)
                 closed.append(joined)
-            row.append(k)
+            row.append(index[joined])
         step.append(row)
     return closed, step
+
+
+def _sum_closure(table: Table, single: List[int]) -> Callable[[int, int], int]:
+    """The implied of _closed_sets for the sets closed under the binary
+    table and each member's images single[i], a bitmask: member i forces
+    table[i][y] and table[y][i] for every y of the mask, i itself included,
+    and single[i]. Each pair of members is read once, when the later of
+    the two is read, and nothing of size |table|^2 is built."""
+    def implied(i: int, mask: int) -> int:
+        row, forced = table[i], single[i]
+        for y in range(mask.bit_length()):
+            if mask >> y & 1:
+                forced |= 1 << row[y] | 1 << table[y][i]
+        return forced
+    return implied
 
 
 @dataclass(frozen=True)

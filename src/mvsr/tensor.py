@@ -7,9 +7,11 @@ two pairs, a bottom in either slot to the empty subset (which is why
 tensors absorb either bottom), and slides a scalar across the pair; by
 induction the binary joins and bottoms collapse every finite join. It is
 found by its closed sets, not by merging subsets: each generating pair
-becomes two implications, the closed sets are enumerated one singleton
-step at a time into a step table by semiring's closed-set sweep (the one
-behind mv.ideals and projective.all_subsemimodules too), and that table is
+becomes two implications, indexed by the bits of their premises, and the
+closed sets are enumerated one singleton step at a time into a step table
+by semiring's closed-set sweep (the one behind mv.ideals and
+projective.all_subsemimodules too), which grows each join from the pair it
+adds through the implications whose premise holds that pair. The table is
 the whole quotient: a subset is classed by folding it over the subset's
 members. The tensor product is the quotient, with the least subset per
 class, under cardinality then member order, as its canonical
@@ -122,12 +124,16 @@ def congruence_closure(width: int, pairs: Sequence[Tuple[int, int]],
 
     Each pair (u, v) is read as the implications u => v and v => u, and two
     subsets are congruent exactly when their closures under them agree
-    (Ganter & Wille, Formal Concept Analysis). Only the closed sets are
-    enumerated, by semiring._closed_sets, the closed-set sweep that also
-    enumerates ideals and subsemimodules: the closure of the empty set,
-    then each closed set joined once with every singleton, into the step
-    table. A subset is classed by folding that table over its members, so
-    nothing indexed by all 2^width subsets is built.
+    (Ganter & Wille, Formal Concept Analysis). The implications are merged
+    by premise and indexed by each bit of it; those with an empty premise
+    make the start. Only the closed sets are enumerated, by
+    semiring._closed_sets, the closed-set sweep that also enumerates ideals
+    and subsemimodules: the closure of the start, then each closed set
+    joined once with every singleton, into the step table. A join grows
+    from the pair it adds: each new member reads only the implications
+    whose premise holds it, and fires those whose premise is in. A subset
+    is classed by folding that table over its members, so nothing indexed
+    by all 2^width subsets is built.
 
     The sweep's guard checks the closures taken on, classes found times
     width, against max_carrier before each class's step row: those
@@ -168,36 +174,33 @@ def congruence_closure(width: int, pairs: Sequence[Tuple[int, int]],
     if bits < 0 or bits >> width or {len(p) for p in generators} - {2}:
         _index_grid(generators, (len(generators), 2), 1 << width,
                     "subset pairs")
-    rules = sorted({(u, v) for a, b in generators for u, v in ((a, b), (b, a))
-                    if v & ~u})
+    implies: Dict[int, int] = {}
+    for a, b in generators:
+        implies[a] = implies.get(a, 0) | b
+        implies[b] = implies.get(b, 0) | a
+    rules = [(u, v & ~u) for u, v in implies.items() if v & ~u]
+    by_bit = [[(u, v) for u, v in rules if u >> i & 1] for i in range(width)]
 
-    def close(mask: int) -> int:
-        pending = rules
-        while True:
-            grown, rest = mask, []
-            for u, v in pending:
-                if grown & u == u:
-                    grown |= v
-                else:
-                    rest.append((u, v))
-            if grown == mask:
-                return mask
-            mask, pending = grown, rest
+    def implied(i: int, mask: int) -> int:
+        forced = 0
+        for u, v in by_bit[i]:
+            if mask & u == u:
+                forced |= v
+        return forced
 
-    closed, step = _closed_sets(width, close, functools.partial(
-        check_bound, SizeGuard, "closures run for the tensor congruence",
-        name="max_carrier", bound=max_carrier))
+    closed, step = _closed_sets(
+        width, implies.get(0, 0), implied,
+        functools.partial(check_bound, SizeGuard,
+                          "closures run for the tensor congruence",
+                          name="max_carrier", bound=max_carrier))
     reps: List[Optional[int]] = [0] + [None] * (len(closed) - 1)
-    level = [0]
-    while level:
-        found = []
-        for c in level:
-            for i in range(reps[c].bit_length(), width):
-                d = step[c][i]
-                if reps[d] is None:
-                    reps[d] = reps[c] | 1 << i
-                    found.append(d)
-        level = found
+    walk = [0]
+    for c in walk:
+        for i in range(reps[c].bit_length(), width):
+            d = step[c][i]
+            if reps[d] is None:
+                reps[d] = reps[c] | 1 << i
+                walk.append(d)
     order = sorted(range(len(closed)), key=reps.__getitem__)
     rank = [0] * len(closed)
     for new, old in enumerate(order):
@@ -919,7 +922,7 @@ def truncation_demo(k: int, points: Union[int, Sequence[str]],
     names = [f"x{i}" for i in range(points)] if isinstance(points, int) \
         else [str(x) for x in points]
     m = module_over_self(s)
-    n = free_semimodule(s, names)
+    n = free_semimodule(s, names, max_carrier)
 
     try:
         t = tensor_product(m, n, max_carrier)

@@ -1,11 +1,76 @@
-"""The ideals and subsemimodules as they were found before semiring's
-closed-set sweep: by testing or closing every one of the 2^n subsets.
-They are the oracles of mv.ideals and projective.all_subsemimodules,
-which must give the same member sets in the same order."""
+"""The closed sets as they were found before semiring's closed-set sweep
+grew each join from the member it adds.
+
+The ideals and subsemimodules by testing or closing every one of the 2^n
+subsets are the oracles of mv.ideals and projective.all_subsemimodules,
+which must give the same member sets in the same order. The sweep that
+closes every join from scratch, with a closure that applies implications
+until nothing changes, is the oracle of semiring._closed_sets and of the
+tensor congruence, which must give the same closed sets in the same
+order and the same step table."""
 import itertools
 
 from mvsr.mv import is_ideal
 from mvsr.semimodule import _span
+from mvsr.semiring import _members
+
+
+def closed_sets_from_scratch(width, close):
+    """The fixed points of the closure operator close on the subsets of
+    range(width), as bitmasks in the order found, with the step table:
+    the closure of the empty set, then each closed set joined once with
+    every singleton, each join that adds something closed from scratch."""
+    closed = [close(0)]
+    index = {closed[0]: 0}
+    step = []
+    while len(step) < len(closed):
+        c = closed[len(step)]
+        row = []
+        for i in range(width):
+            joined = c | 1 << i
+            if joined != c:
+                joined = close(joined)
+            k = index.get(joined)
+            if k is None:
+                k = index[joined] = len(closed)
+                closed.append(joined)
+            row.append(k)
+        step.append(row)
+    return closed, step
+
+
+def implication_closure(rules):
+    """close for closed_sets_from_scratch: every rule (u, v) whose premise
+    u the mask holds adds v, over and over until nothing changes."""
+    def close(mask):
+        while True:
+            grown = mask
+            for u, v in rules:
+                if grown & u == u:
+                    grown |= v
+            if grown == mask:
+                return mask
+            mask = grown
+    return close
+
+
+def step_in_congruence_order(congruence, step):
+    """The step table of closed_sets_from_scratch with its classes
+    renumbered as the congruence numbers them: each class of the
+    congruence is sent to the class of its representative. Raises if the
+    two do not have the same number of classes, one to one."""
+    def oracle_class(mask):
+        k = 0
+        for i in _members(mask):
+            k = step[k][i]
+        return k
+    to_oracle = [oracle_class(r) for r in congruence.representatives]
+    if sorted(to_oracle) != list(range(len(step))):
+        raise AssertionError(f"{len(congruence)} classes, not one to one "
+                             f"with {len(step)} closed sets")
+    back = {k: c for c, k in enumerate(to_oracle)}
+    return tuple(tuple(back[k] for k in step[to_oracle[c]])
+                 for c in range(len(step)))
 
 
 def ideals_by_scan(a):

@@ -1,9 +1,13 @@
+import functools
+import operator
 import random
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from closed_scans import (closed_sets_from_scratch, implication_closure,
+                          step_in_congruence_order)
 from law_loops import (module_report_by_loops, mv_report_by_loops,
                        semiring_report_by_loops)
 from mvsr import semiring
@@ -18,6 +22,7 @@ from mvsr.semiring import (AxiomReport, FiniteSemiring, SemiringHom,
                            boolean_semiring, check_semiring_axioms,
                            compose_homs, is_additively_idempotent,
                            natural_order, opposite_semiring)
+from mvsr.tensor import congruence_closure
 
 
 @pytest.fixture
@@ -290,26 +295,69 @@ def test_law_reports_match_the_loops(monkeypatch, budget):
 
 
 def test_closed_set_sweep_reaches_every_closed_set_in_order():
-    """Under the identity closure every subset is closed, found in breadth
-    first order from the empty set, and a step is a union; under a closure
-    that always adds element 0 the closed sets are those that hold it."""
-    closed, step = semiring._closed_sets(3, lambda mask: mask)
+    """With nothing implied every subset is closed, found in breadth first
+    order from the empty set, and a step is a union; with element 0 in
+    start the closed sets are those that hold it."""
+    closed, step = semiring._closed_sets(3, 0, lambda i, mask: 0)
     assert closed == [0, 1, 2, 4, 3, 5, 6, 7]
     assert all(closed[step[k][i]] == c | 1 << i
                for k, c in enumerate(closed) for i in range(3))
-    closed, step = semiring._closed_sets(3, lambda mask: mask | 1)
+    closed, step = semiring._closed_sets(3, 1, lambda i, mask: 0)
     assert closed == [1, 3, 5, 7]
     assert step[0] == [0, 1, 2]
 
 
+def _random_rules(rng, width, empty_premises):
+    rules = []
+    for _ in range(rng.randint(0, 2 * width + 2)):
+        sizes = range(0 if empty_premises else 1, 4)
+        premise = sum({1 << rng.randrange(width)
+                       for _ in range(rng.choice(sizes))}) if width else 0
+        conclusion = sum({1 << rng.randrange(width)
+                          for _ in range(rng.randint(1, 2))}) if width else 0
+        rules.append((premise, conclusion))
+    return rules
+
+
+def test_the_sweep_matches_closing_every_join_from_scratch():
+    """Random implications on widths 0 to 10, with premises of 0 to 3
+    bits: growing each join from the member it adds finds the closed sets,
+    in order, and the step table that closing every join from scratch
+    finds, and so does the tensor congruence on the pairs (u, u | v)."""
+    rng = random.Random(29)
+    for trial in range(400):
+        width, empty_premises = trial % 11, trial % 2 == 0
+        rules = _random_rules(rng, width, empty_premises)
+        by_bit = [[(u, v) for u, v in rules if u >> i & 1]
+                  for i in range(width)]
+        start = functools.reduce(operator.or_,
+                                 (v for u, v in rules if not u), 0)
+
+        def implied(i, mask):
+            forced = 0
+            for u, v in by_bit[i]:
+                if mask & u == u:
+                    forced |= v
+            return forced
+
+        oracle = closed_sets_from_scratch(width, implication_closure(rules))
+        assert semiring._closed_sets(width, start, implied) == oracle
+        congruence = congruence_closure(
+            width, [(u, u | v) for u, v in rules], max_carrier=1 << 14)
+        assert step_in_congruence_order(congruence, oracle[1]) \
+            == congruence.step
+
+
 def test_the_sweep_closes_no_join_that_adds_nothing():
+    """implied is called only for the members a join adds, each once,
+    with the members read before it."""
     calls = []
 
-    def close(mask):
-        calls.append(mask)
-        return mask | 1
+    def implied(i, mask):
+        calls.append((i, mask))
+        return 0
 
-    semiring._closed_sets(2, close)
-    # the empty set, then {0, 1} from {0}; {0} and {0, 1} joined with a
-    # member they hold are not closed again
-    assert calls == [0, 3]
+    semiring._closed_sets(2, 1, implied)
+    # member 0 of start, then member 1 of {0} joined with {1}; {0} and
+    # {0, 1} joined with a member they hold read nothing
+    assert calls == [(0, 1), (1, 3)]

@@ -33,6 +33,8 @@ from mvsr.tensor import (SemilatticeCongruence, TensorProduct,
                          tensor_product, tensor_report, truncation_demo,
                          zeta_isomorphism)
 
+from closed_scans import (closed_sets_from_scratch, implication_closure,
+                          step_in_congruence_order)
 from folds import hom_rows_by_product
 
 
@@ -391,6 +393,22 @@ def test_closure_matches_union_find_on_wide_tensors(boolean):
         for m, n in rng.sample([(m, n) for m in modules for n in modules
                                 if m.size * n.size == width], 2):
             assert _agrees_with_union_find(tensor_product(m, n).congruence)
+
+
+@pytest.mark.parametrize("p,q", [(3, 2), (2, 3)])
+def test_wide_step_tables_match_closing_every_join_from_scratch(boolean, p,
+                                                                q):
+    """B^3 tensor B^2 and B^2 tensor B^3, on 32 pairs: the step table grown
+    from each join's new pair is the one that closing every join from
+    scratch under the same implications gives."""
+    t = tensor_product(free_semimodule(boolean, [f"x{i}" for i in range(p)]),
+                       free_semimodule(boolean, [f"y{j}" for j in range(q)]))
+    cong = t.congruence
+    rules = [(u, v) for a, b in cong.generators for u, v in ((a, b), (b, a))]
+    closed, step = closed_sets_from_scratch(cong.width,
+                                            implication_closure(rules))
+    assert len(closed) == len(cong) == 64
+    assert step_in_congruence_order(cong, step) == cong.step
 
 
 def test_universal_property_of_the_free_square_squared(free2):
@@ -1613,6 +1631,15 @@ def test_truncation_demo_checks_the_chain_before_building_it():
                        match="chain carrier: 4 exceeds max_carrier=3"):
         truncation_demo(3, 1, max_carrier=3)
     assert time.perf_counter() - start < 0.5
+
+
+def test_truncation_demo_bounds_the_free_module_by_its_max_carrier():
+    """Five points over the 3-chain are 243 vectors: the caller's bound
+    refuses them before the module is built, not the default one."""
+    with pytest.raises(SizeGuard,
+                       match="free module carrier: 243 exceeds "
+                             "max_carrier=100"):
+        truncation_demo(2, 5, max_carrier=100)
 
 
 def test_truncation_demo_materializes_past_width_12():
