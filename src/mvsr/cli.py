@@ -22,8 +22,9 @@ from .config import ToolConfig, load_config
 from .errors import GuardBreach, MalformedTable, ToolkitError
 from .grothendieck import k0_report
 from .matrix import idempotent_matrices
-from .mv import (MvAlgebra, check_mv_axioms, gamma_property_report,
-                 lukasiewicz_chain, reduct_vee_odot, reduct_wedge_oplus)
+from .mv import (MvAlgebra, _as_semiring, check_mv_axioms,
+                 gamma_property_report, lukasiewicz_chain, reduct_vee_odot,
+                 reduct_wedge_oplus)
 from .projective import (is_projective_matrix_criterion,
                          is_projective_retract_oracle)
 from .semimodule import (FiniteSemimodule, check_semimodule, hom_set,
@@ -43,14 +44,6 @@ def _read_json(path: str):
 
 def _load(path: str):
     return jsonio.load_algebra(_read_json(path))
-
-
-def _as_semiring(obj) -> FiniteSemiring:
-    if isinstance(obj, MvAlgebra):
-        return reduct_vee_odot(obj)
-    if isinstance(obj, FiniteSemiring):
-        return obj
-    raise MalformedTable("expected a semiring or mv algebra description")
 
 
 def cmd_verify(args, cfg: ToolConfig) -> Tuple[dict, int]:

@@ -51,7 +51,7 @@ from .errors import (EnumGuard, NotIdempotent, ScalarMismatch, ToolkitError,
 from .jsonio import semiring_to_dict
 from .matrix import (SemiringMatrix, _block_sum, _idempotent_stack,
                      block_diag, is_mult_idempotent, mat_zero)
-from .mv import MvAlgebra, MvHom, reduct_vee_odot
+from .mv import MvAlgebra, MvHom, _as_semiring
 from .projective import ProjectivePresentation, _ClassIndex, _orbit_minima
 from .semimodule import FiniteSemimodule, SemimoduleHom
 from .semiring import FiniteSemiring, SemiringHom, _index_grid, same_scalars
@@ -454,11 +454,6 @@ def _find_each(index: _ClassIndex, mats: Sequence[np.ndarray],
 
 def compose_group_homs(g: GroupHomMatrix, f: GroupHomMatrix) -> IntMatrix:
     return int_matrix_mul(g.matrix, f.matrix)
-
-
-def _as_semiring(obj: Union[FiniteSemiring, MvAlgebra]) -> FiniteSemiring:
-    """An MV-algebra stands for its join-product reduct."""
-    return reduct_vee_odot(obj) if isinstance(obj, MvAlgebra) else obj
 
 
 def k0_report(obj: Union[FiniteSemiring, MvAlgebra],

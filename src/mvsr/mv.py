@@ -20,10 +20,10 @@ from .config import MAX_CARRIER, MAX_ENUM
 from .errors import (ChainTooShort, EnumGuard, MalformedTable, NotAHom,
                      NotAnIdeal, SizeGuard, TooManyVariables, check_bound)
 from .semiring import (AxiomReport, FiniteSemiring, LawCheck, SemiringHom,
-                       Table, _IndexMap, _closed_sets, _first_assoc_failure,
-                       _first_comm_failure, _first_identity_failure,
-                       _index_grid, _index_list, _label_tuple, _members,
-                       _require_samples, _store, _sum_closure,
+                       Table, _IndexMap, _additivity_mask, _closed_sets,
+                       _first_comm_failure, _first_in_blocks, _index_grid,
+                       _index_list, _label_tuple, _law_report, _members,
+                       _monoid_laws, _require_samples, _store, _sum_closure,
                        is_additively_idempotent, natural_order)
 from .tropical import (DEN_LCM, TOP, TropicalUSemifield, scaled_sampler,
                        trop)
@@ -82,6 +82,12 @@ class MvAlgebra:
                      for a in range(self.size))
 
     @cached_property
+    def _down_sets(self) -> Tuple[int, ...]:
+        """Each x's down-set {y : y <= x}, as a bitmask."""
+        return tuple(sum(1 << y for y, row in enumerate(self.vee)
+                         if row[x] == x) for x in range(self.size))
+
+    @cached_property
     def wedge(self) -> Table:
         return tuple(tuple(self.meet(a, b) for b in range(self.size))
                      for a in range(self.size))
@@ -92,31 +98,19 @@ class MvAlgebra:
 
 def check_mv_axioms(a: MvAlgebra) -> AxiomReport:
     """Commutative-monoid laws plus involution, top absorption, and the
-    characteristic exchange law, checked exhaustively."""
+    characteristic exchange law, checked exhaustively. The exchange law
+    is the commutativity of the derived table (x* + y)* + y."""
     t = np.array(a.oplus, dtype=np.int64)
-    checks = [
-        ("oplus-associative", _first_assoc_failure(t, t)),
-        ("oplus-commutative", _first_comm_failure(t)),
-        ("oplus-identity", _first_identity_failure(a.oplus, a.zero)),
-    ]
-    inv = next(((x,) for x in range(a.size) if a.star[a.star[x]] != x), None)
-    checks.append(("involution", inv))
+    star = np.array(a.star, dtype=np.int64)
     one = a.one
-    top = next(((x,) for x in range(a.size) if a.oplus[x][one] != one), None)
-    checks.append(("top-absorbing", top))
-    exch = None
-    for x in range(a.size):
-        for y in range(a.size):
-            lhs = a.oplus[a.star[a.oplus[a.star[x]][y]]][y]
-            rhs = a.oplus[a.star[a.oplus[a.star[y]][x]]][x]
-            if lhs != rhs:
-                exch = (x, y)
-                break
-        if exch:
-            break
-    checks.append(("exchange", exch))
-    laws = tuple(LawCheck(name, w is None, w) for name, w in checks)
-    return AxiomReport("mv-algebra", laws)
+    return _law_report("mv-algebra", [
+        *_monoid_laws("oplus", t, a.oplus, a.zero),
+        ("involution", next(((x,) for x in range(a.size)
+                             if a.star[a.star[x]] != x), None)),
+        ("top-absorbing", next(((x,) for x in range(a.size)
+                                if a.oplus[x][one] != one), None)),
+        ("exchange", _first_comm_failure(t[star[t[star]],
+                                           np.arange(a.size)]))])
 
 
 def lattice_report(a: MvAlgebra) -> AxiomReport:
@@ -152,8 +146,7 @@ def lattice_report(a: MvAlgebra) -> AxiomReport:
     w = next(((x, y) for x in range(n) for y in range(n)
               if not is_glb(x, y, a.meet(x, y))), None)
     checks.append(("meet-is-glb", w))
-    laws = tuple(LawCheck(name, wit is None, wit) for name, wit in checks)
-    return AxiomReport("mv-lattice", laws)
+    return _law_report("mv-lattice", checks)
 
 
 def lukasiewicz_chain(k: int, max_carrier: int = MAX_CARRIER) -> MvAlgebra:
@@ -218,6 +211,16 @@ def reduct_vee_odot(a: MvAlgebra) -> FiniteSemiring:
 def reduct_wedge_oplus(a: MvAlgebra) -> FiniteSemiring:
     """The meet/sum semiring reduct; top is its additive neutral."""
     return FiniteSemiring(a.size, a.wedge, a.oplus, a.one, a.zero, a.labels)
+
+
+def _as_semiring(obj) -> FiniteSemiring:
+    """A semiring as it is; an MV-algebra stands for its join-product
+    reduct."""
+    if isinstance(obj, MvAlgebra):
+        return reduct_vee_odot(obj)
+    if isinstance(obj, FiniteSemiring):
+        return obj
+    raise MalformedTable("expected a semiring or mv algebra description")
 
 
 def star_reduct_isomorphism(a: MvAlgebra) -> SemiringHom:
@@ -287,36 +290,37 @@ def distance(a: MvAlgebra, x: int, y: int) -> int:
     return a.oplus[a.times(x, a.star[y])][a.times(y, a.star[x])]
 
 
+def _ideal_closure(a: MvAlgebra):
+    """The implied of the ideals' closed-set sweep: member x forces every
+    y <= x and every x + y and y + x with a member (semiring._sum_closure
+    of the sum and the down-sets, which the algebra keeps)."""
+    return _sum_closure(a.oplus, a._down_sets)
+
+
 def is_ideal(a: MvAlgebra, subset) -> bool:
-    """Whether subset holds zero and is closed under the sum and downward.
-    Its members are checked as indices of a before any table is read: a
-    subset that is not a sequence, a bool, a non-integer or an index out of
-    range raises MalformedTable."""
+    """Whether subset holds zero and is closed under the sum and downward:
+    whether it is a closed set of the ideals' sweep, every member's
+    implication staying inside it. Its members are checked as indices of a
+    before any table is read: a subset that is not a sequence, a bool, a
+    non-integer or an index out of range raises MalformedTable."""
     members = set(_index_list(subset, a.size, "ideal"))
     if a.zero not in members:
         return False
-    for x in members:
-        for y in members:
-            if a.oplus[x][y] not in members:
-                return False
-        for y in range(a.size):
-            if a.leq(y, x) and y not in members:
-                return False
-    return True
+    mask = sum(1 << x for x in members)
+    implied = _ideal_closure(a)
+    return not any(implied(x, mask) & ~mask for x in members)
 
 
 def ideals(a: MvAlgebra, max_enum: int = MAX_ENUM) -> Tuple[Tuple[int, ...], ...]:
     """All ideals, ordered by size then members: the closed sets of the
     ideal closure, by semiring's closed-set sweep. A closed set holds zero
     and, with each member x, every y <= x and every x + y and y + x with
-    another member (semiring._sum_closure), so the closed sets are exactly
-    the subsets is_ideal accepts, on lawless tables too. The guard bounds
-    the closures the sweep takes on, ideals found times |A|, before each
-    ideal's closures run."""
-    below = [sum(1 << y for y in range(a.size) if a.leq(y, x))
-             for x in range(a.size)]
+    another member (_ideal_closure), so the closed sets are the subsets
+    is_ideal accepts by construction, on lawless tables too. The guard
+    bounds the closures the sweep takes on, ideals found times |A|, before
+    each ideal's closures run."""
     closed, _ = _closed_sets(
-        a.size, 1 << a.zero, _sum_closure(a.oplus, below),
+        a.size, 1 << a.zero, _ideal_closure(a),
         partial(check_bound, EnumGuard, "closures run for ideals",
                 name="max_enum", bound=max_enum))
     return tuple(sorted((tuple(_members(c)) for c in closed),
@@ -401,16 +405,26 @@ class MvHom(_IndexMap):
     target: MvAlgebra
     mapping: Tuple[int, ...]
 
-    def validate(self) -> None:
+    @cached_property
+    def _broken(self) -> Optional[str]:
+        """Zero, then the first x where the involution or a sum x + y is not
+        preserved, the involution first: per source row, the involution
+        beside the additivity of the map under the sums, a block of rows
+        at a time."""
         s, t, h = self.source, self.target, self.mapping
         if h[s.zero] != t.zero:
-            raise NotAHom("zero not preserved")
-        for x in range(s.size):
-            if h[s.star[x]] != t.star[h[x]]:
-                raise NotAHom(f"involution not preserved at {x}")
-            for y in range(s.size):
-                if h[s.oplus[x][y]] != t.oplus[h[x]][h[y]]:
-                    raise NotAHom(f"sum not preserved at ({x}, {y})")
+            return "zero not preserved"
+        img = np.array(h, dtype=np.intp)
+        s_star, t_star = np.array(s.star), np.array(t.star)
+        s_oplus, t_oplus = np.array(s.oplus), np.array(t.oplus)
+        bad = _first_in_blocks(s.size, s.size + 1, lambda x: np.concatenate(
+            [(img[s_star[x]] != t_star[img[x]])[:, None],
+             _additivity_mask(img[None], s_oplus, t_oplus, x)[0]], axis=1))
+        if bad is None:
+            return None
+        x, y = bad
+        return (f"sum not preserved at ({x}, {y - 1})" if y
+                else f"involution not preserved at {x}")
 
     def as_vee_odot_hom(self) -> SemiringHom:
         return SemiringHom(reduct_vee_odot(self.source),
@@ -732,17 +746,27 @@ def gamma_property_report(f: TropicalUSemifield, samples: int = 10000,
                 max_enum)
     rng = random.Random(seed)
     q = f.u.denominator
-    meet_fails, sum_fails = _sampled_failures(
+    fails = _sampled_failures(
         samples, scaled_sampler(rng, q),
         scaled_sampler(rng, q, nonnegative=True), DEN_LCM * f.u.numerator)
+    mixed_breaks = _sum_breaks(-5 * _GRID_UNIT, 3 * _GRID_UNIT, _GRID_UNIT)
+    return _certificate({}, f, samples, seed, fails,
+                        {"mixed_sign_sum_breaks": mixed_breaks})
+
+
+def _certificate(head: dict, f: TropicalUSemifield, samples: int, seed: int,
+                 fails: Tuple[int, int], tail: dict) -> dict:
+    """The truncation certificate of gamma_property_report and gamma_chain:
+    head's keys, the unit, the samples with their meet and sum failures,
+    the grid decision, tail's keys, whether Top goes to u, and the
+    verdict."""
+    meet_fails, sum_fails = fails
     grid_fails = _grid_failures()
     top_ok = gamma(f, TOP) == f.u
-    mixed_breaks = _sum_breaks(-5 * _GRID_UNIT, 3 * _GRID_UNIT, _GRID_UNIT)
-    return {"u": str(f.u), "samples": samples, "seed": seed,
+    return {**head, "u": str(f.u), "samples": samples, "seed": seed,
             "grid_failures": grid_fails,
             "meet_failures": meet_fails, "truncated_sum_failures": sum_fails,
-            "sum_domain": "nonnegative", "mixed_sign_sum_breaks": mixed_breaks,
-            "top_to_unit": top_ok,
+            "sum_domain": "nonnegative", **tail, "top_to_unit": top_ok,
             "ok": grid_fails == 0 and meet_fails == 0 and sum_fails == 0
             and top_ok}
 
@@ -788,15 +812,6 @@ def gamma_chain(k: int, samples: int = 1000, seed: int = 42,
     alg = lukasiewicz_chain(k + 1, max_carrier)
 
     rng = random.Random(seed)
-    meet_fails, sum_fails = _sampled_failures(
+    fails = _sampled_failures(
         samples, _chain_sampler(rng, k, -3 * k), _chain_sampler(rng, k, 0), k)
-    grid_fails = _grid_failures()
-    top_ok = gamma(f, TOP) == f.u
-    cert = {"k": k, "u": "1", "samples": samples, "seed": seed,
-            "grid_failures": grid_fails,
-            "meet_failures": meet_fails, "truncated_sum_failures": sum_fails,
-            "sum_domain": "nonnegative",
-            "top_to_unit": top_ok,
-            "ok": grid_fails == 0 and meet_fails == 0 and sum_fails == 0
-            and top_ok}
-    return alg, cert
+    return alg, _certificate({"k": k}, f, samples, seed, fails, {})

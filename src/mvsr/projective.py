@@ -41,7 +41,7 @@ from .matrix import (SemiringMatrix, _cover, _idempotent_stack,
 from .mv import MvAlgebra, reduct_vee_odot
 from .semimodule import (_CHUNK_ELEMENTS, FiniteSemimodule, FreeSemimodule,
                          SemimoduleHom, Subsemimodule, _assignments, _digits,
-                         _first_hom, _module_laws_hold, _span,
+                         _first_broken_law, _first_hom, _span,
                          _vector_labels, _vector_tables, _weights, generate,
                          join_irreducibles, minimal_generating_set,
                          module_over_self)
@@ -486,7 +486,7 @@ class _ClassIndex:
     def _form(self, m: FiniteSemimodule, max_enum: int) -> Optional[tuple]:
         """m's canonical form, or None when m breaks the module laws."""
         return (canonical_form(m, max_enum)
-                if _module_laws_hold(self.scalars, m) else None)
+                if _first_broken_law(self.scalars, m) is None else None)
 
     def _scan(self, m: FiniteSemimodule, max_enum: int) -> Optional[int]:
         return next((i for i in range(len(self))

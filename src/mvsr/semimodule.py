@@ -13,7 +13,7 @@ exist once, as the mismatch arrays of _law_mismatches: _hom_mask reads
 them for a batch of maps, _broken_law for the first witness of one. The
 module laws likewise exist once, as the lazy witnesses of
 _module_law_witnesses: check_semimodule reports them all, and
-_first_broken_law (behind _module_laws_hold) stops at the first broken one.
+_first_broken_law stops at the first broken one.
 Both read their laws through semiring's law kernels, which a semiring's
 own laws use as a module over itself.
 
@@ -38,13 +38,13 @@ from .config import MAX_CARRIER, MAX_ENUM
 from .errors import (EnumGuard, IllDefinedAction, NotAHom, ScalarMismatch,
                      SizeGuard, check_bound)
 from .mv import (MvAlgebra, check_mv_axioms, quotient, reduct_vee_odot)
-from .semiring import (AxiomReport, FiniteSemiring, LawCheck, SemiringHom,
-                       Table, _CHUNK_ELEMENTS, _IndexMap, _additivity_mask,
-                       _combine, _first_absorb_failure, _first_additive_failure,
-                       _first_assoc_failure, _first_comm_failure,
-                       _first_identity_failure, _first_true, _index_grid,
-                       _index_list, _label_tuple, _store, boolean_semiring,
-                       fold, is_additively_idempotent, same_scalars)
+from .semiring import (AxiomReport, FiniteSemiring, SemiringHom, Table,
+                       _CHUNK_ELEMENTS, _IndexMap, _additivity_mask, _combine,
+                       _first_absorb_failure, _first_additive_failure,
+                       _first_assoc_failure, _first_true, _index_grid,
+                       _index_list, _label_tuple, _law_report, _monoid_laws,
+                       _store, boolean_semiring, fold,
+                       is_additively_idempotent, same_scalars)
 
 
 @dataclass(frozen=True)
@@ -93,14 +93,7 @@ def check_semimodule(s: FiniteSemiring, m: FiniteSemimodule) -> AxiomReport:
 
     Over an additively idempotent semiring an extra add-idempotent law is
     reported; it follows from the others but is asserted on its own."""
-    return AxiomReport("semimodule",
-                       tuple(LawCheck(name, w is None, w)
-                             for name, w in _module_law_witnesses(s, m)))
-
-
-def _module_laws_hold(s: FiniteSemiring, m: FiniteSemimodule) -> bool:
-    """check_semimodule(s, m).valid, stopping at the first broken law."""
-    return _first_broken_law(s, m) is None
+    return _law_report("semimodule", _module_law_witnesses(s, m))
 
 
 def _first_broken_law(s: FiniteSemiring, m: FiniteSemimodule
@@ -119,9 +112,7 @@ def _module_law_witnesses(s: FiniteSemiring, m: FiniteSemimodule
         raise ScalarMismatch("module does not live over the given scalars")
     add, act = m.np_add, m.np_action
     sadd, smul = s.np_add, s.np_mul
-    yield "add-associative", _first_assoc_failure(add, add)
-    yield "add-commutative", _first_comm_failure(add)
-    yield "add-identity", _first_identity_failure(m.add, m.zero)
+    yield from _monoid_laws("add", add, m.add, m.zero)
     yield "action-associative", _first_assoc_failure(act, smul)
     yield "action-additive", _first_additive_failure(act, add, add)
     # (a+b)x against ax + bx
@@ -338,11 +329,10 @@ class SemimoduleHom(_IndexMap):
     target: FiniteSemimodule
     mapping: Tuple[int, ...]
 
-    def validate(self) -> "SemimoduleHom":
+    @cached_property
+    def _broken(self) -> Optional[str]:
         broken = _broken_law(self.source, self.target, self.mapping)
-        if broken is not None:
-            raise NotAHom(_BROKEN_LAW[broken[0]].format(*broken[1:]))
-        return self
+        return broken and _BROKEN_LAW[broken[0]].format(*broken[1:])
 
     def is_injective(self) -> bool:
         return len(set(self.mapping)) == self.source.size
@@ -658,12 +648,8 @@ class HomSemilattice:
 
     def monoid_report(self) -> AxiomReport:
         t = np.array(self.add_table, dtype=np.intp)
-        checks = (("add-associative", _first_assoc_failure(t, t)),
-                  ("add-commutative", _first_comm_failure(t)),
-                  ("add-identity", _first_identity_failure(self.add_table,
-                                                           self.zero_index)))
-        return AxiomReport("hom-monoid",
-                           tuple(LawCheck(n_, w is None, w) for n_, w in checks))
+        return _law_report("hom-monoid", _monoid_laws(
+            "add", t, self.add_table, self.zero_index))
 
     def to_module(self) -> FiniteSemimodule:
         """Pointwise scalar action; only sound for commutative scalars."""

@@ -7,6 +7,10 @@ because matrix semirings get into the hundreds of elements.
 A semiring is a module over itself, so the semiring, semimodule, MV and
 hom laws share one kernel per law shape (associativity, additivity and
 absorption), each scanned for its first witness by _first_in_blocks.
+The semiring, module, MV and hom-monoid reports open with one
+commutative-monoid triple, _monoid_laws, and are built by _law_report;
+the semiring, MV and module homs share one validate, on _IndexMap, which
+reads each hom's laws once.
 
 The three lattices of closed sets the package enumerates, the ideals of
 an MV-algebra, the subsemimodules of a module and the tensor congruence,
@@ -21,7 +25,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Tuple)
 
 import numpy as np
 
@@ -172,8 +177,13 @@ def _combine(add: np.ndarray, act: np.ndarray, zero: int, coeffs,
 
 
 def _members(mask: int) -> List[int]:
-    """The set bits of a mask, in increasing order."""
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+    """The set bits of a mask, in increasing order, popped lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _closed_sets(width: int, start: int, implied: Callable[[int, int], int],
@@ -232,9 +242,8 @@ def _sum_closure(table: Table, single: List[int]) -> Callable[[int, int], int]:
     the two is read, and nothing of size |table|^2 is built."""
     def implied(i: int, mask: int) -> int:
         row, forced = table[i], single[i]
-        for y in range(mask.bit_length()):
-            if mask >> y & 1:
-                forced |= 1 << row[y] | 1 << table[y][i]
+        for y in _members(mask):
+            forced |= 1 << row[y] | 1 << table[y][i]
         return forced
     return implied
 
@@ -315,6 +324,13 @@ class AxiomReport:
                 "laws": [law.to_dict() for law in self.laws]}
 
 
+def _law_report(structure: str, checks: Iterable[Tuple[str, Optional[tuple]]]
+                ) -> AxiomReport:
+    """The report of each (law, first witness or None) of checks, in order."""
+    return AxiomReport(structure, tuple(LawCheck(name, w is None, w)
+                                        for name, w in checks))
+
+
 def _first_true(mask: np.ndarray) -> Optional[Tuple[int, ...]]:
     """The index of the first true entry of mask in row-major order, or
     None; a mask with no true entry, the lawful case, costs one any()."""
@@ -354,11 +370,12 @@ def _first_assoc_failure(act: np.ndarray, mul: np.ndarray):
                             lambda a: _assoc_mask(act[None], mul, a)[0])
 
 
-def _additivity_mask(maps: np.ndarray, add1: np.ndarray, add2: np.ndarray
-                     ) -> np.ndarray:
+def _additivity_mask(maps: np.ndarray, add1: np.ndarray, add2: np.ndarray,
+                     x=slice(None)) -> np.ndarray:
     """Where each map r of the stack maps, from the addition add1 to add2,
-    breaks r(x + y) = r(x) + r(y): true at (r, x, y)."""
-    return maps[:, add1] != add2[maps[:, :, None], maps[:, None, :]]
+    breaks r(x + y) = r(x) + r(y): true at (r, x, y), for the x of the
+    slice x."""
+    return maps[:, add1[x]] != add2[maps[:, x, None], maps[:, None, :]]
 
 
 def _first_additive_failure(maps: np.ndarray, add1: np.ndarray,
@@ -383,6 +400,16 @@ def _first_identity_failure(t: Table, e: int):
     return None if x is None else (x, e)
 
 
+def _monoid_laws(prefix: str, t: np.ndarray, table: Table, e: int
+                 ) -> Iterator[Tuple[str, Optional[tuple]]]:
+    """The commutative-monoid laws that open the semiring, module, MV and
+    hom-monoid reports, of the table (t its array) with neutral e, as
+    (prefix-law, first witness or None), each checked when asked for."""
+    yield f"{prefix}-associative", _first_assoc_failure(t, t)
+    yield f"{prefix}-commutative", _first_comm_failure(t)
+    yield f"{prefix}-identity", _first_identity_failure(table, e)
+
+
 def _first_absorb_failure(act: Table, scalar_zero: int, zero: int):
     """The first (scalar_zero, x) with act[scalar_zero][x] != zero, else
     the first (a, zero) with act[a][zero] != zero: (mul, zero, zero) is a
@@ -405,16 +432,13 @@ def check_semiring_axioms(s: FiniteSemiring) -> AxiomReport:
     add, mul = s.np_add, s.np_mul
     # (a + b)c = ac + bc is the additivity of the column maps, met as (c, a, b)
     right = _first_additive_failure(mul.T, add, add)
-    witnesses = (_first_assoc_failure(add, add), _first_comm_failure(add),
-                 _first_identity_failure(s.add, s.zero),
-                 _first_assoc_failure(mul, mul),
+    witnesses = (_first_assoc_failure(mul, mul),
                  _first_identity_failure(s.mul, s.one),
                  _first_additive_failure(mul, add, add),
                  right and right[1:] + right[:1],
                  _first_absorb_failure(s.mul, s.zero, s.zero))
-    laws = tuple(LawCheck(name, w is None, w)
-                 for name, w in zip(_SEMIRING_LAWS, witnesses))
-    return AxiomReport("semiring", laws)
+    return _law_report("semiring", [*_monoid_laws("add", add, s.add, s.zero),
+                                    *zip(_SEMIRING_LAWS[3:], witnesses)])
 
 
 def _require_samples(samples: int) -> None:
@@ -476,11 +500,21 @@ def boolean_semiring() -> FiniteSemiring:
 
 class _IndexMap:
     """What the homs share: mapping[x] is the image of x, checked as a map
-    from the source's carrier into the target's."""
+    from the source's carrier into the target's, and one validate. Each
+    hom class reads its laws in _broken, the message of the first law the
+    map breaks or None, cached: the tables are frozen, so a hom's laws are
+    read once however often it is validated."""
 
     def __post_init__(self):
         _store(self, mapping=_index_grid(self.mapping, (self.source.size,),
                                          self.target.size, "hom"))
+
+    def validate(self):
+        """self, when the map keeps the laws; else NotAHom naming the first
+        law it breaks."""
+        if self._broken is not None:
+            raise NotAHom(self._broken)
+        return self
 
     def __call__(self, x: int) -> int:
         return self.mapping[x]
@@ -497,18 +531,25 @@ class SemiringHom(_IndexMap):
     target: FiniteSemiring
     mapping: Tuple[int, ...]
 
-    def validate(self) -> None:
+    @cached_property
+    def _broken(self) -> Optional[str]:
+        """Zero, one, then the first (a, b) where the sum or the product is
+        not preserved, the sum first: the additivity of the map under each
+        table, interleaved, a block of source rows at a time."""
         s, t, h = self.source, self.target, self.mapping
         if h[s.zero] != t.zero:
-            raise NotAHom("zero not preserved")
+            return "zero not preserved"
         if h[s.one] != t.one:
-            raise NotAHom("one not preserved")
-        for a in range(s.size):
-            for b in range(s.size):
-                if h[s.add[a][b]] != t.add[h[a]][h[b]]:
-                    raise NotAHom(f"addition not preserved at ({a}, {b})")
-                if h[s.mul[a][b]] != t.mul[h[a]][h[b]]:
-                    raise NotAHom(f"multiplication not preserved at ({a}, {b})")
+            return "one not preserved"
+        img = np.array(h, dtype=np.intp)[None]
+        bad = _first_in_blocks(s.size, 2 * s.size, lambda a: np.stack(
+            [_additivity_mask(img, s.np_add, t.np_add, a)[0],
+             _additivity_mask(img, s.np_mul, t.np_mul, a)[0]], axis=-1))
+        if bad is None:
+            return None
+        a, b, law = bad
+        return (f"{('addition', 'multiplication')[law]} not preserved at "
+                f"({a}, {b})")
 
     def is_bijective(self) -> bool:
         return self.source.size == self.target.size and self.is_onto()

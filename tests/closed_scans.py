@@ -3,14 +3,15 @@ grew each join from the member it adds.
 
 The ideals and subsemimodules by testing or closing every one of the 2^n
 subsets are the oracles of mv.ideals and projective.all_subsemimodules,
-which must give the same member sets in the same order. The sweep that
-closes every join from scratch, with a closure that applies implications
-until nothing changes, is the oracle of semiring._closed_sets and of the
-tensor congruence, which must give the same closed sets in the same
-order and the same step table."""
+which must give the same member sets in the same order. The ideals are
+tested by is_ideal's loop as it was before it read the sweep's closure,
+so the oracle shares no code with the sweep; it is also the oracle of
+is_ideal. The sweep that closes every join from scratch, with a closure
+that applies implications until nothing changes, is the oracle of
+semiring._closed_sets and of the tensor congruence, which must give the
+same closed sets in the same order and the same step table."""
 import itertools
 
-from mvsr.mv import is_ideal
 from mvsr.semimodule import _span
 from mvsr.semiring import _members
 
@@ -73,12 +74,29 @@ def step_in_congruence_order(congruence, step):
                  for c in range(len(step)))
 
 
+def is_ideal_by_loop(a, subset):
+    """Whether subset holds zero and is closed under the sum and downward,
+    every pair of members and every member's down-set read in a loop."""
+    members = set(subset)
+    if a.zero not in members:
+        return False
+    for x in members:
+        for y in members:
+            if a.oplus[x][y] not in members:
+                return False
+        for y in range(a.size):
+            if a.leq(y, x) and y not in members:
+                return False
+    return True
+
+
 def ideals_by_scan(a):
-    """Every nonempty subset that is_ideal accepts, by size then members."""
+    """Every nonempty subset that is_ideal_by_loop accepts, by size then
+    members."""
     found = []
     for mask in range(2 ** a.size):
         subset = [x for x in range(a.size) if mask >> x & 1]
-        if subset and is_ideal(a, subset):
+        if subset and is_ideal_by_loop(a, subset):
             found.append(tuple(subset))
     found.sort(key=lambda t: (len(t), t))
     return tuple(found)

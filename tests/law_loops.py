@@ -1,10 +1,12 @@
 """The law checks of semirings, semimodules and MV-algebras as they were
 written before every law was read through the shared kernels of
 mvsr.semiring: a Python loop per row for each distributive law, the
-blocked associativity scan, the module's two inline block loops and its
-action-zero block. They are the oracles of check_semiring_axioms,
-check_semimodule and check_mv_axioms, which must report the same bytes,
-witnesses included."""
+blocked associativity scan, the module's two inline block loops, its
+action-zero block and the exchange law's double loop. They are the
+oracles of check_semiring_axioms, check_semimodule and check_mv_axioms,
+which must report the same bytes, witnesses included. The (a, b) loops
+of the semiring and MV hom checks are the oracles of SemiringHom and
+MvHom.validate, which must raise the same message."""
 import numpy as np
 
 from mvsr import semiring
@@ -150,3 +152,33 @@ def mv_report_by_loops(a):
             break
     checks.append(("exchange", exch))
     return _report("mv-algebra", checks)
+
+
+def semiring_hom_broken_by_loop(h):
+    """The message of the first law the semiring map h breaks, or None."""
+    s, t, m = h.source, h.target, h.mapping
+    if m[s.zero] != t.zero:
+        return "zero not preserved"
+    if m[s.one] != t.one:
+        return "one not preserved"
+    for a in range(s.size):
+        for b in range(s.size):
+            if m[s.add[a][b]] != t.add[m[a]][m[b]]:
+                return f"addition not preserved at ({a}, {b})"
+            if m[s.mul[a][b]] != t.mul[m[a]][m[b]]:
+                return f"multiplication not preserved at ({a}, {b})"
+    return None
+
+
+def mv_hom_broken_by_loop(h):
+    """The message of the first law the MV map h breaks, or None."""
+    s, t, m = h.source, h.target, h.mapping
+    if m[s.zero] != t.zero:
+        return "zero not preserved"
+    for x in range(s.size):
+        if m[s.star[x]] != t.star[m[x]]:
+            return f"involution not preserved at {x}"
+        for y in range(s.size):
+            if m[s.oplus[x][y]] != t.oplus[m[x]][m[y]]:
+                return f"sum not preserved at ({x}, {y})"
+    return None

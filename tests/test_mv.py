@@ -2,6 +2,7 @@ import json
 import random
 import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -24,7 +25,7 @@ from mvsr.tropical import (DEN_LCM, TOP, Trop, TropicalUSemifield,
                            sample_trop, scaled_sampler, trop, trop_meet,
                            trop_prod)
 
-from closed_scans import ideals_by_scan
+from closed_scans import ideals_by_scan, is_ideal_by_loop
 
 
 @pytest.fixture
@@ -163,6 +164,30 @@ def test_ideals_match_the_scan_on_lawless_tables():
                           for _ in range(n)],
                       [rng.randrange(n) for _ in range(n)], rng.randrange(n))
         assert ideals(a) == ideals_by_scan(a)
+
+
+def test_is_ideal_matches_the_loop_on_every_subset():
+    """is_ideal, which reads the ideals' closure, gives the verdict of the
+    loop it replaced on every subset of 300 seeded lawless tables of
+    sizes 1 to 5, of the chains c2 to c6, of c2 x c3 and of c2 x c2 x c2."""
+    rng = random.Random(30)
+    tables = []
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        tables.append(MvAlgebra(n, [[rng.randrange(n) for _ in range(n)]
+                                    for _ in range(n)],
+                                [rng.randrange(n) for _ in range(n)],
+                                rng.randrange(n)))
+    tables += [lukasiewicz_chain(k) for k in range(2, 7)]
+    tables += [_products()[0], _products()[2]]
+    verdicts = Counter()
+    for a in tables:
+        for mask in range(2 ** a.size):
+            subset = [x for x in range(a.size) if mask >> x & 1]
+            verdict = is_ideal(a, subset)
+            assert verdict == is_ideal_by_loop(a, subset), (a, subset)
+            verdicts[verdict, a.zero in subset] += 1
+    assert min(verdicts[True, True], verdicts[False, True]) >= 300, verdicts
 
 
 def test_ideals_of_a_long_product_take_the_sweep():

@@ -11,7 +11,7 @@ from mvsr.mv import (lukasiewicz_chain, mv_product, quotient, reduct_vee_odot,
                      star_reduct_isomorphism)
 from mvsr.semimodule import (FiniteSemimodule, FreeSemimodule,
                              SemimoduleHom, _broken_law,
-                             _derivation, _module_laws_hold,
+                             _derivation, _first_broken_law,
                              additive_monoid_module,
                              check_semimodule,
                              compose_module_homs, end_semiring,
@@ -103,11 +103,11 @@ def _module_candidates(s, size_bound):
 
 def test_law_check_stops_at_the_first_broken_law(boolean, three,
                                                  monkeypatch):
-    """_module_laws_hold agrees with the full report on every candidate
-    enumerate_modules weighs over B up to 4 and C3 up to 4, on the
-    diamonds with every middle row, on the lawless join semilattices, on
-    two tables whose addition breaks the laws and on three that each break
-    one action law alone."""
+    """_first_broken_law(s, m) is None agrees with the full report on
+    every candidate enumerate_modules weighs over B up to 4 and C3 up to
+    4, on the diamonds with every middle row, on the lawless join
+    semilattices, on two tables whose addition breaks the laws and on
+    three that each break one action law alone."""
     tried = [(s, m) for s in (boolean, three)
              for m in _module_candidates(s, 4)]
     assert len(enumerate_modules(boolean, 4)) == 13
@@ -134,14 +134,14 @@ def test_law_check_stops_at_the_first_broken_law(boolean, three,
                                     ["action-associative"]]
     tables += single
     verdicts = [check_semimodule(s, m).valid for s, m in tables]
-    assert [_module_laws_hold(s, m) for s, m in tables] == verdicts
+    assert [_first_broken_law(s, m) is None for s, m in tables] == verdicts
     assert 0 < sum(verdicts) < len(tables)
 
     monkeypatch.setattr(mvsr.semimodule, "is_additively_idempotent",
                         lambda s: pytest.fail("checked past a broken law"))
-    assert not _module_laws_hold(three, diamond(three, (0, 2, 0, 2)))
+    assert _first_broken_law(three, diamond(three, (0, 2, 0, 2))) is not None
     with pytest.raises(ScalarMismatch):
-        _module_laws_hold(boolean, module_over_self(three))
+        _first_broken_law(boolean, module_over_self(three))
 
 
 def test_action_row_count_checked(boolean):

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import random
@@ -1515,6 +1516,31 @@ def test_full_embedding_for_a_quotient(boolean):
     assert res["homs_lost_by_restriction"] == 0
     assert res["unit_iso"] == [True] * 4
     assert res["ok"]
+
+
+def test_full_embedding_reads_the_hom_laws_once(boolean, monkeypatch):
+    """full_embedding_check validates h itself and, through
+    restrict_scalars, once more for B over A and once per test module;
+    the laws of h are read by the first of these alone, and a fresh hom
+    on the same tables reads them again."""
+    square = reduct_vee_odot(mv_product(lukasiewicz_chain(2),
+                                        lukasiewicz_chain(2)))
+    reads = []
+    broken = SemiringHom._broken
+
+    def spy(h):
+        reads.append(h.mapping)
+        return broken.func(h)
+
+    counted = functools.cached_property(spy)
+    counted.__set_name__(SemiringHom, "_broken")
+    monkeypatch.setattr(SemiringHom, "_broken", counted)
+    proj = SemiringHom(square, boolean, (0, 0, 1, 1))
+    res = full_embedding_check(proj)
+    assert res["modules"] == 4 and res["ok"]
+    assert reads == [(0, 0, 1, 1)]
+    SemiringHom(square, boolean, (0, 0, 1, 1)).validate()
+    assert reads == [(0, 0, 1, 1)] * 2
 
 
 def test_full_embedding_requires_onto(boolean):
