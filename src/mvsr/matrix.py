@@ -17,10 +17,10 @@ import numpy as np
 from .config import DEFAULT_SEED, MAX_CARRIER, MAX_ENUM
 from .errors import (NoDecomposition, NotFreeBasis, ScalarMismatch,
                      ShapeMismatch, SizeGuard, check_power_bound)
-from .semiring import (FiniteSemiring, SemiringHom, _combine, _index_grid,
-                       _index_list, _sampled_law_failures, _store,
-                       check_semiring_axioms, same_scalars)
-from .semimodule import (_CHUNK_ELEMENTS, EndSemiring, FiniteSemimodule,
+from .semiring import (FiniteSemiring, SemiringHom, _blocks, _combine,
+                       _index_grid, _index_list, _sampled_law_failures,
+                       _store, check_semiring_axioms, same_scalars)
+from .semimodule import (EndSemiring, FiniteSemimodule,
                          FreeSemimodule, SemimoduleHom, _assignments, _digits,
                          _require_homs, _span, _weights, end_semiring,
                          free_semimodule)
@@ -102,15 +102,15 @@ def _idempotent_stack(s: FiniteSemiring, n: int, max_enum: int) -> np.ndarray:
     """The idempotents of M_n(s) in entry-lexicographic order, as one
     (k, n, n) array.
 
-    Candidates are the chunks of _assignments over the n*n entries, each of
-    at most _CHUNK_ELEMENTS entries, squared together one entry at a time:
-    entry (i, j) of every square is one _combine of row i with column j."""
+    Candidates are the chunks of _assignments over the n*n entries, n*n
+    entries a candidate, squared together one entry at a time: entry
+    (i, j) of every square is one _combine of row i with column j."""
     if n < 0:
         raise ValueError(f"matrix size n={n} must not be negative")
     check_power_bound(SizeGuard, "candidate idempotent matrices", s.size,
                       n * n, "max_enum", max_enum)
     kept = []
-    for flat in _assignments(s.size, n * n, _CHUNK_ELEMENTS // max(1, n * n)):
+    for flat in _assignments(s.size, n * n, n * n):
         u = flat.reshape(len(flat), n, n)
         rows, cols = u.transpose(1, 2, 0), u.transpose(2, 1, 0)
         keep = np.ones(len(flat), dtype=bool)
@@ -241,18 +241,17 @@ def eta(s: FiniteSemiring, n: int, max_carrier: int = MAX_CARRIER,
         max_enum: int = MAX_ENUM) -> EtaResult:
     """Certify M_n(s) = End(s^n): with the apply-left-first product on
     endomorphisms the right action is a semiring map, a * b landing on
-    "a then b", and it is bijective. The maps of the matrices are taken a
-    block of matrices at a time, within _CHUNK_ELEMENTS."""
+    "a then b", and it is bijective. The maps of the matrices are taken
+    over semiring._blocks of matrices, |s^n| n entries a matrix."""
     ring = matrix_semiring(s, n, max_carrier)
     module = free_semimodule(s, [str(i) for i in range(n)], max_carrier)
     end = end_semiring(module, max_enum=max_enum)
     stack = np.array([a.entries for a in ring.matrices],
                      dtype=np.int64).reshape(len(ring.matrices), n, n)
     vecs = _digits(np.arange(module.size), s.size, n)
-    step = max(1, _CHUNK_ELEMENTS // (module.size * max(1, n)))
     images = np.concatenate([
-        _row_combinations(s, vecs, stack[lo:lo + step]) @ _weights(s.size, n)
-        for lo in range(0, len(stack), step)])
+        _row_combinations(s, vecs, stack[block]) @ _weights(s.size, n)
+        for block in _blocks(len(stack), module.size * max(1, n))])
     mapping = _require_homs(end.homs.positions(images),
                             "the map of matrix {0} is not a hom")
     hom = SemiringHom(ring.semiring, end.semiring, mapping)

@@ -39,13 +39,13 @@ from .errors import (EnumGuard, NotAHom, NotCyclic, NotIdempotent,
 from .matrix import (SemiringMatrix, _cover, _idempotent_stack,
                      _row_combinations, block_diag, is_mult_idempotent)
 from .mv import MvAlgebra, reduct_vee_odot
-from .semimodule import (_CHUNK_ELEMENTS, FiniteSemimodule, FreeSemimodule,
+from .semimodule import (FiniteSemimodule, FreeSemimodule,
                          SemimoduleHom, Subsemimodule, _assignments, _digits,
                          _first_broken_law, _first_hom, _span,
                          _vector_labels, _vector_tables, _weights, generate,
                          join_irreducibles, minimal_generating_set,
                          module_over_self)
-from .semiring import (FiniteSemiring, _closed_sets, _members,
+from .semiring import (FiniteSemiring, _blocks, _closed_sets, _members,
                        _sum_closure, check_semiring_axioms,
                        is_additively_idempotent, same_scalars)
 
@@ -99,11 +99,12 @@ def _row_spans(s: FiniteSemiring, us: np.ndarray,
     (x = 0) and each row (x a unit vector), and distributivity and
     associativity make it closed under sums and scaling. Each x in
     S^min(rows, cols) is enumerated once and xu, a matrix product, is
-    taken by matrix._row_combinations for a chunk of matrices at a time;
-    a row past the first cols is added to the span so far with every
-    scalar, so the work stays within the carrier. Each result is coded by
-    _weights into a membership bitmap per matrix; the arrays built hold at
-    most _CHUNK_ELEMENTS entries where one matrix's carrier allows."""
+    taken by matrix._row_combinations over semiring._blocks of matrices,
+    |S|^cols cols entries a matrix, and within each over _assignments
+    sized by the block of matrices; a row past the first cols is added to
+    the span so far with every scalar, so the work stays within the
+    carrier. Each result is coded by _weights into a membership bitmap per
+    matrix."""
     k, rows, cols = us.shape
     check_bound(SizeGuard, "free module carrier", s.size ** cols,
                 "max_carrier", max_carrier)
@@ -111,16 +112,13 @@ def _row_spans(s: FiniteSemiring, us: np.ndarray,
     carrier = s.size ** cols
     weights = _weights(s.size, cols)
     head = min(rows, cols)
-    step = max(1, _CHUNK_ELEMENTS // (carrier * max(1, cols)))
-    xs = list(_assignments(s.size, head,
-                           _CHUNK_ELEMENTS // (step * max(1, cols))))
     vecs = _digits(np.arange(carrier), s.size, cols) if rows > cols else None
     spans = []
-    for lo in range(0, k, step):
-        u = us[lo:lo + step]
+    for block in _blocks(k, carrier * max(1, cols)):
+        u = us[block]
         which = np.arange(len(u))[:, None]
         seen = np.zeros((len(u), carrier), dtype=bool)
-        for x in xs:
+        for x in _assignments(s.size, head, len(u) * max(1, cols)):
             seen[which, _row_combinations(s, x, u[:, :head]) @ weights] = True
         for i in range(head, rows):
             on, at = np.nonzero(seen)
@@ -138,9 +136,9 @@ def _row_span(u: SemiringMatrix, max_carrier: int) -> np.ndarray:
 
     Starting from zero and the rows, each new vector is added to every
     known one, on both sides, and scaled by every scalar, until nothing new
-    appears. The sums are taken a block of new vectors at a time, each
-    block holding at most _CHUNK_ELEMENTS coordinates where one new vector
-    allows, and each block is filtered by the vectors seen."""
+    appears. The sums are taken over semiring._blocks of new vectors,
+    (2 |known| + |S|) cols coordinates a vector, and each block is
+    filtered by the vectors seen."""
     s = u.scalars
     check_bound(SizeGuard, "free module carrier", s.size ** u.cols,
                 "max_carrier", max_carrier)
@@ -161,11 +159,10 @@ def _row_span(u: SemiringMatrix, max_carrier: int) -> np.ndarray:
                          dtype=np.int64).reshape(1 + u.rows, u.cols))
     while len(new):
         known = np.concatenate([known, new])
-        step = max(1, _CHUNK_ELEMENTS
-                   // ((2 * len(known) + s.size) * max(1, u.cols)))
         found = []
-        for lo in range(0, len(new), step):
-            block = new[lo:lo + step]
+        for rows in _blocks(len(new),
+                            (2 * len(known) + s.size) * max(1, u.cols)):
+            block = new[rows]
             pairs = len(block) * len(known)
             found.append(fresh(np.concatenate([
                 sadd[block[:, None], known[None]].reshape(pairs, u.cols),

@@ -9,18 +9,23 @@ first generator where the images it reads are final, so a failing prefix
 prunes all its extensions. It is every hom-set of the package: module
 homs here, and in mvsr.tensor the monoid homs out of a join table and the
 bimorphisms, as module homs into Hom(N, C). The hom laws of a given map
-exist once, as the mismatch arrays of _law_mismatches: _hom_mask reads
-them for a batch of maps, _broken_law for the first witness of one. The
-module laws likewise exist once, as the lazy witnesses of
+are read once, by SemimoduleHom._broken: zero, then the additivity of the
+map a block of source rows at a time, then the action a block of scalars
+at a time, each through semiring's blocked first-witness scan,
+_first_in_blocks. The module laws exist once, as the lazy witnesses of
 _module_law_witnesses: check_semimodule reports them all, and
 _first_broken_law stops at the first broken one.
 Both read their laws through semiring's law kernels, which a semiring's
 own laws use as a module over itself.
 
 A hom-set is the search's rows, and every table built from homs gathers
-images from them and looks them up with HomSemilattice.positions. Searches
-stop at their answer's row (_first_hom); counts take the rows directly
-(free_universal_property).
+images from them and looks them up with HomSemilattice.positions, as
+free_universal_property looks up the extension of each point map.
+Searches stop at their answer's row (_first_hom).
+
+Every sweep here that cuts its work, the vector tables, the tuples of
+_assignments and the law scans, walks the blocks of semiring._blocks,
+the one reader of the element budget.
 """
 from __future__ import annotations
 
@@ -39,9 +44,9 @@ from .errors import (EnumGuard, IllDefinedAction, NotAHom, ScalarMismatch,
                      SizeGuard, check_bound)
 from .mv import (MvAlgebra, check_mv_axioms, quotient, reduct_vee_odot)
 from .semiring import (AxiomReport, FiniteSemiring, SemiringHom, Table,
-                       _CHUNK_ELEMENTS, _IndexMap, _additivity_mask, _combine,
+                       _IndexMap, _additivity_mask, _blocks, _combine,
                        _first_absorb_failure, _first_additive_failure,
-                       _first_assoc_failure, _first_true, _index_grid,
+                       _first_assoc_failure, _first_in_blocks, _index_grid,
                        _index_list, _label_tuple, _law_report, _monoid_laws,
                        _store, boolean_semiring, fold,
                        is_additively_idempotent, same_scalars)
@@ -115,9 +120,11 @@ def _module_law_witnesses(s: FiniteSemiring, m: FiniteSemimodule
     yield from _monoid_laws("add", add, m.add, m.zero)
     yield "action-associative", _first_assoc_failure(act, smul)
     yield "action-additive", _first_additive_failure(act, add, add)
-    # (a+b)x against ax + bx
-    yield "scalar-additive", _first_true(
-        act[sadd] != add[act[:, None, :], act[None, :, :]])
+    # (a+b)x against ax + bx: the additivity of each map a -> ax, read a
+    # block of scalars a at a time as (a, b, x)
+    yield "scalar-additive", _first_in_blocks(
+        s.size, s.size * m.size,
+        lambda a: _additivity_mask(act.T, sadd, add, a).transpose(1, 2, 0))
     # the laws of linear size are read from the stored tuples
     yield "action-unital", next(((x,) for x, v in enumerate(m.action[s.one])
                                  if v != x), None)
@@ -183,15 +190,14 @@ def _vector_tables(s: FiniteSemiring, width: int, members: np.ndarray
                    ) -> Tuple[np.ndarray, np.ndarray, int]:
     """The (add, action, zero) tables of the pointwise operations on the
     vectors with these sorted indices, on the members' positions. The sums
-    are gathered a block of rows at a time, each block holding at most
-    _CHUNK_ELEMENTS coordinates."""
+    are gathered over semiring._blocks of rows, len(members) * width
+    coordinates a row."""
     weights = _weights(s.size, width)
     vecs = _digits(members, s.size, width)
     scalars = np.arange(s.size)[:, None, None]
-    step = max(1, _CHUNK_ELEMENTS // max(1, len(members) * width))
     add = np.concatenate([np.searchsorted(
-        members, s.np_add[vecs[i:i + step, None], vecs[None]] @ weights)
-        for i in range(0, len(members), step)])
+        members, s.np_add[vecs[rows, None], vecs[None]] @ weights)
+        for rows in _blocks(len(members), len(members) * width)])
     action = np.searchsorted(members, s.np_mul[scalars, vecs[None]] @ weights)
     zero = int(np.searchsorted(members, s.zero * int(weights.sum())))
     return add, action, zero
@@ -331,69 +337,39 @@ class SemimoduleHom(_IndexMap):
 
     @cached_property
     def _broken(self) -> Optional[str]:
-        broken = _broken_law(self.source, self.target, self.mapping)
-        return broken and _BROKEN_LAW[broken[0]].format(*broken[1:])
+        """Zero, then the first (x, y) where the sum is not preserved, then
+        the first (a, x) where the action is not: the additivity of the
+        map a block of source rows at a time, then the action a block of
+        scalars at a time. Modules over other scalars are refused with
+        ScalarMismatch before any table is read."""
+        m, n, h = self.source, self.target, self.mapping
+        if not same_scalars(m.scalars, n.scalars):
+            raise ScalarMismatch("module hom needs a common scalar semiring")
+        if h[m.zero] != n.zero:
+            return "zero not preserved"
+        img = np.array(h, dtype=np.intp)
+        bad = _first_in_blocks(m.size, m.size, lambda x: _additivity_mask(
+            img[None], m.np_add, n.np_add, x)[0])
+        if bad is not None:
+            return "addition not preserved at ({}, {})".format(*bad)
+        bad = _first_in_blocks(m.scalars.size, m.size, lambda a: (
+            img[m.np_action[a]] != n.np_action[a][:, img]))
+        return bad and "action not preserved at ({}, {})".format(*bad)
 
     def is_injective(self) -> bool:
         return len(set(self.mapping)) == self.source.size
 
 
-_BROKEN_LAW = {"zero": "zero not preserved",
-               "add": "addition not preserved at ({}, {})",
-               "act": "action not preserved at ({}, {})"}
-
-
-def _law_mismatches(m: FiniteSemimodule, n: FiniteSemimodule,
-                    img: np.ndarray):
-    """Where each row of img, a (k, |m|) array of maps m -> n, breaks a hom
-    law: the zero law per row, addition at (row, x, y) and the action at
-    (row, a, x)."""
-    scalars = np.arange(m.scalars.size)[:, None]
-    zero = img[:, m.zero] != n.zero
-    add = _additivity_mask(img, m.np_add, n.np_add)
-    act = img[:, m.np_action] != n.np_action[scalars, img[:, None, :]]
-    return zero, add, act
-
-
-def _hom_mask(m: FiniteSemimodule, n: FiniteSemimodule,
-              img: np.ndarray) -> np.ndarray:
-    """For each row of img, whether it is a hom m -> n."""
-    zero, add, act = _law_mismatches(m, n, img)
-    k = len(img)
-    return ~(zero | add.reshape(k, -1).any(axis=1)
-             | act.reshape(k, -1).any(axis=1))
-
-
-def _broken_law(m: FiniteSemimodule, n: FiniteSemimodule,
-                img: Sequence[int]) -> Optional[tuple]:
-    """The first hom law img breaks, ("zero",), ("add", x, y) or
-    ("act", a, x) in row-major order, or None when img is a hom m -> n."""
-    zero, add, act = _law_mismatches(
-        m, n, np.asarray(img, dtype=np.intp).reshape(1, m.size))
-    if zero[0]:
-        return ("zero",)
-    for law, bad in (("add", add[0]), ("act", act[0])):
-        hit = np.argwhere(bad)
-        if len(hit):
-            return (law,) + tuple(int(i) for i in hit[0])
-    return None
-
-
-def _chunk_rows(m: FiniteSemimodule) -> int:
-    """How many candidate maps out of m one chunk holds."""
-    return max(1, _CHUNK_ELEMENTS // (m.size * (m.size + m.scalars.size)))
-
-
-def _assignments(size: int, count: int, rows: int) -> Iterator[np.ndarray]:
+def _assignments(size: int, count: int, per_item: int
+                 ) -> Iterator[np.ndarray]:
     """Every tuple in range(size)^count in lexicographic order, as (k, count)
-    arrays of at most max(rows, 1) tuples: the digits of consecutive
-    base-size indices, a chunk of indices at a time, refused past int64,
-    where the place values would wrap."""
+    arrays: the digits of consecutive base-size indices over the
+    semiring._blocks of the indices, for a sweep of per_item entries a
+    tuple, refused past int64, where the place values would wrap."""
     total = size ** count
     check_bound(EnumGuard, "tuples", total, "int64 max", (1 << 63) - 1)
-    step = max(rows, 1)
-    for lo in range(0, total, step):
-        yield _digits(np.arange(lo, min(lo + step, total)), size, count)
+    for block in _blocks(total, per_item):
+        yield _digits(np.arange(block.start, block.stop), size, count)
 
 
 class _LevelSchedule:
@@ -907,27 +883,29 @@ def free_universal_property(f: FreeSemimodule, m: FiniteSemimodule,
     """Every map from the points into m extends to exactly one hom.
 
     Existence is checked by building the linear-combination extension of
-    every point map, a chunk of maps at a time in one _combine, and masking
-    the extensions that are homs; uniqueness by counting the homs by their
-    basis values, since a hom out of a free module is the extension of
-    those values."""
+    every point map, a chunk of maps at a time in one _combine, and looking
+    the extensions up in hom_set(f, m) with positions; uniqueness by
+    counting the homs by their basis values, since a hom out of a free
+    module is the extension of those values. A chunk holds
+    |f| (|f| + |S|) entries a map."""
     if not same_scalars(f.scalars, m.scalars):
         raise ScalarMismatch("target must share the scalars")
     npts = len(f.points)
     total = m.size ** npts
     check_bound(EnumGuard, "point maps", total, "max_enum", max_enum)
-    by_basis = Counter(tuple(row[b] for b in f.basis)
-                       for row in _hom_search(f, m, max_enum))
+    homs = hom_set(f, m, max_enum)
+    by_basis = Counter(map(tuple, homs.rows[:, list(f.basis)].tolist()))
     coeffs = _digits(np.arange(f.size), f.scalars.size, npts).T[:, None]
     existence = 0
     uniqueness = 0
-    for imgs in _assignments(m.size, npts, _chunk_rows(f)):
+    for imgs in _assignments(m.size, npts,
+                             f.size * (f.size + f.scalars.size)):
         built = _combine(m.np_add, m.np_action, m.zero, coeffs,
                          imgs.T[:, :, None])
-        homs = _hom_mask(f, m, built)
-        existence += len(homs) - int(homs.sum())
+        found = homs.positions(built) >= 0
+        existence += len(found) - int(found.sum())
         uniqueness += sum(by_basis[p] != 1
-                          for p in map(tuple, imgs[homs].tolist()))
+                          for p in map(tuple, imgs[found].tolist()))
     return {"maps": total, "existence_failures": existence,
             "uniqueness_failures": uniqueness,
             "ok": existence == 0 and uniqueness == 0}

@@ -19,6 +19,13 @@ the one closure loop: a caller hands it the mask every closed set holds
 and what each member implies, and each join is grown from the member it
 adds. Ideals and subsemimodules are closed under a table and a map of
 each member, and share one implied, _sum_closure.
+
+Every bounded sweep of the package, the law scans here, the storage of an
+integer array as tuples, and in the other modules the vector tables,
+tuple enumeration, idempotent matrices, eta, row spans and module
+enumeration, walks its items in the blocks of _blocks, the one reader of
+the element budget _CHUNK_ELEMENTS: a caller says how many entries one
+item's temporaries hold, so one patch of the budget splits every sweep.
 """
 from __future__ import annotations
 
@@ -33,11 +40,19 @@ import numpy as np
 from .errors import MalformedTable, NotAHom, NotIdempotent
 
 Table = Tuple[Tuple[int, ...], ...]
-# Most elements any one temporary array holds: the free universal
-# property's law check of k extensions out of m allocates
-# k * (|m|^2 + |S| |m|), and an integer table is stored as tuples this
-# many entries at a time.
+# Most elements any one temporary array of a bounded sweep holds, read by
+# _blocks alone: each sweep walks its items in the blocks it yields.
 _CHUNK_ELEMENTS = 1 << 18
+
+
+def _blocks(count: int, per_item: int) -> Iterator[slice]:
+    """The slices of range(count) in order, each of at most
+    _CHUNK_ELEMENTS // per_item items and at least one: the one chunk
+    policy of every bounded sweep, for temporaries of per_item entries an
+    item."""
+    step = max(1, _CHUNK_ELEMENTS // max(1, per_item))
+    for lo in range(0, count, step):
+        yield slice(lo, min(lo + step, count))
 
 
 def _entry(x, what: str) -> int:
@@ -117,9 +132,8 @@ def _array_grid(values: np.ndarray, shape, bound: int, what: str):
         raise _range_error(what, shape, int(x), bound)
     if values.ndim == 2:
         ints = np.arange(bound, dtype=object)
-        step = max(1, _CHUNK_ELEMENTS // max(1, shape[1]))
-        return tuple(row for i in range(0, shape[0], step)
-                     for row in map(tuple, ints[values[i:i + step]].tolist()))
+        return tuple(row for block in _blocks(shape[0], shape[1])
+                     for row in map(tuple, ints[values[block]].tolist()))
     return tuple(values.tolist()) if shape else values.item()
 
 
@@ -341,13 +355,12 @@ def _first_true(mask: np.ndarray) -> Optional[Tuple[int, ...]]:
 
 def _first_in_blocks(count: int, per_item: int, mask):
     """The first true index of mask(block), offset by the block's start,
-    over slices of range(count) of at most _CHUNK_ELEMENTS // per_item
-    items each, for a mask of per_item entries an item; else None."""
-    step = max(1, _CHUNK_ELEMENTS // max(1, per_item))
-    for lo in range(0, count, step):
-        bad = _first_true(mask(slice(lo, lo + step)))
+    over the _blocks of range(count), for a mask of per_item entries an
+    item; else None."""
+    for block in _blocks(count, per_item):
+        bad = _first_true(mask(block))
         if bad:
-            return (lo + bad[0],) + bad[1:]
+            return (block.start + bad[0],) + bad[1:]
     return None
 
 

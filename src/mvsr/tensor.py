@@ -71,15 +71,14 @@ from .errors import (EnumGuard, IllDefinedAction, MalformedTable, NotAHom,
 from .jsonio import semimodule_to_dict
 from .mv import gamma_chain, reduct_wedge_oplus
 from .semimodule import (FiniteSemimodule, HomSemilattice, SemimoduleHom,
-                         _digits, _first_broken_law, _schedule,
+                         _assignments, _digits, _first_broken_law, _schedule,
                          _sum_laws, check_semimodule, _first_hom,
                          _require_homs, free_semimodule, hom_set,
                          join_irreducibles, module_over_self,
                          restrict_scalars, trivial_module)
-from .semiring import (FiniteSemiring, SemiringHom, Table, _CHUNK_ELEMENTS,
-                       _additivity_mask, _assoc_mask, _closed_sets, _combine,
-                       _index_grid, _members, is_additively_idempotent,
-                       same_scalars)
+from .semiring import (FiniteSemiring, SemiringHom, Table, _additivity_mask,
+                       _assoc_mask, _closed_sets, _combine, _index_grid,
+                       _members, is_additively_idempotent, same_scalars)
 from .semiring import AxiomReport
 
 
@@ -103,17 +102,17 @@ class SemilatticeCongruence:
     def joined(self, c: int, mask: int) -> int:
         """The class of class c joined with the subset mask, one step per
         member; the partition is union-compatible, so the order of the
-        steps does not matter."""
+        steps does not matter. A negative mask or one with a bit at or
+        past width is refused with MalformedTable."""
+        if mask < 0 or mask >> self.width:
+            raise MalformedTable(f"subset mask {mask} is not a subset of "
+                                 f"range({self.width})")
         for i in _members(mask):
             c = self.step[c][i]
         return c
 
     def class_of(self, mask: int) -> int:
-        """The class of the subset mask; a negative mask or one with a bit
-        at or past width is refused with MalformedTable."""
-        if mask < 0 or mask >> self.width:
-            raise MalformedTable(f"subset mask {mask} is not a subset of "
-                                 f"range({self.width})")
+        """The class of the subset mask: joined(0, mask)."""
         return self.joined(0, mask)
 
 
@@ -800,9 +799,9 @@ def enumerate_modules(s: FiniteSemiring, size_bound: int,
     from End(M, +), enumerated once per addition table in lexicographic
     order. The candidate actions of one addition table, every combination
     of those rows in itertools.product order, are stacked as one
-    (k, |S|, |M|) array, a chunk of at most _CHUNK_ELEMENTS law entries at
-    a time, and the laws the construction leaves open are computed as one
-    mask each, through semiring's law kernels:
+    (k, |S|, |M|) array, a chunk of semimodule._assignments at a time,
+    |S|^2 |M| law entries a candidate, and the laws the construction leaves
+    open are computed as one mask each, through semiring's law kernels:
 
     - action-associative, a(bx) = (ab)x, by _assoc_mask;
     - scalar-additive, (a + b)x = ax + bx, by _additivity_mask on the
@@ -825,16 +824,13 @@ def enumerate_modules(s: FiniteSemiring, size_bound: int,
         adds = _commutative_monoid_tables(size, True, max_enum)
         check_bound(EnumGuard, f"action tables on {size} elements",
                     size ** (size * len(free)), "max_enum", max_enum)
-        step = max(1, _CHUNK_ELEMENTS // (s.size * s.size * size))
         for add in adds:
             np_add = np.array(add, np.intp)
             # with no free scalar, no row is drawn and one candidate is left
             endos = np.array(_monoid_homs(add, 0, size, add, 0) if free
                              else (), np.intp).reshape(-1, size)
-            count = len(endos) ** len(free)
-            for lo in range(0, count, step):
-                picks = _digits(np.arange(lo, min(count, lo + step)),
-                                len(endos), len(free))
+            for picks in _assignments(len(endos), len(free),
+                                      s.size * s.size * size):
                 acts = np.empty((len(picks), s.size, size), np.intp)
                 acts[:, s.zero] = 0
                 acts[:, s.one] = np.arange(size)

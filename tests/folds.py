@@ -2,14 +2,15 @@
 loops, each entry folded by semiring.fold from the scalar zero in index
 order: the oracles of semiring._combine's callers in mvsr.matrix,
 mvsr.projective and mvsr.grothendieck. Also the hom-set by generate and
-test, the oracle of the level search behind semimodule.hom_set."""
+test, the oracle of the level search behind semimodule.hom_set, with the
+hom laws of a batch of maps as one mask, _hom_mask."""
 import numpy as np
 
 from mvsr.config import MAX_ENUM
 from mvsr.errors import EnumGuard, ScalarMismatch, check_bound
-from mvsr.semimodule import (_assignments, _chunk_rows, _derivation,
-                             _hom_mask, minimal_generating_set)
-from mvsr.semiring import same_scalars
+from mvsr.semimodule import (_assignments, _derivation,
+                             minimal_generating_set)
+from mvsr.semiring import _additivity_mask, same_scalars
 
 
 def product_by_loop(a, b):
@@ -60,6 +61,19 @@ def cover_by_loop(m, gens, free):
                  for i in range(free.size))
 
 
+def _hom_mask(m, n, img):
+    """For each row of img, a (k, |m|) array of maps m -> n, whether it is
+    a hom: it keeps zero, addition at every (x, y) and the action at every
+    (a, x)."""
+    k = len(img)
+    scalars = np.arange(m.scalars.size)[:, None]
+    zero = img[:, m.zero] != n.zero
+    add = _additivity_mask(img, m.np_add, n.np_add)
+    act = img[:, m.np_action] != n.np_action[scalars, img[:, None, :]]
+    return ~(zero | add.reshape(k, -1).any(axis=1)
+             | act.reshape(k, -1).any(axis=1))
+
+
 def hom_rows_by_product(m, n, max_enum=MAX_ENUM):
     """Every hom m -> n as rows of (k, |m|) arrays, lazily, ordered
     lexicographically by generator images: every assignment of images to
@@ -73,7 +87,8 @@ def hom_rows_by_product(m, n, max_enum=MAX_ENUM):
     check_bound(EnumGuard, "hom-set candidate assignments",
                 n.size ** len(gens), "max_enum", max_enum)
     n_add, n_act = n.np_add, n.np_action
-    for assign in _assignments(n.size, len(gens), _chunk_rows(m)):
+    for assign in _assignments(n.size, len(gens),
+                               m.size * (m.size + m.scalars.size)):
         img = np.empty((len(assign), m.size), dtype=np.intp)
         for x in order:
             kind, *args = deriv[x]

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from mvsr import projective
+from mvsr import projective, semiring
 from mvsr.config import MAX_CARRIER
 from mvsr.errors import (EnumGuard, NotAHom, NotCyclic, ScalarMismatch,
                          SizeGuard)
@@ -171,8 +171,8 @@ def test_sweep_matches_the_closure_on_every_shape(monkeypatch):
     rng = random.Random(1)
     scalars = [boolean_semiring(), reduct_vee_odot(lukasiewicz_chain(3)),
                _square(), _two_element_field(), _z3()]
-    for chunk in (projective._CHUNK_ELEMENTS, 5):
-        monkeypatch.setattr(projective, "_CHUNK_ELEMENTS", chunk)
+    for chunk in (semiring._CHUNK_ELEMENTS, 5):
+        monkeypatch.setattr(semiring, "_CHUNK_ELEMENTS", chunk)
         for _ in range(40):
             s = rng.choice(scalars)
             shape = (rng.randrange(4), rng.randrange(6), rng.randrange(4))

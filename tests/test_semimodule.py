@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 import mvsr.semimodule
+import mvsr.semiring
 from mvsr.errors import (EnumGuard, IllDefinedAction, MalformedTable,
                          NotAHom, ScalarMismatch)
 from mvsr.mv import (lukasiewicz_chain, mv_product, quotient, reduct_vee_odot,
                      star_reduct_isomorphism)
 from mvsr.semimodule import (FiniteSemimodule, FreeSemimodule,
-                             SemimoduleHom, _broken_law,
+                             SemimoduleHom,
                              _derivation, _first_broken_law,
                              additive_monoid_module,
                              check_semimodule,
@@ -395,6 +396,20 @@ def test_hom_validate_names_the_first_broken_law(three, mapping, message):
     assert str(err.value) == message
 
 
+def test_hom_across_scalars_is_refused(boolean, three):
+    """A map between modules over other scalars is refused with
+    ScalarMismatch in both directions, before any table is read: the
+    3-chain's reduct into B once raised IndexError, and B into the 3-chain
+    compared the actions of unrelated scalars."""
+    over_three, over_b = module_over_self(three), module_over_self(boolean)
+    for m, n, img in ((over_three, over_b, (0, 1, 1)),
+                      (over_b, over_three, (0, 1)),
+                      (over_b, over_three, (0, 2))):
+        with pytest.raises(ScalarMismatch, match="^module hom needs a "
+                           "common scalar semiring$"):
+            SemimoduleHom(m, n, img).validate()
+
+
 def _broken_law_by_loop(m, n, img):
     """The first hom law img breaks, scanning zero, then addition at every
     (x, y), then the action at every (a, x), one cell at a time."""
@@ -554,29 +569,31 @@ def test_hom_set_rows_match_the_product_on_lawless_modules(boolean, three):
     assert _rows_match_the_product(pairs) > 0
 
 
-def test_assignment_chunks_stay_within_their_rows():
+def test_assignment_chunks_stay_within_their_rows(monkeypatch):
     for size, count, rows in itertools.product((1, 2, 3, 5), (0, 1, 2, 4),
                                                (1, 2, 7, 25, 1000)):
-        chunks = list(mvsr.semimodule._assignments(size, count, rows))
+        monkeypatch.setattr(mvsr.semiring, "_CHUNK_ELEMENTS", rows)
+        chunks = list(mvsr.semimodule._assignments(size, count, 1))
         assert all(1 <= len(c) <= rows for c in chunks)
         assert [tuple(r) for c in chunks for r in c.tolist()] == \
             list(itertools.product(range(size), repeat=count))
 
 
-def test_assignments_refuse_indices_past_int64():
+def test_assignments_refuse_indices_past_int64(monkeypatch):
     """2^63 tuples would need the index 2^63, one past int64."""
-    assert next(mvsr.semimodule._assignments(2, 62, 4)).tolist() == \
+    monkeypatch.setattr(mvsr.semiring, "_CHUNK_ELEMENTS", 4)
+    assert next(mvsr.semimodule._assignments(2, 62, 1)).tolist() == \
         [[0] * 62, [0] * 61 + [1], [0] * 60 + [1, 0], [0] * 60 + [1, 1]]
     with pytest.raises(EnumGuard, match=r"^tuples: 9223372036854775808 "
                        r"exceeds int64 max=9223372036854775807$"):
-        next(mvsr.semimodule._assignments(2, 63, 4))
+        next(mvsr.semimodule._assignments(2, 63, 1))
 
 
 @pytest.mark.parametrize("budget", [1, 40, 100, 333])
 def test_iter_homs_across_chunk_edges(boolean, three, monkeypatch, budget):
     # a budget of 1 makes one row per chunk; the others cut the candidate
     # lists at sizes that do not divide them
-    monkeypatch.setattr(mvsr.semimodule, "_CHUNK_ELEMENTS", budget)
+    monkeypatch.setattr(mvsr.semiring, "_CHUNK_ELEMENTS", budget)
     modules = list(enumerate_modules(boolean, 4)[-4:])
     modules += [free_semimodule(boolean, "xyz"),
                 free_semimodule(three, "xy"), diamond(three, (0, 0, 2, 2))]
@@ -586,6 +603,11 @@ def test_iter_homs_across_chunk_edges(boolean, three, monkeypatch, budget):
     f = free_semimodule(three, "x")
     assert free_universal_property(f, diamond(three, (0, 1, 2, 3))) == \
         _free_universal_property_by_scan(f, diamond(three, (0, 1, 2, 3)))
+
+
+_BROKEN_LAW = {"zero": "zero not preserved",
+               "add": "addition not preserved at ({}, {})",
+               "act": "action not preserved at ({}, {})"}
 
 
 def test_broken_law_matches_the_cell_scan(boolean, three):
@@ -598,7 +620,8 @@ def test_broken_law_matches_the_cell_scan(boolean, three):
     for m, n in pairs:
         for img in itertools.product(range(n.size), repeat=m.size):
             expected = _broken_law_by_loop(m, n, img)
-            assert _broken_law(m, n, img) == expected
+            assert SemimoduleHom(m, n, img)._broken == (
+                expected and _BROKEN_LAW[expected[0]].format(*expected[1:]))
             broken.add(expected[0] if expected else None)
     assert broken == {"zero", "add", "act", None}
 

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import operator
 import random
 from collections import Counter
@@ -13,17 +14,18 @@ from law_loops import (module_report_by_loops, mv_hom_broken_by_loop,
                        semiring_report_by_loops)
 from mvsr import semiring
 from mvsr.errors import MalformedTable, NotAHom
-from mvsr.matrix import SemiringMatrix
+from mvsr.matrix import SemiringMatrix, eta, idempotent_matrices
 from mvsr.mv import (MvAlgebra, MvHom, check_mv_axioms, lukasiewicz_chain,
                      mv_product, reduct_vee_odot, reduct_wedge_oplus)
+from mvsr.projective import row_space
 from mvsr.semimodule import (FiniteSemimodule, SemimoduleHom,
                              check_semimodule, free_semimodule,
-                             module_over_self)
+                             free_universal_property, module_over_self)
 from mvsr.semiring import (AxiomReport, FiniteSemiring, SemiringHom,
                            boolean_semiring, check_semiring_axioms,
                            compose_homs, is_additively_idempotent,
-                           natural_order, opposite_semiring)
-from mvsr.tensor import congruence_closure
+                           natural_order, opposite_semiring, same_scalars)
+from mvsr.tensor import congruence_closure, enumerate_modules
 
 
 @pytest.fixture
@@ -293,6 +295,81 @@ def test_law_reports_match_the_loops(monkeypatch, budget):
     assert min(broken[law] for law in changed) >= 100, broken
     assert min(broken[kind] for kind in ("semiring", "module", "mv")) \
         >= 1000, broken
+
+
+def test_blocks_cover_the_range_in_order(monkeypatch):
+    """Each block holds at most budget // per_item items and at least one,
+    and the blocks are range(count) in order."""
+    for budget, count, per_item in itertools.product(
+            (1, 5, 40, 1 << 18), (0, 1, 7, 100), (0, 1, 3, 64)):
+        monkeypatch.setattr(semiring, "_CHUNK_ELEMENTS", budget)
+        blocks = list(semiring._blocks(count, per_item))
+        assert [i for b in blocks for i in range(count)[b]] == \
+            list(range(count))
+        assert all(1 <= b.stop - b.start <= max(1, budget // max(1, per_item))
+                   for b in blocks)
+
+
+# 0 + 0 = 1, so zero is no additive identity
+_LAWLESS = FiniteSemiring(3, ((1, 0, 2), (0, 0, 1), (2, 1, 2)),
+                          ((0, 0, 0), (0, 1, 2), (0, 2, 1)), 0, 1)
+
+
+def _every_sweep():
+    """What each sweep that semiring._blocks cuts returns on small inputs,
+    seeded: idempotent matrices, eta, free module tables, row spaces,
+    module enumeration, the free universal property, module hom messages
+    and the reports of lawless module tables."""
+    rng = random.Random(32)
+    b, three = boolean_semiring(), reduct_vee_odot(lukasiewicz_chain(3))
+    out = {"idempotents": [idempotent_matrices(s, n)
+                           for s, top in ((b, 3), (three, 2), (_LAWLESS, 2))
+                           for n in range(top + 1)]}
+    certified = eta(three, 2)
+    out["eta"] = (certified.hom.mapping, certified.counts,
+                  certified.bijective)
+    frees = [free_semimodule(s, points) for s in (b, three, _LAWLESS)
+             for points in ("x", "xy", "xyz")]
+    out["free modules"] = [(f.add, f.action, f.zero) for f in frees]
+    out["row spaces"] = [row_space(SemiringMatrix(s, rows, cols, [
+        [rng.randrange(s.size) for _ in range(cols)] for _ in range(rows)]))
+        for s in (b, three, _LAWLESS) for rows in (1, 2, 4)
+        for cols in (1, 2, 3)]
+    chains = [r(lukasiewicz_chain(3))
+              for r in (reduct_vee_odot, reduct_wedge_oplus)]
+    modules = {s: enumerate_modules(s, 4) for s in chains}
+    out["modules"] = list(modules.values())
+    drawn = [module_over_self(three), *modules[three][-6:]]
+    for _ in range(100):
+        m = rng.choice(frees + drawn[:7])
+        drawn.append(FiniteSemimodule(m.scalars, m.size,
+                                      _perturbed(rng, m.add, m.size), m.zero,
+                                      _perturbed(rng, m.action, m.size)))
+    out["module reports"] = [check_semimodule(m.scalars, m).to_dict()
+                             for m in drawn]
+    out["free universal"] = [
+        free_universal_property(f, m) for f in frees[3:5] for m in drawn
+        if same_scalars(m.scalars, three) and m.size <= 4]
+    out["hom messages"] = []
+    for _ in range(300):
+        m = rng.choice(drawn)
+        n = rng.choice([x for x in drawn
+                        if same_scalars(x.scalars, m.scalars)
+                        and x.size <= 9])
+        img = [rng.randrange(n.size) for _ in range(m.size)]
+        if rng.random() < 0.8:
+            img[m.zero] = n.zero
+        out["hom messages"].append(SemimoduleHom(m, n, img)._broken)
+    return out
+
+
+@pytest.mark.parametrize("budget", [1, 5, 40])
+def test_one_budget_splits_every_sweep(monkeypatch, budget):
+    """A budget patched on semiring._CHUNK_ELEMENTS alone, down to one
+    item a block, gives every sweep's answer at the default budget."""
+    expected = _every_sweep()
+    monkeypatch.setattr(semiring, "_CHUNK_ELEMENTS", budget)
+    assert _every_sweep() == expected
 
 
 def _mv_homs():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import mvsr.semimodule
+import mvsr.semiring
 import mvsr.tensor
 from mvsr.config import MAX_CARRIER
 from mvsr.errors import (EnumGuard, IllDefinedAction, MalformedTable, NotAHom,
@@ -16,7 +17,7 @@ from mvsr.errors import (EnumGuard, IllDefinedAction, MalformedTable, NotAHom,
 from mvsr.mv import (lukasiewicz_chain, mv_product, quotient,
                      reduct_vee_odot, reduct_wedge_oplus)
 from mvsr.projective import are_isomorphic
-from mvsr.semimodule import (FiniteSemimodule, _hom_mask,
+from mvsr.semimodule import (FiniteSemimodule,
                              check_semimodule, end_semiring,
                              free_semimodule, hom_set,
                              module_over_self, restrict_scalars,
@@ -34,9 +35,10 @@ from mvsr.tensor import (SemilatticeCongruence, TensorProduct,
                          tensor_product, tensor_report, truncation_demo,
                          zeta_isomorphism)
 
+from capped import run_capped
 from closed_scans import (closed_sets_from_scratch, implication_closure,
                           step_in_congruence_order)
-from folds import hom_rows_by_product
+from folds import _hom_mask, hom_rows_by_product
 
 
 @pytest.fixture
@@ -100,6 +102,25 @@ def test_class_of_refuses_a_mask_outside_the_subsets(mask):
     with pytest.raises(MalformedTable, match=f"^subset mask {mask} is not a "
                        r"subset of range\(2\)$"):
         congruence_closure(2, [(1, 2)]).class_of(mask)
+
+
+def test_joined_refuses_a_mask_outside_the_subsets():
+    """joined(c, -1) once never returned, its member list growing until
+    memory ran out, and a bit past width raised IndexError: in a child
+    process under a 1 GB address-space cap and a 20 s timeout, both are
+    refused with class_of's MalformedTable."""
+    lines, _ = run_capped(
+        "from mvsr.errors import MalformedTable\n"
+        "from mvsr.tensor import congruence_closure\n"
+        "cong = congruence_closure(2, [(1, 2)])\n"
+        "for mask in (-1, 4):\n"
+        "    try:\n"
+        "        cong.joined(1, mask)\n"
+        "    except MalformedTable as e:\n"
+        "        print(e)\n",
+        1 << 30, timeout=20)
+    assert lines == [f"subset mask {mask} is not a subset of range(2)"
+                     for mask in (-1, 4)]
 
 
 def test_closure_bottom_equals_top_collapses_everything():
@@ -1456,7 +1477,7 @@ def test_module_enumeration_in_small_chunks(monkeypatch):
     monkeypatch.setattr(mvsr.tensor, "_lawful_actions",
                         lambda s, add, acts: stacked.append(len(acts))
                         or checks(s, add, acts))
-    monkeypatch.setattr(mvsr.tensor, "_CHUNK_ELEMENTS", 40)
+    monkeypatch.setattr(mvsr.semiring, "_CHUNK_ELEMENTS", 40)
     for s, modules in expected.items():
         stacked.clear()
         assert len(modules) == 33
