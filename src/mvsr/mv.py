@@ -21,9 +21,10 @@ from .errors import (ChainTooShort, EnumGuard, MalformedTable, NotAHom,
                      NotAnIdeal, SizeGuard, TooManyVariables, check_bound)
 from .semiring import (AxiomReport, FiniteSemiring, LawCheck, SemiringHom,
                        Table, _IndexMap, _additivity_mask, _closed_sets,
-                       _first_comm_failure, _first_in_blocks, _index_grid,
-                       _index_list, _label_tuple, _law_report, _members,
-                       _monoid_laws, _require_samples, _store, _sum_closure,
+                       _first_comm_failure, _first_in_blocks,
+                       _first_difference, _index_grid, _index_list,
+                       _label_tuple, _law_report, _members, _monoid_laws,
+                       _require_samples, _small, _store, _sum_closure,
                        is_additively_idempotent, natural_order)
 from .tropical import (DEN_LCM, TOP, TropicalUSemifield, scaled_sampler,
                        trop)
@@ -100,17 +101,16 @@ def check_mv_axioms(a: MvAlgebra) -> AxiomReport:
     """Commutative-monoid laws plus involution, top absorption, and the
     characteristic exchange law, checked exhaustively. The exchange law
     is the commutativity of the derived table (x* + y)* + y."""
-    t = np.array(a.oplus, dtype=np.int64)
-    star = np.array(a.star, dtype=np.int64)
-    one = a.one
+    oplus, star, one = a.oplus, a.star, a.one
     return _law_report("mv-algebra", [
-        *_monoid_laws("oplus", t, a.oplus, a.zero),
+        *_monoid_laws("oplus", oplus, a.zero),
         ("involution", next(((x,) for x in range(a.size)
-                             if a.star[a.star[x]] != x), None)),
+                             if star[star[x]] != x), None)),
         ("top-absorbing", next(((x,) for x in range(a.size)
-                                if a.oplus[x][one] != one), None)),
-        ("exchange", _first_comm_failure(t[star[t[star]],
-                                           np.arange(a.size)]))])
+                                if oplus[x][one] != one), None)),
+        ("exchange", _first_comm_failure(tuple(
+            tuple(oplus[star[v]][y] for y, v in enumerate(oplus[star[x]]))
+            for x in range(a.size))))])
 
 
 def lattice_report(a: MvAlgebra) -> AxiomReport:
@@ -409,17 +409,26 @@ class MvHom(_IndexMap):
     def _broken(self) -> Optional[str]:
         """Zero, then the first x where the involution or a sum x + y is not
         preserved, the involution first: per source row, the involution
-        beside the additivity of the map under the sums, a block of rows
-        at a time."""
+        beside the additivity of the map under the sums, one row at a time
+        in Python or a block of rows at a time in numpy, as _small
+        decides."""
         s, t, h = self.source, self.target, self.mapping
         if h[s.zero] != t.zero:
             return "zero not preserved"
-        img = np.array(h, dtype=np.intp)
-        s_star, t_star = np.array(s.star), np.array(t.star)
-        s_oplus, t_oplus = np.array(s.oplus), np.array(t.oplus)
-        bad = _first_in_blocks(s.size, s.size + 1, lambda x: np.concatenate(
-            [(img[s_star[x]] != t_star[img[x]])[:, None],
-             _additivity_mask(img[None], s_oplus, t_oplus, x)[0]], axis=1))
+        if _small(s.size * (s.size + 1)):
+            bad = _first_difference(
+                ((h[y], *map(h.__getitem__, sums))
+                 for y, sums in zip(s.star, s.oplus)),
+                ((t.star[v], *map(t.oplus[v].__getitem__, h)) for v in h))
+        else:
+            img = np.array(h, dtype=np.intp)
+            s_star, t_star = np.array(s.star), np.array(t.star)
+            s_oplus, t_oplus = np.array(s.oplus), np.array(t.oplus)
+            bad = _first_in_blocks(
+                s.size, s.size + 1, lambda x: np.concatenate(
+                    [(img[s_star[x]] != t_star[img[x]])[:, None],
+                     _additivity_mask(img[None], s_oplus, t_oplus, x)[0]],
+                    axis=1))
         if bad is None:
             return None
         x, y = bad

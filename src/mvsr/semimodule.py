@@ -10,13 +10,18 @@ prunes all its extensions. It is every hom-set of the package: module
 homs here, and in mvsr.tensor the monoid homs out of a join table and the
 bimorphisms, as module homs into Hom(N, C). The hom laws of a given map
 are read once, by SemimoduleHom._broken: zero, then the additivity of the
-map a block of source rows at a time, then the action a block of scalars
-at a time, each through semiring's blocked first-witness scan,
-_first_in_blocks. The module laws exist once, as the lazy witnesses of
-_module_law_witnesses: check_semimodule reports them all, and
-_first_broken_law stops at the first broken one.
+map, then the action, each scan in Python or in numpy as semiring's size
+policy, _small, decides on the entries it reads. The module laws exist
+once, as the lazy witnesses of _module_law_witnesses: check_semimodule
+reports them all, and _first_broken_law stops at the first broken one.
 Both read their laws through semiring's law kernels, which a semiring's
 own laws use as a module over itself.
+
+A module's tables are checked once. Every public construction, JSON input
+included, runs FiniteSemimodule's full check; a module derived inside the
+package from checked tables, by restrict_scalars here and by
+mvsr.tensor's scalar_structures and enumerate_modules, is stored as given
+by FiniteSemimodule._trusted.
 
 A hom-set is the search's rows, and every table built from homs gathers
 images from them and looks them up with HomSemilattice.positions, as
@@ -24,8 +29,8 @@ free_universal_property looks up the extension of each point map.
 Searches stop at their answer's row (_first_hom).
 
 Every sweep here that cuts its work, the vector tables, the tuples of
-_assignments and the law scans, walks the blocks of semiring._blocks,
-the one reader of the element budget.
+_assignments and the numpy side of the law scans, walks the blocks of
+semiring._blocks, the one reader of the element budget.
 """
 from __future__ import annotations
 
@@ -34,6 +39,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import getitem
 from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
                     Set, Tuple)
 
@@ -46,8 +52,9 @@ from .mv import (MvAlgebra, check_mv_axioms, quotient, reduct_vee_odot)
 from .semiring import (AxiomReport, FiniteSemiring, SemiringHom, Table,
                        _IndexMap, _additivity_mask, _blocks, _combine,
                        _first_absorb_failure, _first_additive_failure,
-                       _first_assoc_failure, _first_in_blocks, _index_grid,
-                       _index_list, _label_tuple, _law_report, _monoid_laws,
+                       _first_assoc_failure, _first_in_blocks,
+                       _first_difference, _index_grid, _index_list,
+                       _label_tuple, _law_report, _monoid_laws, _small,
                        _store, boolean_semiring, fold,
                        is_additively_idempotent, same_scalars)
 
@@ -71,6 +78,20 @@ class FiniteSemimodule:
                                   "action"),
                zero=_index_grid(self.zero, (), n, "zero"),
                labels=_label_tuple(self.labels, n))
+
+    @classmethod
+    def _trusted(cls, scalars: FiniteSemiring, size: int, add: Table,
+                 zero: int, action: Table,
+                 labels: Optional[Tuple[str, ...]] = None):
+        """A module on tables derived inside the package from checked
+        ones, stored as given, without _index_grid: add and action tuples
+        of tuples of ints in range(size), size x size and |S| x size, zero
+        an int in range(size) and labels None or a tuple of size strings.
+        Every public construction and JSON input keeps the full check."""
+        m = object.__new__(cls)
+        _store(m, scalars=scalars, size=size, add=add, zero=zero,
+               action=action, labels=labels)
+        return m
 
     def plus(self, x: int, y: int) -> int:
         return self.add[x][y]
@@ -115,24 +136,38 @@ def _module_law_witnesses(s: FiniteSemiring, m: FiniteSemimodule
     report order, each checked only when it is asked for."""
     if not same_scalars(s, m.scalars):
         raise ScalarMismatch("module does not live over the given scalars")
-    add, act = m.np_add, m.np_action
-    sadd, smul = s.np_add, s.np_mul
-    yield from _monoid_laws("add", add, m.add, m.zero)
-    yield "action-associative", _first_assoc_failure(act, smul)
+    add, act = m.add, m.action
+    yield from _monoid_laws("add", add, m.zero)
+    yield "action-associative", _first_assoc_failure(act, s.mul)
     yield "action-additive", _first_additive_failure(act, add, add)
-    # (a+b)x against ax + bx: the additivity of each map a -> ax, read a
-    # block of scalars a at a time as (a, b, x)
-    yield "scalar-additive", _first_in_blocks(
-        s.size, s.size * m.size,
-        lambda a: _additivity_mask(act.T, sadd, add, a).transpose(1, 2, 0))
+    yield "scalar-additive", _first_scalar_additive_failure(s, m)
     # the laws of linear size are read from the stored tuples
-    yield "action-unital", next(((x,) for x, v in enumerate(m.action[s.one])
+    yield "action-unital", next(((x,) for x, v in enumerate(act[s.one])
                                  if v != x), None)
-    yield "action-zero", _first_absorb_failure(m.action, s.zero, m.zero)
+    yield "action-zero", _first_absorb_failure(act, s.zero, m.zero)
 
     if is_additively_idempotent(s):
         yield "add-idempotent", next(((x,) for x, row in enumerate(m.add)
                                       if row[x] != x), None)
+
+
+def _first_scalar_additive_failure(s: FiniteSemiring, m: FiniteSemimodule):
+    """The first (a, b, x) where (a + b)x != ax + bx: the rows (a + b)x
+    against the rows ax + bx in Python, else the additivity of each map
+    a -> ax a block of scalars a at a time, as _small decides on the
+    |S|^2 |M| entries."""
+    act, add = m.action, m.add
+    if _small(s.size * s.size * m.size):
+        # plus[x] is the row of add at ax, so map(getitem, plus, bx) gives
+        # ax + bx for every x
+        return _first_difference(
+            (list(map(act.__getitem__, sums)) for sums in s.add),
+            ([tuple(map(getitem, plus, other)) for other in act]
+             for plus in ([add[u] for u in row] for row in act)))
+    act, sadd, add = m.np_action, s.np_add, m.np_add
+    return _first_in_blocks(
+        s.size, s.size * m.size,
+        lambda a: _additivity_mask(act.T, sadd, add, a).transpose(1, 2, 0))
 
 
 # ----- free semimodules ----------------------------------------------------
@@ -339,21 +374,33 @@ class SemimoduleHom(_IndexMap):
     def _broken(self) -> Optional[str]:
         """Zero, then the first (x, y) where the sum is not preserved, then
         the first (a, x) where the action is not: the additivity of the
-        map a block of source rows at a time, then the action a block of
-        scalars at a time. Modules over other scalars are refused with
+        map, then the action, each scan one row at a time in Python or a
+        block of rows at a time in numpy, as _small decides on the entries
+        it reads. Modules over other scalars are refused with
         ScalarMismatch before any table is read."""
         m, n, h = self.source, self.target, self.mapping
         if not same_scalars(m.scalars, n.scalars):
             raise ScalarMismatch("module hom needs a common scalar semiring")
         if h[m.zero] != n.zero:
             return "zero not preserved"
-        img = np.array(h, dtype=np.intp)
-        bad = _first_in_blocks(m.size, m.size, lambda x: _additivity_mask(
-            img[None], m.np_add, n.np_add, x)[0])
+        if _small(m.size * m.size):
+            bad = _first_difference(
+                (tuple(map(h.__getitem__, sums)) for sums in m.add),
+                (tuple(map(n.add[v].__getitem__, h)) for v in h))
+        else:
+            img = np.array(h, dtype=np.intp)
+            bad = _first_in_blocks(m.size, m.size, lambda x: _additivity_mask(
+                img[None], m.np_add, n.np_add, x)[0])
         if bad is not None:
             return "addition not preserved at ({}, {})".format(*bad)
-        bad = _first_in_blocks(m.scalars.size, m.size, lambda a: (
-            img[m.np_action[a]] != n.np_action[a][:, img]))
+        if _small(m.scalars.size * m.size):
+            bad = _first_difference(
+                (tuple(map(h.__getitem__, moved)) for moved in m.action),
+                (tuple(map(row.__getitem__, h)) for row in n.action))
+        else:
+            img = np.array(h, dtype=np.intp)
+            bad = _first_in_blocks(m.scalars.size, m.size, lambda a: (
+                img[m.np_action[a]] != n.np_action[a][:, img]))
         return bad and "action not preserved at ({}, {})".format(*bad)
 
     def is_injective(self) -> bool:
@@ -623,9 +670,8 @@ class HomSemilattice:
             "the sum of homs {0} and {1} is not a hom").tolist()))
 
     def monoid_report(self) -> AxiomReport:
-        t = np.array(self.add_table, dtype=np.intp)
         return _law_report("hom-monoid", _monoid_laws(
-            "add", t, self.add_table, self.zero_index))
+            "add", self.add_table, self.zero_index))
 
     def to_module(self) -> FiniteSemimodule:
         """Pointwise scalar action; only sound for commutative scalars."""
@@ -867,13 +913,15 @@ def quotient_module_from_ideal(alg: MvAlgebra, ideal) -> QuotientModuleResult:
 
 
 def restrict_scalars(h: SemiringHom, n: FiniteSemimodule) -> FiniteSemimodule:
-    """Pull the action back along a validated semiring hom; carrier unchanged."""
+    """Pull the action back along a validated semiring hom; carrier
+    unchanged. The rows of n's action that h picks are n's own checked
+    tuples, so the module is built by FiniteSemimodule._trusted."""
     h.validate()
     if not same_scalars(h.target, n.scalars):
         raise ScalarMismatch("hom target must be the module's scalars")
-    action = tuple(n.action[h.mapping[a]] for a in range(h.source.size))
-    return FiniteSemimodule(scalars=h.source, size=n.size, add=n.add,
-                            zero=n.zero, action=action, labels=n.labels)
+    action = tuple(map(n.action.__getitem__, h.mapping))
+    return FiniteSemimodule._trusted(h.source, n.size, n.add, n.zero, action,
+                                     n.labels)
 
 
 # ----- free universal property -----------------------------------------------

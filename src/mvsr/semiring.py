@@ -6,7 +6,10 @@ because matrix semirings get into the hundreds of elements.
 
 A semiring is a module over itself, so the semiring, semimodule, MV and
 hom laws share one kernel per law shape (associativity, additivity and
-absorption), each scanned for its first witness by _first_in_blocks.
+absorption), each reading the stored tuples. Each scan finds its first
+witness on one of two sides, as the size policy decides: in Python, by
+_first_difference over the two sides of its law, or in numpy, by
+_first_in_blocks over the law's mask.
 The semiring, module, MV and hom-monoid reports open with one
 commutative-monoid triple, _monoid_laws, and are built by _law_report;
 the semiring, MV and module homs share one validate, on _IndexMap, which
@@ -26,6 +29,15 @@ tuple enumeration, idempotent matrices, eta, row spans and module
 enumeration, walks its items in the blocks of _blocks, the one reader of
 the element budget _CHUNK_ELEMENTS: a caller says how many entries one
 item's temporaries hold, so one patch of the budget splits every sweep.
+
+Beside the chunk policy stands one size policy: _small, the one reader of
+_SMALL_ENTRIES, decides per scan, on the entries the scan reads, whether
+a law or hom scan runs in plain Python on the stored tuples or in numpy,
+and whether _array_grid checks a small integer array as Python ints.
+numpy pays 15-20 us a call, more than a Python loop over the couple of
+hundred entries of a small table, so small tables pay small fixed costs,
+and the 625-element matrix semirings of the hom checks still run in
+numpy. Both sides give the same witnesses, the first in row-major order.
 """
 from __future__ import annotations
 
@@ -43,6 +55,11 @@ Table = Tuple[Tuple[int, ...], ...]
 # Most elements any one temporary array of a bounded sweep holds, read by
 # _blocks alone: each sweep walks its items in the blocks it yields.
 _CHUNK_ELEMENTS = 1 << 18
+# Most entries a law or hom scan, or the check of an integer array, reads
+# in plain Python, read by _small alone: past it the scan runs in numpy.
+# Set at the crossover measured on fresh tables, 100 to 200 entries for
+# the law and hom scans; CHANGES.md has the timings.
+_SMALL_ENTRIES = 200
 
 
 def _blocks(count: int, per_item: int) -> Iterator[slice]:
@@ -53,6 +70,14 @@ def _blocks(count: int, per_item: int) -> Iterator[slice]:
     step = max(1, _CHUNK_ELEMENTS // max(1, per_item))
     for lo in range(0, count, step):
         yield slice(lo, min(lo + step, count))
+
+
+def _small(entries: int) -> bool:
+    """Whether a scan that reads this many entries runs in plain Python on
+    the stored tuples: the one size policy of every law and hom scan and
+    of _array_grid. numpy's fixed cost of 15-20 us a call exceeds a Python
+    loop over a couple of hundred entries; past that numpy is faster."""
+    return entries <= _SMALL_ENTRIES
 
 
 def _entry(x, what: str) -> int:
@@ -71,8 +96,10 @@ def _index_grid(values, shape: Tuple[int, ...], bound: int, what: str):
     which is () for an index, (n,) for a map and (r, c) for a table, and
     returned as the int or tuples a structure stores; else MalformedTable.
     A Python sequence is checked entry by entry, so bool, float, str, None
-    and nested sequences are refused. An integer ndarray is checked in
-    numpy, and a table from one holds one int object per index."""
+    and nested sequences are refused. An integer ndarray has its dtype and
+    shape checked first; then a small one, by _small on its entries, is
+    read as Python ints by the sequence path, and a larger one is checked
+    in numpy, a table from it holding one int object per index."""
     shape = tuple(shape)
     if isinstance(values, np.ndarray):
         return _array_grid(values, shape, bound, what)
@@ -127,6 +154,9 @@ def _array_grid(values: np.ndarray, shape, bound: int, what: str):
                              f"an integer array")
     if values.shape != shape:
         raise _shape_error(what, shape)
+    if _small(values.size):
+        # Python ints in row-major order, checked row by row by _row
+        return _index_grid(values.tolist(), shape, bound, what)
     if values.size and (values.min() < 0 or values.max() >= bound):
         x = values[(values < 0) | (values >= bound)][0]
         raise _range_error(what, shape, int(x), bound)
@@ -356,12 +386,32 @@ def _first_true(mask: np.ndarray) -> Optional[Tuple[int, ...]]:
 def _first_in_blocks(count: int, per_item: int, mask):
     """The first true index of mask(block), offset by the block's start,
     over the _blocks of range(count), for a mask of per_item entries an
-    item; else None."""
+    item; else None. The numpy side of every law and hom scan."""
     for block in _blocks(count, per_item):
         bad = _first_true(mask(block))
         if bad:
             return (block.start + bad[0],) + bad[1:]
     return None
+
+
+def _first_difference(lhs, rhs) -> Optional[Tuple[int, ...]]:
+    """The first index, in row-major order, where lhs and rhs, equally
+    nested sequences of ints, differ; None where they agree. The Python
+    side of every law and hom scan: the two sides of its law, item by item
+    along the first axis of its mask, so the index is the mask's first
+    true entry. Rows are compared whole, and the top level may be lazy, so
+    the scan stops at the first item that differs."""
+    for j, (u, v) in enumerate(zip(lhs, rhs)):
+        if u != v:
+            return (j,) + (_first_difference(u, v)
+                           if isinstance(u, (tuple, list)) else ())
+    return None
+
+
+def _arrays(*tables: Table) -> Tuple[np.ndarray, ...]:
+    """Stored tables as arrays, for the numpy side of a law scan, which
+    reads more entries than the conversion writes."""
+    return tuple(np.array(t, dtype=np.intp) for t in tables)
 
 
 def _assoc_mask(acts: np.ndarray, mul: np.ndarray, a: slice) -> np.ndarray:
@@ -375,10 +425,17 @@ def _assoc_mask(acts: np.ndarray, mul: np.ndarray, a: slice) -> np.ndarray:
     return rows.reshape(-1)[start + acts[:, None]] != acts[:, mul[a]]
 
 
-def _first_assoc_failure(act: np.ndarray, mul: np.ndarray):
-    """The first (a, b, x) of _assoc_mask on the stack of act alone: (t, t)
-    is the associativity of a table t, and (action, scalar product) a
-    module's action-associative law."""
+def _first_assoc_failure(act: Table, mul: Table):
+    """The first (a, b, x) where a(bx) != (ab)x, for act[a][x] an action of
+    the multiplication mul: (t, t) is the associativity of a table t, and
+    (action, scalar product) a module's action-associative law. One row
+    per (a, b) in Python, else _assoc_mask on the stack of act alone."""
+    if _small(len(act) * len(mul[0]) * len(act[0])):
+        return _first_difference(
+            ([tuple(map(row.__getitem__, moved)) for moved in act]
+             for row in act),
+            (list(map(act.__getitem__, products)) for products in mul))
+    act, mul = _arrays(act, mul)
     return _first_in_blocks(len(act), mul.shape[1] * act.shape[1],
                             lambda a: _assoc_mask(act[None], mul, a)[0])
 
@@ -391,15 +448,28 @@ def _additivity_mask(maps: np.ndarray, add1: np.ndarray, add2: np.ndarray,
     return maps[:, add1[x]] != add2[maps[:, x, None], maps[:, None, :]]
 
 
-def _first_additive_failure(maps: np.ndarray, add1: np.ndarray,
-                            add2: np.ndarray):
-    """The first (r, x, y) of _additivity_mask: (action, add, add) is a
-    module's action-additive law and (mul, add, add) left distributivity."""
+def _first_additive_failure(maps: Table, add1: Table, add2: Table):
+    """The first (r, x, y) where map r breaks r(x + y) = r(x) + r(y), from
+    the addition add1 to add2: (action, add, add) is a module's
+    action-additive law and (mul, add, add) left distributivity. One row
+    per (r, x) in Python, else _additivity_mask."""
+    if _small(len(maps) * len(add1) ** 2):
+        return _first_difference(
+            ([tuple(map(row.__getitem__, sums)) for sums in add1]
+             for row in maps),
+            ([tuple(map(add2[v].__getitem__, row)) for v in row]
+             for row in maps))
+    maps, add1, add2 = _arrays(maps, add1, add2)
     return _first_in_blocks(len(maps), add1.size,
                             lambda r: _additivity_mask(maps[r], add1, add2))
 
 
-def _first_comm_failure(t: np.ndarray):
+def _first_comm_failure(t: Table):
+    """The first (x, y) with t[x][y] != t[y][x]: each row against its
+    column in Python, else the table against its transpose."""
+    if _small(len(t) ** 2):
+        return _first_difference(t, zip(*t))
+    t, = _arrays(t)
     return _first_true(t != t.T)
 
 
@@ -413,13 +483,13 @@ def _first_identity_failure(t: Table, e: int):
     return None if x is None else (x, e)
 
 
-def _monoid_laws(prefix: str, t: np.ndarray, table: Table, e: int
+def _monoid_laws(prefix: str, table: Table, e: int
                  ) -> Iterator[Tuple[str, Optional[tuple]]]:
     """The commutative-monoid laws that open the semiring, module, MV and
-    hom-monoid reports, of the table (t its array) with neutral e, as
-    (prefix-law, first witness or None), each checked when asked for."""
-    yield f"{prefix}-associative", _first_assoc_failure(t, t)
-    yield f"{prefix}-commutative", _first_comm_failure(t)
+    hom-monoid reports, of the table with neutral e, as (prefix-law, first
+    witness or None), each checked when asked for."""
+    yield f"{prefix}-associative", _first_assoc_failure(table, table)
+    yield f"{prefix}-commutative", _first_comm_failure(table)
     yield f"{prefix}-identity", _first_identity_failure(table, e)
 
 
@@ -442,15 +512,15 @@ _SEMIRING_LAWS = ("add-associative", "add-commutative", "add-identity",
 
 def check_semiring_axioms(s: FiniteSemiring) -> AxiomReport:
     """Exhaustively check the eight semiring laws, with first failing witness."""
-    add, mul = s.np_add, s.np_mul
+    add, mul = s.add, s.mul
     # (a + b)c = ac + bc is the additivity of the column maps, met as (c, a, b)
-    right = _first_additive_failure(mul.T, add, add)
+    right = _first_additive_failure(tuple(zip(*mul)), add, add)
     witnesses = (_first_assoc_failure(mul, mul),
-                 _first_identity_failure(s.mul, s.one),
+                 _first_identity_failure(mul, s.one),
                  _first_additive_failure(mul, add, add),
                  right and right[1:] + right[:1],
-                 _first_absorb_failure(s.mul, s.zero, s.zero))
-    return _law_report("semiring", [*_monoid_laws("add", add, s.add, s.zero),
+                 _first_absorb_failure(mul, s.zero, s.zero))
+    return _law_report("semiring", [*_monoid_laws("add", add, s.zero),
                                     *zip(_SEMIRING_LAWS[3:], witnesses)])
 
 
@@ -548,16 +618,26 @@ class SemiringHom(_IndexMap):
     def _broken(self) -> Optional[str]:
         """Zero, one, then the first (a, b) where the sum or the product is
         not preserved, the sum first: the additivity of the map under each
-        table, interleaved, a block of source rows at a time."""
+        table, interleaved, one source row at a time in Python or a block
+        of rows at a time in numpy, as _small decides."""
         s, t, h = self.source, self.target, self.mapping
         if h[s.zero] != t.zero:
             return "zero not preserved"
         if h[s.one] != t.one:
             return "one not preserved"
-        img = np.array(h, dtype=np.intp)[None]
-        bad = _first_in_blocks(s.size, 2 * s.size, lambda a: np.stack(
-            [_additivity_mask(img, s.np_add, t.np_add, a)[0],
-             _additivity_mask(img, s.np_mul, t.np_mul, a)[0]], axis=-1))
+        if _small(2 * s.size * s.size):
+            # row a holds the pair (h(a + b), h(ab)) for each b in turn
+            bad = _first_difference(
+                (tuple(zip(map(h.__getitem__, sums),
+                           map(h.__getitem__, products)))
+                 for sums, products in zip(s.add, s.mul)),
+                (tuple(zip(map(t.add[v].__getitem__, h),
+                           map(t.mul[v].__getitem__, h))) for v in h))
+        else:
+            img = np.array(h, dtype=np.intp)[None]
+            bad = _first_in_blocks(s.size, 2 * s.size, lambda a: np.stack(
+                [_additivity_mask(img, s.np_add, t.np_add, a)[0],
+                 _additivity_mask(img, s.np_mul, t.np_mul, a)[0]], axis=-1))
         if bad is None:
             return None
         a, b, law = bad

@@ -47,7 +47,9 @@ identified with left ones throughout.
 Module enumeration finds the addition tables once per size. The candidate
 actions of one addition table are stacked, each law the construction
 leaves open is one mask over the stack, computed with semiring's law
-kernels, and a module is built only for the candidates that pass. Change
+kernels, and a module is built only for the candidates that pass. The
+modules the package derives from checked tables, the enumerated ones, the
+quotient's and the restrictions, are stored without a second check. Change
 of scalars extends along h: A -> B as B tensor M over A, with B acting on
 itself restricted to A once per check, not once per module.
 """
@@ -356,6 +358,10 @@ def scalar_structures(t: TensorProduct, scalars: FiniteSemiring,
     is split into its members once, and each scalar moves it by folding
     the step table over its members' moved pairs; the first generating
     pair that a scalar splits, in scalar then pair order, is named.
+
+    action is checked; the join table and the class rows are read off the
+    step table, tuples of class indices, so the module is built by
+    FiniteSemimodule._trusted without a second check.
     """
     action = _index_grid(action, (scalars.size, t.left.size), t.left.size,
                          "action")
@@ -379,8 +385,9 @@ def scalar_structures(t: TensorProduct, scalars: FiniteSemiring,
                     f"({u}, {v}) to distinct classes {image[u]} and "
                     f"{image[v]}")
         rows.append(tuple(image[rep] for rep in cong.representatives))
-    return FiniteSemimodule(scalars, t.class_count, t.join_table, t.zero_class,
-                            tuple(rows), _class_labels(t))
+    return FiniteSemimodule._trusted(scalars, t.class_count, t.join_table,
+                                     t.zero_class, tuple(rows),
+                                     _class_labels(t))
 
 
 def as_module(t: TensorProduct) -> FiniteSemimodule:
@@ -707,7 +714,9 @@ def adjunction_witness(h: SemiringHom,
 
     For each test pair, extension of scalars against restriction gives
     hom(B tensor M, N) = hom(M, N restricted); the hom-module of the
-    source semiring gives the right adjoint the same way.
+    source semiring gives the right adjoint the same way. An empty list of
+    modules on either side is refused with ValueError: it would certify
+    the adjunction on no pair.
     """
     h.validate()
     a, b = h.source, h.target
@@ -715,6 +724,10 @@ def adjunction_witness(h: SemiringHom,
         [module_over_self(a), trivial_module(a)]
     mods_b = list(right_modules) if right_modules is not None else \
         [module_over_self(b), trivial_module(b)]
+    for name, mods in (("left_modules", mods_a), ("right_modules", mods_b)):
+        if not mods:
+            raise ValueError(f"{name} is empty: the adjunction needs at "
+                             f"least one module on each side")
     b_over_a = restrict_scalars(h, module_over_self(b))
 
     pairs = []
@@ -815,8 +828,10 @@ def enumerate_modules(s: FiniteSemiring, size_bound: int,
     hold since every row is in End(M, +): the free rows by the search, the
     zero row and the identity trivially. The one row is the identity, so
     the action is unital, and when zero != one the zero row is 0, so
-    0x = 0. A FiniteSemimodule is built only for the candidates the masks
-    pass, in the order of the addition tables and then of the stack.
+    0x = 0. A module is built only for the candidates the masks pass, in
+    the order of the addition tables and then of the stack; its rows are
+    turned into tuples of ints and stored by FiniteSemimodule._trusted,
+    since every entry is an index of the carrier by construction.
     """
     out = []
     free = [c for c in range(s.size) if c not in (s.zero, s.one)]
@@ -835,8 +850,10 @@ def enumerate_modules(s: FiniteSemiring, size_bound: int,
                 acts[:, s.zero] = 0
                 acts[:, s.one] = np.arange(size)
                 acts[:, free] = endos[picks]
-                out += [FiniteSemimodule(s, size, add, 0, action.tolist())
-                        for action in acts[_lawful_actions(s, np_add, acts)]]
+                out += [FiniteSemimodule._trusted(
+                            s, size, add, 0, tuple(map(tuple, action)))
+                        for action in acts[_lawful_actions(s, np_add,
+                                                           acts)].tolist()]
     return tuple(out)
 
 
@@ -872,11 +889,24 @@ def full_embedding_check(h: SemiringHom,
     checked, one tensor product per test module: B acting on itself is
     restricted to A once, each test module restricted to A is extended
     back to B by _extend_scalars, and x -> 1 tensor x must be a bijective
-    hom onto the extension."""
+    hom onto the extension.
+
+    A check on no module would pass vacuously, so a size_bound that is not
+    an int of at least 1 (bool refused) and an empty test_modules are
+    refused with ValueError before anything is enumerated."""
+    if isinstance(size_bound, bool) or not isinstance(size_bound, int) \
+            or size_bound < 1:
+        raise ValueError(f"size_bound={size_bound!r} must be an integer of "
+                         f"at least 1")
+    if test_modules is not None:
+        test_modules = tuple(test_modules)
+        if not test_modules:
+            raise ValueError("test_modules is empty: the embedding needs at "
+                             "least one module")
     h.validate()
     if not h.is_onto():
         raise NotOnto("the embedding theorem needs an onto homomorphism")
-    modules = tuple(test_modules) if test_modules is not None else \
+    modules = test_modules if test_modules is not None else \
         enumerate_modules(h.target, size_bound, max_enum)
 
     b = h.target

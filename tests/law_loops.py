@@ -11,8 +11,8 @@ import numpy as np
 
 from mvsr import semiring
 from mvsr.semiring import (_SEMIRING_LAWS, AxiomReport, LawCheck,
-                           _first_comm_failure, _first_identity_failure,
-                           _first_true, is_additively_idempotent)
+                           _first_identity_failure, _first_true,
+                           is_additively_idempotent)
 
 
 def assoc_by_blocks(t):
@@ -24,6 +24,10 @@ def assoc_by_blocks(t):
         if bad:
             return (lo + bad[0],) + bad[1:]
     return None
+
+
+def comm_by_transpose(t):
+    return _first_true(t != t.T)
 
 
 def left_dist_by_loop(add, mul):
@@ -65,7 +69,7 @@ def _report(structure, checks):
 
 def semiring_report_by_loops(s):
     add, mul = s.np_add, s.np_mul
-    witnesses = (assoc_by_blocks(add), _first_comm_failure(add),
+    witnesses = (assoc_by_blocks(add), comm_by_transpose(add),
                  _first_identity_failure(s.add, s.zero),
                  assoc_by_blocks(mul),
                  _first_identity_failure(s.mul, s.one),
@@ -79,7 +83,7 @@ def _module_witnesses_by_loops(s, m):
     add, act = m.np_add, m.np_action
     sadd, smul = s.np_add, s.np_mul
     yield "add-associative", assoc_by_blocks(add)
-    yield "add-commutative", _first_comm_failure(add)
+    yield "add-commutative", comm_by_transpose(add)
     yield "add-identity", _first_identity_failure(m.add, m.zero)
 
     w = None
@@ -132,7 +136,7 @@ def mv_report_by_loops(a):
     t = np.array(a.oplus, dtype=np.int64)
     checks = [
         ("oplus-associative", assoc_by_blocks(t)),
-        ("oplus-commutative", _first_comm_failure(t)),
+        ("oplus-commutative", comm_by_transpose(t)),
         ("oplus-identity", _first_identity_failure(a.oplus, a.zero)),
     ]
     inv = next(((x,) for x in range(a.size) if a.star[a.star[x]] != x), None)
@@ -181,4 +185,20 @@ def mv_hom_broken_by_loop(h):
         for y in range(s.size):
             if m[s.oplus[x][y]] != t.oplus[m[x]][m[y]]:
                 return f"sum not preserved at ({x}, {y})"
+    return None
+
+
+def module_hom_broken_by_loop(h):
+    """The message of the first law the module map h breaks, or None."""
+    m, n, img = h.source, h.target, h.mapping
+    if img[m.zero] != n.zero:
+        return "zero not preserved"
+    for x in range(m.size):
+        for y in range(m.size):
+            if img[m.add[x][y]] != n.add[img[x]][img[y]]:
+                return f"addition not preserved at ({x}, {y})"
+    for a in range(m.scalars.size):
+        for x in range(m.size):
+            if img[m.action[a][x]] != n.action[a][img[x]]:
+                return f"action not preserved at ({a}, {x})"
     return None

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import mvsr.semiring
 from mvsr.errors import (EnumGuard, IllDefinedAction, MalformedTable,
                          NotAHom, ScalarMismatch)
 from mvsr.mv import (lukasiewicz_chain, mv_product, quotient, reduct_vee_odot,
-                     star_reduct_isomorphism)
+                     reduct_wedge_oplus, star_reduct_isomorphism)
 from mvsr.semimodule import (FiniteSemimodule, FreeSemimodule,
                              SemimoduleHom,
                              _derivation, _first_broken_law,
@@ -27,7 +28,8 @@ from mvsr.semiring import (FiniteSemiring, SemiringHom, boolean_semiring,
                            check_semiring_axioms, opposite_semiring,
                            same_scalars)
 from mvsr.tensor import (_commutative_monoid_tables, _monoid_homs,
-                         enumerate_modules)
+                         as_module, enumerate_modules, full_embedding_check,
+                         tensor_product)
 
 from capped import run_capped
 from folds import hom_rows_by_product
@@ -493,6 +495,58 @@ def test_iter_homs_matches_the_assignment_scan_on_restrictions():
         pairs += [(m, n) for m in restricted for n in restricted]
     assert len(pairs) == 4 * 13 ** 2 + 33 ** 2
     _homs_match_the_assignment_scan(pairs)
+
+
+def _exact(table):
+    """Whether a stored table is a tuple of tuples of Python ints."""
+    return type(table) is tuple and all(
+        type(row) is tuple and all(type(x) is int for x in row)
+        for row in table)
+
+
+def test_trusted_modules_are_the_checked_ones(monkeypatch, boolean):
+    """Each module that FiniteSemimodule._trusted stores, at its three
+    sites, restrict_scalars, scalar_structures and enumerate_modules, is
+    the module the full check builds from the same tables, stored as
+    tuples of Python ints, and every result is unchanged when the full
+    check runs instead: full_embedding_check at size bound 4 on the five
+    onto maps of the change-of-scalars benchmark, enumerate_modules on B
+    up to 5 and on both 3-chain reducts up to 4, and as_module on the 88
+    tensor pairs of B's modules up to 4 elements with at most 12 pairs."""
+    c3 = lukasiewicz_chain(3)
+
+    def results():
+        out = [full_embedding_check(h, size_bound=4) for h in _scalar_maps()]
+        out += [enumerate_modules(boolean, 5)]
+        out += [enumerate_modules(r(c3), 4)
+                for r in (reduct_vee_odot, reduct_wedge_oplus)]
+        small = enumerate_modules(boolean, 4)
+        pairs = [(m, n) for m in small for n in small
+                 if m.size * n.size <= 12]
+        assert len(pairs) == 88
+        out += [as_module(tensor_product(m, n)) for m, n in pairs]
+        return out
+
+    expected = results()
+    trusted = FiniteSemimodule._trusted.__func__
+
+    def checked(cls, scalars, size, add, zero, action, labels=None):
+        fast = trusted(cls, scalars, size, add, zero, action, labels)
+        full = cls(scalars, size, add, zero, action, labels)
+        assert fast == full and _exact(fast.add) and _exact(fast.action)
+        assert type(fast.zero) is int
+        assert labels is None or all(type(x) is str for x in labels)
+        caller = sys._getframe(1)
+        while caller.f_code.co_name not in sites:
+            caller = caller.f_back
+        sites[caller.f_code.co_name] += 1
+        return full
+
+    sites = dict.fromkeys(("restrict_scalars", "scalar_structures",
+                           "enumerate_modules"), 0)
+    monkeypatch.setattr(FiniteSemimodule, "_trusted", classmethod(checked))
+    assert results() == expected
+    assert min(sites.values()) >= 89, sites
 
 
 def _lattice_module(s, below):

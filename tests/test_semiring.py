@@ -9,9 +9,9 @@ import pytest
 
 from closed_scans import (closed_sets_from_scratch, implication_closure,
                           step_in_congruence_order)
-from law_loops import (module_report_by_loops, mv_hom_broken_by_loop,
-                       mv_report_by_loops, semiring_hom_broken_by_loop,
-                       semiring_report_by_loops)
+from law_loops import (module_hom_broken_by_loop, module_report_by_loops,
+                       mv_hom_broken_by_loop, mv_report_by_loops,
+                       semiring_hom_broken_by_loop, semiring_report_by_loops)
 from mvsr import semiring
 from mvsr.errors import MalformedTable, NotAHom
 from mvsr.matrix import SemiringMatrix, eta, idempotent_matrices
@@ -19,7 +19,8 @@ from mvsr.mv import (MvAlgebra, MvHom, check_mv_axioms, lukasiewicz_chain,
                      mv_product, reduct_vee_odot, reduct_wedge_oplus)
 from mvsr.projective import row_space
 from mvsr.semimodule import (FiniteSemimodule, SemimoduleHom,
-                             check_semimodule, free_semimodule,
+                             _first_broken_law, check_semimodule,
+                             free_semimodule,
                              free_universal_property, module_over_self)
 from mvsr.semiring import (AxiomReport, FiniteSemiring, SemiringHom,
                            boolean_semiring, check_semiring_axioms,
@@ -448,6 +449,212 @@ def test_hom_checks_match_the_loops(monkeypatch, budget):
     kinds += [("mv", k) for k in ("zero", "involution", "sum", None,
                                   "same target")]
     assert min(seen[k] for k in kinds) >= 100, seen
+
+
+# ----- one size policy: Python below the bound, numpy past it -------------------
+
+# The size constant at 0 sends every law and hom scan, and every array
+# check, to numpy; past every table, to Python.
+_SIDES = {"numpy": 0, "python": 1 << 40}
+
+# The three lawless tables of CI's "verify reports of lawless tables".
+_CI_CHAIN3 = FiniteSemiring(3, [[max(a, b) for b in range(3)]
+                                for a in range(3)],
+                            [[max(0, a + b - 2) for b in range(3)]
+                             for a in range(3)], 0, 2)
+_CI_LAWLESS = (
+    FiniteSemiring(4, [[max(a, b) for b in range(4)] for a in range(4)],
+                   [[0, 0, 0, 1], [0, 0, 2, 1], [0, 0, 1, 2], [0, 1, 2, 3]],
+                   0, 3),
+    FiniteSemimodule(_CI_CHAIN3, 3, _CI_CHAIN3.add, 0,
+                     [[0, 0, 1], [0, 2, 1], [0, 1, 2]]),
+    MvAlgebra(4, [[0, 1, 2, 3], [1, 2, 3, 3], [2, 3, 3, 2], [3, 3, 2, 0]],
+              [3, 2, 1, 0], 0))
+
+
+def _policy_family():
+    """Seeded semirings, modules, MV-algebras and maps of each hom class,
+    lawful and lawless: the chains of two to five elements and c2 x c2 and
+    c2 x c3 with their reducts, modules over themselves, free modules on
+    two and three points, the modules over B up to three elements, the
+    lawless 3-element table, CI's three lawless tables, and 200 perturbed
+    copies of each kind, with perturbed maps between them."""
+    rng = random.Random(33)
+    chains = [lukasiewicz_chain(k) for k in range(2, 6)]
+    algebras = chains + [mv_product(chains[0], chains[0]),
+                         mv_product(chains[0], chains[1])]
+    rings = [r(a) for a in algebras
+             for r in (reduct_vee_odot, reduct_wedge_oplus)]
+    modules = [module_over_self(s) for s in rings + [_LAWLESS]]
+    modules += [free_semimodule(rings[i], points) for i in (0, 2)
+                for points in ("pq", "pqr")]
+    modules += list(enumerate_modules(rings[0], 3))
+    rings += [_LAWLESS, _CI_LAWLESS[0]]
+    modules.append(_CI_LAWLESS[1])
+    algebras.append(_CI_LAWLESS[2])
+    for _ in range(200):
+        s = rng.choice(rings)
+        rings.append(FiniteSemiring(s.size, _perturbed(rng, s.add, s.size),
+                                    _perturbed(rng, s.mul, s.size), s.zero,
+                                    s.one))
+        m = rng.choice(modules)
+        modules.append(FiniteSemimodule(
+            m.scalars, m.size, _perturbed(rng, m.add, m.size), m.zero,
+            _perturbed(rng, m.action, m.size)))
+        a = rng.choice(algebras)
+        algebras.append(MvAlgebra(a.size, _perturbed(rng, a.oplus, a.size),
+                                  _perturbed(rng, [a.star], a.size)[0],
+                                  a.zero))
+    homs = []
+    for _ in range(600):
+        s, t = rng.choice(rings), rng.choice(rings)
+        if rng.random() < 0.5:
+            t = s
+        img = [rng.randrange(t.size) if rng.random() < 0.2 else x % t.size
+               for x in range(s.size)]
+        if rng.random() < 0.8:
+            img[s.zero], img[s.one] = t.zero, t.one
+        homs.append(SemiringHom(s, t, img))
+        a, b = rng.choice(algebras), rng.choice(algebras)
+        if rng.random() < 0.5:
+            b = a
+        homs.append(MvHom(a, b, [rng.randrange(b.size) if
+                                 rng.random() < 0.2 else x % b.size
+                                 for x in range(a.size)]))
+        m = rng.choice(modules)
+        n = m if rng.random() < 0.5 else rng.choice(
+            [x for x in modules if same_scalars(x.scalars, m.scalars)])
+        img = [rng.randrange(n.size) if rng.random() < 0.2 else x % n.size
+               for x in range(m.size)]
+        if rng.random() < 0.8:
+            img[m.zero] = n.zero
+        homs.append(SemimoduleHom(m, n, img))
+    return rings, modules, algebras, homs
+
+
+def _first_broken_by_loops(s, m):
+    report = module_report_by_loops(s, m)
+    return next((law["name"] for law in report["laws"] if not law["ok"]),
+                None)
+
+
+_HOM_LOOPS = {SemiringHom: semiring_hom_broken_by_loop,
+              MvHom: mv_hom_broken_by_loop,
+              SemimoduleHom: module_hom_broken_by_loop}
+
+
+@pytest.mark.parametrize("side", _SIDES)
+def test_both_sides_of_the_size_policy_agree(monkeypatch, side):
+    """With the size constant at 0 and past every table, the reports of
+    check_semiring_axioms, check_semimodule and check_mv_axioms, the law
+    _first_broken_law names and the message of each hom class's _broken
+    are the loops', on every table of _policy_family, most of them
+    lawless; so both sides give the same bytes."""
+    monkeypatch.setattr(semiring, "_SMALL_ENTRIES", _SIDES[side])
+    rings, modules, algebras, homs = _policy_family()
+    broken = Counter()
+    for s in rings:
+        report = check_semiring_axioms(s).to_dict()
+        assert report == semiring_report_by_loops(s)
+        broken["semiring"] += not report["valid"]
+    for m in modules:
+        report = check_semimodule(m.scalars, m).to_dict()
+        assert report == module_report_by_loops(m.scalars, m)
+        assert _first_broken_law(m.scalars, m) == \
+            _first_broken_by_loops(m.scalars, m)
+        broken["module"] += not report["valid"]
+    for a in algebras:
+        report = check_mv_axioms(a).to_dict()
+        assert report == mv_report_by_loops(a)
+        broken["mv"] += not report["valid"]
+    for h in homs:
+        message = h._broken
+        assert message == _HOM_LOOPS[type(h)](h)
+        broken[type(h).__name__, message and message.split(" ")[0]] += 1
+    assert min(broken[k] for k in ("semiring", "module", "mv")) >= 100, \
+        broken
+    kinds = [("SemiringHom", k) for k in ("zero", "one", "addition",
+                                          "multiplication", None)]
+    kinds += [("MvHom", k) for k in ("zero", "involution", "sum", None)]
+    kinds += [("SemimoduleHom", k) for k in ("zero", "addition", "action",
+                                             None)]
+    assert min(broken[k] for k in kinds) >= 10, broken
+
+
+def test_the_size_policy_splits_the_scans_by_entries(monkeypatch):
+    """A scan runs in Python up to the bound and in numpy past it: the
+    associativity of the 5-chain's sum reads 125 entries and takes the
+    Python side at a bound of 125 and numpy at 124."""
+    t = reduct_vee_odot(lukasiewicz_chain(5)).add
+    calls = Counter()
+    real = semiring._first_in_blocks
+
+    def counted(*args):
+        calls["numpy"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(semiring, "_first_in_blocks", counted)
+    for bound, side in ((125, 0), (124, 1)):
+        monkeypatch.setattr(semiring, "_SMALL_ENTRIES", bound)
+        calls.clear()
+        assert semiring._first_assoc_failure(t, t) is None
+        assert calls["numpy"] == side
+
+
+_ARRAYS = {
+    "table": (lambda a: FiniteSemimodule(_B, 3, a, 0,
+                                         ((0, 0, 0), (0, 1, 2))),
+              np.maximum.outer(np.arange(3), np.arange(3))),
+    "map": (lambda a: SemiringHom(_B, _B, a), np.arange(2)),
+    "index": (lambda a: FiniteSemiring(2, _B.add, _B.mul, a, 1),
+              np.array(0)),
+}
+
+
+def _ints(value):
+    """Every entry of a stored field, flattened."""
+    if isinstance(value, tuple):
+        return [x for v in value for x in _ints(v)]
+    return [value]
+
+
+def _array_outcome(build, values):
+    """The stored field, and whether its entries are all Python ints; or
+    the message of the MalformedTable raised."""
+    try:
+        obj = build(values)
+    except MalformedTable as e:
+        return "MalformedTable", str(e)
+    field = obj.add if isinstance(obj, FiniteSemimodule) else \
+        obj.mapping if isinstance(obj, SemiringHom) else obj.zero
+    return field, all(type(x) is int for x in _ints(field))
+
+
+def test_array_checks_agree_on_both_sides(monkeypatch):
+    """An integer array is read by _array_grid the same on both sides of
+    the size constant: the same tuples of Python ints, and on a bad array
+    the same MalformedTable naming the first bad entry in row-major
+    order, for every dtype of each field and a bad entry in each place."""
+    outcomes = {}
+    for side, entries in _SIDES.items():
+        monkeypatch.setattr(semiring, "_SMALL_ENTRIES", entries)
+        got = []
+        for name, (build, good) in _ARRAYS.items():
+            for dtype in (np.int8, np.int64, np.uint16, np.uint64, float,
+                          bool):
+                got.append(_array_outcome(build, good.astype(dtype)))
+            got.append(_array_outcome(build, good[..., :-1]
+                                      if good.ndim else good[None]))
+            for flat in range(good.size):
+                for bad in (-1, 7, 300):
+                    values = good.copy()
+                    values.flat[flat] = bad
+                    values.flat[-1 - flat] = 9
+                    got.append(_array_outcome(build, values))
+        outcomes[side] = got
+    assert outcomes["numpy"] == outcomes["python"]
+    assert sum(o[0] == "MalformedTable" for o in outcomes["python"]) >= 40
+    assert sum(o[1] is True for o in outcomes["python"]) >= 12
 
 
 def test_closed_set_sweep_reaches_every_closed_set_in_order():

@@ -1572,6 +1572,39 @@ def test_full_embedding_requires_onto(boolean):
         full_embedding_check(diag)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"size_bound": 0}, {"size_bound": -3}, {"size_bound": 2.5},
+    {"size_bound": True}, {"test_modules": []},
+    {"test_modules": iter(())}],
+    ids=["zero", "negative", "float", "bool", "empty-list", "empty-iter"])
+def test_full_embedding_refuses_a_check_on_no_modules(boolean, monkeypatch,
+                                                      kwargs):
+    """A bound that enumerates no module, or is no count, and an empty
+    list of test modules are refused with ValueError before any module is
+    enumerated or h is read: the check would pass on nothing."""
+    square = reduct_vee_odot(mv_product(lukasiewicz_chain(2),
+                                        lukasiewicz_chain(2)))
+    proj = SemiringHom(square, boolean, (0, 0, 1, 1))
+    enumerated = []
+    monkeypatch.setattr(mvsr.tensor, "enumerate_modules",
+                        lambda *args: enumerated.append(args))
+    with pytest.raises(ValueError, match="size_bound|test_modules"):
+        full_embedding_check(proj, **kwargs)
+    assert enumerated == [] and "_broken" not in vars(proj)
+
+
+@pytest.mark.parametrize("side", ["left_modules", "right_modules"])
+def test_adjunction_witness_refuses_an_empty_list(boolean, side):
+    """An empty list of modules on either side is refused with a
+    ValueError that names the list, where it raised TypeError from the
+    naturality spot check."""
+    square = reduct_vee_odot(mv_product(lukasiewicz_chain(2),
+                                        lukasiewicz_chain(2)))
+    proj = SemiringHom(square, boolean, (0, 0, 1, 1))
+    with pytest.raises(ValueError, match=f"^{side} is empty"):
+        adjunction_witness(proj, **{side: []})
+
+
 def _stray_by_enumeration(h, modules, restrict=restrict_scalars,
                           max_enum=10 ** 6):
     """Homs between restrictions that are not homs over the target scalars,
