@@ -20,11 +20,18 @@ class's representative by the members past its largest. The work is
 admitted where it runs: tensor_product bounds the generating pairs it
 would build, counted from the sizes, and the sweep's own guard bounds the
 closures it takes on, the step table's entries, both by max_carrier; no
-count of the 2^(|M| |N|) subsets is made. The congruence keeps the pairs
-it was closed on, and scalars act on the quotient through the left slot:
-a scalar moves each class's representative, and the action is checked
-well defined on those generating pairs alone, never on the whole
-powerset.
+count of the 2^(|M| |N|) subsets is made.
+
+The quotient's per-call sweeps read the step table by lookups, not folds.
+tensor_product builds the scalar slides once per distinct pair of action
+rows and drops those with equal sides. Each representative is its parent's
+plus one member, the parent coming earlier in class order, so the join
+table is one lookup an entry, join[c][d] = step[join[c][parent]][member].
+Scalars act on the quotient through the left slot: a scalar sends each
+class to the class of its moved representative, found along the same walk,
+and is well defined exactly when that map commutes with the step table,
+classes x width lookups; the generating pairs the congruence keeps are
+scanned only to name the first one a failing scalar splits.
 
 Everything downstream is verified by enumeration, with semimodule's one
 level search behind every hom-set: it assigns values to a table's
@@ -73,7 +80,8 @@ from .errors import (EnumGuard, IllDefinedAction, MalformedTable, NotAHom,
 from .jsonio import semimodule_to_dict
 from .mv import gamma_chain, reduct_wedge_oplus
 from .semimodule import (FiniteSemimodule, HomSemilattice, SemimoduleHom,
-                         _assignments, _digits, _first_broken_law, _schedule,
+                         _LevelSchedule, _assignments, _digits,
+                         _first_broken_law, _schedule,
                          _sum_laws, check_semimodule, _first_hom,
                          _require_homs, free_semimodule, hom_set,
                          join_irreducibles, module_over_self,
@@ -104,8 +112,10 @@ class SemilatticeCongruence:
     def joined(self, c: int, mask: int) -> int:
         """The class of class c joined with the subset mask, one step per
         member; the partition is union-compatible, so the order of the
-        steps does not matter. A negative mask or one with a bit at or
-        past width is refused with MalformedTable."""
+        steps does not matter. A c outside the classes, or a negative mask
+        or one with a bit at or past width, is refused with
+        MalformedTable."""
+        c = _index_grid(c, (), len(self.step), "class")
         if mask < 0 or mask >> self.width:
             raise MalformedTable(f"subset mask {mask} is not a subset of "
                                  f"range({self.width})")
@@ -116,6 +126,19 @@ class SemilatticeCongruence:
     def class_of(self, mask: int) -> int:
         """The class of the subset mask: joined(0, mask)."""
         return self.joined(0, mask)
+
+    @cached_property
+    def links(self) -> Tuple[Tuple[int, int], ...]:
+        """(p, i) for each class past 0: its representative less its
+        largest member i is the representative of class p, which comes
+        earlier (congruence_closure), so a map extended along the walk
+        costs one lookup per class."""
+        index = {rep: c for c, rep in enumerate(self.representatives)}
+        out = []
+        for rep in self.representatives[1:]:
+            i = rep.bit_length() - 1
+            out.append((index[rep ^ 1 << i], i))
+        return tuple(out)
 
 
 def congruence_closure(width: int, pairs: Sequence[Tuple[int, int]],
@@ -179,8 +202,11 @@ def congruence_closure(width: int, pairs: Sequence[Tuple[int, int]],
     for a, b in generators:
         implies[a] = implies.get(a, 0) | b
         implies[b] = implies.get(b, 0) | a
-    rules = [(u, v & ~u) for u, v in implies.items() if v & ~u]
-    by_bit = [[(u, v) for u, v in rules if u >> i & 1] for i in range(width)]
+    by_bit: List[List[Tuple[int, int]]] = [[] for _ in range(width)]
+    for u, v in implies.items():
+        if v & ~u:
+            for i in _members(u):
+                by_bit[i].append((u, v & ~u))
 
     def implied(i: int, mask: int) -> int:
         forced = 0
@@ -207,7 +233,7 @@ def congruence_closure(width: int, pairs: Sequence[Tuple[int, int]],
     for new, old in enumerate(order):
         rank[old] = new
     return SemilatticeCongruence(
-        width, tuple(tuple(rank[k] for k in step[old]) for old in order),
+        width, tuple(tuple(map(rank.__getitem__, step[old])) for old in order),
         tuple(reps[c] for c in order), generators)
 
 
@@ -234,6 +260,8 @@ class TensorProduct:
         return len(self.congruence)
 
     def pair_index(self, x: int, y: int) -> int:
+        """The bit of the pair (x, y), each checked as an element of its
+        factor; the package's own readers use x * |N| + y directly."""
         x = _index_grid(x, (), self.left.size, "left factor element")
         y = _index_grid(y, (), self.right.size, "right factor element")
         return x * self.right.size + y
@@ -245,19 +273,37 @@ class TensorProduct:
     def zero_class(self) -> int:
         return 0
 
+    def _class(self, c) -> int:
+        return _index_grid(c, (), self.class_count, "class")
+
     def join(self, c: int, d: int) -> int:
-        return self.congruence.joined(c, self.congruence.representatives[d])
+        """The class of c joined with d, both checked as class indices."""
+        return self.congruence.joined(
+            c, self.congruence.representatives[self._class(d)])
 
     def pairs_of(self, c: int) -> Tuple[Tuple[int, int], ...]:
-        """Pairs of the canonical representative subset."""
-        rep = self.congruence.representatives[c]
-        return tuple(divmod(i, self.right.size) for i in _members(rep))
+        """Pairs of the canonical representative subset of class c, checked
+        as a class index."""
+        return self._pairs[self._class(c)]
+
+    @cached_property
+    def _pairs(self) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+        n = self.right.size
+        return tuple(tuple(divmod(i, n) for i in _members(rep))
+                     for rep in self.congruence.representatives)
 
     @cached_property
     def join_table(self) -> Tuple[Tuple[int, ...], ...]:
-        n = self.class_count
-        return tuple(tuple(self.join(c, d) for d in range(n))
-                     for c in range(n))
+        """join[c][d] = step[join[c][p]][i] for d's link (p, i), and
+        join[c][0] = c: one lookup an entry."""
+        step, links = self.congruence.step, self.congruence.links
+        table = []
+        for c in range(self.class_count):
+            row = [c]
+            for p, i in links:
+                row.append(step[row[p]][i])
+            table.append(tuple(row))
+        return tuple(table)
 
     def class_of_pairs(self, pairs) -> int:
         """Class of the join of the tensors of the given pairs."""
@@ -266,6 +312,15 @@ class TensorProduct:
             mask |= 1 << self.pair_index(x, y)
         return self.congruence.class_of(mask)
 
+    def _fold_pairs(self, pairs) -> int:
+        """class_of_pairs for pairs of carrier indices built inside the
+        package: the step table folded over their bits, unchecked."""
+        step, n = self.congruence.step, self.right.size
+        c = 0
+        for x, y in pairs:
+            c = step[c][x * n + y]
+        return c
+
     def extend(self, values: np.ndarray, add: np.ndarray,
                zero: int) -> np.ndarray:
         """For each class, the fold of values[..., x, y] over its
@@ -273,16 +328,19 @@ class TensorProduct:
         per class: an array of shape values.shape[:-2] + (class_count,)."""
         by_pair = np.moveaxis(values, (-2, -1), (0, 1))
         out = np.empty((*values.shape[:-2], self.class_count), np.intp)
-        for c in range(self.class_count):
-            xs, ys = np.array(self.pairs_of(c), np.intp).reshape(-1, 2).T
+        for c, pairs in enumerate(self._pairs):
+            xs, ys = np.array(pairs, np.intp).reshape(-1, 2).T
             out[..., c] = _combine(add, by_pair, zero, xs, ys)
         return out
 
+    def _tensors(self) -> np.ndarray:
+        """tensors[x, y], the class of x tensor y: step[0] as a grid."""
+        return np.array(self.congruence.step[0], np.intp).reshape(
+            self.left.size, self.right.size)
+
     def generated_by_tensors(self) -> bool:
         """Every class is the join of the tensors of its representative."""
-        tensors = [[self.tensor(x, y) for y in range(self.right.size)]
-                   for x in range(self.left.size)]
-        joined = self.extend(np.array(tensors), np.array(self.join_table),
+        joined = self.extend(self._tensors(), np.array(self.join_table),
                              self.zero_class)
         return bool((joined == np.arange(self.class_count)).all())
 
@@ -294,9 +352,14 @@ def tensor_product(m: FiniteSemimodule, n: FiniteSemimodule,
 
     The join-and-bottom pairs, |N| (1 + C(|M|, 2)) + |M| (1 + C(|N|, 2)),
     are counted from the sizes and checked against max_carrier (SizeGuard)
-    before any pair is built. The |S| |M| |N| scalar slides are left out
-    of that count: they scale with the scalars' own tables. The closure is
-    then bounded by congruence_closure's sweep guard on the same bound."""
+    before any pair is built. The scalar slides (a x, y) ~ (x, a y) are
+    built once per distinct pair of action rows (a on M, a on N), in
+    scalar order, less those with equal sides: equal rows give equal
+    slides and equal sides generate nothing, so the congruence is
+    unchanged, and neither kind is ever the first pair a scalar splits.
+    The at most |S| |M| |N| slides are left out of the count: they scale
+    with the scalars' own tables. The closure is then bounded by
+    congruence_closure's sweep guard on the same bound."""
     if not same_scalars(m.scalars, n.scalars):
         raise ScalarMismatch("tensor factors need a common scalar semiring")
     if not is_additively_idempotent(m.scalars):
@@ -307,22 +370,22 @@ def tensor_product(m: FiniteSemimodule, n: FiniteSemimodule,
                 + m.size * (1 + math.comb(n.size, 2)), "max_carrier",
                 max_carrier)
 
-    def p(x: int, y: int) -> int:
-        return x * n.size + y
-
+    # bit[x][y] is the singleton {(x, y)}
+    bit = [[1 << x * n.size + y for y in range(n.size)]
+           for x in range(m.size)]
     pairs: List[Tuple[int, int]] = []
     for y in range(n.size):
-        pairs.append((1 << p(m.zero, y), 0))
-        pairs += [(1 << p(m.plus(x, w), y), 1 << p(x, y) | 1 << p(w, y))
+        pairs.append((bit[m.zero][y], 0))
+        pairs += [(bit[m.add[x][w]][y], bit[x][y] | bit[w][y])
                   for x, w in itertools.combinations(range(m.size), 2)]
-    for x in range(m.size):
-        pairs.append((1 << p(x, n.zero), 0))
-        pairs += [(1 << p(x, n.plus(y, w)), 1 << p(x, y) | 1 << p(x, w))
+    for x, row in enumerate(bit):
+        pairs.append((row[n.zero], 0))
+        pairs += [(row[n.add[y][w]], row[y] | row[w])
                   for y, w in itertools.combinations(range(n.size), 2)]
-    for a in range(m.scalars.size):
-        for x in range(m.size):
-            for y in range(n.size):
-                pairs.append((1 << p(m.act(a, x), y), 1 << p(x, n.act(a, y))))
+    for m_row, n_row in dict.fromkeys(zip(m.action, n.action)):
+        pairs += [(bit[ax][y], bit[x][ay])
+                  for x, ax in enumerate(m_row) for y, ay in enumerate(n_row)
+                  if ax != x or ay != y]
 
     return TensorProduct(m, n, congruence_closure(m.size * n.size, pairs,
                                                   max_carrier))
@@ -330,8 +393,7 @@ def tensor_product(m: FiniteSemimodule, n: FiniteSemimodule,
 
 def _class_labels(t: TensorProduct) -> Tuple[str, ...]:
     out = []
-    for c in range(t.class_count):
-        ps = t.pairs_of(c)
+    for ps in t._pairs:
         if not ps:
             out.append("0")
         else:
@@ -350,14 +412,18 @@ def scalar_structures(t: TensorProduct, scalars: FiniteSemiring,
     (u, v) whose moved images are congruent form a union-compatible
     equivalence. It contains the congruence exactly when it contains the
     congruence's generating pairs, the congruence being the least such
-    relation holding them; so well-definedness is checked on those pairs
-    alone. Right actions are identified with left ones, since x tensor
-    (a y) = (a x) tensor y.
+    relation holding them. Right actions are identified with left ones,
+    since x tensor (a y) = (a x) tensor y.
 
-    Each distinct subset among the generating pairs and representatives
-    is split into its members once, and each scalar moves it by folding
-    the step table over its members' moved pairs; the first generating
-    pair that a scalar splits, in scalar then pair order, is named.
+    Each scalar b is checked against the step table by lookups. Let f(c)
+    be the class of c's moved representative, f(d) = step[f(p)][m(i)] for
+    d's link (p, i), with m(i) the moved pair i. b is well defined exactly
+    when f(step[c][i]) == step[f(c)][m(i)] for every class c and pair i,
+    by induction on the size of a subset: classes x width lookups a
+    scalar, which the sweep bounds by max_carrier; a scalar acting as the
+    identity fixes every class and is not checked. Only for a scalar that
+    fails are the generating pairs folded, to name the first it splits,
+    in scalar then pair order.
 
     action is checked; the join table and the class rows are read off the
     step table, tuples of class indices, so the module is built by
@@ -366,28 +432,46 @@ def scalar_structures(t: TensorProduct, scalars: FiniteSemiring,
     action = _index_grid(action, (scalars.size, t.left.size), t.left.size,
                          "action")
     cong, n = t.congruence, t.right.size
+    step, links = cong.step, cong.links
     pairs = [divmod(i, n) for i in range(cong.width)]
-    image = dict.fromkeys([w for pair in cong.generators for w in pair]
-                          + list(cong.representatives))
-    members = [_members(mask) for mask in image]
+    identity = tuple(range(t.left.size))
     rows = []
     for b, row in enumerate(action):
+        if row == identity:
+            rows.append(tuple(range(t.class_count)))
+            continue
         moved = [row[x] * n + y for x, y in pairs]
-        for mask, bits in zip(image, members):
-            c = 0
-            for i in bits:
-                c = cong.step[c][moved[i]]
-            image[mask] = c
-        for u, v in cong.generators:
-            if image[u] != image[v]:
-                raise IllDefinedAction(
-                    f"scalar {b} sends the generating pair of subsets "
-                    f"({u}, {v}) to distinct classes {image[u]} and "
-                    f"{image[v]}")
-        rows.append(tuple(image[rep] for rep in cong.representatives))
+        f = [0]
+        for p, i in links:
+            f.append(step[f[p]][moved[i]])
+        for c, targets in enumerate(step):
+            if list(map(f.__getitem__, targets)) != \
+                    list(map(step[f[c]].__getitem__, moved)):
+                _name_split_pair(cong, b, moved)
+        rows.append(tuple(f))
     return FiniteSemimodule._trusted(scalars, t.class_count, t.join_table,
                                      t.zero_class, tuple(rows),
                                      _class_labels(t))
+
+
+def _name_split_pair(cong: SemilatticeCongruence, b: int,
+                     moved: Sequence[int]) -> None:
+    """Raise IllDefinedAction for the first generating pair that scalar b,
+    moving pair i to moved[i], sends to distinct classes."""
+    def image(mask: int) -> int:
+        c = 0
+        for i in _members(mask):
+            c = cong.step[c][moved[i]]
+        return c
+
+    for u, v in cong.generators:
+        cu, cv = image(u), image(v)
+        if cu != cv:
+            raise IllDefinedAction(
+                f"scalar {b} sends the generating pair of subsets "
+                f"({u}, {v}) to distinct classes {cu} and {cv}")
+    raise IllDefinedAction(f"scalar {b} splits a class of a congruence "
+                           f"that its generating pairs do not generate")
 
 
 def as_module(t: TensorProduct) -> FiniteSemimodule:
@@ -409,21 +493,50 @@ class _Filled(dict):
         return value
 
 
-def _monoid_homs(add, zero: int, c_size: int, c_add, c_zero: int
+def _monoid_homs(add, zero: int, c_size: int, c_add, c_zero: int,
+                 plan: Optional[_LevelSchedule] = None
                  ) -> Tuple[Tuple[int, ...], ...]:
     """Every monoid hom out of the table add with zero into C, in
     lexicographic order: the maps that send zero to the monoid zero and
     sums to sums, found by the level search of add's plan, with no action
     rows, over the values range(c_size). The search keeps exactly these
-    maps on lawless tables too."""
+    maps on lawless tables too. A caller that holds add's plan passes
+    it."""
     c_add = tuple(map(tuple, c_add))
-    return tuple(sorted(_schedule(tuple(map(tuple, add)), zero).search(
-        range(c_size), c_add, c_zero, _sum_laws(c_size, c_add, c_zero))))
+    if plan is None:
+        plan = _schedule(tuple(map(tuple, add)), zero)
+    return tuple(sorted(plan.search(range(c_size), c_add, c_zero,
+                                    _sum_laws(c_size, c_add, c_zero))))
+
+
+def _checked_monoid(c_size, c_add, c_zero) -> Tuple[int, Table, int]:
+    """A target monoid (size, addition, zero) checked as a count and as
+    tables of indices below it; else MalformedTable."""
+    if isinstance(c_size, bool) or not isinstance(c_size, int) \
+            or c_size < 0:
+        raise MalformedTable(f"target monoid size {c_size!r} is not a "
+                             f"non-negative integer")
+    return (c_size,
+            _index_grid(c_add, (c_size, c_size), c_size,
+                        "target monoid addition"),
+            _index_grid(c_zero, (), c_size, "target monoid zero"))
+
+
+def _factor_plans(m: FiniteSemimodule, n: FiniteSemimodule
+                  ) -> Tuple[int, _LevelSchedule, _LevelSchedule]:
+    """What bimorphisms reads of M and N whatever the target: the guard's
+    exponent |JI(M)| |JI(N)|, M's plan with its action rows and N's monoid
+    plan."""
+    return (len(join_irreducibles(m.add, m.zero))
+            * len(join_irreducibles(n.add, n.zero)),
+            _schedule(m.add, m.zero, m.action), _schedule(n.add, n.zero))
 
 
 def bimorphisms(m: FiniteSemimodule, n: FiniteSemimodule,
                 c_size: int, c_add, c_zero: int,
-                max_enum: int = MAX_ENUM) -> Tuple[Tuple[int, ...], ...]:
+                max_enum: int = MAX_ENUM, *,
+                _plans: Optional[Tuple] = None
+                ) -> Tuple[Tuple[int, ...], ...]:
     """All bimorphisms M x N -> C as flat tables, row-major over pairs.
 
     The search is curried through Hom(N, C), as in hom(M tensor N, C) =
@@ -439,16 +552,21 @@ def bimorphisms(m: FiniteSemimodule, n: FiniteSemimodule,
     c^(|JI(M)|*|JI(N)|) bounds |Hom(N, C)|^|JI(M)| and, once JI(M) is
     nonempty, the c^|JI(N)| candidates of Hom(N, C); an M with no
     generators is trivial, and only the zero table is tried.
-    """
-    c_add = tuple(map(tuple, c_add))
-    ji_m = len(join_irreducibles(m.add, m.zero))
-    ji_n = len(join_irreducibles(n.add, n.zero))
-    check_bound(EnumGuard, "bimorphism candidates",
-                c_size ** (ji_m * ji_n), "max_enum", max_enum)
 
-    plan = _schedule(m.add, m.zero, m.action)
-    homs = _monoid_homs(n.add, n.zero, c_size, c_add, c_zero) \
-        if plan.depth else ()
+    A c_size that is no int of at least 0 (bool refused), or a c_add or
+    c_zero that is no table or index below it, is refused with
+    MalformedTable. check_universal_property, whose targets are checked,
+    passes _factor_plans once for all of them, and nothing is checked.
+    """
+    if _plans is None:
+        c_size, c_add, c_zero = _checked_monoid(c_size, c_add, c_zero)
+        _plans = _factor_plans(m, n)
+    exponent, plan, right_plan = _plans
+    check_bound(EnumGuard, "bimorphism candidates", c_size ** exponent,
+                "max_enum", max_enum)
+
+    homs = _monoid_homs(n.add, n.zero, c_size, c_add, c_zero,
+                        right_plan) if plan.depth else ()
     rows = list(homs)
     index = {row: r for r, row in enumerate(rows)}
 
@@ -520,13 +638,25 @@ def _monoid_tables(size: int, idempotent: bool) -> Tuple[Table, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+def _checked_bound(name: str, value) -> int:
+    """value as a size bound: an int, bool refused; else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name}={value!r} must be an integer")
+    return value
+
+
 def commutative_monoids_upto(bound: int = 3) -> Tuple[Tuple[int, Tuple, int], ...]:
     """All commutative monoids of size <= bound, one per isomorphism class.
 
     Zero is normalized to element 0; deduplication is by the least table
-    under relabelings fixing 0.
+    under relabelings fixing 0. A bound that is not an int (bool refused)
+    is refused with ValueError.
     """
+    return _monoids_upto(_checked_bound("bound", bound))
+
+
+@lru_cache(maxsize=None)
+def _monoids_upto(bound: int) -> Tuple[Tuple[int, Tuple, int], ...]:
     out = []
     for size in range(1, bound + 1):
         seen = set()
@@ -554,9 +684,10 @@ def check_universal_property(t: TensorProduct,
     family.append((t.right.size, t.right.add, t.right.zero))
 
     join = t.join_table
-    tensors = [t.tensor(x, y)
-               for x in range(t.left.size) for y in range(t.right.size)]
+    tensors = t.congruence.step[0]
     depth = len(join_irreducibles(join, t.zero_class))
+    quotient_plan = _schedule(join, t.zero_class)
+    factor_plans = _factor_plans(t.left, t.right)
 
     bim_count = 0
     existence_failures = 0
@@ -565,10 +696,11 @@ def check_universal_property(t: TensorProduct,
         check_bound(EnumGuard, "candidate homs out of the quotient",
                     c_size ** depth, "max_enum", max_enum)
         hits = Counter(tuple(v[tc] for tc in tensors)
-                       for v in _schedule(join, t.zero_class).search(
+                       for v in quotient_plan.search(
                            range(c_size), c_add, c_zero,
                            _sum_laws(c_size, c_add, c_zero)))
-        for f in bimorphisms(t.left, t.right, c_size, c_add, c_zero, max_enum):
+        for f in bimorphisms(t.left, t.right, c_size, c_add, c_zero, max_enum,
+                             _plans=factor_plans):
             bim_count += 1
             existence_failures += hits[f] == 0
             uniqueness_failures += hits[f] != 1
@@ -644,8 +776,7 @@ def zeta_isomorphism(m: FiniteSemimodule, n: FiniteSemimodule,
 
     # pair[u, v] is the tensor with u in the curried slot, v in the other;
     # values[k, x, y] is curried hom k uncurried at x tensor y
-    pair = np.array([[t.tensor(x, y) for y in range(n.size)]
-                     for x in range(m.size)], dtype=np.intp)
+    pair = t._tensors()
     values = inner.rows[curried.rows]
     if variant == "primed":
         pair, values = pair.T, values.swapaxes(1, 2)
@@ -702,7 +833,9 @@ def _extend_scalars(b_over_a: FiniteSemimodule, b: FiniteSemiring,
 
 
 def _tensor_unit(t: TensorProduct, one: int) -> Tuple[int, ...]:
-    return tuple(t.tensor(one, x) for x in range(t.right.size))
+    """x -> one tensor x: a slice of the step table's first row."""
+    n = t.right.size
+    return t.congruence.step[0][one * n:(one + 1) * n]
 
 
 def adjunction_witness(h: SemiringHom,
@@ -793,9 +926,8 @@ def _naturality_spot_check(m: FiniteSemimodule, t: TensorProduct,
     moved = _first_hom(m, m, lambda rows: (rows != np.arange(m.size)).any(1),
                        max_enum)
     u = tuple(range(m.size)) if moved is None else moved.mapping
-    lifted_u = np.array([t.class_of_pairs((pb, u[x])
-                                          for (pb, x) in t.pairs_of(c))
-                         for c in range(t.class_count)], dtype=np.intp)
+    lifted_u = np.array([t._fold_pairs((pb, u[x]) for (pb, x) in pairs)
+                         for pairs in t._pairs], dtype=np.intp)
     unit = np.array(unit, dtype=np.intp)
     return bool((outer.rows[:, lifted_u[unit]]
                  == outer.rows[:, unit[list(u)]]).all())
@@ -832,7 +964,11 @@ def enumerate_modules(s: FiniteSemiring, size_bound: int,
     the order of the addition tables and then of the stack; its rows are
     turned into tuples of ints and stored by FiniteSemimodule._trusted,
     since every entry is an index of the carrier by construction.
+
+    A size_bound that is not an int (bool refused) is refused with
+    ValueError before anything is enumerated.
     """
+    size_bound = _checked_bound("size_bound", size_bound)
     out = []
     free = [c for c in range(s.size) if c not in (s.zero, s.one)]
     for size in range(1, size_bound + 1):
@@ -964,7 +1100,7 @@ def truncation_demo(k: int, points: Union[int, Sequence[str]],
     else:
         tm = as_module(t)
         phi = tuple(t.extend(n.np_action, n.np_add, n.zero).tolist())
-        psi = tuple(t.class_of_pairs(zip(n.vector(g), n.basis))
+        psi = tuple(t._fold_pairs(zip(n.vector(g), n.basis))
                     for g in range(n.size))
         phi_hom = SemimoduleHom(tm, n, phi).validate()
         psi_hom = SemimoduleHom(n, tm, psi).validate()
@@ -1002,7 +1138,8 @@ def tensor_report(m: FiniteSemimodule, n: FiniteSemimodule,
         "left": semimodule_to_dict(m),
         "right": semimodule_to_dict(n),
         "classes": t.class_count,
-        "tensors": [[x, y, t.tensor(x, y)]
-                    for x in range(m.size) for y in range(n.size)],
+        "tensors": [[x, y, c] for (x, y), c in zip(
+            itertools.product(range(m.size), range(n.size)),
+            t.congruence.step[0])],
         "universal_property": "verified" if verdict["ok"] else "failed",
     }

@@ -39,6 +39,8 @@ from capped import run_capped
 from closed_scans import (closed_sets_from_scratch, implication_closure,
                           step_in_congruence_order)
 from folds import _hom_mask, hom_rows_by_product
+from quotient_folds import (generators_with_every_slide, join_table_by_folds,
+                           scalar_structures_by_generators)
 
 
 @pytest.fixture
@@ -621,6 +623,138 @@ def test_scalar_extensions_match_the_sweep():
                 _induced_action_by_sweep(t, b, b.mul, "left")
 
 
+# ----- the quotient's sweeps against their folds ----------------------------
+
+def _extensions_of_the_onto_maps():
+    """(h, t) for B tensor M over A along each of the five onto maps, M
+    each module over B up to size 4 restricted to A."""
+    for h in _embedding_maps():
+        b_over_a = restrict_scalars(h, module_over_self(h.target))
+        for mb in enumerate_modules(h.target, 4):
+            yield h, tensor_product(b_over_a, restrict_scalars(h, mb))
+
+
+def _free_cube_squared(boolean):
+    cube = free_semimodule(boolean, ["x", "y", "z"])
+    return tensor_product(cube, cube, max_carrier=40000)
+
+
+def test_join_tables_match_the_fold_per_entry(boolean):
+    """The join table read off the representative walk is the one that
+    folds each entry over its representative's members: on the 88 pairs
+    over B, the 85 extensions along the onto maps and B^3 tensor B^3."""
+    modules = enumerate_modules(boolean, 4)
+    tensors = [tensor_product(m, n) for m in modules for n in modules
+               if m.size * n.size <= 12]
+    assert len(tensors) == 88
+    tensors += [t for _, t in _extensions_of_the_onto_maps()]
+    assert len(tensors) == 88 + 85
+    tensors.append(_free_cube_squared(boolean))
+    assert tensors[-1].class_count == 512
+    for t in tensors:
+        assert t.join_table == join_table_by_folds(t)
+
+
+def _is_subsequence_with_first_unequal_pairs(kept, full):
+    """Whether kept is a subsequence of full that holds the first
+    occurrence in full of every pair with unequal sides. The earliest
+    embedding holds a first occurrence if any embedding does."""
+    matched, start = set(), 0
+    for pair in kept:
+        try:
+            start = full.index(pair, start)
+        except ValueError:
+            return False
+        matched.add(start)
+        start += 1
+    firsts = {}
+    for i, (u, v) in enumerate(full):
+        if u != v:
+            firsts.setdefault((u, v), i)
+    return set(firsts.values()) <= matched
+
+
+def test_slides_keep_the_first_of_every_unequal_pair(boolean):
+    """tensor_product's generating pairs are the full list with each later
+    repeat of a pair of action rows and each equal-sided slide left out:
+    a subsequence holding the first occurrence of every pair with unequal
+    sides, and no pair with equal sides. Along c2 x c3 -> c3 each of the
+    27 four-element modules keeps 22 of its 72 slides."""
+    modules = enumerate_modules(boolean, 4)
+    tensors = [tensor_product(m, n) for m in modules for n in modules
+               if m.size * n.size <= 12]
+    onto = list(_extensions_of_the_onto_maps())
+    cut = []
+    for t in tensors + [t for _, t in onto]:
+        kept = list(t.congruence.generators)
+        full = generators_with_every_slide(t.left, t.right)
+        assert _is_subsequence_with_first_unequal_pairs(kept, full)
+        assert all(u != v for u, v in kept)
+    for h, t in onto:
+        if h.target.size == 3 and t.right.size == 4:
+            slides = len(t.congruence.generators) - (
+                4 * (1 + 3) + 3 * (1 + 6))
+            cut.append((h.source.size * 3 * 4, slides))
+    assert cut == [(72, 22)] * 27
+
+
+def _induced_action_by_mask_table(t, scalars, action):
+    """_induced_action_by_sweep's left slot, each mask's class and moved
+    image read off the mask less its lowest member."""
+    cong, n = t.congruence, t.right.size
+    size = 1 << cong.width
+    classes = [0] * size
+    for mask in range(1, size):
+        low = mask & -mask
+        classes[mask] = cong.step[classes[mask ^ low]][low.bit_length() - 1]
+    rows = []
+    for b in range(scalars.size):
+        bits = [1 << action[b][x] * n + y
+                for x in range(t.left.size) for y in range(n)]
+        image = [0] * size
+        row = [None] * t.class_count
+        for mask in range(size):
+            if mask:
+                low = mask & -mask
+                image[mask] = image[mask ^ low] | bits[low.bit_length() - 1]
+            c, ic = classes[mask], classes[image[mask]]
+            if row[c] is None:
+                row[c] = ic
+            elif row[c] != ic:
+                raise IllDefinedAction(f"scalar {b}, class {c}")
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def test_scalar_structures_on_restricted_modules_match_the_oracles():
+    """On the 85 extensions along the onto maps, with B's own action and
+    six arbitrary ones: the lookups give the module, or the message, that
+    the generator scan gives on the congruence closed on every slide, and
+    the member scan on the kept slides, and they agree with the sweep over
+    every subset; both verdicts are seen."""
+    verdicts = set()
+    for h, t in _extensions_of_the_onto_maps():
+        b = h.target
+        full = TensorProduct(t.left, t.right, congruence_closure(
+            t.congruence.width, generators_with_every_slide(t.left, t.right)))
+        assert (full.congruence.step, full.congruence.representatives) == \
+            (t.congruence.step, t.congruence.representatives)
+        actions = [b.mul] + list(_arbitrary_actions(module_over_self(b),
+                                                    range(6)))
+        for action in actions:
+            got = _module_or_message(lambda: scalar_structures(t, b, action))
+            assert got == _module_or_message(
+                lambda: scalar_structures_by_generators(full, b, action))
+            assert got == _module_or_message(
+                lambda: _scalar_structures_by_members(t, b, action))
+            swept = _rows_or_verdict(
+                lambda: _induced_action_by_mask_table(t, b, action))
+            assert swept == ("ill-defined" if isinstance(got, str)
+                             else got.action)
+            verdicts.add(isinstance(got, str))
+    assert verdicts == {True, False}
+
+
 # ----- bimorphisms and the universal property --------------------------------
 
 def test_join_irreducibles_of_the_free_square(free2):
@@ -964,6 +1098,48 @@ def test_bimorphisms_of_a_trivial_left_factor(boolean, free2, monkeypatch):
             ((c_zero,) * free2.size,)
 
 
+@pytest.mark.parametrize("c_size,c_add,c_zero,message", [
+    (2, [[0, 1], [1, 5]], 0,
+     "target monoid addition table entry 5 out of range 0..1"),
+    (2, [[0, 1]], 0, "target monoid addition table must be 2x2"),
+    (2, [[0, 1], [1, 1]], 2, "target monoid zero index 2 out of range 0..1"),
+    (2, [[0, 1], [1, 1]], -1,
+     "target monoid zero index -1 out of range 0..1"),
+    (2, [[0, 1], [1, 1.0]], 0, "target monoid addition entry 1.0 is not an "
+                               "integer"),
+    (2.5, [[0, 1], [1, 1]], 0,
+     "target monoid size 2.5 is not a non-negative integer"),
+    (True, [[0]], 0, "target monoid size True is not a non-negative integer"),
+    (-1, [], 0, "target monoid size -1 is not a non-negative integer"),
+])
+def test_bimorphisms_refuse_a_malformed_target(free2, self_mod, c_size, c_add,
+                                               c_zero, message):
+    # the out-of-range entry was once read as a result, and an out-of-range
+    # zero or a short table raised a bare IndexError
+    with pytest.raises(MalformedTable, match=f"^{re.escape(message)}$"):
+        bimorphisms(free2, self_mod, c_size, c_add, c_zero)
+
+
+def test_universal_property_plans_each_pair_once(free2, self_mod,
+                                                 monkeypatch):
+    """check_universal_property reads the join-irreducibles of the quotient
+    and of each factor once, not once per target, and still calls
+    bimorphisms by its name once per target, with the verdict the checked
+    calls give."""
+    t = tensor_product(free2, self_mod)
+    expected = check_universal_property(t)
+    ji, calls = mvsr.tensor.join_irreducibles, []
+    monkeypatch.setattr(mvsr.tensor, "join_irreducibles",
+                        lambda *args: calls.append("ji") or ji(*args))
+    search = mvsr.tensor.bimorphisms
+    monkeypatch.setattr(mvsr.tensor, "bimorphisms",
+                        lambda *args, **kwargs: calls.append("bim")
+                        or search(*args, **kwargs))
+    assert check_universal_property(t) == expected
+    assert calls == ["ji"] * 3 + ["bim"] * expected["monoids"]
+    assert expected["ok"] and expected["bimorphisms"] > 0
+
+
 def test_bimorphism_guard(free2):
     big = free_semimodule(boolean_semiring(), list("pqrs"))
     with pytest.raises(EnumGuard, match=r"^bimorphism candidates: "
@@ -1114,6 +1290,27 @@ def test_class_of_pairs_joins_tensors(free2, self_mod):
     assert t.class_of_pairs([]) == t.zero_class
     assert t.class_of_pairs([(1, 1), (2, 1)]) == \
         t.join(t.tensor(1, 1), t.tensor(2, 1))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda t: t.pairs_of(-1), "class index -1 out of range 0..3"),
+    (lambda t: t.pairs_of(99), "class index 99 out of range 0..3"),
+    (lambda t: t.pairs_of(1.0), "class entry 1.0 is not an integer"),
+    (lambda t: t.join(0, 99), "class index 99 out of range 0..3"),
+    (lambda t: t.join(4, 0), "class index 4 out of range 0..3"),
+    (lambda t: t.join(-1, 1), "class index -1 out of range 0..3"),
+    (lambda t: t.congruence.joined(-1, 0), "class index -1 out of range 0..3"),
+    (lambda t: t.congruence.joined(4, 1), "class index 4 out of range 0..3"),
+])
+def test_class_indices_outside_the_quotient_are_refused(free2, self_mod, call,
+                                                        message):
+    # pairs_of(-1) once read the last class's pairs, joined(-1, 0) returned
+    # -1, and pairs_of(99), join(0, 99) and joined(4, 1) raised a bare
+    # IndexError
+    t = tensor_product(free2, self_mod)
+    assert t.class_count == 4
+    with pytest.raises(MalformedTable, match=f"^{re.escape(message)}$"):
+        call(t)
 
 
 @pytest.mark.parametrize("call,message", [
@@ -1498,6 +1695,23 @@ def test_monoid_homs_match_the_definition():
                     f[add[x][y]] == c_add[f[x]][f[y]]
                     for x in range(size) for y in range(size)))
             assert _monoid_homs(add, 0, c_size, c_add, c_zero) == expected
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda s: enumerate_modules(s, 2.5), "size_bound=2.5"),
+    (lambda s: enumerate_modules(s, True), "size_bound=True"),
+    (lambda s: enumerate_modules(s, "2"), "size_bound='2'"),
+    (lambda s: commutative_monoids_upto(2.5), "bound=2.5"),
+    (lambda s: commutative_monoids_upto(True), "bound=True"),
+])
+def test_module_bounds_that_are_not_counts_are_refused(boolean, call,
+                                                       message):
+    # 2.5 once raised a bare TypeError and True was read as 1, also from
+    # the cache that 1 had filled
+    commutative_monoids_upto(1)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)} must be an "
+                       f"integer$"):
+        call(boolean)
 
 
 def test_module_enumeration_guard(boolean):
