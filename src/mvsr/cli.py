@@ -19,7 +19,7 @@ from typing import Tuple
 
 from . import jsonio
 from .config import ToolConfig, load_config
-from .errors import GuardBreach, MalformedTable, ToolkitError
+from .errors import GuardBreach, MalformedTable, ToolkitError, check_count
 from .grothendieck import k0_report
 from .matrix import idempotent_matrices
 from .mv import (MvAlgebra, _as_semiring, check_mv_axioms,
@@ -46,6 +46,14 @@ def _load(path: str):
     return jsonio.load_algebra(_read_json(path))
 
 
+def _load_modules(args, command: str):
+    """The semimodules of --left and --right; else MalformedTable."""
+    modules = _load(args.left), _load(args.right)
+    if not all(isinstance(m, FiniteSemimodule) for m in modules):
+        raise MalformedTable(f"{command} needs two semimodule descriptions")
+    return modules
+
+
 def cmd_verify(args, cfg: ToolConfig) -> Tuple[dict, int]:
     obj = _load(args.input)
     if isinstance(obj, MvAlgebra):
@@ -60,8 +68,7 @@ def cmd_verify(args, cfg: ToolConfig) -> Tuple[dict, int]:
 
 
 def cmd_chain(args, cfg: ToolConfig) -> Tuple[dict, int]:
-    if args.k < 2:
-        raise ValueError(f"k={args.k} must be at least 2")
+    check_count(args.k, "k", 2)
     return jsonio.mv_to_dict(lukasiewicz_chain(args.k, cfg.max_carrier)), 0
 
 
@@ -119,11 +126,7 @@ def cmd_k0(args, cfg: ToolConfig) -> Tuple[dict, int]:
 
 
 def cmd_tensor(args, cfg: ToolConfig) -> Tuple[dict, int]:
-    left = _load(args.left)
-    right = _load(args.right)
-    if not (isinstance(left, FiniteSemimodule)
-            and isinstance(right, FiniteSemimodule)):
-        raise MalformedTable("tensor needs two semimodule descriptions")
+    left, right = _load_modules(args, "tensor")
     report = tensor_report(left, right, cfg.max_enum, cfg.max_carrier)
     return report, 0 if report["universal_property"] == "verified" else 2
 
@@ -163,11 +166,7 @@ def cmd_gamma(args, cfg: ToolConfig) -> Tuple[dict, int]:
 
 
 def cmd_homset(args, cfg: ToolConfig) -> Tuple[dict, int]:
-    left = _load(args.left)
-    right = _load(args.right)
-    if not (isinstance(left, FiniteSemimodule)
-            and isinstance(right, FiniteSemimodule)):
-        raise MalformedTable("homset needs two semimodule descriptions")
+    left, right = _load_modules(args, "homset")
     homs = hom_set(left, right, cfg.max_enum)
     return {"count": len(homs),
             "homs": homs.rows.tolist()}, 0

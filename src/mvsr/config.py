@@ -9,6 +9,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 
+from .errors import check_count
+
 MAX_CARRIER = 4096
 MAX_ENUM = 10_000_000
 DEFAULT_SEED = 42
@@ -32,7 +34,7 @@ def load_config(path: str | None) -> ToolConfig:
     """Build a ToolConfig from a JSON file; unknown keys are ignored.
 
     Raises ValueError unless the file holds a JSON object whose bounds are
-    integers (bool refused) and whose out is a string or null."""
+    integers, by errors.check_count, and whose out is a string or null."""
     cfg = ToolConfig()
     if not path:
         return cfg
@@ -47,6 +49,6 @@ def load_config(path: str | None) -> ToolConfig:
     for key, value in known.items():
         if key == "out" and not isinstance(value, (str, type(None))):
             raise ValueError("config key 'out' must be a string or null")
-        if key != "out" and type(value) is not int:
-            raise ValueError(f"config key {key!r} must be an integer")
+        if key != "out":
+            check_count(value, key, None)
     return cfg.with_overrides(**known)

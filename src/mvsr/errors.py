@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the checks of counts
+and bounds that raise them."""
+import operator
 
 
 class ToolkitError(Exception):
@@ -77,12 +79,35 @@ class IllDefinedAction(ToolkitError):
     """A scalar action does not respect the congruence classes."""
 
 
+def check_count(value, name: str, least: int | None,
+                error: type = ValueError) -> int:
+    """value as a Python int of at least least, or of any value when least
+    is None: the one rule for every size, sample count and bound of the
+    package, and for every integer of a table (semiring._entry).
+    operator.index takes Python and NumPy integers and refuses floats,
+    strings, None and sequences; bool is an int subclass, so it is refused
+    by name. Else error, ValueError for a parameter and MalformedTable for
+    a count read from table data, with a message that names name."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        count = operator.index(value)
+    except TypeError:
+        raise error(f"{name}={value!r} must be an integer") from None
+    if least is not None and count < least:
+        raise error(f"{name}={count} must be at least {least}")
+    return count
+
+
 def check_bound(guard: type, stage: str, estimate: int, name: str,
                 bound: int) -> None:
     """Raise guard when estimate exceeds the bound called name; the
     message names the stage, the estimate and the bound. An estimate
     wider than 64 bits is shown as the power of two below it, since
-    Python refuses to print integers of more than 4300 digits."""
+    Python refuses to print integers of more than 4300 digits. A bound
+    that is not an integer is refused by check_count, with no lower
+    bound."""
+    bound = check_count(bound, name, None)
     if estimate > bound:
         shown = str(estimate) if estimate.bit_length() <= 64 else \
             f"at least 2^{estimate.bit_length() - 1}"
@@ -93,8 +118,9 @@ def check_power_bound(guard: type, stage: str, base: int, exponent: int,
                       name: str, bound: int) -> None:
     """check_bound on base ** exponent, without computing a power that
     cannot fit: when the lower bound 2^((bits of base - 1) * exponent)
-    already exceeds both 2^64 and the bound, raise with that lower bound."""
+    already exceeds both 2^64 and the bound, raise with that lower bound.
+    The bound is checked as check_bound checks it."""
     low = (base.bit_length() - 1) * exponent
-    if low > 64 and bound.bit_length() <= low:
+    if low > 64 and check_count(bound, name, None).bit_length() <= low:
         raise guard(f"{stage}: at least 2^{low} exceeds {name}={bound}")
     check_bound(guard, stage, base ** exponent, name, bound)

@@ -37,7 +37,6 @@ made that the truncated monoid has converged.
 from __future__ import annotations
 
 import bisect
-import numbers
 from collections import abc
 from dataclasses import dataclass
 from functools import cached_property
@@ -47,7 +46,7 @@ import numpy as np
 
 from .config import DEFAULT_N_MAX, MAX_CARRIER, MAX_ENUM
 from .errors import (EnumGuard, NotIdempotent, ScalarMismatch, ToolkitError,
-                     check_power_bound)
+                     check_count, check_power_bound)
 from .jsonio import semiring_to_dict
 from .matrix import (SemiringMatrix, _block_sum, _idempotent_stack,
                      block_diag, is_mult_idempotent, mat_zero)
@@ -68,9 +67,11 @@ __all__ = [
 
 
 def zero_pad(u: SemiringMatrix, size: int) -> SemiringMatrix:
-    """Extend a square matrix to the given size with zero entries."""
-    if size < u.rows or u.rows != u.cols:
-        raise ValueError("can only pad a square matrix upward")
+    """Extend a square matrix to the given size with zero entries; a size
+    that is not an integer of at least u's is refused with ValueError."""
+    if u.rows != u.cols:
+        raise ValueError("can only pad a square matrix")
+    size = check_count(size, "size", u.rows)
     return block_diag(u, mat_zero(u.scalars, size - u.rows, size - u.rows))
 
 
@@ -174,14 +175,6 @@ def _trivial_index(module_sizes: Sequence[int]) -> int:
     return index
 
 
-def _check_n_max(n_max) -> None:
-    """Refuse an n_max that is not an integer of at least 1."""
-    if isinstance(n_max, bool) or not isinstance(n_max, numbers.Integral):
-        raise ValueError(f"n_max={n_max!r} must be an integer")
-    if n_max < 1:
-        raise ValueError(f"n_max={n_max} must be at least 1")
-
-
 def enumerate_projective_classes(s: FiniteSemiring,
                                  n_max: int = DEFAULT_N_MAX,
                                  max_enum: int = MAX_ENUM,
@@ -190,8 +183,9 @@ def enumerate_projective_classes(s: FiniteSemiring,
     """The classes of the idempotents of sizes 1 to n_max and their block
     sum relations. No class's module or presentation is built here: the
     classes hold their matrices and the index's spans, and build a
-    presentation when it is read."""
-    _check_n_max(n_max)
+    presentation when it is read. An n_max that is not an integer of at
+    least 1 is refused with ValueError before any guard."""
+    n_max = check_count(n_max, "n_max", 1)
     check_power_bound(EnumGuard, "candidate matrices for the projective "
                       "classes", s.size, n_max * n_max, "max_enum", max_enum)
     index = _ClassIndex(s)
@@ -466,7 +460,7 @@ def k0_report(obj: Union[FiniteSemiring, MvAlgebra],
     completion = grothendieck_completion(p)
     return {
         "scalars": semiring_to_dict(s),
-        "n_max": n_max,
+        "n_max": p.n_max,
         "classes": [
             {"size": len(u), "matrix": u.tolist(), "module_size": size}
             for u, size in zip(p.classes.matrices, p.classes.module_sizes)
@@ -484,11 +478,9 @@ def k0_stability(s: Union[FiniteSemiring, MvAlgebra],
     """Compare truncations across bounds; reports, never asserts, stability.
     Each bound is checked as an n_max before any class is enumerated, and
     no bound at all is refused."""
-    bounds = tuple(bounds)
+    bounds = tuple(check_count(k, "n_max", 1) for k in bounds)
     if not bounds:
         raise ValueError("k0_stability needs at least one bound")
-    for k in bounds:
-        _check_n_max(k)
     scalars = _as_semiring(s)
     groups = []
     counts = []

@@ -15,7 +15,7 @@ from __future__ import annotations
 from json.encoder import encode_basestring_ascii as _escape
 from typing import Any, Dict
 
-from .errors import MalformedTable
+from .errors import MalformedTable, check_count
 from .matrix import SemiringMatrix
 from .mv import MvAlgebra
 from .semimodule import FiniteSemimodule
@@ -98,10 +98,7 @@ def _table(d: Dict[str, Any], key: str):
 
 
 def _int(d: Dict[str, Any], key: str) -> int:
-    value = d.get(key)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise MalformedTable(f"'{key}' must be an integer")
-    return value
+    return check_count(d.get(key), f"'{key}'", None, MalformedTable)
 
 
 def _labels(d: Dict[str, Any]):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import DEFAULT_SEED, MAX_CARRIER, MAX_ENUM
 from .errors import (NoDecomposition, NotFreeBasis, ScalarMismatch,
-                     ShapeMismatch, SizeGuard, check_power_bound)
+                     ShapeMismatch, SizeGuard, check_count, check_power_bound)
 from .semiring import (FiniteSemiring, SemiringHom, _blocks, _combine,
                        _index_grid, _index_list, _sampled_law_failures,
                        _store, check_semiring_axioms, same_scalars)
@@ -93,7 +93,9 @@ def is_mult_idempotent(u: SemiringMatrix) -> bool:
 def idempotent_matrices(s: FiniteSemiring, n: int,
                         max_enum: int = MAX_ENUM) -> Tuple[SemiringMatrix, ...]:
     """All u with u*u = u in M_n(s), in entry-lexicographic order: the
-    matrices of _idempotent_stack."""
+    matrices of _idempotent_stack. An n that is not an integer of at least
+    0 is refused with ValueError."""
+    n = check_count(n, "n", 0)
     return tuple(SemiringMatrix(s, n, n, m)
                  for m in _idempotent_stack(s, n, max_enum).tolist())
 
@@ -104,9 +106,8 @@ def _idempotent_stack(s: FiniteSemiring, n: int, max_enum: int) -> np.ndarray:
 
     Candidates are the chunks of _assignments over the n*n entries, n*n
     entries a candidate, squared together one entry at a time: entry
-    (i, j) of every square is one _combine of row i with column j."""
-    if n < 0:
-        raise ValueError(f"matrix size n={n} must not be negative")
+    (i, j) of every square is one _combine of row i with column j. The
+    caller checks n with check_count."""
     check_power_bound(SizeGuard, "candidate idempotent matrices", s.size,
                       n * n, "max_enum", max_enum)
     kept = []
@@ -170,6 +171,7 @@ class MatrixSemiring:
 
 def matrix_semiring(s: FiniteSemiring, n: int,
                     max_carrier: int = MAX_CARRIER) -> MatrixSemiring:
+    n = check_count(n, "n", 0)
     check_power_bound(SizeGuard, "matrix semiring carrier", s.size, n * n,
                       "max_carrier", max_carrier)
     total = s.size ** (n * n)
@@ -199,12 +201,15 @@ def matrix_law_report(s: FiniteSemiring, n: int,
                       samples: int = 2000, seed: int = DEFAULT_SEED) -> dict:
     """Semiring laws of M_n(s): exhaustive within the carrier guard,
     sampled triples beyond it, where fewer than one sample is refused
-    with ValueError."""
+    with ValueError. An n that is not an integer of at least 0 is refused
+    with ValueError too."""
+    n = check_count(n, "n", 0)
     total = s.size ** (n * n)
     if total <= max_carrier:
         rep = check_semiring_axioms(matrix_semiring(s, n, max_carrier).semiring)
         return {"route": "exhaustive", "carrier": total, "ok": rep.valid,
                 "laws": rep.to_dict()["laws"]}
+    samples = check_count(samples, "samples", 1)
     rng = random.Random(seed)
 
     def draw() -> SemiringMatrix:

@@ -18,14 +18,15 @@ import numpy as np
 
 from .config import MAX_CARRIER, MAX_ENUM
 from .errors import (ChainTooShort, EnumGuard, MalformedTable, NotAHom,
-                     NotAnIdeal, SizeGuard, TooManyVariables, check_bound)
+                     NotAnIdeal, SizeGuard, TooManyVariables, check_bound,
+                     check_count)
 from .semiring import (AxiomReport, FiniteSemiring, LawCheck, SemiringHom,
                        Table, _IndexMap, _additivity_mask, _closed_sets,
                        _first_comm_failure, _first_in_blocks,
                        _first_difference, _index_grid, _index_list,
                        _label_tuple, _law_report, _members, _monoid_laws,
-                       _require_samples, _small, _store, _sum_closure,
-                       is_additively_idempotent, natural_order)
+                       _small, _store, _sum_closure, is_additively_idempotent,
+                       natural_order)
 from .tropical import (DEN_LCM, TOP, TropicalUSemifield, scaled_sampler,
                        trop)
 
@@ -150,7 +151,10 @@ def lattice_report(a: MvAlgebra) -> AxiomReport:
 
 
 def lukasiewicz_chain(k: int, max_carrier: int = MAX_CARRIER) -> MvAlgebra:
-    """The k-element chain 0, 1/(k-1), ..., 1 with truncated addition."""
+    """The k-element chain 0, 1/(k-1), ..., 1 with truncated addition.
+    A k that is not an integer is refused with ValueError, and one below 2
+    with ChainTooShort."""
+    k = check_count(k, "k", None)
     if k < 2:
         raise ChainTooShort("a chain needs at least 2 elements")
     check_bound(SizeGuard, "chain carrier", k, "max_carrier", max_carrier)
@@ -747,10 +751,11 @@ def gamma_property_report(f: TropicalUSemifield, samples: int = 10000,
     scaled by DEN_LCM * q, for u = p/q, against the scaled unit
     DEN_LCM * p; a positive scale commutes with min, max and +, so each
     failure count is that of the same draws as Fractions. Raises
-    ValueError for samples < 1 and EnumGuard for samples past max_enum,
-    before the first draw; the draws are streamed.
+    ValueError for samples that are not an integer of at least 1 and
+    EnumGuard for samples past max_enum, before the first draw; the draws
+    are streamed.
     """
-    _require_samples(samples)
+    samples = check_count(samples, "samples", 1)
     check_bound(EnumGuard, "truncation samples", samples, "max_enum",
                 max_enum)
     rng = random.Random(seed)
@@ -811,12 +816,14 @@ def gamma_chain(k: int, samples: int = 1000, seed: int = 42,
     nonnegative part of the subgroup while meet checks draw with mixed
     signs; each draw i/k is taken as the integer i, against the scaled
     unit k. The carrier and the sample count are checked before anything
-    is built.
+    is built: a k or samples that is not an integer is refused with
+    ValueError, a k below 1 with ChainTooShort.
     """
+    k = check_count(k, "k", None)
     if k < 1:
         raise ChainTooShort("truncation needs k >= 1")
     check_bound(SizeGuard, "chain carrier", k + 1, "max_carrier", max_carrier)
-    _require_samples(samples)
+    samples = check_count(samples, "samples", 1)
     f = TropicalUSemifield(Fraction(1))
     alg = lukasiewicz_chain(k + 1, max_carrier)
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .config import MAX_CARRIER, MAX_ENUM
 from .errors import (EnumGuard, NotAHom, NotCyclic, NotIdempotent,
-                     ScalarMismatch, SizeGuard, check_bound,
+                     ScalarMismatch, SizeGuard, check_bound, check_count,
                      check_power_bound)
 # block_diag, the block sum of matrix, is also importable from here
 from .matrix import (SemiringMatrix, _cover, _idempotent_stack,
@@ -186,10 +186,10 @@ def is_projective_retract_oracle(m: FiniteSemimodule, n: int = None,
                                  max_enum: int = MAX_ENUM,
                                  max_carrier: int = MAX_CARRIER
                                  ) -> Optional[Retraction]:
-    """First section of the canonical cover from n generators, if any."""
+    """First section of the canonical cover from n generators, if any; n
+    is the generators' count when None, else checked by check_count."""
     gens = minimal_generating_set(m)
-    if n is None:
-        n = len(gens)
+    n = len(gens) if n is None else check_count(n, "n", 0)
     if len(gens) > n:
         raise ValueError(f"module needs {len(gens)} generators, bound is {n}")
     check_power_bound(SizeGuard, "free module carrier", m.scalars.size, n,
@@ -512,9 +512,9 @@ def is_projective_matrix_criterion(m: FiniteSemimodule, n: int = None,
     Only the orbit minima are swept (_idempotents): a match that has a
     smaller conjugate in the stack is preceded by that conjugate, whose
     row space is isomorphic to its own, so the first match is always an
-    orbit minimum."""
-    if n is None:
-        n = len(minimal_generating_set(m))
+    orbit minimum. n is the minimal generators' count when None, else
+    checked by check_count."""
+    n = len(minimal_generating_set(m)) if n is None else check_count(n, "n", 0)
     index = _ClassIndex(m.scalars, (m,))
     us = _idempotents(m.scalars, n, max_enum)
     hit = next((t for t, found in enumerate(

@@ -41,7 +41,6 @@ numpy. Both sides give the same witnesses, the first in row-major order.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
@@ -49,7 +48,7 @@ from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
 
 import numpy as np
 
-from .errors import MalformedTable, NotAHom, NotIdempotent
+from .errors import MalformedTable, NotAHom, NotIdempotent, check_count
 
 Table = Tuple[Tuple[int, ...], ...]
 # Most elements any one temporary array of a bounded sweep holds, read by
@@ -81,13 +80,10 @@ def _small(entries: int) -> bool:
 
 
 def _entry(x, what: str) -> int:
-    # operator.index takes Python and NumPy integers and refuses floats,
-    # strings and lists; bool is an int subclass, so it is refused by name.
-    if isinstance(x, bool):
-        raise MalformedTable(f"{what} entry {x!r} is not an integer")
+    # check_count's rule, with the table named in the message
     try:
-        return operator.index(x)
-    except TypeError:
+        return check_count(x, what, None, MalformedTable)
+    except MalformedTable:
         raise MalformedTable(f"{what} entry {x!r} is not an integer") from None
 
 
@@ -157,14 +153,20 @@ def _array_grid(values: np.ndarray, shape, bound: int, what: str):
     if _small(values.size):
         # Python ints in row-major order, checked row by row by _row
         return _index_grid(values.tolist(), shape, bound, what)
-    if values.size and (values.min() < 0 or values.max() >= bound):
-        x = values[(values < 0) | (values >= bound)][0]
-        raise _range_error(what, shape, int(x), bound)
+    _array_range(values, shape, bound, what)
     if values.ndim == 2:
         ints = np.arange(bound, dtype=object)
         return tuple(row for block in _blocks(shape[0], shape[1])
                      for row in map(tuple, ints[values[block]].tolist()))
     return tuple(values.tolist()) if shape else values.item()
+
+
+def _array_range(values: np.ndarray, shape, bound: int, what: str) -> None:
+    """Refuse an integer array with an entry outside 0..bound-1, naming the
+    first in row-major order."""
+    if values.size and (values.min() < 0 or values.max() >= bound):
+        x = values[(values < 0) | (values >= bound)][0]
+        raise _range_error(what, shape, int(x), bound)
 
 
 def _index_list(values, bound: int, what: str) -> Tuple[int, ...]:
@@ -524,19 +526,14 @@ def check_semiring_axioms(s: FiniteSemiring) -> AxiomReport:
                                     *zip(_SEMIRING_LAWS[3:], witnesses)])
 
 
-def _require_samples(samples: int) -> None:
-    if samples < 1:
-        raise ValueError(f"samples={samples} must be at least 1")
-
-
 def _sampled_law_failures(samples: int, draw, plus, times, zero, one,
                           extra=()) -> Dict[str, int]:
     """How many of samples triples (draw(), draw(), draw()) break each of
     the eight laws of check_semiring_axioms, in its order, under plus and
     times with neutrals zero and one, then each (name, broken) of extra,
-    where broken(a, b, c) tells whether a triple breaks it. Fewer than one
-    sample is refused: a report of no samples would read as a pass."""
-    _require_samples(samples)
+    where broken(a, b, c) tells whether a triple breaks it. The caller
+    checks samples as a count of at least 1: a report of no samples would
+    read as a pass."""
     fails = dict.fromkeys(_SEMIRING_LAWS + tuple(name for name, _ in extra),
                           0)
     for _ in range(samples):

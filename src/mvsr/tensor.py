@@ -66,17 +66,17 @@ import functools
 import itertools
 import math
 import operator
-from collections import Counter
+from collections import Counter, abc
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .config import DEFAULT_SEED, MAX_CARRIER, MAX_ENUM
 from .errors import (EnumGuard, IllDefinedAction, MalformedTable, NotAHom,
                      NotAModule, NotIdempotent, NotOnto, ScalarMismatch,
-                     SizeGuard, check_bound)
+                     SizeGuard, check_bound, check_count)
 from .jsonio import semimodule_to_dict
 from .mv import gamma_chain, reduct_wedge_oplus
 from .semimodule import (FiniteSemimodule, HomSemilattice, SemimoduleHom,
@@ -87,8 +87,9 @@ from .semimodule import (FiniteSemimodule, HomSemilattice, SemimoduleHom,
                          join_irreducibles, module_over_self,
                          restrict_scalars, trivial_module)
 from .semiring import (FiniteSemiring, SemiringHom, Table, _additivity_mask,
-                       _assoc_mask, _closed_sets, _combine, _index_grid,
-                       _members, is_additively_idempotent, same_scalars)
+                       _array_range, _assoc_mask, _closed_sets, _combine,
+                       _index_grid, _members, is_additively_idempotent,
+                       same_scalars)
 from .semiring import AxiomReport
 
 
@@ -116,6 +117,7 @@ class SemilatticeCongruence:
         or one with a bit at or past width, is refused with
         MalformedTable."""
         c = _index_grid(c, (), len(self.step), "class")
+        mask = check_count(mask, "mask", None, MalformedTable)
         if mask < 0 or mask >> self.width:
             raise MalformedTable(f"subset mask {mask} is not a subset of "
                                  f"range({self.width})")
@@ -179,13 +181,11 @@ def congruence_closure(width: int, pairs: Sequence[Tuple[int, int]],
     class is met first at its least subset, and the walk costs at most
     width lookups per class.
 
-    A width that is not a non-negative int (bool refused), or a pair whose
-    subsets are not subsets of range(width), is refused with
+    A width that is not an integer of at least 0 (check_count), or a pair
+    whose subsets are not subsets of range(width), is refused with
     MalformedTable before any pair is read or closed.
     """
-    if isinstance(width, bool) or not isinstance(width, int) or width < 0:
-        raise MalformedTable(f"congruence width {width!r} is not a "
-                             f"non-negative integer")
+    width = check_count(width, "width", 0, MalformedTable)
     generators = tuple(pairs)
     # one bitwise or over every mask finds a bit past width, a negative
     # mask or a non-integer; only then does _index_grid, at about a
@@ -325,7 +325,16 @@ class TensorProduct:
                zero: int) -> np.ndarray:
         """For each class, the fold of values[..., x, y] over its
         representative's pairs under the addition array add, one _combine
-        per class: an array of shape values.shape[:-2] + (class_count,)."""
+        per class: an array of shape values.shape[:-2] + (class_count,).
+        values must be an integer array whose last two axes are |M| x |N|,
+        and its entries and zero indices of add; else MalformedTable."""
+        zero = _index_grid(zero, (), len(add), "extend zero")
+        values = np.asarray(values)
+        if values.dtype.kind not in "iu" \
+                or values.shape[-2:] != (self.left.size, self.right.size):
+            raise MalformedTable(f"extend values must be an integer array on "
+                                 f"{self.left.size}x{self.right.size} pairs")
+        _array_range(values, values.shape, len(add), "extend values")
         by_pair = np.moveaxis(values, (-2, -1), (0, 1))
         out = np.empty((*values.shape[:-2], self.class_count), np.intp)
         for c, pairs in enumerate(self._pairs):
@@ -512,10 +521,7 @@ def _monoid_homs(add, zero: int, c_size: int, c_add, c_zero: int,
 def _checked_monoid(c_size, c_add, c_zero) -> Tuple[int, Table, int]:
     """A target monoid (size, addition, zero) checked as a count and as
     tables of indices below it; else MalformedTable."""
-    if isinstance(c_size, bool) or not isinstance(c_size, int) \
-            or c_size < 0:
-        raise MalformedTable(f"target monoid size {c_size!r} is not a "
-                             f"non-negative integer")
+    c_size = check_count(c_size, "c_size", 0, MalformedTable)
     return (c_size,
             _index_grid(c_add, (c_size, c_size), c_size,
                         "target monoid addition"),
@@ -553,7 +559,7 @@ def bimorphisms(m: FiniteSemimodule, n: FiniteSemimodule,
     nonempty, the c^|JI(N)| candidates of Hom(N, C); an M with no
     generators is trivial, and only the zero table is tried.
 
-    A c_size that is no int of at least 0 (bool refused), or a c_add or
+    A c_size that is no integer of at least 0 (check_count), or a c_add or
     c_zero that is no table or index below it, is refused with
     MalformedTable. check_universal_property, whose targets are checked,
     passes _factor_plans once for all of them, and nothing is checked.
@@ -638,21 +644,14 @@ def _monoid_tables(size: int, idempotent: bool) -> Tuple[Table, ...]:
     return tuple(out)
 
 
-def _checked_bound(name: str, value) -> int:
-    """value as a size bound: an int, bool refused; else ValueError."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name}={value!r} must be an integer")
-    return value
-
-
 def commutative_monoids_upto(bound: int = 3) -> Tuple[Tuple[int, Tuple, int], ...]:
     """All commutative monoids of size <= bound, one per isomorphism class.
 
     Zero is normalized to element 0; deduplication is by the least table
-    under relabelings fixing 0. A bound that is not an int (bool refused)
-    is refused with ValueError.
+    under relabelings fixing 0. A bound that is not an integer of at
+    least 0 is refused with ValueError.
     """
-    return _monoids_upto(_checked_bound("bound", bound))
+    return _monoids_upto(check_count(bound, "bound", 0))
 
 
 @lru_cache(maxsize=None)
@@ -727,8 +726,11 @@ class HomLatticeModule:
 def hom_lattice_structure(homs: HomSemilattice, b: FiniteSemiring,
                           b_action) -> HomLatticeModule:
     """Act on homs through a commuting right action on their source:
-    (b * h)(x) = h(x * b). b_action[b][x] gives x * b."""
-    moved = homs.rows[:, np.asarray(b_action, dtype=np.intp)].swapaxes(0, 1)
+    (b * h)(x) = h(x * b). b_action[b][x] gives x * b, checked as a table
+    of elements of the source by _index_grid; else MalformedTable."""
+    b_action = _index_grid(b_action, (b.size, homs.source.size),
+                           homs.source.size, "right action")
+    moved = homs.rows[:, np.array(b_action, dtype=np.intp)].swapaxes(0, 1)
     action = _require_homs(homs.positions(moved),
                            "scalar {0} does not send homs to homs; "
                            "the source is not a bisemimodule")
@@ -965,10 +967,10 @@ def enumerate_modules(s: FiniteSemiring, size_bound: int,
     turned into tuples of ints and stored by FiniteSemimodule._trusted,
     since every entry is an index of the carrier by construction.
 
-    A size_bound that is not an int (bool refused) is refused with
+    A size_bound that is not an integer of at least 0 is refused with
     ValueError before anything is enumerated.
     """
-    size_bound = _checked_bound("size_bound", size_bound)
+    size_bound = check_count(size_bound, "size_bound", 0)
     out = []
     free = [c for c in range(s.size) if c not in (s.zero, s.one)]
     for size in range(1, size_bound + 1):
@@ -1028,12 +1030,9 @@ def full_embedding_check(h: SemiringHom,
     hom onto the extension.
 
     A check on no module would pass vacuously, so a size_bound that is not
-    an int of at least 1 (bool refused) and an empty test_modules are
-    refused with ValueError before anything is enumerated."""
-    if isinstance(size_bound, bool) or not isinstance(size_bound, int) \
-            or size_bound < 1:
-        raise ValueError(f"size_bound={size_bound!r} must be an integer of "
-                         f"at least 1")
+    an integer of at least 1 and an empty test_modules are refused with
+    ValueError before anything is enumerated."""
+    size_bound = check_count(size_bound, "size_bound", 1)
     if test_modules is not None:
         test_modules = tuple(test_modules)
         if not test_modules:
@@ -1065,7 +1064,7 @@ def full_embedding_check(h: SemiringHom,
 
 # ----- the finite shadow of the scalar-extension computation ----------------
 
-def truncation_demo(k: int, points: Union[int, Sequence[str]],
+def truncation_demo(k: int, points: Union[int, Iterable[str]],
                     samples: int = 1000, seed: int = DEFAULT_SEED,
                     max_carrier: int = MAX_CARRIER) -> Dict[str, object]:
     """Compare the free module on X with scalars tensor free module.
@@ -1077,12 +1076,14 @@ def truncation_demo(k: int, points: Union[int, Sequence[str]],
     the explicit map pair is verified both ways; beyond the guard the
     composite on the free side is still checked pointwise. Only the
     tensor's SizeGuard takes that tier: a guard on the chain or on the free
-    module is raised.
+    module is raised. points is an iterable of names, a str excepted, or a
+    count of at least 0 (check_count).
     """
+    if isinstance(points, str) or not isinstance(points, abc.Iterable):
+        points = [f"x{i}" for i in range(check_count(points, "points", 0))]
+    names = [str(x) for x in points]
     alg, cert = gamma_chain(k, samples, seed, max_carrier)
     s = reduct_wedge_oplus(alg)
-    names = [f"x{i}" for i in range(points)] if isinstance(points, int) \
-        else [str(x) for x in points]
     m = module_over_self(s)
     n = free_semimodule(s, names, max_carrier)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
-from .errors import NegationOfTop
+from .errors import NegationOfTop, check_count
 from .semiring import _sampled_law_failures
 
 Rational = Union[Fraction, int]
@@ -164,6 +164,7 @@ def tropical_law_report(samples: int = 10000, seed: int = 42) -> dict:
     """Sampled law checks: the eight semiring laws, inverses, and the
     derived-join identity a `meet` b = -((-a) join (-b)) on non-Top draws.
     Fewer than one sample is refused with ValueError."""
+    samples = check_count(samples, "samples", 1)
     rng = random.Random(seed)
 
     def inverse_broken(a: Trop, b: Trop, c: Trop) -> bool:

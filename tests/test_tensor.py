@@ -4,6 +4,7 @@ import itertools
 import random
 import re
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,9 +15,16 @@ import mvsr.tensor
 from mvsr.config import MAX_CARRIER
 from mvsr.errors import (EnumGuard, IllDefinedAction, MalformedTable, NotAHom,
                          NotIdempotent, NotOnto, ScalarMismatch, SizeGuard)
-from mvsr.mv import (lukasiewicz_chain, mv_product, quotient,
-                     reduct_vee_odot, reduct_wedge_oplus)
-from mvsr.projective import are_isomorphic
+from mvsr.grothendieck import (enumerate_projective_classes, k0_report,
+                               k0_stability, zero_pad)
+from mvsr.jsonio import canonical_dumps, load_algebra, semiring_to_dict
+from mvsr.matrix import (SemiringMatrix, eta, idempotent_matrices,
+                         matrix_law_report, matrix_semiring)
+from mvsr.mv import (gamma_chain, gamma_property_report, lukasiewicz_chain,
+                     mv_product, quotient, reduct_vee_odot,
+                     reduct_wedge_oplus)
+from mvsr.projective import (are_isomorphic, is_projective_matrix_criterion,
+                             is_projective_retract_oracle)
 from mvsr.semimodule import (FiniteSemimodule,
                              check_semimodule, end_semiring,
                              free_semimodule, hom_set,
@@ -34,6 +42,7 @@ from mvsr.tensor import (SemilatticeCongruence, TensorProduct,
                          join_irreducibles, scalar_structures,
                          tensor_product, tensor_report, truncation_demo,
                          zeta_isomorphism)
+from mvsr.tropical import TropicalUSemifield, tropical_law_report
 
 from capped import run_capped
 from closed_scans import (closed_sets_from_scratch, implication_closure,
@@ -144,9 +153,9 @@ def test_closure_guard():
 def test_closure_refuses_a_width_that_is_not_a_count(width):
     # -1 once raised a bare ValueError, 2.0 and "3" a TypeError, and True
     # was taken as 1
-    with pytest.raises(MalformedTable, match=f"^congruence width "
-                       f"{re.escape(repr(width))} is not a non-negative "
-                       f"integer$"):
+    message = "width=-1 must be at least 0" if width == -1 else \
+        f"width={width!r} must be an integer"
+    with pytest.raises(MalformedTable, match=f"^{re.escape(message)}$"):
         congruence_closure(width, _unread_pairs())
 
 
@@ -1107,10 +1116,9 @@ def test_bimorphisms_of_a_trivial_left_factor(boolean, free2, monkeypatch):
      "target monoid zero index -1 out of range 0..1"),
     (2, [[0, 1], [1, 1.0]], 0, "target monoid addition entry 1.0 is not an "
                                "integer"),
-    (2.5, [[0, 1], [1, 1]], 0,
-     "target monoid size 2.5 is not a non-negative integer"),
-    (True, [[0]], 0, "target monoid size True is not a non-negative integer"),
-    (-1, [], 0, "target monoid size -1 is not a non-negative integer"),
+    (2.5, [[0, 1], [1, 1]], 0, "c_size=2.5 must be an integer"),
+    (True, [[0]], 0, "c_size=True must be an integer"),
+    (-1, [], 0, "c_size=-1 must be at least 0"),
 ])
 def test_bimorphisms_refuse_a_malformed_target(free2, self_mod, c_size, c_add,
                                                c_zero, message):
@@ -1360,6 +1368,43 @@ def test_hom_lattice_module(boolean, self_mod):
     lifted = hom_lattice_structure(homs, boolean, boolean.mul)
     assert lifted.laws.valid
     assert lifted.module.size == len(homs)
+
+
+@pytest.mark.parametrize("b_action,message", [
+    ([[0, 0], [0, 2]], "right action table entry 2 out of range 0..1"),
+    ([[0, 1]], "right action table must be 2x2"),
+    ("ab", "right action table must be 2x2"),
+])
+def test_hom_lattice_structure_checks_the_right_action(boolean, self_mod,
+                                                       b_action, message):
+    # the entry 2 once raised a bare IndexError, the 1x2 table NotAHom
+    # ("scalar 0 does not send homs to homs") and the string numpy's
+    # ValueError
+    homs = hom_set(self_mod, self_mod)
+    with pytest.raises(MalformedTable, match=f"^{re.escape(message)}$"):
+        hom_lattice_structure(homs, boolean, b_action)
+
+
+@pytest.mark.parametrize("values,zero,message", [
+    (np.zeros((3, 5), np.intp), 0,
+     "extend values must be an integer array on 2x4 pairs"),
+    (np.zeros((1, 1), np.intp), 0,
+     "extend values must be an integer array on 2x4 pairs"),
+    (np.zeros((2, 4)), 0,
+     "extend values must be an integer array on 2x4 pairs"),
+    (np.full((3, 2, 4), 7), 0,
+     "extend values table entry 7 out of range 0..3"),
+    (np.full((2, 4), -1), 0,
+     "extend values table entry -1 out of range 0..3"),
+    (np.zeros((2, 4), np.intp), 4, "extend zero index 4 out of range 0..3"),
+])
+def test_extend_checks_what_it_is_given(self_mod, free2, values, zero,
+                                        message):
+    # for factors of sizes 2 and 4 the 3x5 array once gave [0 0 0 0], and
+    # the 1x1 array and the entry 7 raised a bare IndexError
+    t = tensor_product(self_mod, free2)
+    with pytest.raises(MalformedTable, match=f"^{re.escape(message)}$"):
+        t.extend(values, free2.np_add, zero)
 
 
 def test_zeta_both_variants(free2, self_mod):
@@ -1697,21 +1742,110 @@ def test_monoid_homs_match_the_definition():
             assert _monoid_homs(add, 0, c_size, c_add, c_zero) == expected
 
 
+# Every count the package reads, each by a call on the boolean semiring:
+# (the function that reads it, the count's name, the error a value that is
+# not an integer raises, the call on a value, and a count it takes). The
+# call returns what the count is stored in, where it is stored.
+_COUNTS = [
+    ("congruence_closure", "width", MalformedTable,
+     lambda s, v: congruence_closure(v, []), 2),
+    ("bimorphisms", "c_size", MalformedTable,
+     lambda s, v: bimorphisms(module_over_self(s), module_over_self(s), v,
+                              [[0, 1], [1, 1]], 0), 2),
+    ("joined", "mask", MalformedTable,
+     lambda s, v: congruence_closure(2, [(1, 2)]).joined(0, v), 1),
+    ("load_algebra", "'size'", MalformedTable,
+     lambda s, v: load_algebra({**semiring_to_dict(s), "size": v}), 2),
+    ("commutative_monoids_upto", "bound", ValueError,
+     lambda s, v: commutative_monoids_upto(v), 2),
+    ("enumerate_modules", "size_bound", ValueError,
+     lambda s, v: enumerate_modules(s, v), 2),
+    ("full_embedding_check", "size_bound", ValueError,
+     lambda s, v: full_embedding_check(SemiringHom(s, s, (0, 1)),
+                                       size_bound=v), 1),
+    ("enumerate_projective_classes", "n_max", ValueError,
+     lambda s, v: enumerate_projective_classes(s, v).n_max, 1),
+    ("k0_report", "n_max", ValueError,
+     lambda s, v: canonical_dumps(k0_report(s, v)), 1),
+    ("k0_stability", "n_max", ValueError,
+     lambda s, v: k0_stability(s, (1, v)), 1),
+    ("gamma_property_report", "samples", ValueError,
+     lambda s, v: gamma_property_report(TropicalUSemifield(Fraction(1)),
+                                        v), 10),
+    ("gamma_chain", "samples", ValueError,
+     lambda s, v: gamma_chain(2, v)[1], 10),
+    ("gamma_chain", "k", ValueError, lambda s, v: gamma_chain(v, 10)[1], 2),
+    ("tropical_law_report", "samples", ValueError,
+     lambda s, v: tropical_law_report(v), 10),
+    ("matrix_law_report", "samples", ValueError,
+     lambda s, v: matrix_law_report(s, 3, max_carrier=1, samples=v), 10),
+    ("matrix_law_report", "n", ValueError,
+     lambda s, v: matrix_law_report(s, v), 1),
+    ("idempotent_matrices", "n", ValueError,
+     lambda s, v: idempotent_matrices(s, v), 1),
+    ("matrix_semiring", "n", ValueError,
+     lambda s, v: matrix_semiring(s, v).n, 1),
+    ("eta", "n", ValueError, lambda s, v: eta(s, v).counts, 1),
+    ("is_projective_retract_oracle", "n", ValueError,
+     lambda s, v: is_projective_retract_oracle(
+         module_over_self(s), v).free.size, 1),
+    ("is_projective_matrix_criterion", "n", ValueError,
+     lambda s, v: is_projective_matrix_criterion(module_over_self(s), v).n,
+     1),
+    ("lukasiewicz_chain", "k", ValueError,
+     lambda s, v: lukasiewicz_chain(v), 3),
+    ("truncation_demo", "points", ValueError,
+     lambda s, v: truncation_demo(1, v, samples=10), 1),
+    ("zero_pad", "size", ValueError,
+     lambda s, v: zero_pad(SemiringMatrix(s, 1, 1, ((s.one,),)), v), 2),
+    ("check_bound", "max_enum", ValueError,
+     lambda s, v: hom_set(module_over_self(s), module_over_self(s),
+                          max_enum=v).rows.tolist(), 100),
+    ("check_power_bound", "max_carrier", ValueError,
+     lambda s, v: matrix_semiring(s, 1, max_carrier=v).n, 100),
+]
+# n=None is the generators' count for these two
+_NONE_IS_A_DEFAULT = {"is_projective_retract_oracle",
+                      "is_projective_matrix_criterion"}
+
+
 @pytest.mark.parametrize("call,message", [
     (lambda s: enumerate_modules(s, 2.5), "size_bound=2.5"),
     (lambda s: enumerate_modules(s, True), "size_bound=True"),
     (lambda s: enumerate_modules(s, "2"), "size_bound='2'"),
     (lambda s: commutative_monoids_upto(2.5), "bound=2.5"),
     (lambda s: commutative_monoids_upto(True), "bound=True"),
-])
+] + [
+    pytest.param(functools.partial(call, v=value), f"{name}={value!r}",
+                 id=f"{where}-{name}={value!r}")
+    for where, name, _, call, _ in _COUNTS
+    for value in (2.5, True, "3", None)
+    if value is not None or where not in _NONE_IS_A_DEFAULT])
 def test_module_bounds_that_are_not_counts_are_refused(boolean, call,
                                                        message):
+    """Every count the package reads, the module bounds among them, refuses
+    2.5, True, "3" and None with check_count's message, which names it:
+    MalformedTable for a count read from table data, else ValueError."""
     # 2.5 once raised a bare TypeError and True was read as 1, also from
     # the cache that 1 had filled
     commutative_monoids_upto(1)
-    with pytest.raises(ValueError, match=f"^{re.escape(message)} must be an "
+    error = {name: error for _, name, error, _, _ in _COUNTS}[
+        message.split("=")[0]]
+    with pytest.raises(error, match=f"^{re.escape(message)} must be an "
                        f"integer$"):
         call(boolean)
+
+
+@pytest.mark.parametrize("call,count", [
+    pytest.param(call, count, id=f"{where}-{name}")
+    for where, name, _, call, count in _COUNTS])
+def test_counts_take_numpy_integers(boolean, call, count):
+    """A NumPy integer is taken as the Python int it equals, and a count
+    that is stored is stored as that int: the result's repr, in which
+    NumPy 2 writes np.int64(2) for a NumPy scalar, is the int's.
+    k0_report once stored n_max as given, which canonical_dumps
+    refused."""
+    assert repr(call(boolean, np.int64(count))) == repr(call(boolean, count))
 
 
 def test_module_enumeration_guard(boolean):
@@ -1914,6 +2048,16 @@ def test_truncation_demo_materialized():
     assert res["gamma_certificate"]["ok"]
     assert "finite shadow" in res["label"]
     assert res["ok"]
+
+
+@pytest.mark.parametrize("names", [
+    ["a", "b"], ("a", "b"), np.array(["a", "b"]), (x for x in "ab"),
+    {"a": 0, "b": 1}.keys()],
+    ids=["list", "tuple", "ndarray", "generator", "keys"])
+def test_truncation_demo_takes_any_iterable_of_names(names):
+    """Any iterable but a str is a list of names, as a count of two is."""
+    assert truncation_demo(2, names, samples=200, seed=7) == \
+        truncation_demo(2, 2, samples=200, seed=7)
 
 
 def test_truncation_demo_checks_the_chain_before_building_it():
