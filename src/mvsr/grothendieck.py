@@ -224,8 +224,7 @@ class AbelianGroupSNF:
     torsion: Tuple[int, ...]
 
     def __post_init__(self):
-        if self.rank < 0:
-            raise ValueError("rank must be non-negative")
+        object.__setattr__(self, "rank", check_count(self.rank, "rank", 0))
         if any(d <= 1 for d in self.torsion):
             raise ValueError("torsion entries must exceed 1")
         if any(self.torsion[i + 1] % self.torsion[i]
@@ -303,6 +302,7 @@ def completion_from_triples(n_generators: int,
     """The group of the generators modulo e_i + e_j = e_k for each triple:
     the generators that the unit pivots leave, modulo the residual
     relations, whose Smith normal form is taken when there are any."""
+    n_generators = check_count(n_generators, "n_generators", 0)
     triples = _index_grid(tuple(triples), (len(triples), 3), n_generators,
                           "relation triples")
     pivots, residual = _unit_pivots(n_generators, triples)
@@ -477,7 +477,9 @@ def k0_stability(s: Union[FiniteSemiring, MvAlgebra],
                  max_carrier: int = MAX_CARRIER) -> Dict[str, object]:
     """Compare truncations across bounds; reports, never asserts, stability.
     Each bound is checked as an n_max before any class is enumerated, and
-    no bound at all is refused."""
+    no bound at all, or bounds that are not an iterable, is refused."""
+    if not isinstance(bounds, abc.Iterable):
+        raise ValueError(f"bounds={bounds!r} must be an iterable of n_max")
     bounds = tuple(check_count(k, "n_max", 1) for k in bounds)
     if not bounds:
         raise ValueError("k0_stability needs at least one bound")

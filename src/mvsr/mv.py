@@ -611,6 +611,7 @@ class EquationResult:
 def equation_holds(a: MvAlgebra, lhs: Union[str, tuple], rhs: Union[str, tuple],
                    max_vars: int = 4) -> EquationResult:
     """Decide an equation by scanning all assignments to its variables."""
+    max_vars = check_count(max_vars, "max_vars", 0)
     left = parse_term(lhs) if isinstance(lhs, str) else lhs
     right = parse_term(rhs) if isinstance(rhs, str) else rhs
     names = tuple(sorted(set(term_variables(left)) | set(term_variables(right))))

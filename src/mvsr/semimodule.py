@@ -52,10 +52,11 @@ from .mv import (MvAlgebra, check_mv_axioms, quotient, reduct_vee_odot)
 from .semiring import (AxiomReport, FiniteSemiring, SemiringHom, Table,
                        _IndexMap, _additivity_mask, _blocks, _combine,
                        _first_absorb_failure, _first_additive_failure,
-                       _first_assoc_failure, _first_in_blocks,
-                       _first_difference, _index_grid, _index_list,
-                       _label_tuple, _law_report, _monoid_laws, _small,
-                       _store, boolean_semiring, fold,
+                       _first_assoc_failure, _first_comm_failure,
+                       _first_difference, _first_idempotent_failure,
+                       _first_identity_failure, _first_in_blocks,
+                       _index_grid, _index_list, _label_tuple, _law_report,
+                       _monoid_laws, _small, _store, boolean_semiring, fold,
                        is_additively_idempotent, same_scalars)
 
 
@@ -147,8 +148,7 @@ def _module_law_witnesses(s: FiniteSemiring, m: FiniteSemimodule
     yield "action-zero", _first_absorb_failure(act, s.zero, m.zero)
 
     if is_additively_idempotent(s):
-        yield "add-idempotent", next(((x,) for x, row in enumerate(m.add)
-                                      if row[x] != x), None)
+        yield "add-idempotent", _first_idempotent_failure(add)
 
 
 def _first_scalar_additive_failure(s: FiniteSemiring, m: FiniteSemimodule):
@@ -559,14 +559,12 @@ def _schedule(add: Table, zero: int, action: Table = ()) -> _LevelSchedule:
 
 
 @lru_cache(maxsize=64)
-def _sum_laws(size: int, add: Table, zero: int) -> Tuple[bool, bool, bool]:
-    """Whether add on range(size) has zero as a two-sided identity,
-    commutes and is idempotent. Pointwise sums of rows of its values
-    inherit each law."""
-    xs = range(size)
-    return (all(add[zero][p] == p == add[p][zero] for p in xs),
-            all(add[p][q] == add[q][p] for p in xs for q in xs),
-            all(add[p][p] == p for p in xs))
+def _sum_laws(add: Table, zero: int) -> Tuple[bool, bool, bool]:
+    """Whether add has zero as a two-sided identity, commutes and is
+    idempotent. Pointwise sums of rows of its values inherit each law."""
+    return (_first_identity_failure(add, zero) is None,
+            _first_comm_failure(add) is None,
+            _first_idempotent_failure(add) is None)
 
 
 def join_irreducibles(add, zero: int) -> Tuple[int, ...]:
@@ -603,7 +601,7 @@ def _hom_search(m: FiniteSemimodule, n: FiniteSemimodule,
     check_bound(EnumGuard, "hom-set candidate assignments",
                 n.size ** len(gens), "max_enum", max_enum)
     return _schedule(m.add, m.zero, m.action).search(
-        range(n.size), n.add, n.zero, _sum_laws(n.size, n.add, n.zero),
+        range(n.size), n.add, n.zero, _sum_laws(n.add, n.zero),
         n.action)
 
 
@@ -676,7 +674,7 @@ class HomSemilattice:
     def to_module(self) -> FiniteSemimodule:
         """Pointwise scalar action; only sound for commutative scalars."""
         s = self.source.scalars
-        if not np.array_equal(s.np_mul, s.np_mul.T):
+        if _first_comm_failure(s.mul) is not None:
             raise ScalarMismatch("pointwise action needs commutative scalars")
         action = _require_homs(
             self.positions(self.target.np_action[:, self.rows]),

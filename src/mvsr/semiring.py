@@ -485,6 +485,11 @@ def _first_identity_failure(t: Table, e: int):
     return None if x is None else (x, e)
 
 
+def _first_idempotent_failure(t: Table):
+    """The first (x,) with t[x][x] != x, read from the stored tuples."""
+    return next(((x,) for x, row in enumerate(t) if row[x] != x), None)
+
+
 def _monoid_laws(prefix: str, table: Table, e: int
                  ) -> Iterator[Tuple[str, Optional[tuple]]]:
     """The commutative-monoid laws that open the semiring, module, MV and
@@ -554,7 +559,7 @@ def _sampled_law_failures(samples: int, draw, plus, times, zero, one,
 
 
 def is_additively_idempotent(s: FiniteSemiring) -> bool:
-    return all(s.add[a][a] == a for a in range(s.size))
+    return _first_idempotent_failure(s.add) is None
 
 
 def natural_order(s: FiniteSemiring) -> Tuple[Tuple[bool, ...], ...]:

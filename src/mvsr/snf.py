@@ -9,11 +9,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
+from .errors import check_count
+
 IntMatrix = Tuple[Tuple[int, ...], ...]
 
 
 def _freeze(rows: Sequence[Sequence[int]]) -> IntMatrix:
-    return tuple(tuple(int(x) for x in row) for row in rows)
+    """rows as tuples of Python ints; an entry that is not an integer is
+    refused with ValueError."""
+    return tuple(tuple(check_count(x, "matrix entry", None) for x in row)
+                 for row in rows)
 
 
 def int_matrix_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:

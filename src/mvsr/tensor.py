@@ -88,8 +88,8 @@ from .semimodule import (FiniteSemimodule, HomSemilattice, SemimoduleHom,
                          restrict_scalars, trivial_module)
 from .semiring import (FiniteSemiring, SemiringHom, Table, _additivity_mask,
                        _array_range, _assoc_mask, _closed_sets, _combine,
-                       _index_grid, _members, is_additively_idempotent,
-                       same_scalars)
+                       _first_assoc_failure, _index_grid, _members,
+                       is_additively_idempotent, same_scalars)
 from .semiring import AxiomReport
 
 
@@ -515,7 +515,7 @@ def _monoid_homs(add, zero: int, c_size: int, c_add, c_zero: int,
     if plan is None:
         plan = _schedule(tuple(map(tuple, add)), zero)
     return tuple(sorted(plan.search(range(c_size), c_add, c_zero,
-                                    _sum_laws(c_size, c_add, c_zero))))
+                                    _sum_laws(c_add, c_zero))))
 
 
 def _checked_monoid(c_size, c_add, c_zero) -> Tuple[int, Table, int]:
@@ -589,7 +589,7 @@ def bimorphisms(m: FiniteSemimodule, n: FiniteSemimodule,
     shift = _Filled(lambda a: _Filled(lambda r: intern(tuple(
         rows[r][y] for y in n.action[a]))))
     found = plan.search(range(len(homs)), sums, zero_row,
-                        _sum_laws(c_size, c_add, c_zero), shift)
+                        _sum_laws(c_add, c_zero), shift)
     return tuple(sorted(tuple(c for r in v for c in rows[r]) for v in found))
 
 
@@ -637,10 +637,9 @@ def _monoid_tables(size: int, idempotent: bool) -> Tuple[Table, ...]:
             table[0][i] = table[i][0] = i
         for (i, j), v in zip(cells, values):
             table[i][j] = table[j][i] = v
-        if all(table[table[x][y]][z] == table[x][table[y][z]]
-               for x in range(size) for y in range(size)
-               for z in range(size)):
-            out.append(tuple(tuple(r) for r in table))
+        table = tuple(map(tuple, table))
+        if _first_assoc_failure(table, table) is None:
+            out.append(table)
     return tuple(out)
 
 
@@ -697,7 +696,7 @@ def check_universal_property(t: TensorProduct,
         hits = Counter(tuple(v[tc] for tc in tensors)
                        for v in quotient_plan.search(
                            range(c_size), c_add, c_zero,
-                           _sum_laws(c_size, c_add, c_zero)))
+                           _sum_laws(c_add, c_zero)))
         for f in bimorphisms(t.left, t.right, c_size, c_add, c_zero, max_enum,
                              _plans=factor_plans):
             bim_count += 1

@@ -4,8 +4,6 @@ Every test prints its verdict as "criterion n: PASS/FAIL ..." (visible
 under pytest -s) and then asserts it, so the suite both documents and
 enforces the shipped behavior.
 """
-import itertools
-import math
 import random
 import time
 from fractions import Fraction
@@ -28,11 +26,13 @@ from mvsr.semimodule import (FiniteSemimodule, endmv_check, free_semimodule,
                              generate, is_strong, module_over_self,
                              xi_embedding)
 from mvsr.semiring import SemiringHom, boolean_semiring, check_semiring_axioms
-from mvsr.snf import int_determinant, smith_normal_form
+from mvsr.snf import smith_normal_form
 from mvsr.tensor import (as_module, check_universal_property,
                          enumerate_modules, full_embedding_check,
                          tensor_product, zeta_isomorphism)
 from mvsr.tropical import TropicalUSemifield
+
+import corpus
 
 
 def _report(n: int, ok: bool, detail: str) -> None:
@@ -43,7 +43,7 @@ def _report(n: int, ok: bool, detail: str) -> None:
 def test_criterion_1_axiom_suites():
     started = time.monotonic()
     algebras = [lukasiewicz_chain(n) for n in range(2, 7)]
-    algebras.append(mv_product(lukasiewicz_chain(2), lukasiewicz_chain(2)))
+    algebras.append(corpus.c2xc2())
     algebras.append(mv_product(lukasiewicz_chain(2), lukasiewicz_chain(3)))
     ok = True
     for a in algebras:
@@ -59,8 +59,8 @@ def test_criterion_1_axiom_suites():
 
 def test_criterion_2_matrices_are_endomorphisms():
     started = time.monotonic()
-    two = eta(reduct_vee_odot(lukasiewicz_chain(2)), 2)
-    three = eta(reduct_vee_odot(lukasiewicz_chain(3)), 2)
+    two = eta(corpus.chain(2), 2)
+    three = eta(corpus.chain(3), 2)
     elapsed = time.monotonic() - started
     ok = (two.bijective and three.bijective
           and two.counts == (16, 16)
@@ -75,7 +75,7 @@ def test_criterion_3_projectivity_deciders_agree():
     checked = 0
     agreements = 0
     for k in (2, 3):
-        s = reduct_vee_odot(lukasiewicz_chain(k))
+        s = corpus.chain(k)
         for u in idempotent_matrices(s, 2):
             m = row_space(u)
             retract = is_projective_retract_oracle(m, 2)
@@ -83,7 +83,7 @@ def test_criterion_3_projectivity_deciders_agree():
             checked += 1
             if (retract is None) == (presented is None):
                 agreements += 1
-    five = reduct_vee_odot(lukasiewicz_chain(5))
+    five = corpus.chain(5)
     interval = generate(module_over_self(five), (2,))
     rejected = (is_projective_retract_oracle(interval, 2) is None
                 and is_projective_matrix_criterion(interval, 2) is None)
@@ -93,7 +93,7 @@ def test_criterion_3_projectivity_deciders_agree():
 
 
 def test_criterion_4_cyclic_trichotomy():
-    alg = mv_product(lukasiewicz_chain(2), lukasiewicz_chain(2))
+    alg = corpus.c2xc2()
     self_mod = module_over_self(reduct_vee_odot(alg))
     consistent = 0
     for a in range(alg.size):
@@ -114,38 +114,13 @@ def test_criterion_4_cyclic_trichotomy():
                    f"elements")
 
 
-def _minors_gcd(rows, k):
-    r, c = len(rows), len(rows[0])
-    g = 0
-    for ri in itertools.combinations(range(r), k):
-        for ci in itertools.combinations(range(c), k):
-            sub = [[rows[i][j] for j in ci] for i in ri]
-            g = math.gcd(g, abs(int_determinant(sub)))
-    return g
-
-
-def _oracle_diagonal(rows):
-    r, c = len(rows), len(rows[0])
-    out = []
-    prev = 1
-    for k in range(1, min(r, c) + 1):
-        g = _minors_gcd(rows, k)
-        if g == 0:
-            break
-        out.append(g // prev)
-        prev = g
-    out.extend([0] * (min(r, c) - len(out)))
-    return tuple(out)
-
-
 def test_criterion_5_k0_pipeline():
-    boolean = reduct_vee_odot(lukasiewicz_chain(2))
+    boolean = corpus.chain(2)
     classes_ok = len(enumerate_projective_classes(boolean, 1).classes) == 2
     trivial_ok = completion_from_triples(1, [(0, 0, 0)]).group.is_trivial
     free_ok = completion_from_triples(1, []).group == AbelianGroupSNF(1, ())
 
-    l2 = lukasiewicz_chain(2)
-    square = mv_product(l2, l2)
+    l2, square = lukasiewicz_chain(2), corpus.c2xc2()
     ident = k0_of_hom(MvHom(l2, l2, (0, 1)), 1)
     k_diag = k0_of_hom(MvHom(l2, square, (0, 3)), 1)
     k_proj = k0_of_hom(MvHom(square, l2, (0, 0, 1, 1)), 1)
@@ -160,7 +135,7 @@ def test_criterion_5_k0_pipeline():
         c = rng.randint(1, 4)
         rows = [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]
         snf = smith_normal_form(rows)
-        if not snf.verify() or snf.diagonal != _oracle_diagonal(rows):
+        if not snf.verify() or snf.diagonal != corpus.diagonal_by_minors(rows):
             mismatches += 1
 
     ok = classes_ok and trivial_ok and free_ok and functor_ok \
@@ -242,7 +217,7 @@ def test_criterion_7_hom_tensor_and_embedding():
             z = zeta_isomorphism(m, n, p, variant)
             zeta_ok = zeta_ok and z.ok and len(z.outer) == len(z.curried)
 
-    square = mv_product(lukasiewicz_chain(2), lukasiewicz_chain(2))
+    square = corpus.c2xc2()
     sq = reduct_vee_odot(square)
     toward = quotient(square, (0, 1))
     homs = (SemiringHom(sq, boolean, (0, 0, 1, 1)),
@@ -282,7 +257,7 @@ def test_criterion_9_strong_modules():
     for k in (2, 3, 4):
         alg = lukasiewicz_chain(k)
         pairs.append((alg, module_over_self(reduct_vee_odot(alg))))
-    square = mv_product(lukasiewicz_chain(2), lukasiewicz_chain(2))
+    square = corpus.c2xc2()
     pairs.append((square, module_over_self(reduct_vee_odot(square))))
     five = lukasiewicz_chain(5)
     pairs.append((five, generate(module_over_self(reduct_vee_odot(five)),

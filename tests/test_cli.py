@@ -14,9 +14,11 @@ from mvsr import matrix, projective
 from mvsr.cli import main
 from mvsr.jsonio import (canonical_dumps, mv_to_dict, semimodule_to_dict,
                          semiring_to_dict)
-from mvsr.mv import lukasiewicz_chain, mv_product, reduct_vee_odot
+from mvsr.mv import lukasiewicz_chain
 from mvsr.semimodule import free_semimodule, generate, module_over_self
 from mvsr.semiring import boolean_semiring
+
+import corpus
 
 
 def write(path, payload):
@@ -38,10 +40,8 @@ def boolean_file(tmp_path):
 def lawless_file(tmp_path):
     # breaks the semiring laws; no idempotent matrix over it presents the
     # trivial module
-    return write(tmp_path / "lawless.json", {
-        "kind": "semiring", "size": 3,
-        "add": [[0, 2, 2], [1, 1, 0], [0, 2, 0]],
-        "mul": [[0, 0, 0], [2, 2, 2], [1, 2, 2]], "zero": 1, "one": 2})
+    return write(tmp_path / "lawless.json",
+                 semiring_to_dict(corpus.lawless_semiring()))
 
 
 @pytest.fixture
@@ -127,20 +127,16 @@ def test_projective_self_module(self_file, capsys):
     assert data["retraction"] is not None
 
 
-def _c3():
-    return reduct_vee_odot(lukasiewicz_chain(3))
-
-
 @pytest.mark.parametrize("module,digest", [
     (lambda: module_over_self(boolean_semiring()),
      "41f210c39f22dba0947dd60782fa432e464b46ee"),
     (lambda: free_semimodule(boolean_semiring(), ["x", "y"]),
      "f365f264632c0653e59eef6d1f7a6a247181b8b4"),
-    (lambda: module_over_self(_c3()),
+    (lambda: module_over_self(corpus.chain(3)),
      "d60e5d713ca7ce26dc9d4a19915493cdb9fb8df5"),
-    (lambda: free_semimodule(_c3(), ["x", "y"]),
+    (lambda: free_semimodule(corpus.chain(3), ["x", "y"]),
      "04353a1cb9ae7f845858efc56c3b1e2563570ed6"),
-    (lambda: generate(module_over_self(_c3()), (1,)),
+    (lambda: generate(module_over_self(corpus.chain(3)), (1,)),
      "590a8c3ce8b9a64ba1d48078d50ea5f5db1e471c"),
 ], ids=["B-self", "B-squared", "C3-self", "C3-squared", "C3-half"])
 def test_projective_report_bytes(tmp_path, capsys, module, digest):
@@ -152,26 +148,11 @@ def test_projective_report_bytes(tmp_path, capsys, module, digest):
     assert hashlib.sha1(out.encode()).hexdigest() == digest
 
 
-def _lattice_module(below):
-    """The join semilattice over B whose order has these strict lower
-    covers, given bottom first, so every join is a least upper bound."""
-    n = len(below)
-    down = [{x} for x in range(n)]
-    for x in range(n):
-        for y in below[x]:
-            down[x] |= down[y]
-    join = [[min((z for z in range(n) if down[x] | down[y] <= down[z]),
-                 key=lambda z: len(down[z])) for y in range(n)]
-            for x in range(n)]
-    return {"kind": "semimodule", "size": n, "zero": 0,
-            "scalars": semiring_to_dict(boolean_semiring()), "add": join,
-            "action": [[0] * n, list(range(n))]}
-
-
-def _spans_by_closure(s, us, max_carrier):
-    _, rows, cols = us.shape
-    return [projective._row_span(matrix.SemiringMatrix(s, rows, cols, u),
-                                 max_carrier) for u in us.tolist()]
+def _lattice_payload(below):
+    """The lattice over B whose order has these strict lower covers, given
+    bottom first, as a semimodule description."""
+    return semimodule_to_dict(corpus.lattice_module(boolean_semiring(),
+                                                    below))
 
 
 def test_benchmark_k0_and_projective_reports_match_the_closure(
@@ -183,13 +164,13 @@ def test_benchmark_k0_and_projective_reports_match_the_closure(
                        mv_to_dict(lukasiewicz_chain(k))) for k in (2, 3, 4)}
     runs = [["k0", "--input", chains[k], "--nmax", str(n)]
             for k, n in ((2, 1), (3, 1), (4, 1), (2, 2), (3, 2))]
-    c3 = _c3()
+    c3 = corpus.chain(3)
     modules = {
         "Bself": semimodule_to_dict(module_over_self(boolean_semiring())),
         "Bfree2": semimodule_to_dict(free_semimodule(boolean_semiring(),
                                                      ["x", "y"])),
-        "Lc3": _lattice_module([[], [0], [1]]),
-        "Ln5": _lattice_module([[], [0], [1], [0], [2, 3]]),
+        "Lc3": _lattice_payload([[], [0], [1]]),
+        "Ln5": _lattice_payload([[], [0], [1], [0], [2, 3]]),
         "C3self": semimodule_to_dict(module_over_self(c3)),
         "C3half": semimodule_to_dict(generate(module_over_self(c3), (1,))),
         "C3free2": semimodule_to_dict(free_semimodule(c3, ["x", "y"])),
@@ -201,7 +182,7 @@ def test_benchmark_k0_and_projective_reports_match_the_closure(
         return [(main(argv), capsys.readouterr().out) for argv in runs]
 
     sweep = outcomes()
-    monkeypatch.setattr(projective, "_row_spans", _spans_by_closure)
+    monkeypatch.setattr(projective, "_row_spans", corpus.spans_by_closure)
     assert outcomes() == sweep
     assert [code for code, _ in sweep] == [0] * len(runs)
 
@@ -232,10 +213,10 @@ def test_tensor_refuses_a_factor_that_is_not_a_module(side, tmp_path, capsys):
     """The 3-chain with 1 + 1 = 2 breaks scalar-additive first, in
     check_semimodule's order, and add-idempotent after it: tensor names the
     factor and its first broken law and exits 2 with nothing on stdout."""
-    broken = _lattice_module([[], [0], [1]])
+    broken = _lattice_payload([[], [0], [1]])
     broken["add"][1][1] = 2
     bad = write(tmp_path / "bad.json", broken)
-    good = write(tmp_path / "c2.json", _lattice_module([[], [0]]))
+    good = write(tmp_path / "c2.json", _lattice_payload([[], [0]]))
     assert main(["verify", "--input", bad]) == 2
     failed = [law["name"] for law in json.loads(capsys.readouterr().out)
               ["laws"] if not law["ok"]]
@@ -292,8 +273,8 @@ def test_homset_counts(tmp_path, self_file, capsys):
     (lambda: module_over_self(boolean_semiring()),
      lambda: free_semimodule(boolean_semiring(), ["x", "y"]),
      "be81eb0a4bdb2ecfe3b3cfe1d0490025dffda112"),
-    (lambda: module_over_self(_c3()),
-     lambda: free_semimodule(_c3(), ["x", "y"]),
+    (lambda: module_over_self(corpus.chain(3)),
+     lambda: free_semimodule(corpus.chain(3), ["x", "y"]),
      "e3e6be8154e5e1fd8181c436a321762b4b381f01"),
 ], ids=["B-squared-to-B", "B-to-B-squared", "C3-to-C3-squared"])
 def test_homset_report_bytes(tmp_path, capsys, left, right, digest):
@@ -498,11 +479,11 @@ def test_help_exits_zero(argv, capsys):
 
 _DESCRIPTIONS = (
     mv_to_dict(lukasiewicz_chain(3)),
-    mv_to_dict(mv_product(lukasiewicz_chain(2), lukasiewicz_chain(2))),
-    semiring_to_dict(reduct_vee_odot(lukasiewicz_chain(3))),
+    mv_to_dict(corpus.c2xc2()),
+    semiring_to_dict(corpus.chain(3)),
     semimodule_to_dict(module_over_self(boolean_semiring())),
     semimodule_to_dict(free_semimodule(boolean_semiring(), ["x", "y"])),
-    semimodule_to_dict(module_over_self(_c3())),
+    semimodule_to_dict(module_over_self(corpus.chain(3))),
 )
 _BAD_ENTRIES = st.one_of(st.integers(-3, 9), st.booleans(), st.floats(),
                          st.text(max_size=3), st.none(), st.just(2 ** 70))
@@ -784,7 +765,7 @@ def test_fuzzed_config_and_sizes_keep_the_exit_contract(config, argv,
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(config), encoding="utf-8")
     monkeypatch.setenv("MVSR_CONFIG", str(cfg))
-    three = reduct_vee_odot(lukasiewicz_chain(3))
+    three = corpus.chain(3)
     files = {
         "boolean": semiring_to_dict(boolean_semiring()),
         "chain3": mv_to_dict(lukasiewicz_chain(3)),
@@ -806,7 +787,7 @@ def test_fuzzed_config_and_sizes_keep_the_exit_contract(config, argv,
 
 _TENSOR_FACTORS = {
     "Bself": semimodule_to_dict(module_over_self(boolean_semiring())),
-    "Lc3": _lattice_module([[], [0], [1]]),
+    "Lc3": _lattice_payload([[], [0], [1]]),
     "Bfree2": semimodule_to_dict(free_semimodule(boolean_semiring(),
                                                  ["x", "y"]))}
 # The guards tensor can trip, each named in its message.

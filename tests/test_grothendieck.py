@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import corpus
 from folds import block_diag_by_loop
 from mvsr import grothendieck, matrix, projective, semimodule
 from mvsr.errors import (EnumGuard, MalformedTable, ScalarMismatch,
@@ -17,25 +18,13 @@ from mvsr.grothendieck import (AbelianGroupSNF, ProjClassMonoid,
 from mvsr.jsonio import canonical_dumps
 from mvsr.matrix import (SemiringMatrix, _idempotent_stack,
                          idempotent_matrices, mat_identity)
-from mvsr.mv import MvHom, lukasiewicz_chain, mv_product, reduct_vee_odot
+from mvsr.mv import MvHom, lukasiewicz_chain
 from mvsr.projective import (ProjectivePresentation, are_isomorphic,
                              block_diag, canonical_form, row_space)
-from mvsr.semimodule import (FiniteSemimodule, SemimoduleHom,
-                             free_semimodule, generate, module_over_self,
-                             trivial_module)
+from mvsr.semimodule import SemimoduleHom, module_over_self, trivial_module
 from mvsr.semiring import (FiniteSemiring, boolean_semiring,
                            check_semiring_axioms, is_additively_idempotent)
 from mvsr.snf import smith_normal_form
-
-
-@pytest.fixture
-def boolean():
-    return boolean_semiring()
-
-
-@pytest.fixture
-def square():
-    return mv_product(lukasiewicz_chain(2), lukasiewicz_chain(2))
 
 
 def test_zero_pad_keeps_row_space(boolean):
@@ -54,7 +43,7 @@ def test_two_classes_at_bound_one(boolean):
 
 
 def test_class_counts_frozen(boolean):
-    three = reduct_vee_odot(lukasiewicz_chain(3))
+    three = corpus.chain(3)
     assert len(enumerate_projective_classes(boolean, 2).classes) == 4
     assert len(enumerate_projective_classes(three, 2).classes) == 7
 
@@ -68,14 +57,14 @@ def test_class_of_finds_isomorphic_module(boolean):
 def test_class_of_refuses_other_scalars(boolean):
     """A module over other scalars raises, whatever its size, with
     canonical forms and with the scan alike."""
-    three = reduct_vee_odot(lukasiewicz_chain(3))
-    four = reduct_vee_odot(lukasiewicz_chain(4))
+    three = corpus.chain(3)
+    four = corpus.chain(4)
     p = enumerate_projective_classes(boolean, 2)
     with pytest.raises(ScalarMismatch):
         p.class_of(module_over_self(three))
     with pytest.raises(ScalarMismatch):
         p.class_of(module_over_self(four))
-    field = enumerate_projective_classes(_two_element_field(), 1)
+    field = enumerate_projective_classes(corpus.two_element_field(), 1)
     with pytest.raises(ScalarMismatch):
         field.class_of(module_over_self(boolean))
 
@@ -86,11 +75,7 @@ def test_class_of_a_lawless_table_is_none(boolean):
     elements, and the three-chain with 2 + 1 = 0, whose order, and so
     whose canonical form, is the chain's."""
     p = enumerate_projective_classes(boolean, 2)
-    xor = FiniteSemimodule(boolean, 2, ((0, 1), (1, 0)), 0,
-                           ((0, 0), (0, 1)))
-    chain = FiniteSemimodule(boolean, 3, ((0, 1, 2), (1, 1, 2), (2, 0, 2)),
-                             0, ((0, 0, 0), (0, 1, 2)))
-    for table in (xor, chain):
+    for table in corpus.lawless_modules():
         assert p.class_of(table) is None
         assert _first_isomorphic(p.classes, table, 10 ** 7) is None
 
@@ -99,12 +84,6 @@ def _first_isomorphic(classes, m, max_enum):
     """Index of the first stored class whose module is isomorphic to m."""
     return next((i for i, cls in enumerate(classes)
                  if are_isomorphic(cls.module, m, max_enum) is not None), None)
-
-
-def _row_space_in_the_free_module(u, max_carrier):
-    free = free_semimodule(u.scalars, [str(j) for j in range(u.cols)],
-                           max_carrier)
-    return generate(free, [free.index(row) for row in u.entries])
 
 
 def _block_sum_by_loop(u, v):
@@ -119,7 +98,7 @@ def _enumerate_by_scan(s, n_max=2, max_enum=10 ** 7, max_carrier=4096):
     classes = []
     for n in range(1, n_max + 1):
         for u in idempotent_matrices(s, n, max_enum):
-            rs = _row_space_in_the_free_module(u, max_carrier)
+            rs = corpus.row_space_in_the_free_module(u, max_carrier)
             if _first_isomorphic(classes, rs, max_enum) is not None:
                 continue
             classes.append(ProjectivePresentation(
@@ -133,35 +112,20 @@ def _enumerate_by_scan(s, n_max=2, max_enum=10 ** 7, max_carrier=4096):
         for j, cj in enumerate(classes):
             if ci.n + cj.n > n_max:
                 continue
-            rs = _row_space_in_the_free_module(_block_sum_by_loop(ci.u, cj.u),
-                                               max_carrier)
+            rs = corpus.row_space_in_the_free_module(
+                _block_sum_by_loop(ci.u, cj.u), max_carrier)
             relations.add((i, j, _first_isomorphic(classes, rs, max_enum)))
     return ProjClassMonoid(s, n_max, tuple(classes), tuple(sorted(relations)))
 
 
-def _relabelled(s, perm):
-    """s carried along the bijection a -> perm[a]."""
-    inv = {p: a for a, p in enumerate(perm)}
-    add = [[perm[s.add[inv[p]][inv[q]]] for q in range(s.size)]
-           for p in range(s.size)]
-    mul = [[perm[s.mul[inv[p]][inv[q]]] for q in range(s.size)]
-           for p in range(s.size)]
-    return FiniteSemiring(s.size, add, mul, perm[s.zero], perm[s.one])
-
-
 def _square_tables():
     """The twelve labelled tables of the four-element boolean algebra."""
-    square = reduct_vee_odot(mv_product(lukasiewicz_chain(2),
-                                        lukasiewicz_chain(2)))
+    square = corpus.square()
     tables = {}
     for perm in itertools.permutations(range(4)):
-        t = _relabelled(square, perm)
+        t = corpus.relabelled(square, perm)
         tables.setdefault(t.core(), t)
     return list(tables.values())
-
-
-def _two_element_field():
-    return FiniteSemiring(2, ((0, 1), (1, 0)), ((0, 0), (0, 1)), 0, 1)
 
 
 def _report_by_scan(s, n_max, monkeypatch):
@@ -175,7 +139,7 @@ def _report_by_scan(s, n_max, monkeypatch):
 def test_k0_report_matches_the_scan(n_max, monkeypatch):
     """Byte-identical reports on the 2- to 5-chains and on all twelve
     labelled tables of the four-element boolean algebra."""
-    scalars = [reduct_vee_odot(lukasiewicz_chain(k)) for k in range(2, 6)]
+    scalars = [corpus.chain(k) for k in range(2, 6)]
     scalars += _square_tables()
     assert len(scalars) == 16
     for s in scalars:
@@ -186,25 +150,12 @@ def test_k0_report_matches_the_scan(n_max, monkeypatch):
 def test_k0_report_scans_scalars_without_idempotent_addition(monkeypatch):
     """Over the two-element field no canonical form applies; the report is
     the scan's."""
-    field = _two_element_field()
+    field = corpus.two_element_field()
     for n_max in (1, 2, 3):
         assert (canonical_dumps(k0_report(field, n_max))
                 == _report_by_scan(field, n_max, monkeypatch))
     assert enumerate_projective_classes(field, 1)._index.forms is None
     assert enumerate_projective_classes(boolean_semiring(), 1)._index.forms
-
-
-def _z3():
-    return FiniteSemiring(3, tuple(tuple((a + b) % 3 for b in range(3))
-                                   for a in range(3)),
-                          tuple(tuple(a * b % 3 for b in range(3))
-                                for a in range(3)), 0, 1)
-
-
-def _lawless():
-    """The table the CLI refuses for want of a trivial class."""
-    return FiniteSemiring(3, ((0, 2, 2), (1, 1, 0), (0, 2, 0)),
-                          ((0, 0, 0), (2, 2, 2), (1, 2, 2)), 1, 2)
 
 
 def _classes_by_row_space(s, n_max, max_enum, max_carrier):
@@ -250,9 +201,10 @@ def _enumerate_by_row_space(s, n_max=2, max_enum=10 ** 7, max_carrier=4096):
 
 
 def _oracle_cases():
-    chains = [reduct_vee_odot(lukasiewicz_chain(k)) for k in range(2, 8)]
+    chains = [corpus.chain(k) for k in range(2, 8)]
     cases = [(s, n) for s in chains + _square_tables() for n in (1, 2)]
-    cases += [(s, n) for s in (_two_element_field(), _z3()) for n in (1, 2, 3)]
+    cases += [(s, n) for s in (corpus.two_element_field(), corpus.z3())
+              for n in (1, 2, 3)]
     return cases
 
 
@@ -273,7 +225,7 @@ def test_span_index_matches_the_row_space_loop():
 def test_span_index_matches_the_row_space_loop_on_a_lawless_table():
     """Over the CLI's lawless table the index stores the same classes as
     the loop, and both refuse it with the same message."""
-    s = _lawless()
+    s = corpus.lawless_semiring()
     assert not check_semiring_axioms(s).valid
     index = projective._ClassIndex(s)
     stored = []
@@ -294,13 +246,18 @@ def test_span_index_matches_the_row_space_loop_on_a_lawless_table():
     assert str(got.value) == str(want.value)
 
 
+def _half_product():
+    """The three-chain reduct with 0 * 1 = 1/2."""
+    c3 = corpus.chain(3)
+    mul = [list(row) for row in c3.mul]
+    mul[0][2] = 1
+    return FiniteSemiring(3, c3.add, mul, c3.zero, c3.one)
+
+
 def test_a_block_sum_in_no_class_is_refused():
     """The three-chain reduct with 0 * 1 = 1/2 has a trivial class, but the
     block sum of its class 1 with itself spans a module in no class."""
-    c3 = reduct_vee_odot(lukasiewicz_chain(3))
-    mul = [list(row) for row in c3.mul]
-    mul[0][2] = 1
-    s = FiniteSemiring(3, c3.add, mul, c3.zero, c3.one)
+    s = _half_product()
     with pytest.raises(ToolkitError, match="^a block sum is in no class"):
         enumerate_projective_classes(s, 2)
 
@@ -312,14 +269,10 @@ def test_lawless_scalars_reach_the_refusal_through_the_closure(monkeypatch):
         raise AssertionError("the sweep ran over lawless scalars")
 
     monkeypatch.setattr(projective, "_row_spans", refuse)
-    c3 = reduct_vee_odot(lukasiewicz_chain(3))
-    mul = [list(row) for row in c3.mul]
-    mul[0][2] = 1
     with pytest.raises(ToolkitError, match="^a block sum is in no class"):
-        enumerate_projective_classes(
-            FiniteSemiring(3, c3.add, mul, c3.zero, c3.one), 2)
+        enumerate_projective_classes(_half_product(), 2)
     with pytest.raises(ToolkitError, match="^no trivial projective class"):
-        enumerate_projective_classes(_lawless(), 2)
+        enumerate_projective_classes(corpus.lawless_semiring(), 2)
 
 
 def _random_tables(seed, count):
@@ -341,10 +294,7 @@ def _random_tables(seed, count):
 def _lawless_cases():
     """The two lawless tables above and eight random ones, at n_max 1
     and 2."""
-    c3 = reduct_vee_odot(lukasiewicz_chain(3))
-    mul = [list(row) for row in c3.mul]
-    mul[0][2] = 1
-    tables = [_lawless(), FiniteSemiring(3, c3.add, mul, c3.zero, c3.one)]
+    tables = [corpus.lawless_semiring(), _half_product()]
     return [(s, n) for s in tables + _random_tables(3, 8) for n in (1, 2)]
 
 
@@ -363,8 +313,8 @@ def test_orbit_minima_give_the_classes_of_every_idempotent(monkeypatch):
     and c2 x c2 at n_max 1 to 3, on the field and Z/3, which take the
     scan, and on lawless tables, where a conjugate of an idempotent need
     not be idempotent, at n_max 1 and 2."""
-    lawful = [reduct_vee_odot(lukasiewicz_chain(k)) for k in (2, 3, 4)]
-    lawful += [_square_tables()[5], _two_element_field(), _z3()]
+    lawful = [corpus.chain(k) for k in (2, 3, 4)]
+    lawful += [_square_tables()[5], corpus.two_element_field(), corpus.z3()]
     cases = [(s, n) for s in lawful for n in (1, 2, 3)] + _lawless_cases()
     got = [_outcome(s, n) for s, n in cases]
     monkeypatch.setattr(grothendieck, "_orbit_minima", lambda s, us: us)
@@ -386,7 +336,7 @@ def test_orbit_minima_match_the_conjugate_loop():
     to n = 2, where some idempotent is kept although it has a smaller
     conjugate, since no smaller conjugate is idempotent. On c3 at n = 3,
     1266 idempotents leave 240 orbit minima."""
-    cases = [(s, n) for s in (reduct_vee_odot(lukasiewicz_chain(3)),
+    cases = [(s, n) for s in (corpus.chain(3),
                               _square_tables()[5]) for n in (1, 2, 3)]
     cases += _lawless_cases()
     kept_for_outside = 0
@@ -402,7 +352,7 @@ def test_orbit_minima_match_the_conjugate_loop():
                 kept_for_outside += bool(smaller)
         assert projective._orbit_minima(s, stack).tolist() == want
     assert kept_for_outside
-    c3 = reduct_vee_odot(lukasiewicz_chain(3))
+    c3 = corpus.chain(3)
     stack = _idempotent_stack(c3, 3, 10 ** 7)
     assert len(stack) == 1266
     assert len(projective._orbit_minima(c3, stack)) == 240
@@ -413,7 +363,7 @@ def _span_key(u):
 
 
 @pytest.mark.parametrize("scalars", [
-    lambda: reduct_vee_odot(lukasiewicz_chain(4)),
+    lambda: corpus.chain(4),
     lambda: _square_tables()[5],
 ], ids=["c4", "c2xc2"])
 def test_each_span_is_classed_once(scalars, monkeypatch):
@@ -465,7 +415,7 @@ def test_a_span_whose_form_could_breach_the_guard_takes_it_at_once():
     shares its size, yet with max_enum 7 its first lookup is refused, as a
     form taken for every new span is; with 8 it is stored with its form,
     and with the default bound with none."""
-    c4 = reduct_vee_odot(lukasiewicz_chain(4))
+    c4 = corpus.chain(4)
     u = mat_identity(c4, 2)
     with pytest.raises(EnumGuard, match="^canonical form orderings: 8 "):
         next(projective._ClassIndex(c4).find_row_spaces(
@@ -482,7 +432,7 @@ def test_a_span_whose_form_could_breach_the_guard_takes_it_at_once():
 
 @pytest.mark.parametrize("algebra", [
     lambda: lukasiewicz_chain(4),
-    lambda: mv_product(lukasiewicz_chain(2), lukasiewicz_chain(2)),
+    corpus.c2xc2,
 ], ids=["c4", "c2xc2"])
 def test_k0_report_builds_no_module(algebra, monkeypatch):
     """The report reads each class's matrix and module size alone: no row
@@ -517,7 +467,7 @@ def test_classes_read_after_the_lookups_match_the_row_space_loop():
                 == [list(map(list, c.u.entries)) for c in want.classes])
         assert tuple(p.classes) == tuple(want.classes)
         assert p.classes[-1] is p.classes[-1]
-    s = _lawless()
+    s = corpus.lawless_semiring()
     index = projective._ClassIndex(s)
     mats = []
     for n in (1, 2):
@@ -533,7 +483,8 @@ def test_n_max_must_be_an_integer_of_at_least_one(boolean):
     """A bool, a float, a string or a bound below 1 is refused with
     ValueError before any guard, even a guard set to refuse everything,
     by enumerate_projective_classes, k0_report and each bound of
-    k0_stability, which also refuses an empty tuple of bounds."""
+    k0_stability, which also refuses an empty tuple of bounds and, where a
+    bare 3 raised TypeError, bounds that are not an iterable."""
     for bad in (True, False, 1.5, 2.0, "2", None, 0, -1):
         with pytest.raises(ValueError, match="^n_max="):
             enumerate_projective_classes(boolean, bad, max_enum=0)
@@ -543,6 +494,9 @@ def test_n_max_must_be_an_integer_of_at_least_one(boolean):
             k0_stability(boolean, (1, bad), max_enum=0)
     with pytest.raises(ValueError, match="^k0_stability needs at least one"):
         k0_stability(boolean, ())
+    for bad in (3, 2.5, None):
+        with pytest.raises(ValueError, match="^bounds=.* must be an iterable"):
+            k0_stability(boolean, bad, max_enum=0)
     with pytest.raises(EnumGuard):
         enumerate_projective_classes(boolean, 1, max_enum=0)
 
@@ -553,7 +507,7 @@ def test_k0_report_bytes_at_n_max_3():
     text = canonical_dumps(k0_report(lukasiewicz_chain(3), 3))
     assert (hashlib.sha1(text.encode()).hexdigest()
             == "131d289e43e4457131084fd79e65512ecaca98f0")
-    square = mv_product(lukasiewicz_chain(2), lukasiewicz_chain(2))
+    square = corpus.c2xc2()
     text = canonical_dumps(k0_report(square, 3))
     assert (hashlib.sha1(text.encode()).hexdigest()
             == "2c1097c9738fb91f28061c965a4c419bbb07128f")
@@ -663,7 +617,7 @@ def test_pivot_group_matches_the_dense_snf_on_the_k0_cases(monkeypatch):
     that have one; on the benchmark's scalars, the 2- to 7-chains and
     c2 x c2 at n_max 2, every relation settles on a unit pivot, so
     neither k0_report nor k0_stability takes a dense form."""
-    cases = _oracle_cases() + [(reduct_vee_odot(lukasiewicz_chain(3)), 3),
+    cases = _oracle_cases() + [(corpus.chain(3), 3),
                                (_square_tables()[0], 3)]
     cases += [(s, n) for s, n in _lawless_cases()
               if not isinstance(_outcome(s, n), str)]
@@ -673,8 +627,7 @@ def test_pivot_group_matches_the_dense_snf_on_the_k0_cases(monkeypatch):
                 == _completion_by_dense_snf(len(p.classes),
                                             p.sum_relations)[0])
     calls = _counting_dense_forms(monkeypatch)
-    for s in ([reduct_vee_odot(lukasiewicz_chain(k)) for k in range(2, 8)]
-              + _square_tables()):
+    for s in [corpus.chain(k) for k in range(2, 8)] + _square_tables():
         k0_report(s, 2)
         k0_stability(s, (1, 2))
     assert calls == []
@@ -692,7 +645,7 @@ def test_completion_refuses_a_triple_outside_the_generators(triples,
 
 
 def test_groups_frozen(boolean):
-    three = reduct_vee_odot(lukasiewicz_chain(3))
+    three = corpus.chain(3)
     g2 = grothendieck_completion(enumerate_projective_classes(boolean, 2))
     assert g2.group == AbelianGroupSNF(2, ())
     g3 = grothendieck_completion(enumerate_projective_classes(three, 2))
@@ -734,8 +687,7 @@ def test_k0_functor_law(square):
 def test_k0_of_hom_at_n_max_2(source, target, mapping, class_map):
     """The class maps at n_max 2, with every sum relation respected."""
     algebras = {"c2": lukasiewicz_chain(2), "c3": lukasiewicz_chain(3),
-                "c2xc2": mv_product(lukasiewicz_chain(2),
-                                    lukasiewicz_chain(2))}
+                "c2xc2": corpus.c2xc2()}
     res = k0_of_hom(MvHom(algebras[source], algebras[target], mapping), 2)
     assert res.class_map == class_map
     assert res.relations_respected
@@ -743,8 +695,8 @@ def test_k0_of_hom_at_n_max_2(source, target, mapping, class_map):
 
 @pytest.mark.parametrize("side", ["source_monoid", "target_monoid"])
 @pytest.mark.parametrize("scalars", [
-    lambda: reduct_vee_odot(lukasiewicz_chain(3)),
-    lambda: _relabelled(boolean_semiring(), (1, 0)),
+    lambda: corpus.chain(3),
+    lambda: corpus.relabelled(boolean_semiring(), (1, 0)),
 ], ids=["three-chain", "swapped-boolean"])
 def test_k0_of_hom_refuses_monoids_over_other_scalars(side, scalars):
     """A class monoid over the three-chain, or over the boolean tables with
@@ -788,7 +740,7 @@ def test_stability_is_reported_not_claimed(boolean):
     assert res["bounds"] == [1, 2]
     assert res["class_counts"] == [2, 4]
     assert res["stable"] is False
-    three = reduct_vee_odot(lukasiewicz_chain(3))
+    three = corpus.chain(3)
     res3 = k0_stability(three, bounds=(1, 2))
     assert [g["rank"] for g in res3["groups"]] == [1, 5]
     assert res3["stable"] is False

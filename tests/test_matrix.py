@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+import corpus
 from folds import (block_diag_by_loop, cover_by_loop,
                    hom_from_matrix_by_loop, is_idempotent_by_loop,
                    product_by_loop)
@@ -17,7 +18,7 @@ from mvsr.matrix import (SemiringMatrix, _block_sum, _cover, block_diag, eta,
                          is_mult_idempotent, lift_hom, mat_add,
                          mat_identity, mat_star_mul, mat_zero,
                          matrix_from_hom, matrix_law_report, matrix_semiring)
-from mvsr.mv import lukasiewicz_chain, mv_product, reduct_vee_odot
+from mvsr.mv import lukasiewicz_chain
 from mvsr.semimodule import (FiniteSemimodule, SemimoduleHom,
                              free_semimodule, free_universal_property,
                              generate, hom_set, minimal_generating_set,
@@ -25,16 +26,6 @@ from mvsr.semimodule import (FiniteSemimodule, SemimoduleHom,
 from mvsr.semiring import (FiniteSemiring, boolean_semiring,
                            check_semiring_axioms)
 from mvsr.tensor import enumerate_modules
-
-
-@pytest.fixture
-def boolean():
-    return boolean_semiring()
-
-
-@pytest.fixture
-def three():
-    return reduct_vee_odot(lukasiewicz_chain(3))
 
 
 def mk(s, rows):
@@ -98,20 +89,13 @@ def _idempotent_matrices_by_loop(s, n):
     return tuple(out)
 
 
-# breaks the semiring laws: zero is no additive identity and addition
-# does not commute
-LAWLESS = FiniteSemiring(3, ((0, 2, 2), (1, 1, 0), (0, 2, 0)),
-                         ((0, 0, 0), (2, 2, 2), (1, 2, 2)), 1, 2)
-
-
 @pytest.mark.parametrize("name,n_top", [("boolean", 3), ("three", 2),
                                         ("square", 2), ("lawless", 2)])
 def test_idempotent_matrices_match_the_loop(name, n_top):
     s = {"boolean": boolean_semiring(),
-         "three": reduct_vee_odot(lukasiewicz_chain(3)),
-         "square": reduct_vee_odot(mv_product(lukasiewicz_chain(2),
-                                              lukasiewicz_chain(2))),
-         "lawless": LAWLESS}[name]
+         "three": corpus.chain(3),
+         "square": corpus.square(),
+         "lawless": corpus.lawless_semiring()}[name]
     for n in range(n_top + 1):
         assert idempotent_matrices(s, n) == _idempotent_matrices_by_loop(s, n)
 
@@ -142,9 +126,8 @@ def _idempotent_matrices_by_decoder(s, n, chunk=1 << 15):
 def test_idempotent_matrices_match_the_decoder():
     """The same matrices in the same order on c2 to c7 and c2 x c2 at
     n <= 2, and across chunk edges on the three-chain at n = 2."""
-    scalars = [reduct_vee_odot(lukasiewicz_chain(k)) for k in range(2, 8)]
-    scalars += [reduct_vee_odot(mv_product(lukasiewicz_chain(2),
-                                           lukasiewicz_chain(2)))]
+    scalars = [corpus.chain(k) for k in range(2, 8)]
+    scalars += [corpus.square()]
     for s in scalars:
         for n in range(3):
             assert idempotent_matrices(s, n) == \
@@ -162,9 +145,8 @@ LAWLESS_B = FiniteSemiring(2, ((0, 0), (1, 1)), ((1, 0), (0, 1)), 0, 1)
 
 SMALL = {
     "B": boolean_semiring,
-    "c3": lambda: reduct_vee_odot(lukasiewicz_chain(3)),
-    "c2xc2": lambda: reduct_vee_odot(mv_product(lukasiewicz_chain(2),
-                                                lukasiewicz_chain(2))),
+    "c3": lambda: corpus.chain(3),
+    "c2xc2": corpus.square,
     "lawless-a": lambda: LAWLESS_A,
     "lawless-b": lambda: LAWLESS_B,
 }
@@ -173,10 +155,7 @@ SMALL = {
 def _two_element_tables(count):
     """Seeded random two-element tables, most of them lawless."""
     rng = random.Random(0)
-    return [FiniteSemiring(2, *(tuple(tuple(rng.randrange(2) for _ in "ab")
-                                      for _ in "ab") for _ in "+*"),
-                           rng.randrange(2), rng.randrange(2))
-            for _ in range(count)]
+    return [corpus.drawn_semiring(rng, 2) for _ in range(count)]
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -229,7 +208,7 @@ def test_right_action_is_diagrammatic(three):
 
 @pytest.mark.parametrize("k,n", [(2, 2), (3, 2)])
 def test_eta_bijective(k, n):
-    s = reduct_vee_odot(lukasiewicz_chain(k))
+    s = corpus.chain(k)
     result = eta(s, n)
     assert result.bijective
     assert result.counts[0] == result.counts[1] == s.size ** (n * n)
@@ -258,9 +237,8 @@ def test_hom_from_matrix_refuses_other_scalars(three):
     (0, 0, 2, 2), a hom that validates; over B its entry is no scalar.
     Both are refused, and so is a target over other scalars than the
     source."""
-    c4 = reduct_vee_odot(lukasiewicz_chain(4))
-    square = reduct_vee_odot(mv_product(lukasiewicz_chain(2),
-                                        lukasiewicz_chain(2)))
+    c4 = corpus.chain(4)
+    square = corpus.square()
     k = mk(c4, [[2]])
     for s in (square, boolean_semiring()):
         free = free_semimodule(s, ["x"])
@@ -474,7 +452,8 @@ def test_sampled_reports_are_pinned():
     table whose failures are counted, pinned by digest."""
     for s, digest in ((SMALL["c3"](),
                        "db6a98c8b92bd60c7cb683b67b9dfd7b6f1dc308"),
-                      (LAWLESS, "b7f0889b05bf1f757769d07deace4816f8fd684d")):
+                      (corpus.lawless_semiring(),
+                       "b7f0889b05bf1f757769d07deace4816f8fd684d")):
         reports = [matrix_law_report(s, 3, samples=40, seed=seed)
                    for seed in range(10)]
         assert hashlib.sha1(canonical_dumps(reports).encode()).hexdigest() \

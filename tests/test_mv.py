@@ -25,18 +25,13 @@ from mvsr.tropical import (DEN_LCM, TOP, Trop, TropicalUSemifield,
                            sample_trop, scaled_sampler, trop, trop_meet,
                            trop_prod)
 
+import corpus
 from closed_scans import ideals_by_scan, is_ideal_by_loop
 
 
 @pytest.fixture
 def chain3():
     return lukasiewicz_chain(3)
-
-
-@pytest.fixture
-def square():
-    l2 = lukasiewicz_chain(2)
-    return mv_product(l2, l2)
 
 
 def test_chain_labels_are_fractions():
@@ -160,9 +155,8 @@ def test_ideals_match_the_scan_on_lawless_tables():
     rng = random.Random(25)
     for _ in range(300):
         n = rng.randint(1, 6)
-        a = MvAlgebra(n, [[rng.randrange(n) for _ in range(n)]
-                          for _ in range(n)],
-                      [rng.randrange(n) for _ in range(n)], rng.randrange(n))
+        a = MvAlgebra(n, corpus.drawn_table(rng, n, n, n),
+                      corpus.drawn_table(rng, 1, n, n)[0], rng.randrange(n))
         assert ideals(a) == ideals_by_scan(a)
 
 
@@ -174,9 +168,8 @@ def test_is_ideal_matches_the_loop_on_every_subset():
     tables = []
     for _ in range(300):
         n = rng.randint(1, 5)
-        tables.append(MvAlgebra(n, [[rng.randrange(n) for _ in range(n)]
-                                    for _ in range(n)],
-                                [rng.randrange(n) for _ in range(n)],
+        tables.append(MvAlgebra(n, corpus.drawn_table(rng, n, n, n),
+                                corpus.drawn_table(rng, 1, n, n)[0],
                                 rng.randrange(n)))
     tables += [lukasiewicz_chain(k) for k in range(2, 7)]
     tables += [_products()[0], _products()[2]]

@@ -9,7 +9,7 @@ from mvsr.errors import (EnumGuard, NotAHom, NotCyclic, ScalarMismatch,
                          SizeGuard)
 from mvsr.matrix import (SemiringMatrix, _idempotent_stack,
                          idempotent_matrices, mat_identity, mat_zero)
-from mvsr.mv import lukasiewicz_chain, mv_product, reduct_vee_odot
+from mvsr.mv import lukasiewicz_chain, reduct_vee_odot
 from mvsr.projective import (ProjectivePresentation, all_subsemimodules,
                              are_isomorphic, block_diag, canonical_form,
                              cyclic_mv_trichotomy, direct_sum,
@@ -19,23 +19,13 @@ from mvsr.semimodule import (FiniteSemimodule, SemimoduleHom, Subsemimodule,
                              check_semimodule, free_semimodule, generate,
                              hom_set, minimal_generating_set,
                              module_over_self, trivial_module)
-from mvsr.semiring import (FiniteSemiring, boolean_semiring,
-                           is_additively_idempotent)
+from mvsr.semiring import boolean_semiring, is_additively_idempotent
 from mvsr.tensor import enumerate_modules
 
+import corpus
 from capped import run_capped
 from closed_scans import subsemimodules_by_scan
 from folds import is_idempotent_by_loop
-
-
-@pytest.fixture
-def boolean():
-    return boolean_semiring()
-
-
-@pytest.fixture
-def three():
-    return reduct_vee_odot(lukasiewicz_chain(3))
 
 
 def test_row_space_of_identity_is_free(boolean):
@@ -49,18 +39,12 @@ def test_row_space_of_zero_is_trivial(boolean):
     assert row_space(mat_zero(boolean, 2, 2)).size == 1
 
 
-def _row_space_in_the_free_module(u):
-    """The whole free module on u.cols points, then the span of the rows."""
-    free = free_semimodule(u.scalars, [str(j) for j in range(u.cols)])
-    return generate(free, [free.index(row) for row in u.entries])
-
-
 def test_row_space_matches_the_span_in_the_free_module(three):
     """Same members, tables, zero and labels on every idempotent of the
     three-chain up to size 3, the empty matrix included."""
     for n in range(4):
         for u in idempotent_matrices(three, n):
-            assert row_space(u) == _row_space_in_the_free_module(u)
+            assert row_space(u) == corpus.row_space_in_the_free_module(u)
 
 
 def test_row_space_matches_the_span_over_arbitrary_tables():
@@ -69,15 +53,12 @@ def test_row_space_matches_the_span_over_arbitrary_tables():
     orders and under every scalar."""
     rng = random.Random(0)
     for _ in range(60):
-        s = FiniteSemiring(3, *(tuple(tuple(rng.randrange(3) for _ in "abc")
-                                      for _ in "abc") for _ in "+*"),
-                           rng.randrange(3), rng.randrange(3))
+        s = corpus.drawn_semiring(rng, 3)
         for _ in range(10):
             rows, cols = rng.randrange(4), rng.randrange(4)
-            u = SemiringMatrix(s, rows, cols, tuple(
-                tuple(rng.randrange(3) for _ in range(cols))
-                for _ in range(rows)))
-            assert row_space(u) == _row_space_in_the_free_module(u)
+            u = SemiringMatrix(s, rows, cols,
+                               corpus.drawn_table(rng, rows, cols, 3))
+            assert row_space(u) == corpus.row_space_in_the_free_module(u)
 
 
 def _row_tables_by_weights(u, members):
@@ -103,8 +84,8 @@ def test_row_space_matches_the_tables_by_weights():
     """The row space and the tables _table_form reads are those of u's own
     place values, on every idempotent of size at most 2 over c2 to c7 and
     c2 x c2."""
-    scalars = [reduct_vee_odot(lukasiewicz_chain(k)) for k in range(2, 8)]
-    for s in scalars + [_square()]:
+    scalars = [corpus.chain(k) for k in range(2, 8)]
+    for s in scalars + [corpus.square()]:
         for n in range(3):
             for u in idempotent_matrices(s, n):
                 members = projective._row_span(u, MAX_CARRIER)
@@ -126,16 +107,9 @@ def test_row_space_guard(three):
         row_space(mat_identity(three, 8), max_carrier=100)
 
 
-def _spans_by_closure(s, us):
-    """The closure's members for each matrix of the stack us."""
-    _, rows, cols = us.shape
-    return [projective._row_span(SemiringMatrix(s, rows, cols, u),
-                                 MAX_CARRIER) for u in us.tolist()]
-
-
 def _assert_sweep_is_the_closure(s, us):
     got = projective._row_spans(s, us, MAX_CARRIER)
-    want = _spans_by_closure(s, us)
+    want = corpus.spans_by_closure(s, us)
     assert len(got) == len(want) == len(us)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
@@ -144,9 +118,9 @@ def _assert_sweep_is_the_closure(s, us):
 def test_sweep_matches_the_closure_on_every_idempotent():
     """Every idempotent of c2 to c7 at n <= 2, and of c2 to c4 and c2 x c2
     at n = 3, each size as one stack."""
-    chains = {k: reduct_vee_odot(lukasiewicz_chain(k)) for k in range(2, 8)}
+    chains = {k: corpus.chain(k) for k in range(2, 8)}
     cases = [(s, n) for s in chains.values() for n in (1, 2)]
-    cases += [(chains[k], 3) for k in (2, 3, 4)] + [(_square(), 3)]
+    cases += [(chains[k], 3) for k in (2, 3, 4)] + [(corpus.square(), 3)]
     counted = 0
     for s, n in cases:
         us = _idempotent_stack(s, n, 10 ** 7)
@@ -158,7 +132,7 @@ def test_sweep_matches_the_closure_on_every_idempotent():
 def test_sweep_matches_the_closure_without_idempotent_addition():
     """The two-element field and Z/3 keep the laws, so they take the sweep
     though they have no canonical forms."""
-    for s in (_two_element_field(), _z3()):
+    for s in (corpus.two_element_field(), corpus.z3()):
         assert projective._lawful(s) and not projective._has_forms(s)
         for n in (1, 2, 3):
             _assert_sweep_is_the_closure(s, _idempotent_stack(s, n, 10 ** 7))
@@ -169,8 +143,8 @@ def test_sweep_matches_the_closure_on_every_shape(monkeypatch):
     ones included, over lawful scalars, with chunks of one matrix and of a
     few coefficient vectors."""
     rng = random.Random(1)
-    scalars = [boolean_semiring(), reduct_vee_odot(lukasiewicz_chain(3)),
-               _square(), _two_element_field(), _z3()]
+    scalars = [boolean_semiring(), corpus.chain(3),
+               corpus.square(), corpus.two_element_field(), corpus.z3()]
     for chunk in (semiring._CHUNK_ELEMENTS, 5):
         monkeypatch.setattr(semiring, "_CHUNK_ELEMENTS", chunk)
         for _ in range(40):
@@ -199,16 +173,13 @@ def test_lawless_scalars_take_the_closure(monkeypatch):
     rng = random.Random(2)
     tried = 0
     while tried < 20:
-        s = FiniteSemiring(3, *(tuple(tuple(rng.randrange(3) for _ in "abc")
-                                      for _ in "abc") for _ in "+*"),
-                           rng.randrange(3), rng.randrange(3))
+        s = corpus.drawn_semiring(rng, 3)
         if projective._lawful(s):
             continue
         tried += 1
         for n in (1, 2):
-            u = SemiringMatrix(s, n, n, tuple(
-                tuple(rng.randrange(3) for _ in range(n)) for _ in range(n)))
-            assert row_space(u) == _row_space_in_the_free_module(u)
+            u = SemiringMatrix(s, n, n, corpus.drawn_table(rng, n, n, 3))
+            assert row_space(u) == corpus.row_space_in_the_free_module(u)
 
 
 def test_row_space_of_the_12_by_12_identity_in_bounded_memory():
@@ -258,7 +229,7 @@ def test_trivial_module_is_projective(three):
 def test_five_chain_interval_not_projective():
     """The lower three-point interval of the five-chain is cyclic but
     admits neither a section nor an idempotent presentation."""
-    scal = reduct_vee_odot(lukasiewicz_chain(5))
+    scal = corpus.chain(5)
     interval = generate(module_over_self(scal), (2,))
     assert interval.size == 3
     assert is_projective_retract_oracle(interval, n=2) is None
@@ -305,12 +276,6 @@ def _boolean_modules():
     return enumerate_modules(boolean_semiring(), 4)
 
 
-def _three_chain_row_spaces():
-    three = reduct_vee_odot(lukasiewicz_chain(3))
-    return [row_space(u) for n in (1, 2)
-            for u in idempotent_matrices(three, n)]
-
-
 def _retract_by_hom_set(m, n):
     """Every hom into the canonical cover first, then the first section."""
     gens = minimal_generating_set(m)
@@ -322,8 +287,9 @@ def _retract_by_hom_set(m, n):
     return None
 
 
-@pytest.mark.parametrize("family", [_boolean_modules, _three_chain_row_spaces],
-                         ids=["boolean-modules", "three-chain-row-spaces"])
+@pytest.mark.parametrize("family", [
+    _boolean_modules, lambda: corpus.row_spaces(corpus.chain(3)),
+], ids=["boolean-modules", "three-chain-row-spaces"])
 def test_iter_homs_and_are_isomorphic_match_the_hom_set(family):
     """On every ordered pair of the family, the homs a hom set yields are
     its rows, and are_isomorphic returns the hom the full hom-set search
@@ -355,7 +321,7 @@ def test_iter_homs_and_are_isomorphic_match_the_hom_set(family):
 def test_are_isomorphic_checks_the_scalars_before_the_sizes(boolean, three):
     """Modules over different scalars raise whether or not their sizes
     match."""
-    four = reduct_vee_odot(lukasiewicz_chain(4))
+    four = corpus.chain(4)
     with pytest.raises(ScalarMismatch):
         are_isomorphic(module_over_self(three), module_over_self(boolean))
     with pytest.raises(ScalarMismatch):
@@ -365,32 +331,11 @@ def test_are_isomorphic_checks_the_scalars_before_the_sizes(boolean, three):
         are_isomorphic(module_over_self(four), module_over_self(boolean))
 
 
-def _relabelled(m, perm):
-    """m carried along the bijection x -> perm[x]."""
-    inv = [0] * m.size
-    for x, p in enumerate(perm):
-        inv[p] = x
-    add = tuple(tuple(perm[m.add[inv[p]][inv[q]]] for q in range(m.size))
-                for p in range(m.size))
-    action = tuple(tuple(perm[row[inv[p]]] for p in range(m.size))
-                   for row in m.action)
-    return FiniteSemimodule(m.scalars, m.size, add, perm[m.zero], action)
-
-
-def _square():
-    return reduct_vee_odot(mv_product(lukasiewicz_chain(2),
-                                      lukasiewicz_chain(2)))
-
-
-def _row_spaces(s):
-    return [row_space(u) for n in (1, 2) for u in idempotent_matrices(s, n)]
-
-
 @pytest.mark.parametrize("family", [
     lambda: enumerate_modules(boolean_semiring(), 5),
-    lambda: _row_spaces(reduct_vee_odot(lukasiewicz_chain(3))),
-    lambda: _row_spaces(reduct_vee_odot(lukasiewicz_chain(4))),
-    lambda: _row_spaces(_square()),
+    lambda: corpus.row_spaces(corpus.chain(3)),
+    lambda: corpus.row_spaces(corpus.chain(4)),
+    lambda: corpus.row_spaces(corpus.square()),
 ], ids=["boolean-modules-5", "three-chain-row-spaces",
         "four-chain-row-spaces", "square-row-spaces"])
 def test_canonical_forms_partition_like_are_isomorphic(family):
@@ -406,7 +351,7 @@ def test_canonical_forms_partition_like_are_isomorphic(family):
         assert are_isomorphic(rep, m) is not None
         perm = list(range(m.size))
         rng.shuffle(perm)
-        relabelled = _relabelled(m, perm)
+        relabelled = corpus.relabelled(m, perm)
         assert are_isomorphic(m, relabelled) is not None
         assert canonical_form(relabelled) == form
     reps = list(reps.values())
@@ -429,12 +374,12 @@ def test_canonical_form_guard(boolean):
 def test_canonical_form_codes_past_64_join_irreducibles():
     """The 70-chain acting on itself has 69 join-irreducibles, so its codes
     need more than 64 bits; they stay distinct and survive relabelling."""
-    m = module_over_self(reduct_vee_odot(lukasiewicz_chain(70)))
+    m = module_over_self(corpus.chain(70))
     form = canonical_form(m)
     assert len(set(form[0])) == m.size
     perm = list(range(m.size))
     random.Random(0).shuffle(perm)
-    assert canonical_form(_relabelled(m, perm)) == form
+    assert canonical_form(corpus.relabelled(m, perm)) == form
 
 
 def test_direct_sum_structure_maps(boolean):
@@ -513,24 +458,17 @@ def test_subsemimodules_match_the_scan_on_small_modules(boolean):
     assert len(subs) == 61 and subs == subsemimodules_by_scan(free3)
 
 
-def _random_table(rng, rows, cols, bound):
-    return tuple(tuple(rng.randrange(bound) for _ in range(cols))
-                 for _ in range(rows))
-
-
 def test_subsemimodules_match_the_scan_on_lawless_modules():
     """The span closure is a closure on any tables, so the sweep finds
     the scan's sets on modules that break every law too."""
     rng = random.Random(25)
     for _ in range(300):
         k, n = rng.randint(1, 3), rng.randint(1, 6)
-        s = FiniteSemiring(k, _random_table(rng, k, k, k),
-                           _random_table(rng, k, k, k), rng.randrange(k),
-                           rng.randrange(k))
+        s = corpus.drawn_semiring(rng, k)
         m = FiniteSemimodule(scalars=s, size=n,
-                             add=_random_table(rng, n, n, n),
+                             add=corpus.drawn_table(rng, n, n, n),
                              zero=rng.randrange(n),
-                             action=_random_table(rng, k, n, n))
+                             action=corpus.drawn_table(rng, k, n, n))
         assert all_subsemimodules(m) == subsemimodules_by_scan(m)
 
 
@@ -550,13 +488,13 @@ def test_subsemimodules_of_a_long_chain_are_its_down_sets(k):
     """Over the k-chain acting on itself by product, a subsemimodule that
     holds x holds every a * x, which is everything below x: the k down-sets,
     where the scan would close 2^k subsets."""
-    self_mod = module_over_self(reduct_vee_odot(lukasiewicz_chain(k)))
+    self_mod = module_over_self(corpus.chain(k))
     assert all_subsemimodules(self_mod) == tuple(tuple(range(j + 1))
                                                  for j in range(k))
 
 
 def test_trichotomy_on_the_boolean_square():
-    square = mv_product(lukasiewicz_chain(2), lukasiewicz_chain(2))
+    square = corpus.c2xc2()
     scal = reduct_vee_odot(square)
     self_mod = module_over_self(scal)
     for a in range(square.size):
@@ -572,7 +510,7 @@ def test_trichotomy_on_the_boolean_square():
 
 
 def test_trichotomy_complement_splits_the_algebra():
-    square = mv_product(lukasiewicz_chain(2), lukasiewicz_chain(2))
+    square = corpus.c2xc2()
     scal = reduct_vee_odot(square)
     m = generate(module_over_self(scal), (2,))
     res = cyclic_mv_trichotomy(square, m)
@@ -622,35 +560,15 @@ def _matrix_criterion_by_row_space(m, n):
     return None
 
 
-def _two_element_field():
-    return FiniteSemiring(2, ((0, 1), (1, 0)), ((0, 0), (0, 1)), 0, 1)
-
-
-def _z3():
-    return FiniteSemiring(3, tuple(tuple((a + b) % 3 for b in range(3))
-                                   for a in range(3)),
-                          tuple(tuple(a * b % 3 for b in range(3))
-                                for a in range(3)), 0, 1)
-
-
-def _lawless_tables():
-    """x + x = 0 with 1 + 1 = 1 on two elements, and the three-chain with
-    2 + 1 = 0, over the boolean semiring."""
-    boolean = boolean_semiring()
-    return [FiniteSemimodule(boolean, 2, ((0, 1), (1, 0)), 0,
-                             ((0, 0), (0, 1))),
-            FiniteSemimodule(boolean, 3, ((0, 1, 2), (1, 1, 2), (2, 0, 2)),
-                             0, ((0, 0, 0), (0, 1, 2)))]
-
-
 def _decider_cases():
     """(module, n): the row space of every idempotent of size 1 and 2
     over c2, c3, c4 and c2 x c2, over the two-element field and over Z/3,
     each at n = 1 and 2, and the two lawless tables."""
-    scalars = [reduct_vee_odot(lukasiewicz_chain(k)) for k in (2, 3, 4)]
-    scalars += [_square(), _two_element_field(), _z3()]
-    cases = [(m, n) for s in scalars for m in _row_spaces(s) for n in (1, 2)]
-    return cases + [(m, n) for m in _lawless_tables() for n in (1, 2)]
+    scalars = [corpus.chain(k) for k in (2, 3, 4)]
+    scalars += [corpus.square(), corpus.two_element_field(), corpus.z3()]
+    cases = [(m, n) for s in scalars for m in corpus.row_spaces(s)
+             for n in (1, 2)]
+    return cases + [(m, n) for m in corpus.lawless_modules() for n in (1, 2)]
 
 
 def test_matrix_criterion_matches_the_row_space_loop():
@@ -673,7 +591,7 @@ def test_matrix_criterion_finds_the_same_matrix_among_every_idempotent(
     """The first match among the orbit minima is the first among every
     idempotent, on every module the deciders are tested on, while fewer
     matrices are swept."""
-    three = reduct_vee_odot(lukasiewicz_chain(3))
+    three = corpus.chain(3)
     boolean = boolean_semiring()
     cases = _decider_cases() + [
         (module_over_self(three), 1), (trivial_module(three), 0),

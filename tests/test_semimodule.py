@@ -7,10 +7,9 @@ import pytest
 
 import mvsr.semimodule
 import mvsr.semiring
-from mvsr.errors import (EnumGuard, IllDefinedAction, MalformedTable,
-                         NotAHom, ScalarMismatch)
-from mvsr.mv import (lukasiewicz_chain, mv_product, quotient, reduct_vee_odot,
-                     reduct_wedge_oplus, star_reduct_isomorphism)
+from mvsr.errors import EnumGuard, MalformedTable, NotAHom, ScalarMismatch
+from mvsr.mv import (lukasiewicz_chain, reduct_vee_odot, reduct_wedge_oplus,
+                     star_reduct_isomorphism)
 from mvsr.semimodule import (FiniteSemimodule, FreeSemimodule,
                              SemimoduleHom,
                              _derivation, _first_broken_law,
@@ -22,27 +21,16 @@ from mvsr.semimodule import (FiniteSemimodule, FreeSemimodule,
                              is_strong, minimal_generating_set,
                              module_over_self, quotient_module_from_ideal,
                              restrict_scalars, trivial_module, xi_embedding)
-from mvsr.matrix import idempotent_matrices
-from mvsr.projective import row_space
-from mvsr.semiring import (FiniteSemiring, SemiringHom, boolean_semiring,
+from mvsr.semiring import (FiniteSemiring, boolean_semiring,
                            check_semiring_axioms, opposite_semiring,
                            same_scalars)
 from mvsr.tensor import (_commutative_monoid_tables, _monoid_homs,
                          as_module, enumerate_modules, full_embedding_check,
                          tensor_product)
 
+import corpus
 from capped import run_capped
 from folds import hom_rows_by_product
-
-
-@pytest.fixture
-def boolean():
-    return boolean_semiring()
-
-
-@pytest.fixture
-def three():
-    return reduct_vee_odot(lukasiewicz_chain(3))
 
 
 def diamond(scalars, middle_row):
@@ -50,10 +38,10 @@ def diamond(scalars, middle_row):
 
     The middle scalar's action row is the experiment knob; the zero and one
     rows are forced."""
-    add = ((0, 1, 2, 3), (1, 1, 3, 3), (2, 3, 2, 3), (3, 3, 3, 3))
     action = ((0, 0, 0, 0), tuple(middle_row), (0, 1, 2, 3))
-    return FiniteSemimodule(scalars=scalars, size=4, add=add, zero=0,
-                            action=action, labels=("0", "p", "q", "t"))
+    return FiniteSemimodule(scalars=scalars, size=4, add=corpus.DIAMOND,
+                            zero=0, action=action,
+                            labels=("0", "p", "q", "t"))
 
 
 def test_module_over_self_valid(three):
@@ -121,12 +109,8 @@ def test_law_check_stops_at_the_first_broken_law(boolean, three,
             m for t, m in tried if t is s and check_semimodule(s, m).valid)
     tables = tried + [(three, diamond(three, row))
                       for row in itertools.product(range(4), repeat=4)]
-    tables += [(boolean, m) for m in _lawless_targets(boolean)]
-    tables += [(boolean, FiniteSemimodule(boolean, 2, ((0, 1), (1, 0)), 0,
-                                          ((0, 0), (0, 1)))),
-               (boolean, FiniteSemimodule(boolean, 3,
-                                          ((0, 1, 2), (1, 1, 2), (2, 0, 2)),
-                                          0, ((0, 0, 0), (0, 1, 2))))]
+    tables += [(boolean, m) for m in _diamonds_with_every_unit_row(boolean)]
+    tables += [(boolean, m) for m in corpus.lawless_modules()]
     chain = ((0, 1), (1, 1))
     single = [(boolean, FiniteSemimodule(boolean, 2, chain, 0, action))
               for action in (((0, 1), (0, 1)), ((0, 0), (0, 0)))]
@@ -209,25 +193,20 @@ def _free_semimodule_by_dict(s, points):
 
 
 def _lawless_scalars():
-    """As scalars, the additions of the two lawless modules of
-    test_grothendieck: xor on two elements, with 1 + 1 = 0, and the
-    three-chain with 2 + 1 = 0, each with the chain's product; and a
-    three-element table whose zero is no additive identity and whose
-    addition does not commute."""
-    return [FiniteSemiring(2, ((0, 1), (1, 0)), ((0, 0), (0, 1)), 0, 1),
+    """As scalars, the additions of corpus.lawless_modules: xor on two
+    elements, with 1 + 1 = 0, and the three-chain with 2 + 1 = 0, each
+    with the chain's product; and corpus.lawless_semiring."""
+    return [corpus.two_element_field(),
             FiniteSemiring(3, ((0, 1, 2), (1, 1, 2), (2, 0, 2)),
                            ((0, 0, 0), (0, 1, 1), (0, 1, 2)), 0, 2),
-            FiniteSemiring(3, ((0, 2, 2), (1, 1, 0), (0, 2, 0)),
-                           ((0, 0, 0), (2, 2, 2), (1, 2, 2)), 1, 2)]
+            corpus.lawless_semiring()]
 
 
 def test_free_module_matches_the_dict_build(boolean):
     """Equal tables, zero, labels, points and basis on B, c2 to c5 and
     c2 x c2 and on the lawless tables, on zero to three points."""
-    scalars = [boolean] + [reduct_vee_odot(lukasiewicz_chain(k))
-                           for k in range(2, 6)]
-    scalars += [reduct_vee_odot(mv_product(lukasiewicz_chain(2),
-                                           lukasiewicz_chain(2)))]
+    scalars = [boolean] + [corpus.chain(k) for k in range(2, 6)]
+    scalars += [corpus.square()]
     for s in scalars + _lawless_scalars():
         for count in range(4):
             points = [f"p{i}" for i in range(count)]
@@ -270,19 +249,11 @@ def _minimal_generating_set_by_restart(m):
 
 
 def test_minimal_generators_match_the_restarting_scan(boolean, three):
-    square = reduct_vee_odot(mv_product(lukasiewicz_chain(2),
-                                        lukasiewicz_chain(2)))
-    four = reduct_vee_odot(lukasiewicz_chain(4))
-    z3 = FiniteSemiring(3, tuple(tuple((a + b) % 3 for b in range(3))
-                                 for a in range(3)),
-                        tuple(tuple(a * b % 3 for b in range(3))
-                              for a in range(3)), 0, 1)
+    square, four, z3 = corpus.square(), corpus.chain(4), corpus.z3()
     modules = list(enumerate_modules(boolean, 5))
     modules += enumerate_modules(three, 4) + enumerate_modules(square, 3)
     for s in (three, four, square):
-        for n in (1, 2):
-            for u in idempotent_matrices(s, n):
-                modules.append(row_space(u))
+        modules += corpus.row_spaces(s)
     for s, names in ((boolean, "xyz"), (three, "xy"), (square, "xy"),
                      (z3, "xy")):
         modules += [free_semimodule(s, names[:k])
@@ -449,23 +420,6 @@ def _iter_homs_by_assignment(m, n):
             yield tuple(img)
 
 
-def _scalar_maps():
-    """The five onto scalar maps of the change-of-scalars benchmark: both
-    projections of c2 x c2 onto c2, c2 x c2 onto its quotient by (0, 1), and
-    the projections of c2 x c3 onto c3 and onto c2."""
-    c2, c3 = lukasiewicz_chain(2), lukasiewicz_chain(3)
-    square, wide = mv_product(c2, c2), mv_product(c2, c3)
-    sq, wd = reduct_vee_odot(square), reduct_vee_odot(wide)
-    boolean, chain3 = reduct_vee_odot(c2), reduct_vee_odot(c3)
-    toward = quotient(square, (0, 1))
-    return (SemiringHom(sq, boolean, (0, 0, 1, 1)),
-            SemiringHom(sq, boolean, (0, 1, 0, 1)),
-            SemiringHom(sq, reduct_vee_odot(toward.algebra),
-                        toward.hom.mapping),
-            SemiringHom(wd, chain3, (0, 1, 2, 0, 1, 2)),
-            SemiringHom(wd, boolean, (0, 0, 0, 1, 1, 1)))
-
-
 def _homs_match_the_assignment_scan(pairs):
     """The rows of each hom set, and the homs it yields, are the scan's."""
     kept = 0
@@ -489,7 +443,7 @@ def test_iter_homs_matches_the_assignment_scan(boolean, three):
 
 def test_iter_homs_matches_the_assignment_scan_on_restrictions():
     pairs = []
-    for h in _scalar_maps():
+    for h in corpus.scalar_maps():
         restricted = [restrict_scalars(h, mb)
                       for mb in enumerate_modules(h.target, 4)]
         pairs += [(m, n) for m in restricted for n in restricted]
@@ -516,13 +470,12 @@ def test_trusted_modules_are_the_checked_ones(monkeypatch, boolean):
     c3 = lukasiewicz_chain(3)
 
     def results():
-        out = [full_embedding_check(h, size_bound=4) for h in _scalar_maps()]
+        out = [full_embedding_check(h, size_bound=4)
+               for h in corpus.scalar_maps()]
         out += [enumerate_modules(boolean, 5)]
         out += [enumerate_modules(r(c3), 4)
                 for r in (reduct_vee_odot, reduct_wedge_oplus)]
-        small = enumerate_modules(boolean, 4)
-        pairs = [(m, n) for m in small for n in small
-                 if m.size * n.size <= 12]
+        pairs = corpus.tensor_pairs()
         assert len(pairs) == 88
         out += [as_module(tensor_product(m, n)) for m, n in pairs]
         return out
@@ -549,32 +502,6 @@ def test_trusted_modules_are_the_checked_ones(monkeypatch, boolean):
     assert min(sites.values()) >= 89, sites
 
 
-def _lattice_module(s, below):
-    """The lattice over s whose element x lies above those in below[x],
-    bottom 0, with scalar 0 acting as zero and scalar 1 as the identity."""
-    n = len(below)
-    down = [{x} for x in range(n)]
-    for x in range(n):
-        for y in below[x]:
-            down[x] |= down[y]
-    join = [[min((z for z in range(n) if down[x] | down[y] <= down[z]),
-                 key=lambda z: len(down[z])) for y in range(n)]
-            for x in range(n)]
-    return FiniteSemimodule(s, n, join, 0, ((0,) * n, tuple(range(n))))
-
-
-def _drawn_module(rng, s):
-    """A module over s of one to four elements with drawn addition, zero
-    and action rows: most break some module law."""
-    size = rng.randint(1, 4)
-
-    def table(rows):
-        return tuple(tuple(rng.randrange(size) for _ in range(size))
-                     for _ in range(rows))
-    return FiniteSemimodule(s, size, table(size), rng.randrange(size),
-                            table(s.size))
-
-
 def _rows_match_the_product(pairs):
     """Each hom set's rows are the product oracle's, in order; returns how
     many hom sets were empty."""
@@ -597,7 +524,7 @@ def test_hom_set_rows_match_the_product(boolean, three):
         modules = enumerate_modules(s, bound)
         pairs += [(m, n) for m in modules for n in modules]
     on_b = [free_semimodule(boolean, "xy")]
-    on_b += [_lattice_module(boolean, below) for below in (
+    on_b += [corpus.lattice_module(boolean, below) for below in (
         [[], [0], [1]], [[], [0], [1], [0], [2, 3]],
         [[], [0], [0], [0], [1, 2, 3]])]
     on_c3 = [module_over_self(three), free_semimodule(three, "xy"),
@@ -617,7 +544,7 @@ def test_hom_set_rows_match_the_product_on_lawless_modules(boolean, three):
     pairs = []
     for _ in range(100):
         s = rng.choice((boolean, three))
-        m, n = _drawn_module(rng, s), _drawn_module(rng, s)
+        m, n = corpus.drawn_module(rng, s, 4), corpus.drawn_module(rng, s, 4)
         other = rng.choice(lawful[s])
         pairs += [(m, n), (n, m), (m, other), (other, n)]
     assert _rows_match_the_product(pairs) > 0
@@ -718,14 +645,9 @@ def _hom_tables_by_dict(hs):
     return zero, add, action, labels
 
 
-def _square():
-    return reduct_vee_odot(mv_product(lukasiewicz_chain(2),
-                                      lukasiewicz_chain(2)))
-
-
 @pytest.mark.parametrize("scalars,bound", [
-    (boolean_semiring, 4), (lambda: reduct_vee_odot(lukasiewicz_chain(3)), 3),
-    (_square, 3)], ids=["boolean", "three-chain", "square"])
+    (boolean_semiring, 4), (lambda: corpus.chain(3), 3),
+    (corpus.square, 3)], ids=["boolean", "three-chain", "square"])
 def test_hom_tables_match_the_mapping_dict(scalars, bound):
     """On every ordered pair of modules, the zero, sums, pointwise action
     and End product of the hom set are the dict lookups'."""
@@ -806,13 +728,13 @@ def test_endmv_agrees_with_strongness():
     assert not res.well_defined
     assert res.conflict is not None
     ok = endmv_check(lukasiewicz_chain(3),
-                     module_over_self(reduct_vee_odot(lukasiewicz_chain(3))))
+                     module_over_self(corpus.chain(3)))
     assert ok.well_defined and ok.image_valid
     assert ok.image_algebra.size == 3
 
 
 def test_quotient_module_strong():
-    square = mv_product(lukasiewicz_chain(2), lukasiewicz_chain(2))
+    square = corpus.c2xc2()
     res = quotient_module_from_ideal(square, (0, 1))
     assert res.module.size == 2
     assert check_semimodule(res.module.scalars, res.module).valid
@@ -870,21 +792,20 @@ def _free_universal_property_by_scan(f, m):
             "ok": existence == 0 and uniqueness == 0}
 
 
-def _lawless_targets(s):
-    """The join semilattice 0 < p, q < t with every unit row over s: most
-    break the unit law, so the extension of a point map can be a hom that
-    disagrees with the map on the basis."""
-    add = ((0, 1, 2, 3), (1, 1, 3, 3), (2, 3, 2, 3), (3, 3, 3, 3))
+def _diamonds_with_every_unit_row(s):
+    """The diamond with every unit row over s: most break the unit law, so
+    the extension of a point map can be a hom that disagrees with the map
+    on the basis."""
     for row in itertools.product(range(4), repeat=4):
         action = [(0, 0, 0, 0)] * s.size
         action[s.one] = row
-        yield FiniteSemimodule(scalars=s, size=4, add=add, zero=0,
+        yield FiniteSemimodule(scalars=s, size=4, add=corpus.DIAMOND, zero=0,
                                action=tuple(action))
 
 
 def test_free_universal_property_matches_the_scan(boolean, three):
     targets = [(boolean, m) for m in enumerate_modules(boolean, 4)]
-    targets += [(boolean, m) for m in _lawless_targets(boolean)]
+    targets += [(boolean, m) for m in _diamonds_with_every_unit_row(boolean)]
     targets += [(three, module_over_self(three)),
                 (three, diamond(three, (0, 1, 2, 3))),
                 (three, diamond(three, (0, 0, 2, 2)))]

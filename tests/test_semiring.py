@@ -7,6 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import corpus
 from closed_scans import (closed_sets_from_scratch, implication_closure,
                           step_in_congruence_order)
 from law_loops import (module_hom_broken_by_loop, module_report_by_loops,
@@ -27,11 +28,6 @@ from mvsr.semiring import (AxiomReport, FiniteSemiring, SemiringHom,
                            compose_homs, is_additively_idempotent,
                            natural_order, opposite_semiring, same_scalars)
 from mvsr.tensor import congruence_closure, enumerate_modules
-
-
-@pytest.fixture
-def boolean():
-    return boolean_semiring()
 
 
 def test_boolean_semiring_is_valid(boolean):
@@ -95,8 +91,7 @@ def test_natural_order_boolean(boolean):
 def test_additive_idempotence(boolean):
     assert is_additively_idempotent(boolean)
     # mod-2 addition is not idempotent
-    s = FiniteSemiring(2, ((0, 1), (1, 0)), ((0, 0), (0, 1)), 0, 1, None)
-    assert not is_additively_idempotent(s)
+    assert not is_additively_idempotent(corpus.two_element_field())
 
 
 def test_opposite_of_commutative_is_equal(boolean):
@@ -108,8 +103,7 @@ def test_opposite_of_commutative_is_equal(boolean):
 def test_opposite_transposes_the_product():
     """On a table whose product does not commute, and that breaks the
     laws, the opposite product is the transpose, entry by entry."""
-    s = FiniteSemiring(3, ((0, 2, 2), (1, 1, 0), (0, 2, 0)),
-                       ((0, 0, 0), (2, 2, 2), (1, 2, 2)), 1, 2)
+    s = corpus.lawless_semiring()
     opp = opposite_semiring(s)
     assert opp.mul == tuple(tuple(s.mul[b][a] for b in range(3))
                             for a in range(3))
@@ -322,7 +316,7 @@ def _every_sweep():
     module enumeration, the free universal property, module hom messages
     and the reports of lawless module tables."""
     rng = random.Random(32)
-    b, three = boolean_semiring(), reduct_vee_odot(lukasiewicz_chain(3))
+    b, three = boolean_semiring(), corpus.chain(3)
     out = {"idempotents": [idempotent_matrices(s, n)
                            for s, top in ((b, 3), (three, 2), (_LAWLESS, 2))
                            for n in range(top + 1)]}
@@ -585,7 +579,7 @@ def test_the_size_policy_splits_the_scans_by_entries(monkeypatch):
     """A scan runs in Python up to the bound and in numpy past it: the
     associativity of the 5-chain's sum reads 125 entries and takes the
     Python side at a bound of 125 and numpy at 124."""
-    t = reduct_vee_odot(lukasiewicz_chain(5)).add
+    t = corpus.chain(5).add
     calls = Counter()
     real = semiring._first_in_blocks
 

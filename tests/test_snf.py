@@ -1,36 +1,10 @@
-import itertools
-import math
 import random
 
 import pytest
 
 from mvsr.snf import (int_determinant, int_matrix_mul, smith_normal_form)
 
-
-def minors_gcd(rows, k):
-    """gcd of all k-by-k minors, the classical invariant."""
-    r, c = len(rows), len(rows[0])
-    g = 0
-    for ri in itertools.combinations(range(r), k):
-        for ci in itertools.combinations(range(c), k):
-            sub = [[rows[i][j] for j in ci] for i in ri]
-            g = math.gcd(g, abs(int_determinant(sub)))
-    return g
-
-
-def oracle_diagonal(rows):
-    """Invariant factors d_k = g_k / g_{k-1} straight from minor gcds."""
-    r, c = len(rows), len(rows[0])
-    out = []
-    prev = 1
-    for k in range(1, min(r, c) + 1):
-        g = minors_gcd(rows, k)
-        if g == 0:
-            break
-        out.append(g // prev)
-        prev = g
-    out.extend([0] * (min(r, c) - len(out)))
-    return tuple(out)
+import corpus
 
 
 def test_single_entries():
@@ -56,7 +30,7 @@ def test_textbook_three_by_three():
     snf = smith_normal_form(m)
     assert snf.diagonal == (2, 6, 12)
     assert snf.verify()
-    assert snf.diagonal == oracle_diagonal(m)
+    assert snf.diagonal == corpus.diagonal_by_minors(m)
 
 
 def test_rectangular_shapes():
@@ -108,7 +82,7 @@ def test_against_minor_oracle_seeded():
         m = [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]
         snf = smith_normal_form(m)
         assert snf.verify(), m
-        assert snf.diagonal == oracle_diagonal(m), m
+        assert snf.diagonal == corpus.diagonal_by_minors(m), m
 
 
 def test_divisibility_chain_on_random_factors():
@@ -118,3 +92,13 @@ def test_divisibility_chain_on_random_factors():
         factors = smith_normal_form(m).invariant_factors
         for a, b in zip(factors, factors[1:]):
             assert b % a == 0
+
+
+@pytest.mark.parametrize("rows", [[[1.5]], [[True]], [[2, "3"]], [[None]]],
+                         ids=["float", "bool", "str", "none"])
+def test_entries_that_are_not_integers_are_refused(rows):
+    """1.5 and True were read as 1 and "3" as 3, a wrong form with no
+    error, and None raised a bare TypeError."""
+    with pytest.raises(ValueError, match=r"^matrix entry=.* must be an "
+                                         r"integer$"):
+        smith_normal_form(rows)

@@ -15,13 +15,14 @@ import mvsr.tensor
 from mvsr.config import MAX_CARRIER
 from mvsr.errors import (EnumGuard, IllDefinedAction, MalformedTable, NotAHom,
                          NotIdempotent, NotOnto, ScalarMismatch, SizeGuard)
-from mvsr.grothendieck import (enumerate_projective_classes, k0_report,
+from mvsr.grothendieck import (AbelianGroupSNF, completion_from_triples,
+                               enumerate_projective_classes, k0_report,
                                k0_stability, zero_pad)
 from mvsr.jsonio import canonical_dumps, load_algebra, semiring_to_dict
 from mvsr.matrix import (SemiringMatrix, eta, idempotent_matrices,
                          matrix_law_report, matrix_semiring)
-from mvsr.mv import (gamma_chain, gamma_property_report, lukasiewicz_chain,
-                     mv_product, quotient, reduct_vee_odot,
+from mvsr.mv import (equation_holds, gamma_chain, gamma_property_report,
+                     lukasiewicz_chain, quotient, reduct_vee_odot,
                      reduct_wedge_oplus)
 from mvsr.projective import (are_isomorphic, is_projective_matrix_criterion,
                              is_projective_retract_oracle)
@@ -30,7 +31,8 @@ from mvsr.semimodule import (FiniteSemimodule,
                              free_semimodule, hom_set,
                              module_over_self, restrict_scalars,
                              trivial_module)
-from mvsr.semiring import FiniteSemiring, SemiringHom, boolean_semiring, fold
+from mvsr.semiring import (FiniteSemiring, SemiringHom, _members,
+                           boolean_semiring, fold)
 from mvsr.tensor import (SemilatticeCongruence, TensorProduct,
                          _commutative_monoid_tables,
                          _monoid_homs, adjunction_witness,
@@ -44,17 +46,13 @@ from mvsr.tensor import (SemilatticeCongruence, TensorProduct,
                          zeta_isomorphism)
 from mvsr.tropical import TropicalUSemifield, tropical_law_report
 
+import corpus
 from capped import run_capped
 from closed_scans import (closed_sets_from_scratch, implication_closure,
                           step_in_congruence_order)
 from folds import _hom_mask, hom_rows_by_product
 from quotient_folds import (generators_with_every_slide, join_table_by_folds,
                            scalar_structures_by_generators)
-
-
-@pytest.fixture
-def boolean():
-    return boolean_semiring()
 
 
 @pytest.fixture
@@ -68,10 +66,6 @@ def free2(boolean):
 
 
 # ----- congruence machinery -------------------------------------------------
-
-def _members(mask):
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
-
 
 def _classes(cong):
     """The class of every subset, mask by mask."""
@@ -238,31 +232,16 @@ def _agrees_with_union_find(cong):
         _congruence_by_union_find(cong.width, cong.generators)
 
 
-def test_closure_matches_union_find_on_tensors(boolean):
-    modules = enumerate_modules(boolean, 4)
-    pairs = [(m, n) for m in modules for n in modules
-             if m.size * n.size <= 12]
+def test_closure_matches_union_find_on_tensors():
+    pairs = corpus.tensor_pairs()
     assert len(pairs) == 88
     for m, n in pairs:
         assert _agrees_with_union_find(tensor_product(m, n).congruence)
 
 
-def _onto_maps():
-    """The first projection of c2 x c2 onto c2, the second, and the two
-    projections of c2 x c3; product elements (x, y) sit at x * |second| + y."""
-    c2, c3 = lukasiewicz_chain(2), lukasiewicz_chain(3)
-    square = reduct_vee_odot(mv_product(c2, c2))
-    wide = reduct_vee_odot(mv_product(c2, c3))
-    boolean, chain3 = reduct_vee_odot(c2), reduct_vee_odot(c3)
-    return (SemiringHom(square, boolean, (0, 0, 1, 1)),
-            SemiringHom(square, boolean, (0, 1, 0, 1)),
-            SemiringHom(wide, chain3, (0, 1, 2, 0, 1, 2)),
-            SemiringHom(wide, boolean, (0, 0, 0, 1, 1, 1)))
-
-
 def test_closure_matches_union_find_on_scalar_extensions():
     checked = 0
-    for h in _onto_maps():
+    for h in corpus.onto_maps():
         b_over_a = restrict_scalars(h, module_over_self(h.target))
         for mb in enumerate_modules(h.target, 4):
             t = tensor_product(b_over_a, restrict_scalars(h, mb))
@@ -318,10 +297,8 @@ def _same_classes(t, u):
         (_classes(u.congruence), u.congruence.representatives)
 
 
-def test_binary_joins_generate_the_subset_congruence(boolean):
-    modules = enumerate_modules(boolean, 4)
-    pairs = [(m, n) for m in modules for n in modules
-             if m.size * n.size <= 12]
+def test_binary_joins_generate_the_subset_congruence():
+    pairs = corpus.tensor_pairs()
     assert len(pairs) == 88
     for m, n in pairs:
         t, oracle = tensor_product(m, n), _tensor_by_subset_generators(m, n)
@@ -332,7 +309,7 @@ def test_binary_joins_generate_the_subset_congruence(boolean):
 
 def test_binary_joins_generate_the_subset_congruence_on_scalar_extensions():
     checked = 0
-    for h in _onto_maps():
+    for h in corpus.onto_maps():
         b_over_a = restrict_scalars(h, module_over_self(h.target))
         for mb in enumerate_modules(h.target, 4):
             ma = restrict_scalars(h, mb)
@@ -351,7 +328,7 @@ def test_scalar_extensions_keep_their_recorded_tables():
     labels of all 144 modules, pinned by the digest recorded for them
     while the quotient still kept a table of every subset's class."""
     digest = hashlib.sha1()
-    for h in _onto_maps():
+    for h in corpus.onto_maps():
         b_over_a = restrict_scalars(h, module_over_self(h.target))
         for mb in enumerate_modules(h.target, 4):
             t = tensor_product(b_over_a, restrict_scalars(h, mb))
@@ -386,14 +363,13 @@ def test_scalars_are_a_tensor_unit(boolean, self_mod):
 
 
 def test_tensor_needs_common_scalars(self_mod):
-    three = reduct_vee_odot(lukasiewicz_chain(3))
+    three = corpus.chain(3)
     with pytest.raises(ScalarMismatch):
         tensor_product(self_mod, module_over_self(three))
 
 
 def test_tensor_needs_idempotent_addition():
-    mod2 = FiniteSemiring(2, ((0, 1), (1, 0)), ((0, 0), (0, 1)), 0, 1)
-    m = module_over_self(mod2)
+    m = module_over_self(corpus.two_element_field())
     with pytest.raises(NotIdempotent):
         tensor_product(m, m)
 
@@ -527,7 +503,7 @@ def test_scalar_action_on_generators_matches_the_sweep(boolean):
     modules = enumerate_modules(boolean, 4)
     pairs = [(m, n) for m in modules for n in modules if m.size * n.size <= 8]
     assert len(pairs) == 48
-    three = module_over_self(reduct_vee_odot(lukasiewicz_chain(3)))
+    three = module_over_self(corpus.chain(3))
     pairs.append((three, three))
     verdicts = set()
     for m, n in pairs:
@@ -579,7 +555,7 @@ def _module_or_message(induce):
 def test_scalar_structures_match_the_member_scan(boolean):
     modules = enumerate_modules(boolean, 4)
     pairs = [(m, n) for m in modules for n in modules if m.size * n.size <= 8]
-    three = module_over_self(reduct_vee_odot(lukasiewicz_chain(3)))
+    three = module_over_self(corpus.chain(3))
     pairs.append((three, three))
     messages = 0
     for m, n in pairs:
@@ -616,9 +592,8 @@ def test_scalar_structures_refuse_a_malformed_action(boolean, self_mod,
 
 
 def test_scalar_extensions_match_the_sweep():
-    square = mv_product(lukasiewicz_chain(2), lukasiewicz_chain(2))
-    sq = reduct_vee_odot(square)
-    toward = quotient(square, (0, 1))
+    sq = corpus.square()
+    toward = quotient(corpus.c2xc2(), (0, 1))
     for h in (SemiringHom(sq, boolean_semiring(), (0, 0, 1, 1)),
               SemiringHom(sq, reduct_vee_odot(toward.algebra),
                           toward.hom.mapping)):
@@ -637,7 +612,7 @@ def test_scalar_extensions_match_the_sweep():
 def _extensions_of_the_onto_maps():
     """(h, t) for B tensor M over A along each of the five onto maps, M
     each module over B up to size 4 restricted to A."""
-    for h in _embedding_maps():
+    for h in corpus.scalar_maps():
         b_over_a = restrict_scalars(h, module_over_self(h.target))
         for mb in enumerate_modules(h.target, 4):
             yield h, tensor_product(b_over_a, restrict_scalars(h, mb))
@@ -652,9 +627,7 @@ def test_join_tables_match_the_fold_per_entry(boolean):
     """The join table read off the representative walk is the one that
     folds each entry over its representative's members: on the 88 pairs
     over B, the 85 extensions along the onto maps and B^3 tensor B^3."""
-    modules = enumerate_modules(boolean, 4)
-    tensors = [tensor_product(m, n) for m in modules for n in modules
-               if m.size * n.size <= 12]
+    tensors = [tensor_product(m, n) for m, n in corpus.tensor_pairs()]
     assert len(tensors) == 88
     tensors += [t for _, t in _extensions_of_the_onto_maps()]
     assert len(tensors) == 88 + 85
@@ -689,9 +662,7 @@ def test_slides_keep_the_first_of_every_unequal_pair(boolean):
     a subsequence holding the first occurrence of every pair with unequal
     sides, and no pair with equal sides. Along c2 x c3 -> c3 each of the
     27 four-element modules keeps 22 of its 72 slides."""
-    modules = enumerate_modules(boolean, 4)
-    tensors = [tensor_product(m, n) for m in modules for n in modules
-               if m.size * n.size <= 12]
+    tensors = [tensor_product(m, n) for m, n in corpus.tensor_pairs()]
     onto = list(_extensions_of_the_onto_maps())
     cut = []
     for t in tensors + [t for _, t in onto]:
@@ -783,9 +754,8 @@ def test_join_irreducibles_match_the_comprehension(boolean):
     reduct of size at most 4 and over c2 x c2 of size at most 3: the
     numpy reading of each table as an array gives the comprehension's
     tuple, and so does the reading of the nested tuples."""
-    three = reduct_vee_odot(lukasiewicz_chain(3))
-    square = reduct_vee_odot(mv_product(lukasiewicz_chain(2),
-                                        lukasiewicz_chain(2)))
+    three = corpus.chain(3)
+    square = corpus.square()
     tables = [(m.add, m.zero) for s, size in ((boolean, 5), (three, 4),
                                               (square, 3))
               for m in enumerate_modules(s, size)]
@@ -922,12 +892,15 @@ def _bimorphisms_by_ji_pairs(m, n, c_size, c_add, c_zero):
                 for a in acts for x in xs for y in ys)}))
 
 
-def test_bimorphisms_match_the_ji_pair_search(boolean, self_mod):
+def _family_pairs(boolean, self_mod):
+    """The module pairs of test_bimorphisms_match_the_ji_pair_search: B
+    modules with |M|*|N| <= 8, the 3-chain reduct's modules of size at
+    most 3, and the five 5-element B modules against B over itself."""
     modules = enumerate_modules(boolean, 4)
     pairs = [(m, n) for m in modules for n in modules if m.size * n.size <= 8]
     assert len(pairs) == 48
     # balance only bites over scalars other than the booleans
-    chain3 = enumerate_modules(reduct_vee_odot(lukasiewicz_chain(3)), 3)
+    chain3 = enumerate_modules(corpus.chain(3), 3)
     pairs += [(m, n) for m in chain3 for n in chain3]
     # the left joins only fail to hold by construction on a factor that is
     # not distributive, the smallest of which have five elements
@@ -936,9 +909,13 @@ def test_bimorphisms_match_the_ji_pair_search(boolean, self_mod):
         if m.size == 5 and all(are_isomorphic(m, r) is None for r in fives):
             fives.append(m)
     assert len(fives) == 5
-    pairs += [(m, self_mod) for m in fives] + [(self_mod, m) for m in fives]
+    return pairs + [(m, self_mod) for m in fives] + \
+        [(self_mod, m) for m in fives]
+
+
+def test_bimorphisms_match_the_ji_pair_search(boolean, self_mod):
     kept = 0
-    for m, n in pairs:
+    for m, n in _family_pairs(boolean, self_mod):
         targets = list(commutative_monoids_upto(3))
         targets += [(m.size, m.add, m.zero), (n.size, n.add, n.zero)]
         for c_size, c_add, c_zero in targets:
@@ -947,22 +924,6 @@ def test_bimorphisms_match_the_ji_pair_search(boolean, self_mod):
                                                      c_zero)
             kept += len(found)
     assert kept > 0
-
-
-def _family_pairs(boolean, self_mod):
-    """The module pairs of test_bimorphisms_match_the_ji_pair_search: B
-    modules with |M|*|N| <= 8, the 3-chain reduct's modules of size at
-    most 3, and the five 5-element B modules against B over itself."""
-    modules = enumerate_modules(boolean, 4)
-    pairs = [(m, n) for m in modules for n in modules if m.size * n.size <= 8]
-    chain3 = enumerate_modules(reduct_vee_odot(lukasiewicz_chain(3)), 3)
-    pairs += [(m, n) for m in chain3 for n in chain3]
-    fives = []
-    for m in enumerate_modules(boolean, 5):
-        if m.size == 5 and all(are_isomorphic(m, r) is None for r in fives):
-            fives.append(m)
-    return pairs + [(m, self_mod) for m in fives] + \
-        [(self_mod, m) for m in fives]
 
 
 def test_searches_match_the_product_loops(boolean, self_mod):
@@ -990,18 +951,13 @@ _LAWLESS_TARGETS = ((3, ((0, 1, 2), (2, 0, 1), (1, 1, 0)), 0),
                     (3, ((0, 1, 2), (1, 1, 2), (2, 1, 2)), 0))
 
 
-def _lawless_table(rng, size):
-    return tuple(tuple(rng.randrange(size) for _ in range(size))
-                 for _ in range(size))
-
-
 def _lawless_targets(rng, count):
     """The fixed lawless targets, the eight small monoids, and count drawn
     tables of two or three elements with a drawn zero."""
     targets = list(_LAWLESS_TARGETS) + list(commutative_monoids_upto(3))
     for _ in range(count):
         size = rng.randint(2, 3)
-        targets.append((size, _lawless_table(rng, size),
+        targets.append((size, corpus.drawn_table(rng, size, size, size),
                         rng.randrange(size)))
     return targets
 
@@ -1039,7 +995,8 @@ def test_monoid_homs_match_the_product_on_lawless_tables():
     lawless = [(((0, 1), (0, 1)), 0)]
     for _ in range(150):
         size = rng.randint(1, 4)
-        lawless.append((_lawless_table(rng, size), rng.randrange(size)))
+        lawless.append((corpus.drawn_table(rng, size, size, size),
+                        rng.randrange(size)))
     targets = _lawless_targets(rng, 6)
     kept = missed = 0
     for add, zero in lawful:
@@ -1077,17 +1034,13 @@ def test_bimorphisms_match_the_product_on_lawless_modules(boolean):
     with each other and with lawful ones, into lawless and lawful
     targets."""
     rng = random.Random(20102)
-    three = reduct_vee_odot(lukasiewicz_chain(3))
+    three = corpus.chain(3)
     kept = 0
     for _ in range(60):
         s = rng.choice((boolean, three))
         sides = []
         for _ in range(2):
-            size = rng.randint(1, 3)
-            sides.append(FiniteSemimodule(
-                s, size, _lawless_table(rng, size), rng.randrange(size),
-                tuple(tuple(rng.randrange(size) for _ in range(size))
-                      for _ in range(s.size))))
+            sides.append(corpus.drawn_module(rng, s, 3))
         lawful = rng.choice(enumerate_modules(s, 3))
         for m, n in (sides, (sides[0], lawful), (lawful, sides[1])):
             for c in _lawless_targets(rng, 2):
@@ -1247,7 +1200,7 @@ def test_universal_property_count_matches_the_scan(boolean):
         assert verdict == _universal_property_by_scan(collapsed)
         collapsed_existence += verdict["existence_failures"]
     assert collapsed_existence > 0
-    three = module_over_self(reduct_vee_odot(lukasiewicz_chain(3)))
+    three = module_over_self(corpus.chain(3))
     t = tensor_product(three, three)
     assert check_universal_property(t) == _universal_property_by_scan(t)
 
@@ -1423,9 +1376,8 @@ def test_zeta_rejects_unknown_variant(self_mod):
 
 
 def test_hom_point_iso_counts(boolean):
-    three = reduct_vee_odot(lukasiewicz_chain(3))
-    square = reduct_vee_odot(mv_product(lukasiewicz_chain(2),
-                                        lukasiewicz_chain(2)))
+    three = corpus.chain(3)
+    square = corpus.square()
     assert len(hom_point_iso(module_over_self(three)).homs) == 3
     assert hom_point_iso(module_over_self(three)).ok
     assert len(hom_point_iso(module_over_self(square)).homs) == 4
@@ -1448,7 +1400,7 @@ def test_hom_lattice_action_matches_the_mapping_dict():
     onto map, into each small module over the source, the lifted action
     is the dict lookups'."""
     checked = 0
-    for h in _onto_maps():
+    for h in corpus.onto_maps():
         a, b = h.source, h.target
         b_over_a = restrict_scalars(h, module_over_self(b))
         moved_by = _right_multiplication(b)
@@ -1505,7 +1457,7 @@ def _zeta_by_dict(m, n, p, variant):
 def test_zeta_matches_the_mapping_dicts(boolean, self_mod, free2):
     """The criterion-7 triples and the three-chain over itself, in both
     variants."""
-    c3 = module_over_self(reduct_vee_odot(lukasiewicz_chain(3)))
+    c3 = module_over_self(corpus.chain(3))
     triples = [(self_mod, self_mod, self_mod), (free2, self_mod, self_mod),
                (self_mod, free2, free2), (c3, c3, c3)]
     for m, n, p in triples:
@@ -1517,9 +1469,8 @@ def test_zeta_matches_the_mapping_dicts(boolean, self_mod, free2):
 
 
 def test_hom_point_iso_matches_the_mapping_dict(boolean):
-    for s in (boolean, reduct_vee_odot(lukasiewicz_chain(3)),
-              reduct_vee_odot(mv_product(lukasiewicz_chain(2),
-                                         lukasiewicz_chain(2)))):
+    for s in (boolean, corpus.chain(3),
+              corpus.square()):
         for m in enumerate_modules(s, 3):
             iso = hom_point_iso(m)
             pos = _positions_by_dict(iso.homs)
@@ -1581,8 +1532,7 @@ def test_adjunction_identity(boolean):
 
 
 def test_adjunction_projection(boolean):
-    square = reduct_vee_odot(mv_product(lukasiewicz_chain(2),
-                                        lukasiewicz_chain(2)))
+    square = corpus.square()
     proj = SemiringHom(square, boolean, (0, 0, 1, 1))
     res = adjunction_witness(proj)
     assert res["ok"]
@@ -1642,9 +1592,9 @@ def test_adjunction_maps_match_the_mapping_dicts(boolean, monkeypatch):
         return check(forward, backward)
 
     monkeypatch.setattr(mvsr.tensor, "_mutually_inverse", record)
-    c3 = reduct_vee_odot(lukasiewicz_chain(3))
+    c3 = corpus.chain(3)
     maps = (SemiringHom(boolean, boolean, (0, 1)),
-            SemiringHom(c3, c3, (0, 1, 2))) + _onto_maps()
+            SemiringHom(c3, c3, (0, 1, 2))) + corpus.onto_maps()
     for h in maps:
         mods_a = list(enumerate_modules(h.source, 2))
         mods_b = list(enumerate_modules(h.target, 2))
@@ -1694,9 +1644,8 @@ def _one_point_semiring():
 
 
 def test_module_enumeration_matches_the_product_loop(boolean):
-    chain = lambda k: reduct_vee_odot(lukasiewicz_chain(k))
-    square = reduct_vee_odot(mv_product(lukasiewicz_chain(2),
-                                        lukasiewicz_chain(2)))
+    chain = lambda k: corpus.chain(k)
+    square = corpus.square()
     wedge3 = reduct_wedge_oplus(lukasiewicz_chain(3))
     for s, bound, count in ((boolean, 5, 89), (chain(3), 4, 33),
                             (chain(4), 3, 6), (square, 3, 7), (wedge3, 4, 33),
@@ -1769,6 +1718,12 @@ _COUNTS = [
      lambda s, v: canonical_dumps(k0_report(s, v)), 1),
     ("k0_stability", "n_max", ValueError,
      lambda s, v: k0_stability(s, (1, v)), 1),
+    ("completion_from_triples", "n_generators", ValueError,
+     lambda s, v: completion_from_triples(v, []), 1),
+    ("AbelianGroupSNF", "rank", ValueError,
+     lambda s, v: AbelianGroupSNF(v, ()), 1),
+    ("equation_holds", "max_vars", ValueError,
+     lambda s, v: equation_holds(lukasiewicz_chain(2), "x", "x", v), 1),
     ("gamma_property_report", "samples", ValueError,
      lambda s, v: gamma_property_report(TropicalUSemifield(Fraction(1)),
                                         v), 10),
@@ -1857,7 +1812,7 @@ def test_action_guard_fires_before_any_stack(monkeypatch):
     """The 5-chain has three free scalars, so two points admit 2^(2*3) =
     64 action tables; at max_enum 63 the guard fires before a two-point
     candidate is stacked or an endomorphism of two points is searched."""
-    s = reduct_vee_odot(lukasiewicz_chain(5))
+    s = corpus.chain(5)
     stacked, searched = [], []
     checks, homs = mvsr.tensor._lawful_actions, mvsr.tensor._monoid_homs
     monkeypatch.setattr(mvsr.tensor, "_lawful_actions",
@@ -1876,8 +1831,7 @@ def test_action_guard_fires_before_any_stack(monkeypatch):
 
 
 def test_full_embedding_for_a_quotient(boolean):
-    square = reduct_vee_odot(mv_product(lukasiewicz_chain(2),
-                                        lukasiewicz_chain(2)))
+    square = corpus.square()
     proj = SemiringHom(square, boolean, (0, 0, 1, 1))
     res = full_embedding_check(proj)
     assert res["modules"] == 4
@@ -1892,8 +1846,7 @@ def test_full_embedding_reads_the_hom_laws_once(boolean, monkeypatch):
     restrict_scalars, once more for B over A and once per test module;
     the laws of h are read by the first of these alone, and a fresh hom
     on the same tables reads them again."""
-    square = reduct_vee_odot(mv_product(lukasiewicz_chain(2),
-                                        lukasiewicz_chain(2)))
+    square = corpus.square()
     reads = []
     broken = SemiringHom._broken
 
@@ -1913,8 +1866,7 @@ def test_full_embedding_reads_the_hom_laws_once(boolean, monkeypatch):
 
 
 def test_full_embedding_requires_onto(boolean):
-    square = reduct_vee_odot(mv_product(lukasiewicz_chain(2),
-                                        lukasiewicz_chain(2)))
+    square = corpus.square()
     diag = SemiringHom(boolean, square, (0, 3))
     with pytest.raises(NotOnto):
         full_embedding_check(diag)
@@ -1930,8 +1882,7 @@ def test_full_embedding_refuses_a_check_on_no_modules(boolean, monkeypatch,
     """A bound that enumerates no module, or is no count, and an empty
     list of test modules are refused with ValueError before any module is
     enumerated or h is read: the check would pass on nothing."""
-    square = reduct_vee_odot(mv_product(lukasiewicz_chain(2),
-                                        lukasiewicz_chain(2)))
+    square = corpus.square()
     proj = SemiringHom(square, boolean, (0, 0, 1, 1))
     enumerated = []
     monkeypatch.setattr(mvsr.tensor, "enumerate_modules",
@@ -1946,8 +1897,7 @@ def test_adjunction_witness_refuses_an_empty_list(boolean, side):
     """An empty list of modules on either side is refused with a
     ValueError that names the list, where it raised TypeError from the
     naturality spot check."""
-    square = reduct_vee_odot(mv_product(lukasiewicz_chain(2),
-                                        lukasiewicz_chain(2)))
+    square = corpus.square()
     proj = SemiringHom(square, boolean, (0, 0, 1, 1))
     with pytest.raises(ValueError, match=f"^{side} is empty"):
         adjunction_witness(proj, **{side: []})
@@ -1966,24 +1916,13 @@ def _stray_by_enumeration(h, modules, restrict=restrict_scalars,
     return stray
 
 
-def _embedding_maps():
-    """The four maps of _onto_maps and the quotient of c2 x c2 by the ideal
-    {0, (0, 1)}."""
-    square = mv_product(lukasiewicz_chain(2), lukasiewicz_chain(2))
-    toward = quotient(square, (0, 1))
-    return _onto_maps() + (SemiringHom(reduct_vee_odot(square),
-                                       reduct_vee_odot(toward.algebra),
-                                       toward.hom.mapping),)
-
-
 def _lawless_modules(s):
     """The join semilattice 0 < p, q < t with each listed row as the
     action of every scalar but zero: each breaks a module law."""
-    add = ((0, 1, 2, 3), (1, 1, 3, 3), (2, 3, 2, 3), (3, 3, 3, 3))
     for row in ((0, 0, 0, 0), (0, 2, 1, 3), (0, 1, 1, 3), (0, 3, 0, 3)):
         action = [row] * s.size
         action[s.zero] = (0, 0, 0, 0)
-        yield FiniteSemimodule(s, 4, add, 0, tuple(action))
+        yield FiniteSemimodule(s, 4, corpus.DIAMOND, 0, tuple(action))
 
 
 def _restrict_middle_to_zero(h, n):
@@ -2008,7 +1947,7 @@ def test_fullness_matches_the_enumeration():
     of them plus four lawless ones, every restriction is a pullback and
     the lemma's count equals the enumeration's."""
     checked = 0
-    for h in _embedding_maps():
+    for h in corpus.scalar_maps():
         modules = enumerate_modules(h.target, 4)
         lawless = tuple(_lawless_modules(h.target))
         assert not any(check_semimodule(h.target, m).valid for m in lawless)
@@ -2027,7 +1966,7 @@ def test_the_enumeration_sees_a_restriction_that_is_not_a_pullback():
     """Sending c3's middle scalar to zero in the restriction along
     c2 x c3 -> c3 breaks the lemma's hypothesis, and the oracle counts
     the homs it loses."""
-    h = _onto_maps()[2]
+    h = corpus.onto_maps()[2]
     modules = enumerate_modules(h.target, 4)
     pulled = [_is_pullback(h, mb, _restrict_middle_to_zero(h, mb))
               for mb in modules]
