@@ -225,8 +225,8 @@ class AbelianGroupSNF:
 
     def __post_init__(self):
         object.__setattr__(self, "rank", check_count(self.rank, "rank", 0))
-        if any(d <= 1 for d in self.torsion):
-            raise ValueError("torsion entries must exceed 1")
+        object.__setattr__(self, "torsion", tuple(
+            check_count(d, "torsion entry", 2) for d in self.torsion))
         if any(self.torsion[i + 1] % self.torsion[i]
                for i in range(len(self.torsion) - 1)):
             raise ValueError("torsion must form a divisibility chain")

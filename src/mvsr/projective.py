@@ -629,16 +629,20 @@ def cyclic_mv_trichotomy(alg: MvAlgebra, m: FiniteSemimodule,
 
     self_mod = module_over_self(scal)
     index = _ClassIndex(scal, (m,))
-    idem = next((u for u in sorted(prod_idem)
-                 if index.find(generate(self_mod, (u,)), max_enum) == 0), None)
-    b_iso = None if idem is None else are_isomorphic(
-        generate(self_mod, (idem,)), m, max_enum)
+    # the first idempotent whose cyclic submodule is in m's class, and that
+    # submodule, built once
+    idem = left = None
+    for u in sorted(prod_idem):
+        cyclic = generate(self_mod, (u,))
+        if index.find(cyclic, max_enum) == 0:
+            idem, left = u, cyclic
+            break
+    b_iso = None if idem is None else are_isomorphic(left, m, max_enum)
 
     complement = None
     c_iso = None
     if idem is not None:
         ustar = alg.star[idem]
-        left = generate(self_mod, (idem,))
         right = generate(self_mod, (ustar,))
         ds = direct_sum(left, right)
         pos_l = {x: i for i, x in enumerate(left.members)}

@@ -22,16 +22,21 @@ would build, counted from the sizes, and the sweep's own guard bounds the
 closures it takes on, the step table's entries, both by max_carrier; no
 count of the 2^(|M| |N|) subsets is made.
 
-The quotient's per-call sweeps read the step table by lookups, not folds.
-tensor_product builds the scalar slides once per distinct pair of action
-rows and drops those with equal sides. Each representative is its parent's
-plus one member, the parent coming earlier in class order, so the join
-table is one lookup an entry, join[c][d] = step[join[c][parent]][member].
-Scalars act on the quotient through the left slot: a scalar sends each
-class to the class of its moved representative, found along the same walk,
-and is well defined exactly when that map commutes with the step table,
-classes x width lookups; the generating pairs the congruence keeps are
-scanned only to name the first one a failing scalar splits.
+The quotient is read through two primitives. semiring.fold, the step
+table folded from a class over a subset's members, is the class of a
+subset: joined, class_of_pairs and the naming of a split pair. One walk
+along the representative links, SemilatticeCongruence.walk, is every map
+on the classes: each representative is its parent's plus one member, the
+parent coming earlier in class order, so a map with f(0) = s is one lookup
+a class, f(d) = step[f(p)][moved(i)] for d's link (p, i). The join table
+is the walk from every class, moving no member; a scalar acting through
+the left slot is the walk from 0 with its pairs moved, and so is the lift
+of a map on the right factor; TensorProduct.extend is the same walk in
+numpy, one gather a class. tensor_product builds the scalar slides once
+per distinct pair of action rows and drops those with equal sides. A
+scalar is well defined exactly when its walk commutes with the step
+table, classes x width lookups; the generating pairs the congruence keeps
+are scanned only to name the first one a failing scalar splits.
 
 Everything downstream is verified by enumeration, with semimodule's one
 level search behind every hom-set: it assigns values to a table's
@@ -88,7 +93,7 @@ from .semimodule import (FiniteSemimodule, HomSemilattice, SemimoduleHom,
                          restrict_scalars, trivial_module)
 from .semiring import (FiniteSemiring, SemiringHom, Table, _additivity_mask,
                        _array_range, _assoc_mask, _closed_sets, _combine,
-                       _first_assoc_failure, _index_grid, _members,
+                       _first_assoc_failure, _index_grid, _members, fold,
                        is_additively_idempotent, same_scalars)
 from .semiring import AxiomReport
 
@@ -121,9 +126,7 @@ class SemilatticeCongruence:
         if mask < 0 or mask >> self.width:
             raise MalformedTable(f"subset mask {mask} is not a subset of "
                                  f"range({self.width})")
-        for i in _members(mask):
-            c = self.step[c][i]
-        return c
+        return fold(self.step, c, _members(mask))
 
     def class_of(self, mask: int) -> int:
         """The class of the subset mask: joined(0, mask)."""
@@ -141,6 +144,27 @@ class SemilatticeCongruence:
             i = rep.bit_length() - 1
             out.append((index[rep ^ 1 << i], i))
         return tuple(out)
+
+    def walk(self, starts: Iterable[int],
+             moved: Optional[Sequence[int]] = None
+             ) -> Tuple[Tuple[int, ...], ...]:
+        """For each start s, the map f on the classes with f(0) = s and
+        f(d) = step[f(p)][moved[i]] for d's link (p, i): f(d) is the class
+        of s joined with d's representative, each member i moved to
+        moved[i], or left in place when moved is None. One lookup a
+        class, as each representative is its link's plus one member; the
+        one walk behind every map on the classes. Unchecked: each start
+        is a class and moved has width members of range(width)."""
+        step, links = self.step, self.links
+        if moved is not None:
+            links = [(p, moved[i]) for p, i in links]
+        rows = []
+        for f in starts:
+            row = [f]
+            for p, i in links:
+                row.append(step[row[p]][i])
+            rows.append(tuple(row))
+        return tuple(rows)
 
 
 def congruence_closure(width: int, pairs: Sequence[Tuple[int, int]],
@@ -284,50 +308,31 @@ class TensorProduct:
     def pairs_of(self, c: int) -> Tuple[Tuple[int, int], ...]:
         """Pairs of the canonical representative subset of class c, checked
         as a class index."""
-        return self._pairs[self._class(c)]
-
-    @cached_property
-    def _pairs(self) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
-        n = self.right.size
-        return tuple(tuple(divmod(i, n) for i in _members(rep))
-                     for rep in self.congruence.representatives)
+        rep = self.congruence.representatives[self._class(c)]
+        return tuple(divmod(i, self.right.size) for i in _members(rep))
 
     @cached_property
     def join_table(self) -> Tuple[Tuple[int, ...], ...]:
-        """join[c][d] = step[join[c][p]][i] for d's link (p, i), and
-        join[c][0] = c: one lookup an entry."""
-        step, links = self.congruence.step, self.congruence.links
-        table = []
-        for c in range(self.class_count):
-            row = [c]
-            for p, i in links:
-                row.append(step[row[p]][i])
-            table.append(tuple(row))
-        return tuple(table)
+        """join[c][d], class c joined with d's representative: the walk
+        from each class c, moving no member."""
+        return self.congruence.walk(range(self.class_count))
 
     def class_of_pairs(self, pairs) -> int:
-        """Class of the join of the tensors of the given pairs."""
-        mask = 0
-        for (x, y) in pairs:
-            mask |= 1 << self.pair_index(x, y)
-        return self.congruence.class_of(mask)
-
-    def _fold_pairs(self, pairs) -> int:
-        """class_of_pairs for pairs of carrier indices built inside the
-        package: the step table folded over their bits, unchecked."""
-        step, n = self.congruence.step, self.right.size
-        c = 0
-        for x, y in pairs:
-            c = step[c][x * n + y]
-        return c
+        """Class of the join of the tensors of the given pairs, each
+        checked by pair_index."""
+        return fold(self.congruence.step, 0,
+                    (self.pair_index(x, y) for x, y in pairs))
 
     def extend(self, values: np.ndarray, add: np.ndarray,
                zero: int) -> np.ndarray:
         """For each class, the fold of values[..., x, y] over its
-        representative's pairs under the addition array add, one _combine
-        per class: an array of shape values.shape[:-2] + (class_count,).
-        values must be an integer array whose last two axes are |M| x |N|,
-        and its entries and zero indices of add; else MalformedTable."""
+        representative's pairs, in member order from zero, under the
+        addition array add: an array of shape values.shape[:-2] +
+        (class_count,), built along the links as the walk is, out[..., d]
+        = add[out[..., p], values at pair i] for d's link (p, i), one
+        gather a class. values must be an integer array whose last two
+        axes are |M| x |N|, and its entries and zero indices of add; else
+        MalformedTable."""
         zero = _index_grid(zero, (), len(add), "extend zero")
         values = np.asarray(values)
         if values.dtype.kind not in "iu" \
@@ -335,11 +340,12 @@ class TensorProduct:
             raise MalformedTable(f"extend values must be an integer array on "
                                  f"{self.left.size}x{self.right.size} pairs")
         _array_range(values, values.shape, len(add), "extend values")
-        by_pair = np.moveaxis(values, (-2, -1), (0, 1))
-        out = np.empty((*values.shape[:-2], self.class_count), np.intp)
-        for c, pairs in enumerate(self._pairs):
-            xs, ys = np.array(pairs, np.intp).reshape(-1, 2).T
-            out[..., c] = _combine(add, by_pair, zero, xs, ys)
+        lead = values.shape[:-2]
+        by_pair = values.reshape(lead + (self.congruence.width,))
+        out = np.empty(lead + (self.class_count,), np.intp)
+        out[..., 0] = zero
+        for d, (p, i) in enumerate(self.congruence.links, 1):
+            out[..., d] = add[out[..., p], by_pair[..., i]]
         return out
 
     def _tensors(self) -> np.ndarray:
@@ -401,14 +407,10 @@ def tensor_product(m: FiniteSemimodule, n: FiniteSemimodule,
 
 
 def _class_labels(t: TensorProduct) -> Tuple[str, ...]:
-    out = []
-    for ps in t._pairs:
-        if not ps:
-            out.append("0")
-        else:
-            out.append("+".join(f"({t.left.label(x)}*{t.right.label(y)})"
-                                for x, y in ps))
-    return tuple(out)
+    n = t.right.size
+    return tuple("+".join(f"({t.left.label(i // n)}*{t.right.label(i % n)})"
+                          for i in _members(rep)) or "0"
+                 for rep in t.congruence.representatives)
 
 
 def scalar_structures(t: TensorProduct, scalars: FiniteSemiring,
@@ -425,11 +427,11 @@ def scalar_structures(t: TensorProduct, scalars: FiniteSemiring,
     since x tensor (a y) = (a x) tensor y.
 
     Each scalar b is checked against the step table by lookups. Let f(c)
-    be the class of c's moved representative, f(d) = step[f(p)][m(i)] for
-    d's link (p, i), with m(i) the moved pair i. b is well defined exactly
-    when f(step[c][i]) == step[f(c)][m(i)] for every class c and pair i,
-    by induction on the size of a subset: classes x width lookups a
-    scalar, which the sweep bounds by max_carrier; a scalar acting as the
+    be the class of c's moved representative, the walk from 0 with each
+    pair i moved to m(i). b is well defined exactly when
+    f(step[c][i]) == step[f(c)][m(i)] for every class c and pair i, by
+    induction on the size of a subset: classes x width lookups a scalar,
+    which the sweep bounds by max_carrier; a scalar acting as the
     identity fixes every class and is not checked. Only for a scalar that
     fails are the generating pairs folded, to name the first it splits,
     in scalar then pair order.
@@ -441,7 +443,7 @@ def scalar_structures(t: TensorProduct, scalars: FiniteSemiring,
     action = _index_grid(action, (scalars.size, t.left.size), t.left.size,
                          "action")
     cong, n = t.congruence, t.right.size
-    step, links = cong.step, cong.links
+    step = cong.step
     pairs = [divmod(i, n) for i in range(cong.width)]
     identity = tuple(range(t.left.size))
     rows = []
@@ -450,14 +452,12 @@ def scalar_structures(t: TensorProduct, scalars: FiniteSemiring,
             rows.append(tuple(range(t.class_count)))
             continue
         moved = [row[x] * n + y for x, y in pairs]
-        f = [0]
-        for p, i in links:
-            f.append(step[f[p]][moved[i]])
+        f, = cong.walk((0,), moved)
         for c, targets in enumerate(step):
             if list(map(f.__getitem__, targets)) != \
                     list(map(step[f[c]].__getitem__, moved)):
                 _name_split_pair(cong, b, moved)
-        rows.append(tuple(f))
+        rows.append(f)
     return FiniteSemimodule._trusted(scalars, t.class_count, t.join_table,
                                      t.zero_class, tuple(rows),
                                      _class_labels(t))
@@ -468,10 +468,7 @@ def _name_split_pair(cong: SemilatticeCongruence, b: int,
     """Raise IllDefinedAction for the first generating pair that scalar b,
     moving pair i to moved[i], sends to distinct classes."""
     def image(mask: int) -> int:
-        c = 0
-        for i in _members(mask):
-            c = cong.step[c][moved[i]]
-        return c
+        return fold(cong.step, 0, map(moved.__getitem__, _members(mask)))
 
     for u, v in cong.generators:
         cu, cv = image(u), image(v)
@@ -927,11 +924,19 @@ def _naturality_spot_check(m: FiniteSemimodule, t: TensorProduct,
     moved = _first_hom(m, m, lambda rows: (rows != np.arange(m.size)).any(1),
                        max_enum)
     u = tuple(range(m.size)) if moved is None else moved.mapping
-    lifted_u = np.array([t._fold_pairs((pb, u[x]) for (pb, x) in pairs)
-                         for pairs in t._pairs], dtype=np.intp)
+    lifted_u = np.array(_right_lift(t, u), dtype=np.intp)
     unit = np.array(unit, dtype=np.intp)
     return bool((outer.rows[:, lifted_u[unit]]
                  == outer.rows[:, unit[list(u)]]).all())
+
+
+def _right_lift(t: TensorProduct, u: Sequence[int]) -> Tuple[int, ...]:
+    """u on the right factor lifted to the classes: each class to the
+    class of its representative with u applied in the right slot, one
+    walk."""
+    n = t.right.size
+    return t.congruence.walk((0,), [i - i % n + u[i % n]
+                                    for i in range(t.congruence.width)])[0]
 
 
 def enumerate_modules(s: FiniteSemiring, size_bound: int,
@@ -1100,7 +1105,7 @@ def truncation_demo(k: int, points: Union[int, Iterable[str]],
     else:
         tm = as_module(t)
         phi = tuple(t.extend(n.np_action, n.np_add, n.zero).tolist())
-        psi = tuple(t._fold_pairs(zip(n.vector(g), n.basis))
+        psi = tuple(t.class_of_pairs(zip(n.vector(g), n.basis))
                     for g in range(n.size))
         phi_hom = SemimoduleHom(tm, n, phi).validate()
         psi_hom = SemimoduleHom(n, tm, psi).validate()

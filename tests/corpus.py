@@ -1,15 +1,17 @@
 """The small structures the tests draw their cases from, each family named
 once: the (vee, odot) reducts of the Lukasiewicz chains and of c2 x c2, the
-two-element field and Z/3, the named lawless tables, the lattice modules,
-the tensor pairs of the modules over B, the onto maps of change of scalars
-and the seeded draws of lawless tables. Beside them stand the oracles that
-more than one test file reads: the row space taken inside the whole free
+MV-algebras of the law sweeps with both their reducts, the two-element
+field and Z/3, the named lawless tables, the lattice modules, the tensor
+pairs of the modules over B, the onto maps of change of scalars and the
+seeded draws of lawless tables. Beside them stand the oracles that more
+than one test file reads: the row space taken inside the whole free
 module, the spans by closure, a relabelling along a bijection and the
 invariant factors of an integer matrix read off its minors.
 
-An entry is kept here when two or more test files use it; a helper that
-one file alone uses stays in that file. conftest.py serves the families
-that most tests take as an argument as fixtures.
+An entry is kept here when two or more test files, or two or more tests,
+build it; a helper that one test alone uses stays in its file.
+conftest.py serves the families that most tests take as an argument as
+fixtures.
 """
 import itertools
 import math
@@ -18,7 +20,8 @@ from mvsr import projective
 from mvsr.projective import row_space
 from mvsr.config import MAX_CARRIER
 from mvsr.matrix import SemiringMatrix, idempotent_matrices
-from mvsr.mv import lukasiewicz_chain, mv_product, quotient, reduct_vee_odot
+from mvsr.mv import (lukasiewicz_chain, mv_product, quotient, reduct_vee_odot,
+                     reduct_wedge_oplus)
 from mvsr.semimodule import FiniteSemimodule, free_semimodule, generate
 from mvsr.semiring import FiniteSemiring, SemiringHom, boolean_semiring
 from mvsr.snf import int_determinant
@@ -40,6 +43,17 @@ def c2xc2():
 def square():
     """The (vee, odot) reduct of c2 x c2."""
     return reduct_vee_odot(c2xc2())
+
+
+def law_algebras():
+    """The MV-algebras the law sweeps draw from, the chains of two to five
+    elements, then c2 x c2 and c2 x c3, and the semirings, the (vee, odot)
+    and the (wedge, oplus) reduct of each in that order: two fresh lists."""
+    chains = [lukasiewicz_chain(k) for k in range(2, 6)]
+    algebras = chains + [mv_product(chains[0], chains[0]),
+                         mv_product(chains[0], chains[1])]
+    return algebras, [r(a) for a in algebras
+                      for r in (reduct_vee_odot, reduct_wedge_oplus)]
 
 
 def two_element_field():

@@ -1,20 +1,26 @@
-"""The tensor quotient's per-call sweeps as they were before they read the
-step table by lookups.
+"""The tensor quotient's readers as they were before they read the step
+table through semiring.fold and the one walk along the representative
+links.
 
 The join table folds the step table over the members of each entry's
 representative. The generating pairs hold a scalar slide for every scalar,
 pair and member, repeats and equal sides included. The induced action folds
 the step table over the moved members of every distinct subset among the
 generating pairs and representatives, for each scalar, and names the first
-generating pair a scalar splits. They are the oracles of
-TensorProduct.join_table, tensor_product's generating pairs and
-scalar_structures, which must give the same tables, a subsequence of the
-same pairs and the same messages."""
+generating pair a scalar splits. A list of pairs is classed by folding the
+step table over their bits in the order given, and extend folds the values
+at each class's representative pairs, one _combine per class. They are the
+oracles of TensorProduct.join_table, tensor_product's generating pairs,
+scalar_structures, class_of_pairs and the naturality lift, and
+TensorProduct.extend, which must give the same tables, a subsequence of the
+same pairs, the same messages, the same classes and the same arrays."""
 import itertools
+
+import numpy as np
 
 from mvsr.errors import IllDefinedAction
 from mvsr.semimodule import FiniteSemimodule
-from mvsr.semiring import _members
+from mvsr.semiring import _combine, _members
 from mvsr.tensor import _class_labels
 
 
@@ -75,3 +81,25 @@ def scalar_structures_by_generators(t, scalars, action):
         rows.append(tuple(image[rep] for rep in cong.representatives))
     return FiniteSemimodule(scalars, t.class_count, join_table_by_folds(t),
                             t.zero_class, tuple(rows), _class_labels(t))
+
+
+def fold_pairs(t, pairs):
+    """The class of the pairs (x, y) of carrier indices: the step table
+    folded over their bits in the order given."""
+    step, n = t.congruence.step, t.right.size
+    c = 0
+    for x, y in pairs:
+        c = step[c][x * n + y]
+    return c
+
+
+def extend_by_folds(t, values, add, zero):
+    """For each class, values[..., x, y] folded under add from zero over its
+    representative's pairs, one _combine per class."""
+    values = np.asarray(values)
+    by_pair = np.moveaxis(values, (-2, -1), (0, 1))
+    out = np.empty((*values.shape[:-2], t.class_count), np.intp)
+    for c in range(t.class_count):
+        xs, ys = np.array(t.pairs_of(c), np.intp).reshape(-1, 2).T
+        out[..., c] = _combine(add, by_pair, zero, xs, ys)
+    return out

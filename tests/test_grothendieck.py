@@ -644,6 +644,24 @@ def test_completion_refuses_a_triple_outside_the_generators(triples,
         completion_from_triples(2, triples)
 
 
+def test_torsion_entries_are_read_as_counts():
+    """Each torsion entry is an integer of at least 2, stored in a tuple:
+    a float entry once passed or failed the divisibility test in its
+    place, and a list of entries was stored as given, unhashable."""
+    with pytest.raises(ValueError, match=r"^torsion entry=5\.0 must be an "
+                                         r"integer$"):
+        AbelianGroupSNF(0, (2, 5.0))
+    with pytest.raises(ValueError, match="^torsion entry=1 must be at "
+                                         "least 2$"):
+        AbelianGroupSNF(0, (1, 2))
+    with pytest.raises(ValueError, match="^torsion must form a "
+                                         "divisibility chain$"):
+        AbelianGroupSNF(0, (2, 5))
+    group = AbelianGroupSNF(1, [2, 4])
+    assert group.torsion == (2, 4)
+    assert hash(group) == hash(AbelianGroupSNF(1, (2, 4)))
+
+
 def test_groups_frozen(boolean):
     three = corpus.chain(3)
     g2 = grothendieck_completion(enumerate_projective_classes(boolean, 2))

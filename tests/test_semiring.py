@@ -17,7 +17,7 @@ from mvsr import semiring
 from mvsr.errors import MalformedTable, NotAHom
 from mvsr.matrix import SemiringMatrix, eta, idempotent_matrices
 from mvsr.mv import (MvAlgebra, MvHom, check_mv_axioms, lukasiewicz_chain,
-                     mv_product, reduct_vee_odot, reduct_wedge_oplus)
+                     reduct_vee_odot, reduct_wedge_oplus)
 from mvsr.projective import row_space
 from mvsr.semimodule import (FiniteSemimodule, SemimoduleHom,
                              _first_broken_law, check_semimodule,
@@ -246,11 +246,7 @@ def test_law_reports_match_the_loops(monkeypatch, budget):
     if budget is not None:
         monkeypatch.setattr(semiring, "_CHUNK_ELEMENTS", budget)
     rng = random.Random(23)
-    chains = [lukasiewicz_chain(k) for k in range(2, 6)]
-    algebras = chains + [mv_product(chains[0], chains[0]),
-                         mv_product(chains[0], chains[1])]
-    rings = [r(a) for a in algebras
-             for r in (reduct_vee_odot, reduct_wedge_oplus)]
+    algebras, rings = corpus.law_algebras()
     modules = [module_over_self(s) for s in rings]
     modules += [free_semimodule(rings[i], ["p", "q"]) for i in (0, 2)]
     broken = Counter()
@@ -371,8 +367,9 @@ def _mv_homs():
     """MV homs (source, target, mapping): each identity, the Boolean
     chain into each chain, the 3-chain into the 5-chain and the
     projections of c2 x c2 and c2 x c3 onto their factors."""
-    c = {k: lukasiewicz_chain(k) for k in range(2, 6)}
-    c22, c23 = mv_product(c[2], c[2]), mv_product(c[2], c[3])
+    algebras, _ = corpus.law_algebras()
+    c = dict(zip(range(2, 6), algebras))
+    c22, c23 = algebras[4:]
     homs = [(a, a, tuple(range(a.size))) for a in (*c.values(), c22, c23)]
     homs += [(c[2], c[k], (0, k - 1)) for k in range(3, 6)]
     homs += [(c[3], c[5], (0, 2, 4)), (c22, c[2], (0, 0, 1, 1)),
@@ -474,11 +471,7 @@ def _policy_family():
     lawless 3-element table, CI's three lawless tables, and 200 perturbed
     copies of each kind, with perturbed maps between them."""
     rng = random.Random(33)
-    chains = [lukasiewicz_chain(k) for k in range(2, 6)]
-    algebras = chains + [mv_product(chains[0], chains[0]),
-                         mv_product(chains[0], chains[1])]
-    rings = [r(a) for a in algebras
-             for r in (reduct_vee_odot, reduct_wedge_oplus)]
+    algebras, rings = corpus.law_algebras()
     modules = [module_over_self(s) for s in rings + [_LAWLESS]]
     modules += [free_semimodule(rings[i], points) for i in (0, 2)
                 for points in ("pq", "pqr")]

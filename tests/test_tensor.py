@@ -51,7 +51,8 @@ from capped import run_capped
 from closed_scans import (closed_sets_from_scratch, implication_closure,
                           step_in_congruence_order)
 from folds import _hom_mask, hom_rows_by_product
-from quotient_folds import (generators_with_every_slide, join_table_by_folds,
+from quotient_folds import (extend_by_folds, fold_pairs,
+                           generators_with_every_slide, join_table_by_folds,
                            scalar_structures_by_generators)
 
 
@@ -635,6 +636,68 @@ def test_join_tables_match_the_fold_per_entry(boolean):
     assert tensors[-1].class_count == 512
     for t in tensors:
         assert t.join_table == join_table_by_folds(t)
+
+
+def test_extend_matches_the_fold_per_class():
+    """extend, one gather a class along the links, folds each class's
+    representative pairs in the order the per-class _combine folds them,
+    so it gives the same array on the 88 pairs over B: under each factor's
+    own addition and under three seeded lawless tables, on values of shape
+    |M| x |N| and on a stack of three."""
+    rng = random.Random(38)
+    lawless = [(np.array(corpus.drawn_table(rng, k, k, k)), rng.randrange(k))
+               for k in (3, 4, 5)]
+    assert all((add != add.T).any() for add, _ in lawless)
+    pairs = corpus.tensor_pairs()
+    assert len(pairs) == 88
+    for m, n in pairs:
+        t = tensor_product(m, n)
+        for add, zero in [(m.np_add, m.zero), (n.np_add, n.zero)] + lawless:
+            shape = (m.size, n.size, len(add))
+            for values in (np.array(corpus.drawn_table(rng, *shape)),
+                           np.array([corpus.drawn_table(rng, *shape)
+                                     for _ in range(3)])):
+                assert np.array_equal(t.extend(values, add, zero),
+                                      extend_by_folds(t, values, add, zero))
+
+
+def test_right_lift_matches_the_pair_fold():
+    """The naturality spot check's lift of a map u on the right factor,
+    one walk, sends each class to the fold of its representative's pairs
+    with u applied in the right slot: on the 88 pairs over B, for every
+    endomorphism of the right factor."""
+    lifts = 0
+    for m, n in corpus.tensor_pairs():
+        t = tensor_product(m, n)
+        for u in hom_set(n, n).rows.tolist():
+            assert mvsr.tensor._right_lift(t, u) == tuple(
+                fold_pairs(t, ((x, u[y]) for x, y in t.pairs_of(c)))
+                for c in range(t.class_count))
+            lifts += 1
+    assert lifts > 88
+
+
+def test_class_of_pairs_matches_the_pair_fold():
+    """class_of_pairs is one fold of the step table: on truncation_demo's
+    psi, each vector of the free module on one and two points over the
+    (wedge, oplus) reducts of the 2- and 3-chains paired with the basis,
+    and on five drawn lists of pairs, repeats included, for each of the
+    88 pairs over B, it is the pair fold."""
+    rng = random.Random(38)
+    cases = []
+    for k in (2, 3):
+        s = reduct_wedge_oplus(lukasiewicz_chain(k))
+        for points in ("x", "xy"):
+            n = free_semimodule(s, points)
+            t = tensor_product(module_over_self(s), n)
+            cases += [(t, list(zip(n.vector(g), n.basis)))
+                      for g in range(n.size)]
+    for m, n in corpus.tensor_pairs():
+        t = tensor_product(m, n)
+        cases += [(t, [(rng.randrange(m.size), rng.randrange(n.size))
+                       for _ in range(rng.randrange(6))]) for _ in range(5)]
+    for t, pairs in cases:
+        assert t.class_of_pairs(pairs) == fold_pairs(t, pairs)
 
 
 def _is_subsequence_with_first_unequal_pairs(kept, full):
@@ -1722,6 +1785,8 @@ _COUNTS = [
      lambda s, v: completion_from_triples(v, []), 1),
     ("AbelianGroupSNF", "rank", ValueError,
      lambda s, v: AbelianGroupSNF(v, ()), 1),
+    ("AbelianGroupSNF", "torsion entry", ValueError,
+     lambda s, v: AbelianGroupSNF(0, (v,)), 2),
     ("equation_holds", "max_vars", ValueError,
      lambda s, v: equation_holds(lukasiewicz_chain(2), "x", "x", v), 1),
     ("gamma_property_report", "samples", ValueError,
