@@ -225,6 +225,10 @@ class AbelianGroupSNF:
 
     def __post_init__(self):
         object.__setattr__(self, "rank", check_count(self.rank, "rank", 0))
+        if (not isinstance(self.torsion, abc.Iterable)
+                or isinstance(self.torsion, (str, bytes, bytearray))):
+            raise ValueError(f"torsion={self.torsion!r} must be an iterable "
+                             f"of torsion entries")
         object.__setattr__(self, "torsion", tuple(
             check_count(d, "torsion entry", 2) for d in self.torsion))
         if any(self.torsion[i + 1] % self.torsion[i]

@@ -85,9 +85,9 @@ from .errors import (EnumGuard, IllDefinedAction, MalformedTable, NotAHom,
 from .jsonio import semimodule_to_dict
 from .mv import gamma_chain, reduct_wedge_oplus
 from .semimodule import (FiniteSemimodule, HomSemilattice, SemimoduleHom,
-                         _LevelSchedule, _assignments, _digits,
-                         _first_broken_law, _schedule,
-                         _sum_laws, check_semimodule, _first_hom,
+                         _LevelSchedule, _assignments, _associative,
+                         _digits, _first_broken_law, _moving_rows,
+                         _schedule, _sum_laws, check_semimodule, _first_hom,
                          _require_homs, free_semimodule, hom_set,
                          join_irreducibles, module_over_self,
                          restrict_scalars, trivial_module)
@@ -499,20 +499,18 @@ class _Filled(dict):
         return value
 
 
-def _monoid_homs(add, zero: int, c_size: int, c_add, c_zero: int,
-                 plan: Optional[_LevelSchedule] = None
+def _monoid_homs(add, zero: int, c_size: int, c_add, c_zero: int
                  ) -> Tuple[Tuple[int, ...], ...]:
     """Every monoid hom out of the table add with zero into C, in
     lexicographic order: the maps that send zero to the monoid zero and
     sums to sums, found by the level search of add's plan, with no action
     rows, over the values range(c_size). The search keeps exactly these
-    maps on lawless tables too. A caller that holds add's plan passes
-    it."""
+    maps on lawless tables too."""
     c_add = tuple(map(tuple, c_add))
-    if plan is None:
-        plan = _schedule(tuple(map(tuple, add)), zero)
+    plan = _schedule(tuple(map(tuple, add)), zero)
     return tuple(sorted(plan.search(range(c_size), c_add, c_zero,
-                                    _sum_laws(c_add, c_zero))))
+                                    _sum_laws(c_add, c_zero),
+                                    functools.partial(_associative, c_add))))
 
 
 def _checked_monoid(c_size, c_add, c_zero) -> Tuple[int, Table, int]:
@@ -526,13 +524,25 @@ def _checked_monoid(c_size, c_add, c_zero) -> Tuple[int, Table, int]:
 
 
 def _factor_plans(m: FiniteSemimodule, n: FiniteSemimodule
-                  ) -> Tuple[int, _LevelSchedule, _LevelSchedule]:
+                  ) -> Tuple[int, _Filled, _LevelSchedule]:
     """What bimorphisms reads of M and N whatever the target: the guard's
-    exponent |JI(M)| |JI(N)|, M's plan with its action rows and N's monoid
-    plan."""
+    exponent |JI(M)| |JI(N)|, N's monoid plan and, filled on demand for
+    whether a target's zero is an identity, M's plan over the action rows
+    that can fail with N's rows for the same scalars (_moving_rows)."""
+    fixed = all(row[n.zero] == n.zero for row in n.action)
+
+    def moving(identity: bool) -> Tuple[_LevelSchedule, Table]:
+        # a row sending M and N to their zeros shifts a row r to the row of
+        # r(0_N), the target's zero when every row sends 0_N to it: homs
+        # do, sums keep it where it is an identity, and shifts where every
+        # row of N fixes 0_N
+        rows, moved = _moving_rows(m.action, n.action, (m.zero, n.zero)
+                                   if identity and fixed else None)
+        return _schedule(m.add, m.zero, rows), moved
+
     return (len(join_irreducibles(m.add, m.zero))
             * len(join_irreducibles(n.add, n.zero)),
-            _schedule(m.add, m.zero, m.action), _schedule(n.add, n.zero))
+            _Filled(moving), _schedule(n.add, n.zero))
 
 
 def bimorphisms(m: FiniteSemimodule, n: FiniteSemimodule,
@@ -544,33 +554,47 @@ def bimorphisms(m: FiniteSemimodule, n: FiniteSemimodule,
 
     The search is curried through Hom(N, C), as in hom(M tensor N, C) =
     hom(M, hom(N, C)): a bimorphism is a module hom from M into Hom(N, C),
-    whose scalars act by (a r)(y) = r(a y). Hom(N, C) is enumerated once
-    and its rows are interned as ints, with pointwise sums and the shifts
-    r -> r(a -) memoized on them, and the level search of M's plan assigns
-    them to M's generators: every column f(-, y) must be a monoid hom out
-    of M, one comparison of interned rows per sum, and f must balance,
-    f(a x, y) = f(x, a y), one comparison per move. Over modules, sums
-    and shifts of homs are homs, so every row is one; bottoms and binary
-    joins generate the finite-subset forms by induction. The guard's
-    c^(|JI(M)|*|JI(N)|) bounds |Hom(N, C)|^|JI(M)| and, once JI(M) is
-    nonempty, the c^|JI(N)| candidates of Hom(N, C); an M with no
-    generators is trivial, and only the zero table is tried.
+    whose scalars act by (a r)(y) = r(a y). Hom(N, C) is read off the
+    search of N's plan and its rows are interned as ints, with pointwise
+    sums and the shifts r -> r(a -) memoized on them, and the level search
+    of M's plan assigns them to M's generators: every column f(-, y) must
+    be a monoid hom out of M, one comparison of interned rows per sum, and
+    f must balance, f(a x, y) = f(x, a y), one comparison per move. Over
+    modules, sums and shifts of homs are homs, so every row is one;
+    bottoms and binary joins generate the finite-subset forms by
+    induction. The guard's c^(|JI(M)|*|JI(N)|) bounds
+    |Hom(N, C)|^|JI(M)| and, once JI(M) is nonempty, the c^|JI(N)|
+    candidates of Hom(N, C); an M with no generators is trivial, and only
+    the zero table is tried.
 
-    A c_size that is no integer of at least 0 (check_count), or a c_add or
-    c_zero that is no table or index below it, is refused with
-    MalformedTable. check_universal_property, whose targets are checked,
-    passes _factor_plans once for all of them, and nothing is checked.
+    M's plan files a move only for a scalar whose balance some table can
+    fail. A scalar acting as the identity on M and on N balances every
+    table. One sending M and N to their zeros balances every table when
+    each row takes 0_N to C's zero: it does when C's zero is a two-sided
+    identity and every row of N fixes 0_N; elsewhere, a row made by a sum
+    or a shift can move it, and the move is filed.
+
+    Factors over different scalars are refused with ScalarMismatch, and
+    a c_size that is no integer of at least 0 (check_count), or a c_add or
+    c_zero that is no table or index below it, with MalformedTable.
+    check_universal_property, whose factors and targets are checked,
+    passes _factor_plans once for all targets, and nothing is checked.
     """
     if _plans is None:
+        if not same_scalars(m.scalars, n.scalars):
+            raise ScalarMismatch("bimorphisms need a common scalar semiring")
         c_size, c_add, c_zero = _checked_monoid(c_size, c_add, c_zero)
         _plans = _factor_plans(m, n)
-    exponent, plan, right_plan = _plans
+    exponent, left, right_plan = _plans
     check_bound(EnumGuard, "bimorphism candidates", c_size ** exponent,
                 "max_enum", max_enum)
 
-    homs = _monoid_homs(n.add, n.zero, c_size, c_add, c_zero,
-                        right_plan) if plan.depth else ()
-    rows = list(homs)
+    laws = _sum_laws(c_add, c_zero)
+    plan, moved = left[laws[0]]
+    associative = functools.partial(_associative, c_add)
+    rows = list(right_plan.search(range(c_size), c_add, c_zero, laws,
+                                  associative) if plan.depth else ())
+    count = len(rows)
     index = {row: r for r, row in enumerate(rows)}
 
     def intern(row: Tuple[int, ...]) -> int:
@@ -584,10 +608,12 @@ def bimorphisms(m: FiniteSemimodule, n: FiniteSemimodule,
     sums = _Filled(lambda r: _Filled(lambda s: intern(tuple(
         c_add[p][q] for p, q in zip(rows[r], rows[s])))))
     shift = _Filled(lambda a: _Filled(lambda r: intern(tuple(
-        rows[r][y] for y in n.action[a]))))
-    found = plan.search(range(len(homs)), sums, zero_row,
-                        _sum_laws(c_add, c_zero), shift)
-    return tuple(sorted(tuple(c for r in v for c in rows[r]) for v in found))
+        rows[r][y] for y in moved[a]))))
+    found = plan.search(range(count), sums, zero_row, laws, associative,
+                        shift)
+    chain = itertools.chain.from_iterable
+    return tuple(sorted(tuple(chain(map(rows.__getitem__, v)))
+                        for v in found))
 
 
 def _monoid_canonical(size: int, table) -> Tuple:
@@ -679,7 +705,12 @@ def check_universal_property(t: TensorProduct,
     family.append((t.right.size, t.right.add, t.right.zero))
 
     join = t.join_table
+    # a quotient hom v keyed by its values on the pure tensors; itemgetter
+    # of one item returns it bare
     tensors = t.congruence.step[0]
+    key = operator.itemgetter(*tensors)
+    if len(tensors) == 1:
+        key = lambda v, get=key: (get(v),)  # noqa: E731
     depth = len(join_irreducibles(join, t.zero_class))
     quotient_plan = _schedule(join, t.zero_class)
     factor_plans = _factor_plans(t.left, t.right)
@@ -690,10 +721,9 @@ def check_universal_property(t: TensorProduct,
     for (c_size, c_add, c_zero) in family:
         check_bound(EnumGuard, "candidate homs out of the quotient",
                     c_size ** depth, "max_enum", max_enum)
-        hits = Counter(tuple(v[tc] for tc in tensors)
-                       for v in quotient_plan.search(
-                           range(c_size), c_add, c_zero,
-                           _sum_laws(c_add, c_zero)))
+        hits = Counter(map(key, quotient_plan.search(
+            range(c_size), c_add, c_zero, _sum_laws(c_add, c_zero),
+            functools.partial(_associative, c_add))))
         for f in bimorphisms(t.left, t.right, c_size, c_add, c_zero, max_enum,
                              _plans=factor_plans):
             bim_count += 1

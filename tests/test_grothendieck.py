@@ -2,6 +2,7 @@ import collections
 import hashlib
 import itertools
 import random
+import re
 
 import pytest
 
@@ -660,6 +661,19 @@ def test_torsion_entries_are_read_as_counts():
     group = AbelianGroupSNF(1, [2, 4])
     assert group.torsion == (2, 4)
     assert hash(group) == hash(AbelianGroupSNF(1, (2, 4)))
+
+
+@pytest.mark.parametrize("torsion", [3, None, "ab", b"\x02",
+                                     bytearray(b"\x02")],
+                         ids=["int", "None", "str", "bytes", "bytearray"])
+def test_torsion_that_is_no_sequence_of_counts_is_refused(torsion):
+    """A bare count or None once raised a bare TypeError, a str named its
+    first character as the entry, and bytes were read as their byte
+    values: bytes([2]) was accepted as the torsion (2,)."""
+    with pytest.raises(ValueError, match=f"^torsion={re.escape(repr(torsion))}"
+                                         f" must be an iterable of torsion "
+                                         f"entries$"):
+        AbelianGroupSNF(0, torsion)
 
 
 def test_groups_frozen(boolean):

@@ -536,6 +536,52 @@ def test_hom_set_rows_match_the_product_on_lawless_modules(boolean, three):
     assert _rows_match_the_product(pairs) > 0
 
 
+def _derivation_by_rows(plan):
+    """A plan's derivation in its order, each move step naming the row it
+    moves by rather than its index among the plan's rows."""
+    return [(x, (step[0], plan.action[step[1]], step[2])
+             if step[0] == "act" else step) for x, step in plan.deriv.items()]
+
+
+def test_hom_search_plans_over_the_rows_some_map_can_fail(boolean, three):
+    """_hom_search plans the source over the rows _moving_rows keeps: a row
+    that acts as the identity on both modules, or sends both to their
+    zeros, is no check. Every row of two lawful modules over B is dropped,
+    and some over the 3-chain reduct are. A plan over the kept rows has
+    the generators and the derivation of the plan over every row, and the
+    hom sets are the product's, on lawful modules over both, on the
+    lawless ones and on targets where a row is neither."""
+    lawful = {s: enumerate_modules(s, 3) for s in (boolean, three)}
+    pairs = [(m, n) for s in (boolean, three) for m in lawful[s]
+             for n in lawful[s]]
+    some = corpus.lawless_modules() + list(lawful[boolean][:4])
+    pairs += [(m, n) for m in some for n in some]
+    # scalar 0 acts as the identity on the target, and as zero on the free
+    # module; scalar 0 acts as the identity on the source and as zero on B
+    stuck = FiniteSemimodule(boolean, 2, ((0, 1), (1, 1)), 0,
+                             ((0, 1), (0, 1)))
+    free = free_semimodule(boolean, "x")
+    pairs += [(free, stuck), (stuck, free)]
+    dropped = kept = 0
+    for m, n in pairs:
+        rows, shift = mvsr.semimodule._moving_rows(m.action, n.action,
+                                                   (m.zero, n.zero))
+        assert len(rows) == len(shift)
+        plan = mvsr.semimodule._schedule(m.add, m.zero, rows)
+        full = mvsr.semimodule._schedule(m.add, m.zero, m.action)
+        assert plan.gens == full.gens
+        assert _derivation_by_rows(plan) == _derivation_by_rows(full)
+        dropped += m.scalars.size - len(rows)
+        kept += len(rows)
+    assert all(not mvsr.semimodule._moving_rows(
+        m.action, n.action, (m.zero, n.zero))[0]
+        for m in lawful[boolean] for n in lawful[boolean])
+    assert dropped > 0 and kept > 0
+    assert _rows_match_the_product(pairs) == 0
+    assert hom_set(free, stuck).rows.tolist() == [[0, 0]]
+    assert hom_set(stuck, free).rows.tolist() == [[0, 0]]
+
+
 def test_assignment_chunks_stay_within_their_rows(monkeypatch):
     for size, count, rows in itertools.product((1, 2, 3, 5), (0, 1, 2, 4),
                                                (1, 2, 7, 25, 1000)):
