@@ -38,7 +38,7 @@ import itertools
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from operator import getitem
 from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
                     Set, Tuple)
@@ -443,20 +443,16 @@ class _LevelSchedule:
     when the domain ascends. The search keeps exactly the maps that pass
     every check, whatever the tables.
 
-    The sum checks are filed in five groups, and a search skips each of
-    the last four when a law of its sums makes that group true. With the
-    base a two-sided identity, a sum of the zero with x that is x, since
-    v[zero] is the base. With commuting sums, the pair (c, d) when (d, c)
-    has the same sum and is made true by a step, or is checked at the same
-    level and ranks lower: led by a generator where c is not, else with
-    d < c. With idempotent sums, the pair (c, c) when c sums to itself.
-    With the plan's implies_sums and sums that associate with the base as
-    identity, the pairs led by no generator, which the generator pairs
-    imply. Each pair is filed under the first group that fits it, so a
-    skipped pair is always implied by the checks that remain. The moves
-    are all filed, but a plan is made over the action rows some map can
-    fail (_moving_rows), so a scalar acting trivially on both sides files
-    none.
+    Three laws of the sums each make some sum checks true, and a search
+    told that its sums obey a law skips them: with the base a two-sided
+    identity, a sum of the zero with x that is x, since v[zero] is the
+    base; with commuting sums, the pair (c, d) with c > d when (d, c),
+    checked at the same level or made true by a step, has the same sum;
+    with idempotent sums, the pair (c, c) when c sums to itself. Each pair
+    is filed under the first of these that fits it, so a skipped pair is
+    always implied by the checks that remain. The moves are all filed, but
+    a plan is made over the action rows some map can fail (_moving_rows),
+    so a scalar acting trivially on both sides files none.
     """
 
     def __init__(self, add, zero: int, action=()):
@@ -483,51 +479,18 @@ class _LevelSchedule:
     # depth fires before the |add|^2 sums are built.
 
     @cached_property
-    def implies_sums(self) -> bool:
-        """Whether the sums led by a generator imply every sum check, on a
-        target whose sums associate with the base as identity: the plan is
-        past semiring._small's size on its |add|^2 sums, derives every
-        element by sums alone, has zero as a two-sided identity and has
-        (g + x) + y = g + (x + y) for every generator g.
-
-        Then every element is a right-nested sum g1 + (g2 + (... + 0)):
-        the zero is, and a sum c + d with c = g + c' is g + (c' + d), by
-        induction on the length of c. A map v with v[0] the base and
-        v[g + x] = v[g] + v[x] for every generator g keeps every sum: v[0
-        + d] = v[d] = v[0] + v[d], and for c = g + c', v[c + d] = v[g +
-        (c' + d)] = v[g] + v[c' + d] = v[g] + (v[c'] + v[d]) = (v[g] +
-        v[c']) + v[d] = v[c] + v[d], by induction on the length of c. A
-        smaller plan does not pay for the associativity checks."""
-        add, zero = self.add, self.zero
-        if (_small(self.size ** 2)
-                or any(step[0] == "act" for step in self.deriv.values())
-                or _first_identity_failure(add, zero) is not None):
-            return False
-        return all(tuple(map(row.__getitem__, add[x])) == add[row[x]]
-                   for row in map(add.__getitem__, self.gens)
-                   for x in range(self.size))
-
-    @cached_property
     def sums(self) -> List[List[list]]:
         """Per level, the sum checks (c, d, c + d) that no step makes true:
         those no law makes true, then those made true by the base as
-        identity, by commuting and by idempotence, then those the generator
-        pairs imply."""
+        identity, by commuting and by idempotence."""
         add, zero, level, deriv = self.add, self.zero, self.level, self.deriv
-        # commuting, (c, d) is implied by a partner (d, c) that a step makes
-        # true or of lower rank: led by a generator when c is not, else c > d
-        rank = [x + self.size for x in range(self.size)]
-        for g in self.gens:
-            rank[g] = g
-        sums = [[[], [], [], [], []] for _ in range(self.depth + 1)]
+        sums = [[[], [], [], []] for _ in range(self.depth + 1)]
         for c, row in enumerate(add):
             for d, cd in enumerate(row):
                 if deriv[cd] != ("add", c, d):
                     law = (1 if c == zero and cd == d or d == zero and cd == c
-                           else 2 if add[d][c] == cd and (
-                               rank[c] > rank[d] or deriv[cd] == ("add", d, c))
-                           else 3 if c == d == cd
-                           else 4 if rank[c] >= self.size else 0)
+                           else 2 if c > d and add[d][c] == cd
+                           else 3 if c == d == cd else 0)
                     sums[max(level[c], level[d], level[cd])][law].append(
                         (c, d, cd))
         return sums
@@ -543,21 +506,17 @@ class _LevelSchedule:
                         (a, x, ax))
         return moves
 
-    def search(self, domain: Sequence, plus, base, laws, associative,
+    def search(self, domain: Sequence, plus, base, laws,
                shift=()) -> Iterator[tuple]:
         """Every map that passes its checks, as its tuple of values, depth
         first. The generators take their values from domain; plus[p][q] is
         the sum of two values and base their zero, shift[a][p] is p moved
         by the plan's action row a, and laws says whether the sums have the
-        base as identity, commute and are idempotent on every value.
-        associative(), asked only when implies_sums holds and the base is
-        an identity, says whether the sums associate on every value."""
-        implied = laws[0] and self.implies_sums and associative()
-        key = (*laws, implied)
-        sums = self._filed.get(key)
+        base as identity, commute and are idempotent on every value."""
+        sums = self._filed.get(laws)
         if sums is None:
-            kept = (True,) + tuple(not held for held in key)
-            sums = self._filed[key] = [
+            kept = (True,) + tuple(not held for held in laws)
+            sums = self._filed[laws] = [
                 [p for group, keep in zip(groups, kept) if keep
                  for p in group] for groups in self.sums]
         steps, moves, gens, depth = (self.steps, self.moves, self.gens,
@@ -614,13 +573,6 @@ def _sum_laws(add: Table, zero: int) -> Tuple[bool, bool, bool]:
             _first_idempotent_failure(add) is None)
 
 
-@lru_cache(maxsize=64)
-def _associative(add: Table) -> bool:
-    """Whether add associates, asked only by a plan whose sums the
-    generator pairs imply."""
-    return _first_assoc_failure(add, add) is None
-
-
 def _moving_rows(left: Table, right: Table, zeros=None
                  ) -> Tuple[Table, Table]:
     """The action rows of left and right, paired by scalar, whose move check
@@ -673,8 +625,7 @@ def _hom_search(m: FiniteSemimodule, n: FiniteSemimodule,
                 n.size ** len(gens), "max_enum", max_enum)
     rows, shift = _moving_rows(m.action, n.action, (m.zero, n.zero))
     return _schedule(m.add, m.zero, rows).search(
-        range(n.size), n.add, n.zero, _sum_laws(n.add, n.zero),
-        partial(_associative, n.add), shift)
+        range(n.size), n.add, n.zero, _sum_laws(n.add, n.zero), shift)
 
 
 @dataclass(frozen=True, eq=False)

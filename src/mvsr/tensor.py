@@ -85,9 +85,9 @@ from .errors import (EnumGuard, IllDefinedAction, MalformedTable, NotAHom,
 from .jsonio import semimodule_to_dict
 from .mv import gamma_chain, reduct_wedge_oplus
 from .semimodule import (FiniteSemimodule, HomSemilattice, SemimoduleHom,
-                         _LevelSchedule, _assignments, _associative,
-                         _digits, _first_broken_law, _moving_rows,
-                         _schedule, _sum_laws, check_semimodule, _first_hom,
+                         _LevelSchedule, _assignments, _digits,
+                         _first_broken_law, _moving_rows, _schedule,
+                         _sum_laws, check_semimodule, _first_hom,
                          _require_homs, free_semimodule, hom_set,
                          join_irreducibles, module_over_self,
                          restrict_scalars, trivial_module)
@@ -509,8 +509,7 @@ def _monoid_homs(add, zero: int, c_size: int, c_add, c_zero: int
     c_add = tuple(map(tuple, c_add))
     plan = _schedule(tuple(map(tuple, add)), zero)
     return tuple(sorted(plan.search(range(c_size), c_add, c_zero,
-                                    _sum_laws(c_add, c_zero),
-                                    functools.partial(_associative, c_add))))
+                                    _sum_laws(c_add, c_zero))))
 
 
 def _checked_monoid(c_size, c_add, c_zero) -> Tuple[int, Table, int]:
@@ -591,9 +590,8 @@ def bimorphisms(m: FiniteSemimodule, n: FiniteSemimodule,
 
     laws = _sum_laws(c_add, c_zero)
     plan, moved = left[laws[0]]
-    associative = functools.partial(_associative, c_add)
-    rows = list(right_plan.search(range(c_size), c_add, c_zero, laws,
-                                  associative) if plan.depth else ())
+    rows = list(right_plan.search(range(c_size), c_add, c_zero, laws)
+                if plan.depth else ())
     count = len(rows)
     index = {row: r for r, row in enumerate(rows)}
 
@@ -609,8 +607,7 @@ def bimorphisms(m: FiniteSemimodule, n: FiniteSemimodule,
         c_add[p][q] for p, q in zip(rows[r], rows[s])))))
     shift = _Filled(lambda a: _Filled(lambda r: intern(tuple(
         rows[r][y] for y in moved[a]))))
-    found = plan.search(range(count), sums, zero_row, laws, associative,
-                        shift)
+    found = plan.search(range(count), sums, zero_row, laws, shift)
     chain = itertools.chain.from_iterable
     return tuple(sorted(tuple(chain(map(rows.__getitem__, v)))
                         for v in found))
@@ -705,12 +702,7 @@ def check_universal_property(t: TensorProduct,
     family.append((t.right.size, t.right.add, t.right.zero))
 
     join = t.join_table
-    # a quotient hom v keyed by its values on the pure tensors; itemgetter
-    # of one item returns it bare
     tensors = t.congruence.step[0]
-    key = operator.itemgetter(*tensors)
-    if len(tensors) == 1:
-        key = lambda v, get=key: (get(v),)  # noqa: E731
     depth = len(join_irreducibles(join, t.zero_class))
     quotient_plan = _schedule(join, t.zero_class)
     factor_plans = _factor_plans(t.left, t.right)
@@ -721,9 +713,10 @@ def check_universal_property(t: TensorProduct,
     for (c_size, c_add, c_zero) in family:
         check_bound(EnumGuard, "candidate homs out of the quotient",
                     c_size ** depth, "max_enum", max_enum)
-        hits = Counter(map(key, quotient_plan.search(
-            range(c_size), c_add, c_zero, _sum_laws(c_add, c_zero),
-            functools.partial(_associative, c_add))))
+        hits = Counter(tuple(v[tc] for tc in tensors)
+                       for v in quotient_plan.search(
+                           range(c_size), c_add, c_zero,
+                           _sum_laws(c_add, c_zero)))
         for f in bimorphisms(t.left, t.right, c_size, c_add, c_zero, max_enum,
                              _plans=factor_plans):
             bim_count += 1
